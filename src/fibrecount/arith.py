@@ -1,7 +1,7 @@
 """Exact integer arithmetic: factorization, solubility indicators, constants.
 
 Everything here is deterministic and reentrant.  The only shared state is a
-prime-table cache that is built once per limit and read-only afterwards.
+read-only prime table that is replaced only by a longer one.
 
 The central indicator is conic_soluble_global(m): whether the conic
 x0^2 + x1^2 = m*x2^2 has a rational point.  For m > 0 this is the classical
@@ -21,7 +21,8 @@ from math import gcd
 import numpy as np
 
 _PRIME_LOCK = threading.Lock()
-_PRIME_CACHE: dict[int, np.ndarray] = {}
+_PRIMES = np.zeros(0, dtype=np.int64)  # all primes <= _PRIME_LIMIT
+_PRIME_LIMIT = 1
 _SMALL_TRIAL_LIMIT = 10**6
 
 
@@ -29,22 +30,26 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
+def grown_limit(old: int, limit: int) -> int:
+    """New limit of a table that only grows: at least `limit`, and twice
+    the old one while that stays within 2^24 more entries."""
+    return max(limit, min(2 * old, old + (1 << 24)))
+
+
 def prime_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit, cached per limit (read-only after build)."""
+    """All primes <= limit: a read-only view of one table that only grows."""
+    global _PRIMES, _PRIME_LIMIT
     with _PRIME_LOCK:
-        hit = _PRIME_CACHE.get(limit)
-    if hit is not None:
-        return hit
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if is_p[i]:
-            is_p[i * i::i] = False
-    primes = np.nonzero(is_p)[0].astype(np.int64)
-    primes.setflags(write=False)
-    with _PRIME_LOCK:
-        _PRIME_CACHE[limit] = primes
-    return primes
+        if _PRIME_LIMIT < limit:
+            _PRIME_LIMIT = grown_limit(_PRIME_LIMIT, limit)
+            is_p = np.ones(_PRIME_LIMIT + 1, dtype=bool)
+            is_p[:2] = False
+            for i in range(2, math.isqrt(_PRIME_LIMIT) + 1):
+                if is_p[i]:
+                    is_p[i * i::i] = False
+            _PRIMES = np.nonzero(is_p)[0].astype(np.int64)
+            _PRIMES.setflags(write=False)
+        return _PRIMES[:np.searchsorted(_PRIMES, limit, side="right")]
 
 
 def spf_sieve(limit: int) -> np.ndarray:

@@ -16,6 +16,14 @@ Counting conventions (fixed across the library):
   2 * projective_count(t) = sum_{l<=t} mu(l) * count(floor(t/l), zero=True),
   an integer identity with no error term; mobius_residual returns the
   difference and must be identically zero.
+
+Box counts take one of two paths.  The slab path scans the box one
+x0-slab at a time.  On an instance with several variable blocks (see
+blocks.py) the split path packs the blocks into two halves of balanced
+size, tabulates the distinct (f2, f1) value pairs of each half over its
+sub-box, and joins the halves on f2-parts that sum to zero (meet in the
+middle).  The largest box it scans is the larger half's: (2P+1)^2 points
+instead of (2P+1)^4 on four_squares.
 """
 
 from __future__ import annotations
@@ -28,15 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (DomainError, conic_soluble_global, moebius_sieve,
-                    prime_sieve)
-from .forms import Form, Instance
+from .arith import (DomainError, conic_soluble_global, grown_limit,
+                    moebius_sieve, prime_sieve)
+from .blocks import (BudgetExceededError, balanced_halves, restrict,
+                     variable_blocks)
+from .forms import Instance
 
 DEFAULT_BUDGET = 3 * 10**8
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration volume exceeds the allowed budget."""
+_PAIR_CHUNK = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +51,7 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _SIEVE_LOCK = threading.Lock()
-_SIEVE_CACHE: dict[int, np.ndarray] = {}
+_SIEVE = np.zeros(1, dtype=bool)  # ok[0..]: replaced only by a longer one
 
 
 def two_squares_sieve(limit: int) -> np.ndarray:
@@ -52,12 +59,17 @@ def two_squares_sieve(limit: int) -> np.ndarray:
 
     Linear sieve over valuation parities: for every prime p = 3 mod 4 and
     every odd exponent e, the integers with v_p(m) exactly e are removed.
-    No per-m factorization happens.  Cached per limit; read-only.
+    No per-m factorization happens.  One read-only table serves every
+    limit; a longer limit rebuilds it, geometrically larger.
     """
+    global _SIEVE
     with _SIEVE_LOCK:
-        hit = _SIEVE_CACHE.get(limit)
-    if hit is not None:
-        return hit
+        if len(_SIEVE) <= limit:
+            _SIEVE = _build_two_squares(grown_limit(len(_SIEVE) - 1, limit))
+        return _SIEVE[:limit + 1]
+
+
+def _build_two_squares(limit: int) -> np.ndarray:
     ok = np.ones(limit + 1, dtype=bool)
     ok[0] = False
     primes = prime_sieve(limit)
@@ -73,8 +85,6 @@ def two_squares_sieve(limit: int) -> np.ndarray:
                 break
             pe *= p * p  # next odd exponent
     ok.setflags(write=False)
-    with _SIEVE_LOCK:
-        _SIEVE_CACHE[limit] = ok
     return ok
 
 
@@ -178,114 +188,67 @@ def _theta_of_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _separable_split(inst: Instance):
-    """Partition of variables into two blocks with no monomial of f1 or f2
-    straddling the blocks, or None if no such partition exists."""
-    n = inst.n
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for f in (inst.f1, inst.f2):
-        for _, exps in f.monomials:
-            idx = [i for i, e in enumerate(exps) if e]
-            for a, b in zip(idx, idx[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    roots = {}
-    for i in range(n):
-        roots.setdefault(find(i), []).append(i)
-    comps = list(roots.values())
-    if len(comps) < 2:
-        return None
-    # fold all components into two blocks (first vs rest)
-    block_a = comps[0]
-    block_b = [i for c in comps[1:] for i in c]
-    return block_a, block_b
-
-
-def _restrict(f: Form, block, n_sub: int) -> Form | None:
-    """Form in the block variables, or None if no monomial lives there."""
-    monos = []
-    pos = {v: i for i, v in enumerate(block)}
-    for coeff, exps in f.monomials:
-        if all(e == 0 or i in pos for i, e in enumerate(exps)):
-            sub = [0] * n_sub
-            for i, e in enumerate(exps):
-                if e:
-                    sub[pos[i]] = e
-            monos.append((coeff, tuple(sub)))
-    if not monos:
-        return None
-    return Form(n_vars=n_sub, degree=f.degree, monomials=tuple(monos))
-
-
-def _block_value_table(f1: Form, f2: Form, block, P: int, budget: int):
-    """Joint (f2-value -> f1-value -> count) tables over the block's box.
-
-    Returns a dict mapping v2 to a dict mapping v1 to multiplicity, where
-    (v1, v2) are the values of the block parts of (f1, f2).
-    """
-    nb = len(block)
+def _half_table(inst: Instance, half, P: int, budget: int):
+    """Distinct (f2, f1) value pairs of the half's parts over its box, with
+    multiplicities: arrays (v2, v1, count) sorted by v2."""
+    nb = len(half)
     if (2 * P + 1) ** nb > budget:
         raise BudgetExceededError(
             f"sub-box volume {(2*P+1)**nb} exceeds budget {budget}")
-    g1 = _restrict(f1, block, nb)
-    g2 = _restrict(f2, block, nb)
+    g1, g2 = restrict(inst.f1, half), restrict(inst.f2, half)
     axes = [np.arange(-P, P + 1, dtype=np.int64) for _ in range(nb)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    cols = [g.ravel() for g in grids]
+    cols = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
     npts = len(cols[0])
     v1 = g1.evaluate_batch(cols, P) if g1 else np.zeros(npts, np.int64)
     v2 = g2.evaluate_batch(cols, P) if g2 else np.zeros(npts, np.int64)
     # pack the value pair into one int64 key: unique on 1-d keys is far
     # faster than a lexicographic row sort
-    b1 = (g1.coeff_norm() if g1 else 0) * max(P, 1) ** f1.degree + 1
-    b2 = (g2.coeff_norm() if g2 else 0) * max(P, 1) ** f2.degree + 1
+    b1 = (g1.coeff_norm() if g1 else 0) * max(P, 1) ** inst.d + 1
+    b2 = (g2.coeff_norm() if g2 else 0) * max(P, 1) ** inst.d + 1
     if (2 * b2 + 1) * (2 * b1 + 1) >= 2**62:
         raise BudgetExceededError("value range too wide for packed keys")
     keys, counts = np.unique((v2 + b2) * (2 * b1 + 1) + (v1 + b1),
                              return_counts=True)
-    table: dict[int, dict[int, int]] = {}
-    for key, c in zip(keys.tolist(), counts.tolist()):
-        val2, val1 = divmod(key, 2 * b1 + 1)
-        table.setdefault(val2 - b2, {})[val1 - b1] = c
-    return table
+    val2, val1 = np.divmod(keys, 2 * b1 + 1)
+    return val2 - b2, val1 - b1, counts.astype(np.int64)
 
 
 def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
                  budget: int) -> int:
-    split = _separable_split(inst)
-    if split is None:
+    """Meet in the middle over two halves of the variable blocks.
+
+    Every pair of half points with f2-parts summing to 0 is a point of the
+    hypersurface.  Pairs of distinct value pairs are formed per matching f2
+    value, in chunks of at most _PAIR_CHUNK, and classified at once.
+    """
+    blocks = variable_blocks(inst)
+    if len(blocks) < 2:
         raise BudgetExceededError("instance is not separable")
-    ta = _block_value_table(inst.f1, inst.f2, split[0], P, budget)
-    tb = _block_value_table(inst.f1, inst.f2, split[1], P, budget)
+    half_a, half_b = balanced_halves(blocks)
+    a2, a1, ac = _half_table(inst, half_a, P, budget)
+    b2, b1, bc = _half_table(inst, half_b, P, budget)
+    # the B entries whose f2-part is -v2, for each A entry: a run in B
+    lo = np.searchsorted(b2, -a2, side="left")
+    run = np.searchsorted(b2, -a2, side="right") - lo
     total = 0
-    pos_vals: list[int] = []
-    pos_wts: list[int] = []
-    # origin correction: the all-zero vector contributes one spurious
-    # f1=f2=0 combination, removed at the end
-    for v2, inner_a in ta.items():
-        inner_b = tb.get(-v2)
-        if inner_b is None:
-            continue
-        for u1, ca in inner_a.items():
-            for u2, cb in inner_b.items():
-                f1v = u1 + u2
-                if f1v == 0:
-                    if include_zero_fibres:
-                        total += ca * cb
-                elif f1v > 0:
-                    pos_vals.append(f1v)
-                    pos_wts.append(ca * cb)
-    if pos_vals:
-        ok = _theta_of_values(np.asarray(pos_vals, dtype=np.int64))
-        total += int(np.asarray(pos_wts, dtype=np.int64)[ok].sum())
+    csum = np.cumsum(run)
+    start = 0
+    while start < len(a2):
+        # A entries [start, stop) make at most _PAIR_CHUNK pairs (or one row)
+        base = csum[start - 1] if start else 0
+        stop = max(int(np.searchsorted(csum, base + _PAIR_CHUNK, "right")),
+                   start + 1)
+        reps = run[start:stop]
+        ia = np.repeat(np.arange(start, stop), reps)
+        offs = np.arange(len(ia)) - np.repeat(np.cumsum(reps) - reps, reps)
+        ib = np.repeat(lo[start:stop], reps) + offs
+        f1v = a1[ia] + b1[ib]
+        w = ac[ia] * bc[ib]
+        if include_zero_fibres:
+            total += int(w[f1v == 0].sum())
+        pos = f1v > 0
+        total += int(w[pos][_theta_of_values(f1v[pos])].sum())
+        start = stop
     if include_zero_fibres:
         total -= 1  # the origin
     return total

@@ -5,7 +5,10 @@ Objects:
 * birch_sum: the complete sum of e((a1*f1(x) + a2*f2(x))/q) over x mod q.
   Evaluated through the joint value distribution of (f1, f2) mod q and a
   2-d FFT, which is exact up to float rounding; a CRT path multiplies
-  prime-power values for large composite q.
+  prime-power values for large composite q.  On an instance with several
+  variable blocks (see blocks.py) the table is the product of the per-block
+  tables, each built from a q^(block size) scan instead of q^n; the
+  direct scan stays available (method='direct') as the oracle.
 
 * arc_factor(a1, q): the constant in front of x/sqrt(log x) in the
   asymptotic of sum_{m<=x, m a sum of two squares} e(a1*m/q), divided by
@@ -35,6 +38,7 @@ import numpy as np
 
 from .arith import (DomainError, factor, only_1mod4_factors, prime_sieve,
                     valuation)
+from .blocks import Block, block_tables, path_for, residue_table
 from .counting import BudgetExceededError, two_squares_sieve
 from .forms import Instance
 
@@ -84,42 +88,49 @@ _TABLE_CACHE: dict[tuple, np.ndarray] = {}
 
 def joint_value_distribution(inst: Instance, q: int,
                              budget: int = DEFAULT_SUM_BUDGET) -> np.ndarray:
-    """M[u, v] = #{x mod q : f1(x) = u, f2(x) = v (mod q)}."""
-    n = inst.n
-    total = q ** n
-    if total > budget:
-        raise BudgetExceededError(
-            f"direct enumeration of q^n = {total} points exceeds budget {budget}")
-    M = np.zeros(q * q, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        cols = [(idx // q**i) % q for i in range(n)]
-        u = inst.f1.evaluate_batch_mod(cols, q)
-        v = inst.f2.evaluate_batch_mod(cols, q)
-        M += np.bincount(u * q + v, minlength=q * q)
-    return M.reshape(q, q)
+    """M[u, v] = #{x mod q : f1(x) = u, f2(x) = v (mod q)}, by scanning the
+    whole box (Z/q)^n."""
+    return residue_table(Block(tuple(range(inst.n)), inst.f1, inst.f2),
+                         q, q, q, budget)
 
 
 def birch_sum_table(inst: Instance, q: int,
-                    budget: int = DEFAULT_SUM_BUDGET) -> np.ndarray:
+                    budget: int = DEFAULT_SUM_BUDGET,
+                    method: str = "auto") -> np.ndarray:
     """All S_{(a1,a2),q} at once as a (q, q) complex array.
 
     S[a1, a2] = sum_{u,v} M[u,v] e((a1 u + a2 v)/q) = conj(FFT2(M)).
-    Cached per (instance, q); the cache is read-only after insertion.
+    method 'direct' takes M from joint_value_distribution; 'auto' instead
+    multiplies the per-block tables (see _block_table) when the instance
+    has at least two blocks.  budget bounds the scanned volume: q^n on the
+    direct path, q^(block size) per block on the block path.  Cached per
+    (instance, q, path); the cache is read-only after insertion.
     """
-    key = (inst.config_hash(), q)
+    path = path_for(inst, method)
+    key = (inst.config_hash(), q, path)
     with _TABLE_LOCK:
         hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
     if q == 1:
         S = np.ones((1, 1), dtype=np.complex128)
+    elif path == "block":
+        S = _block_table(inst, q, budget)
     else:
         M = joint_value_distribution(inst, q, budget)
         S = np.conj(np.fft.fft2(M.astype(np.float64)))
     S.setflags(write=False)
     with _TABLE_LOCK:
         _TABLE_CACHE[key] = S
+    return S
+
+
+def _block_table(inst: Instance, q: int, budget: int) -> np.ndarray:
+    """The Birch table as the product of the per-block tables
+    conj(FFT2(M_b)), exact because e(.) is additive over disjoint blocks."""
+    S = np.ones((q, q), dtype=np.complex128)
+    for M, count in block_tables(inst, q, q, q, budget):
+        S *= np.conj(np.fft.fft2(M.astype(np.float64))) ** count
     return S
 
 
@@ -144,9 +155,9 @@ def birch_sum(inst: Instance, phase, q: int | None = None,
               budget: int = DEFAULT_SUM_BUDGET, method: str = "auto") -> complex:
     """S_{(a1,a2),q}: sum of e((a1 f1(x) + a2 f2(x))/q) over x mod q.
 
-    method 'auto' evaluates directly when q^n fits the budget and otherwise
-    multiplies prime-power sums through the Chinese remainder theorem; the
-    two paths agree exactly.
+    method 'direct' reads birch_sum_table; 'auto' does so when the table
+    fits the budget and otherwise multiplies prime-power sums through the
+    Chinese remainder theorem; the two paths agree exactly.
     """
     if isinstance(phase, ModularPhase):
         a1, a2 = phase.a1, (phase.a2 or 0)
@@ -161,17 +172,17 @@ def birch_sum(inst: Instance, phase, q: int | None = None,
     a2 %= q
     if method not in ("auto", "direct", "crt"):
         raise DomainError(f"unknown method {method!r}")
-    if method == "direct" or (method == "auto" and q ** inst.n <= budget):
-        S = birch_sum_table(inst, q, budget)
-        return complex(S[a1, a2])
+    fs = factor(q).factors
+    if method != "crt":
+        try:
+            return complex(birch_sum_table(inst, q, budget)[a1, a2])
+        except BudgetExceededError:
+            if method == "direct" or len(fs) == 1:
+                raise
     # CRT: q = q1*q2 coprime; 1/q = A/q1 + B/q2 with A = q2^{-1} mod q1,
     # B = q1^{-1} mod q2, so the sum factorizes with rescaled phases.
-    fs = factor(q).factors
     if len(fs) == 1:
-        if method == "crt":
-            raise DomainError("q is a prime power; no CRT split available")
-        raise BudgetExceededError(
-            f"prime power modulus {q} needs q^n = {q**inst.n} > budget {budget}")
+        raise DomainError("q is a prime power; no CRT split available")
     out = 1.0 + 0.0j
     for p, e in fs:
         q1 = p ** e

@@ -119,17 +119,22 @@ class Form:
             total = total + term
         return total
 
-    def evaluate_batch_mod(self, cols, q: int) -> np.ndarray:
+    def evaluate_batch_mod(self, cols, q: int,
+                           reduced: bool = False) -> np.ndarray:
         """f mod q over many points.
 
-        Inputs are reduced mod q once per coordinate; when the exact value
-        over reduced inputs provably fits int64 the per-step reductions are
-        skipped, otherwise every multiply reduces.
+        Inputs are reduced mod q once per coordinate, unless the caller
+        passes reduced=True for columns that already lie in [0, q) (residue
+        grids, lift candidates); when the exact value over reduced inputs
+        provably fits int64 the per-step reductions are skipped, otherwise
+        every multiply reduces.
         """
         if q < 1:
             raise FormError("modulus must be positive")
         shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
-        cms = [np.asarray(c, dtype=np.int64) % q for c in cols]
+        cms = [np.asarray(c, dtype=np.int64) for c in cols]
+        if not reduced:
+            cms = [c % q for c in cms]
         total = np.zeros(shape, dtype=np.int64)
         if self.coeff_norm() * max(q - 1, 1) ** self.degree < INT64_SAFE:
             for coeff, exps in self.monomials:

@@ -15,9 +15,18 @@ Above the cone point the refinement can branch without deciding anything,
 so it also stops early, keeping the bracket, when a further level would
 exceed the budget.
 
-Solution sets are enumerated level by level, storing only solution
+Two paths compute the same counts.  The direct path is the lift tree:
+solution sets are enumerated level by level, storing only solution
 residues, never the full p^(N n) box; the final level is scanned in chunks
-and never materialized.
+and never materialized.  On an instance with several variable blocks (see
+blocks.py) the block path convolves per-block residue tables instead: the
+f2 distributions mod p^N for tau_f2, and the joint (f1 mod p^(N+e),
+f2 mod p^N) tables over x mod p^(N+e), e = lift_extra, for the fibre
+densities, whose f1 residues are classified once at level N+e.  A decision
+at a shallower level is never undone at a deeper one, so the block path
+equals the tree whenever the tree reaches full depth; it never stops early,
+so where the tree does, its bracket lies inside the tree's.  Where a block
+table or join exceeds the budget, 'auto' falls back to the tree.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import DomainError, is_prime, prime_sieve
+from .blocks import block_tables, join, path_for
 from .counting import BudgetExceededError
 from .expsums import TruncatedValue
 from .forms import Instance
@@ -97,7 +107,7 @@ def _level1_solutions(inst: Instance, p: int, budget: int) -> np.ndarray:
     for start in range(0, total, _CHUNK_ROWS):
         idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
         cols = _index_coords(idx, p, n)
-        good = inst.f2.evaluate_batch_mod(cols, p) == 0
+        good = inst.f2.evaluate_batch_mod(cols, p, reduced=True) == 0
         parts.append(np.stack([c[good] for c in cols], axis=1))
     return np.concatenate(parts)
 
@@ -120,7 +130,7 @@ def _lift_once(inst: Instance, p: int, level: int, sols: np.ndarray,
         block = sols[i:i + rows_per_block]
         cand = (block[:, None, :] + step * offs[None, :, :]).reshape(-1, n)
         cols = [cand[:, j] for j in range(n)]
-        good = inst.f2.evaluate_batch_mod(cols, pk) == 0
+        good = inst.f2.evaluate_batch_mod(cols, pk, reduced=True) == 0
         parts.append(cand[good])
     return np.concatenate(parts)
 
@@ -150,24 +160,40 @@ def solution_counts(inst: Instance, p: int, N: int,
             block = sols[i:i + rows_per_block]
             cand = (block[:, None, :] + step * offs[None, :, :]).reshape(-1, n)
             cols = [cand[:, j] for j in range(n)]
-            total += int((inst.f2.evaluate_batch_mod(cols, pk) == 0).sum())
+            good = inst.f2.evaluate_batch_mod(cols, pk, reduced=True) == 0
+            total += int(good.sum())
         counts.append(total)
     return counts, sols
 
 
 def hypersurface_density(inst: Instance, p: int, N: int,
-                         budget: int = DEFAULT_BUDGET) -> LocalDensity:
-    """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'."""
+                         budget: int = DEFAULT_BUDGET,
+                         method: str = "auto") -> LocalDensity:
+    """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'.
+
+    method 'direct' counts by the lift tree; 'auto' convolves the
+    per-block distributions of f2 mod p^N instead when the instance has at
+    least two blocks and their tables and joins fit the budget.
+    """
     if N < 1:
         raise DomainError("level must be positive")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    key = (inst.config_hash(), "tau", p, N)
+    path = path_for(inst, method)
+    key = (inst.config_hash(), "tau", p, N, budget, path)
     with _DENSITY_LOCK:
         hit = _DENSITY_CACHE.get(key)
     if hit is not None:
         return copy.copy(hit)
-    counts, _ = solution_counts(inst, p, N, budget)
+    counts = None
+    if path == "block":
+        try:
+            counts = [_block_zero_count(inst, p, k, budget)
+                      for k in range(max(N - 1, 1), N + 1)]
+        except BudgetExceededError:
+            pass
+    if counts is None:
+        counts, _ = solution_counts(inst, p, N, budget)
     dens = Fraction(counts[-1], p ** (N * (inst.n - 1)))
     prev = (Fraction(counts[-2], p ** ((N - 1) * (inst.n - 1)))
             if N >= 2 else Fraction(0))
@@ -179,6 +205,13 @@ def hypersurface_density(inst: Instance, p: int, N: int,
     with _DENSITY_LOCK:
         _DENSITY_CACHE[key] = copy.copy(out)
     return out
+
+
+def _block_zero_count(inst: Instance, p: int, level: int, budget: int) -> int:
+    """#{x mod p^level : f2(x) = 0}, the f2 distributions of the blocks
+    convolved."""
+    q = p ** level
+    return int(join(block_tables(inst, q, 1, q, budget))[0])
 
 
 def _classify_f1(values: np.ndarray, p: int, level: int):
@@ -252,7 +285,7 @@ def _refine_undecided(inst: Instance, p: int, base_level: int,
             cand = (block[:, None, :] + p ** (level - 1) * offs[None, :, :]
                     ).reshape(-1, n)
             cols = [cand[:, j] for j in range(n)]
-            f1c = inst.f1.evaluate_batch_mod(cols, pk)
+            f1c = inst.f1.evaluate_batch_mod(cols, pk, reduced=True)
             sol, ins, und = _classify_f1(f1c, p, level)
             tally.add(int(sol.sum()), int(ins.sum()), depth)
             parts.append(cand[und])
@@ -276,7 +309,7 @@ def _classify_level(inst: Instance, p: int, N: int, sols_prev: np.ndarray,
         nonlocal count
         count += len(pts)
         cols = [pts[:, j] for j in range(n)]
-        f1v = inst.f1.evaluate_batch_mod(cols, pk)
+        f1v = inst.f1.evaluate_batch_mod(cols, pk, reduced=True)
         sol, ins, und = _classify_f1(f1v, p, N)
         tally.add(int(sol.sum()), int(ins.sum()), 0)
         if und.any():
@@ -297,7 +330,7 @@ def _classify_level(inst: Instance, p: int, N: int, sols_prev: np.ndarray,
             block = sols_prev[i:i + rows_per_block]
             cand = (block[:, None, :] + step * offs[None, :, :]).reshape(-1, n)
             cols = [cand[:, j] for j in range(n)]
-            good = inst.f2.evaluate_batch_mod(cols, pk) == 0
+            good = inst.f2.evaluate_batch_mod(cols, pk, reduced=True) == 0
             classify_chunk(cand[good], pk)
     undecided = (np.concatenate(und_parts) if und_parts
                  else np.zeros((0, n), dtype=np.int64))
@@ -305,63 +338,111 @@ def _classify_level(inst: Instance, p: int, N: int, sols_prev: np.ndarray,
     return count, tally, und_mass
 
 
+def _tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
+                 budget: int):
+    """(count, soluble, undecided) at level N, and at level N-1 (lift_extra
+    at most 1) for the stabilization flag, by the lift tree."""
+    sols_prev = _level1_solutions(inst, p, budget)
+    for k in range(2, N):
+        sols_prev = _lift_once(inst, p, k, sols_prev, budget)
+    count, tally, und_mass = _classify_level(inst, p, N, sols_prev,
+                                             lift_extra, budget)
+    cur = (count, tally.soluble, und_mass)
+    if N < 2:
+        return cur, None
+    # previous-level masses for the stabilization flag
+    if N == 2:
+        prev_base = sols_prev
+    else:
+        prev_base = _level1_solutions(inst, p, budget)
+        for k in range(2, N - 1):
+            prev_base = _lift_once(inst, p, k, prev_base, budget)
+    cp, tp, up = _classify_level(inst, p, N - 1, prev_base,
+                                 min(lift_extra, 1), budget)
+    return cur, (cp, tp.soluble, up)
+
+
+def _block_masses(inst: Instance, p: int, N: int, lift_extra: int,
+                  budget: int):
+    """(count, soluble, undecided) of the level-N solutions by blocks.
+
+    Convolves the per-block tables of (f1 mod p^(N+e), f2 mod p^N) over
+    x mod p^(N+e), e = lift_extra, and classifies f1 once at level N+e.  A
+    decision at a shallower level is never undone at a deeper one, so the
+    masses equal the lift tree's whenever the tree reaches full depth.
+    Masses are in units p^(-n e), as _MassTally's.
+    """
+    top, q2 = p ** (N + lift_extra), p ** N
+    col = join(block_tables(inst, top, top, q2, budget))
+    sol, _ins, und = _classify_f1(np.arange(top, dtype=np.int64), p,
+                                  N + lift_extra)
+    count = int(col.sum()) // p ** (inst.n * lift_extra)
+    return count, int(col[sol].sum()), int(col[und].sum())
+
+
 def soluble_density(inst: Instance, p: int, N: int,
                     lift_extra: int = 2,
                     undecided_as_soluble: bool = True,
-                    budget: int = DEFAULT_BUDGET) -> LocalDensity:
+                    budget: int = DEFAULT_BUDGET,
+                    method: str = "auto") -> LocalDensity:
     """Density of t mod p^N with f2(t) = 0 mod p^N and a soluble fibre.
 
     kind 'ell'.  For p = 1 mod 4 the fibre condition is vacuous and the
     result equals hypersurface_density at every level.  Otherwise residues
     whose f1-valuation saturates are refined up to lift_extra extra levels
     and the remaining undecided mass is reported and bracketed.
+
+    method 'direct' refines by the lift tree, which stops early (keeping a
+    wider bracket) where a level would exceed the budget; 'auto' instead
+    joins the per-block tables, which always reach full depth, when the
+    instance has at least two blocks and the tables and joins fit.
     """
     if N < 1:
         raise DomainError("level must be positive")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 4 == 1:
-        base = hypersurface_density(inst, p, N, budget)
+        base = hypersurface_density(inst, p, N, budget, method)
         base.kind = "ell"
         return base
-    key = (inst.config_hash(), "ell", p, N, lift_extra, undecided_as_soluble)
+    path = path_for(inst, method)
+    key = (inst.config_hash(), "ell", p, N, lift_extra, undecided_as_soluble,
+           budget, path)
     with _DENSITY_LOCK:
         hit = _DENSITY_CACHE.get(key)
     if hit is not None:
         return copy.copy(hit)
-    sols_prev = _level1_solutions(inst, p, budget)
-    for k in range(2, N):
-        sols_prev = _lift_once(inst, p, k, sols_prev, budget)
-    count, tally, und_mass = _classify_level(inst, p, N, sols_prev,
-                                             lift_extra, budget)
-    denom = tally.unit * p ** (N * (inst.n - 1))
-    lo = Fraction(tally.soluble, denom)
-    hi = Fraction(tally.soluble + und_mass, denom)
+    masses = None
+    if path == "block":
+        try:
+            masses = (_block_masses(inst, p, N, lift_extra, budget),
+                      _block_masses(inst, p, N - 1, min(lift_extra, 1),
+                                    budget) if N >= 2 else None)
+        except BudgetExceededError:
+            pass
+    if masses is None:
+        masses = _tree_masses(inst, p, N, lift_extra, budget)
+    (count, soluble, und_mass), prev_masses = masses
+    unit = p ** (inst.n * lift_extra)
+    denom = unit * p ** (N * (inst.n - 1))
+    lo = Fraction(soluble, denom)
+    hi = Fraction(soluble + und_mass, denom)
     chosen = hi if undecided_as_soluble else lo
-    raw = tally.soluble + (und_mass if undecided_as_soluble else 0)
-    total_mass = count * tally.unit
+    raw = soluble + (und_mass if undecided_as_soluble else 0)
+    total_mass = count * unit
     und_frac = und_mass / total_mass if total_mass else 0.0
     prev = 0.0
     stab = False
-    if N >= 2:
-        # previous-level density for the stabilization flag
-        if N == 2:
-            prev_base = sols_prev
-        else:
-            prev_base = _level1_solutions(inst, p, budget)
-            for k in range(2, N - 1):
-                prev_base = _lift_once(inst, p, k, prev_base, budget)
-        cp, tp, up = _classify_level(inst, p, N - 1, prev_base,
-                                     min(lift_extra, 1), budget)
-        pden = tp.unit * p ** ((N - 1) * (inst.n - 1))
-        prev = float(Fraction(tp.soluble + (up if undecided_as_soluble else 0),
-                              pden))
+    if prev_masses is not None:
+        _cp, sp, up = prev_masses
+        pden = p ** (inst.n * min(lift_extra, 1) + (N - 1) * (inst.n - 1))
+        prev = float(Fraction(sp + (up if undecided_as_soluble else 0), pden))
         stab = abs(float(chosen) - prev) <= STABLE_REL_TOL * float(chosen)
     out = LocalDensity(p=p, level=N, raw_count=raw, density=float(chosen),
                        stabilized=bool(stab), kind="ell",
                        undecided_fraction=float(und_frac),
                        density_low=float(lo), density_high=float(hi),
-                       prev_density=prev, mass_scale=tally.unit)
+                       prev_density=prev, mass_scale=unit)
     with _DENSITY_LOCK:
         _DENSITY_CACHE[key] = copy.copy(out)
     return out

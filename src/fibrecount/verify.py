@@ -271,6 +271,7 @@ def _arc_consistency_check():
 
 
 def _birch_identity_check():
+    # the direct tables throughout: the block path is tested against them
     insts = (four_squares_instance(), bilinear_instance())
     worst_crt = 0.0
     for inst in insts:
@@ -278,13 +279,13 @@ def _birch_identity_check():
             fs = arith.factor(q).factors
             if len(fs) < 2:
                 continue
-            S = expsums.birch_sum_table(inst, q)
+            S = expsums.birch_sum_table(inst, q, method="direct")
             q1 = fs[0][0] ** fs[0][1]
             q2 = q // q1
             A = pow(q2, -1, q1)
             B = pow(q1, -1, q2)
-            S1 = expsums.birch_sum_table(inst, q1)
-            S2 = expsums.birch_sum_table(inst, q2)
+            S1 = expsums.birch_sum_table(inst, q1, method="direct")
+            S2 = expsums.birch_sum_table(inst, q2, method="direct")
             aa = np.arange(q)
             crt = S1[np.ix_((aa * A) % q1, (aa * A) % q1)] \
                 * S2[np.ix_((aa * B) % q2, (aa * B) % q2)]
@@ -295,7 +296,7 @@ def _birch_identity_check():
     worst_orth = 0.0
     for inst in insts:
         for q in range(1, 31):
-            S = expsums.birch_sum_table(inst, q)
+            S = expsums.birch_sum_table(inst, q, method="direct")
             lhs = complex(S[0, :].sum())
             rhs = q * expsums.residue_zero_count(inst, q)
             gap = abs(lhs - rhs) / q ** inst.n

@@ -23,3 +23,22 @@ def four_squares():
 @pytest.fixture(scope="session")
 def bilinear():
     return bilinear_instance()
+
+
+@pytest.fixture(scope="session")
+def linked():
+    """four_squares' f2 with an f1 whose cross terms chain all four
+    variables into one block: every layer keeps its direct path."""
+    from fibrecount.forms import Form, Instance
+
+    def exps(*idx):
+        e = [0] * 4
+        for i in idx:
+            e[i] += 1
+        return tuple(e)
+
+    f1 = Form(4, 2, tuple((1, exps(i, i)) for i in range(4))
+              + tuple((1, exps(i, i + 1)) for i in range(3)))
+    f2 = Form(4, 2, tuple((1 if i < 2 else -1, exps(i, i)) for i in range(4)))
+    return Instance(f1=f1, f2=f2, n=4, d=2, box_max_m=f1.coeff_norm(),
+                    label="linked")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fibrecount import counting
+from fibrecount import arith, counting
 from fibrecount.arith import DomainError
 from fibrecount.counting import BudgetExceededError
 
@@ -70,6 +70,21 @@ def test_budget_refusal(four_squares):
     with pytest.raises(BudgetExceededError):
         counting.projective_count(four_squares, 50, method="direct",
                                   budget=10**4)
+
+
+def test_one_sieve_serves_every_limit(four_squares, bilinear):
+    for inst in (four_squares, bilinear):
+        for P in (3, 6, 9, 12):
+            for method in ("split", "slab"):
+                counting.count_soluble_fibre_points(inst, P, method=method)
+    table = counting._SIEVE
+    limits = (10, 300, len(table) - 1)
+    assert all(np.shares_memory(counting.two_squares_sieve(m), table)
+               for m in limits)
+    assert counting._SIEVE is table
+    primes = arith.prime_sieve(30)
+    assert primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert np.shares_memory(primes, arith._PRIMES)
 
 
 def test_two_squares_count():

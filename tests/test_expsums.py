@@ -39,6 +39,16 @@ def test_birch_crt_path(four_squares):
         assert abs(direct - crt) < 1e-9 * q**four_squares.n
 
 
+def test_table_cache_keys_the_path(four_squares):
+    expsums._TABLE_CACHE.clear()
+    direct = expsums.birch_sum_table(four_squares, 9, method="direct").copy()
+    expsums._TABLE_CACHE.clear()
+    block = expsums.birch_sum_table(four_squares, 9)
+    again = expsums.birch_sum_table(four_squares, 9, method="direct")
+    assert again is not block
+    assert np.array_equal(again, direct)
+
+
 def test_birch_conjugation(four_squares):
     q = 7
     S = expsums.birch_sum_table(four_squares, q)

@@ -86,6 +86,9 @@ def test_evaluate_batch_matches_scalar():
     batch_mod = f.evaluate_batch_mod(cols, 11)
     for i in range(50):
         assert batch_mod[i] == f.evaluate(pts[i]) % 11
+    reduced = [c % 11 for c in cols]
+    assert np.array_equal(f.evaluate_batch_mod(reduced, 11, reduced=True),
+                          batch_mod)
 
 
 def test_evaluate_batch_overflow_guard():

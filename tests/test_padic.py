@@ -137,9 +137,36 @@ def test_local_product_cauchy_and_drift(four_squares):
     assert drift[0] < drift[1] < drift[2]
 
 
-def test_budget_refusal(four_squares):
+def test_budget_refusal(linked):
+    # the direct path scans 199^4 residues at level 1
     with pytest.raises(BudgetExceededError):
-        padic.hypersurface_density(four_squares, 199, 2, budget=10**6)
+        padic.hypersurface_density(linked, 199, 2, budget=10**6)
+
+
+def test_block_budget_refusal(four_squares):
+    # one variable mod 199^3 is about 7.9e6 residues
+    with pytest.raises(BudgetExceededError, match="block volume"):
+        padic._block_zero_count(four_squares, 199, 3, 10**6)
+    with pytest.raises(BudgetExceededError):
+        padic.hypersurface_density(four_squares, 199, 3, budget=10**6)
+    assert padic.hypersurface_density(four_squares, 199, 2,
+                                      budget=10**6).raw_count > 0
+
+
+def test_density_cache_keys_the_budget(linked):
+    # the lift tree stops early at the small budget, so the budget changes
+    # the answer and must be part of the cache key
+    def fresh(budget):
+        padic._DENSITY_CACHE.clear()
+        return padic.soluble_density(linked, 3, 2, lift_extra=3,
+                                     budget=budget).density
+
+    small, large = fresh(10**5), fresh(10**6)
+    assert small != large
+    padic._DENSITY_CACHE.clear()
+    padic.soluble_density(linked, 3, 2, lift_extra=3, budget=10**5)
+    assert padic.soluble_density(linked, 3, 2, lift_extra=3,
+                                 budget=10**6).density == large
 
 
 def test_csv_row(four_squares):
