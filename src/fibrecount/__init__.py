@@ -23,10 +23,10 @@ from .counting import (BudgetExceededError, CountRecord,
                        count_soluble_fibre_points, mobius_residual,
                        progression_count, projective_count,
                        two_squares_count)
-from .expsums import (ModularPhase, TruncatedValue, arc_factor,
-                      arc_factor_row, birch_sum, gcd_phase_sum,
-                      local_series_odd, local_series_two, singular_series,
-                      singular_series_factored, twisted_two_squares_sum)
+from .expsums import (TruncatedValue, arc_factor, arc_factor_row, birch_sum,
+                      gcd_phase_sum, local_series_odd, local_series_two,
+                      singular_series, singular_series_factored,
+                      twisted_two_squares_sum)
 from .forms import (Form, FormError, Instance, default_box_max,
                     form_from_records, load_instance, parse_instance)
 from .padic import (LocalDensity, LocalFactor, hypersurface_density,

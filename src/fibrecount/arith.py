@@ -52,17 +52,6 @@ def prime_sieve(limit: int) -> np.ndarray:
         return _PRIMES[:np.searchsorted(_PRIMES, limit, side="right")]
 
 
-def spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1:] = np.arange(1, limit + 1)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            sl = spf[p * p::p]
-            sl[sl == np.arange(p * p, limit + 1, p)] = p
-    return spf
-
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71)
 

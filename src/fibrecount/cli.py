@@ -7,8 +7,10 @@ FIBRECOUNT_CACHE environment variable (the only environment override).
 
 Every CSV starts with a '# manifest <hash>' comment; with --out FILE the
 full run manifest is written next to the output as FILE.manifest.json.
-Cached rows are reused verbatim when the (config hash, command, parameter)
-key matches, which keeps repeat runs byte-identical.
+Cached rows of count and theta are reused verbatim when the (config hash,
+command, parameters, tool version) key matches.  Rows carry no timings, so
+uncached repeat runs are byte-identical too.  Entries are written to a
+temporary file and renamed into place; an unreadable entry is a miss.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 import os
 import sys
-import time
+import tempfile
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, archimedean, arith, constant, counting, expsums, padic
@@ -83,90 +85,86 @@ def _cache_dir(args):
 
 def _cache_key(config_hash: str, command: str, params: dict) -> str:
     blob = json.dumps({"config": config_hash, "command": command,
-                       "params": params}, sort_keys=True).encode()
+                       "params": params, "version": __version__},
+                      sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
 def _cache_get(args, key: str):
+    """The cached rows, or None on a miss.  An unreadable or corrupt entry
+    is a miss; the caller rewrites it."""
     root = _cache_dir(args)
     if not root:
         return None
-    path = os.path.join(root, key + ".json")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    try:
+        with open(os.path.join(root, key + ".json"), "r",
+                  encoding="utf-8") as fh:
+            rows = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if isinstance(rows, list) and all(isinstance(r, str) for r in rows):
+        return rows
     return None
 
 
 def _cache_put(args, key: str, rows) -> None:
+    """Write the entry to a temporary file and move it into place, so a
+    concurrent reader sees the old entry or the new one, never a part."""
     root = _cache_dir(args)
     if not root:
         return
     os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, key + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(rows, fh)
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh)
+        os.replace(tmp, os.path.join(root, key + ".json"))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",") if part]
 
 
-def cmd_count(args) -> int:
+def _emit_counts(args, command: str, params: dict, radii: str,
+                 record) -> int:
+    """One CountRecord row per radius, reused verbatim from the cache when
+    the inputs match."""
     inst = load_instance(args.config)
-    params = {"t": args.t, "include_zero": args.include_zero,
-              "method": args.method, "kind": args.kind}
-    key = _cache_key(inst.config_hash(), "count", params)
-    cached = _cache_get(args, key)
-    if cached is not None:
-        lines = cached
-    else:
-        lines = [counting.CountRecord.csv_header()]
-        for t in _int_list(args.t):
-            if args.kind == "projective":
-                rec = counting.projective_count(inst, t, budget=args.budget,
-                                                threads=args.threads,
-                                                method=args.method)
-            else:
-                t0 = time.monotonic()
-                cnt = counting.count_soluble_fibre_points(
-                    inst, t, include_zero_fibres=args.include_zero,
-                    budget=args.budget, threads=args.threads)
-                norm = (cnt * math.sqrt(math.log(t)) / t ** (inst.n - inst.d)
-                        if t >= 2 else float("nan"))
-                rec = counting.CountRecord(
-                    label=inst.label, t=t, raw_count=cnt, normalized=norm,
-                    include_zero=args.include_zero,
-                    wall_time_s=time.monotonic() - t0)
-            lines.append(rec.csv_row())
+    key = _cache_key(inst.config_hash(), command, params)
+    lines = _cache_get(args, key)
+    if lines is None:
+        lines = [counting.CountRecord.csv_header()] + [
+            record(inst, t).csv_row() for t in _int_list(radii)]
         _cache_put(args, key, lines)
-    _emit(args, "count", inst.label, params, inst.config_hash(), lines)
+    _emit(args, command, inst.label, params, inst.config_hash(), lines)
     return 0
+
+
+def cmd_count(args) -> int:
+    return _emit_counts(
+        args, "count", {"t": args.t, "method": args.method}, args.t,
+        lambda inst, t: counting.projective_count(
+            inst, t, budget=args.budget, threads=args.threads,
+            method=args.method))
 
 
 def cmd_theta(args) -> int:
-    inst = load_instance(args.config)
-    params = {"P": args.P, "include_zero": args.include_zero}
-    key = _cache_key(inst.config_hash(), "theta", params)
-    cached = _cache_get(args, key)
-    if cached is not None:
-        lines = cached
-    else:
-        lines = [counting.CountRecord.csv_header()]
-        for P in _int_list(args.P):
-            t0 = time.monotonic()
-            cnt = counting.count_soluble_fibre_points(
-                inst, P, include_zero_fibres=args.include_zero,
-                budget=args.budget, threads=args.threads)
-            norm = (cnt * math.sqrt(math.log(P)) / P ** (inst.n - inst.d)
-                    if P >= 2 else float("nan"))
-            rec = counting.CountRecord(
-                label=inst.label, t=P, raw_count=cnt, normalized=norm,
-                include_zero=args.include_zero,
-                wall_time_s=time.monotonic() - t0)
-            lines.append(rec.csv_row())
-        _cache_put(args, key, lines)
-    _emit(args, "theta", inst.label, params, inst.config_hash(), lines)
-    return 0
+    def record(inst, P):
+        cnt = counting.count_soluble_fibre_points(
+            inst, P, include_zero_fibres=args.include_zero,
+            budget=args.budget, threads=args.threads)
+        norm = (cnt * math.sqrt(math.log(P)) / P ** (inst.n - inst.d)
+                if P >= 2 else float("nan"))
+        return counting.CountRecord(label=inst.label, t=P, raw_count=cnt,
+                                    normalized=norm,
+                                    include_zero=args.include_zero)
+
+    return _emit_counts(args, "theta",
+                        {"P": args.P, "include_zero": args.include_zero},
+                        args.P, record)
 
 
 def cmd_expsum(args) -> int:
@@ -341,12 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="projective counts at heights t")
     common(p)
     p.add_argument("--t", required=True, help="comma-separated heights")
-    p.add_argument("--include-zero", action="store_true",
-                   dest="include_zero",
-                   help="with --kind box, also count nonzero points with "
-                        "f1 = 0 (projective counts always include them)")
-    p.add_argument("--kind", default="projective",
-                   choices=("projective", "box"))
     p.add_argument("--method", default="auto",
                    choices=("auto", "direct", "moebius"))
     p.set_defaults(fn=cmd_count)

@@ -46,23 +46,6 @@ DEFAULT_SUM_BUDGET = 3 * 10**8
 _CHUNK = 1 << 21
 
 
-@dataclass(frozen=True)
-class ModularPhase:
-    """Rational phase (a1 [, a2]) / q."""
-
-    a1: int
-    q: int
-    a2: int | None = None
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise DomainError("q must be positive")
-        if not (0 <= self.a1 < self.q) and self.q > 1:
-            raise DomainError("a1 must lie in [0, q)")
-        if self.a2 is not None and self.q > 1 and not (0 <= self.a2 < self.q):
-            raise DomainError("a2 must lie in [0, q)")
-
-
 @dataclass
 class TruncatedValue:
     """A numerical value carrying its truncation metadata.
@@ -151,21 +134,16 @@ def birch_sum_single(inst: Instance, a1: int, a2: int, q: int,
     return complex(acc)
 
 
-def birch_sum(inst: Instance, phase, q: int | None = None,
+def birch_sum(inst: Instance, phase: tuple, q: int,
               budget: int = DEFAULT_SUM_BUDGET, method: str = "auto") -> complex:
-    """S_{(a1,a2),q}: sum of e((a1 f1(x) + a2 f2(x))/q) over x mod q.
+    """S_{(a1,a2),q}: sum of e((a1 f1(x) + a2 f2(x))/q) over x mod q, for
+    phase = (a1, a2).
 
     method 'direct' reads birch_sum_table; 'auto' does so when the table
     fits the budget and otherwise multiplies prime-power sums through the
     Chinese remainder theorem; the two paths agree exactly.
     """
-    if isinstance(phase, ModularPhase):
-        a1, a2 = phase.a1, (phase.a2 or 0)
-        q = phase.q
-    else:
-        a1, a2 = phase
-    if q is None:
-        raise DomainError("modulus q is required")
+    a1, a2 = phase
     if q == 1:
         return 1.0 + 0.0j
     a1 %= q

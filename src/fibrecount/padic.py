@@ -15,10 +15,15 @@ Above the cone point the refinement can branch without deciding anything,
 so it also stops early, keeping the bracket, when a further level would
 exceed the budget.
 
-Two paths compute the same counts.  The direct path is the lift tree:
-solution sets are enumerated level by level, storing only solution
-residues, never the full p^(N n) box; the final level is scanned in chunks
-and never materialized.  On an instance with several variable blocks (see
+Two paths compute the same counts.  The direct path is the lift tree.  One
+generator (_lifts) yields, in chunks, the candidates parent + p^(k-1) x
+mod p^k of a set of residues mod p^(k-1), and it alone checks the budget;
+level 1 lifts the single class 0.  One pass over levels 1..N keeps only
+solution residues, never the full p^(N n) box, and scans the last level in
+chunks without materializing it.  The fibre densities classify the level-N
+solutions as they stream past and the level-(N-1) solutions the pass
+already holds (for the stabilization flag), and refine undecided classes
+through the same generator.  On an instance with several variable blocks (see
 blocks.py) the block path convolves per-block residue tables instead: the
 f2 distributions mod p^N for tau_f2, and the joint (f1 mod p^(N+e),
 f2 mod p^N) tables over x mod p^(N+e), e = lift_extra, for the fibre
@@ -89,81 +94,64 @@ class LocalFactor:
     ratio: float
 
 
-def _index_coords(idx: np.ndarray, p: int, n: int) -> list:
-    return [(idx // p**i) % p for i in range(n)]
+def _lifts(inst: Instance, p: int, level: int, parents: np.ndarray,
+           budget: int):
+    """Chunks of the lift candidates parent + p^(level-1) * x mod p^level,
+    x in (Z/p)^n, of the residues mod p^(level-1) in parents.
 
-
-def _solution_offsets(p: int, n: int) -> np.ndarray:
-    idx = np.arange(p ** n, dtype=np.int64)
-    return np.stack(_index_coords(idx, p, n), axis=1)
-
-
-def _level1_solutions(inst: Instance, p: int, budget: int) -> np.ndarray:
+    Level 1 lifts the single parent 0, i.e. scans the box mod p.  Refuses
+    (BudgetExceededError) before the first chunk when the candidates exceed
+    the budget.
+    """
     n = inst.n
-    total = p ** n
-    if total > budget:
-        raise BudgetExceededError(f"level-1 volume p^n = {total} exceeds budget")
-    parts = []
-    for start in range(0, total, _CHUNK_ROWS):
-        idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-        cols = _index_coords(idx, p, n)
-        good = inst.f2.evaluate_batch_mod(cols, p, reduced=True) == 0
-        parts.append(np.stack([c[good] for c in cols], axis=1))
-    return np.concatenate(parts)
-
-
-def _lift_once(inst: Instance, p: int, level: int, sols: np.ndarray,
-               budget: int) -> np.ndarray:
-    """Solutions mod p^level from solutions mod p^(level-1)."""
-    n = inst.n
-    offs = _solution_offsets(p, n)
-    n_cand = len(sols) * len(offs)
-    if n_cand > budget:
+    width = p ** n
+    if len(parents) * width > budget:
         raise BudgetExceededError(
-            f"level {level} at p={p}: {n_cand} lift candidates exceed "
-            f"budget {budget}")
-    pk = p ** level
+            f"level {level} at p={p}: {len(parents) * width} lift candidates "
+            f"exceed budget {budget}")
     step = p ** (level - 1)
-    rows_per_block = max(1, _CHUNK_ROWS // len(offs))
-    parts = []
-    for i in range(0, len(sols), rows_per_block):
-        block = sols[i:i + rows_per_block]
-        cand = (block[:, None, :] + step * offs[None, :, :]).reshape(-1, n)
-        cols = [cand[:, j] for j in range(n)]
-        good = inst.f2.evaluate_batch_mod(cols, pk, reduced=True) == 0
-        parts.append(cand[good])
-    return np.concatenate(parts)
+    for start in range(0, width, _CHUNK_ROWS):
+        idx = np.arange(start, min(start + _CHUNK_ROWS, width), dtype=np.int64)
+        offs = step * np.stack([(idx // p**i) % p for i in range(n)], axis=1)
+        rows = max(1, _CHUNK_ROWS // len(offs))
+        for i in range(0, len(parents), rows):
+            yield (parents[i:i + rows, None, :] + offs).reshape(-1, n)
+
+
+def _cols(pts: np.ndarray) -> list:
+    return [pts[:, j] for j in range(pts.shape[1])]
+
+
+def _solutions(inst: Instance, p: int, level: int, parents: np.ndarray,
+               budget: int):
+    """Chunks of the solutions of f2 = 0 mod p^level above parents."""
+    q = p ** level
+    for cand in _lifts(inst, p, level, parents, budget):
+        yield cand[inst.f2.evaluate_batch_mod(_cols(cand), q,
+                                              reduced=True) == 0]
+
+
+def _lift_tree(inst: Instance, p: int, N: int, budget: int):
+    """The lift tree of f2 = 0 up to level N, in one pass.
+
+    Returns the solution counts at levels 1..N-1, the solutions mod p^(N-1)
+    (the class of 0 when N = 1), and the level-N solutions as a generator of
+    chunks: the last level is scanned, never materialized.
+    """
+    sols = np.zeros((1, inst.n), dtype=np.int64)
+    counts = []
+    for k in range(1, N):
+        sols = np.concatenate(list(_solutions(inst, p, k, sols, budget)))
+        counts.append(len(sols))
+    return counts, sols, _solutions(inst, p, N, sols, budget)
 
 
 def solution_counts(inst: Instance, p: int, N: int,
                     budget: int = DEFAULT_BUDGET):
     """Counts of solutions of f2 = 0 mod p^k for k = 1..N, and the
-    solution array at level N-1 (level N is scanned, not materialized)."""
-    n = inst.n
-    sols = _level1_solutions(inst, p, budget)
-    counts = [len(sols)]
-    for k in range(2, N):
-        sols = _lift_once(inst, p, k, sols, budget)
-        counts.append(len(sols))
-    if N >= 2:
-        offs = _solution_offsets(p, n)
-        n_cand = len(sols) * len(offs)
-        if n_cand > budget:
-            raise BudgetExceededError(
-                f"level {N} at p={p}: {n_cand} lift candidates exceed "
-                f"budget {budget}")
-        pk = p ** N
-        step = p ** (N - 1)
-        rows_per_block = max(1, _CHUNK_ROWS // len(offs))
-        total = 0
-        for i in range(0, len(sols), rows_per_block):
-            block = sols[i:i + rows_per_block]
-            cand = (block[:, None, :] + step * offs[None, :, :]).reshape(-1, n)
-            cols = [cand[:, j] for j in range(n)]
-            good = inst.f2.evaluate_batch_mod(cols, pk, reduced=True) == 0
-            total += int(good.sum())
-        counts.append(total)
-    return counts, sols
+    solutions mod p^(N-1) (level N is scanned, not materialized)."""
+    counts, sols, top = _lift_tree(inst, p, N, budget)
+    return counts + [sum(len(chunk) for chunk in top)], sols
 
 
 def hypersurface_density(inst: Instance, p: int, N: int,
@@ -215,13 +203,13 @@ def _block_zero_count(inst: Instance, p: int, level: int, budget: int) -> int:
 
 
 def _classify_f1(values: np.ndarray, p: int, level: int):
-    """Split residues f1 mod p^level into (soluble, insoluble, undecided).
+    """Masks (soluble, undecided) of residues f1 mod p^level; the rest are
+    insoluble.
 
     p = 3 mod 4: decided iff v_p < level, soluble iff v_p even.
     p = 2: decided iff v_2 <= level-2, soluble iff odd part is 1 mod 4.
     """
-    m = len(values)
-    v = np.zeros(m, dtype=np.int64)
+    v = np.zeros(len(values), dtype=np.int64)
     rem = values.copy()
     nonzero = rem != 0
     active = nonzero.copy()
@@ -232,134 +220,65 @@ def _classify_f1(values: np.ndarray, p: int, level: int):
         active = div
     if p == 2:
         decided = nonzero & (v <= level - 2)
-        sol = decided & (rem % 4 == 1)
-        ins = decided & (rem % 4 == 3)
-    else:
-        decided = nonzero
-        sol = decided & (v % 2 == 0)
-        ins = decided & (v % 2 == 1)
-    return sol, ins, ~decided
+        return decided & (rem % 4 == 1), ~decided
+    return nonzero & (v % 2 == 0), ~nonzero
 
 
-class _MassTally:
-    """Integer soluble/insoluble/undecided masses in units p^(-n*lift_extra)."""
+def _classify(inst: Instance, p: int, level: int, chunks, lift_extra: int,
+              budget: int):
+    """(count, soluble, undecided) masses of the solutions mod p^level that
+    the chunks hold, in units p^(-n lift_extra).
 
-    def __init__(self, p: int, n: int, lift_extra: int):
-        self.p, self.n, self.lift_extra = p, n, lift_extra
-        self.unit = p ** (n * lift_extra)
-        self.soluble = 0
-        self.insoluble = 0
-        self.total = 0
-
-    def weight(self, depth: int) -> int:
-        return self.p ** (self.n * (self.lift_extra - depth))
-
-    def add(self, sol: int, ins: int, depth: int):
-        w = self.weight(depth)
-        self.soluble += sol * w
-        self.insoluble += ins * w
-
-
-def _refine_undecided(inst: Instance, p: int, base_level: int,
-                      undecided: np.ndarray, tally: _MassTally,
-                      budget: int) -> int:
-    """Lift undecided classes up to the ceiling; returns leftover mass.
-
-    Stops early (keeping the bracket) if a level would exceed the budget:
-    refinement is precision, not correctness.
+    Classes left undecided by f1 mod p^level are lifted (t, not the f2
+    condition) up to lift_extra more levels; each child of a class at depth
+    k weighs p^(n (lift_extra - k)).  Refinement stops early, keeping the
+    bracket, where a level would exceed the budget: it is precision, not
+    correctness.
     """
-    n = inst.n
-    offs = _solution_offsets(p, n)
-    cur = undecided
-    depth = 0
-    while depth < tally.lift_extra and len(cur):
-        if len(cur) * len(offs) > budget:
+    def weight(depth: int) -> int:
+        return p ** (inst.n * (lift_extra - depth))
+
+    def scan(chunks, depth: int):
+        """Tallies the soluble classes in chunks at level + depth; returns
+        the number of classes and the undecided ones."""
+        nonlocal soluble
+        k = level + depth
+        seen, undecided = 0, []
+        for pts in chunks:
+            seen += len(pts)
+            values = inst.f1.evaluate_batch_mod(_cols(pts), p ** k,
+                                                reduced=True)
+            sol, und = _classify_f1(values, p, k)
+            soluble += int(sol.sum()) * weight(depth)
+            undecided.append(pts[und])
+        return seen, np.concatenate(undecided)
+
+    soluble = depth = 0
+    count, cur = scan(chunks, 0)
+    while depth < lift_extra and len(cur):
+        try:  # _lifts refuses before its first chunk, so nothing is tallied
+            _, cur_next = scan(_lifts(inst, p, level + depth + 1, cur, budget),
+                               depth + 1)
+        except BudgetExceededError:
             break
         depth += 1
-        level = base_level + depth
-        pk = p ** level
-        rows_per_block = max(1, _CHUNK_ROWS // len(offs))
-        parts = []
-        for i in range(0, len(cur), rows_per_block):
-            block = cur[i:i + rows_per_block]
-            cand = (block[:, None, :] + p ** (level - 1) * offs[None, :, :]
-                    ).reshape(-1, n)
-            cols = [cand[:, j] for j in range(n)]
-            f1c = inst.f1.evaluate_batch_mod(cols, pk, reduced=True)
-            sol, ins, und = _classify_f1(f1c, p, level)
-            tally.add(int(sol.sum()), int(ins.sum()), depth)
-            parts.append(cand[und])
-        cur = np.concatenate(parts) if parts else cur[:0]
-    return len(cur) * tally.weight(depth)
-
-
-def _classify_level(inst: Instance, p: int, N: int, sols_prev: np.ndarray,
-                    lift_extra: int, budget: int):
-    """Scan level-N solutions in chunks; returns (count, tally, und_mass).
-
-    sols_prev holds the level-(N-1) solutions (level-1 when N = 1, in which
-    case they are classified directly).
-    """
-    n = inst.n
-    tally = _MassTally(p, n, lift_extra)
-    und_parts = []
-    count = 0
-
-    def classify_chunk(pts: np.ndarray, pk: int):
-        nonlocal count
-        count += len(pts)
-        cols = [pts[:, j] for j in range(n)]
-        f1v = inst.f1.evaluate_batch_mod(cols, pk, reduced=True)
-        sol, ins, und = _classify_f1(f1v, p, N)
-        tally.add(int(sol.sum()), int(ins.sum()), 0)
-        if und.any():
-            und_parts.append(pts[und])
-
-    if N == 1:
-        classify_chunk(sols_prev, p)
-    else:
-        offs = _solution_offsets(p, n)
-        if len(sols_prev) * len(offs) > budget:
-            raise BudgetExceededError(
-                f"level {N} at p={p}: {len(sols_prev) * len(offs)} candidates "
-                f"exceed budget {budget}")
-        pk = p ** N
-        step = p ** (N - 1)
-        rows_per_block = max(1, _CHUNK_ROWS // len(offs))
-        for i in range(0, len(sols_prev), rows_per_block):
-            block = sols_prev[i:i + rows_per_block]
-            cand = (block[:, None, :] + step * offs[None, :, :]).reshape(-1, n)
-            cols = [cand[:, j] for j in range(n)]
-            good = inst.f2.evaluate_batch_mod(cols, pk, reduced=True) == 0
-            classify_chunk(cand[good], pk)
-    undecided = (np.concatenate(und_parts) if und_parts
-                 else np.zeros((0, n), dtype=np.int64))
-    und_mass = _refine_undecided(inst, p, N, undecided, tally, budget)
-    return count, tally, und_mass
+        cur = cur_next
+    return count, soluble, len(cur) * weight(depth)
 
 
 def _tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
                  budget: int):
     """(count, soluble, undecided) at level N, and at level N-1 (lift_extra
-    at most 1) for the stabilization flag, by the lift tree."""
-    sols_prev = _level1_solutions(inst, p, budget)
-    for k in range(2, N):
-        sols_prev = _lift_once(inst, p, k, sols_prev, budget)
-    count, tally, und_mass = _classify_level(inst, p, N, sols_prev,
-                                             lift_extra, budget)
-    cur = (count, tally.soluble, und_mass)
+    at most 1) for the stabilization flag, by the lift tree.
+
+    One pass: the level-(N-1) solutions that level N lifts from are
+    classified as they are, not lifted again from level 1.
+    """
+    _counts, sols, top = _lift_tree(inst, p, N, budget)
+    cur = _classify(inst, p, N, top, lift_extra, budget)
     if N < 2:
         return cur, None
-    # previous-level masses for the stabilization flag
-    if N == 2:
-        prev_base = sols_prev
-    else:
-        prev_base = _level1_solutions(inst, p, budget)
-        for k in range(2, N - 1):
-            prev_base = _lift_once(inst, p, k, prev_base, budget)
-    cp, tp, up = _classify_level(inst, p, N - 1, prev_base,
-                                 min(lift_extra, 1), budget)
-    return cur, (cp, tp.soluble, up)
+    return cur, _classify(inst, p, N - 1, [sols], min(lift_extra, 1), budget)
 
 
 def _block_masses(inst: Instance, p: int, N: int, lift_extra: int,
@@ -370,12 +289,12 @@ def _block_masses(inst: Instance, p: int, N: int, lift_extra: int,
     x mod p^(N+e), e = lift_extra, and classifies f1 once at level N+e.  A
     decision at a shallower level is never undone at a deeper one, so the
     masses equal the lift tree's whenever the tree reaches full depth.
-    Masses are in units p^(-n e), as _MassTally's.
+    Masses are in units p^(-n e), as _classify's.
     """
     top, q2 = p ** (N + lift_extra), p ** N
     col = join(block_tables(inst, top, top, q2, budget))
-    sol, _ins, und = _classify_f1(np.arange(top, dtype=np.int64), p,
-                                  N + lift_extra)
+    sol, und = _classify_f1(np.arange(top, dtype=np.int64), p,
+                            N + lift_extra)
     count = int(col.sum()) // p ** (inst.n * lift_extra)
     return count, int(col[sol].sum()), int(col[und].sum())
 

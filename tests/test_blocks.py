@@ -197,6 +197,28 @@ def test_fuzz_block_soluble_density(inst, pNe, small_budget):
     assert tree[1] <= sol <= sol + und <= tree[1] + tree[2]
 
 
+@settings(max_examples=40)
+@given(instances(), st.sampled_from([(2, 2, 2), (2, 3, 1), (2, 4, 0),
+                                     (3, 2, 1), (3, 3, 0), (7, 2, 1)]),
+       st.sampled_from([100, 10**9]))
+def test_fuzz_tree_stabilization_masses(inst, pNe, budget):
+    # the one-pass tree classifies the level-(N-1) solutions it holds; that
+    # must equal a tree of its own one level lower
+    p, N, e = pNe
+    assume(p ** (inst.n * (N + e)) <= 10**6)
+    try:
+        prev = padic._tree_masses(inst, p, N, e, budget)[1]
+    except BudgetExceededError:
+        return
+    assert prev == padic._tree_masses(inst, p, N - 1, min(e, 1), budget)[0]
+
+
+@settings(max_examples=30)
+@given(instances(), st.integers(1, 6))
+def test_fuzz_mobius_residual(inst, t):
+    assert counting.mobius_residual(inst, t) == 0
+
+
 # ---------------------------------------------------------------------------
 # the shipped instances
 # ---------------------------------------------------------------------------

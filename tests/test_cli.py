@@ -1,8 +1,11 @@
+import itertools
 import json
 import os
+import time
 
 import pytest
 
+from fibrecount import cli
 from fibrecount.cli import main
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -22,13 +25,46 @@ def test_count_and_cache_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     rows = out1.read_text().strip().splitlines()
     assert rows[0].startswith("# manifest ")
-    assert rows[1] == "label,t,raw_count,normalized,include_zero,wall_time_s"
+    assert rows[1] == "label,t,raw_count,normalized,include_zero"
     assert len(rows) == 5
     man = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert man["command"] == "count"
     assert man["instance_label"] == "demo-pair"
     assert man["versions"]["config_hash"]
     assert man["outputs"] == [str(out1)]
+
+
+@pytest.mark.parametrize("command", [["count", "--t", "2,5,9"],
+                                     ["theta", "--P", "2,5"]])
+def test_uncached_reruns_are_byte_identical(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("FIBRECOUNT_CACHE", raising=False)
+    # a clock on which no two intervals are equal: any timing written into
+    # the rows would differ between the runs
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks) ** 2 / 7)
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(command + ["--config", DEMO, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    base = ["count", "--config", DEMO, "--t", "2,5", "--cache", str(cache)]
+    assert main(base) == 0
+    want = capsys.readouterr().out
+    (entry,) = cache.glob("*.json")
+    entry.write_text(entry.read_text()[:20])  # a truncated write
+    assert main(base) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(entry.read_text())[0].startswith("label,")
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def test_cache_key_covers_the_version(monkeypatch):
+    key = cli._cache_key("abc", "count", {"t": "5"})
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    assert cli._cache_key("abc", "count", {"t": "5"}) != key
 
 
 def test_theta_include_zero_toggles(tmp_path):

@@ -162,16 +162,3 @@ def test_singular_series_factored_structure(four_squares):
     parts = fac.shells[0]
     prod = parts["2"].value * parts["3"].value * parts["5"].density
     assert fac.value == pytest.approx(prod)
-
-
-def test_modular_phase_validation():
-    with pytest.raises(arith.DomainError):
-        expsums.ModularPhase(a1=5, q=3)
-    with pytest.raises(arith.DomainError):
-        expsums.ModularPhase(a1=0, q=0)
-
-
-def test_birch_sum_accepts_phase_object(four_squares):
-    ph = expsums.ModularPhase(a1=1, q=9, a2=2)
-    assert expsums.birch_sum(four_squares, ph) == pytest.approx(
-        expsums.birch_sum(four_squares, (1, 2), 9), abs=1e-12)
