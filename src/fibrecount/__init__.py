@@ -10,10 +10,9 @@ density, and the assembled constant by two independent routes.
 """
 
 from .arith import (ArithConstants, DomainError, Factorization,
-                    conic_soluble_global, conic_soluble_local, divisor_tau,
-                    euler_phi, factor, landau_constants, mertens_3mod4,
-                    moebius, only_1mod4_factors, ramanujan_sum,
-                    residue_class_parts)
+                    conic_soluble_global, conic_soluble_local, euler_phi,
+                    factor, landau_constants, mertens_3mod4, moebius,
+                    only_1mod4_factors, ramanujan_sum, residue_class_parts)
 from .archimedean import (McEstimate, oscillatory_box_integral, real_density,
                           real_density_coarea)
 from .constant import (ConstantBreakdown, error_exponent,

@@ -135,8 +135,10 @@ class Factorization:
 def factor(m: int) -> Factorization:
     """Deterministic factorization of a nonzero integer.
 
-    Trial division by all primes up to 1e6, then Brent's rho with
-    Miller-Rabin primality gates.  Reproducible: no randomness anywhere.
+    Trial division by all primes up to 1e6; a cofactor n > 1 left when
+    p*p > n is prime.  Only when the trial primes run out does Brent's rho
+    with Miller-Rabin primality gates split the rest.  Reproducible: no
+    randomness anywhere.
     """
     if m == 0:
         raise DomainError("cannot factor 0")
@@ -147,11 +149,13 @@ def factor(m: int) -> Factorization:
         for p in prime_sieve(_SMALL_TRIAL_LIMIT):
             p = int(p)
             if p * p > n:
+                if n > 1:
+                    fs[n] = 1
                 break
             while n % p == 0:
                 fs[p] = fs.get(p, 0) + 1
                 n //= p
-        if n > 1:
+        else:
             stack = [n]
             while stack:
                 v = stack.pop()
@@ -211,27 +215,6 @@ def only_1mod4_factors(m: int) -> int:
     return 1
 
 
-def two_squares_decomposition(m: int) -> tuple[int, int, int]:
-    """Write m > 0 uniquely as 2**t * k**2 * r with every prime of k
-    congruent to 3 mod 4 and every prime of r congruent to 1 mod 4 --
-    possible exactly when conic_soluble_global(m) = 1."""
-    if m < 1:
-        raise DomainError("argument must be a positive integer")
-    t = valuation(m, 2)
-    k = 1
-    r = 1
-    for p, e in factor(m).factors:
-        if p == 2:
-            continue
-        if p % 4 == 3:
-            if e % 2 == 1:
-                raise DomainError(f"{m} has odd valuation at {p}")
-            k *= p ** (e // 2)
-        else:
-            r *= p ** e
-    return t, k, r
-
-
 def ramanujan_sum(q: int, a: int) -> int:
     """Ramanujan sum c_q(a) as an exact integer.
 
@@ -250,15 +233,6 @@ def ramanujan_sum(q: int, a: int) -> int:
         if total == 0:
             return 0
     return total
-
-
-def ramanujan_sum_direct(q: int, a: int) -> complex:
-    """Ramanujan sum by its definition: sum of e(ax/q) over units x mod q."""
-    if q < 1:
-        raise DomainError("q must be positive")
-    xs = np.arange(q)
-    units = np.gcd(xs, q) == 1
-    return complex(np.exp(2j * np.pi * a * xs[units] / q).sum())
 
 
 def conic_soluble_local(m: int, place) -> int:
@@ -353,17 +327,6 @@ def euler_phi(m: int) -> int:
     out = 1
     for p, e in factor(m).factors:
         out *= (p - 1) * p ** (e - 1)
-    return out
-
-
-def divisor_tau(m: int) -> int:
-    if m < 1:
-        raise DomainError("argument must be positive")
-    if m == 1:
-        return 1
-    out = 1
-    for _, e in factor(m).factors:
-        out *= e + 1
     return out
 
 

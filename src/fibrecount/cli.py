@@ -170,7 +170,7 @@ def cmd_theta(args) -> int:
 def cmd_expsum(args) -> int:
     inst = load_instance(args.config)
     params = {"birch": args.birch, "arc": args.arc, "empirical": args.empirical,
-              "U": args.U, "x": args.x}
+              "x": args.x}
     lines = []
     if args.birch:
         q = args.birch
@@ -184,7 +184,7 @@ def cmd_expsum(args) -> int:
     elif args.arc:
         lines.append("q,a1,F_re,F_im,tail_bound")
         for q in range(1, args.arc + 1):
-            row, tail = expsums.arc_factor_row(q, args.U)
+            row, tail = expsums.arc_factor_row(q)
             for a1 in range(q):
                 lines.append(f"{q},{a1},{row[a1].real:.12g},"
                              f"{row[a1].imag:.12g},{tail:.6g}")
@@ -192,7 +192,7 @@ def cmd_expsum(args) -> int:
         q = args.empirical
         consts = arith.landau_constants(10**6)
         scale = math.sqrt(math.log(args.x)) / args.x
-        row, _ = expsums.arc_factor_row(q, args.U)
+        row, _ = expsums.arc_factor_row(q)
         lines.append("q,a1,emp_re,emp_im,pred_re,pred_im")
         for a1 in range(q):
             emp = expsums.twisted_two_squares_sum(args.x, a1, q) * scale
@@ -358,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit arc factors for all q <= QMAX")
     p.add_argument("--empirical", type=int, default=None, metavar="Q",
                    help="empirical twisted sums against predictions mod Q")
-    p.add_argument("--U", type=float, default=2.0**22,
-                   help="(k,t) truncation for arc factors")
     p.add_argument("--x", type=int, default=10**7,
                    help="range for empirical sums")
     p.set_defaults(fn=cmd_expsum)

@@ -336,7 +336,8 @@ def count_soluble_fibre_points(inst: Instance, P: int,
 
 def _moebius_sum(inst: Instance, t: int, budget: int, threads: int) -> int:
     """sum_{l<=t} mu(l) * count(floor(t/l), zero=True), which is twice the
-    projective count; each distinct radius floor(t/l) is counted once."""
+    projective count; each distinct radius floor(t/l) is counted once, and
+    a radius whose weights cancel to 0 not at all."""
     mu = moebius_sieve(t)
     weights: dict[int, int] = {}
     for l in range(1, t + 1):
@@ -344,7 +345,7 @@ def _moebius_sum(inst: Instance, t: int, budget: int, threads: int) -> int:
             weights[t // l] = weights.get(t // l, 0) + int(mu[l])
     return sum(w * count_soluble_fibre_points(
         inst, P, include_zero_fibres=True, budget=budget, threads=threads)
-        for P, w in weights.items())
+        for P, w in weights.items() if w)
 
 
 def projective_count(inst: Instance, t: int, budget: int = DEFAULT_BUDGET,

@@ -15,11 +15,16 @@ Objects:
   the universal sqrt(2)*C0.  It is a double sum over pairs (k, t) with
   2^t*k^2 interacting with q through gcds, an indicator restricting the
   residue l mod q, and a local product over primes p = 3 mod 4 dividing q.
-  Conventions that matter: gcd(0, q) = q, and the residue congruence is
-  taken to a modulus gcd(4, q/gcd(l,q)) which may be 1 (vacuous).
+  The (k, t) sum has a closed form: C0^-2 times finitely many local terms
+  at 2 and at the primes p = 3 mod 4 dividing q, so the only error is
+  that of C0.  Conventions that matter: gcd(0, q) = q, and the residue
+  congruence is taken to a modulus gcd(4, q/gcd(l,q)) which may be 1
+  (vacuous).
 
 * local_series_odd / local_series_two: the p-adic factors of the singular
-  series, as double series over (kappa, m) resp. (t, rho) shells.
+  series, as double series over (kappa, m) resp. (t, rho) shells.  The
+  kappa- resp. t-tails are geometric and summed exactly; only the shells
+  m resp. rho are truncated.
 
 * singular_series: the q-sum of birch sums against conjugated arc factors;
   singular_series_factored: the same quantity assembled as a product of
@@ -29,21 +34,19 @@ Objects:
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
 
-from .arith import (DomainError, factor, only_1mod4_factors, prime_sieve,
-                    valuation)
+from .arith import (DomainError, factor, landau_constants, only_1mod4_factors,
+                    prime_sieve, valuation)
 from .blocks import Block, block_tables, path_for, residue_table
 from .counting import BudgetExceededError, two_squares_sieve
 from .forms import Instance
 
 DEFAULT_SUM_BUDGET = 3 * 10**8
-_CHUNK = 1 << 21
 
 
 @dataclass
@@ -117,23 +120,6 @@ def _block_table(inst: Instance, q: int, budget: int) -> np.ndarray:
     return S
 
 
-def birch_sum_single(inst: Instance, a1: int, a2: int, q: int,
-                     budget: int = DEFAULT_SUM_BUDGET) -> complex:
-    """One Birch sum by literal chunked summation (test oracle path)."""
-    n = inst.n
-    total = q ** n
-    if total > budget:
-        raise BudgetExceededError(f"q^n = {total} exceeds budget {budget}")
-    acc = 0.0 + 0.0j
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        cols = [(idx // q**i) % q for i in range(n)]
-        u = inst.f1.evaluate_batch_mod(cols, q)
-        v = inst.f2.evaluate_batch_mod(cols, q)
-        acc += np.exp(2j * np.pi * ((a1 * u + a2 * v) % q) / q).sum()
-    return complex(acc)
-
-
 def birch_sum(inst: Instance, phase: tuple, q: int,
               budget: int = DEFAULT_SUM_BUDGET, method: str = "auto") -> complex:
     """S_{(a1,a2),q}: sum of e((a1 f1(x) + a2 f2(x))/q) over x mod q, for
@@ -193,16 +179,6 @@ def _primitive_colsums(S: np.ndarray, q: int) -> np.ndarray:
 # the arc factor
 # ---------------------------------------------------------------------------
 
-def _ks_3mod4(limit: int) -> np.ndarray:
-    """Integers k <= limit all of whose prime factors are 3 mod 4."""
-    good = np.ones(limit + 1, dtype=bool)
-    good[0] = False
-    for p in prime_sieve(limit):
-        if p % 4 != 3:
-            good[int(p)::int(p)] = False
-    return np.nonzero(good)[0]
-
-
 def _padic_weight_3mod4(ell: int, q: int, fq) -> float:
     """prod over p = 3 mod 4 with v_p(q) > v_p(ell) of (1 - 1/p)^(-1)."""
     out = 1.0
@@ -215,20 +191,44 @@ def _padic_weight_3mod4(ell: int, q: int, fq) -> float:
     return out
 
 
-def arc_factor_row(q: int, U: float,
-                   ) -> tuple[np.ndarray, float]:
-    """Arc factors for all a1 in [0, q) at truncation 2^t k^2 <= U.
+def _arc_representatives(q: int, fq) -> list[tuple[int, float]]:
+    """Finitely many (w, weight) pairs whose bucket sums equal those of
+    the weights 1/w over all w = 2^t k^2, k built from the primes
+    p = 3 mod 4 that divide q (the other primes of k give the C0 factor
+    in arc_factor_row).
 
-    Returns (values, tail_bound).  The tail bound is rigorous: every
-    dropped (k, t) term is at most P(q)/(2^t k^2) in absolute value, where
-    P(q) is the local product over p = 3 mod 4 dividing q, and the dropped
-    (k, t) mass is at most 4/sqrt(U) + 2/floor(sqrt(U)).
+    The bucket (gcd(w, q), (w/gcd) mod 4) of w depends only on
+    min(t, v_2(q) + 2) and, at each such p, on min(v_p(k), ceil(v_p(q)/2)),
+    so the terms with t >= v_2(q) + 2, and those with
+    v_p(k) >= ceil(v_p(q)/2), are geometric tails, each summed into its
+    first term.
+    """
+    v2 = dict(fq).get(2, 0)
+    reps = [(1 << t, 2.0 ** -t) for t in range(v2 + 2)]
+    reps.append((1 << (v2 + 2), 2.0 ** -(v2 + 1)))
+    for p, e in fq:
+        if p % 4 != 3:
+            continue
+        top = (e + 1) // 2
+        local = [(p ** (2 * j), p ** (-2.0 * j)) for j in range(top)]
+        local.append((p ** (2 * top), p ** (-2.0 * top) / (1.0 - p ** -2.0)))
+        reps = [(w * pw, x * px) for w, x in reps for pw, px in local]
+    return reps
+
+
+def arc_factor_row(q: int) -> tuple[np.ndarray, float]:
+    """Arc factors for all a1 in [0, q), summed over every (k, t).
+
+    Returns (values, tail_bound).  The values are exact apart from C0,
+    which enters as C0^-2; landau_constants(10^6) brackets C0 within its
+    rigorous Euler-product tail, and every value is at most values[0] in
+    absolute value, so tail_bound = values[0] * (exp(2 tail_log) - 1) is
+    rigorous.
     """
     if q < 1:
         raise DomainError("q must be positive")
-    if U < 4:
-        raise DomainError("U must be at least 4")
     fq = factor(q).factors if q > 1 else ()
+    consts = landau_constants(10**6)
 
     # l-side coefficient ingredients, fixed per q
     h_arr = np.array([gcd(l, q) if l else q for l in range(q)], dtype=np.int64)
@@ -239,23 +239,12 @@ def arc_factor_row(q: int, U: float,
                     dtype=np.int64)
     weight3 = np.array([_padic_weight_3mod4(l, q, fq) for l in range(q)])
 
-    # (k, t) pairs bucketed by (gcd(w, q), (w/gcd) mod 4)
-    ks = _ks_3mod4(math.isqrt(int(U)))
+    # w = 2^t k^2 bucketed by (gcd(w, q), (w/gcd) mod 4)
     bucket: dict[tuple[int, int], float] = {}
-    t = 0
-    while True:
-        lim = U / (1 << t)
-        if lim < 1:
-            break
-        sel = ks[ks.astype(np.float64) ** 2 <= lim]
-        if len(sel) == 0:
-            break
-        w = (sel.astype(np.int64) ** 2) << t
-        for wi in w.tolist():
-            g1 = gcd(wi, q)
-            key = (g1, (wi // g1) % 4)
-            bucket[key] = bucket.get(key, 0.0) + g1 / wi
-        t += 1
+    for w, x in _arc_representatives(q, fq):
+        g1 = gcd(w, q)
+        key = (g1, (w // g1) % 4)
+        bucket[key] = bucket.get(key, 0.0) + g1 * x
 
     values = np.zeros(q, dtype=np.complex128)
     ls = np.arange(q)
@@ -269,34 +258,28 @@ def arc_factor_row(q: int, U: float,
         coef = np.where(ok & cong, varpi_ok * weight3 / (h_arr * lcm4), 0.0)
         # sum_l coef[l] e(a1 l / q) for every a1 at once
         values += wsum * np.conj(np.fft.fft(coef))
-    s = math.isqrt(int(U))
-    pmax = 1.0
+    # the primes of k prime to q enter as squares, which are 1 mod 4, and
+    # sum to prod_{p not | q} (1 - p^-2)^-1 = C0^-2 prod_{p | q} (1 - p^-2)
+    scale = 1.0 / consts.c0 ** 2
     for p, _e in fq:
         if p % 4 == 3:
-            pmax *= p / (p - 1.0)
-    tail = pmax * (4.0 * s / U + 2.0 / max(s - 1, 1))
-    return values, tail
+            scale *= 1.0 - p ** -2.0
+    values *= scale
+    # C0 lies in [c0 - c0_error, c0], so the true C0^-2 exceeds the one
+    # used here by at most this relative amount
+    inflate = (consts.c0 / (consts.c0 - consts.c0_error)) ** 2 - 1.0
+    return values, float(values[0].real) * inflate
 
 
-def arc_factor(a1: int, q: int, U: float) -> TruncatedValue:
-    """Single arc factor with its rigorous truncation tail."""
-    values, tail = arc_factor_row(q, U)
+def arc_factor(a1: int, q: int) -> TruncatedValue:
+    """Single arc factor with its rigorous error (from C0 alone)."""
+    values, tail = arc_factor_row(q)
     return TruncatedValue(
         value=complex(values[a1 % q]),
-        truncation_params={"kt_cutoff_U": U, "q": q, "a1": a1 % q},
+        truncation_params={"q": q, "a1": a1 % q},
         error_bound=tail,
         error_kind="rigorous",
     )
-
-
-def arc_factor_series_bound(q: int, U: float) -> float:
-    """Triangle-inequality bound for |arc_factor(a1, q)|, any a1.
-
-    Every term of the defining series is bounded by its a1 = 0 value, so
-    the a1 = 0 evaluation plus the truncation tail dominates the series.
-    """
-    values, tail = arc_factor_row(q, U)
-    return float(values[0].real) + 2.0 * tail
 
 
 def twisted_two_squares_sum(x: int, a1: int, q: int, beta: float = 0.0) -> complex:
@@ -351,65 +334,60 @@ def max_shell_modulus(p: int, n: int, budget: int) -> int:
     return m
 
 
-def local_series_odd(inst: Instance, p: int, kappa_max: int = 8,
-                     m_max: int | None = None,
+def local_series_odd(inst: Instance, p: int, m_max: int | None = None,
                      budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
     """Local factor of the singular series at a prime p = 3 mod 4.
 
     Double series over shells (kappa, m):
       gcd(p^(2 kappa), p^m) / p^(2 kappa + m(n+1))
         * sum over primitive (a1, a2) mod p^m of S_{a, p^m} W_{a1, p^m}(p^kappa),
-    truncated at kappa <= kappa_max, m <= m_max.  Shells are recorded per m;
-    the error estimate extrapolates the observed shell decay (heuristic).
+    truncated at m <= m_max.  For 2 kappa >= m the gcd is p^m and W no
+    longer depends on kappa, so the kappa-sum from ceil(m/2) on is a
+    geometric series with ratio p^-2, summed exactly.  Shells are recorded
+    per m; the error estimate extrapolates the observed shell decay
+    (heuristic).
     """
     if p % 4 != 3:
         raise DomainError("p must be 3 mod 4")
     n = inst.n
     if m_max is None:
         m_max = max(1, max_shell_modulus(p, n, budget))
+    geometric = 1.0 / (1.0 - p ** -2.0)
     shells = []
     total = 0.0 + 0.0j
     for m in range(m_max + 1):
         q = p ** m
-        if m == 0:
-            shell = sum(1.0 / p ** (2 * kappa) for kappa in range(kappa_max + 1))
-            shells.append(complex(shell))
-            total += shell
-            continue
         S = birch_sum_table(inst, q, budget)
         T = _primitive_colsums(S, q)
         shell = 0.0 + 0.0j
-        # the inner phase sum depends on kappa only through gcd(p^2kappa, p^m)
-        w_cache: dict[int, np.ndarray] = {}
-        for kappa in range(kappa_max + 1):
+        top = (m + 1) // 2
+        for kappa in range(top + 1):
             gk = p ** min(2 * kappa, m)
-            if gk not in w_cache:
-                w_cache[gk] = np.array(
-                    [gcd_phase_sum(a1, q, p ** kappa) for a1 in range(q)])
-            W = w_cache[gk]
+            W = np.array([gcd_phase_sum(a1, q, p ** kappa) for a1 in range(q)])
             coef = gk / p ** (2 * kappa + m * (n + 1))
+            if kappa == top:
+                coef *= geometric
             shell += coef * complex((W * T).sum())
         shells.append(complex(shell))
         total += shell
     err = abs(shells[-1]) if len(shells) > 1 else 0.0
     return TruncatedValue(
         value=complex(total),
-        truncation_params={"p": p, "kappa_max": kappa_max, "m_max": m_max},
+        truncation_params={"p": p, "m_max": m_max},
         error_bound=err, error_kind="heuristic", shells=shells)
 
 
-def local_series_two(inst: Instance, t_max: int | None = None,
-                     rho_max: int = 6,
+def local_series_two(inst: Instance, rho_max: int = 6,
                      budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
     """Dyadic local factor of the singular series.
 
     (1/4) * sum over shells (t, rho) of 2^(-t-rho*n) times the primitive
     phase sum with the carry indicator v_2(b1) >= rho - t - 2 and the
-    extra phase e(-b1 2^(t-rho)).  Shells recorded per rho.
+    extra phase e(-b1 2^(t-rho)).  For t >= rho the indicator always holds
+    and the phase is 1, so the t-sum from rho on is 2^(1-rho-rho*n) times
+    the full phase sum, added exactly.  Shells recorded per rho.
     """
     n = inst.n
-    if t_max is None:
-        t_max = rho_max + 34
     shells = []
     total = 0.0 + 0.0j
     for rho in range(rho_max + 1):
@@ -417,14 +395,12 @@ def local_series_two(inst: Instance, t_max: int | None = None,
         S = birch_sum_table(inst, q, budget)
         T = _primitive_colsums(S, q)
         b1 = np.arange(q)
-        v2 = np.array([valuation(int(b), 2) if b else rho + t_max + 10
-                       for b in b1], dtype=np.int64)
-        shell = 0.0 + 0.0j
-        for t in range(t_max + 1):
+        v2 = np.array([valuation(int(b), 2) if b else rho for b in b1],
+                      dtype=np.int64)
+        shell = 2.0 ** (1 - rho - rho * n) * complex(T.sum())
+        for t in range(rho):
             mask = v2 >= rho - t - 2
-            if not mask.any():
-                continue
-            phase = np.exp(-2j * np.pi * ((b1 * (2 ** t)) % q) / q)
+            phase = np.exp(-2j * np.pi * ((b1 << t) % q) / q)
             shell += 2.0 ** (-t - rho * n) * complex((phase * T)[mask].sum())
         shell /= 4.0
         shells.append(complex(shell))
@@ -432,7 +408,7 @@ def local_series_two(inst: Instance, t_max: int | None = None,
     err = abs(shells[-1]) if len(shells) > 1 else 0.0
     return TruncatedValue(
         value=complex(total),
-        truncation_params={"t_max": t_max, "rho_max": rho_max},
+        truncation_params={"rho_max": rho_max},
         error_bound=err, error_kind="heuristic", shells=shells)
 
 
@@ -440,7 +416,7 @@ def local_series_two(inst: Instance, t_max: int | None = None,
 # the singular series, both evaluation strategies
 # ---------------------------------------------------------------------------
 
-def singular_series(inst: Instance, Q: int, U: float = 2.0**24,
+def singular_series(inst: Instance, Q: int,
                     budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
     """Truncated q-sum: sum_{q<=Q} q^-n sum_{primitive a} S_{a,q} *
     conj(arc_factor(a1, q)).
@@ -461,7 +437,7 @@ def singular_series(inst: Instance, Q: int, U: float = 2.0**24,
     for q in range(1, Q + 1):
         S = birch_sum_table(inst, q, budget)
         T = _primitive_colsums(S, q)
-        F, _ = arc_factor_row(q, U)
+        F, _ = arc_factor_row(q)
         term = complex((T * np.conj(F)).sum() / q ** n)
         terms.append(term)
         total += term
@@ -476,7 +452,7 @@ def singular_series(inst: Instance, Q: int, U: float = 2.0**24,
         kind = "heuristic"
     return TruncatedValue(
         value=complex(total),
-        truncation_params={"Q": Q, "kt_cutoff_U": U},
+        truncation_params={"Q": Q},
         error_bound=err, error_kind=kind, shells=terms)
 
 

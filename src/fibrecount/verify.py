@@ -235,9 +235,8 @@ def _arc_consistency_check():
     consts = arith.landau_constants(10**6)
     scale = math.sqrt(math.log(x)) / x
     worst_rel, worst_abs = 0.0, 0.0
-    U = 2.0**22
     for q in (1, 2, 3, 4, 8, 12):
-        row, _tail = expsums.arc_factor_row(q, U)
+        row, _tail = expsums.arc_factor_row(q)
         for a1 in range(q):
             emp = expsums.twisted_two_squares_sum(x, a1, q) * scale
             pred = math.sqrt(2) * consts.c0 * row[a1]
@@ -256,7 +255,7 @@ def _arc_consistency_check():
                               "prediction", ""
             else:
                 worst_abs = max(worst_abs, gap)
-    anchor = expsums.arc_factor(0, 1, U)
+    anchor = expsums.arc_factor(0, 1)
     anchor_gap = abs(anchor.value.real - 1.0 / (2 * consts.c0 ** 2))
     if anchor_gap > anchor.error_bound:
         return False, f"anchor gap {anchor_gap:.2e} > tail " \

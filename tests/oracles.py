@@ -1,0 +1,140 @@
+"""Reference computations that the tests compare the library against.
+
+Each one computes a quantity straight from its definition, or by the
+truncated sum that the library replaced with a closed form.  They are
+slow and used by no library code.
+"""
+
+from __future__ import annotations
+
+import math
+from math import gcd
+
+import numpy as np
+
+from fibrecount.arith import (DomainError, factor, only_1mod4_factors,
+                              prime_sieve, valuation)
+from fibrecount.counting import BudgetExceededError
+from fibrecount.expsums import DEFAULT_SUM_BUDGET, _padic_weight_3mod4
+from fibrecount.forms import Instance
+
+_CHUNK = 1 << 21
+
+
+def birch_sum_single(inst: Instance, a1: int, a2: int, q: int,
+                     budget: int = DEFAULT_SUM_BUDGET) -> complex:
+    """One Birch sum by literal chunked summation."""
+    n = inst.n
+    total = q ** n
+    if total > budget:
+        raise BudgetExceededError(f"q^n = {total} exceeds budget {budget}")
+    acc = 0.0 + 0.0j
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        cols = [(idx // q**i) % q for i in range(n)]
+        u = inst.f1.evaluate_batch_mod(cols, q)
+        v = inst.f2.evaluate_batch_mod(cols, q)
+        acc += np.exp(2j * np.pi * ((a1 * u + a2 * v) % q) / q).sum()
+    return complex(acc)
+
+
+def ramanujan_sum_direct(q: int, a: int) -> complex:
+    """Ramanujan sum by its definition: sum of e(ax/q) over units x mod q."""
+    if q < 1:
+        raise DomainError("q must be positive")
+    xs = np.arange(q)
+    units = np.gcd(xs, q) == 1
+    return complex(np.exp(2j * np.pi * a * xs[units] / q).sum())
+
+
+def two_squares_decomposition(m: int) -> tuple[int, int, int]:
+    """Write m > 0 uniquely as 2**t * k**2 * r with every prime of k
+    congruent to 3 mod 4 and every prime of r congruent to 1 mod 4 --
+    possible exactly when conic_soluble_global(m) = 1."""
+    if m < 1:
+        raise DomainError("argument must be a positive integer")
+    t = valuation(m, 2)
+    k = 1
+    r = 1
+    for p, e in factor(m).factors:
+        if p == 2:
+            continue
+        if p % 4 == 3:
+            if e % 2 == 1:
+                raise DomainError(f"{m} has odd valuation at {p}")
+            k *= p ** (e // 2)
+        else:
+            r *= p ** e
+    return t, k, r
+
+
+def _ks_3mod4(limit: int) -> np.ndarray:
+    """Integers k <= limit all of whose prime factors are 3 mod 4."""
+    good = np.ones(limit + 1, dtype=bool)
+    good[0] = False
+    for p in prime_sieve(limit):
+        if p % 4 != 3:
+            good[int(p)::int(p)] = False
+    return np.nonzero(good)[0]
+
+
+def arc_factor_row_truncated(q: int, U: float) -> tuple[np.ndarray, float]:
+    """Arc factors for all a1 in [0, q) at truncation 2^t k^2 <= U.
+
+    Returns (values, tail_bound).  The tail bound is rigorous: every
+    dropped (k, t) term is at most P(q)/(2^t k^2) in absolute value, where
+    P(q) is the local product over p = 3 mod 4 dividing q, and the dropped
+    (k, t) mass is at most 4/sqrt(U) + 2/floor(sqrt(U)).
+    """
+    if q < 1:
+        raise DomainError("q must be positive")
+    if U < 4:
+        raise DomainError("U must be at least 4")
+    fq = factor(q).factors if q > 1 else ()
+
+    # l-side coefficient ingredients, fixed per q
+    h_arr = np.array([gcd(l, q) if l else q for l in range(q)], dtype=np.int64)
+    lcm4 = np.array([4 * (q // h) // gcd(4, q // h) for h in h_arr.tolist()],
+                    dtype=np.int64)
+    m4 = np.array([gcd(4, q // h) for h in h_arr.tolist()], dtype=np.int64)
+    lred = np.array([(l // h) if l else 0 for l, h in enumerate(h_arr.tolist())],
+                    dtype=np.int64)
+    weight3 = np.array([_padic_weight_3mod4(l, q, fq) for l in range(q)])
+
+    # (k, t) pairs bucketed by (gcd(w, q), (w/gcd) mod 4)
+    ks = _ks_3mod4(math.isqrt(int(U)))
+    bucket: dict[tuple[int, int], float] = {}
+    t = 0
+    while True:
+        lim = U / (1 << t)
+        if lim < 1:
+            break
+        sel = ks[ks.astype(np.float64) ** 2 <= lim]
+        if len(sel) == 0:
+            break
+        w = (sel.astype(np.int64) ** 2) << t
+        for wi in w.tolist():
+            g1 = gcd(wi, q)
+            key = (g1, (wi // g1) % 4)
+            bucket[key] = bucket.get(key, 0.0) + g1 / wi
+        t += 1
+
+    values = np.zeros(q, dtype=np.complex128)
+    ls = np.arange(q)
+    for (g1, rho), wsum in sorted(bucket.items()):
+        ok = (ls % g1 == 0)
+        varpi_ok = np.array([only_1mod4_factors(int(h) // g1) if o and h % g1 == 0
+                             else 0
+                             for o, h in zip(ok.tolist(), h_arr.tolist())],
+                            dtype=np.float64)
+        cong = (rho - lred) % m4 == 0
+        coef = np.where(ok & cong, varpi_ok * weight3 / (h_arr * lcm4), 0.0)
+        # sum_l coef[l] e(a1 l / q) for every a1 at once
+        values += wsum * np.conj(np.fft.fft(coef))
+    s = math.isqrt(int(U))
+    pmax = 1.0
+    for p, _e in fq:
+        if p % 4 == 3:
+            pmax *= p / (p - 1.0)
+    tail = pmax * (4.0 * s / U + 2.0 / max(s - 1, 1))
+    return values, tail

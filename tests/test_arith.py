@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibrecount import arith
+from oracles import ramanujan_sum_direct, two_squares_decomposition
 
 
 def trial_division(m):
@@ -45,6 +46,21 @@ def test_factor_roundtrip(m):
     assert prod == m
 
 
+def test_factor_matches_trial_division():
+    for m in range(1, 10**4 + 1):
+        assert arith.factor(m).factors == trial_division(m)
+
+
+def test_factor_needs_no_primality_test_below_trial_limit(monkeypatch):
+    # a cofactor left when p*p > n is prime without a Miller-Rabin run
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    assert arith.factor(2 * 99991).factors == ((2, 1), (99991, 1))
+    assert arith.factor(99991**2).factors == ((99991, 2),)
+
+
 def test_factor_large_semiprime():
     p, q = 1000003, 1000033
     assert arith.factor(p * q).factors == ((p, 1), (q, 1))
@@ -62,7 +78,7 @@ def test_conic_soluble_global_examples():
 def _check_decomposition(m):
     soluble = arith.conic_soluble_global(m)
     try:
-        t, k, r = arith.two_squares_decomposition(m)
+        t, k, r = two_squares_decomposition(m)
         assert m == 2**t * k**2 * r
         assert arith.only_1mod4_factors(r) == 1
         for p, _ in (arith.factor(k).factors if k > 1 else ()):
@@ -102,7 +118,7 @@ def test_ramanujan_examples():
 
 @given(st.integers(1, 120), st.integers(0, 200))
 def test_ramanujan_formula_vs_direct(q, a):
-    direct = arith.ramanujan_sum_direct(q, a)
+    direct = ramanujan_sum_direct(q, a)
     exact = arith.ramanujan_sum(q, a)
     assert abs(direct - exact) < 1e-9 * max(q, 1)
     assert abs(direct.imag) < 1e-9 * max(q, 1)
@@ -151,9 +167,6 @@ def test_residue_class_parts():
 def test_phi_tau_moebius():
     assert arith.euler_phi(9) == 6
     assert arith.euler_phi(1) == 1
-    assert arith.divisor_tau(12) == 6
-    for p in (2, 3, 97):
-        assert arith.divisor_tau(p) == 2
     mu = arith.moebius_sieve(200)
     for m in range(1, 201):
         assert arith.moebius(m) == int(mu[m])

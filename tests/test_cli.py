@@ -167,7 +167,7 @@ def test_verify_arith_exit_zero(capsys):
 
 
 def test_expsum_arc_grid(capsys):
-    assert main(["expsum", "--config", FOUR, "--arc", "4", "--U", "65536"]) == 0
+    assert main(["expsum", "--config", FOUR, "--arc", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "q,a1,F_re,F_im,tail_bound"
     assert len(lines) == 2 + 1 + 2 + 3 + 4

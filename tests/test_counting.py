@@ -55,6 +55,23 @@ def test_mobius_residual_zero(demo, bilinear):
             assert counting.mobius_residual(inst, t) == 0
 
 
+def test_moebius_sum_skips_cancelled_radii(demo, monkeypatch):
+    # at t = 100 the weights mu(l) of the radii 100 // l cancel at 2 and 7
+    radii = []
+    count = counting.count_soluble_fibre_points
+
+    def recording(inst, P, **kw):
+        radii.append(P)
+        return count(inst, P, **kw)
+
+    monkeypatch.setattr(counting, "count_soluble_fibre_points", recording)
+    assert counting.mobius_residual(demo, 100) == 0
+    assert radii and 2 not in radii and 7 not in radii
+    mu = arith.moebius_sieve(100)
+    for P in (2, 7):
+        assert sum(int(mu[l]) for l in range(1, 101) if 100 // l == P) == 0
+
+
 def test_parallel_determinism(four_squares):
     a = counting.count_soluble_fibre_points(four_squares, 6, method="slab",
                                             threads=1)

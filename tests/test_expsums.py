@@ -6,6 +6,7 @@ import pytest
 
 from fibrecount import arith, expsums
 from fibrecount.forms import Form, Instance
+from oracles import arc_factor_row_truncated, birch_sum_single
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def test_birch_table_matches_literal(four_squares):
     q = 9
     S = expsums.birch_sum_table(four_squares, q)
     for (a1, a2) in ((1, 0), (2, 5), (4, 4)):
-        lit = expsums.birch_sum_single(four_squares, a1, a2, q)
+        lit = birch_sum_single(four_squares, a1, a2, q)
         assert S[a1, a2] == pytest.approx(lit, abs=1e-7)
 
 
@@ -63,19 +64,45 @@ def test_twisted_sum_plain():
 
 
 def test_arc_factor_anchor_and_tail():
+    # the closed form against the truncated (k, t) sum, within both errors
+    for q in range(1, 61):
+        row, err = expsums.arc_factor_row(q)
+        trunc, tail = arc_factor_row_truncated(q, 2.0**20)
+        assert np.abs(row - trunc).max() <= tail + err
     consts = arith.landau_constants(10**6)
-    for q in (1, 3, 4, 12):
-        near = expsums.arc_factor(1 % q if q > 1 else 0, q, 2.0**18)
-        far = expsums.arc_factor(1 % q if q > 1 else 0, q, 2.0**20)
-        assert abs(near.value - far.value) <= near.error_bound
-    anchor = expsums.arc_factor(0, 1, 2.0**22)
-    assert abs(anchor.value.real - 1 / (2 * consts.c0**2)) <= anchor.error_bound
+    anchor = expsums.arc_factor(0, 1)
+    exact = 1 / (2 * consts.c0**2)
+    assert abs(anchor.value - exact) <= 1e-15 * exact
+    assert 0 < anchor.error_bound <= 1e-5 * exact
     assert anchor.error_kind == "rigorous"
+
+
+def test_arc_representatives_match_geometric_enumeration():
+    # buckets of the finite representatives against w = 2^t k^2 with t, and
+    # the exponents of the primes 3 mod 4 dividing q, run far into the tails
+    for q in range(1, 121):
+        fq = arith.factor(q).factors if q > 1 else ()
+        ws = [1 << t for t in range(64)]
+        for p, _e in fq:
+            if p % 4 == 3:
+                ws = [w * p ** (2 * j) for w in ws for j in range(24)]
+        want, got = {}, {}
+        for w in ws:
+            g = gcd(w, q)
+            key = (g, (w // g) % 4)
+            want[key] = want.get(key, 0.0) + g / w
+        for w, x in expsums._arc_representatives(q, fq):
+            g = gcd(w, q)
+            key = (g, (w // g) % 4)
+            got[key] = got.get(key, 0.0) + g * x
+        assert got.keys() == want.keys()
+        for key, x in want.items():
+            assert got[key] == pytest.approx(x, rel=1e-12)
 
 
 def test_arc_factor_conjugation():
     for q in (3, 4, 8, 12):
-        row, _ = expsums.arc_factor_row(q, 2.0**18)
+        row, _ = expsums.arc_factor_row(q)
         for a1 in range(q):
             assert row[(q - a1) % q] == pytest.approx(np.conj(row[a1]),
                                                       abs=1e-12)
@@ -83,9 +110,9 @@ def test_arc_factor_conjugation():
 
 def test_arc_factor_bounded_by_series():
     for q in range(1, 51):
-        row, _ = expsums.arc_factor_row(q, 2.0**18)
-        bound = expsums.arc_factor_series_bound(q, 2.0**18)
-        assert np.abs(row).max() <= bound + 1e-12
+        # every term of the series is bounded by its a1 = 0 value
+        row, _ = expsums.arc_factor_row(q)
+        assert np.abs(row).max() <= row[0].real + 1e-12
 
 
 def test_gcd_phase_sum_values():
@@ -133,8 +160,9 @@ def test_gcd_phase_sum_kappa_saturation(four_squares):
 
 
 def test_local_series_odd_truncation_base(four_squares):
-    ser = expsums.local_series_odd(four_squares, 3, kappa_max=0, m_max=0)
-    assert ser.value == pytest.approx(1.0)
+    # the m = 0 shell is the full kappa-series 1/(1 - 3^-2)
+    ser = expsums.local_series_odd(four_squares, 3, m_max=0)
+    assert ser.value == pytest.approx(9 / 8)
 
 
 def test_local_series_odd_shells_decay(four_squares):
@@ -145,8 +173,19 @@ def test_local_series_odd_shells_decay(four_squares):
 
 
 def test_local_series_two_base_shell(four_squares):
-    ser = expsums.local_series_two(four_squares, rho_max=0, t_max=40)
+    ser = expsums.local_series_two(four_squares, rho_max=0)
     assert ser.value.real == pytest.approx(0.5, abs=1e-9)
+
+
+def test_local_series_tails_are_exact(four_squares, bilinear):
+    # with the kappa- and t-tails summed, the shells give exact rationals
+    values = (
+        (expsums.local_series_odd(four_squares, 3, m_max=2), 137 / 72),
+        (expsums.local_series_two(four_squares, rho_max=6), 123 / 64),
+        (expsums.local_series_two(bilinear, rho_max=6), 375 / 256),
+    )
+    for ser, exact in values:
+        assert abs(ser.value - exact) <= 1e-12
 
 
 def test_singular_series_first_term(four_squares):

@@ -6,7 +6,6 @@ import pytest
 
 from fibrecount import expsums, padic
 from fibrecount.counting import BudgetExceededError
-from fibrecount.forms import Form, Instance
 
 
 def test_tau_bilinear_level1(bilinear):
