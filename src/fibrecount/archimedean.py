@@ -42,6 +42,18 @@ class McEstimate:
     epsilon: float | None = None
     rows: list = field(default_factory=list)
 
+    @staticmethod
+    def csv_header() -> str:
+        return "epsilon,volume_estimate,std_error,samples,seed"
+
+    def csv_rows(self) -> list:
+        """One row per epsilon level, then the extrapolated value at 0."""
+        lines = [f"{eps:.10g},{j:.12g},{se:.12g},{n_i},{self.seed}"
+                 for (eps, j, se, n_i) in self.rows]
+        lines.append(f"0,{self.value.real:.12g},{self.std_error:.12g},"
+                     f"{self.samples},{self.seed}")
+        return lines
+
 
 def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, ((stream & 0xFFFFFFFF) << 32)

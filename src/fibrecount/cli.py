@@ -227,11 +227,7 @@ def cmd_singular_integral(args) -> int:
     params = {"samples": args.samples, "schedule": list(schedule),
               "estimator": args.estimator}
     est = archimedean.real_density(inst, schedule, args.samples, args.seed)
-    lines = ["epsilon,volume_estimate,std_error,samples,seed"]
-    for (eps, j, se, n_i) in est.rows:
-        lines.append(f"{eps:.10g},{j:.12g},{se:.12g},{n_i},{args.seed}")
-    lines.append(f"0,{est.value.real:.12g},{est.std_error:.12g},"
-                 f"{est.samples},{args.seed}")
+    lines = [est.csv_header()] + est.csv_rows()
     if args.estimator == "both":
         fib = archimedean.real_density_coarea(inst, args.samples, args.seed)
         lines.append(f"# fibre estimator: {fib.value.real:.12g} "

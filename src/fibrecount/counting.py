@@ -219,12 +219,10 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
 
     Every pair of half points with f2-parts summing to 0 is a point of the
     hypersurface.  Pairs of distinct value pairs are formed per matching f2
-    value, in chunks of at most _PAIR_CHUNK, and classified at once.
+    value, in chunks of at most _PAIR_CHUNK, and classified at once.  The
+    instance must have at least two blocks.
     """
-    blocks = variable_blocks(inst)
-    if len(blocks) < 2:
-        raise BudgetExceededError("instance is not separable")
-    half_a, half_b = balanced_halves(blocks)
+    half_a, half_b = balanced_halves(variable_blocks(inst))
     a2, a1, ac = _half_table(inst, half_a, P, budget)
     b2, b1, bc = _half_table(inst, half_b, P, budget)
     # the B entries whose f2-part is -v2, for each A entry: a run in B
@@ -315,9 +313,10 @@ def count_soluble_fibre_points(inst: Instance, P: int,
     Without include_zero_fibres only x with f1(x) != 0 and soluble conic
     count; with it, x with f1(x) = 0 also count.  The origin never counts.
 
-    method: 'auto' tries the separable fast path and falls back to slab
-    enumeration; 'slab' forces the direct scan; 'split' requires
-    separability.
+    method: 'auto' takes the split path when the instance has at least two
+    variable blocks and falls back to slab enumeration when the split is
+    refused by the budget; 'slab' forces the direct scan; 'split' requires
+    two blocks (DomainError otherwise).
     """
     if P < 0:
         raise DomainError("P must be non-negative")
@@ -325,7 +324,10 @@ def count_soluble_fibre_points(inst: Instance, P: int,
         return 0
     if method not in ("auto", "slab", "split"):
         raise DomainError(f"unknown method {method!r}")
-    if method in ("auto", "split"):
+    separable = len(variable_blocks(inst)) >= 2
+    if method == "split" and not separable:
+        raise DomainError("method 'split' needs at least two variable blocks")
+    if method in ("auto", "split") and separable:
         try:
             return _count_split(inst, P, include_zero_fibres, budget)
         except BudgetExceededError:

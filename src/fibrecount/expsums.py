@@ -34,7 +34,7 @@ Objects:
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -68,10 +68,6 @@ class TruncatedValue:
 # Birch sums
 # ---------------------------------------------------------------------------
 
-_TABLE_LOCK = threading.Lock()
-_TABLE_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def joint_value_distribution(inst: Instance, q: int,
                              budget: int = DEFAULT_SUM_BUDGET) -> np.ndarray:
     """M[u, v] = #{x mod q : f1(x) = u, f2(x) = v (mod q)}, by scanning the
@@ -89,15 +85,17 @@ def birch_sum_table(inst: Instance, q: int,
     method 'direct' takes M from joint_value_distribution; 'auto' instead
     multiplies the per-block tables (see _block_table) when the instance
     has at least two blocks.  budget bounds the scanned volume: q^n on the
-    direct path, q^(block size) per block on the block path.  Cached per
-    (instance, q, path); the cache is read-only after insertion.
+    direct path, q^(block size) per block on the block path.  The tables
+    are memoized and read-only.
     """
-    path = path_for(inst, method)
-    key = (inst.config_hash(), q, path)
-    with _TABLE_LOCK:
-        hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _birch_table(inst, q, budget, path_for(inst, method))
+
+
+@functools.lru_cache(maxsize=None)
+def _birch_table(inst: Instance, q: int, budget: int,
+                 path: str) -> np.ndarray:
+    """birch_sum_table on the given path, memoized: the key is every
+    argument, so a cached table is the one a fresh call would build."""
     if q == 1:
         S = np.ones((1, 1), dtype=np.complex128)
     elif path == "block":
@@ -106,8 +104,6 @@ def birch_sum_table(inst: Instance, q: int,
         M = joint_value_distribution(inst, q, budget)
         S = np.conj(np.fft.fft2(M.astype(np.float64)))
     S.setflags(write=False)
-    with _TABLE_LOCK:
-        _TABLE_CACHE[key] = S
     return S
 
 
@@ -155,15 +151,6 @@ def birch_sum(inst: Instance, phase: tuple, q: int,
         out *= birch_sum(inst, ((a1 * A) % q1, (a2 * A) % q1), q1,
                          budget=budget, method="auto")
     return out
-
-
-def residue_zero_count(inst: Instance, q: int,
-                       budget: int = DEFAULT_SUM_BUDGET) -> int:
-    """#{x mod q : f2(x) = 0 mod q} from the joint distribution."""
-    if q == 1:
-        return 1
-    M = joint_value_distribution(inst, q, budget)
-    return int(M[:, 0].sum())
 
 
 def _primitive_colsums(S: np.ndarray, q: int) -> np.ndarray:
@@ -458,7 +445,6 @@ def singular_series(inst: Instance, Q: int,
 
 def singular_series_factored(inst: Instance, p_max: int = 13,
                              rho_max: int = 6,
-                             level_schedule: dict | None = None,
                              budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
     """The singular series assembled as a product of local factors:
 
@@ -467,11 +453,11 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
 
     The two evaluations agree as full sums; this one converges shell-wise
     at every prime and is the stable route at small n.  Relative errors of
-    the factors add (first order).
+    the factors add (first order).  tau_f2(p) is read at padic.level_for(p),
+    the level of the local route.
     """
     from . import padic
 
-    levels = dict(level_schedule or {})
     value = 1.0 + 0.0j
     rel_err = 0.0
     parts = {}
@@ -481,15 +467,15 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
     parts["2"] = e2
     for p in [int(r) for r in prime_sieve(p_max)[1:]]:
         if p % 4 == 1:
-            N = levels.get(p, 3 if p <= 7 else 2)
-            dens = padic.hypersurface_density(inst, p, N, budget=budget)
+            dens = padic.hypersurface_density(inst, p, padic.level_for(p),
+                                              budget=budget)
             value *= dens.density
             drift = abs(dens.density - dens.prev_density)
             rel_err += drift / max(dens.density, 1e-30)
             parts[str(p)] = dens
         else:
-            m_cap = max_shell_modulus(p, inst.n, budget)
-            ser = local_series_odd(inst, p, m_max=min(m_cap, levels.get(p, m_cap)),
+            ser = local_series_odd(inst, p,
+                                   m_max=max_shell_modulus(p, inst.n, budget),
                                    budget=budget)
             value *= ser.value
             rel_err += ser.error_bound / max(abs(ser.value), 1e-30)

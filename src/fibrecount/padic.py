@@ -2,7 +2,9 @@
 
 tau_f2(p) is the density of solutions of f2 = 0 mod p^N, normalized by
 p^(N(n-1)).  soluble_density additionally requires the fibre conic
-x0^2 + x1^2 = f1(t) x2^2 to have a point over the p-adics.
+x0^2 + x1^2 = f1(t) x2^2 to have a point over the p-adics.  One routine
+computes both: tau_f2 is the fibre density with the fibre condition off,
+as it is at p = 1 mod 4, where the condition is vacuous.
 
 A residue class t mod p^N only pins f1(t) mod p^N, so classes whose f1
 residue has saturated valuation cannot be classified at level N.  Those
@@ -15,30 +17,28 @@ Above the cone point the refinement can branch without deciding anything,
 so it also stops early, keeping the bracket, when a further level would
 exceed the budget.
 
-Two paths compute the same counts.  The direct path is the lift tree.  One
+Two paths compute the same masses.  The direct path is the lift tree.  One
 generator (_lifts) yields, in chunks, the candidates parent + p^(k-1) x
-mod p^k of a set of residues mod p^(k-1), and it alone checks the budget;
-level 1 lifts the single class 0.  One pass over levels 1..N keeps only
-solution residues, never the full p^(N n) box, and scans the last level in
-chunks without materializing it.  The fibre densities classify the level-N
-solutions as they stream past and the level-(N-1) solutions the pass
-already holds (for the stabilization flag), and refine undecided classes
-through the same generator.  On an instance with several variable blocks (see
-blocks.py) the block path convolves per-block residue tables instead: the
-f2 distributions mod p^N for tau_f2, and the joint (f1 mod p^(N+e),
-f2 mod p^N) tables over x mod p^(N+e), e = lift_extra, for the fibre
-densities, whose f1 residues are classified once at level N+e.  A decision
+mod p^k of a set of residues mod p^(k-1), and it alone checks the budget.
+One pass over levels 1..N keeps only solution residues, never the full
+p^(N n) box; it classifies the level-N solutions as they stream past and
+the level-(N-1) ones it holds (for the stabilization flag), and refines
+undecided classes through the same generator.  On an instance with several
+variable blocks (see blocks.py) the block path convolves per-block residue
+tables instead: the joint (f1 mod p^(N+e), f2 mod p^N) tables over
+x mod p^(N+e), e = lift_extra, whose f1 residues are classified once at
+level N+e (the f2 tables alone with the fibre condition off).  A decision
 at a shallower level is never undone at a deeper one, so the block path
 equals the tree whenever the tree reaches full depth; it never stops early,
 so where the tree does, its bracket lies inside the tree's.  Where a block
-table or join exceeds the budget, 'auto' falls back to the tree.
+table or join exceeds the budget, 'auto' falls back to the tree.  One memo,
+keyed by all of its arguments, holds the masses (_masses).
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,11 +54,8 @@ DEFAULT_BUDGET = 3 * 10**8
 _CHUNK_ROWS = 1 << 21
 STABLE_REL_TOL = 0.01
 
-_DENSITY_LOCK = threading.Lock()
-_DENSITY_CACHE: dict[tuple, "LocalDensity"] = {}
 
-
-@dataclass
+@dataclass(frozen=True)
 class LocalDensity:
     """Residue-count density at one prime and level."""
 
@@ -131,77 +128,6 @@ def _solutions(inst: Instance, p: int, level: int, parents: np.ndarray,
                                               reduced=True) == 0]
 
 
-def _lift_tree(inst: Instance, p: int, N: int, budget: int):
-    """The lift tree of f2 = 0 up to level N, in one pass.
-
-    Returns the solution counts at levels 1..N-1, the solutions mod p^(N-1)
-    (the class of 0 when N = 1), and the level-N solutions as a generator of
-    chunks: the last level is scanned, never materialized.
-    """
-    sols = np.zeros((1, inst.n), dtype=np.int64)
-    counts = []
-    for k in range(1, N):
-        sols = np.concatenate(list(_solutions(inst, p, k, sols, budget)))
-        counts.append(len(sols))
-    return counts, sols, _solutions(inst, p, N, sols, budget)
-
-
-def solution_counts(inst: Instance, p: int, N: int,
-                    budget: int = DEFAULT_BUDGET):
-    """Counts of solutions of f2 = 0 mod p^k for k = 1..N, and the
-    solutions mod p^(N-1) (level N is scanned, not materialized)."""
-    counts, sols, top = _lift_tree(inst, p, N, budget)
-    return counts + [sum(len(chunk) for chunk in top)], sols
-
-
-def hypersurface_density(inst: Instance, p: int, N: int,
-                         budget: int = DEFAULT_BUDGET,
-                         method: str = "auto") -> LocalDensity:
-    """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'.
-
-    method 'direct' counts by the lift tree; 'auto' convolves the
-    per-block distributions of f2 mod p^N instead when the instance has at
-    least two blocks and their tables and joins fit the budget.
-    """
-    if N < 1:
-        raise DomainError("level must be positive")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    path = path_for(inst, method)
-    key = (inst.config_hash(), "tau", p, N, budget, path)
-    with _DENSITY_LOCK:
-        hit = _DENSITY_CACHE.get(key)
-    if hit is not None:
-        return copy.copy(hit)
-    counts = None
-    if path == "block":
-        try:
-            counts = [_block_zero_count(inst, p, k, budget)
-                      for k in range(max(N - 1, 1), N + 1)]
-        except BudgetExceededError:
-            pass
-    if counts is None:
-        counts, _ = solution_counts(inst, p, N, budget)
-    dens = Fraction(counts[-1], p ** (N * (inst.n - 1)))
-    prev = (Fraction(counts[-2], p ** ((N - 1) * (inst.n - 1)))
-            if N >= 2 else Fraction(0))
-    stab = N >= 2 and abs(dens - prev) <= STABLE_REL_TOL * dens
-    out = LocalDensity(p=p, level=N, raw_count=counts[-1],
-                       density=float(dens), stabilized=bool(stab),
-                       kind="tau_f2", density_low=float(dens),
-                       density_high=float(dens), prev_density=float(prev))
-    with _DENSITY_LOCK:
-        _DENSITY_CACHE[key] = copy.copy(out)
-    return out
-
-
-def _block_zero_count(inst: Instance, p: int, level: int, budget: int) -> int:
-    """#{x mod p^level : f2(x) = 0}, the f2 distributions of the blocks
-    convolved."""
-    q = p ** level
-    return int(join(block_tables(inst, q, 1, q, budget))[0])
-
-
 def _classify_f1(values: np.ndarray, p: int, level: int):
     """Masks (soluble, undecided) of residues f1 mod p^level; the rest are
     insoluble.
@@ -225,16 +151,21 @@ def _classify_f1(values: np.ndarray, p: int, level: int):
 
 
 def _classify(inst: Instance, p: int, level: int, chunks, lift_extra: int,
-              budget: int):
+              fibre: bool, budget: int):
     """(count, soluble, undecided) masses of the solutions mod p^level that
     the chunks hold, in units p^(-n lift_extra).
 
-    Classes left undecided by f1 mod p^level are lifted (t, not the f2
-    condition) up to lift_extra more levels; each child of a class at depth
-    k weighs p^(n (lift_extra - k)).  Refinement stops early, keeping the
-    bracket, where a level would exceed the budget: it is precision, not
-    correctness.
+    Without fibre every solution is soluble and the chunks are only
+    counted.  With it, classes left undecided by f1 mod p^level are lifted
+    (t, not the f2 condition) up to lift_extra more levels; each child of a
+    class at depth k weighs p^(n (lift_extra - k)).  Refinement stops
+    early, keeping the bracket, where a level would exceed the budget: it
+    is precision, not correctness.
     """
+    if not fibre:
+        count = sum(len(pts) for pts in chunks)
+        return count, count, 0
+
     def weight(depth: int) -> int:
         return p ** (inst.n * (lift_extra - depth))
 
@@ -267,36 +198,107 @@ def _classify(inst: Instance, p: int, level: int, chunks, lift_extra: int,
 
 
 def _tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
-                 budget: int):
+                 fibre: bool, budget: int):
     """(count, soluble, undecided) at level N, and at level N-1 (lift_extra
     at most 1) for the stabilization flag, by the lift tree.
 
-    One pass: the level-(N-1) solutions that level N lifts from are
-    classified as they are, not lifted again from level 1.
+    One pass: level 1 lifts the class of 0, the last level is scanned in
+    chunks, never materialized, and the level-(N-1) solutions it lifts from
+    are classified as they are, not lifted again from level 1.
     """
-    _counts, sols, top = _lift_tree(inst, p, N, budget)
-    cur = _classify(inst, p, N, top, lift_extra, budget)
+    sols = np.zeros((1, inst.n), dtype=np.int64)
+    for k in range(1, N):
+        sols = np.concatenate(list(_solutions(inst, p, k, sols, budget)))
+    cur = _classify(inst, p, N, _solutions(inst, p, N, sols, budget),
+                    lift_extra, fibre, budget)
     if N < 2:
         return cur, None
-    return cur, _classify(inst, p, N - 1, [sols], min(lift_extra, 1), budget)
+    return cur, _classify(inst, p, N - 1, [sols], min(lift_extra, 1), fibre,
+                          budget)
 
 
 def _block_masses(inst: Instance, p: int, N: int, lift_extra: int,
-                  budget: int):
+                  fibre: bool, budget: int):
     """(count, soluble, undecided) of the level-N solutions by blocks.
 
     Convolves the per-block tables of (f1 mod p^(N+e), f2 mod p^N) over
     x mod p^(N+e), e = lift_extra, and classifies f1 once at level N+e.  A
     decision at a shallower level is never undone at a deeper one, so the
     masses equal the lift tree's whenever the tree reaches full depth.
-    Masses are in units p^(-n e), as _classify's.
+    Masses are in units p^(-n e), as _classify's.  Without fibre the tables
+    hold f2 alone and every solution is soluble.
     """
-    top, q2 = p ** (N + lift_extra), p ** N
-    col = join(block_tables(inst, top, top, q2, budget))
+    top = p ** (N + lift_extra)
+    col = join(block_tables(inst, top, top if fibre else 1, p ** N, budget))
+    count = int(col.sum()) // p ** (inst.n * lift_extra)
+    if not fibre:
+        return count, count, 0
     sol, und = _classify_f1(np.arange(top, dtype=np.int64), p,
                             N + lift_extra)
-    count = int(col.sum()) // p ** (inst.n * lift_extra)
     return count, int(col[sol].sum()), int(col[und].sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
+            budget: int, path: str):
+    """The masses at levels N and N-1 (None when N = 1): by blocks on the
+    block path, by the lift tree on the direct path or where a block table
+    or join exceeds the budget.  The memo's key is every argument, so a
+    cached value is the one a fresh call would return."""
+    if path == "block":
+        try:
+            return (_block_masses(inst, p, N, lift_extra, fibre, budget),
+                    _block_masses(inst, p, N - 1, min(lift_extra, 1), fibre,
+                                  budget) if N >= 2 else None)
+        except BudgetExceededError:
+            pass
+    return _tree_masses(inst, p, N, lift_extra, fibre, budget)
+
+
+def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
+             undecided_as_soluble: bool, budget: int,
+             method: str) -> LocalDensity:
+    """The density of kind 'tau_f2' or 'ell', stabilization in exact
+    rationals."""
+    if N < 1:
+        raise DomainError("level must be positive")
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    fibre = kind == "ell" and p % 4 != 1
+    if not fibre:
+        lift_extra = 0
+    (count, soluble, und), prev_masses = _masses(
+        inst, p, N, lift_extra, fibre, budget, path_for(inst, method))
+    unit = p ** (inst.n * lift_extra)
+    denom = unit * p ** (N * (inst.n - 1))
+    raw = soluble + (und if undecided_as_soluble else 0)
+    dens = Fraction(raw, denom)
+    prev = Fraction(0)
+    if prev_masses is not None:
+        _, sp, up = prev_masses
+        prev = Fraction(sp + (up if undecided_as_soluble else 0),
+                        p ** (inst.n * min(lift_extra, 1)
+                              + (N - 1) * (inst.n - 1)))
+    return LocalDensity(
+        p=p, level=N, raw_count=raw, density=float(dens),
+        stabilized=(prev_masses is not None
+                    and abs(dens - prev) <= STABLE_REL_TOL * dens),
+        kind=kind, undecided_fraction=und / (count * unit) if count else 0.0,
+        density_low=float(Fraction(soluble, denom)),
+        density_high=float(Fraction(soluble + und, denom)),
+        prev_density=float(prev), mass_scale=unit)
+
+
+def hypersurface_density(inst: Instance, p: int, N: int,
+                         budget: int = DEFAULT_BUDGET,
+                         method: str = "auto") -> LocalDensity:
+    """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'.
+
+    method 'direct' counts by the lift tree; 'auto' convolves the
+    per-block distributions of f2 mod p^N instead when the instance has at
+    least two blocks and their tables and joins fit the budget.
+    """
+    return _density(inst, p, N, "tau_f2", 0, True, budget, method)
 
 
 def soluble_density(inst: Instance, p: int, N: int,
@@ -316,55 +318,8 @@ def soluble_density(inst: Instance, p: int, N: int,
     joins the per-block tables, which always reach full depth, when the
     instance has at least two blocks and the tables and joins fit.
     """
-    if N < 1:
-        raise DomainError("level must be positive")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if p % 4 == 1:
-        base = hypersurface_density(inst, p, N, budget, method)
-        base.kind = "ell"
-        return base
-    path = path_for(inst, method)
-    key = (inst.config_hash(), "ell", p, N, lift_extra, undecided_as_soluble,
-           budget, path)
-    with _DENSITY_LOCK:
-        hit = _DENSITY_CACHE.get(key)
-    if hit is not None:
-        return copy.copy(hit)
-    masses = None
-    if path == "block":
-        try:
-            masses = (_block_masses(inst, p, N, lift_extra, budget),
-                      _block_masses(inst, p, N - 1, min(lift_extra, 1),
-                                    budget) if N >= 2 else None)
-        except BudgetExceededError:
-            pass
-    if masses is None:
-        masses = _tree_masses(inst, p, N, lift_extra, budget)
-    (count, soluble, und_mass), prev_masses = masses
-    unit = p ** (inst.n * lift_extra)
-    denom = unit * p ** (N * (inst.n - 1))
-    lo = Fraction(soluble, denom)
-    hi = Fraction(soluble + und_mass, denom)
-    chosen = hi if undecided_as_soluble else lo
-    raw = soluble + (und_mass if undecided_as_soluble else 0)
-    total_mass = count * unit
-    und_frac = und_mass / total_mass if total_mass else 0.0
-    prev = 0.0
-    stab = False
-    if prev_masses is not None:
-        _cp, sp, up = prev_masses
-        pden = p ** (inst.n * min(lift_extra, 1) + (N - 1) * (inst.n - 1))
-        prev = float(Fraction(sp + (up if undecided_as_soluble else 0), pden))
-        stab = abs(float(chosen) - prev) <= STABLE_REL_TOL * float(chosen)
-    out = LocalDensity(p=p, level=N, raw_count=raw, density=float(chosen),
-                       stabilized=bool(stab), kind="ell",
-                       undecided_fraction=float(und_frac),
-                       density_low=float(lo), density_high=float(hi),
-                       prev_density=prev, mass_scale=unit)
-    with _DENSITY_LOCK:
-        _DENSITY_CACHE[key] = copy.copy(out)
-    return out
+    return _density(inst, p, N, "ell", lift_extra, undecided_as_soluble,
+                    budget, method)
 
 
 def tamagawa_factor(inst: Instance, p: int, N: int,
@@ -385,13 +340,12 @@ def tamagawa_factor(inst: Instance, p: int, N: int,
 DEFAULT_LEVELS = {2: 6, 3: 5, 5: 3, 7: 2, 11: 2, 13: 2}
 
 
-def level_for(p: int, schedule: dict | None = None) -> int:
-    sched = {**DEFAULT_LEVELS, **(schedule or {})}
-    return sched.get(p, 2 if p <= 13 else 1)
+def level_for(p: int) -> int:
+    """The level of the local densities at p: DEFAULT_LEVELS, else 1."""
+    return DEFAULT_LEVELS.get(p, 1)
 
 
 def local_product(inst: Instance, p_max: int = 13,
-                  level_schedule: dict | None = None,
                   lift_extra: int = 2,
                   budget: int = DEFAULT_BUDGET) -> TruncatedValue:
     """prod_{p <= p_max} tau_p / lambda_p with a heuristic tail estimate.
@@ -404,7 +358,7 @@ def local_product(inst: Instance, p_max: int = 13,
     factors = []
     value = 1.0
     for p in [int(r) for r in prime_sieve(p_max)]:
-        f = tamagawa_factor(inst, p, level_for(p, level_schedule),
+        f = tamagawa_factor(inst, p, level_for(p),
                             lift_extra=lift_extra, budget=budget)
         factors.append(f)
         value *= f.ratio
@@ -420,6 +374,6 @@ def local_product(inst: Instance, p_max: int = 13,
     return TruncatedValue(
         value=complex(value),
         truncation_params={"p_max": p_max,
-                           "levels": {f.p: level_for(f.p, level_schedule)
+                           "levels": {f.p: level_for(f.p)
                                       for f in factors}},
         error_bound=float(err), error_kind="heuristic", shells=factors)

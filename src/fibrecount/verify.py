@@ -293,7 +293,11 @@ def _birch_identity_check():
         for q in range(1, 31):
             S = expsums.birch_sum_table(inst, q, method="direct")
             lhs = complex(S[0, :].sum())
-            rhs = q * expsums.residue_zero_count(inst, q)
+            # #{x mod q : f2 = 0} counted independently of S: by the lift
+            # tree at each prime power of q, multiplied by the CRT
+            fq = arith.factor(q).factors if q > 1 else ()
+            rhs = q * math.prod(padic.hypersurface_density(
+                inst, p, e, method="direct").raw_count for p, e in fq)
             gap = abs(lhs - rhs) / q ** inst.n
             worst_orth = max(worst_orth, gap)
             if gap > 1e-9:
@@ -367,15 +371,6 @@ def suite_padic(budget=None, seed=0):
 # archimedean suite
 # ---------------------------------------------------------------------------
 
-def _mc_rows_csv(est) -> str:
-    lines = ["epsilon,volume_estimate,std_error,samples,seed"]
-    for (eps, j, se, n_i) in est.rows:
-        lines.append(f"{eps:.10g},{j:.12g},{se:.12g},{n_i},{est.seed}")
-    lines.append(f"0,{est.value.real:.12g},{est.std_error:.12g},"
-                 f"{est.samples},{est.seed}")
-    return "\n".join(lines)
-
-
 def suite_archimedean(budget=None, seed=0):
     inst = four_squares_instance()
     out = []
@@ -405,7 +400,7 @@ def suite_archimedean(budget=None, seed=0):
 
     t0 = time.monotonic()
     again = archimedean.real_density(inst, samples=10**6, seed=seed)
-    same = _mc_rows_csv(j_shell) == _mc_rows_csv(again)
+    same = j_shell.csv_rows() == again.csv_rows()
     out.append(CheckResult(
         name="mc-determinism",
         passed=same,

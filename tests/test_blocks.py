@@ -174,9 +174,9 @@ def test_fuzz_block_birch_table(inst, q):
                                      (5, 2), (7, 1)]))
 def test_fuzz_block_tau_counts(inst, pN):
     p, N = pN
-    tree, _ = padic.solution_counts(inst, p, N)
-    assert [padic._block_zero_count(inst, p, k, 10**6)
-            for k in range(1, N + 1)] == tree
+    for k in range(1, N + 1):  # (count, count, 0) without the fibre condition
+        assert padic._block_masses(inst, p, k, 0, False, 10**6) == \
+            padic._tree_masses(inst, p, k, 0, False, padic.DEFAULT_BUDGET)[0]
 
 
 @settings(max_examples=40)
@@ -187,10 +187,11 @@ def test_fuzz_block_soluble_density(inst, pNe, small_budget):
     p, N, e = pNe
     assume(p ** (inst.n * (N + e)) <= 10**6)  # keeps the full tree small
     # (count, soluble, undecided) masses in the units p^(-n e)
-    count, sol, und = padic._block_masses(inst, p, N, e, 10**9)
-    assert padic._tree_masses(inst, p, N, e, 10**9)[0] == (count, sol, und)
+    count, sol, und = padic._block_masses(inst, p, N, e, True, 10**9)
+    assert padic._tree_masses(inst, p, N, e, True, 10**9)[0] == \
+        (count, sol, und)
     try:  # a small budget may stop the tree early: its bracket is wider
-        tree = padic._tree_masses(inst, p, N, e, small_budget)[0]
+        tree = padic._tree_masses(inst, p, N, e, True, small_budget)[0]
     except BudgetExceededError:
         return
     assert tree[0] == count
@@ -207,10 +208,11 @@ def test_fuzz_tree_stabilization_masses(inst, pNe, budget):
     p, N, e = pNe
     assume(p ** (inst.n * (N + e)) <= 10**6)
     try:
-        prev = padic._tree_masses(inst, p, N, e, budget)[1]
+        prev = padic._tree_masses(inst, p, N, e, True, budget)[1]
     except BudgetExceededError:
         return
-    assert prev == padic._tree_masses(inst, p, N - 1, min(e, 1), budget)[0]
+    assert prev == padic._tree_masses(inst, p, N - 1, min(e, 1), True,
+                                      budget)[0]
 
 
 @settings(max_examples=30)

@@ -49,6 +49,15 @@ def test_split_matches_slab(four_squares, bilinear):
                 assert a == b
 
 
+def test_split_refuses_one_block(linked):
+    # a one-block instance is outside the split path's domain, not over
+    # the budget
+    with pytest.raises(DomainError, match="two variable blocks"):
+        counting.count_soluble_fibre_points(linked, 2, method="split")
+    assert counting.count_soluble_fibre_points(linked, 2) == \
+        counting.count_soluble_fibre_points(linked, 2, method="slab")
+
+
 def test_mobius_residual_zero(demo, bilinear):
     for inst in (demo, bilinear):
         for t in (1, 2, 3, 7, 12):

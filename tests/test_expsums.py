@@ -4,7 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fibrecount import arith, expsums
+from fibrecount import arith, expsums, padic
 from fibrecount.forms import Form, Instance
 from oracles import arc_factor_row_truncated, birch_sum_single
 
@@ -41,9 +41,9 @@ def test_birch_crt_path(four_squares):
 
 
 def test_table_cache_keys_the_path(four_squares):
-    expsums._TABLE_CACHE.clear()
+    expsums._birch_table.cache_clear()
     direct = expsums.birch_sum_table(four_squares, 9, method="direct").copy()
-    expsums._TABLE_CACHE.clear()
+    expsums._birch_table.cache_clear()
     block = expsums.birch_sum_table(four_squares, 9)
     again = expsums.birch_sum_table(four_squares, 9, method="direct")
     assert again is not block
@@ -201,3 +201,11 @@ def test_singular_series_factored_structure(four_squares):
     parts = fac.shells[0]
     prod = parts["2"].value * parts["3"].value * parts["5"].density
     assert fac.value == pytest.approx(prod)
+
+
+def test_factored_series_reads_padic_levels(four_squares):
+    # the series and the local route carry the same prime content: tau_f2
+    # at the level padic.local_product reads
+    fac = expsums.singular_series_factored(four_squares, p_max=17)
+    for p in ("5", "13", "17"):
+        assert fac.shells[0][p].level == padic.level_for(int(p))

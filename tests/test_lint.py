@@ -28,3 +28,26 @@ def test_no_unused_imports():
     files += sorted((ROOT / "tests").glob("*.py"))
     unused = [u for path in files for u in _unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_no_unreferenced_private_functions():
+    # a private function that nothing in the package names is dead code
+    files = sorted((ROOT / "src" / "fibrecount").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in files}
+    defined = {}
+    referenced = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{path.relative_to(ROOT)}:" \
+                                         f"{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [f"{where}: {name}" for name, where in sorted(defined.items())
+                    if name not in referenced]
+    assert not unreferenced, "defined but never referenced:\n" + \
+        "\n".join(unreferenced)

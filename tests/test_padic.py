@@ -123,14 +123,14 @@ def test_local_product_cauchy_and_drift(four_squares):
     assert all(v > 0 for v in vals)
     # without the weight and the convergence factor the partial products
     # drift monotonically upward
+    levels = {2: 4, 3: 3, 5: 3, 7: 2, 11: 2, 13: 2, 17: 1}
     drift = []
     for pm in (5, 11, 17):
         prod = 1.0
-        for p in (2, 3, 5, 7, 11, 13, 17):
+        for p, N in levels.items():
             if p > pm:
                 break
-            ell = padic.soluble_density(four_squares, p,
-                                        padic.level_for(p, {2: 4, 3: 3}))
+            ell = padic.soluble_density(four_squares, p, N)
             prod *= ell.density / (1 - 1 / p)
         drift.append(prod)
     assert drift[0] < drift[1] < drift[2]
@@ -145,7 +145,7 @@ def test_budget_refusal(linked):
 def test_block_budget_refusal(four_squares):
     # one variable mod 199^3 is about 7.9e6 residues
     with pytest.raises(BudgetExceededError, match="block volume"):
-        padic._block_zero_count(four_squares, 199, 3, 10**6)
+        padic._block_masses(four_squares, 199, 3, 0, False, 10**6)
     with pytest.raises(BudgetExceededError):
         padic.hypersurface_density(four_squares, 199, 3, budget=10**6)
     assert padic.hypersurface_density(four_squares, 199, 2,
@@ -156,13 +156,13 @@ def test_density_cache_keys_the_budget(linked):
     # the lift tree stops early at the small budget, so the budget changes
     # the answer and must be part of the cache key
     def fresh(budget):
-        padic._DENSITY_CACHE.clear()
+        padic._masses.cache_clear()
         return padic.soluble_density(linked, 3, 2, lift_extra=3,
                                      budget=budget).density
 
     small, large = fresh(10**5), fresh(10**6)
     assert small != large
-    padic._DENSITY_CACHE.clear()
+    padic._masses.cache_clear()
     padic.soluble_density(linked, 3, 2, lift_extra=3, budget=10**5)
     assert padic.soluble_density(linked, 3, 2, lift_extra=3,
                                  budget=10**6).density == large
