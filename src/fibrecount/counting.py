@@ -45,6 +45,7 @@ from .forms import Instance
 
 DEFAULT_BUDGET = 3 * 10**8
 _PAIR_CHUNK = 1 << 22
+_HALF_CHUNK = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +191,40 @@ def _theta_of_values(values: np.ndarray) -> np.ndarray:
 
 def _half_table(inst: Instance, half, P: int, budget: int):
     """Distinct (f2, f1) value pairs of the half's parts over its box, with
-    multiplicities: arrays (v2, v1, count) sorted by v2."""
+    multiplicities: arrays (v2, v1, count) sorted by v2.
+
+    The box is scanned in slabs of its leading coordinate, at most
+    max(_HALF_CHUNK, (2P+1)^(nb-1)) points each, and the per-slab counts
+    are merged, so memory follows the distinct pairs, not the box."""
     nb = len(half)
     if (2 * P + 1) ** nb > budget:
         raise BudgetExceededError(
             f"sub-box volume {(2*P+1)**nb} exceeds budget {budget}")
     g1, g2 = restrict(inst.f1, half), restrict(inst.f2, half)
-    axes = [np.arange(-P, P + 1, dtype=np.int64) for _ in range(nb)]
-    cols = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-    npts = len(cols[0])
-    v1 = g1.evaluate_batch(cols, P) if g1 else np.zeros(npts, np.int64)
-    v2 = g2.evaluate_batch(cols, P) if g2 else np.zeros(npts, np.int64)
     # pack the value pair into one int64 key: unique on 1-d keys is far
     # faster than a lexicographic row sort
     b1 = (g1.coeff_norm() if g1 else 0) * max(P, 1) ** inst.d + 1
     b2 = (g2.coeff_norm() if g2 else 0) * max(P, 1) ** inst.d + 1
     if (2 * b2 + 1) * (2 * b1 + 1) >= 2**62:
         raise BudgetExceededError("value range too wide for packed keys")
-    keys, counts = np.unique((v2 + b2) * (2 * b1 + 1) + (v1 + b1),
+    axis = np.arange(-P, P + 1, dtype=np.int64)
+    rest = [g.ravel() for g in np.meshgrid(*([axis] * (nb - 1)),
+                                           indexing="ij")]
+    width = (2 * P + 1) ** (nb - 1)
+    rows = max(1, _HALF_CHUNK // width)
+    for start in range(0, 2 * P + 1, rows):
+        lead = np.repeat(axis[start:start + rows], width)
+        cols = [lead] + [np.tile(c, len(lead) // width) for c in rest]
+        v1 = g1.evaluate_batch(cols, P) if g1 else np.zeros_like(lead)
+        v2 = g2.evaluate_batch(cols, P) if g2 else np.zeros_like(lead)
+        new, cnt = np.unique((v2 + b2) * (2 * b1 + 1) + (v1 + b1),
                              return_counts=True)
+        if start:  # merge into the pairs of the earlier slabs
+            new, inv = np.unique(np.r_[keys, new], return_inverse=True)
+            merged = np.zeros(len(new), dtype=np.int64)
+            np.add.at(merged, inv, np.r_[counts, cnt])
+            cnt = merged
+        keys, counts = new, cnt
     val2, val1 = np.divmod(keys, 2 * b1 + 1)
     return val2 - b2, val1 - b1, counts.astype(np.int64)
 

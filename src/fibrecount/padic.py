@@ -30,9 +30,12 @@ x mod p^(N+e), e = lift_extra, whose f1 residues are classified once at
 level N+e (the f2 tables alone with the fibre condition off).  A decision
 at a shallower level is never undone at a deeper one, so the block path
 equals the tree whenever the tree reaches full depth; it never stops early,
-so where the tree does, its bracket lies inside the tree's.  Where a block
-table or join exceeds the budget, 'auto' falls back to the tree.  One memo,
-keyed by all of its arguments, holds the masses (_masses).
+so where the tree does, its bracket lies inside the tree's.  The tables are
+joined by an exact cyclic convolution at their own shape (blocks.convolve);
+on four_squares the largest join in local_product, 14641 x 121 at p = 11,
+fits.  Where a block table exceeds the budget, or a join the transform cap
+or the exact range, 'auto' falls back to the tree.  One memo, keyed by all
+of its arguments, holds the masses (_masses).
 """
 
 from __future__ import annotations

@@ -123,23 +123,42 @@ def _cyclic_oracle(x, y):
 
 @pytest.mark.parametrize("scale", [10, 2**24])
 def test_convolve_is_exact(scale):
-    # at scale 2^24 one digit would break the rounding bound
+    # odd, prime-power and mixed shapes; (2, 53) and (1, 199) are lengths
+    # at which pocketfft may run Bluestein's algorithm
     rng = np.random.default_rng(7)
-    x = rng.integers(0, scale, (9, 4)).astype(np.int64)
-    y = rng.integers(0, scale, (9, 4)).astype(np.int64)
-    want = _cyclic_oracle(x, y)
-    assert (blocks.convolve(x, y) == want).all()
-    assert (blocks.convolve(x, y, zero_column=True) == want[:, 0]).all()
+    for shape in [(9, 3), (9, 4), (25, 5), (7, 49), (11, 11), (13, 13),
+                  (6, 9), (2, 53), (1, 199)]:
+        x = rng.integers(0, scale, shape).astype(np.int64)
+        y = rng.integers(0, scale, shape).astype(np.int64)
+        if scale > 10:
+            # y keeps 16 entries, so the joined mass stays in the exact
+            # range; one digit would still break the rounding bound
+            y.flat[rng.permutation(y.size)[16:]] = 0
+            assert blocks.fft_error_factor(shape, 1) * \
+                np.linalg.norm(x) * np.linalg.norm(y) > 0.5
+        want = _cyclic_oracle(x, y)
+        assert (blocks.convolve(x, y) == want).all()
+        assert (blocks.convolve(x, y, zero_column=True) == want[:, 0]).all()
 
 
 def test_join_takes_powers():
-    x = np.arange(12, dtype=np.int64).reshape(3, 4)
-    y = np.ones((3, 4), dtype=np.int64)
-    cube = _cyclic_oracle(_cyclic_oracle(x, x), x)
-    assert (blocks.join([(x, 3)]) == cube[:, 0]).all()
-    assert (blocks.join([(x, 3), (y, 1)])
-            == _cyclic_oracle(cube, y)[:, 0]).all()
-    assert (blocks.join([(y, 1)]) == y[:, 0]).all()
+    for shape in [(3, 4), (5, 9)]:
+        x = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
+        y = np.ones(shape, dtype=np.int64)
+        cube = _cyclic_oracle(_cyclic_oracle(x, x), x)
+        assert (blocks.join([(x, 3)]) == cube[:, 0]).all()
+        assert (blocks.join([(x, 3), (y, 1)])
+                == _cyclic_oracle(cube, y)[:, 0]).all()
+        assert (blocks.join([(y, 1)]) == y[:, 0]).all()
+
+
+def test_transform_plans():
+    # the passes pocketfft runs, and Bluestein's 11-smooth inner length
+    assert blocks._radices(2187) == [3] * 7
+    assert blocks._radices(1000) == [8, 5, 5, 5]
+    assert blocks._radices(14641) == [11] * 4
+    assert blocks._radices(96) == [8, 4, 3]
+    assert blocks._smooth_size(397) == 400
 
 
 def test_convolve_refuses_the_inexact_range():
@@ -232,6 +251,17 @@ def test_block_soluble_density_reaches_full_depth(four_squares):
     block = _bracket(four_squares, 7, 2, 2, padic.DEFAULT_BUDGET)
     tree = _bracket(four_squares, 7, 2, 2, padic.DEFAULT_BUDGET, "direct")
     assert tree[0] == block[0] and block[1] < tree[1]
+
+
+def test_block_path_reaches_p11(four_squares):
+    # the join of 14641 x 121 tables fits the transform cap at its natural
+    # length; it counts the level-2 solutions as the lift tree does
+    count, sol, und = padic._block_masses(four_squares, 11, 2, 2, True,
+                                          padic.DEFAULT_BUDGET)
+    tree = padic._tree_masses(four_squares, 11, 2, 0, False,
+                              padic.DEFAULT_BUDGET)[0]
+    assert count == tree[0] == 1931281
+    assert 0 < sol and sol + und <= count * 11 ** 8
 
 
 def test_block_paths_take_the_instance_blocks(four_squares, linked):

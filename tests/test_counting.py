@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,32 @@ def test_moebius_sum_skips_cancelled_radii(demo, monkeypatch):
     mu = arith.moebius_sieve(100)
     for P in (2, 7):
         assert sum(int(mu[l]) for l in range(1, 101) if 100 // l == P) == 0
+
+
+def test_half_table_slabs_merge(four_squares, bilinear, monkeypatch):
+    # slabs of the leading coordinate merge to the one-slab table
+    halves = ([0], [0, 1], [0, 1, 2])
+    whole = [counting._half_table(inst, h, 9, 10**6)
+             for inst in (four_squares, bilinear) for h in halves]
+    monkeypatch.setattr(counting, "_HALF_CHUNK", 40)
+    slabs = [counting._half_table(inst, h, 9, 10**6)
+             for inst in (four_squares, bilinear) for h in halves]
+    for got, want in zip(slabs, whole):
+        assert all((a == b).all() for a, b in zip(got, want))
+    assert counting.count_soluble_fibre_points(bilinear, 9, method="split") \
+        == counting.count_soluble_fibre_points(bilinear, 9, method="slab")
+
+
+def test_half_table_memory_follows_the_slabs(four_squares):
+    # 2001^2 points: the whole-box table held six int64 arrays over them
+    tracemalloc.start()
+    try:
+        counting._half_table(four_squares, [0, 1], 1000,
+                             counting.DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * 2001**2
 
 
 def test_parallel_determinism(four_squares):
