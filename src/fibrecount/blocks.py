@@ -15,9 +15,11 @@ sum over a box that is a product of per-block boxes then factors:
 * an exponential sum e((a1 f1 + a2 f2)/q) is the product of the per-block
   sums, because e(.) is additive.
 
-counting, expsums and padic take their block paths when an instance has at
-least two blocks, and keep their direct paths, which are also the oracles
-the block paths are tested against, otherwise.
+counting and expsums take their block paths when an instance has at least
+two blocks (path_for), and keep their direct paths, which are also the
+oracles the block paths are tested against, otherwise.  padic joins block
+tables only as the fallback of its stationary-phase path, where that path
+is refused, as when its level-1 scan of p^n classes exceeds the budget.
 
 Counts stay exact.  The residue tables are cyclic (indexed by residues
 mod q), so `convolve` joins two nonnegative int64 tables by a cyclic

@@ -2,15 +2,11 @@
 
 Subcommands: count, theta, expsum, local-density, singular-integral,
 constant, compare, verify.  Global flags: --config, --seed, --threads,
---cache, --budget, --out.  The cache directory can also be set through the
-FIBRECOUNT_CACHE environment variable (the only environment override).
+--budget, --out.  No environment variable changes what a run does.
 
 Every CSV starts with a '# manifest <hash>' comment; with --out FILE the
 full run manifest is written next to the output as FILE.manifest.json.
-Cached rows of count and theta are reused verbatim when the (config hash,
-command, parameters, tool version) key matches.  Rows carry no timings, so
-uncached repeat runs are byte-identical too.  Entries are written to a
-temporary file and renamed into place; an unreadable entry is a miss.
+Rows carry no timings, so repeat runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, archimedean, arith, constant, counting, expsums, padic
@@ -79,66 +74,16 @@ def _emit(args, command: str, label: str, params: dict, config_hash: str,
         sys.stdout.write(text)
 
 
-def _cache_dir(args):
-    return args.cache or os.environ.get("FIBRECOUNT_CACHE")
-
-
-def _cache_key(config_hash: str, command: str, params: dict) -> str:
-    blob = json.dumps({"config": config_hash, "command": command,
-                       "params": params, "version": __version__},
-                      sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
-
-
-def _cache_get(args, key: str):
-    """The cached rows, or None on a miss.  An unreadable or corrupt entry
-    is a miss; the caller rewrites it."""
-    root = _cache_dir(args)
-    if not root:
-        return None
-    try:
-        with open(os.path.join(root, key + ".json"), "r",
-                  encoding="utf-8") as fh:
-            rows = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if isinstance(rows, list) and all(isinstance(r, str) for r in rows):
-        return rows
-    return None
-
-
-def _cache_put(args, key: str, rows) -> None:
-    """Write the entry to a temporary file and move it into place, so a
-    concurrent reader sees the old entry or the new one, never a part."""
-    root = _cache_dir(args)
-    if not root:
-        return
-    os.makedirs(root, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh)
-        os.replace(tmp, os.path.join(root, key + ".json"))
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",") if part]
 
 
 def _emit_counts(args, command: str, params: dict, radii: str,
                  record) -> int:
-    """One CountRecord row per radius, reused verbatim from the cache when
-    the inputs match."""
+    """One CountRecord row per radius."""
     inst = load_instance(args.config)
-    key = _cache_key(inst.config_hash(), command, params)
-    lines = _cache_get(args, key)
-    if lines is None:
-        lines = [counting.CountRecord.csv_header()] + [
-            record(inst, t).csv_row() for t in _int_list(radii)]
-        _cache_put(args, key, lines)
+    lines = [counting.CountRecord.csv_header()] + [
+        record(inst, t).csv_row() for t in _int_list(radii)]
     _emit(args, command, inst.label, params, inst.config_hash(), lines)
     return 0
 
@@ -325,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="instance config JSON")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--cache", default=None,
-                       help="cache directory (or FIBRECOUNT_CACHE)")
         p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
                        help="max enumeration volume per operation")
         p.add_argument("--out", default=None, help="write CSV here "

@@ -269,19 +269,21 @@ def arc_factor(a1: int, q: int) -> TruncatedValue:
     )
 
 
-def twisted_two_squares_sum(x: int, a1: int, q: int, beta: float = 0.0) -> complex:
-    """sum_{m <= x, m a sum of two squares} e((a1/q + beta) m).
+def twisted_two_squares_sum(x: int, a1: int, q: int) -> complex:
+    """sum_{m <= x, m a sum of two squares} e(a1 m / q).
 
-    Uses the valuation-parity sieve; no per-m factorization.
+    The m of the valuation-parity sieve are counted in their classes mod q
+    once, and the q phases a1 r mod q are reduced exactly in integers.
     """
     if x < 1:
         raise DomainError("x must be positive")
     if q < 1:
         raise DomainError("q must be positive")
-    ok = two_squares_sieve(x)
-    ms = np.nonzero(ok[:x + 1])[0].astype(np.float64)
-    theta = (a1 % q) / q + beta
-    return complex(np.exp(2j * np.pi * ((theta * ms) % 1.0)).sum())
+    counts = np.bincount(np.flatnonzero(two_squares_sieve(x)) % q,
+                         minlength=q)
+    r = np.arange(q, dtype=np.int64)
+    return complex((counts * np.exp(2j * np.pi * ((a1 % q) * r % q / q)))
+                   .sum())
 
 
 # ---------------------------------------------------------------------------

@@ -126,18 +126,22 @@ class Form:
         passes reduced=True for columns that already lie in [0, q) (residue
         grids, lift candidates); when the exact value over reduced inputs
         provably fits int64 the per-step reductions are skipped, otherwise
-        every multiply reduces.
+        every multiply reduces, which needs (q-1)^2 to fit.
         """
         if q < 1:
             raise FormError("modulus must be positive")
+        fast = self.coeff_norm() * max(q - 1, 1) ** self.degree < INT64_SAFE
+        if not fast and (q - 1) ** 2 >= INT64_SAFE:
+            raise FormError(f"modulus {q} is beyond the int64 products of "
+                            "the reduced path")
         shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
         cms = [np.asarray(c, dtype=np.int64) for c in cols]
         if not reduced:
             cms = [c % q for c in cms]
         total = np.zeros(shape, dtype=np.int64)
-        if self.coeff_norm() * max(q - 1, 1) ** self.degree < INT64_SAFE:
+        if fast:  # the bound holds for the signed coefficients
             for coeff, exps in self.monomials:
-                term = np.asarray(coeff % q, dtype=np.int64)
+                term = np.asarray(coeff, dtype=np.int64)
                 for cm, e in zip(cms, exps):
                     for _ in range(e):
                         term = term * cm

@@ -1,4 +1,4 @@
-"""Local densities by residue counting with lift trees.
+"""Local densities by residue counting: stationary phase and lift trees.
 
 tau_f2(p) is the density of solutions of f2 = 0 mod p^N, normalized by
 p^(N(n-1)).  soluble_density additionally requires the fibre conic
@@ -9,38 +9,44 @@ as it is at p = 1 mod 4, where the condition is vacuous.
 A residue class t mod p^N only pins f1(t) mod p^N, so classes whose f1
 residue has saturated valuation cannot be classified at level N.  Those
 classes are refined by lifting t (not the f2 condition) a few more levels,
-splitting each class into p^n children of equal mass; classes still
-undecided at the ceiling are bracketed: counted as soluble by default
-(genuine f1 = 0 fibres are soluble through (0:0:1)), with the insoluble
-convention and the undecided mass reported so the bracket is visible.
-Above the cone point the refinement can branch without deciding anything,
-so it also stops early, keeping the bracket, when a further level would
-exceed the budget.
+lift_extra = e, splitting each class into p^n children of equal mass;
+classes still undecided at level N+e are bracketed: counted as soluble by
+default (genuine f1 = 0 fibres are soluble through (0:0:1)), with the
+insoluble convention and the undecided mass reported so the bracket is
+visible.  A decision at a shallower level is never undone at a deeper one,
+so the masses at full depth are counts over t mod p^(N+e) with f2 = 0
+mod p^N, f1 classified at level N+e.
 
-Two paths compute the same masses.  The direct path is the lift tree.  One
-generator (_lifts) yields, in chunks, the candidates parent + p^(k-1) x
-mod p^k of a set of residues mod p^(k-1), and it alone checks the budget.
-One pass over levels 1..N keeps only solution residues, never the full
-p^(N n) box; it classifies the level-N solutions as they stream past and
-the level-(N-1) ones it holds (for the stabilization flag), and refines
-undecided classes through the same generator.  On an instance with several
-variable blocks (see blocks.py) the block path convolves per-block residue
-tables instead: the joint (f1 mod p^(N+e), f2 mod p^N) tables over
-x mod p^(N+e), e = lift_extra, whose f1 residues are classified once at
-level N+e (the f2 tables alone with the fibre condition off).  A decision
-at a shallower level is never undone at a deeper one, so the block path
-equals the tree whenever the tree reaches full depth; it never stops early,
-so where the tree does, its bracket lies inside the tree's.  The tables are
-joined by an exact cyclic convolution at their own shape (blocks.convolve);
-on four_squares the largest join in local_product, 14641 x 121 at p = 11,
-fits.  Where a block table exceeds the budget, or a join the transform cap
-or the exact range, 'auto' falls back to the tree.  One memo, keyed by all
+Two paths compute them.  The lift tree (method 'direct') is the
+reference.  One generator (_lifts) yields, in chunks, the candidates
+parent + p^(k-1) x mod p^k of a set of residues mod p^(k-1), and it alone
+checks the budget.  One pass over levels 1..N keeps only solution
+residues, never the full p^(N n) box; it classifies the level-N solutions
+as they stream past and the level-(N-1) ones it holds (for the
+stabilization flag), and refines undecided classes through the same
+generator.  Above the cone point the refinement can branch without
+deciding anything, so it also stops early, keeping the bracket, when a
+further level would exceed the budget.
+
+'auto' takes p-adic stationary phase (_phase) for every instance: a class
+x mod p^k whose Jacobian of (f1, f2) has elementary divisors below p^k
+spreads (f1, f2) uniformly over a coset of a lattice (Igusa, An
+Introduction to the Theory of Local Zeta Functions, 2000; Denef, Sem.
+Bourbaki 741, 1991), so its masses are a closed form; only the singular
+classes are lifted, through the same generator, and the class of 0 follows
+from homogeneity.  It returns the tree's masses exactly where the tree
+reaches full depth, and a bracket inside the tree's where it stops early.
+Where it is refused, as when its level-1 scan of p^n classes exceeds the
+budget, an instance with several variable blocks (see blocks.py) falls
+back to per-block residue tables of (f1 mod p^(N+e), f2 mod p^N), joined
+by an exact cyclic convolution (blocks.convolve).  One memo, keyed by all
 of its arguments, holds the masses (_masses).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,10 +54,10 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import DomainError, is_prime, prime_sieve
-from .blocks import block_tables, join, path_for
+from .blocks import block_tables, join, variable_blocks
 from .counting import BudgetExceededError
 from .expsums import TruncatedValue
-from .forms import Instance
+from .forms import INT64_SAFE, Form, Instance
 
 DEFAULT_BUDGET = 3 * 10**8
 _CHUNK_ROWS = 1 << 21
@@ -220,6 +226,218 @@ def _tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
                           budget)
 
 
+def _gradient(f: Form) -> list:
+    """The partial derivatives of f, None where one vanishes identically."""
+    parts = []
+    for j in range(f.n_vars):
+        monos = tuple((c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+                      for c, e in f.monomials if e[j])
+        parts.append(Form(f.n_vars, f.degree - 1, monos) if monos else None)
+    return parts
+
+
+def _valuation(x: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """v_p of residues in [0, p^cap), with v_p(0) = cap."""
+    return sum((x % p ** i == 0).astype(np.int64) for i in range(1, cap + 1))
+
+
+def _unit_inverse(u: np.ndarray, p: int, top: int) -> np.ndarray:
+    """u^-1 mod p^top of p-adic units u, as u^(phi(p^top) - 1); p^(2 top)
+    must stay below INT64_SAFE."""
+    q = p ** top
+    out, base, e = np.ones_like(u), u % q, p ** (top - 1) * (p - 1) - 1
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+def _coset_split(p: int, top: int, a: int, j: int) -> tuple:
+    """(soluble, undecided) counts, by _classify_f1 at level top, among the
+    p^(top-j) residues a + p^j z mod p^top, j <= top.
+
+    Off p^j Z every residue has a's valuation v < j and shares its verdict,
+    except at p = 2 with v = j - 1, where the odd part runs through both
+    classes mod 4.  The multiples of p^j are 0 and (p-1) p^(top-v-1)
+    residues of each valuation j <= v < top: a finite geometric sum.
+    """
+    size = p ** (top - j)
+    if j == top or a % p ** j:
+        if p == 2 and j < top and a % 2 ** j == 2 ** (j - 1):
+            return size // 2, 0
+        sol, und = _classify_f1(np.array([a % p ** top]), p, top)
+        return size * int(sol[0]), size * int(und[0])
+    if p == 2:  # valuation top - 1 and 0 stay undecided
+        return sum(2 ** (top - v - 2) for v in range(j, top - 1)), 2
+    return sum((p - 1) * p ** (top - v - 1)
+               for v in range(j, top) if v % 2 == 0), 1
+
+
+def _phase_level(inst: Instance, p: int, k: int, N: int, top: int,
+                 fibre: bool, cur: np.ndarray):
+    """(count, soluble, undecided) of the classes cur mod p^k that the rule
+    of _phase resolves, and the mask of the classes it leaves to lift.
+
+    On the rows R of J (f1 alone once f2 = 0 mod p^N holds on the class,
+    f2 alone without the fibre condition, else both), a resolved class
+    spreads R(f) uniformly over R(f)(x) + p^k L.  Its lifts with f2 = 0
+    mod p^N are the fraction p^-m of them, and on those f1 is uniform on a
+    coset a0 + p^J mod p^top, whose split _coset_split gives.  Gradients
+    and minors are taken mod p^top, in int64 since p^(2 top) <
+    INT64_SAFE; a valuation that reaches top is unknown, so its class is
+    lifted.
+    """
+    n, q = inst.n, p ** top
+    cols = _cols(cur)
+
+    def grad(f):
+        g = np.stack([d.evaluate_batch_mod(cols, q, reduced=True)
+                      if d is not None else np.zeros(len(cur), np.int64)
+                      for d in _gradient(f)])
+        return g, _valuation(g, p, top)
+
+    c1 = inst.f1.evaluate_batch_mod(cols, q, reduced=True) if fibre else None
+    if fibre and k >= N:  # f2 = 0 mod p^N holds on every lift
+        _, v1 = grad(inst.f1)
+        g1 = v1.min(axis=0)
+        ok, hit = g1 < k, np.ones(len(cur), dtype=bool)
+        m, J, a0 = np.zeros(len(cur), np.int64), k + g1, c1
+    else:
+        w, vw = grad(inst.f2)
+        g2 = vw.min(axis=0)
+        c2 = inst.f2.evaluate_batch_mod(cols, q, reduced=True)
+        s = np.minimum(k + g2, N)
+        hit, m = c2 % p ** s == 0, N - s
+        ok = g2 < k
+    if fibre and k < N:
+        u, vu = grad(inst.f1)
+        vm = np.full(len(cur), top, dtype=np.int64)
+        for i, j in itertools.combinations(range(n), 2):
+            vm = np.minimum(vm, _valuation((u[i] * w[j] - u[j] * w[i]) % q,
+                                           p, top))
+        ok = (vm < k + np.minimum(vu.min(axis=0), g2)) & (vm < top)
+        # L = <(p^a, 0), (u*, w*)> with w* = p^g2 * unit the column of least
+        # valuation in f2's row; the f2 slice fixes t mod p^m
+        at = np.arange(len(cur))
+        star = vw.argmin(axis=0)
+        us, ws = u[star, at], w[star, at]
+        unit = ws // np.power(p, np.minimum(g2, top))
+        t0 = (-(c2 // np.power(p, np.minimum(k + g2, top)))
+              * _unit_inverse(unit, p, top)) % np.power(p, m)
+        J = k + np.minimum(vm - g2, m + _valuation(us, p, top))
+        a0 = c1 + p ** k * ((t0 * us) % p ** (top - k))
+    sel = ok & hit
+    count = sol = und = 0
+    if k < N:
+        for mm, cnt in zip(*np.unique(m[sel], return_counts=True)):
+            count += int(cnt) * p ** (n * (N - k) - int(mm))
+    if fibre:
+        J = np.minimum(J, top)[sel]
+        key = np.stack([J, a0[sel] % np.power(p, J), m[sel]], axis=1)
+        for (j, a, mm), cnt in zip(*np.unique(key, axis=0,
+                                              return_counts=True)):
+            ns, nu = _coset_split(p, top, int(a), int(j))
+            each = int(cnt) * p ** (n * (top - k) - int(mm) - (top - int(j)))
+            sol, und = sol + each * ns, und + each * nu
+    return count, sol, und, ~ok
+
+
+def _phase(inst: Instance, p: int, N: int, top: int, fibre: bool,
+           budget: int):
+    """(count, soluble, undecided) of the solutions mod p^N, with f1
+    classified at level top, by stationary phase (N = 0: no f2 condition).
+
+    Rule.  Let x be a class mod p^k, f = (f1, f2) and J = J(x) the 2 x n
+    Jacobian (the row of f2 alone without the fibre condition, of f1 alone
+    once f2 = 0 mod p^N holds on the class).  Taylor's formula with the
+    integral coefficients d^a f / a! gives
+      f(x + p^k y) = f(x) + p^k (J y + p^k R(y)),   R integral.
+    Let p^e1 | p^e2 be the elementary divisors of L = J Z_p^n: e1 the least
+    valuation of an entry, e1 + e2 that of a 2 x 2 minor (of the row, for
+    one row).  If k > e2 then p^k Z_p^2 lies in p^(e2+1) Z_p^2, inside pL,
+    so p^k R(y) lies in pL.  Write J = U D V in Smith form (U, V
+    unimodular); in z = V y the map y -> (f(x + p^k y) - f(x)) / p^k is
+    U D (z_1 + p a(z), z_2 + p b(z)) with a, b integral.  For fixed z_3..n,
+    (z_1, z_2) -> (z_1 + p a, z_2 + p b) is an isometry of Z_p^2 onto
+    itself, so it preserves Haar measure: f is uniformly distributed on
+    f(x) + p^k L over the class.  (J(x') = J(x) + p^k M keeps the same
+    elementary divisors on the class, so the test does not depend on the
+    representative.)  Every count over the lifts of a resolved class is
+    then a measure on that coset; _phase_level evaluates it.
+
+    Classes not resolved are lifted one level through _lifts, keeping
+    f2 = 0 mod p^min(k, N); from level N on, classes whose f1 verdict is
+    decided are tallied whole, and at level top the rest are classified
+    as the tree classifies them.  The zero class goes by homogeneity:
+    f(p y) = p^d f(y) with d even moves v_p(f1) by d and keeps its odd
+    part, so no verdict changes, and its masses are those at (N - d,
+    top - d), times the p^(n (d-1)) lifts of each class.  The budget acts
+    as in the tree: a level <= N over it refuses, a refinement beyond N
+    over it stops early and keeps the bracket.  Masses are in the tree's
+    units: count in classes mod p^N, the others in classes mod p^top.
+    """
+    n, d = inst.n, inst.d
+    if p ** (2 * top) >= INT64_SAFE:
+        raise BudgetExceededError(
+            f"p^{top} at p={p} is beyond the exact int64 range of the "
+            "stationary phase")
+    if top > d:
+        zc, zs, zu = _phase(inst, p, max(N - d, 0), top - d, fibre, budget)
+        scale = p ** (n * (d - 1))
+        count = zc * scale if N > d else p ** (n * max(N - 1, 0))
+        sol, und = zs * scale, zu * scale
+    else:  # every lift of 0 has f1 = 0 mod p^top and f2 = 0 mod p^N
+        count, sol, und = p ** (n * max(N - 1, 0)), 0, p ** (n * (top - 1))
+
+    def lift(level, parents):  # f2 = 0 mod p^level is kept up to level N
+        return np.concatenate(list(
+            _solutions(inst, p, level, parents, budget) if level <= N
+            else _lifts(inst, p, level, parents, budget)))
+
+    cur = lift(1, np.zeros((1, n), dtype=np.int64))
+    cur = cur[cur.any(axis=1)]
+    k = 1
+    while len(cur):
+        if k == N:
+            count += len(cur)
+        if k >= N:
+            if not fibre:
+                break
+            sol_k, und_k = _classify_f1(
+                inst.f1.evaluate_batch_mod(_cols(cur), p ** k, reduced=True),
+                p, k)
+            sol += int(sol_k.sum()) * p ** (n * (top - k))
+            cur = cur[und_k]
+            if k == top:
+                und += len(cur)
+                break
+        c, s, u, rest = _phase_level(inst, p, k, N, top, fibre, cur)
+        count, sol, und, cur = count + c, sol + s, und + u, cur[rest]
+        if not len(cur):
+            break
+        try:
+            cur = lift(k + 1, cur)
+        except BudgetExceededError:
+            if k < N:
+                raise
+            und += len(cur) * p ** (n * (top - k))
+            break
+        k += 1
+    return (count, sol, und) if fibre else (count, count, 0)
+
+
+def _phase_masses(inst: Instance, p: int, N: int, lift_extra: int,
+                  fibre: bool, budget: int):
+    """The masses at levels N and N-1 (None when N = 1), in the shape of
+    _tree_masses, by stationary phase; they equal the tree's wherever the
+    tree reaches full depth."""
+    return (_phase(inst, p, N, N + lift_extra, fibre, budget),
+            _phase(inst, p, N - 1, N - 1 + min(lift_extra, 1), fibre, budget)
+            if N >= 2 else None)
+
+
 def _block_masses(inst: Instance, p: int, N: int, lift_extra: int,
                   fibre: bool, budget: int):
     """(count, soluble, undecided) of the level-N solutions by blocks.
@@ -243,19 +461,22 @@ def _block_masses(inst: Instance, p: int, N: int, lift_extra: int,
 
 @functools.lru_cache(maxsize=None)
 def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
-            budget: int, path: str):
-    """The masses at levels N and N-1 (None when N = 1): by blocks on the
-    block path, by the lift tree on the direct path or where a block table
-    or join exceeds the budget.  The memo's key is every argument, so a
-    cached value is the one a fresh call would return."""
-    if path == "block":
-        try:
-            return (_block_masses(inst, p, N, lift_extra, fibre, budget),
-                    _block_masses(inst, p, N - 1, min(lift_extra, 1), fibre,
-                                  budget) if N >= 2 else None)
-        except BudgetExceededError:
-            pass
-    return _tree_masses(inst, p, N, lift_extra, fibre, budget)
+            budget: int, method: str):
+    """The masses at levels N and N-1 (None when N = 1): by the lift tree
+    for method 'direct'; for 'auto' by stationary phase, or by blocks where
+    the phase path is refused and the instance has at least two blocks.
+    The memo's key is every argument, so a cached value is the one a fresh
+    call would return."""
+    if method == "direct":
+        return _tree_masses(inst, p, N, lift_extra, fibre, budget)
+    try:
+        return _phase_masses(inst, p, N, lift_extra, fibre, budget)
+    except BudgetExceededError:
+        if len(variable_blocks(inst)) < 2:
+            raise
+    return (_block_masses(inst, p, N, lift_extra, fibre, budget),
+            _block_masses(inst, p, N - 1, min(lift_extra, 1), fibre, budget)
+            if N >= 2 else None)
 
 
 def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
@@ -267,11 +488,13 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
         raise DomainError("level must be positive")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    if method not in ("auto", "direct"):
+        raise DomainError(f"unknown method {method!r}")
     fibre = kind == "ell" and p % 4 != 1
     if not fibre:
         lift_extra = 0
     (count, soluble, und), prev_masses = _masses(
-        inst, p, N, lift_extra, fibre, budget, path_for(inst, method))
+        inst, p, N, lift_extra, fibre, budget, method)
     unit = p ** (inst.n * lift_extra)
     denom = unit * p ** (N * (inst.n - 1))
     raw = soluble + (und if undecided_as_soluble else 0)
@@ -297,9 +520,8 @@ def hypersurface_density(inst: Instance, p: int, N: int,
                          method: str = "auto") -> LocalDensity:
     """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'.
 
-    method 'direct' counts by the lift tree; 'auto' convolves the
-    per-block distributions of f2 mod p^N instead when the instance has at
-    least two blocks and their tables and joins fit the budget.
+    method 'direct' counts by the lift tree; 'auto' by stationary phase,
+    with the same count (see the module docstring for its fallback).
     """
     return _density(inst, p, N, "tau_f2", 0, True, budget, method)
 
@@ -317,9 +539,9 @@ def soluble_density(inst: Instance, p: int, N: int,
     and the remaining undecided mass is reported and bracketed.
 
     method 'direct' refines by the lift tree, which stops early (keeping a
-    wider bracket) where a level would exceed the budget; 'auto' instead
-    joins the per-block tables, which always reach full depth, when the
-    instance has at least two blocks and the tables and joins fit.
+    wider bracket) where a level would exceed the budget; 'auto' takes
+    stationary phase, which lifts far fewer classes, so it reaches full
+    depth where the tree does and often where it does not.
     """
     return _density(inst, p, N, "ell", lift_extra, undecided_as_soluble,
                     budget, method)

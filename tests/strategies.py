@@ -1,0 +1,41 @@
+"""Hypothesis strategies shared by the differential tests.
+
+instances() draws small instances (d = 2, n <= 4, |coeff| <= 5),
+separable and not, with f2 missing some variables.
+"""
+
+from hypothesis import strategies as st
+
+from fibrecount.forms import Form, Instance
+
+
+def pair(n, i, j):
+    """The exponent vector of x_i x_j in n variables."""
+    e = [0] * n
+    e[i] += 1
+    e[j] += 1
+    return tuple(e)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 4))
+    label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    cross = draw(st.booleans())  # monomials may join different labels
+
+    def form(allowed):
+        pairs = [(i, j) for i in allowed for j in allowed
+                 if i <= j and (cross or label[i] == label[j])]
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                               max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(-5, 5).filter(bool),
+                               min_size=len(chosen), max_size=len(chosen)))
+        return Form(n, 2, tuple((c, pair(n, i, j))
+                                for c, (i, j) in zip(coeffs, chosen)))
+
+    f1 = form(range(n))
+    f2_vars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                            unique=True))
+    f2 = form(sorted(f2_vars))
+    return Instance(f1=f1, f2=f2, n=n, d=2, box_max_m=f1.coeff_norm(),
+                    label="fuzz")

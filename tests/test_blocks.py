@@ -1,10 +1,9 @@
 """Variable blocks, exact joins, and every block path against its oracle.
 
-The differential tests generate small instances (d = 2, n <= 4,
-|coeff| <= 5), separable and not, with f2 missing some variables, and
-compare each block path with the direct path of the same layer.  They call
-the block computations themselves, so on a single block they still join
-one table and classify it.
+The differential tests generate small instances (strategies.instances)
+and compare each block path with the direct path of the same layer.  They
+call the block computations themselves, so on a single block they still
+join one table and classify it.
 """
 
 import itertools
@@ -18,37 +17,7 @@ from hypothesis import strategies as st
 from fibrecount import blocks, counting, expsums, padic
 from fibrecount.counting import BudgetExceededError
 from fibrecount.forms import Form, Instance
-
-
-def _pair(n, i, j):
-    e = [0] * n
-    e[i] += 1
-    e[j] += 1
-    return tuple(e)
-
-
-@st.composite
-def instances(draw):
-    n = draw(st.integers(1, 4))
-    label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    cross = draw(st.booleans())  # monomials may join different labels
-
-    def form(allowed):
-        pairs = [(i, j) for i in allowed for j in allowed
-                 if i <= j and (cross or label[i] == label[j])]
-        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1,
-                               max_size=4, unique=True))
-        coeffs = draw(st.lists(st.integers(-5, 5).filter(bool),
-                               min_size=len(chosen), max_size=len(chosen)))
-        return Form(n, 2, tuple((c, _pair(n, i, j))
-                                for c, (i, j) in zip(coeffs, chosen)))
-
-    f1 = form(range(n))
-    f2_vars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
-                            unique=True))
-    f2 = form(sorted(f2_vars))
-    return Instance(f1=f1, f2=f2, n=n, d=2, box_max_m=f1.coeff_norm(),
-                    label="fuzz")
+from strategies import instances, pair
 
 
 def _bracket(inst, p, N, e, budget, method="auto"):
@@ -87,7 +56,7 @@ def test_unused_variable_is_a_zero_block():
 
 
 def _diagonal(n):
-    f = Form(n, 2, tuple((1, _pair(n, i, i)) for i in range(n)))
+    f = Form(n, 2, tuple((1, pair(n, i, i)) for i in range(n)))
     return Instance(f1=f, f2=f, n=n, d=2, box_max_m=n, label="diagonal")
 
 
@@ -245,7 +214,8 @@ def test_fuzz_mobius_residual(inst, t):
 # ---------------------------------------------------------------------------
 
 def test_block_soluble_density_reaches_full_depth(four_squares):
-    # at p = 7 the tree stops early on the default budget; the block path
+    # at p = 7 the tree stops early on the default budget; auto (stationary
+    # phase, whose masses equal the block path's: test_phase_equals_blocks)
     # reaches full depth, so its bracket lies inside the tree's
     assert blocks.path_for(four_squares, "auto") == "block"
     block = _bracket(four_squares, 7, 2, 2, padic.DEFAULT_BUDGET)
@@ -255,13 +225,16 @@ def test_block_soluble_density_reaches_full_depth(four_squares):
 
 def test_block_path_reaches_p11(four_squares):
     # the join of 14641 x 121 tables fits the transform cap at its natural
-    # length; it counts the level-2 solutions as the lift tree does
+    # length; it counts the level-2 solutions as the lift tree does, and
+    # its masses are the stationary phase's
     count, sol, und = padic._block_masses(four_squares, 11, 2, 2, True,
                                           padic.DEFAULT_BUDGET)
     tree = padic._tree_masses(four_squares, 11, 2, 0, False,
                               padic.DEFAULT_BUDGET)[0]
     assert count == tree[0] == 1931281
     assert 0 < sol and sol + und <= count * 11 ** 8
+    assert padic._phase_masses(four_squares, 11, 2, 2, True,
+                               padic.DEFAULT_BUDGET)[0] == (count, sol, und)
 
 
 def test_block_paths_take_the_instance_blocks(four_squares, linked):

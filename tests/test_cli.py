@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fibrecount import archimedean, cli
+from fibrecount import archimedean
 from fibrecount.cli import main
 from fibrecount.forms import load_instance
 
@@ -18,9 +18,7 @@ FOUR = os.path.join(os.path.dirname(__file__), "..", "configs",
 def test_count_and_cache_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    cache = tmp_path / "cache"
-    base = ["count", "--config", DEMO, "--t", "2,5,9",
-            "--cache", str(cache)]
+    base = ["count", "--config", DEMO, "--t", "2,5,9"]
     assert main(base + ["--out", str(out1)]) == 0
     assert main(base + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -38,7 +36,6 @@ def test_count_and_cache_determinism(tmp_path):
 @pytest.mark.parametrize("command", [["count", "--t", "2,5,9"],
                                      ["theta", "--P", "2,5"]])
 def test_uncached_reruns_are_byte_identical(tmp_path, monkeypatch, command):
-    monkeypatch.delenv("FIBRECOUNT_CACHE", raising=False)
     # a clock on which no two intervals are equal: any timing written into
     # the rows would differ between the runs
     ticks = itertools.count()
@@ -47,25 +44,6 @@ def test_uncached_reruns_are_byte_identical(tmp_path, monkeypatch, command):
     for out in outs:
         assert main(command + ["--config", DEMO, "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
-
-
-def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    base = ["count", "--config", DEMO, "--t", "2,5", "--cache", str(cache)]
-    assert main(base) == 0
-    want = capsys.readouterr().out
-    (entry,) = cache.glob("*.json")
-    entry.write_text(entry.read_text()[:20])  # a truncated write
-    assert main(base) == 0
-    assert capsys.readouterr().out == want
-    assert json.loads(entry.read_text())[0].startswith("label,")
-    assert [p.name for p in cache.iterdir()] == [entry.name]
-
-
-def test_cache_key_covers_the_version(monkeypatch):
-    key = cli._cache_key("abc", "count", {"t": "5"})
-    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
-    assert cli._cache_key("abc", "count", {"t": "5"}) != key
 
 
 def test_theta_include_zero_toggles(tmp_path):
@@ -154,12 +132,6 @@ def test_compare_small(capsys):
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
-
-
-def test_env_cache_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FIBRECOUNT_CACHE", str(tmp_path / "envcache"))
-    assert main(["count", "--config", DEMO, "--t", "2"]) is not None
-    assert (tmp_path / "envcache").exists()
 
 
 def test_verify_arith_exit_zero(capsys):

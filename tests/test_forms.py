@@ -97,6 +97,22 @@ def test_evaluate_batch_overflow_guard():
         f.evaluate_batch([np.array([10**6])], 10**6)
 
 
+def test_evaluate_batch_mod_negative_coefficients():
+    # the unreduced path is proved for |coeff|; it must not multiply the
+    # residue coeff mod q, which is near q for a negative coefficient
+    f = Form(1, 4, ((-3, (4,)),))
+    q = 7**5
+    xs = np.array([q - 1, 35, 1000], dtype=np.int64)
+    assert f.evaluate_batch_mod([xs], q, reduced=True).tolist() == \
+        [f.evaluate_mod([x], q) for x in xs.tolist()]
+
+
+def test_evaluate_batch_mod_refuses_wide_moduli():
+    f = Form(1, 2, ((1, (2,)),))
+    with pytest.raises(FormError, match="int64"):
+        f.evaluate_batch_mod([np.array([3])], 2**40)
+
+
 def test_default_box_max():
     assert default_box_max(Form(2, 2, ((1, (2, 0)), (1, (0, 2))))) == 2
     assert default_box_max(Form(4, 2, ((1, (1, 1, 0, 0)),

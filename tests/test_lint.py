@@ -1,6 +1,8 @@
 """Static checks on the source and the tests, run without a linter."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +53,21 @@ def test_no_unreferenced_private_functions():
                     if name not in referenced]
     assert not unreferenced, "defined but never referenced:\n" + \
         "\n".join(unreferenced)
+
+
+def test_public_functions_are_plain():
+    # perfbench's tracer wraps the public functions that inspect.isfunction
+    # accepts; a decorator such as lru_cache would hide one from the trace
+    hidden = []
+    for path in sorted((ROOT / "src" / "fibrecount").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"fibrecount.{path.stem}")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_") and \
+                    not inspect.isfunction(getattr(module, node.name)):
+                hidden.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                              f"{node.name}")
+    assert not hidden, "public but not plain functions:\n" + "\n".join(hidden)

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fibrecount import expsums, padic
+from fibrecount import blocks, expsums, padic
 from fibrecount.counting import BudgetExceededError
+from fibrecount.forms import Form, Instance
+from strategies import instances
 
 
 def test_tau_bilinear_level1(bilinear):
@@ -155,17 +159,98 @@ def test_block_budget_refusal(four_squares):
 def test_density_cache_keys_the_budget(linked):
     # the lift tree stops early at the small budget, so the budget changes
     # the answer and must be part of the cache key
-    def fresh(budget):
+    def fresh(budget, method):
         padic._masses.cache_clear()
         return padic.soluble_density(linked, 3, 2, lift_extra=3,
-                                     budget=budget).density
+                                     budget=budget, method=method).density
 
-    small, large = fresh(10**5), fresh(10**6)
+    small, large = fresh(10**5, "direct"), fresh(10**6, "direct")
     assert small != large
     padic._masses.cache_clear()
-    padic.soluble_density(linked, 3, 2, lift_extra=3, budget=10**5)
-    assert padic.soluble_density(linked, 3, 2, lift_extra=3,
-                                 budget=10**6).density == large
+    padic.soluble_density(linked, 3, 2, lift_extra=3, budget=10**5,
+                          method="direct")
+    assert padic.soluble_density(linked, 3, 2, lift_extra=3, budget=10**6,
+                                 method="direct").density == large
+    # the phase path reaches full depth at both budgets
+    assert fresh(10**5, "auto") == fresh(10**6, "auto")
+
+
+# ---------------------------------------------------------------------------
+# stationary phase against the lift tree
+# ---------------------------------------------------------------------------
+
+# the (p, N, lift_extra) grid of the block fuzz, and tau_f2 at p = 5
+PHASE_GRID = [(2, 1, 2, True), (2, 2, 1, True), (2, 3, 0, True),
+              (3, 1, 2, True), (3, 2, 1, True), (7, 1, 1, True),
+              (5, 1, 0, False), (5, 2, 0, False), (5, 3, 0, False)]
+
+
+@settings(max_examples=40)
+@given(instances(), st.sampled_from(PHASE_GRID))
+def test_fuzz_phase_equals_tree(inst, pNef):
+    # at every level, with the stabilization masses one level down
+    p, N, e, fibre = pNef
+    assume(p ** (inst.n * (N + e)) <= 10**6)  # keeps the full tree small
+    for k in range(1, N + 1):
+        assert padic._phase_masses(inst, p, k, e, fibre, 10**9) == \
+            padic._tree_masses(inst, p, k, e, fibre, 10**9)
+
+
+@settings(max_examples=40)
+@given(instances(), st.sampled_from(PHASE_GRID[:6]),
+       st.sampled_from([10, 100, 1000]))
+def test_fuzz_phase_bracket_inside_the_tree(inst, pNef, small_budget):
+    # the phase path lifts a subset of the tree's candidates, so it refuses
+    # only where the tree does and stops no earlier
+    p, N, e, fibre = pNef
+    assume(p ** (inst.n * (N + e)) <= 10**6)
+    try:
+        tree = padic._tree_masses(inst, p, N, e, fibre, small_budget)
+    except BudgetExceededError:
+        return
+    phase = padic._phase_masses(inst, p, N, e, fibre, small_budget)
+    for level_tree, level_phase in zip(tree, phase):
+        if level_tree is None:  # N = 1 has no stabilization masses
+            break
+        (tc, ts, tu), (c, s, u) = level_tree, level_phase
+        assert c == tc and ts <= s <= s + u <= ts + tu
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_phase_equals_blocks(four_squares, bilinear, p):
+    N, budget = padic.level_for(p), padic.DEFAULT_BUDGET
+    for inst in (four_squares, bilinear):
+        phase = padic._phase_masses(inst, p, N, 2, True, budget)[0]
+        assert phase == padic._block_masses(inst, p, N, 2, True, budget)
+
+
+def test_phase_quartic_homogeneity():
+    # d = 4: the zero class recurses from level top to top - 4
+    def form(*monos):
+        return Form(3, 4, tuple((c, e) for c, e in monos))
+
+    inst = Instance(f1=form((1, (4, 0, 0)), (2, (0, 4, 0)), (3, (0, 0, 4)),
+                            (1, (2, 1, 1))),
+                    f2=form((1, (4, 0, 0)), (-1, (0, 4, 0)), (2, (1, 3, 0)),
+                            (-3, (0, 0, 4))),
+                    n=3, d=4, box_max_m=7, label="quartic")
+    for p, e, levels in ((2, 2, 3), (3, 2, 3), (7, 1, 2)):
+        for N in range(1, levels + 1):
+            assert padic._phase_masses(inst, p, N, e, True, 10**8) == \
+                padic._tree_masses(inst, p, N, e, True, 10**8)
+            assert padic._phase_masses(inst, p, N, 0, False, 10**8) == \
+                padic._tree_masses(inst, p, N, 0, False, 10**8)
+
+
+def test_phase_serves_one_block(linked):
+    # auto takes the phase path on a single block too, with the tree's
+    # masses where the tree reaches full depth
+    assert len(blocks.variable_blocks(linked)) == 1
+    for p, N in ((2, 4), (3, 3)):
+        assert padic.soluble_density(linked, p, N) == \
+            padic.soluble_density(linked, p, N, method="direct")
+    with pytest.raises(ValueError, match="unknown method"):
+        padic.soluble_density(linked, 3, 2, method="block")
 
 
 def test_csv_row(four_squares):
