@@ -25,7 +25,7 @@ from .counting import (BudgetExceededError, CountRecord,
 from .expsums import (TruncatedValue, arc_factor, arc_factor_row, birch_sum,
                       gcd_phase_sum, local_series_odd, local_series_two,
                       singular_series, singular_series_factored,
-                      twisted_two_squares_sum)
+                      twisted_two_squares_row)
 from .forms import (Form, FormError, Instance, default_box_max,
                     form_from_records, load_instance, parse_instance)
 from .padic import (LocalDensity, LocalFactor, hypersurface_density,

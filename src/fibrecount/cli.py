@@ -138,9 +138,10 @@ def cmd_expsum(args) -> int:
         consts = arith.landau_constants(10**6)
         scale = math.sqrt(math.log(args.x)) / args.x
         row, _ = expsums.arc_factor_row(q)
+        twisted = expsums.twisted_two_squares_row(args.x, q)
         lines.append("q,a1,emp_re,emp_im,pred_re,pred_im")
         for a1 in range(q):
-            emp = expsums.twisted_two_squares_sum(args.x, a1, q) * scale
+            emp = twisted[a1] * scale
             pred = math.sqrt(2) * consts.c0 * row[a1]
             lines.append(f"{q},{a1},{emp.real:.12g},{emp.imag:.12g},"
                          f"{pred.real:.12g},{pred.imag:.12g}")

@@ -269,11 +269,12 @@ def arc_factor(a1: int, q: int) -> TruncatedValue:
     )
 
 
-def twisted_two_squares_sum(x: int, a1: int, q: int) -> complex:
-    """sum_{m <= x, m a sum of two squares} e(a1 m / q).
+def twisted_two_squares_row(x: int, q: int) -> np.ndarray:
+    """sum_{m <= x, m a sum of two squares} e(a1 m / q) for every a1 in
+    [0, q).
 
     The m of the valuation-parity sieve are counted in their classes mod q
-    once, and the q phases a1 r mod q are reduced exactly in integers.
+    once, and the phases a1 r mod q are reduced exactly in integers.
     """
     if x < 1:
         raise DomainError("x must be positive")
@@ -282,8 +283,7 @@ def twisted_two_squares_sum(x: int, a1: int, q: int) -> complex:
     counts = np.bincount(np.flatnonzero(two_squares_sieve(x)) % q,
                          minlength=q)
     r = np.arange(q, dtype=np.int64)
-    return complex((counts * np.exp(2j * np.pi * ((a1 % q) * r % q / q)))
-                   .sum())
+    return (counts * np.exp(2j * np.pi * (np.outer(r, r) % q / q))).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

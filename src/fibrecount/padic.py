@@ -37,10 +37,8 @@ classes are lifted, through the same generator, and the class of 0 follows
 from homogeneity.  It returns the tree's masses exactly where the tree
 reaches full depth, and a bracket inside the tree's where it stops early.
 Where it is refused, as when its level-1 scan of p^n classes exceeds the
-budget, an instance with several variable blocks (see blocks.py) falls
-back to per-block residue tables of (f1 mod p^(N+e), f2 mod p^N), joined
-by an exact cyclic convolution (blocks.convolve).  One memo, keyed by all
-of its arguments, holds the masses (_masses).
+budget, the call raises BudgetExceededError.  One memo, keyed by all of
+its arguments, holds the masses (_masses).
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import DomainError, is_prime, prime_sieve
-from .blocks import block_tables, join, variable_blocks
 from .counting import BudgetExceededError
 from .expsums import TruncatedValue
 from .forms import INT64_SAFE, Form, Instance
@@ -438,45 +435,16 @@ def _phase_masses(inst: Instance, p: int, N: int, lift_extra: int,
             if N >= 2 else None)
 
 
-def _block_masses(inst: Instance, p: int, N: int, lift_extra: int,
-                  fibre: bool, budget: int):
-    """(count, soluble, undecided) of the level-N solutions by blocks.
-
-    Convolves the per-block tables of (f1 mod p^(N+e), f2 mod p^N) over
-    x mod p^(N+e), e = lift_extra, and classifies f1 once at level N+e.  A
-    decision at a shallower level is never undone at a deeper one, so the
-    masses equal the lift tree's whenever the tree reaches full depth.
-    Masses are in units p^(-n e), as _classify's.  Without fibre the tables
-    hold f2 alone and every solution is soluble.
-    """
-    top = p ** (N + lift_extra)
-    col = join(block_tables(inst, top, top if fibre else 1, p ** N, budget))
-    count = int(col.sum()) // p ** (inst.n * lift_extra)
-    if not fibre:
-        return count, count, 0
-    sol, und = _classify_f1(np.arange(top, dtype=np.int64), p,
-                            N + lift_extra)
-    return count, int(col[sol].sum()), int(col[und].sum())
-
-
 @functools.lru_cache(maxsize=None)
 def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
             budget: int, method: str):
     """The masses at levels N and N-1 (None when N = 1): by the lift tree
-    for method 'direct'; for 'auto' by stationary phase, or by blocks where
-    the phase path is refused and the instance has at least two blocks.
-    The memo's key is every argument, so a cached value is the one a fresh
-    call would return."""
+    for method 'direct', by stationary phase for 'auto'.  The memo's key is
+    every argument, so a cached value is the one a fresh call would
+    return."""
     if method == "direct":
         return _tree_masses(inst, p, N, lift_extra, fibre, budget)
-    try:
-        return _phase_masses(inst, p, N, lift_extra, fibre, budget)
-    except BudgetExceededError:
-        if len(variable_blocks(inst)) < 2:
-            raise
-    return (_block_masses(inst, p, N, lift_extra, fibre, budget),
-            _block_masses(inst, p, N - 1, min(lift_extra, 1), fibre, budget)
-            if N >= 2 else None)
+    return _phase_masses(inst, p, N, lift_extra, fibre, budget)
 
 
 def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
@@ -521,7 +489,7 @@ def hypersurface_density(inst: Instance, p: int, N: int,
     """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'.
 
     method 'direct' counts by the lift tree; 'auto' by stationary phase,
-    with the same count (see the module docstring for its fallback).
+    with the same count.
     """
     return _density(inst, p, N, "tau_f2", 0, True, budget, method)
 

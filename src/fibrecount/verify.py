@@ -237,8 +237,9 @@ def _arc_consistency_check():
     worst_rel, worst_abs = 0.0, 0.0
     for q in (1, 2, 3, 4, 8, 12):
         row, _tail = expsums.arc_factor_row(q)
+        twisted = expsums.twisted_two_squares_row(x, q)
         for a1 in range(q):
-            emp = expsums.twisted_two_squares_sum(x, a1, q) * scale
+            emp = twisted[a1] * scale
             pred = math.sqrt(2) * consts.c0 * row[a1]
             gap = abs(emp - pred)
             if abs(pred) > 1e-12:

@@ -14,9 +14,12 @@ import numpy as np
 
 from fibrecount.arith import (DomainError, factor, only_1mod4_factors,
                               prime_sieve, valuation)
+from fibrecount.blocks import (Block, balanced_halves, residue_table,
+                               restrict, variable_blocks)
 from fibrecount.counting import BudgetExceededError
 from fibrecount.expsums import DEFAULT_SUM_BUDGET, _padic_weight_3mod4
 from fibrecount.forms import Instance
+from fibrecount.padic import _classify_f1
 
 _CHUNK = 1 << 21
 
@@ -36,6 +39,31 @@ def birch_sum_single(inst: Instance, a1: int, a2: int, q: int,
         v = inst.f2.evaluate_batch_mod(cols, q)
         acc += np.exp(2j * np.pi * ((a1 * u + a2 * v) % q) / q).sum()
     return complex(acc)
+
+
+def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
+    """(count, soluble, undecided) of the solutions of f2 = 0 mod p^N with
+    f1 classified at level N + e, in the units of padic's masses, from the
+    residue tables of two balanced halves of the variable blocks.
+
+    Each table counts x mod p^(N+e) by (f1 mod p^(N+e), f2 mod p^N).  One
+    float64 matrix product pairs the f2 residues v and -v of the halves,
+    and the cyclic diagonals of the product add their f1 residues.  Every
+    entry and partial sum is a nonnegative integer at most the total mass
+    p^(n (N+e)), so below 2^53 the floats are exact.
+    """
+    q1, q2 = p ** (N + e), p ** N
+    assert p ** (inst.n * (N + e)) < 2**53
+    a, b = (residue_table(Block(tuple(h), restrict(inst.f1, h),
+                                restrict(inst.f2, h)),
+                          q1, q1, q2, 2**53).astype(np.float64)
+            for h in balanced_halves(variable_blocks(inst)))
+    prod = a @ b[:, -np.arange(q2) % q2].T
+    u = np.arange(q1)
+    col = prod[u[:, None], (u - u[:, None]) % q1].sum(axis=0).astype(np.int64)
+    sol, und = _classify_f1(np.arange(q1, dtype=np.int64), p, N + e)
+    return (int(col.sum()) // p ** (inst.n * e), int(col[sol].sum()),
+            int(col[und].sum()))
 
 
 def ramanujan_sum_direct(q: int, a: int) -> complex:

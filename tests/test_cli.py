@@ -104,6 +104,12 @@ def test_budget_refusal_exit_code(capsys):
                  "--budget", "1000"])
     assert code == 2
     assert "budget refused" in capsys.readouterr().err
+    # the fibre density at p = 139 refuses at its level-1 scan of 139^4
+    # classes
+    code = main(["local-density", "--config", FOUR, "--kind", "ell",
+                 "--p", "139", "--N", "1"])
+    assert code == 2
+    assert "budget refused" in capsys.readouterr().err
 
 
 def test_constant_small(tmp_path, capsys):

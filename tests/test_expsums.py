@@ -60,7 +60,15 @@ def test_birch_conjugation(four_squares):
 
 
 def test_twisted_sum_plain():
-    assert expsums.twisted_two_squares_sum(10, 0, 1) == pytest.approx(7.0)
+    assert expsums.twisted_two_squares_row(10, 1)[0] == pytest.approx(7.0)
+    # every a1 of the row against the sum by its definition
+    x, q = 200, 12
+    sums = {a * a + b * b for a in range(15) for b in range(15)}
+    ms = np.array([m for m in range(1, x + 1) if m in sums])
+    row = expsums.twisted_two_squares_row(x, q)
+    for a1 in range(q):
+        want = np.exp(2j * np.pi * a1 * ms / q).sum()
+        assert abs(row[a1] - want) <= 1e-9
 
 
 def test_arc_factor_anchor_and_tail():

@@ -55,6 +55,37 @@ def test_no_unreferenced_private_functions():
         "\n".join(unreferenced)
 
 
+def test_module_constants_are_read():
+    # a module-level assignment that no source, test or bench file reads is
+    # left over from deleted code
+    assigned = {}
+    for path in sorted((ROOT / "src" / "fibrecount").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and \
+                            not name.id.startswith("__"):
+                        assigned[name.id] = f"{path.relative_to(ROOT)}:" \
+                                            f"{node.lineno}"
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path))):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+    unread = [f"{where}: {name}" for name, where in sorted(assigned.items())
+              if name not in read]
+    assert not unread, "assigned but never read:\n" + "\n".join(unread)
+
+
 def test_public_functions_are_plain():
     # perfbench's tracer wraps the public functions that inspect.isfunction
     # accepts; a decorator such as lru_cache would hide one from the trace

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fibrecount import blocks, expsums, padic
 from fibrecount.counting import BudgetExceededError
 from fibrecount.forms import Form, Instance
+from oracles import block_masses
 from strategies import instances
 
 
@@ -140,20 +142,26 @@ def test_local_product_cauchy_and_drift(four_squares):
     assert drift[0] < drift[1] < drift[2]
 
 
-def test_budget_refusal(linked):
-    # the direct path scans 199^4 residues at level 1
-    with pytest.raises(BudgetExceededError):
-        padic.hypersurface_density(linked, 199, 2, budget=10**6)
+def test_budget_refusal(linked, four_squares):
+    # the level-1 scan of 199^4 residues exceeds the budget, on one block
+    # and on four
+    for inst in (linked, four_squares):
+        with pytest.raises(BudgetExceededError):
+            padic.hypersurface_density(inst, 199, 2, budget=10**6)
 
 
-def test_block_budget_refusal(four_squares):
-    # one variable mod 199^3 is about 7.9e6 residues
-    with pytest.raises(BudgetExceededError, match="block volume"):
-        padic._block_masses(four_squares, 199, 3, 0, False, 10**6)
-    with pytest.raises(BudgetExceededError):
-        padic.hypersurface_density(four_squares, 199, 3, budget=10**6)
-    assert padic.hypersurface_density(four_squares, 199, 2,
-                                      budget=10**6).raw_count > 0
+def test_refusal_comes_before_allocation(four_squares):
+    # 139^4 level-1 classes exceed the default budget; the fibre density
+    # must refuse there, without building tables of 139^4 residues first
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="373301041 lift candidates"):
+            padic.soluble_density(four_squares, 139, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
 
 
 def test_density_cache_keys_the_budget(linked):
@@ -218,10 +226,12 @@ def test_fuzz_phase_bracket_inside_the_tree(inst, pNef, small_budget):
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_phase_equals_blocks(four_squares, bilinear, p):
+    # at levels the tree reaches slowly (p = 3) or not at all (p = 7),
+    # against the exact join of two half tables
     N, budget = padic.level_for(p), padic.DEFAULT_BUDGET
     for inst in (four_squares, bilinear):
         phase = padic._phase_masses(inst, p, N, 2, True, budget)[0]
-        assert phase == padic._block_masses(inst, p, N, 2, True, budget)
+        assert phase == block_masses(inst, p, N, 2)
 
 
 def test_phase_quartic_homogeneity():
