@@ -142,12 +142,22 @@ def test_local_product_cauchy_and_drift(four_squares):
     assert drift[0] < drift[1] < drift[2]
 
 
-def test_budget_refusal(linked, four_squares):
-    # the level-1 scan of 199^4 residues exceeds the budget, on one block
-    # and on four
-    for inst in (linked, four_squares):
-        with pytest.raises(BudgetExceededError):
-            padic.hypersurface_density(inst, 199, 2, budget=10**6)
+def test_budget_refusal(linked):
+    # the level-1 scan of 199^4 residues exceeds the budget
+    with pytest.raises(BudgetExceededError):
+        padic.hypersurface_density(linked, 199, 2, budget=10**6)
+
+
+def test_block_budget_refusal(four_squares):
+    # four one-variable blocks do not shrink the level-1 scan: 199^4
+    # residues exceed the budget at every level, while 31^4 fit under it
+    for level in (2, 3):
+        with pytest.raises(BudgetExceededError,
+                           match="1568239201 lift candidates"):
+            padic.hypersurface_density(four_squares, 199, level,
+                                       budget=10**6)
+    assert padic.hypersurface_density(four_squares, 31, 2,
+                                      budget=10**6).raw_count > 0
 
 
 def test_refusal_comes_before_allocation(four_squares):
