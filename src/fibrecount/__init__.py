@@ -22,7 +22,7 @@ from .counting import (BudgetExceededError, CountRecord,
                        count_soluble_fibre_points, mobius_residual,
                        progression_count, projective_count,
                        two_squares_count)
-from .expsums import (TruncatedValue, arc_factor, arc_factor_row, birch_sum,
+from .expsums import (TruncatedValue, arc_factor, arc_factor_row,
                       gcd_phase_sum, local_series_odd, local_series_two,
                       singular_series, singular_series_factored,
                       twisted_two_squares_row)

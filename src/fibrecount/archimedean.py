@@ -262,8 +262,7 @@ def _roots_in_box(coeffs: np.ndarray):
 
 
 def real_density_coarea(inst: Instance, samples: int = 10**6, seed: int = 0,
-                        strict_positive: bool = False,
-                        fiber_var: int | None = None) -> McEstimate:
+                        strict_positive: bool = False) -> McEstimate:
     """Independent estimator of J: exact 1-d fibre integration.
 
     For each sampled point of the remaining n-1 coordinates, the real roots
@@ -274,7 +273,7 @@ def real_density_coarea(inst: Instance, samples: int = 10**6, seed: int = 0,
     """
     if samples < 10**3:
         raise DomainError("need at least 1000 samples")
-    j = _fiber_variable(inst.f2) if fiber_var is None else fiber_var
+    j = _fiber_variable(inst.f2)
     n = inst.n
     # size chunks so the batch-means error estimate always has >= 64 cells
     chunk = max(500, min(_CHUNK, -(-samples // 64)))

@@ -122,15 +122,6 @@ class Factorization:
     factors: tuple  # ((prime, exponent), ...) with primes increasing
     sign: int
 
-    def valuation(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def unsigned(self) -> int:
-        return abs(self.value)
-
 
 def factor(m: int) -> Factorization:
     """Deterministic factorization of a nonzero integer.

@@ -19,6 +19,9 @@ counting and expsums take their block paths when an instance has at least
 two blocks (path_for), and keep their direct paths, which are also the
 oracles the block paths are tested against, otherwise.  padic has no block
 path: stationary phase serves every instance there.
+
+box() is the one enumeration of a complete box: residue tables, and the
+half tables and slab counts of counting, scan it chunk by chunk.
 """
 
 from __future__ import annotations
@@ -120,39 +123,51 @@ def balanced_halves(blocks) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# residue tables
+# box scans and residue tables
 # ---------------------------------------------------------------------------
+
+def box(axis: np.ndarray, n: int):
+    """axis^n in itertools.product order, in chunks of n columns that
+    broadcast to the chunk's grid of at most max(_CHUNK, len(axis)) points.
+
+    The trailing variables are whole axes, the one before them a slice of
+    the axis and any leading ones scalars, so each monomial is a product of
+    1-d factors and only the sums span the grid."""
+    m = len(axis)
+    limit = max(_CHUNK, m)
+    inner = 0  # trailing whole axes
+    while inner < n - 1 and m ** (inner + 1) <= limit:
+        inner += 1
+    rows = min(m, limit // m ** inner)
+    whole = [axis.reshape([m if j == i else 1 for j in range(inner + 1)])
+             for i in range(1, inner + 1)]
+    for lead in itertools.product(axis, repeat=n - inner - 1):
+        for start in range(0, m, rows):
+            part = axis[start:start + rows].reshape([-1] + [1] * inner)
+            yield list(lead) + [part] + whole
+
 
 def residue_table(block: Block, modulus: int, q1: int, q2: int,
                   budget: int) -> np.ndarray:
     """T[u, v] = #{x mod modulus : g1(x) = u mod q1, g2(x) = v mod q2}.
 
     q1 and q2 must divide modulus; q1 = 1 drops f1 from the table.  The
-    box (Z/modulus)^n is scanned in chunks: the last variables form an
-    inner grid whose axes are broadcast columns, so each monomial is a
-    product of 1-d factors and only the sums span the grid; the leading
-    variables are scalars per chunk.
+    box (Z/modulus)^n is scanned in box chunks, one bincount each.
     """
     n = block.n
     if modulus ** n > budget:
         raise BudgetExceededError(
             f"block volume {modulus}^{n} = {modulus ** n} exceeds budget "
             f"{budget}")
-    inner = 1
-    while inner < n and modulus ** (inner + 1) <= _CHUNK:
-        inner += 1
-    axis = np.arange(modulus, dtype=np.int64)
-    grid = [axis.reshape([modulus if j == i else 1 for j in range(inner)])
-            for i in range(inner)]
     table = np.zeros(q1 * q2, dtype=np.int64)
-    for lead in itertools.product(range(modulus), repeat=n - inner):
-        cols = [np.int64(x) for x in lead] + grid
+    for cols in box(np.arange(modulus, dtype=np.int64), n):
         u = (block.g1.evaluate_batch_mod(cols, modulus, reduced=True) % q1
              if block.g1 is not None and q1 > 1 else 0)
         v = (block.g2.evaluate_batch_mod(cols, modulus, reduced=True) % q2
              if block.g2 is not None else 0)
-        key = np.broadcast_to(u * q2 + v, (modulus,) * inner).ravel()
-        table += np.bincount(key, minlength=q1 * q2)
+        key = np.broadcast_to(u * q2 + v,
+                              np.broadcast_shapes(*map(np.shape, cols)))
+        table += np.bincount(key.ravel(), minlength=q1 * q2)
     return table.reshape(q1, q2)
 
 

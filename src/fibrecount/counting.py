@@ -18,8 +18,8 @@ Counting conventions (fixed across the library):
   projective_count(method='moebius') and mobius_residual, which returns
   the difference and must be identically zero.
 
-Box counts take one of two paths.  The slab path scans the box one
-x0-slab at a time; the same scan with a gcd filter gives the direct
+Box counts take one of two paths.  The slab path scans the whole box in
+box chunks (blocks.box); the same scan with a gcd filter gives the direct
 projective count.  On an instance with several variable blocks (see
 blocks.py) the split path packs the blocks into two halves of balanced
 size, tabulates the distinct (f2, f1) value pairs of each half over its
@@ -39,13 +39,12 @@ import numpy as np
 
 from .arith import (DomainError, conic_soluble_global, grown_limit,
                     moebius_sieve, prime_sieve)
-from .blocks import (BudgetExceededError, balanced_halves, restrict,
+from .blocks import (BudgetExceededError, balanced_halves, box, restrict,
                      variable_blocks)
 from .forms import Instance
 
 DEFAULT_BUDGET = 3 * 10**8
 _PAIR_CHUNK = 1 << 22
-_HALF_CHUNK = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +192,7 @@ def _half_table(inst: Instance, half, P: int, budget: int):
     """Distinct (f2, f1) value pairs of the half's parts over its box, with
     multiplicities: arrays (v2, v1, count) sorted by v2.
 
-    The box is scanned in slabs of its leading coordinate, at most
-    max(_HALF_CHUNK, (2P+1)^(nb-1)) points each, and the per-slab counts
+    The box is scanned in box chunks (blocks.box) and the per-chunk counts
     are merged, so memory follows the distinct pairs, not the box."""
     nb = len(half)
     if (2 * P + 1) ** nb > budget:
@@ -207,19 +205,14 @@ def _half_table(inst: Instance, half, P: int, budget: int):
     b2 = (g2.coeff_norm() if g2 else 0) * max(P, 1) ** inst.d + 1
     if (2 * b2 + 1) * (2 * b1 + 1) >= 2**62:
         raise BudgetExceededError("value range too wide for packed keys")
-    axis = np.arange(-P, P + 1, dtype=np.int64)
-    rest = [g.ravel() for g in np.meshgrid(*([axis] * (nb - 1)),
-                                           indexing="ij")]
-    width = (2 * P + 1) ** (nb - 1)
-    rows = max(1, _HALF_CHUNK // width)
-    for start in range(0, 2 * P + 1, rows):
-        lead = np.repeat(axis[start:start + rows], width)
-        cols = [lead] + [np.tile(c, len(lead) // width) for c in rest]
-        v1 = g1.evaluate_batch(cols, P) if g1 else np.zeros_like(lead)
-        v2 = g2.evaluate_batch(cols, P) if g2 else np.zeros_like(lead)
-        new, cnt = np.unique((v2 + b2) * (2 * b1 + 1) + (v1 + b1),
-                             return_counts=True)
-        if start:  # merge into the pairs of the earlier slabs
+    keys = None
+    for cols in box(np.arange(-P, P + 1, dtype=np.int64), nb):
+        v1 = g1.evaluate_batch(cols, P) if g1 else 0
+        v2 = g2.evaluate_batch(cols, P) if g2 else 0
+        key = np.broadcast_to((v2 + b2) * (2 * b1 + 1) + (v1 + b1),
+                              np.broadcast_shapes(*map(np.shape, cols)))
+        new, cnt = np.unique(key, return_counts=True)
+        if keys is not None:  # merge into the pairs of the earlier chunks
             new, inv = np.unique(np.r_[keys, new], return_inverse=True)
             merged = np.zeros(len(new), dtype=np.int64)
             np.add.at(merged, inv, np.r_[counts, cnt])
@@ -270,7 +263,7 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
 
 def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
                 budget: int, threads: int, primitive: bool = False) -> int:
-    """Scan the box one x0-slab at a time.
+    """Scan the box [-P,P]^n in box chunks (blocks.box).
 
     Counts x in [-P,P]^n with f2(x) = 0 and a soluble fibre (or f1(x) = 0
     with include_zero_fibres).  The box count drops the origin; with
@@ -282,21 +275,13 @@ def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
         raise BudgetExceededError(
             f"box volume {est} exceeds budget {budget}; "
             f"estimated cost ~{est} evaluations")
-    axes = [np.arange(-P, P + 1, dtype=np.int64) for _ in range(n - 1)]
-    inner = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
-    def slab_count(x0: int) -> int:
-        cols = [np.full(len(inner[0]) if inner else 1, x0,
-                        dtype=np.int64)] + inner
-        # v2 stays referenced until the slab is done: freeing it at once
-        # changes the allocator's reuse of the large slab buffers, which
-        # measured 10% slower on the direct count of four_squares at t = 60
-        # (2-CPU VM, 2 threads)
+    def chunk_count(cols) -> int:
         v2 = inst.f2.evaluate_batch(cols, P)
-        zero2 = v2 == 0
-        pts = [c[zero2] for c in cols]
+        at = np.nonzero(v2 == 0)
+        pts = [np.broadcast_to(c, v2.shape)[at] for c in cols]
         if primitive:
-            g = np.zeros(len(pts[0]), dtype=np.int64)
+            g = np.zeros(len(at[0]), dtype=np.int64)
             for c in pts:
                 g = np.gcd(g, np.abs(c))
             prim = g == 1
@@ -309,12 +294,12 @@ def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
             hits |= v1 == 0
         return int(hits.sum())
 
-    xs = range(-P, P + 1)
+    chunks = box(np.arange(-P, P + 1, dtype=np.int64), n)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(slab_count, xs))
+            total = sum(pool.map(chunk_count, chunks))
     else:
-        total = sum(map(slab_count, xs))
+        total = sum(map(chunk_count, chunks))
     # the origin lies on f2 = 0 with f1 = 0; it has no gcd of 1
     return total - int(include_zero_fibres and not primitive)
 

@@ -2,13 +2,13 @@
 
 Objects:
 
-* birch_sum: the complete sum of e((a1*f1(x) + a2*f2(x))/q) over x mod q.
-  Evaluated through the joint value distribution of (f1, f2) mod q and a
-  2-d FFT, which is exact up to float rounding; a CRT path multiplies
-  prime-power values for large composite q.  On an instance with several
-  variable blocks (see blocks.py) the table is the product of the per-block
-  tables, each built from a q^(block size) scan instead of q^n; the
-  direct scan stays available (method='direct') as the oracle.
+* birch_sum_table: the complete sums of e((a1*f1(x) + a2*f2(x))/q) over
+  x mod q for every (a1, a2) at once.  Evaluated through the joint value
+  distribution of (f1, f2) mod q and a 2-d FFT, which is exact up to float
+  rounding.  On an instance with several variable blocks (see blocks.py)
+  the table is the product of the per-block tables, each built from a
+  q^(block size) scan instead of q^n; the direct scan stays available
+  (method='direct') as the oracle.
 
 * arc_factor(a1, q): the constant in front of x/sqrt(log x) in the
   asymptotic of sum_{m<=x, m a sum of two squares} e(a1*m/q), divided by
@@ -43,7 +43,7 @@ import numpy as np
 from .arith import (DomainError, factor, landau_constants, only_1mod4_factors,
                     prime_sieve, valuation)
 from .blocks import Block, block_tables, path_for, residue_table
-from .counting import BudgetExceededError, two_squares_sieve
+from .counting import two_squares_sieve
 from .forms import Instance
 
 DEFAULT_SUM_BUDGET = 3 * 10**8
@@ -114,43 +114,6 @@ def _block_table(inst: Instance, q: int, budget: int) -> np.ndarray:
     for M, count in block_tables(inst, q, q, q, budget):
         S *= np.conj(np.fft.fft2(M.astype(np.float64))) ** count
     return S
-
-
-def birch_sum(inst: Instance, phase: tuple, q: int,
-              budget: int = DEFAULT_SUM_BUDGET, method: str = "auto") -> complex:
-    """S_{(a1,a2),q}: sum of e((a1 f1(x) + a2 f2(x))/q) over x mod q, for
-    phase = (a1, a2).
-
-    method 'direct' reads birch_sum_table; 'auto' does so when the table
-    fits the budget and otherwise multiplies prime-power sums through the
-    Chinese remainder theorem; the two paths agree exactly.
-    """
-    a1, a2 = phase
-    if q == 1:
-        return 1.0 + 0.0j
-    a1 %= q
-    a2 %= q
-    if method not in ("auto", "direct", "crt"):
-        raise DomainError(f"unknown method {method!r}")
-    fs = factor(q).factors
-    if method != "crt":
-        try:
-            return complex(birch_sum_table(inst, q, budget)[a1, a2])
-        except BudgetExceededError:
-            if method == "direct" or len(fs) == 1:
-                raise
-    # CRT: q = q1*q2 coprime; 1/q = A/q1 + B/q2 with A = q2^{-1} mod q1,
-    # B = q1^{-1} mod q2, so the sum factorizes with rescaled phases.
-    if len(fs) == 1:
-        raise DomainError("q is a prime power; no CRT split available")
-    out = 1.0 + 0.0j
-    for p, e in fs:
-        q1 = p ** e
-        q2 = q // q1
-        A = pow(q2, -1, q1)
-        out *= birch_sum(inst, ((a1 * A) % q1, (a2 * A) % q1), q1,
-                         budget=budget, method="auto")
-    return out
 
 
 def _primitive_colsums(S: np.ndarray, q: int) -> np.ndarray:

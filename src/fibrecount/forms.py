@@ -80,19 +80,6 @@ class Form:
             total += term
         return total
 
-    def evaluate_mod(self, x, q: int) -> int:
-        """f(x) mod q with all intermediates reduced mod q."""
-        if q < 1:
-            raise FormError("modulus must be positive")
-        total = 0
-        for coeff, exps in self.monomials:
-            term = coeff % q
-            for xi, e in zip(x, exps):
-                for _ in range(e):
-                    term = (term * (int(xi) % q)) % q
-            total = (total + term) % q
-        return total
-
     def evaluate_batch(self, cols, bound: int) -> np.ndarray:
         """Exact values over many points, int64.
 
@@ -154,13 +141,6 @@ class Form:
                     term = (term * cm) % q
             total = (total + term) % q
         return total
-
-    def variable_support(self):
-        """Set of variable indices that actually occur."""
-        used = set()
-        for _, exps in self.monomials:
-            used.update(i for i, e in enumerate(exps) if e)
-        return used
 
     def to_records(self):
         return [{"coeff": c, "exps": list(e)} for c, e in self.monomials]

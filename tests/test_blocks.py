@@ -7,6 +7,7 @@ Birch-table fuzz calls the block computation itself, so it runs on a
 single block too.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,21 @@ def test_unused_variable_is_a_zero_block():
     assert free.vars == (1,) and free.g1 is None and free.g2 is None
     table = blocks.residue_table(free, 5, 5, 5, 10**6)
     assert table[0, 0] == 5 and table.sum() == 5
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 50, blocks._CHUNK])
+def test_box_covers_the_box_once(chunk, monkeypatch):
+    # small chunks reach the leading scalars, which no workload does (for
+    # n = 4 that needs an axis over 128 long)
+    monkeypatch.setattr(blocks, "_CHUNK", chunk)
+    for axis in (np.arange(-3, 4), np.arange(5)):
+        for n in range(1, 5):
+            points = []
+            for cols in blocks.box(axis, n):
+                grid = np.broadcast_arrays(*cols)
+                assert grid[0].size <= max(chunk, len(axis))
+                points += zip(*(g.ravel().tolist() for g in grid))
+            assert points == list(itertools.product(axis.tolist(), repeat=n))
 
 
 def _diagonal(n):

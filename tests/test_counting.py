@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fibrecount import arith, counting
+from fibrecount import arith, blocks, counting
 from fibrecount.arith import DomainError
 from fibrecount.counting import BudgetExceededError
 
@@ -84,15 +84,25 @@ def test_moebius_sum_skips_cancelled_radii(demo, monkeypatch):
 
 
 def test_half_table_slabs_merge(four_squares, bilinear, monkeypatch):
-    # slabs of the leading coordinate merge to the one-slab table
+    # the counts of many small box chunks merge to the one-chunk table, and
+    # the slab scan counts the same over them
     halves = ([0], [0, 1], [0, 1, 2])
+    insts = (four_squares, bilinear)
+
+    def scans():
+        return [counting._count_slab(inst, 6, zero, 10**6, 1, primitive=prim)
+                for inst in insts
+                for zero, prim in ((False, False), (True, False), (True, True))]
+
     whole = [counting._half_table(inst, h, 9, 10**6)
-             for inst in (four_squares, bilinear) for h in halves]
-    monkeypatch.setattr(counting, "_HALF_CHUNK", 40)
+             for inst in insts for h in halves]
+    one_chunk = scans()
+    monkeypatch.setattr(blocks, "_CHUNK", 40)
     slabs = [counting._half_table(inst, h, 9, 10**6)
-             for inst in (four_squares, bilinear) for h in halves]
+             for inst in insts for h in halves]
     for got, want in zip(slabs, whole):
         assert all((a == b).all() for a, b in zip(got, want))
+    assert scans() == one_chunk
     assert counting.count_soluble_fibre_points(bilinear, 9, method="split") \
         == counting.count_soluble_fibre_points(bilinear, 9, method="slab")
 

@@ -66,15 +66,6 @@ def test_homogeneity(x, lam):
     assert f.evaluate([lam * xi for xi in x]) == lam**2 * f.evaluate(x)
 
 
-@given(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
-       st.integers(1, 97))
-def test_evaluate_mod_consistency(x, q):
-    f = Form(4, 2, ((1, (2, 0, 0, 0)), (5, (0, 1, 1, 0)), (-7, (0, 0, 0, 2))))
-    assert f.evaluate_mod(x, q) == f.evaluate(x) % q
-    shifted = [x[0] + q] + list(x[1:])
-    assert f.evaluate_mod(shifted, q) == f.evaluate_mod(x, q)
-
-
 def test_evaluate_batch_matches_scalar():
     f = Form(3, 4, ((1, (4, 0, 0)), (-2, (2, 1, 1)), (3, (0, 2, 2))))
     rng = np.random.default_rng(0)
@@ -104,7 +95,7 @@ def test_evaluate_batch_mod_negative_coefficients():
     q = 7**5
     xs = np.array([q - 1, 35, 1000], dtype=np.int64)
     assert f.evaluate_batch_mod([xs], q, reduced=True).tolist() == \
-        [f.evaluate_mod([x], q) for x in xs.tolist()]
+        [f.evaluate([x]) % q for x in xs.tolist()]
 
 
 def test_evaluate_batch_mod_refuses_wide_moduli():

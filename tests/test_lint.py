@@ -102,3 +102,40 @@ def test_public_functions_are_plain():
                 hidden.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
                               f"{node.name}")
     assert not hidden, "public but not plain functions:\n" + "\n".join(hidden)
+
+
+def test_public_names_are_referenced():
+    # a function, method or class that no source, test or bench file names
+    # outside its own body is dead API; a re-export in __init__.py does not
+    # count as a use
+    defined = []
+    named = {}  # name -> [(path, line)] of its uses
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            if path.parent == ROOT / "src" / "fibrecount":
+                defined += [(node, path) for node in ast.walk(tree)
+                            if isinstance(node, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef,
+                                                 ast.ClassDef))
+                            and not node.name.startswith("__")]
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    named.setdefault(name, []).append((path, node.lineno))
+    unnamed = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+               for node, path in defined
+               if not any(where != path or
+                          not node.lineno <= line <= node.end_lineno
+                          for where, line in named.get(node.name, []))]
+    assert not unnamed, "defined but never named elsewhere:\n" + \
+        "\n".join(unnamed)
