@@ -16,9 +16,10 @@ sum over a box that is a product of per-block boxes then factors:
   sums, because e(.) is additive.
 
 counting and expsums take their block paths when an instance has at least
-two blocks (path_for), and keep their direct paths, which are also the
-oracles the block paths are tested against, otherwise.  padic has no block
-path: stationary phase serves every instance there.
+two blocks (path_for).  Otherwise counting keeps its direct path and
+expsums takes padic's stationary phase; the direct paths are also the
+oracles the other paths are tested against.  padic has no block path:
+stationary phase serves every instance there.
 
 box() is the one enumeration of a complete box: residue tables, and the
 half tables and slab counts of counting, scan it chunk by chunk.
@@ -159,12 +160,16 @@ def residue_table(block: Block, modulus: int, q1: int, q2: int,
         raise BudgetExceededError(
             f"block volume {modulus}^{n} = {modulus ** n} exceeds budget "
             f"{budget}")
+
+    def residues(g, cols, q):  # g mod q, from its residues mod modulus
+        values = g.evaluate_batch_mod(cols, modulus, reduced=True)
+        return values if q == modulus else values % q
+
     table = np.zeros(q1 * q2, dtype=np.int64)
     for cols in box(np.arange(modulus, dtype=np.int64), n):
-        u = (block.g1.evaluate_batch_mod(cols, modulus, reduced=True) % q1
+        u = (residues(block.g1, cols, q1)
              if block.g1 is not None and q1 > 1 else 0)
-        v = (block.g2.evaluate_batch_mod(cols, modulus, reduced=True) % q2
-             if block.g2 is not None else 0)
+        v = residues(block.g2, cols, q2) if block.g2 is not None else 0
         key = np.broadcast_to(u * q2 + v,
                               np.broadcast_shapes(*map(np.shape, cols)))
         table += np.bincount(key.ravel(), minlength=q1 * q2)

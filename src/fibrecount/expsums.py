@@ -7,8 +7,11 @@ Objects:
   distribution of (f1, f2) mod q and a 2-d FFT, which is exact up to float
   rounding.  On an instance with several variable blocks (see blocks.py)
   the table is the product of the per-block tables, each built from a
-  q^(block size) scan instead of q^n; the direct scan stays available
-  (method='direct') as the oracle.
+  q^(block size) scan instead of q^n.  On a one-block instance the
+  distribution mod each prime power of q is padic's stationary phase
+  table, and the prime powers are joined by CRT, so no (Z/q)^n is
+  scanned.  The scan of the whole box (joint_value_distribution,
+  method='direct') is the one oracle of both.
 
 * arc_factor(a1, q): the constant in front of x/sqrt(log x) in the
   asymptotic of sum_{m<=x, m a sum of two squares} e(a1*m/q), divided by
@@ -42,7 +45,8 @@ import numpy as np
 
 from .arith import (DomainError, factor, landau_constants, only_1mod4_factors,
                     prime_sieve, valuation)
-from .blocks import Block, block_tables, path_for, residue_table
+from .blocks import (Block, BudgetExceededError, block_tables, path_for,
+                     residue_table)
 from .counting import two_squares_sieve
 from .forms import Instance
 
@@ -71,7 +75,8 @@ class TruncatedValue:
 def joint_value_distribution(inst: Instance, q: int,
                              budget: int = DEFAULT_SUM_BUDGET) -> np.ndarray:
     """M[u, v] = #{x mod q : f1(x) = u, f2(x) = v (mod q)}, by scanning the
-    whole box (Z/q)^n."""
+    whole box (Z/q)^n: the oracle of the block and phase paths of
+    birch_sum_table, and its 'direct' path."""
     return residue_table(Block(tuple(range(inst.n)), inst.f1, inst.f2),
                          q, q, q, budget)
 
@@ -82,13 +87,18 @@ def birch_sum_table(inst: Instance, q: int,
     """All S_{(a1,a2),q} at once as a (q, q) complex array.
 
     S[a1, a2] = sum_{u,v} M[u,v] e((a1 u + a2 v)/q) = conj(FFT2(M)).
-    method 'direct' takes M from joint_value_distribution; 'auto' instead
-    multiplies the per-block tables (see _block_table) when the instance
-    has at least two blocks.  budget bounds the scanned volume: q^n on the
-    direct path, q^(block size) per block on the block path.  The tables
-    are memoized and read-only.
+    method 'direct' takes M from joint_value_distribution, the scan.
+    'auto' multiplies the per-block tables (see _block_table) when the
+    instance has at least two blocks, and otherwise takes M from
+    stationary phase (_phase_distribution), equal to the scan's.  budget
+    bounds the scanned volume: q^n on the direct path, q^(block size) per
+    block on the block path, the lift candidates of each level on the
+    phase path.  The tables are memoized and read-only.
     """
-    return _birch_table(inst, q, budget, path_for(inst, method))
+    path = path_for(inst, method)
+    if method == "auto" and path == "direct":
+        path = "phase"
+    return _birch_table(inst, q, budget, path)
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,10 +111,30 @@ def _birch_table(inst: Instance, q: int, budget: int,
     elif path == "block":
         S = _block_table(inst, q, budget)
     else:
-        M = joint_value_distribution(inst, q, budget)
+        M = (_phase_distribution(inst, q, budget) if path == "phase"
+             else joint_value_distribution(inst, q, budget))
         S = np.conj(np.fft.fft2(M.astype(np.float64)))
     S.setflags(write=False)
     return S
+
+
+def _phase_distribution(inst: Instance, q: int, budget: int) -> np.ndarray:
+    """joint_value_distribution without the scan: padic's stationary phase
+    table mod each prime power p^e of q, joined by CRT,
+      M_q[u, v] = prod over p^e of M_(p^e)[u mod p^e, v mod p^e].
+    Refused for q^n >= 2^53, so every count is exact as a float64."""
+    from . import padic
+
+    if q ** inst.n >= 2 ** 53:
+        raise BudgetExceededError(
+            f"{q}^{inst.n} residues exceed the exact float64 range")
+    tables = [(p ** e, padic._phase_table(inst, p, e, budget))
+              for p, e in factor(q).factors]
+    r = np.arange(q)
+    M = np.ones((q, q), dtype=np.int64)
+    for pe, T in tables:
+        M *= T[np.ix_(r % pe, r % pe)]
+    return M
 
 
 def _block_table(inst: Instance, q: int, budget: int) -> np.ndarray:

@@ -39,6 +39,12 @@ reaches full depth, and a bracket inside the tree's where it stops early.
 Where it is refused, as when its level-1 scan of p^n classes exceeds the
 budget, the call raises BudgetExceededError.  One memo, keyed by all of
 its arguments, holds the masses (_masses).
+
+The rule has a second consumer: _phase_table gives the joint value
+distribution of (f1, f2) mod p^m, the input of expsums' Birch tables on a
+one-block instance, in closed form on the classes whose Jacobian has rank
+2 (the rank-2 test, _jacobian, is shared with _phase_level) and on every
+class from level m/2 on, where Taylor's formula is linear mod p^m.
 """
 
 from __future__ import annotations
@@ -238,6 +244,36 @@ def _valuation(x: np.ndarray, p: int, cap: int) -> np.ndarray:
     return sum((x % p ** i == 0).astype(np.int64) for i in range(1, cap + 1))
 
 
+def _gradient_mod(f: Form, cols: list, p: int, top: int) -> tuple:
+    """The partials of f at the columns mod p^top, one row per variable,
+    and their valuations (top where a partial is 0 mod p^top)."""
+    g = np.stack([d.evaluate_batch_mod(cols, p ** top, reduced=True)
+                  if d is not None else np.zeros(len(cols[0]), np.int64)
+                  for d in _gradient(f)])
+    return g, _valuation(g, p, top)
+
+
+def _jacobian(inst: Instance, cols: list, p: int, top: int, k: int) -> tuple:
+    """The rank-2 form of the rule of _phase at classes mod p^k.
+
+    Returns (u, w, vw, e1, vm, ok): the gradients u of f1 and w of f2 mod
+    p^top, the valuations vw of w's entries, the least valuation e1 of an
+    entry of the Jacobian and vm of a 2 x 2 minor (top where every minor
+    is 0 mod p^top).  The elementary divisors are p^e1 | p^(vm - e1), and ok marks
+    the classes the rule resolves: vm < top and vm - e1 < k.  The minors
+    are exact in int64 for p^(2 top) < INT64_SAFE.
+    """
+    q = p ** top
+    u, vu = _gradient_mod(inst.f1, cols, p, top)
+    w, vw = _gradient_mod(inst.f2, cols, p, top)
+    vm = np.full(len(cols[0]), top, dtype=np.int64)
+    for i, j in itertools.combinations(range(inst.n), 2):
+        vm = np.minimum(vm, _valuation((u[i] * w[j] - u[j] * w[i]) % q,
+                                       p, top))
+    e1 = np.minimum(vu.min(axis=0), vw.min(axis=0))
+    return u, w, vw, e1, vm, (vm < top) & (vm - e1 < k)
+
+
 def _unit_inverse(u: np.ndarray, p: int, top: int) -> np.ndarray:
     """u^-1 mod p^top of p-adic units u, as u^(phi(p^top) - 1); p^(2 top)
     must stay below INT64_SAFE."""
@@ -288,33 +324,23 @@ def _phase_level(inst: Instance, p: int, k: int, N: int, top: int,
     """
     n, q = inst.n, p ** top
     cols = _cols(cur)
-
-    def grad(f):
-        g = np.stack([d.evaluate_batch_mod(cols, q, reduced=True)
-                      if d is not None else np.zeros(len(cur), np.int64)
-                      for d in _gradient(f)])
-        return g, _valuation(g, p, top)
-
     c1 = inst.f1.evaluate_batch_mod(cols, q, reduced=True) if fibre else None
     if fibre and k >= N:  # f2 = 0 mod p^N holds on every lift
-        _, v1 = grad(inst.f1)
+        _, v1 = _gradient_mod(inst.f1, cols, p, top)
         g1 = v1.min(axis=0)
         ok, hit = g1 < k, np.ones(len(cur), dtype=bool)
         m, J, a0 = np.zeros(len(cur), np.int64), k + g1, c1
     else:
-        w, vw = grad(inst.f2)
+        if fibre:
+            u, w, vw, _, vm, ok = _jacobian(inst, cols, p, top, k)
+        else:
+            w, vw = _gradient_mod(inst.f2, cols, p, top)
+            ok = vw.min(axis=0) < k
         g2 = vw.min(axis=0)
         c2 = inst.f2.evaluate_batch_mod(cols, q, reduced=True)
         s = np.minimum(k + g2, N)
         hit, m = c2 % p ** s == 0, N - s
-        ok = g2 < k
     if fibre and k < N:
-        u, vu = grad(inst.f1)
-        vm = np.full(len(cur), top, dtype=np.int64)
-        for i, j in itertools.combinations(range(n), 2):
-            vm = np.minimum(vm, _valuation((u[i] * w[j] - u[j] * w[i]) % q,
-                                           p, top))
-        ok = (vm < k + np.minimum(vu.min(axis=0), g2)) & (vm < top)
         # L = <(p^a, 0), (u*, w*)> with w* = p^g2 * unit the column of least
         # valuation in f2's row; the f2 slice fixes t mod p^m
         at = np.arange(len(cur))
@@ -433,6 +459,78 @@ def _phase_masses(inst: Instance, p: int, N: int, lift_extra: int,
     return (_phase(inst, p, N, N + lift_extra, fibre, budget),
             _phase(inst, p, N - 1, N - 1 + min(lift_extra, 1), fibre, budget)
             if N >= 2 else None)
+
+
+def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
+    """M[u, v] = #{x mod p^m : (f1, f2)(x) = (u, v) mod p^m}, m >= 1, by
+    the rule of _phase in its rank-2 form (_jacobian).
+
+    A class x mod p^k with f(x + p^k y) = f(x) + p^k J y mod p^m spreads
+    its p^(n(m-k)) lifts mod p^m evenly over the coset f(x) + p^k L + p^m
+    Z^2, L = J Z^n.  That holds where the rule resolves the class (e2 < k)
+    and, for any J, where 2k >= m, as the terms of Taylor's formula past
+    the first are then 0 mod p^m; so no class is lifted past level
+    ceil(m/2).  The lattice has the Hermite basis (a, 0), (b, c):
+      c = p^min(k + g2, m), g2 the least valuation in f2's row,
+      a c = p^(min(k + e1, m) + min(k + e2, m)),
+      (b, c) = p^k unit^-1 (u*, w*), w* = p^g2 unit the entry of least
+      valuation in f2's row and u* the f1 entry of its column.
+    The other classes are lifted through _lifts, whose budget bounds the
+    candidates.  The class of 0 goes by homogeneity: x = p y gives f(x) =
+    p^d f(y), so it adds p^(n(d-1)) M_(m-d) on the multiples of p^d, or
+    p^(n(m-1)) at (0, 0) when m <= d.  Refused where p^(2m) leaves the
+    exact int64 range.
+    """
+    n, q = inst.n, p ** m
+    if q * q >= INT64_SAFE:
+        raise BudgetExceededError(
+            f"p^{m} at p={p} is beyond the exact int64 range of the "
+            "stationary phase")
+    M = np.zeros((q, q), dtype=np.int64)
+    if m > inst.d:
+        step = p ** inst.d
+        M[::step, ::step] = (p ** (n * (inst.d - 1))
+                             * _phase_table(inst, p, m - inst.d, budget))
+    else:
+        M[0, 0] = p ** (n * (m - 1))
+    flat = M.reshape(-1)
+    cur, k = np.zeros((1, n), dtype=np.int64), 1
+    while len(cur):
+        rest = []
+        for pts in _lifts(inst, p, k, cur, budget):
+            if k == 1:
+                pts = pts[pts.any(axis=1)]
+            cols = _cols(pts)
+            u, w, vw, e1, vm, ok = _jacobian(inst, cols, p, m, k)
+            ok |= 2 * k >= m
+            rest.append(pts[~ok])
+            # the Hermite basis of each resolved class's lattice
+            g2 = vw.min(axis=0)
+            star = vw.argmin(axis=0)
+            at = np.arange(len(pts))
+            unit = w[star, at] // np.power(p, np.minimum(g2, m))
+            b = (u[star, at] * _unit_inverse(unit, p, m) % q) * p ** k % q
+            e2 = np.where(vm < m, vm - e1, m)  # vm = m: e2 >= m - k
+            ce = np.minimum(k + g2, m)
+            ae = np.minimum(k + e1, m) + np.minimum(k + e2, m) - ce
+            c1 = inst.f1.evaluate_batch_mod(cols, q, reduced=True)
+            c2 = inst.f2.evaluate_batch_mod(cols, q, reduced=True)
+            for a_exp, c_exp in set(zip(ae[ok].tolist(), ce[ok].tolist())):
+                sel = ok & (ae == a_exp) & (ce == c_exp)
+                a, c = p ** a_exp, p ** c_exp
+                mass = p ** (n * (m - k) + a_exp + c_exp - 2 * m)
+                i = np.arange(0, q, a)[:, None]
+                j = np.arange(q // c)
+                rows = max(1, _CHUNK_ROWS // (len(i) * len(j)))
+                idx = np.flatnonzero(sel)
+                for s in range(0, len(idx), rows):
+                    r = idx[s:s + rows, None, None]
+                    key = ((c1[r] + i + b[r] % a * j) % q * q
+                           + (c2[r] + c * j) % q)
+                    flat += mass * np.bincount(key.reshape(-1),
+                                               minlength=q * q)
+        cur, k = np.concatenate(rest), k + 1
+    return M
 
 
 @functools.lru_cache(maxsize=None)

@@ -42,3 +42,19 @@ def linked():
     f2 = Form(4, 2, tuple((1 if i < 2 else -1, exps(i, i)) for i in range(4)))
     return Instance(f1=f1, f2=f2, n=4, d=2, box_max_m=f1.coeff_norm(),
                     label="linked")
+
+
+@pytest.fixture(scope="session")
+def quartic():
+    """A non-separable d = 4 instance in three variables: the class of 0
+    recurses from level m to m - 4."""
+    from fibrecount.forms import Form, Instance
+
+    def form(*monos):
+        return Form(3, 4, tuple((c, e) for c, e in monos))
+
+    return Instance(f1=form((1, (4, 0, 0)), (2, (0, 4, 0)), (3, (0, 0, 4)),
+                            (1, (2, 1, 1))),
+                    f2=form((1, (4, 0, 0)), (-1, (0, 4, 0)), (2, (1, 3, 0)),
+                            (-3, (0, 0, 4))),
+                    n=3, d=4, box_max_m=7, label="quartic")

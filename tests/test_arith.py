@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -134,6 +135,15 @@ def test_conic_soluble_local_examples():
         arith.conic_soluble_local(0, 3)
     with pytest.raises(arith.DomainError):
         arith.conic_soluble_local(5, 6)
+    with pytest.raises(arith.DomainError):  # no factor among the witnesses
+        arith.conic_soluble_local(5, 73 * 79)
+
+
+def test_is_prime_table_lookup_equals_miller_rabin(monkeypatch):
+    arith.prime_sieve(2 * 10**4)
+    lookup = [arith.is_prime(n) for n in range(2 * 10**4)]
+    monkeypatch.setattr(arith, "_PRIMES", np.zeros(0, dtype=np.int64))
+    assert lookup == [arith.is_prime(n) for n in range(2 * 10**4)]
 
 
 def test_landau_constants():

@@ -3,10 +3,14 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fibrecount import arith, expsums, padic
+from fibrecount import arith, blocks, expsums, padic
+from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from oracles import arc_factor_row_truncated, birch_sum_single
+from strategies import instances
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,87 @@ def test_table_cache_keys_the_path(four_squares):
     again = expsums.birch_sum_table(four_squares, 9, method="direct")
     assert again is not block
     assert np.array_equal(again, direct)
+
+
+# ---------------------------------------------------------------------------
+# stationary phase tables against the scan
+# ---------------------------------------------------------------------------
+
+# (p, m) with p = 2 up to m = 4
+TABLE_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+              (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+@settings(max_examples=80)
+@given(instances(), st.sampled_from(TABLE_GRID))
+def test_fuzz_phase_table_equals_scan(inst, pm):
+    p, m = pm
+    assume(p ** (m * inst.n) <= 10**5)  # keeps the scan small
+    assert np.array_equal(padic._phase_table(inst, p, m, 10**9),
+                          expsums.joint_value_distribution(inst, p ** m))
+
+
+def test_phase_table_quartic(quartic):
+    # d = 4: the class of 0 takes M mod p^(m-4) from m = 5 on
+    for p, top in ((2, 6), (3, 5)):
+        for m in range(1, top + 1):
+            assert np.array_equal(
+                padic._phase_table(quartic, p, m, 10**9),
+                expsums.joint_value_distribution(quartic, p ** m))
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_phase_table_rank_one(linked, scale):
+    # f2 = 3 f1: no class has a Jacobian of rank 2, so every class waits
+    # for the linear Taylor step at 2k >= m; at scale 4 the Jacobian
+    # vanishes mod 4 as well
+    def scaled(c):
+        return Form(4, 2, tuple((c * scale * a, e)
+                                for a, e in linked.f1.monomials))
+
+    inst = Instance(f1=scaled(1), f2=scaled(3), n=4, d=2,
+                    box_max_m=scaled(1).coeff_norm(), label="rank-one")
+    for p, top in ((2, 5), (3, 3), (5, 2)):
+        for m in range(1, top + 1):
+            assert np.array_equal(
+                padic._phase_table(inst, p, m, 10**9),
+                expsums.joint_value_distribution(inst, p ** m))
+
+
+def test_phase_distribution_joins_by_crt(linked, quartic):
+    for inst in (linked, quartic):
+        for q in (6, 12, 15):
+            assert np.array_equal(
+                expsums._phase_distribution(inst, q, 10**9),
+                expsums.joint_value_distribution(inst, q))
+
+
+def test_one_block_tables_never_scan(linked, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scanned (Z/q)^n")
+
+    expsums._birch_table.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(blocks, "residue_table", refuse)
+        mp.setattr(expsums, "residue_table", refuse)
+        phase = expsums.birch_sum_table(linked, 81)
+    assert np.array_equal(phase,
+                          expsums.birch_sum_table(linked, 81, method="direct"))
+
+
+def test_phase_table_refusals(linked):
+    # the level-1 scan of 199^4 classes exceeds the budget, 2^14 is past
+    # the exact float64 range at n = 4, and in one variable 2^31 is past
+    # the exact int64 range of the lattice arithmetic
+    with pytest.raises(BudgetExceededError, match="lift candidates"):
+        expsums.birch_sum_table(linked, 199, budget=10**6)
+    with pytest.raises(BudgetExceededError, match="float64"):
+        expsums.birch_sum_table(linked, 2 ** 14)
+    square = Form(1, 2, ((1, (2,)),))
+    line = Instance(f1=square, f2=square, n=1, d=2, box_max_m=1,
+                    label="one-variable")
+    with pytest.raises(BudgetExceededError, match="int64"):
+        expsums.birch_sum_table(line, 2 ** 31)
 
 
 def test_birch_conjugation(four_squares):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fibrecount import blocks, expsums, padic
 from fibrecount.counting import BudgetExceededError
-from fibrecount.forms import Form, Instance
 from oracles import block_masses
 from strategies import instances
 
@@ -106,8 +105,9 @@ def test_tamagawa_relation(four_squares):
         pytest.approx((1 - 1 / 5) ** -0.5)
 
 
-def test_orthogonality_links_counts_to_birch(four_squares, bilinear):
-    for inst in (four_squares, bilinear):
+def test_orthogonality_links_counts_to_birch(four_squares, bilinear, linked):
+    # linked has one block, so its tables are stationary phase tables
+    for inst in (four_squares, bilinear, linked):
         for q in (3, 9, 4, 8, 5):
             if q == 1:
                 continue
@@ -244,22 +244,14 @@ def test_phase_equals_blocks(four_squares, bilinear, p):
         assert phase == block_masses(inst, p, N, 2)
 
 
-def test_phase_quartic_homogeneity():
+def test_phase_quartic_homogeneity(quartic):
     # d = 4: the zero class recurses from level top to top - 4
-    def form(*monos):
-        return Form(3, 4, tuple((c, e) for c, e in monos))
-
-    inst = Instance(f1=form((1, (4, 0, 0)), (2, (0, 4, 0)), (3, (0, 0, 4)),
-                            (1, (2, 1, 1))),
-                    f2=form((1, (4, 0, 0)), (-1, (0, 4, 0)), (2, (1, 3, 0)),
-                            (-3, (0, 0, 4))),
-                    n=3, d=4, box_max_m=7, label="quartic")
     for p, e, levels in ((2, 2, 3), (3, 2, 3), (7, 1, 2)):
         for N in range(1, levels + 1):
-            assert padic._phase_masses(inst, p, N, e, True, 10**8) == \
-                padic._tree_masses(inst, p, N, e, True, 10**8)
-            assert padic._phase_masses(inst, p, N, 0, False, 10**8) == \
-                padic._tree_masses(inst, p, N, 0, False, 10**8)
+            assert padic._phase_masses(quartic, p, N, e, True, 10**8) == \
+                padic._tree_masses(quartic, p, N, e, True, 10**8)
+            assert padic._phase_masses(quartic, p, N, 0, False, 10**8) == \
+                padic._tree_masses(quartic, p, N, 0, False, 10**8)
 
 
 def test_phase_serves_one_block(linked):
