@@ -2,19 +2,20 @@
 
 real_density estimates the surface density of f2 = 0 in the unit box,
 restricted to the region where the fibre conic has a real point, i.e.
-f1(t) >= 0 (f1 = 0 counts as soluble; flip strict_positive to probe the
-boundary convention, which is measure-zero for non-degenerate forms):
+f1(t) >= 0:
 
     J = lim_{eps->0} (1/2 eps) vol{t in [-1,1]^n : |f2(t)| <= eps, f1(t) >= 0}
 
 via shell volumes over a decreasing epsilon schedule plus Richardson-style
 extrapolation in eps^2.  real_density_coarea is an independent estimator:
-it integrates the last coordinate exactly through polynomial root finding
+it integrates one coordinate exactly through polynomial root finding
 and weights each surface crossing by 1/|df2/dt_j|.
 
-All sampling is counter-based (Philox keyed by (seed, stream, chunk)), so
-results are bit-reproducible for a given (seed, samples) and independent
-of any parallel scheduling.
+Every sample comes from _samples, which draws counter-based chunks
+(Philox keyed by (seed, stream, chunk)), so results are bit-reproducible
+for a given (seed, samples) and independent of any parallel scheduling.
+Every form is evaluated by Form.evaluate_batch on the coordinate rows
+_samples yields.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .arith import DomainError
 from .forms import Form, Instance
 
 _CHUNK = 1 << 18
+_ROWS = 1 << 12  # points per draw while a chunk is filled
 _MASK64 = (1 << 64) - 1
 
 
@@ -39,7 +41,6 @@ class McEstimate:
     std_error: float
     samples: int
     seed: int
-    epsilon: float | None = None
     rows: list = field(default_factory=list)
 
     @staticmethod
@@ -61,16 +62,24 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _eval_float(f: Form, pts: np.ndarray) -> np.ndarray:
-    """f at float points, shape (m, n) -> (m,)."""
-    out = np.zeros(len(pts))
-    for coeff, exps in f.monomials:
-        term = np.full(len(pts), float(coeff))
-        for j, e in enumerate(exps):
-            for _ in range(e):
-                term *= pts[:, j]
-        out += term
-    return out
+def _samples(seed: int, stream: int, samples: int, n: int,
+             chunk: int = _CHUNK):
+    """Uniform points of [-1,1]^n in chunks of at most `chunk` points, each
+    an (n, m) array of coordinate rows as Form.evaluate_batch takes them.
+
+    Chunk i holds the points of one (m, n) draw from _chunk_rng(seed,
+    stream, i).  It is filled _ROWS points at a time (the generator's
+    stream does not depend on how a draw is split), so no second copy of
+    the chunk is ever held for the transpose.
+    """
+    for i, start in enumerate(range(0, samples, chunk)):
+        m = min(chunk, samples - start)
+        rng = _chunk_rng(seed, stream, i)
+        pts = np.empty((n, m))
+        for r in range(0, m, _ROWS):
+            pts[:, r:r + _ROWS] = rng.uniform(
+                -1.0, 1.0, size=(min(_ROWS, m - r), n)).T
+        yield pts
 
 
 def oscillatory_box_integral(inst: Instance, gamma, samples: int,
@@ -90,19 +99,13 @@ def oscillatory_box_integral(inst: Instance, gamma, samples: int,
                           samples=samples, seed=seed)
     acc = 0.0 + 0.0j
     acc2_re = acc2_im = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        rng = _chunk_rng(seed, 1, chunk_idx)
-        pts = rng.uniform(-1.0, 1.0, size=(m, n))
-        phase = g1 * _eval_float(inst.f1, pts) + g2 * _eval_float(inst.f2, pts)
+    for pts in _samples(seed, 1, samples, n):
+        phase = (g1 * inst.f1.evaluate_batch(pts, 1)
+                 + g2 * inst.f2.evaluate_batch(pts, 1))
         z = np.exp(2j * np.pi * phase)
         acc += z.sum()
         acc2_re += float((z.real ** 2).sum())
         acc2_im += float((z.imag ** 2).sum())
-        done += m
-        chunk_idx += 1
     mean = acc / samples
     var_re = acc2_re / samples - mean.real ** 2
     var_im = acc2_im / samples - mean.imag ** 2
@@ -111,38 +114,30 @@ def oscillatory_box_integral(inst: Instance, gamma, samples: int,
                       samples=samples, seed=seed)
 
 
-def _shell_level(f1: Form, f2: Form, n: int, eps: float, samples: int,
-                 seed: int, stream: int, strict_positive: bool):
+def _shell_level(inst: Instance, eps: float, samples: int, seed: int,
+                 stream: int):
     hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        rng = _chunk_rng(seed, stream, chunk_idx)
-        pts = rng.uniform(-1.0, 1.0, size=(m, n))
-        v2 = _eval_float(f2, pts)
-        sel = np.abs(v2) <= eps
+    for pts in _samples(seed, stream, samples, inst.n):
+        sel = np.abs(inst.f2.evaluate_batch(pts, 1)) <= eps
         if sel.any():
-            v1 = _eval_float(f1, pts[sel])
-            good = (v1 > 0.0) if strict_positive else (v1 >= 0.0)
-            hits += int(good.sum())
-        done += m
-        chunk_idx += 1
-    vol = 2.0 ** n
+            v1 = inst.f1.evaluate_batch(pts[:, sel], 1)
+            hits += int((v1 >= 0.0).sum())
+    vol = 2.0 ** inst.n
     phat = hits / samples
     est = vol * phat / (2.0 * eps)
     se = vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples) / (2.0 * eps)
-    return est, se, hits
+    return est, se
 
 
 DEFAULT_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 
 
-def real_density_forms(f1: Form, f2: Form, n: int,
-                       epsilon_schedule=DEFAULT_SCHEDULE,
-                       samples: int = 10**6, seed: int = 0,
-                       strict_positive: bool = False) -> McEstimate:
-    """Shell-volume estimate of the restricted surface density.
+def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
+                 samples: int = 10**6, seed: int = 0) -> McEstimate:
+    """Shell-volume estimate of the restricted surface density J.
+
+    Only inst.f1, inst.f2 and inst.n are read: the fibre condition enters
+    through the sign of f1, never through box_max_m.
 
     Sample counts scale like 1/eps so every level sees a comparable number
     of shell hits; the levels are combined by weighted least squares in
@@ -158,8 +153,7 @@ def real_density_forms(f1: Form, f2: Form, n: int,
     total = 0
     for i, eps in enumerate(sched):
         n_i = int(math.ceil(samples * sched[0] / eps))
-        est, se, hits = _shell_level(f1, f2, n, eps, n_i, seed, 10 + i,
-                                     strict_positive)
+        est, se = _shell_level(inst, eps, n_i, seed, 10 + i)
         rows.append((eps, est, se, n_i))
         total += n_i
     # weighted LS fit est_i = J0 + a * eps_i
@@ -173,19 +167,7 @@ def real_density_forms(f1: Form, f2: Form, n: int,
     j0 = float(coefs[0])
     se0 = float(math.sqrt(max(cov[0, 0], 0.0)))
     return McEstimate(value=complex(j0), std_error=se0, samples=total,
-                      seed=seed, epsilon=sched[-1], rows=rows)
-
-
-def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
-                 samples: int = 10**6, seed: int = 0,
-                 strict_positive: bool = False) -> McEstimate:
-    """Shell-volume estimator of J for an instance.
-
-    Deliberately independent of box_max_m: the fibre condition enters only
-    through the sign of f1.
-    """
-    return real_density_forms(inst.f1, inst.f2, inst.n, epsilon_schedule,
-                              samples, seed, strict_positive)
+                      seed=seed, rows=rows)
 
 
 def _fiber_variable(f2: Form) -> int:
@@ -205,18 +187,21 @@ def _fiber_variable(f2: Form) -> int:
 
 
 def _poly_coeff_arrays(f2: Form, j: int, pts: np.ndarray):
-    """Coefficients of f2 as a polynomial in t_j, per sample row."""
+    """Coefficients of f2 as a polynomial in t_j, per point of the other
+    n-1 coordinates (an (n-1, m) array), as an (m, deg_j + 1) array.
+
+    The coefficient of t_j^k is the form of f2's monomials with exponent k
+    in t_j, evaluated with coordinate j set to ones (multiplying by 1.0 is
+    exact)."""
+    m = pts.shape[1]
+    full = np.insert(pts, j, 1.0, axis=0)
     dmax = max(e[j] for _, e in f2.monomials)
-    m = len(pts)
     coeffs = np.zeros((m, dmax + 1))
-    for coeff, exps in f2.monomials:
-        term = np.full(m, float(coeff))
-        for i, e in enumerate(exps):
-            if i == j:
-                continue
-            for _ in range(e):
-                term *= pts[:, i if i < j else i - 1]
-        coeffs[:, exps[j]] += term
+    for k in range(dmax + 1):
+        group = tuple(mono for mono in f2.monomials if mono[1][j] == k)
+        if group:
+            coeffs[:, k] = Form(f2.n_vars, f2.degree,
+                                group).evaluate_batch(full, 1)
     return coeffs
 
 
@@ -261,8 +246,8 @@ def _roots_in_box(coeffs: np.ndarray):
     return np.concatenate(idx_parts), np.concatenate(root_parts)
 
 
-def real_density_coarea(inst: Instance, samples: int = 10**6, seed: int = 0,
-                        strict_positive: bool = False) -> McEstimate:
+def real_density_coarea(inst: Instance, samples: int = 10**6,
+                        seed: int = 0) -> McEstimate:
     """Independent estimator of J: exact 1-d fibre integration.
 
     For each sampled point of the remaining n-1 coordinates, the real roots
@@ -278,13 +263,8 @@ def real_density_coarea(inst: Instance, samples: int = 10**6, seed: int = 0,
     # size chunks so the batch-means error estimate always has >= 64 cells
     chunk = max(500, min(_CHUNK, -(-samples // 64)))
     batch_sums = []
-    done = 0
-    chunk_idx = 0
     total_w = 0.0
-    while done < samples:
-        m = min(chunk, samples - done)
-        rng = _chunk_rng(seed, 99, chunk_idx)
-        pts = rng.uniform(-1.0, 1.0, size=(m, n - 1))
+    for pts in _samples(seed, 99, samples, n - 1, chunk):
         coeffs = _poly_coeff_arrays(inst.f2, j, pts)
         dpoly = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
         rows, roots = _roots_in_box(coeffs)
@@ -295,17 +275,11 @@ def real_density_coarea(inst: Instance, samples: int = 10**6, seed: int = 0,
                 dval += dpoly[rows, dd] * roots ** dd
             keep = np.abs(dval) >= 1e-12
             rows, roots, dval = rows[keep], roots[keep], dval[keep]
-            full = np.empty((len(rows), n))
-            full[:, :j] = pts[rows, :j]
-            full[:, j] = roots
-            full[:, j + 1:] = pts[rows, j:]
-            v1 = _eval_float(inst.f1, full)
-            ok = (v1 > 0.0) if strict_positive else (v1 >= 0.0)
-            chunk_w = float((1.0 / np.abs(dval[ok])).sum())
+            v1 = inst.f1.evaluate_batch(
+                np.insert(pts[:, rows], j, roots, axis=0), 1)
+            chunk_w = float((1.0 / np.abs(dval[v1 >= 0.0])).sum())
         total_w += chunk_w
-        batch_sums.append((chunk_w, m))
-        done += m
-        chunk_idx += 1
+        batch_sums.append((chunk_w, pts.shape[1]))
     vol = 2.0 ** (n - 1)
     mean = total_w / samples
     # 64 batch means for a heavy-tail-robust standard error

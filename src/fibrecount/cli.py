@@ -184,23 +184,25 @@ def cmd_singular_integral(args) -> int:
 
 
 def _constant_pipeline(inst, args):
+    """J, the factored singular series and the route-2 constant; route 1
+    is left to the caller, which picks its singular series."""
     consts = arith.landau_constants(10**6)
     J = archimedean.real_density(inst, samples=args.samples, seed=args.seed)
     l_fact = expsums.singular_series_factored(inst, p_max=args.p_max,
                                               budget=args.budget)
-    l_qsum = expsums.singular_series(inst, Q=args.Q, budget=args.budget)
-    L = l_qsum if args.use_qsum else l_fact
     prod = padic.local_product(inst, p_max=args.p_max, budget=args.budget)
-    c1 = constant.leading_constant_series(inst, J, L, consts)
     c2 = constant.leading_constant_tamagawa(inst, J, prod)
-    return consts, J, l_fact, l_qsum, prod, c1, c2
+    return consts, J, l_fact, c2
 
 
 def cmd_constant(args) -> int:
     inst = load_instance(args.config)
     params = {"route": args.route, "Q": args.Q, "p_max": args.p_max,
               "samples": args.samples, "use_qsum": args.use_qsum}
-    _consts, _J, l_fact, l_qsum, _prod, c1, c2 = _constant_pipeline(inst, args)
+    consts, J, l_fact, c2 = _constant_pipeline(inst, args)
+    l_qsum = expsums.singular_series(inst, Q=args.Q, budget=args.budget)
+    c1 = constant.leading_constant_series(
+        inst, J, l_qsum if args.use_qsum else l_fact, consts)
     lines = [constant.ConstantBreakdown.csv_header()]
     if args.route in ("1", "both"):
         lines.append(c1.csv_row())
@@ -223,9 +225,9 @@ def cmd_constant(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = load_instance(args.config)
-    params = {"t": args.t, "Q": args.Q, "p_max": args.p_max,
-              "samples": args.samples}
-    _consts, _J, _lf, _lq, _prod, c1, c2 = _constant_pipeline(inst, args)
+    params = {"t": args.t, "p_max": args.p_max, "samples": args.samples}
+    consts, J, l_fact, c2 = _constant_pipeline(inst, args)
+    c1 = constant.leading_constant_series(inst, J, l_fact, consts)
     agree = constant.route_agreement(c1, c2)
     lines = ["t,measured,normalized,predicted_route1,predicted_route2,ratio2"]
     for t in _int_list(args.t):
@@ -331,16 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="counts against predictions")
     common(p)
     p.add_argument("--t", required=True, help="comma-separated heights")
-    p.add_argument("--Q", type=int, default=16)
     p.add_argument("--p-max", type=int, default=13, dest="p_max")
     p.add_argument("--samples", type=int, default=10**6)
-    p.set_defaults(fn=cmd_compare, use_qsum=False)
+    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=("arith", "sieve", "expsums", "padic",
                                      "archimedean", "constant", "all"))
     common(p, config=False)
-    p.set_defaults(fn=cmd_verify, use_qsum=False)
+    p.set_defaults(fn=cmd_verify)
     return ap
 
 

@@ -160,10 +160,10 @@ class CountRecord:
 
 
 def _theta_of_values(values: np.ndarray) -> np.ndarray:
-    """Vectorized soluble-fibre indicator for nonzero integer values.
+    """Vectorized soluble-fibre indicator; values <= 0 give False.
 
-    Uses the parity sieve when the value range is modest, otherwise a
-    factorization cache keyed by |value| (f1-values repeat heavily on
+    Uses the parity sieve when the value range is modest, otherwise
+    factors each distinct positive value once (f1-values repeat heavily on
     symmetric boxes).
     """
     out = np.zeros(len(values), dtype=bool)
@@ -175,16 +175,10 @@ def _theta_of_values(values: np.ndarray) -> np.ndarray:
         ok = two_squares_sieve(vmax)
         out[pos] = ok[values[pos]]
         return out
-    cache: dict[int, int] = {}
-    vp = values[pos]
-    res = np.zeros(len(vp), dtype=bool)
-    for i, v in enumerate(vp.tolist()):
-        hit = cache.get(v)
-        if hit is None:
-            hit = conic_soluble_global(v)
-            cache[v] = hit
-        res[i] = bool(hit)
-    out[pos] = res
+    distinct, inverse = np.unique(values[pos], return_inverse=True)
+    ok = np.array([conic_soluble_global(v) for v in distinct.tolist()],
+                  dtype=bool)
+    out[pos] = ok[inverse]
     return out
 
 

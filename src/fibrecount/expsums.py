@@ -44,7 +44,7 @@ from math import gcd
 import numpy as np
 
 from .arith import (DomainError, factor, landau_constants, only_1mod4_factors,
-                    prime_sieve, valuation)
+                    prime_sieve, ramanujan_sum, valuation)
 from .blocks import (Block, BudgetExceededError, block_tables, path_for,
                      residue_table)
 from .counting import two_squares_sieve
@@ -289,23 +289,20 @@ def gcd_phase_sum(a: int, q: int, k: int) -> complex:
 
     gcd(0, q) = q, and the product runs over ALL primes with the stated
     valuation gap (not only p = 3 mod 4).
+
+    Closed form: with g = gcd(k^2, q), v_p(l) < v_p(q) holds exactly when
+    p^e does not divide g (p^e || q), so the weight is one constant w(g) on
+    the summed l = g u, u a unit mod q/g, and the phases sum to the
+    Ramanujan sum c_(q/g)(a).
     """
     if q < 1:
         raise DomainError("q must be positive")
-    gk = gcd(k * k, q)
-    fq = factor(q).factors if q > 1 else ()
-    out = 0.0 + 0.0j
-    for l in range(q):
-        h = gcd(l, q) if l else q
-        if h != gk:
-            continue
-        w = 1.0
-        for p, e in fq:
-            v = valuation(l, p) if l else e + 1
-            if v < e:
-                w *= p / (p - 1.0)
-        out += w * np.exp(-2j * np.pi * a * l / q)
-    return complex(out)
+    g = gcd(k * k, q)
+    w = 1.0
+    for p, e in (factor(q).factors if q > 1 else ()):
+        if g % p ** e:
+            w *= p / (p - 1.0)
+    return complex(w * ramanujan_sum(q // g, a))
 
 
 def max_shell_modulus(p: int, n: int, budget: int) -> int:

@@ -83,9 +83,13 @@ class Form:
     def evaluate_batch(self, cols, bound: int) -> np.ndarray:
         """Exact values over many points, int64.
 
+        Float columns evaluate in float64 instead: each monomial is its
+        coefficient times the columns, one factor at a time in variable
+        order, and the monomials are summed in their listed order.
+
         Args:
-            cols: sequence of n_vars int64 arrays (one per coordinate),
-                broadcastable to a common shape
+            cols: sequence of n_vars int64 (or float64) arrays, one per
+                coordinate, broadcastable to a common shape
             bound: max absolute coordinate value, used to prove no overflow
 
         Raises:

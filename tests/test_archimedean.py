@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -45,7 +46,9 @@ def test_linear_slab_oracle():
     f1 = Form(4, 2, tuple((1, tuple(2 * (i == j) for j in range(4)))
                           for i in range(4)))
     f2 = Form(4, 1, ((1, (1, 0, 0, 0)),))
-    est = archimedean.real_density_forms(f1, f2, 4, samples=2 * 10**5, seed=5)
+    # a degree-1 f2 is no valid Instance; real_density reads f1, f2 and n
+    slab = types.SimpleNamespace(f1=f1, f2=f2, n=4)
+    est = archimedean.real_density(slab, samples=2 * 10**5, seed=5)
     assert abs(est.value.real - 8.0) <= 4 * est.std_error + 1e-9
 
 
@@ -85,15 +88,6 @@ def test_schedule_validation(four_squares):
         archimedean.real_density(four_squares, epsilon_schedule=(0.1, 0.05))
 
 
-def test_strict_positive_flag(four_squares):
-    # f1 >= 0 everywhere for this instance: the boundary convention is
-    # measure-zero and both readings agree on the same seed
-    a = archimedean.real_density(four_squares, samples=10**5, seed=9)
-    b = archimedean.real_density(four_squares, samples=10**5, seed=9,
-                                 strict_positive=True)
-    assert a.value == b.value
-
-
 def test_shell_levels_consistent_with_extrapolation(four_squares):
     est = archimedean.real_density(four_squares, samples=10**6, seed=0)
     j0 = est.value.real
@@ -103,3 +97,25 @@ def test_shell_levels_consistent_with_extrapolation(four_squares):
     for (eps, j, se, _n) in est.rows:
         fitted = j0 + slope * eps
         assert abs(j - fitted) <= 3 * se
+
+
+def test_golden_mc_values(four_squares, bilinear, quartic):
+    # exact reprs pin the sample streams (keys, chunk sizes, partial last
+    # chunks) and the float evaluation order of every estimator
+    assert repr(archimedean.real_density(four_squares, samples=20000,
+                                         seed=5).csv_rows()) == repr([
+        "0.1,10.876,0.193880455952,20000,5",
+        "0.05,10.86,0.201225023295,40000,5",
+        "0.025,10.94,0.205581990943,80000,5",
+        "0.0125,11.204,0.209836698173,160000,5",
+        "0,11.0964271567,0.177005454092,300000,5"])
+    # 300000 samples: one full chunk of 2^18 and a partial one
+    osc = archimedean.oscillatory_box_integral(four_squares, (0.7, 1.3),
+                                               300000, seed=11)
+    assert repr(osc.value) == "(0.1287055873150032-0.1416874109133903j)"
+    # 3000 samples: six chunks of 500; quartic takes companion-matrix roots
+    for inst, value, se in (
+            (bilinear, "(15.817701409808496+0j)", "0.6400725251783758"),
+            (quartic, "(236.16824630323825+0j)", "89.08270086717823")):
+        est = archimedean.real_density_coarea(inst, samples=3000, seed=0)
+        assert (repr(est.value), repr(est.std_error)) == (value, se)

@@ -127,7 +127,7 @@ def test_constant_small(tmp_path, capsys):
 
 def test_compare_small(capsys):
     code = main(["compare", "--config", FOUR, "--t", "5,8",
-                 "--Q", "2", "--p-max", "2", "--samples", "20000"])
+                 "--p-max", "2", "--samples", "20000"])
     assert code == 0
     out = capsys.readouterr().out
     assert "t,measured,normalized,predicted_route1,predicted_route2,ratio2" \

@@ -164,6 +164,24 @@ def test_two_squares_sieve_matches_pairs_exhaustively():
                           counting.two_squares_pairs(x)[1:])
 
 
+def test_theta_above_the_sieve_range():
+    # a value past 2e8 switches every value to factorization: compare with
+    # conic_soluble_global on both sides of the switch, and on small values
+    # with the sieve path
+    limit = 2 * 10**8
+    small = np.array([0, -1, -5, 1, 2, 3, 9, 21, 45, 0, 3, 9], dtype=np.int64)
+    r = 14143  # r^2 just above the limit
+    big = np.array([limit - 5, limit - 1, limit, limit + 1, r * r, r * r + 1,
+                    2 * r * r, 3 * r * r, -limit - 1, limit + 1, 9 * limit],
+                   dtype=np.int64)
+    values = np.concatenate([small, big])
+    got = counting._theta_of_values(values)
+    want = [v > 0 and bool(arith.conic_soluble_global(v))
+            for v in values.tolist()]
+    assert got.tolist() == want
+    assert np.array_equal(got[:len(small)], counting._theta_of_values(small))
+
+
 def test_progression_count():
     assert counting.progression_count(100, 1, 4) == 15
     with pytest.raises(DomainError, match="multiple of 4"):
