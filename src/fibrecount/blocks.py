@@ -127,15 +127,16 @@ def balanced_halves(blocks) -> tuple:
 # box scans and residue tables
 # ---------------------------------------------------------------------------
 
-def box(axis: np.ndarray, n: int):
+def box(axis: np.ndarray, n: int, limit: int | None = None):
     """axis^n in itertools.product order, in chunks of n columns that
-    broadcast to the chunk's grid of at most max(_CHUNK, len(axis)) points.
+    broadcast to the chunk's grid of at most max(limit, len(axis)) points
+    (limit defaults to _CHUNK).
 
     The trailing variables are whole axes, the one before them a slice of
     the axis and any leading ones scalars, so each monomial is a product of
     1-d factors and only the sums span the grid."""
     m = len(axis)
-    limit = max(_CHUNK, m)
+    limit = max(_CHUNK if limit is None else limit, m)
     inner = 0  # trailing whole axes
     while inner < n - 1 and m ** (inner + 1) <= limit:
         inner += 1

@@ -18,14 +18,25 @@ Counting conventions (fixed across the library):
   projective_count(method='moebius') and mobius_residual, which returns
   the difference and must be identically zero.
 
-Box counts take one of two paths.  The slab path scans the whole box in
-box chunks (blocks.box); the same scan with a gcd filter gives the direct
-projective count.  On an instance with several variable blocks (see
-blocks.py) the split path packs the blocks into two halves of balanced
-size, tabulates the distinct (f2, f1) value pairs of each half over its
-sub-box, and joins the halves on f2-parts that sum to zero (meet in the
-middle).  The largest box it scans is the larger half's: (2P+1)^2 points
-instead of (2P+1)^4 on four_squares.
+Box counts take one of three paths, tried in this order by
+count_soluble_fibre_points(method='auto'); a path refused by the budget
+passes to the next.  The budget bounds the points a path scans.
+
+* split: on an instance with several variable blocks (see blocks.py) the
+  blocks are packed into two halves of balanced size, the distinct
+  (f2, f1) value pairs of each half are tabulated over its sub-box, and
+  the halves are joined on f2-parts that sum to zero (meet in the
+  middle).  The largest box it scans is the larger half's: (2P+1)^2
+  points instead of (2P+1)^4 on four_squares.
+* quadric: when d = 2 and f2 has a square term a x_k^2, f2 is quadratic
+  in x_k, so only the other n - 1 coordinates are scanned and x_k is
+  solved for: an exact integer square root of the discriminant gives the
+  integer roots.  (2P+1)^(n-1) points, on one thread.
+* slab: the whole box [-P,P]^n in box chunks (blocks.box), on `threads`
+  threads.  It is the oracle the other two paths are tested against.
+
+The direct projective count is the quadric or slab count with a gcd
+filter.
 """
 
 from __future__ import annotations
@@ -41,10 +52,11 @@ from .arith import (DomainError, conic_soluble_global, grown_limit,
                     moebius_sieve, prime_sieve)
 from .blocks import (BudgetExceededError, balanced_halves, box, restrict,
                      variable_blocks)
-from .forms import Instance
+from .forms import Form, Instance
 
 DEFAULT_BUDGET = 3 * 10**8
 _PAIR_CHUNK = 1 << 22
+_QUADRIC_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +267,34 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
     return total
 
 
+def _soluble_points(inst: Instance, pts, P: int, include_zero_fibres: bool,
+                    primitive: bool) -> int:
+    """How many of the points pts (n columns, all on f2 = 0, coordinates in
+    [-P,P]) have a soluble fibre, or f1 = 0 with include_zero_fibres; with
+    primitive only points with gcd 1 count."""
+    if primitive:
+        g = np.zeros(len(pts[0]), dtype=np.int64)
+        for c in pts:
+            g = np.gcd(g, np.abs(c))
+        prim = g == 1
+        pts = [c[prim] for c in pts]
+    if not len(pts[0]):
+        return 0
+    v1 = inst.f1.evaluate_batch(pts, P)
+    hits = _theta_of_values(v1)
+    if include_zero_fibres:
+        hits |= v1 == 0
+    return int(hits.sum())
+
+
 def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
                 budget: int, threads: int, primitive: bool = False) -> int:
     """Scan the box [-P,P]^n in box chunks (blocks.box).
 
     Counts x in [-P,P]^n with f2(x) = 0 and a soluble fibre (or f1(x) = 0
     with include_zero_fibres).  The box count drops the origin; with
-    primitive only x with gcd(x) = 1 count.
+    primitive only x with gcd(x) = 1 count.  This is the oracle the split
+    and quadric paths are tested against.
     """
     n = inst.n
     est = (2 * P + 1) ** n
@@ -274,19 +307,7 @@ def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
         v2 = inst.f2.evaluate_batch(cols, P)
         at = np.nonzero(v2 == 0)
         pts = [np.broadcast_to(c, v2.shape)[at] for c in cols]
-        if primitive:
-            g = np.zeros(len(at[0]), dtype=np.int64)
-            for c in pts:
-                g = np.gcd(g, np.abs(c))
-            prim = g == 1
-            pts = [c[prim] for c in pts]
-        if not len(pts[0]):
-            return 0
-        v1 = inst.f1.evaluate_batch(pts, P)
-        hits = _theta_of_values(v1)
-        if include_zero_fibres:
-            hits |= v1 == 0
-        return int(hits.sum())
+        return _soluble_points(inst, pts, P, include_zero_fibres, primitive)
 
     chunks = box(np.arange(-P, P + 1, dtype=np.int64), n)
     if threads > 1:
@@ -296,6 +317,117 @@ def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
         total = sum(map(chunk_count, chunks))
     # the origin lies on f2 = 0 with f1 = 0; it has no gcd of 1
     return total - int(include_zero_fibres and not primitive)
+
+
+def _quadric_parts(inst: Instance):
+    """(k, a, B, C) with f2 = a x_k^2 + B(x') x_k + C(x'), where k is the
+    last variable whose square appears in f2 and x' the other n - 1
+    variables; B (degree 1) and C (degree 2) are Forms over x', or None
+    where f2 has no such monomial.  None unless d = 2, n >= 2 and f2 has a
+    square term."""
+    squares = [exps.index(2) for _, exps in inst.f2.monomials if 2 in exps]
+    if inst.d != 2 or inst.n < 2 or not squares:
+        return None
+    k = max(squares)
+    a, lin, const = 0, [], []
+    for coeff, exps in inst.f2.monomials:
+        rest = exps[:k] + exps[k + 1:]
+        if exps[k] == 2:
+            a = coeff
+        else:
+            (lin if exps[k] else const).append((coeff, rest))
+    return (k, a,
+            Form(inst.n - 1, 1, tuple(lin)) if lin else None,
+            Form(inst.n - 1, 2, tuple(const)) if const else None)
+
+
+def _isqrt(values: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of int64 values 0 <= v < 2^52, exactly.
+
+    Such a v is a float64 exactly, and so are k = floor(sqrt(v)) and k + 1,
+    so the correctly rounded root of v lies in [k, k + 1].  It reaches
+    k + 1 near 2^52 (the root of (2^26 + 1)^2 - 1 rounds up to 2^26 + 1),
+    so one step down corrects it.
+    """
+    s = np.sqrt(values.astype(np.float64)).astype(np.int64)
+    s -= s * s > values
+    return s
+
+
+def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
+                   budget: int, primitive: bool = False) -> int:
+    """The box count of _count_slab, scanning (2P+1)^(n-1) points.
+
+    With f2 = a x_k^2 + B(x') x_k + C(x') (_quadric_parts), the points of
+    f2 = 0 over x' are the integer roots x_k = (-B +- s) / (2a) where the
+    discriminant B^2 - 4aC is a square s^2: a root counts when 2a divides
+    its numerator and |x_k| <= P, a double root (s = 0) once.  x' is
+    scanned in box chunks of at most _QUADRIC_CHUNK points, on one thread.
+
+    Refused with BudgetExceededError, before any array is built, when the
+    (2P+1)^(n-1) scanned points exceed the budget, or when the
+    discriminant bound (|B|_1^2 + 4|a| |C|_1) P^2 reaches 2^52, past which
+    _isqrt is not exact (|C|_1 counts as 1 when C is absent).
+    """
+    parts = _quadric_parts(inst)
+    if parts is None:
+        raise DomainError("the quadric path needs d = 2, n >= 2 and a "
+                          "square term in f2")
+    k, a, lin, const = parts
+    est = (2 * P + 1) ** (inst.n - 1)
+    if est > budget:
+        raise BudgetExceededError(
+            f"scan volume {est} exceeds budget {budget}")
+    norm_b = lin.coeff_norm() if lin else 0
+    norm_c = const.coeff_norm() if const else 1  # 2aP must fit int64 too
+    bound = (norm_b ** 2 + 4 * abs(a) * norm_c) * P * P
+    if bound >= 2**52:
+        raise BudgetExceededError(
+            f"discriminants may reach {bound} >= 2^52, past the exact "
+            "float64 square root")
+    total = 0
+    for cols in box(np.arange(-P, P + 1, dtype=np.int64), inst.n - 1,
+                    limit=_QUADRIC_CHUNK):
+        shape = np.broadcast_shapes(*map(np.shape, cols))
+        b = (lin.evaluate_batch(cols, P) if lin
+             else np.zeros(shape, dtype=np.int64))
+        c = const.evaluate_batch(cols, P) if const else 0
+        disc = (b * b - 4 * a * c).ravel()
+        at = np.flatnonzero(disc >= 0)
+        disc = disc[at]
+        s = _isqrt(disc)
+        square = s * s == disc
+        at, s = at[square], s[square]
+        neg_b = -b.ravel()[at]
+        found, roots = [], []
+        for num in (neg_b + s, neg_b - s):
+            root, rem = np.divmod(num, 2 * a)
+            keep = (rem == 0) & (np.abs(root) <= P)
+            if found:  # the second root, unless it is the first again
+                keep &= s > 0
+            found.append(at[keep])
+            roots.append(root[keep])
+        at = np.concatenate(found)
+        grid = np.unravel_index(at, shape)
+        pts = [np.broadcast_to(col, shape)[grid] for col in cols]
+        pts.insert(k, np.concatenate(roots))
+        total += _soluble_points(inst, pts, P, include_zero_fibres, primitive)
+    # the origin is the double root at x' = 0, as in _count_slab
+    return total - int(include_zero_fibres and not primitive)
+
+
+def _count_box(inst: Instance, P: int, include_zero_fibres: bool,
+               budget: int, threads: int, primitive: bool = False) -> int:
+    """The box count by the quadric path where it applies and fits the
+    budget, else by the slab scan."""
+    if _quadric_parts(inst) is not None:
+        try:
+            return _count_quadric(inst, P, include_zero_fibres, budget,
+                                  primitive)
+        except BudgetExceededError:
+            pass
+    return _count_slab(inst, P, include_zero_fibres, budget, threads,
+                       primitive)
 
 
 def count_soluble_fibre_points(inst: Instance, P: int,
@@ -309,9 +441,11 @@ def count_soluble_fibre_points(inst: Instance, P: int,
     count; with it, x with f1(x) = 0 also count.  The origin never counts.
 
     method: 'auto' takes the split path when the instance has at least two
-    variable blocks and falls back to slab enumeration when the split is
-    refused by the budget; 'slab' forces the direct scan; 'split' requires
-    two blocks (DomainError otherwise).
+    variable blocks, then the quadric path when f2 is a quadratic form with
+    a square term, and the slab scan last; a path refused by the budget
+    passes to the next.  'slab' forces the scan; 'split' requires two
+    blocks (DomainError otherwise).  budget bounds the points a path scans;
+    threads applies to the slab scan only.
     """
     if P < 0:
         raise DomainError("P must be non-negative")
@@ -328,7 +462,9 @@ def count_soluble_fibre_points(inst: Instance, P: int,
         except BudgetExceededError:
             if method == "split":
                 raise
-    return _count_slab(inst, P, include_zero_fibres, budget, threads)
+    if method == "slab":
+        return _count_slab(inst, P, include_zero_fibres, budget, threads)
+    return _count_box(inst, P, include_zero_fibres, budget, threads)
 
 
 def _moebius_sum(inst: Instance, t: int, budget: int, threads: int) -> int:
@@ -350,16 +486,17 @@ def projective_count(inst: Instance, t: int, budget: int = DEFAULT_BUDGET,
     """Projective base points of height <= t with a soluble fibre.
 
     Counts +-pairs of primitive vectors y in [-t,t]^n with f2(y) = 0 and
-    (f1(y) = 0 or a soluble conic).  method 'direct' scans with a gcd test;
-    'moebius' sums mu(l) * box counts; 'auto' picks direct when the box
-    fits the budget.
+    (f1(y) = 0 or a soluble conic).  method 'direct' counts them with a
+    gcd test, by the quadric path where it applies and fits the budget and
+    by the slab scan otherwise; 'moebius' sums mu(l) * box counts; 'auto'
+    picks direct when the whole box (2t+1)^n fits min(budget, 1e8).
     """
     if t < 1:
         raise DomainError("t must be positive")
     if method == "auto":
         method = "direct" if (2 * t + 1) ** inst.n <= min(budget, 10**8) else "moebius"
     if method == "direct":
-        vectors = _count_slab(inst, t, True, budget, threads, primitive=True)
+        vectors = _count_box(inst, t, True, budget, threads, primitive=True)
     elif method == "moebius":
         vectors = _moebius_sum(inst, t, budget, threads)
     else:
@@ -377,10 +514,12 @@ def mobius_residual(inst: Instance, t: int, budget: int = DEFAULT_BUDGET,
                     threads: int = 1) -> int:
     """Exact integer residual of the Moebius identity; always 0.
 
-    2 * projective_count(t) - sum_{l<=t} mu(l) * count(floor(t/l), zero=True)
-    with projective_count taken by direct primitive enumeration, so the two
-    sides are computed by genuinely different routes.
+    #{primitive y in [-t,t]^n on f2 = 0 with f1(y) = 0 or a soluble conic}
+    - sum_{l<=t} mu(l) * count(floor(t/l), zero=True).  The identity is
+    crossed by two summations and two kernels: the primitive vectors come
+    from the slab scan with its gcd test (_count_slab), the Moebius sum
+    from count_soluble_fibre_points, whose auto path is split or quadric
+    wherever either applies.
     """
-    direct = projective_count(inst, t, budget=budget, threads=threads,
-                              method="direct").raw_count
-    return 2 * direct - _moebius_sum(inst, t, budget, threads)
+    return (_count_slab(inst, t, True, budget, threads, primitive=True)
+            - _moebius_sum(inst, t, budget, threads))

@@ -112,6 +112,15 @@ def test_fuzz_split_equals_slab(inst, P, incl):
             inst, P, include_zero_fibres=incl, method="split") == slab
 
 
+@given(instances(), st.integers(1, 6),
+       st.sampled_from([(False, False), (True, False), (True, True)]))
+def test_fuzz_quadric_equals_slab(inst, P, kind):
+    assume(counting._quadric_parts(inst) is not None)
+    zero, prim = kind
+    assert counting._count_quadric(inst, P, zero, 10**6, prim) == \
+        counting._count_slab(inst, P, zero, 10**6, 1, prim)
+
+
 @given(instances(), st.integers(2, 12))
 def test_fuzz_block_birch_table(inst, q):
     block = expsums._block_table(inst, q, 10**6)

@@ -1,4 +1,7 @@
+import importlib.util
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,10 @@ import pytest
 from fibrecount import arith, blocks, counting
 from fibrecount.arith import DomainError
 from fibrecount.counting import BudgetExceededError
+from fibrecount.forms import Form, Instance, parse_instance
+from strategies import pair
+
+KINDS = ((False, False), (True, False), (True, True))  # (zero, primitive)
 
 
 def test_box_count_demo(demo):
@@ -117,6 +124,148 @@ def test_half_table_memory_follows_the_slabs(four_squares):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * 2001**2
+
+
+# ---------------------------------------------------------------------------
+# the quadric path against the slab scan
+# ---------------------------------------------------------------------------
+
+def _quadric_equals_slab(inst, P):
+    for zero, prim in KINDS:
+        assert counting._count_quadric(inst, P, zero, 10**7, prim) == \
+            counting._count_slab(inst, P, zero, 10**7, 1, prim)
+
+
+def _form(n, *monos):
+    """A quadratic form in n variables from (coeff, i, j) for c x_i x_j."""
+    return Form(n, 2, tuple((c, pair(n, i, j)) for c, i, j in monos))
+
+
+@pytest.mark.parametrize("a", [-3, -2, 2, 3])
+def test_quadric_roots_divisible_by_2a(a):
+    # a x2^2 + (x0 - 2 x1) x2 + x0^2 - 3 x0 x1: a root counts only when 2a
+    # divides -B +- s
+    f2 = _form(3, (a, 2, 2), (1, 0, 2), (-2, 1, 2), (1, 0, 0), (-3, 0, 1))
+    f1 = _form(3, (1, 0, 0), (2, 1, 1), (1, 1, 2), (-1, 2, 2))
+    inst = Instance(f1=f1, f2=f2, n=3, d=2, box_max_m=f1.coeff_norm())
+    assert counting._quadric_parts(inst)[:2] == (2, a)
+    for P in (5, 13):
+        _quadric_equals_slab(inst, P)
+
+
+@pytest.mark.parametrize("c", [1, -3])
+def test_quadric_double_roots(c):
+    # c (x0 + x1)^2: the discriminant vanishes at every x', and the one
+    # root x1 = -x0 must count once
+    f2 = _form(3, (c, 0, 0), (2 * c, 0, 1), (c, 1, 1))
+    f1 = _form(3, (1, 0, 0), (1, 2, 2), (1, 0, 2))
+    inst = Instance(f1=f1, f2=f2, n=3, d=2, box_max_m=f1.coeff_norm())
+    for P in (1, 4, 9):
+        _quadric_equals_slab(inst, P)
+
+
+def _dense(seed):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "dense.py"
+    spec = importlib.util.spec_from_file_location("dense", path)
+    dense = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dense)
+    return parse_instance(dense.dense_config(seed))
+
+
+def test_quadric_on_the_shipped_instances(four_squares, linked):
+    # four_squares has no B term; the dense instances have every monomial
+    for P in (5, 13):
+        _quadric_equals_slab(four_squares, P)
+    _quadric_equals_slab(linked, 9)
+    for seed in (0, 1, 2):
+        _quadric_equals_slab(_dense(seed), 13)
+
+
+def test_quadric_path_never_scans_the_box(linked, monkeypatch):
+    box = counting.count_soluble_fibre_points(linked, 20, method="slab")
+    vectors = counting._count_slab(linked, 20, True, counting.DEFAULT_BUDGET,
+                                   1, primitive=True)
+
+    def refuse(*args):
+        raise AssertionError("scanned [-P,P]^n")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_count_slab", refuse)
+        assert counting.count_soluble_fibre_points(linked, 20) == box
+        assert counting.projective_count(
+            linked, 20, method="direct").raw_count == vectors // 2
+
+
+def test_quadric_budget_refusal(linked):
+    # 101^3 scanned points exceed 10^4; the slab scan the refusal passes to
+    # refuses too, so the message is the slab's
+    with pytest.raises(BudgetExceededError, match="budget"):
+        counting._count_quadric(linked, 50, False, 10**4)
+    with pytest.raises(BudgetExceededError, match="box volume"):
+        counting.count_soluble_fibre_points(linked, 50, budget=10**4)
+    # without a square term in f2 there is nothing to solve for
+    bilinear = Instance(f1=linked.f1, f2=_form(4, (1, 0, 1), (-1, 2, 3)),
+                        n=4, d=2, box_max_m=linked.box_max_m)
+    with pytest.raises(DomainError, match="square term"):
+        counting._count_quadric(bilinear, 3, False, 10**4)
+
+
+def test_isqrt_exact_at_the_edge():
+    ks = list(range(40)) + list(range(2**26 - 3, 2**26 + 1))
+    values = sorted({v for k in ks for v in (k * k - 1, k * k, k * k + 1)
+                     if 0 <= v < 2**52})
+    assert values[-1] == 2**52 - 1
+    values = np.array(values, dtype=np.int64)
+    want = [math.isqrt(v) for v in values.tolist()]
+    assert counting._isqrt(values).tolist() == want
+    # just past 2^52 the float64 root alone is one too high at k^2 - 1; the
+    # correction step still fixes it there
+    past = np.array([(2**26 + j) ** 2 - 1 for j in (1, 2, 3)], dtype=np.int64)
+    want = [math.isqrt(v) for v in past.tolist()]
+    assert counting._isqrt(past).tolist() == want
+    assert all(np.sqrt(past.astype(np.float64)).astype(np.int64) > want)
+
+
+def test_quadric_refuses_inexact_discriminants(monkeypatch):
+    # (|B|_1^2 + 4 |a| |C|_1) P^2 = (9 + 2^43) P^2 passes 2^52 at P = 23;
+    # the refusal comes before any box chunk, and the public path passes
+    # to the slab scan
+    f2 = _form(3, (2**40, 2, 2), (3, 0, 2), (1, 0, 0), (-1, 1, 1))
+    f1 = _form(3, (1, 0, 0), (1, 1, 1), (1, 2, 2))
+    inst = Instance(f1=f1, f2=f2, n=3, d=2, box_max_m=3)
+    _quadric_equals_slab(inst, 22)
+
+    def refuse(*args, **kw):
+        raise AssertionError("built a box chunk")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "box", refuse)
+        with pytest.raises(BudgetExceededError, match=r"2\^52"):
+            counting._count_quadric(inst, 23, False, 10**7)
+    assert counting.count_soluble_fibre_points(inst, 23) == \
+        counting.count_soluble_fibre_points(inst, 23, method="slab")
+    # without C the bound takes |C|_1 as 1, so that 2a stays in int64
+    huge = Instance(f1=f1, f2=_form(3, (2**70, 2, 2), (1, 0, 2)), n=3, d=2,
+                    box_max_m=3)
+    with pytest.raises(BudgetExceededError, match=r"2\^52"):
+        counting._count_quadric(huge, 1, False, 10**7)
+
+
+def test_quadric_memory_follows_the_chunks(linked, monkeypatch):
+    # 121^3 scanned points: one chunk over all of them held more than five
+    # int64 arrays of their size; small chunks count the same
+    tracemalloc.start()
+    try:
+        counting._count_quadric(linked, 60, True, 10**7, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 121**3
+    want = [counting._count_quadric(linked, 9, zero, 10**7, prim)
+            for zero, prim in KINDS]
+    monkeypatch.setattr(counting, "_QUADRIC_CHUNK", 40)
+    assert [counting._count_quadric(linked, 9, zero, 10**7, prim)
+            for zero, prim in KINDS] == want
 
 
 def test_parallel_determinism(four_squares):
