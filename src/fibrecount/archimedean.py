@@ -11,11 +11,15 @@ extrapolation in eps^2.  real_density_coarea is an independent estimator:
 it integrates one coordinate exactly through polynomial root finding
 and weights each surface crossing by 1/|df2/dt_j|.
 
-Every sample comes from _samples, which draws counter-based chunks
-(Philox keyed by (seed, stream, chunk)), so results are bit-reproducible
-for a given (seed, samples) and independent of any parallel scheduling.
-Every form is evaluated by Form.evaluate_batch on the coordinate rows
-_samples yields.
+Samples come in counter-based chunks of at most 2^18 points: chunk i of a
+stream is one draw from Philox keyed by (seed, stream, i).  _blocks draws
+a chunk in blocks of at most 2^14 points, each copied once into contiguous
+coordinate rows, so a block stays in cache while Form.evaluate_batch (the
+one evaluator of every form here) works through it.  The estimators run
+their chunks on a pool of `threads` threads (blocks.pool_map) and combine
+the chunks' results in chunk order: shell hits are ints and the fibre
+estimator's weights are summed chunk by chunk, so results are
+bit-reproducible for a given (seed, samples) whatever the thread count.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import DomainError
+from .blocks import pool_map
 from .forms import Form, Instance
 
 _CHUNK = 1 << 18
-_ROWS = 1 << 12  # points per draw while a chunk is filled
+_BLOCK = 1 << 14  # points per draw and evaluation inside a chunk
 _MASK64 = (1 << 64) - 1
 
 
@@ -62,24 +67,34 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _samples(seed: int, stream: int, samples: int, n: int,
-             chunk: int = _CHUNK):
-    """Uniform points of [-1,1]^n in chunks of at most `chunk` points, each
-    an (n, m) array of coordinate rows as Form.evaluate_batch takes them.
+def _chunks(samples: int, chunk: int = _CHUNK) -> list:
+    """(index, size) of each chunk of a stream of `samples` points."""
+    return [(i, min(chunk, samples - start))
+            for i, start in enumerate(range(0, samples, chunk))]
 
-    Chunk i holds the points of one (m, n) draw from _chunk_rng(seed,
-    stream, i).  It is filled _ROWS points at a time (the generator's
-    stream does not depend on how a draw is split), so no second copy of
-    the chunk is ever held for the transpose.
-    """
-    for i, start in enumerate(range(0, samples, chunk)):
-        m = min(chunk, samples - start)
-        rng = _chunk_rng(seed, stream, i)
-        pts = np.empty((n, m))
-        for r in range(0, m, _ROWS):
-            pts[:, r:r + _ROWS] = rng.uniform(
-                -1.0, 1.0, size=(min(_ROWS, m - r), n)).T
-        yield pts
+
+def _blocks(seed: int, stream: int, index: int, m: int, n: int):
+    """The m points of chunk `index` of a stream, uniform in [-1,1]^n, as
+    contiguous (n, k) coordinate rows of k <= _BLOCK points each.
+
+    Together the blocks are rng.uniform(-1, 1, (m, n)).T for rng =
+    _chunk_rng(seed, stream, index), bit for bit: the generator's stream
+    does not depend on how a draw is split, and 2u - 1 is -1 + 2u exactly
+    (2u is exact)."""
+    rng = _chunk_rng(seed, stream, index)
+    draw = np.empty((min(_BLOCK, m), n))
+    for start in range(0, m, _BLOCK):
+        block = draw[:min(_BLOCK, m - start)]
+        rng.random(out=block)
+        block *= 2.0
+        block -= 1.0
+        yield block.T.copy()
+
+
+def _chunk_points(seed: int, stream: int, index: int, m: int,
+                  n: int) -> np.ndarray:
+    """All m points of a chunk as one (n, m) array of coordinate rows."""
+    return np.concatenate(list(_blocks(seed, stream, index, m, n)), axis=1)
 
 
 def oscillatory_box_integral(inst: Instance, gamma, samples: int,
@@ -99,7 +114,8 @@ def oscillatory_box_integral(inst: Instance, gamma, samples: int,
                           samples=samples, seed=seed)
     acc = 0.0 + 0.0j
     acc2_re = acc2_im = 0.0
-    for pts in _samples(seed, 1, samples, n):
+    for i, m in _chunks(samples):
+        pts = _chunk_points(seed, 1, i, m, n)
         phase = (g1 * inst.f1.evaluate_batch(pts, 1)
                  + g2 * inst.f2.evaluate_batch(pts, 1))
         z = np.exp(2j * np.pi * phase)
@@ -114,26 +130,12 @@ def oscillatory_box_integral(inst: Instance, gamma, samples: int,
                       samples=samples, seed=seed)
 
 
-def _shell_level(inst: Instance, eps: float, samples: int, seed: int,
-                 stream: int):
-    hits = 0
-    for pts in _samples(seed, stream, samples, inst.n):
-        sel = np.abs(inst.f2.evaluate_batch(pts, 1)) <= eps
-        if sel.any():
-            v1 = inst.f1.evaluate_batch(pts[:, sel], 1)
-            hits += int((v1 >= 0.0).sum())
-    vol = 2.0 ** inst.n
-    phat = hits / samples
-    est = vol * phat / (2.0 * eps)
-    se = vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples) / (2.0 * eps)
-    return est, se
-
-
 DEFAULT_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 
 
 def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
-                 samples: int = 10**6, seed: int = 0) -> McEstimate:
+                 samples: int = 10**6, seed: int = 0,
+                 threads: int = 1) -> McEstimate:
     """Shell-volume estimate of the restricted surface density J.
 
     Only inst.f1, inst.f2 and inst.n are read: the fibre condition enters
@@ -142,20 +144,38 @@ def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
     Sample counts scale like 1/eps so every level sees a comparable number
     of shell hits; the levels are combined by weighted least squares in
     eps (Richardson-style: curvature and any cone point make the shell
-    bias first order in the width), reported at eps -> 0.
+    bias first order in the width), reported at eps -> 0.  The chunks of
+    every level run on one pool of `threads` threads.
     """
     sched = list(epsilon_schedule)
     if len(sched) < 3:
         raise DomainError("need at least 3 epsilon levels")
     if any(b >= a for a, b in zip(sched, sched[1:])):
         raise DomainError("epsilon schedule must be strictly decreasing")
+    sizes = [int(math.ceil(samples * sched[0] / eps)) for eps in sched]
+    tasks = [(level, index, m) for level, n_i in enumerate(sizes)
+             for index, m in _chunks(n_i)]
+
+    def chunk_hits(task) -> int:  # points with |f2| <= eps and f1 >= 0
+        level, index, m = task
+        count = 0
+        for pts in _blocks(seed, 10 + level, index, m, inst.n):
+            sel = np.abs(inst.f2.evaluate_batch(pts, 1)) <= sched[level]
+            if sel.any():
+                v1 = inst.f1.evaluate_batch(pts[:, sel], 1)
+                count += int((v1 >= 0.0).sum())
+        return count
+
+    hits = [0] * len(sched)
+    for (level, _, _), h in zip(tasks, pool_map(chunk_hits, tasks, threads)):
+        hits[level] += h
+    vol = 2.0 ** inst.n
     rows = []
-    total = 0
-    for i, eps in enumerate(sched):
-        n_i = int(math.ceil(samples * sched[0] / eps))
-        est, se = _shell_level(inst, eps, n_i, seed, 10 + i)
+    for eps, n_i, h in zip(sched, sizes, hits):
+        phat = h / n_i
+        est = vol * phat / (2.0 * eps)
+        se = vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_i) / (2.0 * eps)
         rows.append((eps, est, se, n_i))
-        total += n_i
     # weighted LS fit est_i = J0 + a * eps_i
     x = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
@@ -166,7 +186,7 @@ def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
     coefs = cov @ (Aw.T @ y)
     j0 = float(coefs[0])
     se0 = float(math.sqrt(max(cov[0, 0], 0.0)))
-    return McEstimate(value=complex(j0), std_error=se0, samples=total,
+    return McEstimate(value=complex(j0), std_error=se0, samples=sum(sizes),
                       seed=seed, rows=rows)
 
 
@@ -247,46 +267,51 @@ def _roots_in_box(coeffs: np.ndarray):
 
 
 def real_density_coarea(inst: Instance, samples: int = 10**6,
-                        seed: int = 0) -> McEstimate:
+                        seed: int = 0, threads: int = 1) -> McEstimate:
     """Independent estimator of J: exact 1-d fibre integration.
 
     For each sampled point of the remaining n-1 coordinates, the real roots
     of f2 along the fibre coordinate are found exactly and each root in the
     box with f1 >= 0 contributes 1/|df2/dt_j|.  The weight distribution is
     heavy-tailed near critical points, so the standard error is estimated
-    from 64 batch means rather than the per-sample variance.
+    from 64 batch means rather than the per-sample variance.  Chunks run
+    on a pool of `threads` threads; their weights are summed in chunk
+    order.
     """
     if samples < 10**3:
         raise DomainError("need at least 1000 samples")
     j = _fiber_variable(inst.f2)
     n = inst.n
     # size chunks so the batch-means error estimate always has >= 64 cells
-    chunk = max(500, min(_CHUNK, -(-samples // 64)))
-    batch_sums = []
-    total_w = 0.0
-    for pts in _samples(seed, 99, samples, n - 1, chunk):
+    chunks = _chunks(samples, max(500, min(_CHUNK, -(-samples // 64))))
+
+    def chunk_weight(task) -> float:
+        pts = _chunk_points(seed, 99, *task, n - 1)
         coeffs = _poly_coeff_arrays(inst.f2, j, pts)
         dpoly = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
         rows, roots = _roots_in_box(coeffs)
-        chunk_w = 0.0
-        if len(rows):
-            dval = np.zeros(len(rows))
-            for dd in range(dpoly.shape[1]):
-                dval += dpoly[rows, dd] * roots ** dd
-            keep = np.abs(dval) >= 1e-12
-            rows, roots, dval = rows[keep], roots[keep], dval[keep]
-            v1 = inst.f1.evaluate_batch(
-                np.insert(pts[:, rows], j, roots, axis=0), 1)
-            chunk_w = float((1.0 / np.abs(dval[v1 >= 0.0])).sum())
-        total_w += chunk_w
-        batch_sums.append((chunk_w, pts.shape[1]))
+        if not len(rows):
+            return 0.0
+        dval = np.zeros(len(rows))
+        for dd in range(dpoly.shape[1]):
+            dval += dpoly[rows, dd] * roots ** dd
+        keep = np.abs(dval) >= 1e-12
+        rows, roots, dval = rows[keep], roots[keep], dval[keep]
+        v1 = inst.f1.evaluate_batch(
+            np.insert(pts[:, rows], j, roots, axis=0), 1)
+        return float((1.0 / np.abs(dval[v1 >= 0.0])).sum())
+
+    weights = pool_map(chunk_weight, chunks, threads)
+    total_w = 0.0
+    for w in weights:  # chunk order, one rounding per chunk
+        total_w += w
     vol = 2.0 ** (n - 1)
     mean = total_w / samples
     # 64 batch means for a heavy-tail-robust standard error
-    nb = min(64, len(batch_sums)) if len(batch_sums) > 1 else 1
+    nb = min(64, len(chunks)) if len(chunks) > 1 else 1
     if nb > 1:
-        ws = np.array([b[0] for b in batch_sums])
-        ms = np.array([b[1] for b in batch_sums])
+        ws = np.array(weights)
+        ms = np.array([m for _, m in chunks])
         groups = np.array_split(np.arange(len(ws)), nb)
         bm = np.array([ws[g].sum() / ms[g].sum() for g in groups])
         se = vol * float(bm.std(ddof=1) / math.sqrt(nb))

@@ -23,11 +23,14 @@ stationary phase serves every instance there.
 
 box() is the one enumeration of a complete box: residue tables, and the
 half tables and slab counts of counting, scan it chunk by chunk.
+pool_map runs independent chunks on a thread pool: the slab scan's box
+chunks and the Monte Carlo chunks of archimedean.
 """
 
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +124,28 @@ def balanced_halves(blocks) -> tuple:
     half_a = sorted(v for b, a in zip(blocks, in_a) if a for v in b.vars)
     half_b = sorted(v for b, a in zip(blocks, in_a) if not a for v in b.vars)
     return half_a, half_b
+
+
+# ---------------------------------------------------------------------------
+# chunk pools
+# ---------------------------------------------------------------------------
+
+def pool_size(threads: int, tasks: int) -> int:
+    """Workers for `tasks` tasks on at most `threads` threads: never more
+    workers than tasks, and at least one."""
+    return max(1, min(threads, tasks))
+
+
+def pool_map(fn, tasks, threads: int) -> list:
+    """[fn(task) for task in tasks], in task order, on a pool of
+    pool_size(threads, len(tasks)) threads; one worker runs in the calling
+    thread without a pool."""
+    tasks = list(tasks)
+    workers = pool_size(threads, len(tasks))
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------

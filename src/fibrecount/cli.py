@@ -172,10 +172,12 @@ def cmd_singular_integral(args) -> int:
                 if args.schedule else archimedean.DEFAULT_SCHEDULE)
     params = {"samples": args.samples, "schedule": list(schedule),
               "estimator": args.estimator}
-    est = archimedean.real_density(inst, schedule, args.samples, args.seed)
+    est = archimedean.real_density(inst, schedule, args.samples, args.seed,
+                                   threads=args.threads)
     lines = [est.csv_header()] + est.csv_rows()
     if args.estimator == "both":
-        fib = archimedean.real_density_coarea(inst, args.samples, args.seed)
+        fib = archimedean.real_density_coarea(inst, args.samples, args.seed,
+                                              threads=args.threads)
         lines.append(f"# fibre estimator: {fib.value.real:.12g} "
                      f"+- {fib.std_error:.12g}")
     _emit(args, "singular-integral", inst.label, params, inst.config_hash(),
@@ -187,7 +189,8 @@ def _constant_pipeline(inst, args):
     """J, the factored singular series and the route-2 constant; route 1
     is left to the caller, which picks its singular series."""
     consts = arith.landau_constants(10**6)
-    J = archimedean.real_density(inst, samples=args.samples, seed=args.seed)
+    J = archimedean.real_density(inst, samples=args.samples, seed=args.seed,
+                                 threads=args.threads)
     l_fact = expsums.singular_series_factored(inst, p_max=args.p_max,
                                               budget=args.budget)
     prod = padic.local_product(inst, p_max=args.p_max, budget=args.budget)
@@ -247,7 +250,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suites(args.suite, budget=args.budget, seed=args.seed)
+    results = run_suites(args.suite, budget=args.budget, seed=args.seed,
+                         threads=args.threads)
     failed = 0
     for r in results:
         print(r.line())
@@ -256,6 +260,13 @@ def cmd_verify(args) -> int:
     print(f"{len(results) - failed}/{len(results)} checks passed"
           + (f"; {failed} FAILED" if failed else ""))
     return 1 if failed else 0
+
+
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True,
                            help="instance config JSON")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=_threads,
+                       default=len(os.sched_getaffinity(0)),
+                       help="worker threads (default: the CPUs this "
+                            "process may run on)")
         p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
                        help="max enumeration volume per operation")
         p.add_argument("--out", default=None, help="write CSV here "

@@ -43,15 +43,14 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import (DomainError, conic_soluble_global, grown_limit,
                     moebius_sieve, prime_sieve)
-from .blocks import (BudgetExceededError, balanced_halves, box, restrict,
-                     variable_blocks)
+from .blocks import (BudgetExceededError, balanced_halves, box, pool_map,
+                     restrict, variable_blocks)
 from .forms import Form, Instance
 
 DEFAULT_BUDGET = 3 * 10**8
@@ -309,12 +308,9 @@ def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
         pts = [np.broadcast_to(c, v2.shape)[at] for c in cols]
         return _soluble_points(inst, pts, P, include_zero_fibres, primitive)
 
-    chunks = box(np.arange(-P, P + 1, dtype=np.int64), n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(chunk_count, chunks))
-    else:
-        total = sum(map(chunk_count, chunks))
+    total = sum(pool_map(chunk_count,
+                         box(np.arange(-P, P + 1, dtype=np.int64), n),
+                         threads))
     # the origin lies on f2 = 0 with f1 = 0; it has no gcd of 1
     return total - int(include_zero_fibres and not primitive)
 

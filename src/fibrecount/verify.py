@@ -21,6 +21,7 @@ honest numbers (see the repository README for the analysis):
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -372,7 +373,7 @@ def suite_padic(budget=None, seed=0):
 # archimedean suite
 # ---------------------------------------------------------------------------
 
-def suite_archimedean(budget=None, seed=0):
+def suite_archimedean(budget=None, seed=0, threads=1):
     inst = four_squares_instance()
     out = []
 
@@ -386,8 +387,10 @@ def suite_archimedean(budget=None, seed=0):
         runtime_s=time.monotonic() - t0))
 
     t0 = time.monotonic()
-    j_shell = archimedean.real_density(inst, samples=10**6, seed=seed)
-    j_fiber = archimedean.real_density_coarea(inst, samples=10**6, seed=seed)
+    j_shell = archimedean.real_density(inst, samples=10**6, seed=seed,
+                                       threads=threads)
+    j_fiber = archimedean.real_density_coarea(inst, samples=10**6, seed=seed,
+                                              threads=threads)
     gap = abs(j_shell.value.real - j_fiber.value.real)
     sigma = math.hypot(j_shell.std_error, j_fiber.std_error)
     out.append(CheckResult(
@@ -400,7 +403,8 @@ def suite_archimedean(budget=None, seed=0):
         runtime_s=time.monotonic() - t0))
 
     t0 = time.monotonic()
-    again = archimedean.real_density(inst, samples=10**6, seed=seed)
+    again = archimedean.real_density(inst, samples=10**6, seed=seed,
+                                     threads=threads)
     same = j_shell.csv_rows() == again.csv_rows()
     out.append(CheckResult(
         name="mc-determinism",
@@ -415,7 +419,7 @@ def suite_archimedean(budget=None, seed=0):
 # constant suite
 # ---------------------------------------------------------------------------
 
-def suite_constant(budget=None, seed=0):
+def suite_constant(budget=None, seed=0, threads=1):
     budget = budget or expsums.DEFAULT_SUM_BUDGET
     inst = four_squares_instance()
     out = []
@@ -471,7 +475,8 @@ def suite_constant(budget=None, seed=0):
 
     t0 = time.monotonic()
     consts = arith.landau_constants(10**6)
-    J = archimedean.real_density(inst, samples=10**6, seed=seed)
+    J = archimedean.real_density(inst, samples=10**6, seed=seed,
+                                 threads=threads)
     prod = padic.local_product(inst, p_max=13, budget=budget)
     c1 = constant.leading_constant_series(inst, J, l_fact, consts)
     c1q = constant.leading_constant_series(inst, J, l_qsum, consts)
@@ -497,7 +502,8 @@ def suite_constant(budget=None, seed=0):
     t0 = time.monotonic()
     rows = []
     for t in (100, 200):
-        rec = counting.projective_count(inst, t, method="moebius")
+        rec = counting.projective_count(inst, t, threads=threads,
+                                        method="moebius")
         pred = constant.predicted_count(c2, inst, t)
         rows.append(f"t={t}: measured {rec.raw_count}, normalized "
                     f"{rec.normalized:.4f}, predicted {pred:.0f}, ratio "
@@ -514,15 +520,18 @@ def suite_constant(budget=None, seed=0):
     return out
 
 
-def run_suites(names, budget=None, seed=0):
-    """Run the named suites ('all' for everything); returns CheckResults."""
+def run_suites(names, budget=None, seed=0, threads=1):
+    """Run the named suites ('all' for everything); returns CheckResults.
+
+    The archimedean and constant suites run their Monte Carlo chunks and
+    counts on `threads` threads; no check's result depends on it."""
     table = {
         "arith": suite_arith,
         "sieve": suite_sieve,
         "expsums": suite_expsums,
         "padic": suite_padic,
-        "archimedean": suite_archimedean,
-        "constant": suite_constant,
+        "archimedean": functools.partial(suite_archimedean, threads=threads),
+        "constant": functools.partial(suite_constant, threads=threads),
     }
     if isinstance(names, str):
         names = [names]

@@ -12,6 +12,7 @@ from math import gcd
 
 import numpy as np
 
+from fibrecount.archimedean import _chunk_rng
 from fibrecount.arith import (DomainError, factor, only_1mod4_factors,
                               prime_sieve, valuation)
 from fibrecount.blocks import (Block, balanced_halves, residue_table,
@@ -64,6 +65,13 @@ def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
     sol, und = _classify_f1(np.arange(q1, dtype=np.int64), p, N + e)
     return (int(col.sum()) // p ** (inst.n * e), int(col[sol].sum()),
             int(col[und].sum()))
+
+
+def uniform_chunk(seed: int, stream: int, index: int, m: int,
+                  n: int) -> np.ndarray:
+    """The m points of a Monte Carlo chunk drawn in one piece, as the
+    coordinate rows of rng.uniform(-1, 1, (m, n))."""
+    return _chunk_rng(seed, stream, index).uniform(-1.0, 1.0, (m, n)).T
 
 
 def ramanujan_sum_direct(q: int, a: int) -> complex:

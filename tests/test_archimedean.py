@@ -1,11 +1,14 @@
 import math
+import threading
 import types
 
+import numpy as np
 import pytest
 
 from fibrecount import archimedean
 from fibrecount.arith import DomainError
 from fibrecount.forms import Form, Instance
+from oracles import uniform_chunk
 
 
 def test_zero_phase_short_circuit(four_squares):
@@ -119,3 +122,52 @@ def test_golden_mc_values(four_squares, bilinear, quartic):
             (quartic, "(236.16824630323825+0j)", "89.08270086717823")):
         est = archimedean.real_density_coarea(inst, samples=3000, seed=0)
         assert (repr(est.value), repr(est.std_error)) == (value, se)
+
+
+@pytest.mark.parametrize("n", [3, 4, 16])
+@pytest.mark.parametrize("m", [1000, 4097, (1 << 14) + 1, 1 << 18])
+def test_blocked_draw_is_the_uniform_draw(m, n):
+    # 2u - 1 from rng.random, block by block, is uniform(-1, 1) bit for bit
+    blocks = list(archimedean._blocks(7, 12, 3, m, n))
+    assert all(b.flags.c_contiguous and b.shape[0] == n
+               and b.shape[1] <= archimedean._BLOCK for b in blocks)
+    drawn = np.concatenate(blocks, axis=1)
+    want = np.ascontiguousarray(uniform_chunk(7, 12, 3, m, n))
+    assert drawn.shape == (n, m)
+    assert drawn.tobytes() == want.tobytes()
+
+
+# real_density(four_squares, samples=300000, seed=0).csv_rows(): levels of
+# 2, 3, 5 and 10 chunks, each with a partial last chunk
+GOLDEN_300K = [
+    "0.1,10.8218666667,0.049954530498,300000,0",
+    "0.05,10.9589333333,0.0521748840205,600000,0",
+    "0.025,11.0666666667,0.0533765103004,1200000,0",
+    "0.0125,11.076,0.0538747089087,2400000,0",
+    "0,11.1233043561,0.0456595447728,4500000,0"]
+
+
+@pytest.mark.parametrize("threads,block", [(1, None), (2, None), (3, None),
+                                           (1, 1000), (2, 4097)])
+def test_real_density_ignores_threads_and_blocks(four_squares, monkeypatch,
+                                                  threads, block):
+    if block is not None:
+        monkeypatch.setattr(archimedean, "_BLOCK", block)
+    est = archimedean.real_density(four_squares, samples=300000,
+                                   threads=threads)
+    assert est.csv_rows() == GOLDEN_300K
+
+
+def test_coarea_ignores_threads(bilinear, quartic):
+    for inst in (bilinear, quartic):
+        one = archimedean.real_density_coarea(inst, samples=3000, seed=0)
+        two = archimedean.real_density_coarea(inst, samples=3000, seed=0,
+                                              threads=2)
+        assert (repr(one.value), repr(one.std_error)) == \
+            (repr(two.value), repr(two.std_error))
+
+
+def test_real_density_pool_is_shut_down(four_squares):
+    before = threading.active_count()
+    archimedean.real_density(four_squares, samples=20000, threads=2)
+    assert threading.active_count() == before

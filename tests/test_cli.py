@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from fibrecount import archimedean
-from fibrecount.cli import main
+from fibrecount import archimedean, blocks
+from fibrecount.cli import build_parser, main
 from fibrecount.forms import load_instance
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -153,3 +153,51 @@ def test_expsum_arc_grid(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "q,a1,F_re,F_im,tail_bound"
     assert len(lines) == 2 + 1 + 2 + 3 + 4
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch):
+    # a process pinned to 3 of 64 CPUs runs 3 threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9})
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    args = build_parser().parse_args(["count", "--config", FOUR, "--t", "5"])
+    assert args.threads == 3
+    args = build_parser().parse_args(["verify", "padic", "--threads", "3"])
+    assert args.threads == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_are_refused(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["singular-integral", "--config", FOUR,
+                                   "--threads", value])
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
+def test_pool_never_outnumbers_its_tasks(monkeypatch):
+    # a recording stand-in for the executor, so no thread is started
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(blocks, "ThreadPoolExecutor", Recorder)
+    args = build_parser().parse_args(["count", "--config", FOUR, "--t", "5",
+                                      "--threads", str(10**6)])
+    assert blocks.pool_size(args.threads, 59) == 59
+    assert blocks.pool_size(args.threads, 0) == 1
+    assert blocks.pool_size(2, 59) == 2
+    assert blocks.pool_map(abs, [-1, -2, -3], args.threads) == [1, 2, 3]
+    assert blocks.pool_map(abs, [-4], args.threads) == [4]
+    assert blocks.pool_map(abs, [-5, -6], 1) == [5, 6]
+    assert sizes == [3]  # only the first call makes a pool
