@@ -13,9 +13,12 @@ and weights each surface crossing by 1/|df2/dt_j|.
 
 Samples come in counter-based chunks of at most 2^18 points: chunk i of a
 stream is one draw from Philox keyed by (seed, stream, i).  _blocks draws
-a chunk in blocks of at most 2^14 points, each copied once into contiguous
-coordinate rows, so a block stays in cache while Form.evaluate_batch (the
-one evaluator of every form here) works through it.  The estimators run
+a chunk in blocks of at most blocks.WORK_BLOCK coordinates (2^14 points
+at n = 4), and one copy both transposes a block into contiguous coordinate
+rows and doubles it; the draw and the rows are two buffers that every
+block of a chunk reuses.  A block so stays in cache while
+Form.evaluate_batch (the one evaluator of every form here, in place in
+its own two buffers) works through it.  The estimators run
 their chunks on a pool of `threads` threads (blocks.pool_map) and combine
 the chunks' results in chunk order: shell hits are ints and the fibre
 estimator's weights are summed chunk by chunk, so results are
@@ -29,12 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blocks
 from .arith import DomainError
-from .blocks import pool_map
 from .forms import Form, Instance
 
-_CHUNK = 1 << 18
-_BLOCK = 1 << 14  # points per draw and evaluation inside a chunk
+_CHUNK = 1 << 18  # points per chunk: it defines the random streams
 _MASK64 = (1 << 64) - 1
 
 
@@ -75,26 +77,36 @@ def _chunks(samples: int, chunk: int = _CHUNK) -> list:
 
 def _blocks(seed: int, stream: int, index: int, m: int, n: int):
     """The m points of chunk `index` of a stream, uniform in [-1,1]^n, as
-    contiguous (n, k) coordinate rows of k <= _BLOCK points each.
+    contiguous (n, k) coordinate rows of n k <= blocks.WORK_BLOCK values.
 
     Together the blocks are rng.uniform(-1, 1, (m, n)).T for rng =
     _chunk_rng(seed, stream, index), bit for bit: the generator's stream
     does not depend on how a draw is split, and 2u - 1 is -1 + 2u exactly
-    (2u is exact)."""
+    (2u is exact).  The doubling is done by the copy that transposes the
+    draw into rows.  Every block is a view of the same two buffers, so a
+    block is valid until the next one is drawn."""
     rng = _chunk_rng(seed, stream, index)
-    draw = np.empty((min(_BLOCK, m), n))
-    for start in range(0, m, _BLOCK):
-        block = draw[:min(_BLOCK, m - start)]
-        rng.random(out=block)
-        block *= 2.0
+    step = max(1, blocks.WORK_BLOCK // n)
+    draw, rows = np.empty(min(step, m) * n), np.empty(min(step, m) * n)
+    for start in range(0, m, step):
+        k = min(step, m - start)
+        u = draw[:k * n].reshape(k, n)
+        rng.random(out=u)
+        block = rows[:k * n].reshape(n, k)
+        np.multiply(u.T, 2.0, out=block)
         block -= 1.0
-        yield block.T.copy()
+        yield block
 
 
 def _chunk_points(seed: int, stream: int, index: int, m: int,
                   n: int) -> np.ndarray:
     """All m points of a chunk as one (n, m) array of coordinate rows."""
-    return np.concatenate(list(_blocks(seed, stream, index, m, n)), axis=1)
+    pts = np.empty((n, m))
+    start = 0
+    for block in _blocks(seed, stream, index, m, n):
+        pts[:, start:start + block.shape[1]] = block
+        start += block.shape[1]
+    return pts
 
 
 def oscillatory_box_integral(inst: Instance, gamma, samples: int,
@@ -160,14 +172,16 @@ def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
         level, index, m = task
         count = 0
         for pts in _blocks(seed, 10 + level, index, m, inst.n):
-            sel = np.abs(inst.f2.evaluate_batch(pts, 1)) <= sched[level]
+            v2 = inst.f2.evaluate_batch(pts, 1)
+            sel = np.abs(v2, out=v2) <= sched[level]
             if sel.any():
                 v1 = inst.f1.evaluate_batch(pts[:, sel], 1)
                 count += int((v1 >= 0.0).sum())
         return count
 
     hits = [0] * len(sched)
-    for (level, _, _), h in zip(tasks, pool_map(chunk_hits, tasks, threads)):
+    for (level, _, _), h in zip(tasks,
+                                blocks.pool_map(chunk_hits, tasks, threads)):
         hits[level] += h
     vol = 2.0 ** inst.n
     rows = []
@@ -301,7 +315,7 @@ def real_density_coarea(inst: Instance, samples: int = 10**6,
             np.insert(pts[:, rows], j, roots, axis=0), 1)
         return float((1.0 / np.abs(dval[v1 >= 0.0])).sum())
 
-    weights = pool_map(chunk_weight, chunks, threads)
+    weights = blocks.pool_map(chunk_weight, chunks, threads)
     total_w = 0.0
     for w in weights:  # chunk order, one rounding per chunk
         total_w += w

@@ -22,9 +22,18 @@ oracles the other paths are tested against.  padic has no block path:
 stationary phase serves every instance there.
 
 box() is the one enumeration of a complete box: residue tables, and the
-half tables and slab counts of counting, scan it chunk by chunk.
-pool_map runs independent chunks on a thread pool: the slab scan's box
-chunks and the Monte Carlo chunks of archimedean.
+half tables, quadric scans and slab counts of counting, scan it chunk by
+chunk.  pool_map runs independent chunks on a thread pool: the slab
+scan's box chunks and the Monte Carlo chunks of archimedean.
+
+WORK_BLOCK is the one working-block size of every hot loop: no array a
+loop works through at a time holds more than WORK_BLOCK values, unless an
+axis of the box or the table a chunk is counted into is longer.  It
+bounds the box chunks, the pair chunks of counting's split count, padic's
+lift candidates (WORK_BLOCK / n of them, n coordinates each) and
+archimedean's Monte Carlo blocks (WORK_BLOCK / n points).  The one other
+size is the 2^18-point Monte Carlo chunk, which defines the random
+streams.
 """
 
 from __future__ import annotations
@@ -38,7 +47,11 @@ import numpy as np
 from .arith import DomainError
 from .forms import Form, Instance
 
-_CHUNK = 1 << 21
+# Values per working array (512 KB of int64 or float64).  Measured on a
+# 2-CPU VM with 2 MB of L2 per core: the Monte Carlo blocks are fastest at
+# 2^14-2^15 points of 4 coordinates, and the box, quadric and pair loops
+# gain little past 2^16 points (CHANGES.md).
+WORK_BLOCK = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -155,13 +168,13 @@ def pool_map(fn, tasks, threads: int) -> list:
 def box(axis: np.ndarray, n: int, limit: int | None = None):
     """axis^n in itertools.product order, in chunks of n columns that
     broadcast to the chunk's grid of at most max(limit, len(axis)) points
-    (limit defaults to _CHUNK).
+    (limit defaults to WORK_BLOCK).
 
     The trailing variables are whole axes, the one before them a slice of
     the axis and any leading ones scalars, so each monomial is a product of
     1-d factors and only the sums span the grid."""
     m = len(axis)
-    limit = max(_CHUNK if limit is None else limit, m)
+    limit = max(WORK_BLOCK if limit is None else limit, m)
     inner = 0  # trailing whole axes
     while inner < n - 1 and m ** (inner + 1) <= limit:
         inner += 1
@@ -192,7 +205,9 @@ def residue_table(block: Block, modulus: int, q1: int, q2: int,
         return values if q == modulus else values % q
 
     table = np.zeros(q1 * q2, dtype=np.int64)
-    for cols in box(np.arange(modulus, dtype=np.int64), n):
+    # a chunk as large as the table its bincount fills, if that is larger
+    for cols in box(np.arange(modulus, dtype=np.int64), n,
+                    limit=max(WORK_BLOCK, q1 * q2)):
         u = (residues(block.g1, cols, q1)
              if block.g1 is not None and q1 > 1 else 0)
         v = residues(block.g2, cols, q2) if block.g2 is not None else 0

@@ -37,6 +37,11 @@ passes to the next.  The budget bounds the points a path scans.
 
 The direct projective count is the quadric or slab count with a gcd
 filter.
+
+Every path works through blocks of at most blocks.WORK_BLOCK values: box
+chunks, and the pairs of the split count.  A half table merges each
+chunk's sorted distinct pairs into the pairs of the earlier chunks without
+sorting those again, so memory follows the distinct pairs, not the box.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blocks
 from .arith import (DomainError, conic_soluble_global, grown_limit,
                     moebius_sieve, prime_sieve)
 from .blocks import (BudgetExceededError, balanced_halves, box, pool_map,
@@ -54,8 +60,6 @@ from .blocks import (BudgetExceededError, balanced_halves, box, pool_map,
 from .forms import Form, Instance
 
 DEFAULT_BUDGET = 3 * 10**8
-_PAIR_CHUNK = 1 << 22
-_QUADRIC_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +185,12 @@ def _theta_of_values(values: np.ndarray) -> np.ndarray:
     pos = values > 0
     if not pos.any():
         return out
-    vmax = int(values[pos].max())
+    positive = values[pos]
+    vmax = int(positive.max())
     if vmax <= 2 * 10**8:
-        ok = two_squares_sieve(vmax)
-        out[pos] = ok[values[pos]]
+        out[pos] = two_squares_sieve(vmax)[positive]
         return out
-    distinct, inverse = np.unique(values[pos], return_inverse=True)
+    distinct, inverse = np.unique(positive, return_inverse=True)
     ok = np.array([conic_soluble_global(v) for v in distinct.tolist()],
                   dtype=bool)
     out[pos] = ok[inverse]
@@ -197,8 +201,11 @@ def _half_table(inst: Instance, half, P: int, budget: int):
     """Distinct (f2, f1) value pairs of the half's parts over its box, with
     multiplicities: arrays (v2, v1, count) sorted by v2.
 
-    The box is scanned in box chunks (blocks.box) and the per-chunk counts
-    are merged, so memory follows the distinct pairs, not the box."""
+    The box is scanned in box chunks (blocks.box) up to the origin, each
+    point counted twice and the origin once: d is even, so g(-x) = g(x),
+    and -x lies as far after the origin in the box's product order as x
+    lies before it.  Each chunk's counts are merged into the table, so
+    memory follows the distinct pairs, not the box."""
     nb = len(half)
     if (2 * P + 1) ** nb > budget:
         raise BudgetExceededError(
@@ -211,20 +218,44 @@ def _half_table(inst: Instance, half, P: int, budget: int):
     if (2 * b2 + 1) * (2 * b1 + 1) >= 2**62:
         raise BudgetExceededError("value range too wide for packed keys")
     keys = None
+    todo = ((2 * P + 1) ** nb + 1) // 2  # the points up to the origin
     for cols in box(np.arange(-P, P + 1, dtype=np.int64), nb):
-        v1 = g1.evaluate_batch(cols, P) if g1 else 0
-        v2 = g2.evaluate_batch(cols, P) if g2 else 0
-        key = np.broadcast_to((v2 + b2) * (2 * b1 + 1) + (v1 + b1),
-                              np.broadcast_shapes(*map(np.shape, cols)))
+        key = (g2.evaluate_batch(cols, P) if g2 else
+               np.zeros(np.broadcast_shapes(*map(np.shape, cols)), np.int64))
+        key += b2
+        key *= 2 * b1 + 1
+        key += b1
+        if g1:
+            key += g1.evaluate_batch(cols, P)
+        key = key.ravel()[:todo]
+        todo -= len(key)
         new, cnt = np.unique(key, return_counts=True)
-        if keys is not None:  # merge into the pairs of the earlier chunks
-            new, inv = np.unique(np.r_[keys, new], return_inverse=True)
-            merged = np.zeros(len(new), dtype=np.int64)
-            np.add.at(merged, inv, np.r_[counts, cnt])
-            cnt = merged
-        keys, counts = new, cnt
+        cnt *= 2
+        if keys is None:
+            keys, counts = new, cnt
+        else:
+            # merge into the sorted pairs seen so far without sorting them
+            # again: add the counts of pairs seen before, and place the
+            # rest where the merged order puts them
+            at = np.searchsorted(keys, new)
+            seen = at < len(keys)
+            seen[seen] = keys[at[seen]] == new[seen]
+            counts[at[seen]] += cnt[seen]
+            fresh = np.flatnonzero(~seen)
+            place = at[fresh] + np.arange(len(fresh))
+            earlier = np.ones(len(keys) + len(fresh), dtype=bool)
+            earlier[place] = False
+            merged = np.empty(len(earlier), dtype=np.int64)
+            merged[place], merged[earlier] = new[fresh], keys
+            keys = merged
+            merged = np.empty(len(earlier), dtype=np.int64)
+            merged[place], merged[earlier] = cnt[fresh], counts
+            counts = merged
+        if not todo:
+            break
+    counts[np.searchsorted(keys, b2 * (2 * b1 + 1) + b1)] -= 1  # the origin
     val2, val1 = np.divmod(keys, 2 * b1 + 1)
-    return val2 - b2, val1 - b1, counts.astype(np.int64)
+    return val2 - b2, val1 - b1, counts
 
 
 def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
@@ -233,8 +264,8 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
 
     Every pair of half points with f2-parts summing to 0 is a point of the
     hypersurface.  Pairs of distinct value pairs are formed per matching f2
-    value, in chunks of at most _PAIR_CHUNK, and classified at once.  The
-    instance must have at least two blocks.
+    value, in chunks of at most blocks.WORK_BLOCK pairs, and classified at
+    once.  The instance must have at least two blocks.
     """
     half_a, half_b = balanced_halves(variable_blocks(inst))
     a2, a1, ac = _half_table(inst, half_a, P, budget)
@@ -246,20 +277,22 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
     csum = np.cumsum(run)
     start = 0
     while start < len(a2):
-        # A entries [start, stop) make at most _PAIR_CHUNK pairs (or one row)
+        # A entries [start, stop) make at most WORK_BLOCK pairs (or one row)
         base = csum[start - 1] if start else 0
-        stop = max(int(np.searchsorted(csum, base + _PAIR_CHUNK, "right")),
-                   start + 1)
+        stop = max(int(np.searchsorted(csum, base + blocks.WORK_BLOCK,
+                                       "right")), start + 1)
         reps = run[start:stop]
         ia = np.repeat(np.arange(start, stop), reps)
-        offs = np.arange(len(ia)) - np.repeat(np.cumsum(reps) - reps, reps)
-        ib = np.repeat(lo[start:stop], reps) + offs
-        f1v = a1[ia] + b1[ib]
-        w = ac[ia] * bc[ib]
+        # entry i of A pairs with the run lo[i], lo[i] + 1, ... of B
+        ib = np.arange(len(ia))
+        ib += np.repeat(lo[start:stop] - (np.cumsum(reps) - reps), reps)
+        f1v = a1[ia]
+        f1v += b1[ib]
+        w = ac[ia]
+        w *= bc[ib]
         if include_zero_fibres:
             total += int(w[f1v == 0].sum())
-        pos = f1v > 0
-        total += int(w[pos][_theta_of_values(f1v[pos])].sum())
+        total += int(w[_theta_of_values(f1v)].sum())
         start = stop
     if include_zero_fibres:
         total -= 1  # the origin
@@ -273,8 +306,8 @@ def _soluble_points(inst: Instance, pts, P: int, include_zero_fibres: bool,
     primitive only points with gcd 1 count."""
     if primitive:
         g = np.zeros(len(pts[0]), dtype=np.int64)
-        for c in pts:
-            g = np.gcd(g, np.abs(c))
+        for c in pts:  # np.gcd is the gcd of the absolute values
+            np.gcd(g, c, out=g)
         prim = g == 1
         pts = [c[prim] for c in pts]
     if not len(pts[0]):
@@ -358,7 +391,7 @@ def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
     f2 = 0 over x' are the integer roots x_k = (-B +- s) / (2a) where the
     discriminant B^2 - 4aC is a square s^2: a root counts when 2a divides
     its numerator and |x_k| <= P, a double root (s = 0) once.  x' is
-    scanned in box chunks of at most _QUADRIC_CHUNK points, on one thread.
+    scanned in box chunks (blocks.box), on one thread.
 
     Refused with BudgetExceededError, before any array is built, when the
     (2P+1)^(n-1) scanned points exceed the budget, or when the
@@ -382,19 +415,21 @@ def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
             f"discriminants may reach {bound} >= 2^52, past the exact "
             "float64 square root")
     total = 0
-    for cols in box(np.arange(-P, P + 1, dtype=np.int64), inst.n - 1,
-                    limit=_QUADRIC_CHUNK):
+    for cols in box(np.arange(-P, P + 1, dtype=np.int64), inst.n - 1):
         shape = np.broadcast_shapes(*map(np.shape, cols))
-        b = (lin.evaluate_batch(cols, P) if lin
-             else np.zeros(shape, dtype=np.int64))
-        c = const.evaluate_batch(cols, P) if const else 0
-        disc = (b * b - 4 * a * c).ravel()
+        disc = (const.evaluate_batch(cols, P) if const
+                else np.zeros(shape, dtype=np.int64))
+        disc *= -4 * a
+        if lin:
+            b = lin.evaluate_batch(cols, P)
+            disc += b * b
+        disc = disc.ravel()
         at = np.flatnonzero(disc >= 0)
         disc = disc[at]
         s = _isqrt(disc)
         square = s * s == disc
         at, s = at[square], s[square]
-        neg_b = -b.ravel()[at]
+        neg_b = -b.ravel()[at] if lin else 0
         found, roots = [], []
         for num in (neg_b + s, neg_b - s):
             root, rem = np.divmod(num, 2 * a)

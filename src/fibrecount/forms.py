@@ -5,13 +5,16 @@ bundles the pair (f1, f2) that defines a conic bundle over the hypersurface
 f2 = 0: the fibre above t is the conic x0^2 + x1^2 = f1(t) * x2^2.
 
 All evaluation is exact integer arithmetic.  Batch evaluation uses numpy
-int64 and refuses loudly when intermediate values could overflow.
+int64 and refuses loudly when intermediate values could overflow.  Each
+Form carries a plan built once, its monomials as (coeff, factor indices),
+and evaluate_batch follows it in place in two output-sized buffers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,14 @@ class Form:
             seen.add(exps)
         if not self.monomials:
             raise FormError("form must have at least one monomial")
+        # the evaluation plan: each monomial as (coeff, the index of every
+        # factor in variable order, a variable repeated by its exponent),
+        # and the variables that occur at all
+        object.__setattr__(self, "_plan", tuple(
+            (coeff, tuple(i for i, e in enumerate(exps) for _ in range(e)))
+            for coeff, exps in self.monomials))
+        object.__setattr__(self, "_used", tuple(sorted(
+            {i for _, idx in self._plan for i in idx})))
 
     def coeff_norm(self) -> int:
         """Sum of absolute coefficients; bounds |f| on the unit box."""
@@ -85,7 +96,14 @@ class Form:
 
         Float columns evaluate in float64 instead: each monomial is its
         coefficient times the columns, one factor at a time in variable
-        order, and the monomials are summed in their listed order.
+        order, and the monomials are summed in their listed order onto
+        zeros.  The work is done in place in two output-sized buffers,
+        `total` and `term`; a monomial is formed in a view of `term` of the
+        broadcast shape of its own factors.  A coefficient of +-1 is folded
+        in exactly: the product of the columns is added or subtracted
+        (-u * v is -(u * v) and t + -w is t - w in IEEE arithmetic, signed
+        zeros included), so such a monomial of degree 2 costs one multiply
+        and one add.  tests/oracles.evaluate_batch is the reference loop.
 
         Args:
             cols: sequence of n_vars int64 (or float64) arrays, one per
@@ -99,14 +117,35 @@ class Form:
             raise FormError(
                 f"values of |f| may reach {self.coeff_norm() * bound**self.degree}, "
                 "beyond the int64 fast path; reduce the box or evaluate exactly")
-        shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
-        total = np.zeros(shape, dtype=np.int64)
-        for coeff, exps in self.monomials:
-            term = np.asarray(coeff, dtype=np.int64)
-            for c, e in zip(cols, exps):
-                for _ in range(e):
-                    term = term * c
-            total = total + term
+        shapes = [np.shape(c) for c in cols]
+        same = len(set(shapes)) == 1  # no monomial needs its own shape
+        shape = shapes[0] if same else np.broadcast_shapes(*shapes)
+        dtype = np.result_type(np.int64, *(cols[i] for i in self._used))
+        total = np.zeros(shape, dtype=dtype)
+        term = np.empty(total.size, dtype=dtype)
+        whole = term.reshape(shape)
+        for coeff, idx in self._plan:
+            fold = coeff == 1 or coeff == -1
+            if fold and len(idx) == 1:
+                prod = cols[idx[0]]
+            else:
+                if same:
+                    prod = whole
+                else:
+                    sub = np.broadcast_shapes(*(shapes[i] for i in idx))
+                    prod = term[:math.prod(sub)].reshape(sub)
+                if fold:
+                    np.multiply(cols[idx[0]], cols[idx[1]], out=prod)
+                    rest = idx[2:]
+                else:  # the guard above keeps coeff inside int64
+                    np.multiply(cols[idx[0]], coeff, out=prod)
+                    rest = idx[1:]
+                for i in rest:
+                    np.multiply(prod, cols[i], out=prod)
+            if coeff == -1:
+                np.subtract(total, prod, out=total)
+            else:
+                np.add(total, prod, out=total)
         return total
 
     def evaluate_batch_mod(self, cols, q: int,

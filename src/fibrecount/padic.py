@@ -57,13 +57,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import blocks
 from .arith import DomainError, is_prime, prime_sieve
 from .counting import BudgetExceededError
 from .expsums import TruncatedValue
 from .forms import INT64_SAFE, Form, Instance
 
 DEFAULT_BUDGET = 3 * 10**8
-_CHUNK_ROWS = 1 << 21
 STABLE_REL_TOL = 0.01
 
 
@@ -119,10 +119,11 @@ def _lifts(inst: Instance, p: int, level: int, parents: np.ndarray,
             f"level {level} at p={p}: {len(parents) * width} lift candidates "
             f"exceed budget {budget}")
     step = p ** (level - 1)
-    for start in range(0, width, _CHUNK_ROWS):
-        idx = np.arange(start, min(start + _CHUNK_ROWS, width), dtype=np.int64)
+    per = max(1, blocks.WORK_BLOCK // n)  # candidates of n coordinates
+    for start in range(0, width, per):
+        idx = np.arange(start, min(start + per, width), dtype=np.int64)
         offs = step * np.stack([(idx // p**i) % p for i in range(n)], axis=1)
-        rows = max(1, _CHUNK_ROWS // len(offs))
+        rows = max(1, per // len(offs))
         for i in range(0, len(parents), rows):
             yield (parents[i:i + rows, None, :] + offs).reshape(-1, n)
 
@@ -521,7 +522,7 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
                 mass = p ** (n * (m - k) + a_exp + c_exp - 2 * m)
                 i = np.arange(0, q, a)[:, None]
                 j = np.arange(q // c)
-                rows = max(1, _CHUNK_ROWS // (len(i) * len(j)))
+                rows = max(1, blocks.WORK_BLOCK // (len(i) * len(j)))
                 idx = np.flatnonzero(sel)
                 for s in range(0, len(idx), rows):
                     r = idx[s:s + rows, None, None]

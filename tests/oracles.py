@@ -19,7 +19,7 @@ from fibrecount.blocks import (Block, balanced_halves, residue_table,
                                restrict, variable_blocks)
 from fibrecount.counting import BudgetExceededError
 from fibrecount.expsums import DEFAULT_SUM_BUDGET, _padic_weight_3mod4
-from fibrecount.forms import Instance
+from fibrecount.forms import INT64_SAFE, Form, FormError, Instance
 from fibrecount.padic import _classify_f1
 
 _CHUNK = 1 << 21
@@ -65,6 +65,23 @@ def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
     sol, und = _classify_f1(np.arange(q1, dtype=np.int64), p, N + e)
     return (int(col.sum()) // p ** (inst.n * e), int(col[sol].sum()),
             int(col[und].sum()))
+
+
+def evaluate_batch(form: Form, cols, bound: int) -> np.ndarray:
+    """Form.evaluate_batch by the plain loop: each monomial a fresh array,
+    its coefficient times the columns one factor at a time in variable
+    order, and the monomials summed in their listed order onto zeros."""
+    if form.coeff_norm() * (max(bound, 1) ** form.degree) >= INT64_SAFE:
+        raise FormError("values may overflow int64")
+    shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+    total = np.zeros(shape, dtype=np.int64)
+    for coeff, exps in form.monomials:
+        term = np.asarray(coeff, dtype=np.int64)
+        for c, e in zip(cols, exps):
+            for _ in range(e):
+                term = term * c
+        total = total + term
+    return total
 
 
 def uniform_chunk(seed: int, stream: int, index: int, m: int,

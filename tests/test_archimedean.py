@@ -1,11 +1,12 @@
 import math
 import threading
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
-from fibrecount import archimedean
+from fibrecount import archimedean, blocks
 from fibrecount.arith import DomainError
 from fibrecount.forms import Form, Instance
 from oracles import uniform_chunk
@@ -127,11 +128,16 @@ def test_golden_mc_values(four_squares, bilinear, quartic):
 @pytest.mark.parametrize("n", [3, 4, 16])
 @pytest.mark.parametrize("m", [1000, 4097, (1 << 14) + 1, 1 << 18])
 def test_blocked_draw_is_the_uniform_draw(m, n):
-    # 2u - 1 from rng.random, block by block, is uniform(-1, 1) bit for bit
-    blocks = list(archimedean._blocks(7, 12, 3, m, n))
-    assert all(b.flags.c_contiguous and b.shape[0] == n
-               and b.shape[1] <= archimedean._BLOCK for b in blocks)
-    drawn = np.concatenate(blocks, axis=1)
+    # 2u - 1 from rng.random, block by block, is uniform(-1, 1) bit for bit;
+    # every block is a view of one reused buffer, so it is copied here
+    drawn, buffers = [], set()
+    for b in archimedean._blocks(7, 12, 3, m, n):
+        assert b.flags.c_contiguous and b.shape[0] == n \
+            and b.size <= blocks.WORK_BLOCK
+        buffers.add(b.ctypes.data)
+        drawn.append(b.copy())
+    assert len(buffers) == 1
+    drawn = np.concatenate(drawn, axis=1)
     want = np.ascontiguousarray(uniform_chunk(7, 12, 3, m, n))
     assert drawn.shape == (n, m)
     assert drawn.tobytes() == want.tobytes()
@@ -152,10 +158,22 @@ GOLDEN_300K = [
 def test_real_density_ignores_threads_and_blocks(four_squares, monkeypatch,
                                                   threads, block):
     if block is not None:
-        monkeypatch.setattr(archimedean, "_BLOCK", block)
+        monkeypatch.setattr(blocks, "WORK_BLOCK", block)
     est = archimedean.real_density(four_squares, samples=300000,
                                    threads=threads)
     assert est.csv_rows() == GOLDEN_300K
+
+
+def test_real_density_memory_follows_the_blocks(four_squares):
+    # at 2^15 samples the last level is one chunk of 2^18 points, whose
+    # coordinates take 8 MB; its task holds one block of them at a time
+    tracemalloc.start()
+    try:
+        archimedean.real_density(four_squares, samples=1 << 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**18
 
 
 def test_coarea_ignores_threads(bilinear, quartic):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibrecount import blocks, counting, expsums, padic
+from fibrecount import archimedean, blocks, counting, expsums, padic
 from fibrecount.counting import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from strategies import instances, pair
@@ -56,11 +56,11 @@ def test_unused_variable_is_a_zero_block():
     assert table[0, 0] == 5 and table.sum() == 5
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 7, 50, blocks._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 50, blocks.WORK_BLOCK])
 def test_box_covers_the_box_once(chunk, monkeypatch):
     # small chunks reach the leading scalars, which no workload does (for
     # n = 4 that needs an axis over 128 long)
-    monkeypatch.setattr(blocks, "_CHUNK", chunk)
+    monkeypatch.setattr(blocks, "WORK_BLOCK", chunk)
     for axis in (np.arange(-3, 4), np.arange(5)):
         for n in range(1, 5):
             points = []
@@ -69,6 +69,32 @@ def test_box_covers_the_box_once(chunk, monkeypatch):
                 assert grid[0].size <= max(chunk, len(axis))
                 points += zip(*(g.ravel().tolist() for g in grid))
             assert points == list(itertools.product(axis.tolist(), repeat=n))
+
+
+def test_a_tiny_working_block_changes_nothing(four_squares, bilinear,
+                                             linked, monkeypatch):
+    # every hot loop cut into blocks of 40 values gives the same counts,
+    # Monte Carlo rows, p-adic masses and Birch tables
+    def results():
+        padic._masses.cache_clear()
+        expsums._birch_table.cache_clear()
+        counts = [counting.count_soluble_fibre_points(inst, 7, zero,
+                                                      method=method)
+                  for inst, method in ((four_squares, "split"),
+                                       (bilinear, "split"), (linked, "auto"),
+                                       (linked, "slab"))
+                  for zero in (False, True)]
+        counts.append(counting.projective_count(linked, 7,
+                                                method="direct").raw_count)
+        rows = archimedean.real_density(linked, samples=2000).csv_rows()
+        masses = [padic.soluble_density(linked, p, 3, method=method).raw_count
+                  for p, method in ((2, "auto"), (2, "direct"), (3, "auto"))]
+        table = expsums.birch_sum_table(bilinear, 6).tobytes()
+        return counts, rows, masses, table
+
+    want = results()
+    monkeypatch.setattr(blocks, "WORK_BLOCK", 40)
+    assert results() == want
 
 
 def _diagonal(n):

@@ -104,7 +104,7 @@ def test_half_table_slabs_merge(four_squares, bilinear, monkeypatch):
     whole = [counting._half_table(inst, h, 9, 10**6)
              for inst in insts for h in halves]
     one_chunk = scans()
-    monkeypatch.setattr(blocks, "_CHUNK", 40)
+    monkeypatch.setattr(blocks, "WORK_BLOCK", 40)
     slabs = [counting._half_table(inst, h, 9, 10**6)
              for inst in insts for h in halves]
     for got, want in zip(slabs, whole):
@@ -263,9 +263,22 @@ def test_quadric_memory_follows_the_chunks(linked, monkeypatch):
     assert peak < 2 * 8 * 121**3
     want = [counting._count_quadric(linked, 9, zero, 10**7, prim)
             for zero, prim in KINDS]
-    monkeypatch.setattr(counting, "_QUADRIC_CHUNK", 40)
+    monkeypatch.setattr(blocks, "WORK_BLOCK", 40)
     assert [counting._count_quadric(linked, 9, zero, 10**7, prim)
             for zero, prim in KINDS] == want
+
+
+def test_split_memory_follows_the_blocks(bilinear):
+    # 601^2 points in each half box: the half tables and the pair chunks
+    # held several int64 arrays of more than that many entries (31 MB);
+    # now the two tables of distinct value pairs are most of the peak
+    tracemalloc.start()
+    try:
+        counting._count_split(bilinear, 300, True, counting.DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 601**2
 
 
 def test_parallel_determinism(four_squares):

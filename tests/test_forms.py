@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+from fibrecount.blocks import box
 from fibrecount.forms import (Form, FormError, default_box_max,
                               form_from_records, parse_instance)
+from strategies import instances
 
 DEMO_CFG = {
     "label": "demo",
@@ -86,6 +90,51 @@ def test_evaluate_batch_overflow_guard():
     f = Form(1, 2, ((10**10, (2,)),))
     with pytest.raises(FormError, match="int64"):
         f.evaluate_batch([np.array([10**6])], 10**6)
+    # the refusal comes before the 10^8-point output is allocated
+    g = Form(2, 2, ((3, (1, 1)),))
+    cols = [np.arange(10**4)[:, None], np.arange(10**4)[None, :]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormError, match="int64"):
+            g.evaluate_batch(cols, 2**31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
+def _same(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@given(instances(), st.integers(1, 3), st.integers(1, 60),
+       st.integers(0, 2**32 - 1), st.lists(st.sampled_from(
+           [(), (6, 1), (1, 5), (6, 5)]), min_size=4, max_size=4))
+def test_evaluate_batch_is_the_reference_loop(inst, P, limit, seed, shapes):
+    # the in-place evaluator against the plain loop, byte for byte: int64
+    # box chunks, whose columns broadcast, and float columns of every
+    # broadcast shape, with signed zeros that zero the first monomial
+    rng = np.random.default_rng(seed)
+    for f in (inst.f1, inst.f2):
+        for cols in box(np.arange(-P, P + 1, dtype=np.int64), f.n_vars,
+                        limit=limit):
+            got = f.evaluate_batch(cols, P)
+            assert _same(got, oracles.evaluate_batch(f, cols, P))
+            grid = np.broadcast_arrays(*cols)
+            assert got.ravel().tolist() == [
+                f.evaluate(x) for x in zip(*(g.ravel().tolist()
+                                             for g in grid))]
+        cols = [rng.uniform(-1.0, 1.0, shape) for shape in shapes[:f.n_vars]]
+        first = f.monomials[0][1].index(next(e for e in f.monomials[0][1]
+                                             if e))
+        zeros = rng.choice([0.0, -0.0], size=shapes[first])
+        cols[first] = np.where(rng.random(shapes[first]) < 0.5, zeros,
+                               cols[first])
+        for c in cols:  # some points are zero in every coordinate
+            c.flat[:1] = rng.choice([0.0, -0.0])
+        assert _same(f.evaluate_batch(cols, 1),
+                     oracles.evaluate_batch(f, cols, 1))
 
 
 def test_evaluate_batch_mod_negative_coefficients():

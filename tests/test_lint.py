@@ -1,6 +1,7 @@
 """Static checks on the source and the tests, run without a linter."""
 
 import ast
+import fnmatch
 import importlib
 import inspect
 from pathlib import Path
@@ -84,6 +85,28 @@ def test_module_constants_are_read():
     unread = [f"{where}: {name}" for name, where in sorted(assigned.items())
               if name not in read]
     assert not unread, "assigned but never read:\n" + "\n".join(unread)
+
+
+def test_working_block_size_is_written_once():
+    # every chunk and block size of a hot loop is blocks.WORK_BLOCK; the one
+    # other size is the Monte Carlo chunk, which defines the random streams
+    sizes = []
+    for path in sorted((ROOT / "src" / "fibrecount").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and \
+                            any(fnmatch.fnmatchcase(name.id, pattern)
+                                for pattern in ("*CHUNK*", "*BLOCK*")) and \
+                            path.name != "blocks.py" and \
+                            (path.name, name.id) != ("archimedean.py",
+                                                     "_CHUNK"):
+                        sizes.append(f"{path.relative_to(ROOT)}:"
+                                     f"{node.lineno}: {name.id}")
+    assert not sizes, "chunk or block sizes outside blocks.py:\n" + \
+        "\n".join(sizes)
 
 
 def test_public_functions_are_plain():
