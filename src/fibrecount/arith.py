@@ -328,19 +328,6 @@ def euler_phi(m: int) -> int:
     return out
 
 
-def moebius(m: int) -> int:
-    if m < 1:
-        raise DomainError("argument must be positive")
-    if m == 1:
-        return 1
-    out = 1
-    for _, e in factor(m).factors:
-        if e > 1:
-            return 0
-        out = -out
-    return out
-
-
 def moebius_sieve(limit: int) -> np.ndarray:
     """mu(0..limit) as an int8 array (mu[0] set to 0)."""
     mu = np.ones(limit + 1, dtype=np.int8)

@@ -16,10 +16,10 @@ sum over a box that is a product of per-block boxes then factors:
   sums, because e(.) is additive.
 
 counting and expsums take their block paths when an instance has at least
-two blocks (path_for).  Otherwise counting keeps its direct path and
-expsums takes padic's stationary phase; the direct paths are also the
-oracles the other paths are tested against.  padic has no block path:
-stationary phase serves every instance there.
+two blocks.  Otherwise counting keeps its direct path and expsums takes
+padic's stationary phase; the direct paths are also the oracles the other
+paths are tested against.  padic has no block path: stationary phase
+serves every instance there.
 
 box() is the one enumeration of a complete box: residue tables, and the
 half tables, quadric scans and slab counts of counting, scan it chunk by
@@ -34,6 +34,10 @@ lift candidates (WORK_BLOCK / n of them, n coordinates each) and
 archimedean's Monte Carlo blocks (WORK_BLOCK / n points).  The one other
 size is the 2^18-point Monte Carlo chunk, which defines the random
 streams.
+
+DEFAULT_BUDGET, the enumeration volume one operation may scan or lift, is
+the default budget of every layer, and BudgetExceededError the refusal of
+each.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DomainError
 from .forms import Form, Instance
 
 # Values per working array (512 KB of int64 or float64).  Measured on a
@@ -52,6 +55,7 @@ from .forms import Form, Instance
 # 2^14-2^15 points of 4 coordinates, and the box, quadric and pair loops
 # gain little past 2^16 points (CHANGES.md).
 WORK_BLOCK = 1 << 16
+DEFAULT_BUDGET = 3 * 10**8
 
 
 class BudgetExceededError(RuntimeError):
@@ -215,20 +219,6 @@ def residue_table(block: Block, modulus: int, q1: int, q2: int,
                               np.broadcast_shapes(*map(np.shape, cols)))
         table += np.bincount(key.ravel(), minlength=q1 * q2)
     return table.reshape(q1, q2)
-
-
-# ---------------------------------------------------------------------------
-# paths
-# ---------------------------------------------------------------------------
-
-def path_for(inst: Instance, method: str) -> str:
-    """'block' or 'direct' for a method of 'auto' or 'direct'; 'auto' takes
-    the block path when inst has at least two blocks."""
-    if method not in ("auto", "direct"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "auto" and len(variable_blocks(inst)) >= 2:
-        return "block"
-    return "direct"
 
 
 def block_tables(inst: Instance, modulus: int, q1: int, q2: int,

@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, archimedean, arith, constant, counting, expsums, padic
-from .counting import BudgetExceededError
+from .blocks import DEFAULT_BUDGET, BudgetExceededError
 from .forms import FormError, load_instance
 from .verify import run_suites
 
@@ -191,9 +191,9 @@ def _constant_pipeline(inst, args):
     consts = arith.landau_constants(10**6)
     J = archimedean.real_density(inst, samples=args.samples, seed=args.seed,
                                  threads=args.threads)
-    l_fact = expsums.singular_series_factored(inst, p_max=args.p_max,
-                                              budget=args.budget)
-    prod = padic.local_product(inst, p_max=args.p_max, budget=args.budget)
+    l_fact = constant.singular_series_factored(inst, p_max=args.p_max,
+                                               budget=args.budget)
+    prod = constant.local_product(inst, p_max=args.p_max, budget=args.budget)
     c2 = constant.leading_constant_tamagawa(inst, J, prod)
     return consts, J, l_fact, c2
 
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=len(os.sched_getaffinity(0)),
                        help="worker threads (default: the CPUs this "
                             "process may run on)")
-        p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max enumeration volume per operation")
         p.add_argument("--out", default=None, help="write CSV here "
                        "(plus .manifest.json); default stdout")

@@ -59,8 +59,6 @@ from .blocks import (BudgetExceededError, balanced_halves, box, pool_map,
                      restrict, variable_blocks)
 from .forms import Form, Instance
 
-DEFAULT_BUDGET = 3 * 10**8
-
 
 # ---------------------------------------------------------------------------
 # sums-of-two-squares sieve
@@ -463,7 +461,7 @@ def _count_box(inst: Instance, P: int, include_zero_fibres: bool,
 
 def count_soluble_fibre_points(inst: Instance, P: int,
                                include_zero_fibres: bool = False,
-                               budget: int = DEFAULT_BUDGET,
+                               budget: int = blocks.DEFAULT_BUDGET,
                                threads: int = 1,
                                method: str = "auto") -> int:
     """#{x in [-P,P]^n, x != 0 : f2(x)=0 and the fibre is soluble}.
@@ -512,8 +510,9 @@ def _moebius_sum(inst: Instance, t: int, budget: int, threads: int) -> int:
         for P, w in weights.items() if w)
 
 
-def projective_count(inst: Instance, t: int, budget: int = DEFAULT_BUDGET,
-                     threads: int = 1, method: str = "auto") -> CountRecord:
+def projective_count(inst: Instance, t: int,
+                     budget: int = blocks.DEFAULT_BUDGET, threads: int = 1,
+                     method: str = "auto") -> CountRecord:
     """Projective base points of height <= t with a soluble fibre.
 
     Counts +-pairs of primitive vectors y in [-t,t]^n with f2(y) = 0 and
@@ -541,7 +540,8 @@ def projective_count(inst: Instance, t: int, budget: int = DEFAULT_BUDGET,
                        normalized=normalized, include_zero=True)
 
 
-def mobius_residual(inst: Instance, t: int, budget: int = DEFAULT_BUDGET,
+def mobius_residual(inst: Instance, t: int,
+                    budget: int = blocks.DEFAULT_BUDGET,
                     threads: int = 1) -> int:
     """Exact integer residual of the Moebius identity; always 0.
 

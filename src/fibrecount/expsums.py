@@ -29,10 +29,10 @@ Objects:
   kappa- resp. t-tails are geometric and summed exactly; only the shells
   m resp. rho are truncated.
 
-* singular_series: the q-sum of birch sums against conjugated arc factors;
-  singular_series_factored: the same quantity assembled as a product of
-  local factors, which converges far better when the q-sum terms do not
-  decay (small n).
+* singular_series: the q-sum of birch sums against conjugated arc factors.
+  The same quantity as a product of the local factors, which converges far
+  better when the q-sum terms do not decay (small n), is assembled in
+  constant.py (singular_series_factored).
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ from math import gcd
 
 import numpy as np
 
+from . import blocks, padic
 from .arith import (DomainError, factor, landau_constants, only_1mod4_factors,
-                    prime_sieve, ramanujan_sum, valuation)
-from .blocks import (Block, BudgetExceededError, block_tables, path_for,
-                     residue_table)
+                    ramanujan_sum, valuation)
+from .blocks import (Block, BudgetExceededError, block_tables, residue_table,
+                     variable_blocks)
 from .counting import two_squares_sieve
 from .forms import Instance
-
-DEFAULT_SUM_BUDGET = 3 * 10**8
 
 
 @dataclass
@@ -73,7 +72,8 @@ class TruncatedValue:
 # ---------------------------------------------------------------------------
 
 def joint_value_distribution(inst: Instance, q: int,
-                             budget: int = DEFAULT_SUM_BUDGET) -> np.ndarray:
+                             budget: int = blocks.DEFAULT_BUDGET
+                             ) -> np.ndarray:
     """M[u, v] = #{x mod q : f1(x) = u, f2(x) = v (mod q)}, by scanning the
     whole box (Z/q)^n: the oracle of the block and phase paths of
     birch_sum_table, and its 'direct' path."""
@@ -82,7 +82,7 @@ def joint_value_distribution(inst: Instance, q: int,
 
 
 def birch_sum_table(inst: Instance, q: int,
-                    budget: int = DEFAULT_SUM_BUDGET,
+                    budget: int = blocks.DEFAULT_BUDGET,
                     method: str = "auto") -> np.ndarray:
     """All S_{(a1,a2),q} at once as a (q, q) complex array.
 
@@ -95,8 +95,13 @@ def birch_sum_table(inst: Instance, q: int,
     block on the block path, the lift candidates of each level on the
     phase path.  The tables are memoized and read-only.
     """
-    path = path_for(inst, method)
-    if method == "auto" and path == "direct":
+    if method not in ("auto", "direct"):
+        raise DomainError(f"unknown method {method!r}")
+    if method == "direct":
+        path = "direct"
+    elif len(variable_blocks(inst)) >= 2:
+        path = "block"
+    else:
         path = "phase"
     return _birch_table(inst, q, budget, path)
 
@@ -123,8 +128,6 @@ def _phase_distribution(inst: Instance, q: int, budget: int) -> np.ndarray:
     table mod each prime power p^e of q, joined by CRT,
       M_q[u, v] = prod over p^e of M_(p^e)[u mod p^e, v mod p^e].
     Refused for q^n >= 2^53, so every count is exact as a float64."""
-    from . import padic
-
     if q ** inst.n >= 2 ** 53:
         raise BudgetExceededError(
             f"{q}^{inst.n} residues exceed the exact float64 range")
@@ -314,7 +317,7 @@ def max_shell_modulus(p: int, n: int, budget: int) -> int:
 
 
 def local_series_odd(inst: Instance, p: int, m_max: int | None = None,
-                     budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
+                     budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
     """Local factor of the singular series at a prime p = 3 mod 4.
 
     Double series over shells (kappa, m):
@@ -357,7 +360,7 @@ def local_series_odd(inst: Instance, p: int, m_max: int | None = None,
 
 
 def local_series_two(inst: Instance, rho_max: int = 6,
-                     budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
+                     budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
     """Dyadic local factor of the singular series.
 
     (1/4) * sum over shells (t, rho) of 2^(-t-rho*n) times the primitive
@@ -392,11 +395,11 @@ def local_series_two(inst: Instance, rho_max: int = 6,
 
 
 # ---------------------------------------------------------------------------
-# the singular series, both evaluation strategies
+# the singular series as a q-sum
 # ---------------------------------------------------------------------------
 
 def singular_series(inst: Instance, Q: int,
-                    budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
+                    budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
     """Truncated q-sum: sum_{q<=Q} q^-n sum_{primitive a} S_{a,q} *
     conj(arc_factor(a1, q)).
 
@@ -405,8 +408,8 @@ def singular_series(inst: Instance, Q: int,
     C * Q^(-lambda0) is reported with C calibrated from the computed terms;
     otherwise the error is the heuristic mass of the last quarter of terms.
     At small n the terms need not decay at all; the factored evaluation
-    (singular_series_factored) is then the meaningful one, and this sum is
-    reported with its honest non-decaying error estimate.
+    (constant.singular_series_factored) is then the meaningful one, and
+    this sum is reported with its honest non-decaying error estimate.
     """
     if Q < 1:
         raise DomainError("Q must be positive")
@@ -433,48 +436,3 @@ def singular_series(inst: Instance, Q: int,
         value=complex(total),
         truncation_params={"Q": Q},
         error_bound=err, error_kind=kind, shells=terms)
-
-
-def singular_series_factored(inst: Instance, p_max: int = 13,
-                             rho_max: int = 6,
-                             budget: int = DEFAULT_SUM_BUDGET) -> TruncatedValue:
-    """The singular series assembled as a product of local factors:
-
-      (dyadic factor) * prod_{p<=p_max, p=1 mod 4} tau_f2(p)
-                      * prod_{p<=p_max, p=3 mod 4} (odd local factor at p).
-
-    The two evaluations agree as full sums; this one converges shell-wise
-    at every prime and is the stable route at small n.  Relative errors of
-    the factors add (first order).  tau_f2(p) is read at padic.level_for(p),
-    the level of the local route.
-    """
-    from . import padic
-
-    value = 1.0 + 0.0j
-    rel_err = 0.0
-    parts = {}
-    e2 = local_series_two(inst, rho_max=rho_max, budget=budget)
-    value *= e2.value
-    rel_err += e2.error_bound / max(abs(e2.value), 1e-30)
-    parts["2"] = e2
-    for p in [int(r) for r in prime_sieve(p_max)[1:]]:
-        if p % 4 == 1:
-            dens = padic.hypersurface_density(inst, p, padic.level_for(p),
-                                              budget=budget)
-            value *= dens.density
-            drift = abs(dens.density - dens.prev_density)
-            rel_err += drift / max(dens.density, 1e-30)
-            parts[str(p)] = dens
-        else:
-            ser = local_series_odd(inst, p,
-                                   m_max=max_shell_modulus(p, inst.n, budget),
-                                   budget=budget)
-            value *= ser.value
-            rel_err += ser.error_bound / max(abs(ser.value), 1e-30)
-            parts[str(p)] = ser
-    return TruncatedValue(
-        value=complex(value),
-        truncation_params={"p_max": p_max, "rho_max": rho_max},
-        error_bound=float(abs(value) * rel_err),
-        error_kind="heuristic",
-        shells=[parts])

@@ -7,7 +7,8 @@ f2 = 0: the fibre above t is the conic x0^2 + x1^2 = f1(t) * x2^2.
 All evaluation is exact integer arithmetic.  Batch evaluation uses numpy
 int64 and refuses loudly when intermediate values could overflow.  Each
 Form carries a plan built once, its monomials as (coeff, factor indices),
-and evaluate_batch follows it in place in two output-sized buffers.
+and evaluate_batch and evaluate_batch_mod follow it in place in two
+output-sized buffers.
 """
 
 from __future__ import annotations
@@ -117,6 +118,39 @@ class Form:
             raise FormError(
                 f"values of |f| may reach {self.coeff_norm() * bound**self.degree}, "
                 "beyond the int64 fast path; reduce the box or evaluate exactly")
+        return self._walk(cols)
+
+    def evaluate_batch_mod(self, cols, q: int,
+                           reduced: bool = False) -> np.ndarray:
+        """f mod q over many points, by the walk of evaluate_batch.
+
+        Inputs are reduced mod q once per coordinate, unless the caller
+        passes reduced=True for columns that already lie in [0, q) (residue
+        grids, lift candidates).  When the exact value over reduced inputs
+        provably fits int64, the walk computes it and reduces once;
+        otherwise it reduces after every multiply and add, which needs
+        (q-1)^2 to fit.
+        """
+        if q < 1:
+            raise FormError("modulus must be positive")
+        fast = self.coeff_norm() * max(q - 1, 1) ** self.degree < INT64_SAFE
+        if not fast and (q - 1) ** 2 >= INT64_SAFE:
+            raise FormError(f"modulus {q} is beyond the int64 products of "
+                            "the reduced path")
+        cms = [np.asarray(c, dtype=np.int64) for c in cols]
+        if not reduced:
+            cms = [c % q for c in cms]
+        if not fast:
+            return self._walk(cms, q)
+        # the bound holds for the signed coefficients
+        total = self._walk(cms)
+        np.remainder(total, q, out=total)
+        return total
+
+    def _walk(self, cols, q: int | None = None) -> np.ndarray:
+        """The plan followed in place: the sum of the monomials over cols,
+        exact, or with every product and sum reduced mod q (then cols lie
+        in [0, q) and each coefficient enters as its residue)."""
         shapes = [np.shape(c) for c in cols]
         same = len(set(shapes)) == 1  # no monomial needs its own shape
         shape = shapes[0] if same else np.broadcast_shapes(*shapes)
@@ -137,52 +171,22 @@ class Form:
                 if fold:
                     np.multiply(cols[idx[0]], cols[idx[1]], out=prod)
                     rest = idx[2:]
-                else:  # the guard above keeps coeff inside int64
-                    np.multiply(cols[idx[0]], coeff, out=prod)
+                else:  # the callers' guards keep coeff inside int64
+                    np.multiply(cols[idx[0]], coeff if q is None else coeff % q,
+                                out=prod)
                     rest = idx[1:]
                 for i in rest:
+                    if q is not None:
+                        np.remainder(prod, q, out=prod)
                     np.multiply(prod, cols[i], out=prod)
+                if q is not None:
+                    np.remainder(prod, q, out=prod)
             if coeff == -1:
                 np.subtract(total, prod, out=total)
             else:
                 np.add(total, prod, out=total)
-        return total
-
-    def evaluate_batch_mod(self, cols, q: int,
-                           reduced: bool = False) -> np.ndarray:
-        """f mod q over many points.
-
-        Inputs are reduced mod q once per coordinate, unless the caller
-        passes reduced=True for columns that already lie in [0, q) (residue
-        grids, lift candidates); when the exact value over reduced inputs
-        provably fits int64 the per-step reductions are skipped, otherwise
-        every multiply reduces, which needs (q-1)^2 to fit.
-        """
-        if q < 1:
-            raise FormError("modulus must be positive")
-        fast = self.coeff_norm() * max(q - 1, 1) ** self.degree < INT64_SAFE
-        if not fast and (q - 1) ** 2 >= INT64_SAFE:
-            raise FormError(f"modulus {q} is beyond the int64 products of "
-                            "the reduced path")
-        shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
-        cms = [np.asarray(c, dtype=np.int64) for c in cols]
-        if not reduced:
-            cms = [c % q for c in cms]
-        total = np.zeros(shape, dtype=np.int64)
-        if fast:  # the bound holds for the signed coefficients
-            for coeff, exps in self.monomials:
-                term = np.asarray(coeff, dtype=np.int64)
-                for cm, e in zip(cms, exps):
-                    for _ in range(e):
-                        term = term * cm
-                total = total + term
-            return total % q
-        for coeff, exps in self.monomials:
-            term = np.asarray(coeff % q, dtype=np.int64)
-            for cm, e in zip(cms, exps):
-                for _ in range(e):
-                    term = (term * cm) % q
-            total = (total + term) % q
+            if q is not None:
+                np.remainder(total, q, out=total)
         return total
 
     def to_records(self):
@@ -208,11 +212,6 @@ def form_from_records(records, n_vars: int) -> Form:
         raise FormError("form must have at least one monomial")
     degree = sum(monos[0][1])
     return Form(n_vars=n_vars, degree=degree, monomials=tuple(monos))
-
-
-def default_box_max(f: Form) -> int:
-    """Upper bound for max f on [-1,1]^n: the coefficient 1-norm."""
-    return f.coeff_norm()
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,7 @@ def parse_instance(config) -> Instance:
         raise FormError("degree must be even (and >= 2)")
     f1 = form_from_records(config["f1"], n)
     f2 = form_from_records(config["f2"], n)
-    box = config.get("box_max_m", default_box_max(f1))
+    box = config.get("box_max_m", f1.coeff_norm())
     if not (isinstance(box, int) and box >= 1):
         raise FormError("box_max_m must be a positive integer")
     sigma = config.get("sigma_bound")

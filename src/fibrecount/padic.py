@@ -10,12 +10,12 @@ A residue class t mod p^N only pins f1(t) mod p^N, so classes whose f1
 residue has saturated valuation cannot be classified at level N.  Those
 classes are refined by lifting t (not the f2 condition) a few more levels,
 lift_extra = e, splitting each class into p^n children of equal mass;
-classes still undecided at level N+e are bracketed: counted as soluble by
-default (genuine f1 = 0 fibres are soluble through (0:0:1)), with the
-insoluble convention and the undecided mass reported so the bracket is
-visible.  A decision at a shallower level is never undone at a deeper one,
-so the masses at full depth are counts over t mod p^(N+e) with f2 = 0
-mod p^N, f1 classified at level N+e.
+classes still undecided at level N+e are bracketed: counted as soluble
+(genuine f1 = 0 fibres are soluble through (0:0:1)), with both ends of
+the bracket (density_low, density_high) and the undecided mass reported.
+A decision at a shallower level is never undone at a deeper one, so the
+masses at full depth are counts over t mod p^(N+e) with f2 = 0 mod p^N,
+f1 classified at level N+e.
 
 Two paths compute them.  The lift tree (method 'direct') is the
 reference.  One generator (_lifts) yields, in chunks, the candidates
@@ -45,25 +45,25 @@ distribution of (f1, f2) mod p^m, the input of expsums' Birch tables on a
 one-block instance, in closed form on the classes whose Jacobian has rank
 2 (the rank-2 test, _jacobian, is shared with _phase_level) and on every
 class from level m/2 on, where Taylor's formula is linear mod p^m.
+
+Both Euler products of the leading constant read these densities;
+constant.py assembles them and fixes the level read at each prime.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import blocks
-from .arith import DomainError, is_prime, prime_sieve
-from .counting import BudgetExceededError
-from .expsums import TruncatedValue
+from .arith import DomainError, is_prime
+from .blocks import BudgetExceededError
 from .forms import INT64_SAFE, Form, Instance
 
-DEFAULT_BUDGET = 3 * 10**8
 STABLE_REL_TOL = 0.01
 
 
@@ -91,16 +91,6 @@ class LocalDensity:
         return (f"{self.p},{self.kind},{self.level},{self.raw_count},"
                 f"{self.density:.12g},{str(self.stabilized).lower()},"
                 f"{self.undecided_fraction:.6g}")
-
-
-@dataclass
-class LocalFactor:
-    """Weighted local density against its convergence factor."""
-
-    p: int
-    tau_p: float
-    lambda_p: float
-    ratio: float
 
 
 def _lifts(inst: Instance, p: int, level: int, parents: np.ndarray,
@@ -547,8 +537,7 @@ def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
 
 
 def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
-             undecided_as_soluble: bool, budget: int,
-             method: str) -> LocalDensity:
+             budget: int, method: str) -> LocalDensity:
     """The density of kind 'tau_f2' or 'ell', stabilization in exact
     rationals."""
     if N < 1:
@@ -564,14 +553,13 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
         inst, p, N, lift_extra, fibre, budget, method)
     unit = p ** (inst.n * lift_extra)
     denom = unit * p ** (N * (inst.n - 1))
-    raw = soluble + (und if undecided_as_soluble else 0)
+    raw = soluble + und
     dens = Fraction(raw, denom)
     prev = Fraction(0)
     if prev_masses is not None:
         _, sp, up = prev_masses
-        prev = Fraction(sp + (up if undecided_as_soluble else 0),
-                        p ** (inst.n * min(lift_extra, 1)
-                              + (N - 1) * (inst.n - 1)))
+        prev = Fraction(sp + up, p ** (inst.n * min(lift_extra, 1)
+                                       + (N - 1) * (inst.n - 1)))
     return LocalDensity(
         p=p, level=N, raw_count=raw, density=float(dens),
         stabilized=(prev_masses is not None
@@ -583,20 +571,19 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
 
 
 def hypersurface_density(inst: Instance, p: int, N: int,
-                         budget: int = DEFAULT_BUDGET,
+                         budget: int = blocks.DEFAULT_BUDGET,
                          method: str = "auto") -> LocalDensity:
     """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'.
 
     method 'direct' counts by the lift tree; 'auto' by stationary phase,
     with the same count.
     """
-    return _density(inst, p, N, "tau_f2", 0, True, budget, method)
+    return _density(inst, p, N, "tau_f2", 0, budget, method)
 
 
 def soluble_density(inst: Instance, p: int, N: int,
                     lift_extra: int = 2,
-                    undecided_as_soluble: bool = True,
-                    budget: int = DEFAULT_BUDGET,
+                    budget: int = blocks.DEFAULT_BUDGET,
                     method: str = "auto") -> LocalDensity:
     """Density of t mod p^N with f2(t) = 0 mod p^N and a soluble fibre.
 
@@ -610,62 +597,4 @@ def soluble_density(inst: Instance, p: int, N: int,
     stationary phase, which lifts far fewer classes, so it reaches full
     depth where the tree does and often where it does not.
     """
-    return _density(inst, p, N, "ell", lift_extra, undecided_as_soluble,
-                    budget, method)
-
-
-def tamagawa_factor(inst: Instance, p: int, N: int,
-                    lift_extra: int = 2,
-                    budget: int = DEFAULT_BUDGET) -> LocalFactor:
-    """Weighted local density tau_p and its convergence factor lambda_p.
-
-    tau_p = (1 - p^-(n-d)) / (1 - 1/p) * soluble density;
-    lambda_p = (1 - 1/p)^(-1/2).
-    """
-    dens = soluble_density(inst, p, N, lift_extra=lift_extra, budget=budget)
-    w = (1.0 - p ** (-(inst.n - inst.d))) / (1.0 - 1.0 / p)
-    tau_p = w * dens.density
-    lam = (1.0 - 1.0 / p) ** -0.5
-    return LocalFactor(p=p, tau_p=tau_p, lambda_p=lam, ratio=tau_p / lam)
-
-
-DEFAULT_LEVELS = {2: 6, 3: 5, 5: 3, 7: 2, 11: 2, 13: 2}
-
-
-def level_for(p: int) -> int:
-    """The level of the local densities at p: DEFAULT_LEVELS, else 1."""
-    return DEFAULT_LEVELS.get(p, 1)
-
-
-def local_product(inst: Instance, p_max: int = 13,
-                  lift_extra: int = 2,
-                  budget: int = DEFAULT_BUDGET) -> TruncatedValue:
-    """prod_{p <= p_max} tau_p / lambda_p with a heuristic tail estimate.
-
-    The tail fits |log(tau_p/lambda_p)| ~ C/p^2 on the computed primes and
-    integrates beyond p_max.  When the actual log-factors decay more slowly
-    (small n), the fit underestimates the tail; the per-prime factors are
-    returned in shells so the drift is visible.
-    """
-    factors = []
-    value = 1.0
-    for p in [int(r) for r in prime_sieve(p_max)]:
-        f = tamagawa_factor(inst, p, level_for(p),
-                            lift_extra=lift_extra, budget=budget)
-        factors.append(f)
-        value *= f.ratio
-    logs = np.array([abs(math.log(f.ratio)) for f in factors if f.ratio > 0])
-    ps = np.array([float(f.p) for f in factors if f.ratio > 0])
-    if len(ps):
-        C = float((logs * ps**-2).sum() / (ps**-4).sum())
-        tail_log = C * sum(1.0 / q**2 for q in range(p_max + 1, 10 * p_max)
-                           if is_prime(q))
-    else:
-        tail_log = 0.0
-    err = abs(value) * (math.exp(tail_log) - 1.0)
-    return TruncatedValue(
-        value=complex(value),
-        truncation_params={"p_max": p_max,
-                           "levels": {f.p: level_for(f.p)
-                                      for f in factors}},
-        error_bound=float(err), error_kind="heuristic", shells=factors)
+    return _density(inst, p, N, "ell", lift_extra, budget, method)

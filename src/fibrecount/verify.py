@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import archimedean, arith, constant, counting, expsums, padic
+from . import archimedean, arith, blocks, constant, counting, expsums, padic
 from .forms import Form, Instance
 
 SUITES = ("arith", "sieve", "expsums", "padic", "archimedean", "constant")
@@ -366,7 +366,7 @@ def _local_bridge_checks(budget):
 
 
 def suite_padic(budget=None, seed=0):
-    return _local_bridge_checks(budget or padic.DEFAULT_BUDGET)
+    return _local_bridge_checks(budget or blocks.DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +420,14 @@ def suite_archimedean(budget=None, seed=0, threads=1):
 # ---------------------------------------------------------------------------
 
 def suite_constant(budget=None, seed=0, threads=1):
-    budget = budget or expsums.DEFAULT_SUM_BUDGET
+    budget = budget or blocks.DEFAULT_BUDGET
     inst = four_squares_instance()
     out = []
 
     t0 = time.monotonic()
     l_qsum = expsums.singular_series(inst, Q=16, budget=budget)
-    l_fact = expsums.singular_series_factored(inst, p_max=13, budget=budget)
+    l_fact = constant.singular_series_factored(inst, p_max=13,
+                                               budget=budget)
     gap = abs(l_qsum.value.real - l_fact.value.real) / abs(l_fact.value.real)
     out.append(CheckResult(
         name="series-factorization",
@@ -477,7 +478,7 @@ def suite_constant(budget=None, seed=0, threads=1):
     consts = arith.landau_constants(10**6)
     J = archimedean.real_density(inst, samples=10**6, seed=seed,
                                  threads=threads)
-    prod = padic.local_product(inst, p_max=13, budget=budget)
+    prod = constant.local_product(inst, p_max=13, budget=budget)
     c1 = constant.leading_constant_series(inst, J, l_fact, consts)
     c1q = constant.leading_constant_series(inst, J, l_qsum, consts)
     c2 = constant.leading_constant_tamagawa(inst, J, prod)

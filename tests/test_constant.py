@@ -122,3 +122,19 @@ def test_route_gap_shrinks_with_tighter_truncation(four_squares):
         c2 = fc.leading_constant_tamagawa(four_squares, J, pr)
         gaps.append(abs(c1.c_phi - c2.c_phi))
     assert gaps[1] < gaps[0]
+
+
+def test_both_products_read_constant_levels(four_squares, monkeypatch):
+    # the two products carry the same prime content: each reads the
+    # density at p at the level constant.level_for(p)
+    fac = constant.singular_series_factored(four_squares, p_max=17)
+    for p in ("5", "13", "17"):
+        assert fac.shells[0][p].level == constant.level_for(int(p))
+    levels = {2: 3, 3: 2, 5: 2}
+    monkeypatch.setattr(constant, "level_for", lambda p: levels.get(p, 1))
+    fac = constant.singular_series_factored(four_squares, p_max=5, rho_max=4)
+    prod = constant.local_product(four_squares, p_max=5)
+    assert fac.shells[0]["5"].level == 2
+    assert prod.truncation_params["levels"] == levels
+    assert prod.shells == [constant.tamagawa_factor(four_squares, p, N)
+                           for p, N in levels.items()]

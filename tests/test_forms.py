@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from fibrecount.blocks import box
-from fibrecount.forms import (Form, FormError, default_box_max,
-                              form_from_records, parse_instance)
+from fibrecount.forms import (INT64_SAFE, Form, FormError, form_from_records,
+                              parse_instance)
 from strategies import instances
 
 DEMO_CFG = {
@@ -108,23 +108,52 @@ def _same(got, want):
             and got.tobytes() == want.tobytes())
 
 
+def _last_fast_modulus(f):
+    """The largest q with coeff_norm * (q-1)^degree < INT64_SAFE, the last
+    modulus evaluate_batch_mod reduces only once."""
+    norm = f.coeff_norm()
+    r = int(((INT64_SAFE - 1) // norm) ** (1 / f.degree))
+    while norm * (r + 1) ** f.degree < INT64_SAFE:
+        r += 1
+    while norm * r ** f.degree >= INT64_SAFE:
+        r -= 1
+    return r + 1
+
+
 @given(instances(), st.integers(1, 3), st.integers(1, 60),
        st.integers(0, 2**32 - 1), st.lists(st.sampled_from(
-           [(), (6, 1), (1, 5), (6, 5)]), min_size=4, max_size=4))
-def test_evaluate_batch_is_the_reference_loop(inst, P, limit, seed, shapes):
+           [(), (6, 1), (1, 5), (6, 5)]), min_size=4, max_size=4),
+       st.integers(1, 50))
+def test_evaluate_batch_is_the_reference_loop(inst, P, limit, seed, shapes,
+                                              q):
     # the in-place evaluator against the plain loop, byte for byte: int64
     # box chunks, whose columns broadcast, and float columns of every
-    # broadcast shape, with signed zeros that zero the first monomial
+    # broadcast shape, with signed zeros that zero the first monomial.
+    # evaluate_batch_mod against Form.evaluate(x) % q on both of its paths:
+    # reduced once up to the last fast modulus, at every step past it
     rng = np.random.default_rng(seed)
     for f in (inst.f1, inst.f2):
+        fast = _last_fast_modulus(f)
+        wide = fast ** 2 >= INT64_SAFE  # fast + 1 is refused
         for cols in box(np.arange(-P, P + 1, dtype=np.int64), f.n_vars,
                         limit=limit):
             got = f.evaluate_batch(cols, P)
             assert _same(got, oracles.evaluate_batch(f, cols, P))
             grid = np.broadcast_arrays(*cols)
-            assert got.ravel().tolist() == [
-                f.evaluate(x) for x in zip(*(g.ravel().tolist()
-                                             for g in grid))]
+            exact = [f.evaluate(x) for x in zip(*(g.ravel().tolist()
+                                                  for g in grid))]
+            assert got.ravel().tolist() == exact
+            for m in (q, fast) + (() if wide else (fast + 1,)):
+                assert f.evaluate_batch_mod(cols, m).ravel().tolist() == \
+                    [v % m for v in exact]
+        for m in (q, fast, fast + 1):
+            res = [rng.integers(0, m, 7) for _ in range(f.n_vars)]
+            if m > fast and wide:
+                with pytest.raises(FormError, match="int64"):
+                    f.evaluate_batch_mod(res, m, reduced=True)
+                continue
+            assert f.evaluate_batch_mod(res, m, reduced=True).tolist() == \
+                [f.evaluate(x) % m for x in zip(*(r.tolist() for r in res))]
         cols = [rng.uniform(-1.0, 1.0, shape) for shape in shapes[:f.n_vars]]
         first = f.monomials[0][1].index(next(e for e in f.monomials[0][1]
                                              if e))
@@ -151,13 +180,28 @@ def test_evaluate_batch_mod_refuses_wide_moduli():
     f = Form(1, 2, ((1, (2,)),))
     with pytest.raises(FormError, match="int64"):
         f.evaluate_batch_mod([np.array([3])], 2**40)
+    # the refusal comes before the 10^8-point output is allocated
+    g = Form(2, 2, ((3, (1, 1)),))
+    cols = [np.arange(10**4)[:, None], np.arange(10**4)[None, :]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormError, match="int64"):
+            g.evaluate_batch_mod(cols, 2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_default_box_max():
-    assert default_box_max(Form(2, 2, ((1, (2, 0)), (1, (0, 2))))) == 2
-    assert default_box_max(Form(4, 2, ((1, (1, 1, 0, 0)),
-                                       (-1, (0, 0, 1, 1))))) == 2
-    assert default_box_max(Form(2, 2, ((3, (2, 0)), (-1, (0, 2))))) == 4
+    # without box_max_m a config takes the coefficient 1-norm of f1
+    for f1, norm in ((Form(2, 2, ((1, (2, 0)), (1, (0, 2)))), 2),
+                     (Form(4, 2, ((1, (1, 1, 0, 0)),
+                                  (-1, (0, 0, 1, 1)))), 2),
+                     (Form(2, 2, ((3, (2, 0)), (-1, (0, 2)))), 4)):
+        records = f1.to_records()
+        cfg = dict(DEMO_CFG, n=f1.n_vars, f1=records, f2=records)
+        assert parse_instance(cfg).box_max_m == norm
 
 
 def test_lambda0(four_squares, demo):

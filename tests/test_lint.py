@@ -87,6 +87,44 @@ def test_module_constants_are_read():
     assert not unread, "assigned but never read:\n" + "\n".join(unread)
 
 
+def test_imports_are_at_module_level_and_acyclic():
+    # every module imports at its top, and no chain of intra-package
+    # imports leads back to where it started
+    package = ROOT / "src" / "fibrecount"
+    modules = {path.stem for path in package.glob("*.py")}
+    nested, graph = [], {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.relative_to(ROOT)}:{node.lineno}"
+                           for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:  # from .x import y
+                    targets.add(node.module.split(".")[0])
+                else:  # from . import x: a module, or a name of __init__
+                    targets.update(alias.name if alias.name in modules
+                                   else "__init__" for alias in node.names)
+        graph[path.stem] = targets
+    assert not nested, "imports inside a function:\n" + "\n".join(nested)
+    done, cycles = set(), []
+
+    def visit(module, chain):
+        if module in chain:
+            cycles.append(" -> ".join(chain[chain.index(module):] + [module]))
+        elif module not in done:
+            for target in sorted(graph[module]):
+                visit(target, chain + [module])
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+    assert not cycles, "import cycles:\n" + "\n".join(cycles)
+
+
 def test_working_block_size_is_written_once():
     # every chunk and block size of a hot loop is blocks.WORK_BLOCK; the one
     # other size is the Monte Carlo chunk, which defines the random streams

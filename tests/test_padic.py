@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibrecount import blocks, expsums, padic
-from fibrecount.counting import BudgetExceededError
+from fibrecount import blocks, constant, expsums, padic
+from fibrecount.blocks import BudgetExceededError
 from oracles import block_masses
 from strategies import instances
 
@@ -97,11 +97,11 @@ def test_dyadic_classification(four_squares):
 
 def test_tamagawa_relation(four_squares):
     for p, N in ((3, 3), (5, 2), (7, 2)):
-        f = padic.tamagawa_factor(four_squares, p, N)
+        f = constant.tamagawa_factor(four_squares, p, N)
         ell = padic.soluble_density(four_squares, p, N)
         back = f.tau_p * (1 - 1 / p) / (1 - p ** -(four_squares.n - four_squares.d))
         assert back == pytest.approx(ell.density, rel=1e-12)
-    assert padic.tamagawa_factor(four_squares, 5, 2).lambda_p == \
+    assert constant.tamagawa_factor(four_squares, 5, 2).lambda_p == \
         pytest.approx((1 - 1 / 5) ** -0.5)
 
 
@@ -122,7 +122,7 @@ def test_orthogonality_links_counts_to_birch(four_squares, bilinear, linked):
 
 
 def test_local_product_cauchy_and_drift(four_squares):
-    vals = [padic.local_product(four_squares, p_max=pm).value.real
+    vals = [constant.local_product(four_squares, p_max=pm).value.real
             for pm in (13, 23, 37)]
     gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
     assert gaps[1] < gaps[0]
@@ -238,7 +238,7 @@ def test_fuzz_phase_bracket_inside_the_tree(inst, pNef, small_budget):
 def test_phase_equals_blocks(four_squares, bilinear, p):
     # at levels the tree reaches slowly (p = 3) or not at all (p = 7),
     # against the exact join of two half tables
-    N, budget = padic.level_for(p), padic.DEFAULT_BUDGET
+    N, budget = constant.level_for(p), blocks.DEFAULT_BUDGET
     for inst in (four_squares, bilinear):
         phase = padic._phase_masses(inst, p, N, 2, True, budget)[0]
         assert phase == block_masses(inst, p, N, 2)
