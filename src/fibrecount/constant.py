@@ -13,8 +13,12 @@ meaningful when both sides carry the same prime content, which is why the
 default pipeline evaluates the singular series through its local
 factorization; the raw q-sum value is reported alongside.  Both Euler
 products are assembled here (singular_series_factored, local_product) from
-the local factors of expsums and padic, and both read the density at p at
-the one level level_for(p).
+the local factors of expsums and padic.  local_product reads the density
+at every p at level_for(p), and so does the singular-series route at p =
+1 mod 4.  At p = 3 mod 4 that route reads expsums.local_series_odd in
+shells up to max_shell_modulus(p, n, budget) instead: 4 at p = 3, n = 4
+and the default budget, against level_for(3) = 5, so the budget moves the
+singular-series route.
 """
 
 from __future__ import annotations

@@ -18,16 +18,18 @@ Counting conventions (fixed across the library):
   projective_count(method='moebius') and mobius_residual, which returns
   the difference and must be identically zero.
 
-Box counts take one of three paths, tried in this order by
-count_soluble_fibre_points(method='auto'); a path refused by the budget
-passes to the next.  The budget bounds the points a path scans.
+Box counts take one of three paths, tried in this order by one
+dispatcher (_count_box), which serves count_soluble_fibre_points and the
+direct projective count; a path refused by the budget passes to the next.
+The budget bounds the points a path scans.
 
 * split: on an instance with several variable blocks (see blocks.py) the
   blocks are packed into two halves of balanced size, the distinct
   (f2, f1) value pairs of each half are tabulated over its sub-box, and
   the halves are joined on f2-parts that sum to zero (meet in the
   middle).  The largest box it scans is the larger half's: (2P+1)^2
-  points instead of (2P+1)^4 on four_squares.
+  points instead of (2P+1)^4 on four_squares.  It has no gcd test, so
+  primitive counts skip it.
 * quadric: when d = 2 and f2 has a square term a x_k^2, f2 is quadratic
   in x_k, so only the other n - 1 coordinates are scanned and x_k is
   solved for: an exact integer square root of the discriminant gives the
@@ -35,8 +37,7 @@ passes to the next.  The budget bounds the points a path scans.
 * slab: the whole box [-P,P]^n in box chunks (blocks.box), on `threads`
   threads.  It is the oracle the other two paths are tested against.
 
-The direct projective count is the quadric or slab count with a gcd
-filter.
+The direct projective count is the box count with a gcd filter.
 
 Every path works through blocks of at most blocks.WORK_BLOCK values: box
 chunks, and the pairs of the split count.  A half table merges each
@@ -447,8 +448,13 @@ def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
 
 def _count_box(inst: Instance, P: int, include_zero_fibres: bool,
                budget: int, threads: int, primitive: bool = False) -> int:
-    """The box count by the quadric path where it applies and fits the
-    budget, else by the slab scan."""
+    """The box count by the first path that applies and fits the budget:
+    split (not for primitive counts), quadric, then the slab scan."""
+    if not primitive and len(variable_blocks(inst)) >= 2:
+        try:
+            return _count_split(inst, P, include_zero_fibres, budget)
+        except BudgetExceededError:
+            pass
     if _quadric_parts(inst) is not None:
         try:
             return _count_quadric(inst, P, include_zero_fibres, budget,
@@ -469,30 +475,18 @@ def count_soluble_fibre_points(inst: Instance, P: int,
     Without include_zero_fibres only x with f1(x) != 0 and soluble conic
     count; with it, x with f1(x) = 0 also count.  The origin never counts.
 
-    method: 'auto' takes the split path when the instance has at least two
-    variable blocks, then the quadric path when f2 is a quadratic form with
-    a square term, and the slab scan last; a path refused by the budget
-    passes to the next.  'slab' forces the scan; 'split' requires two
-    blocks (DomainError otherwise).  budget bounds the points a path scans;
-    threads applies to the slab scan only.
+    method 'auto' takes the first path of _count_box that applies and
+    fits the budget; 'slab' forces the scan.  budget bounds the points a
+    path scans; threads applies to the slab scan only.
     """
     if P < 0:
         raise DomainError("P must be non-negative")
     if P == 0:
         return 0
-    if method not in ("auto", "slab", "split"):
-        raise DomainError(f"unknown method {method!r}")
-    separable = len(variable_blocks(inst)) >= 2
-    if method == "split" and not separable:
-        raise DomainError("method 'split' needs at least two variable blocks")
-    if method in ("auto", "split") and separable:
-        try:
-            return _count_split(inst, P, include_zero_fibres, budget)
-        except BudgetExceededError:
-            if method == "split":
-                raise
     if method == "slab":
         return _count_slab(inst, P, include_zero_fibres, budget, threads)
+    if method != "auto":
+        raise DomainError(f"unknown method {method!r}")
     return _count_box(inst, P, include_zero_fibres, budget, threads)
 
 
@@ -517,9 +511,9 @@ def projective_count(inst: Instance, t: int,
 
     Counts +-pairs of primitive vectors y in [-t,t]^n with f2(y) = 0 and
     (f1(y) = 0 or a soluble conic).  method 'direct' counts them with a
-    gcd test, by the quadric path where it applies and fits the budget and
-    by the slab scan otherwise; 'moebius' sums mu(l) * box counts; 'auto'
-    picks direct when the whole box (2t+1)^n fits min(budget, 1e8).
+    gcd test, by the quadric path or the slab scan (_count_box); 'moebius'
+    sums mu(l) * box counts; 'auto' picks direct when the whole box
+    (2t+1)^n fits min(budget, 1e8).
     """
     if t < 1:
         raise DomainError("t must be positive")

@@ -316,7 +316,7 @@ def max_shell_modulus(p: int, n: int, budget: int) -> int:
     return m
 
 
-def local_series_odd(inst: Instance, p: int, m_max: int | None = None,
+def local_series_odd(inst: Instance, p: int, m_max: int,
                      budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
     """Local factor of the singular series at a prime p = 3 mod 4.
 
@@ -332,8 +332,6 @@ def local_series_odd(inst: Instance, p: int, m_max: int | None = None,
     if p % 4 != 3:
         raise DomainError("p must be 3 mod 4")
     n = inst.n
-    if m_max is None:
-        m_max = max(1, max_shell_modulus(p, n, budget))
     geometric = 1.0 / (1.0 - p ** -2.0)
     shells = []
     total = 0.0 + 0.0j

@@ -22,8 +22,7 @@ reference.  One generator (_lifts) yields, in chunks, the candidates
 parent + p^(k-1) x mod p^k of a set of residues mod p^(k-1), and it alone
 checks the budget.  One pass over levels 1..N keeps only solution
 residues, never the full p^(N n) box; it classifies the level-N solutions
-as they stream past and the level-(N-1) ones it holds (for the
-stabilization flag), and refines undecided classes through the same
+as they stream past and refines undecided classes through the same
 generator.  Above the cone point the refinement can branch without
 deciding anything, so it also stops early, keeping the bracket, when a
 further level would exceed the budget.
@@ -38,13 +37,16 @@ from homogeneity.  It returns the tree's masses exactly where the tree
 reaches full depth, and a bracket inside the tree's where it stops early.
 Where it is refused, as when its level-1 scan of p^n classes exceeds the
 budget, the call raises BudgetExceededError.  One memo, keyed by all of
-its arguments, holds the masses (_masses).
+its arguments, holds the masses of one level an entry (_masses); a
+density reads two entries, its level N and N-1 for the stabilization
+flag.
 
 The rule has a second consumer: _phase_table gives the joint value
 distribution of (f1, f2) mod p^m, the input of expsums' Birch tables on a
 one-block instance, in closed form on the classes whose Jacobian has rank
-2 (the rank-2 test, _jacobian, is shared with _phase_level) and on every
-class from level m/2 on, where Taylor's formula is linear mod p^m.
+2 (the rank-2 test and the pivot of f2's row, _jacobian, are shared
+with _phase_level) and on every class from level m/2 on, where Taylor's
+formula is linear mod p^m.
 
 Both Euler products of the leading constant read these densities;
 constant.py assembles them and fixes the level read at each prime.
@@ -81,7 +83,6 @@ class LocalDensity:
     density_low: float = 0.0
     density_high: float = 0.0
     prev_density: float = 0.0
-    mass_scale: int = 1
 
     @staticmethod
     def csv_header() -> str:
@@ -138,19 +139,11 @@ def _classify_f1(values: np.ndarray, p: int, level: int):
     p = 3 mod 4: decided iff v_p < level, soluble iff v_p even.
     p = 2: decided iff v_2 <= level-2, soluble iff odd part is 1 mod 4.
     """
-    v = np.zeros(len(values), dtype=np.int64)
-    rem = values.copy()
-    nonzero = rem != 0
-    active = nonzero.copy()
-    while active.any():
-        div = active & (rem % p == 0)
-        rem[div] //= p
-        v[div] += 1
-        active = div
+    v = _valuation(values, p, level)
     if p == 2:
-        decided = nonzero & (v <= level - 2)
-        return decided & (rem % 4 == 1), ~decided
-    return nonzero & (v % 2 == 0), ~nonzero
+        decided = v <= level - 2
+        return decided & ((values >> v) % 4 == 1), ~decided
+    return (v < level) & (v % 2 == 0), v == level
 
 
 def _classify(inst: Instance, p: int, level: int, chunks, lift_extra: int,
@@ -202,22 +195,16 @@ def _classify(inst: Instance, p: int, level: int, chunks, lift_extra: int,
 
 def _tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
                  fibre: bool, budget: int):
-    """(count, soluble, undecided) at level N, and at level N-1 (lift_extra
-    at most 1) for the stabilization flag, by the lift tree.
+    """(count, soluble, undecided) at level N by the lift tree.
 
-    One pass: level 1 lifts the class of 0, the last level is scanned in
-    chunks, never materialized, and the level-(N-1) solutions it lifts from
-    are classified as they are, not lifted again from level 1.
+    One pass: level 1 lifts the class of 0, and the last level is scanned
+    in chunks, never materialized.
     """
     sols = np.zeros((1, inst.n), dtype=np.int64)
     for k in range(1, N):
         sols = np.concatenate(list(_solutions(inst, p, k, sols, budget)))
-    cur = _classify(inst, p, N, _solutions(inst, p, N, sols, budget),
-                    lift_extra, fibre, budget)
-    if N < 2:
-        return cur, None
-    return cur, _classify(inst, p, N - 1, [sols], min(lift_extra, 1), fibre,
-                          budget)
+    return _classify(inst, p, N, _solutions(inst, p, N, sols, budget),
+                     lift_extra, fibre, budget)
 
 
 def _gradient(f: Form) -> list:
@@ -247,12 +234,13 @@ def _gradient_mod(f: Form, cols: list, p: int, top: int) -> tuple:
 def _jacobian(inst: Instance, cols: list, p: int, top: int, k: int) -> tuple:
     """The rank-2 form of the rule of _phase at classes mod p^k.
 
-    Returns (u, w, vw, e1, vm, ok): the gradients u of f1 and w of f2 mod
-    p^top, the valuations vw of w's entries, the least valuation e1 of an
-    entry of the Jacobian and vm of a 2 x 2 minor (top where every minor
-    is 0 mod p^top).  The elementary divisors are p^e1 | p^(vm - e1), and ok marks
-    the classes the rule resolves: vm < top and vm - e1 < k.  The minors
-    are exact in int64 for p^(2 top) < INT64_SAFE.
+    Returns (e1, vm, ok, g2, us, inv): e1 and vm the least valuations of
+    an entry and of a 2 x 2 minor of the Jacobian mod p^top (top where all
+    are 0), so its elementary divisors are p^e1 | p^(vm - e1); ok marks
+    the classes the rule resolves, vm < top and vm - e1 < k.  The pivot of
+    f2's row is its entry w* = p^g2 unit of least valuation g2, us the f1
+    entry u* of its column and inv = unit^(phi(p^top) - 1) = unit^-1 mod
+    p^top.  All is exact in int64 for p^(2 top) < INT64_SAFE.
     """
     q = p ** top
     u, vu = _gradient_mod(inst.f1, cols, p, top)
@@ -261,21 +249,17 @@ def _jacobian(inst: Instance, cols: list, p: int, top: int, k: int) -> tuple:
     for i, j in itertools.combinations(range(inst.n), 2):
         vm = np.minimum(vm, _valuation((u[i] * w[j] - u[j] * w[i]) % q,
                                        p, top))
-    e1 = np.minimum(vu.min(axis=0), vw.min(axis=0))
-    return u, w, vw, e1, vm, (vm < top) & (vm - e1 < k)
-
-
-def _unit_inverse(u: np.ndarray, p: int, top: int) -> np.ndarray:
-    """u^-1 mod p^top of p-adic units u, as u^(phi(p^top) - 1); p^(2 top)
-    must stay below INT64_SAFE."""
-    q = p ** top
-    out, base, e = np.ones_like(u), u % q, p ** (top - 1) * (p - 1) - 1
+    g2, star = vw.min(axis=0), vw.argmin(axis=0)
+    e1 = np.minimum(vu.min(axis=0), g2)
+    at = np.arange(len(star))
+    inv, base = np.ones_like(g2), w[star, at] // np.power(p, g2)
+    e = p ** (top - 1) * (p - 1) - 1
     while e:
         if e & 1:
-            out = out * base % q
+            inv = inv * base % q
         base = base * base % q
         e >>= 1
-    return out
+    return e1, vm, (vm < top) & (vm - e1 < k), g2, u[star, at], inv
 
 
 def _coset_split(p: int, top: int, a: int, j: int) -> tuple:
@@ -317,29 +301,23 @@ def _phase_level(inst: Instance, p: int, k: int, N: int, top: int,
     cols = _cols(cur)
     c1 = inst.f1.evaluate_batch_mod(cols, q, reduced=True) if fibre else None
     if fibre and k >= N:  # f2 = 0 mod p^N holds on every lift
-        _, v1 = _gradient_mod(inst.f1, cols, p, top)
-        g1 = v1.min(axis=0)
+        g1 = _gradient_mod(inst.f1, cols, p, top)[1].min(axis=0)
         ok, hit = g1 < k, np.ones(len(cur), dtype=bool)
         m, J, a0 = np.zeros(len(cur), np.int64), k + g1, c1
     else:
         if fibre:
-            u, w, vw, _, vm, ok = _jacobian(inst, cols, p, top, k)
+            _, vm, ok, g2, us, inv = _jacobian(inst, cols, p, top, k)
         else:
-            w, vw = _gradient_mod(inst.f2, cols, p, top)
-            ok = vw.min(axis=0) < k
-        g2 = vw.min(axis=0)
+            g2 = _gradient_mod(inst.f2, cols, p, top)[1].min(axis=0)
+            ok = g2 < k
         c2 = inst.f2.evaluate_batch_mod(cols, q, reduced=True)
         s = np.minimum(k + g2, N)
         hit, m = c2 % p ** s == 0, N - s
     if fibre and k < N:
-        # L = <(p^a, 0), (u*, w*)> with w* = p^g2 * unit the column of least
-        # valuation in f2's row; the f2 slice fixes t mod p^m
-        at = np.arange(len(cur))
-        star = vw.argmin(axis=0)
-        us, ws = u[star, at], w[star, at]
-        unit = ws // np.power(p, np.minimum(g2, top))
-        t0 = (-(c2 // np.power(p, np.minimum(k + g2, top)))
-              * _unit_inverse(unit, p, top)) % np.power(p, m)
+        # L = <(p^a, 0), (u*, w*)> with (u*, w*) the column of f2's pivot
+        # (_jacobian); the f2 slice fixes t mod p^m
+        t0 = -(c2 // np.power(p, np.minimum(k + g2, top))) * inv
+        t0 %= np.power(p, m)
         J = k + np.minimum(vm - g2, m + _valuation(us, p, top))
         a0 = c1 + p ** k * ((t0 * us) % p ** (top - k))
     sel = ok & hit
@@ -442,16 +420,6 @@ def _phase(inst: Instance, p: int, N: int, top: int, fibre: bool,
     return (count, sol, und) if fibre else (count, count, 0)
 
 
-def _phase_masses(inst: Instance, p: int, N: int, lift_extra: int,
-                  fibre: bool, budget: int):
-    """The masses at levels N and N-1 (None when N = 1), in the shape of
-    _tree_masses, by stationary phase; they equal the tree's wherever the
-    tree reaches full depth."""
-    return (_phase(inst, p, N, N + lift_extra, fibre, budget),
-            _phase(inst, p, N - 1, N - 1 + min(lift_extra, 1), fibre, budget)
-            if N >= 2 else None)
-
-
 def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
     """M[u, v] = #{x mod p^m : (f1, f2)(x) = (u, v) mod p^m}, m >= 1, by
     the rule of _phase in its rank-2 form (_jacobian).
@@ -492,15 +460,11 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
             if k == 1:
                 pts = pts[pts.any(axis=1)]
             cols = _cols(pts)
-            u, w, vw, e1, vm, ok = _jacobian(inst, cols, p, m, k)
+            e1, vm, ok, g2, us, inv = _jacobian(inst, cols, p, m, k)
             ok |= 2 * k >= m
             rest.append(pts[~ok])
             # the Hermite basis of each resolved class's lattice
-            g2 = vw.min(axis=0)
-            star = vw.argmin(axis=0)
-            at = np.arange(len(pts))
-            unit = w[star, at] // np.power(p, np.minimum(g2, m))
-            b = (u[star, at] * _unit_inverse(unit, p, m) % q) * p ** k % q
+            b = (us * inv % q) * p ** k % q
             e2 = np.where(vm < m, vm - e1, m)  # vm = m: e2 >= m - k
             ce = np.minimum(k + g2, m)
             ae = np.minimum(k + e1, m) + np.minimum(k + e2, m) - ce
@@ -527,13 +491,14 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
             budget: int, method: str):
-    """The masses at levels N and N-1 (None when N = 1): by the lift tree
-    for method 'direct', by stationary phase for 'auto'.  The memo's key is
-    every argument, so a cached value is the one a fresh call would
-    return."""
+    """(count, soluble, undecided) at level N, f1 classified at level
+    N + lift_extra: by the lift tree for method 'direct', by stationary
+    phase for 'auto', which equals the tree wherever the tree reaches full
+    depth.  The memo's key is every argument, so a cached value is the one
+    a fresh call would return."""
     if method == "direct":
         return _tree_masses(inst, p, N, lift_extra, fibre, budget)
-    return _phase_masses(inst, p, N, lift_extra, fibre, budget)
+    return _phase(inst, p, N, N + lift_extra, fibre, budget)
 
 
 def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
@@ -549,25 +514,28 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
     fibre = kind == "ell" and p % 4 != 1
     if not fibre:
         lift_extra = 0
-    (count, soluble, und), prev_masses = _masses(
-        inst, p, N, lift_extra, fibre, budget, method)
-    unit = p ** (inst.n * lift_extra)
-    denom = unit * p ** (N * (inst.n - 1))
+
+    def masses(level: int, extra: int) -> tuple:
+        """(count, soluble, undecided, denominator) at the level, every
+        mass in classes mod p^(level + extra)."""
+        count, sol, und = _masses(inst, p, level, extra, fibre, budget, method)
+        unit = p ** (inst.n * extra)
+        return count * unit, sol, und, unit * p ** (level * (inst.n - 1))
+
+    count, soluble, und, denom = masses(N, lift_extra)
     raw = soluble + und
     dens = Fraction(raw, denom)
     prev = Fraction(0)
-    if prev_masses is not None:
-        _, sp, up = prev_masses
-        prev = Fraction(sp + up, p ** (inst.n * min(lift_extra, 1)
-                                       + (N - 1) * (inst.n - 1)))
+    if N >= 2:
+        _, sp, up, dp = masses(N - 1, min(lift_extra, 1))
+        prev = Fraction(sp + up, dp)
     return LocalDensity(
         p=p, level=N, raw_count=raw, density=float(dens),
-        stabilized=(prev_masses is not None
-                    and abs(dens - prev) <= STABLE_REL_TOL * dens),
-        kind=kind, undecided_fraction=und / (count * unit) if count else 0.0,
+        stabilized=N >= 2 and abs(dens - prev) <= STABLE_REL_TOL * dens,
+        kind=kind, undecided_fraction=und / count if count else 0.0,
         density_low=float(Fraction(soluble, denom)),
         density_high=float(Fraction(soluble + und, denom)),
-        prev_density=float(prev), mass_scale=unit)
+        prev_density=float(prev))
 
 
 def hypersurface_density(inst: Instance, p: int, N: int,

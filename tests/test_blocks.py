@@ -25,7 +25,7 @@ from strategies import instances, pair
 def _bracket(inst, p, N, e, budget, method="auto"):
     """Exact (low, high) soluble densities at p = 3 mod 4 from the masses:
     the undecided mass counted as insoluble, then as soluble."""
-    (_, sol, und), _ = padic._masses(inst, p, N, e, True, budget, method)
+    _, sol, und = padic._masses(inst, p, N, e, True, budget, method)
     denom = p ** (inst.n * e + N * (inst.n - 1))
     return Fraction(sol, denom), Fraction(sol + und, denom)
 
@@ -75,12 +75,12 @@ def test_a_tiny_working_block_changes_nothing(four_squares, bilinear,
     def results():
         padic._masses.cache_clear()
         expsums._birch_table.cache_clear()
-        counts = [counting.count_soluble_fibre_points(inst, 7, zero,
-                                                      method=method)
-                  for inst, method in ((four_squares, "split"),
-                                       (bilinear, "split"), (linked, "auto"),
-                                       (linked, "slab"))
-                  for zero in (False, True)]
+        budget, counts = blocks.DEFAULT_BUDGET, []
+        for zero in (False, True):
+            counts += [counting._count_split(four_squares, 7, zero, budget),
+                       counting._count_split(bilinear, 7, zero, budget),
+                       counting.count_soluble_fibre_points(linked, 7, zero),
+                       counting._count_slab(linked, 7, zero, budget, 1)]
         counts.append(counting.projective_count(linked, 7,
                                                 method="direct").raw_count)
         rows = archimedean.real_density(linked, samples=2000).csv_rows()
@@ -126,13 +126,12 @@ def test_many_blocks_are_packed_at_once():
 
 @given(instances(), st.integers(1, 3), st.booleans())
 def test_fuzz_split_equals_slab(inst, P, incl):
-    slab = counting.count_soluble_fibre_points(
-        inst, P, include_zero_fibres=incl, method="slab")
+    budget = blocks.DEFAULT_BUDGET
+    slab = counting._count_slab(inst, P, incl, budget, 1)
     assert counting.count_soluble_fibre_points(
         inst, P, include_zero_fibres=incl) == slab
     if len(blocks.variable_blocks(inst)) >= 2:
-        assert counting.count_soluble_fibre_points(
-            inst, P, include_zero_fibres=incl, method="split") == slab
+        assert counting._count_split(inst, P, incl, budget) == slab
 
 
 @given(instances(), st.integers(1, 6),
@@ -149,23 +148,6 @@ def test_fuzz_block_birch_table(inst, q):
     block = expsums._block_table(inst, q, 10**6)
     direct = expsums.birch_sum_table(inst, q, method="direct")
     assert np.abs(block - direct).max() <= 1e-9 * q ** inst.n
-
-
-@settings(max_examples=40)
-@given(instances(), st.sampled_from([(2, 2, 2), (2, 3, 1), (2, 4, 0),
-                                     (3, 2, 1), (3, 3, 0), (7, 2, 1)]),
-       st.sampled_from([100, 10**9]))
-def test_fuzz_tree_stabilization_masses(inst, pNe, budget):
-    # the one-pass tree classifies the level-(N-1) solutions it holds; that
-    # must equal a tree of its own one level lower
-    p, N, e = pNe
-    assume(p ** (inst.n * (N + e)) <= 10**6)
-    try:
-        prev = padic._tree_masses(inst, p, N, e, True, budget)[1]
-    except BudgetExceededError:
-        return
-    assert prev == padic._tree_masses(inst, p, N - 1, min(e, 1), True,
-                                      budget)[0]
 
 
 @settings(max_examples=30)
@@ -193,9 +175,9 @@ def test_block_path_reaches_p11(four_squares):
     # stationary phase counts the level-2 solutions at p = 11 as the lift
     # tree does
     tree = padic._tree_masses(four_squares, 11, 2, 0, False,
-                              blocks.DEFAULT_BUDGET)[0]
-    count, sol, und = padic._phase_masses(four_squares, 11, 2, 2, True,
-                                          blocks.DEFAULT_BUDGET)[0]
+                              blocks.DEFAULT_BUDGET)
+    count, sol, und = padic._phase(four_squares, 11, 2, 4, True,
+                                   blocks.DEFAULT_BUDGET)
     assert count == tree[0] == 1931281
     assert 0 < sol and sol + und <= count * 11 ** 8
 

@@ -48,23 +48,23 @@ def test_projective_paths_agree(four_squares, bilinear):
 
 
 def test_split_matches_slab(four_squares, bilinear):
+    budget = blocks.DEFAULT_BUDGET
     for inst in (four_squares, bilinear):
         for P in (2, 5, 7):
             for incl in (False, True):
-                a = counting.count_soluble_fibre_points(
-                    inst, P, include_zero_fibres=incl, method="split")
-                b = counting.count_soluble_fibre_points(
-                    inst, P, include_zero_fibres=incl, method="slab")
-                assert a == b
+                assert counting._count_split(inst, P, incl, budget) == \
+                    counting._count_slab(inst, P, incl, budget, 1)
 
 
-def test_split_refuses_one_block(linked):
-    # a one-block instance is outside the split path's domain, not over
-    # the budget
-    with pytest.raises(DomainError, match="two variable blocks"):
+def test_slab_is_the_one_forced_method(linked):
+    # 'slab' forces the scan; every other path is reached through
+    # _count_box only
+    slab = counting._count_slab(linked, 2, False, blocks.DEFAULT_BUDGET, 1)
+    assert counting.count_soluble_fibre_points(linked, 2) == slab
+    assert counting.count_soluble_fibre_points(linked, 2,
+                                               method="slab") == slab
+    with pytest.raises(DomainError, match="unknown method"):
         counting.count_soluble_fibre_points(linked, 2, method="split")
-    assert counting.count_soluble_fibre_points(linked, 2) == \
-        counting.count_soluble_fibre_points(linked, 2, method="slab")
 
 
 def test_mobius_residual_zero(demo, bilinear):
@@ -110,8 +110,8 @@ def test_half_table_slabs_merge(four_squares, bilinear, monkeypatch):
     for got, want in zip(slabs, whole):
         assert all((a == b).all() for a, b in zip(got, want))
     assert scans() == one_chunk
-    assert counting.count_soluble_fibre_points(bilinear, 9, method="split") \
-        == counting.count_soluble_fibre_points(bilinear, 9, method="slab")
+    assert counting._count_split(bilinear, 9, False, 10**6) == \
+        counting._count_slab(bilinear, 9, False, 10**6, 1)
 
 
 def test_half_table_memory_follows_the_slabs(four_squares):
@@ -182,7 +182,7 @@ def test_quadric_on_the_shipped_instances(four_squares, linked):
 
 
 def test_quadric_path_never_scans_the_box(linked, monkeypatch):
-    box = counting.count_soluble_fibre_points(linked, 20, method="slab")
+    box = counting._count_slab(linked, 20, False, blocks.DEFAULT_BUDGET, 1)
     vectors = counting._count_slab(linked, 20, True, blocks.DEFAULT_BUDGET,
                                    1, primitive=True)
 
@@ -243,7 +243,7 @@ def test_quadric_refuses_inexact_discriminants(monkeypatch):
         with pytest.raises(BudgetExceededError, match=r"2\^52"):
             counting._count_quadric(inst, 23, False, 10**7)
     assert counting.count_soluble_fibre_points(inst, 23) == \
-        counting.count_soluble_fibre_points(inst, 23, method="slab")
+        counting._count_slab(inst, 23, False, blocks.DEFAULT_BUDGET, 1)
     # without C the bound takes |C|_1 as 1, so that 2a stays in int64
     huge = Instance(f1=f1, f2=_form(3, (2**70, 2, 2), (1, 0, 2)), n=3, d=2,
                     box_max_m=3)
@@ -282,17 +282,15 @@ def test_split_memory_follows_the_blocks(bilinear):
 
 
 def test_parallel_determinism(four_squares):
-    a = counting.count_soluble_fibre_points(four_squares, 6, method="slab",
-                                            threads=1)
-    b = counting.count_soluble_fibre_points(four_squares, 6, method="slab",
-                                            threads=4)
+    a, b = (counting._count_slab(four_squares, 6, False,
+                                 blocks.DEFAULT_BUDGET, threads)
+            for threads in (1, 4))
     assert a == b
 
 
 def test_budget_refusal(four_squares):
     with pytest.raises(BudgetExceededError, match="budget"):
-        counting.count_soluble_fibre_points(four_squares, 50, method="slab",
-                                            budget=10**4)
+        counting._count_slab(four_squares, 50, False, 10**4, 1)
     with pytest.raises(BudgetExceededError):
         counting.projective_count(four_squares, 50, method="direct",
                                   budget=10**4)
@@ -301,8 +299,8 @@ def test_budget_refusal(four_squares):
 def test_one_sieve_serves_every_limit(four_squares, bilinear):
     for inst in (four_squares, bilinear):
         for P in (3, 6, 9, 12):
-            for method in ("split", "slab"):
-                counting.count_soluble_fibre_points(inst, P, method=method)
+            counting._count_split(inst, P, False, blocks.DEFAULT_BUDGET)
+            counting._count_slab(inst, P, False, blocks.DEFAULT_BUDGET, 1)
     table = counting._SIEVE
     limits = (10, 300, len(table) - 1)
     assert all(np.shares_memory(counting.two_squares_sieve(m), table)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibrecount import blocks, constant, expsums, padic
+from fibrecount import arith, blocks, constant, expsums, padic
 from fibrecount.blocks import BudgetExceededError
 from oracles import block_masses
 from strategies import instances
@@ -93,6 +93,22 @@ def test_dyadic_classification(four_squares):
     # at p = 2 the odd part mod 4 needs two spare bits, so some nonzero
     # residues stay undecided
     assert ell.undecided_fraction > 0
+
+
+@given(st.sampled_from([2, 3, 7, 11]), st.integers(1, 8), st.data())
+def test_classify_f1_against_the_scalar_rule(p, level, data):
+    # decided residues get conic_soluble_local's verdict; undecided are
+    # exactly those whose valuation saturates the level (p = 2: the odd
+    # part mod 4 needs two spare bits)
+    x = data.draw(st.lists(st.integers(0, p ** level - 1), min_size=1,
+                           max_size=50))
+    sol, und = padic._classify_f1(np.array(x, dtype=np.int64), p, level)
+    saturated = level - 1 if p == 2 else level
+    for value, s, u in zip(x, sol.tolist(), und.tolist()):
+        v = arith.valuation(value, p) if value else level
+        assert u == (v >= saturated)
+        if not u:
+            assert s == bool(arith.conic_soluble_local(value, p))
 
 
 def test_tamagawa_relation(four_squares):
@@ -193,6 +209,18 @@ def test_density_cache_keys_the_budget(linked):
     assert fresh(10**5, "auto") == fresh(10**6, "auto")
 
 
+def test_density_reads_two_memo_entries(linked):
+    # each memo entry holds one level: the density at N stores the masses
+    # of its stabilization level N-1, refined at most one level, as an
+    # entry of its own
+    padic._masses.cache_clear()
+    padic.soluble_density(linked, 3, 3, lift_extra=2)
+    assert padic._masses.cache_info().currsize == 2
+    hits = padic._masses.cache_info().hits
+    padic._masses(linked, 3, 2, 1, True, blocks.DEFAULT_BUDGET, "auto")
+    assert padic._masses.cache_info().hits == hits + 1
+
+
 # ---------------------------------------------------------------------------
 # stationary phase against the lift tree
 # ---------------------------------------------------------------------------
@@ -206,12 +234,14 @@ PHASE_GRID = [(2, 1, 2, True), (2, 2, 1, True), (2, 3, 0, True),
 @settings(max_examples=40)
 @given(instances(), st.sampled_from(PHASE_GRID))
 def test_fuzz_phase_equals_tree(inst, pNef):
-    # at every level, with the stabilization masses one level down
+    # at every level, refined as the density (e) and as its stabilization
+    # level (min(e, 1)) are
     p, N, e, fibre = pNef
     assume(p ** (inst.n * (N + e)) <= 10**6)  # keeps the full tree small
     for k in range(1, N + 1):
-        assert padic._phase_masses(inst, p, k, e, fibre, 10**9) == \
-            padic._tree_masses(inst, p, k, e, fibre, 10**9)
+        for extra in {e, min(e, 1)}:
+            assert padic._phase(inst, p, k, k + extra, fibre, 10**9) == \
+                padic._tree_masses(inst, p, k, extra, fibre, 10**9)
 
 
 @settings(max_examples=40)
@@ -219,18 +249,17 @@ def test_fuzz_phase_equals_tree(inst, pNef):
        st.sampled_from([10, 100, 1000]))
 def test_fuzz_phase_bracket_inside_the_tree(inst, pNef, small_budget):
     # the phase path lifts a subset of the tree's candidates, so it refuses
-    # only where the tree does and stops no earlier
+    # only where the tree does and stops no earlier, at the density's level
+    # and at its stabilization level
     p, N, e, fibre = pNef
     assume(p ** (inst.n * (N + e)) <= 10**6)
-    try:
-        tree = padic._tree_masses(inst, p, N, e, fibre, small_budget)
-    except BudgetExceededError:
-        return
-    phase = padic._phase_masses(inst, p, N, e, fibre, small_budget)
-    for level_tree, level_phase in zip(tree, phase):
-        if level_tree is None:  # N = 1 has no stabilization masses
-            break
-        (tc, ts, tu), (c, s, u) = level_tree, level_phase
+    for k, extra in [(N, e)] + [(N - 1, min(e, 1))] * (N >= 2):
+        try:
+            tc, ts, tu = padic._tree_masses(inst, p, k, extra, fibre,
+                                            small_budget)
+        except BudgetExceededError:
+            continue
+        c, s, u = padic._phase(inst, p, k, k + extra, fibre, small_budget)
         assert c == tc and ts <= s <= s + u <= ts + tu
 
 
@@ -240,7 +269,7 @@ def test_phase_equals_blocks(four_squares, bilinear, p):
     # against the exact join of two half tables
     N, budget = constant.level_for(p), blocks.DEFAULT_BUDGET
     for inst in (four_squares, bilinear):
-        phase = padic._phase_masses(inst, p, N, 2, True, budget)[0]
+        phase = padic._phase(inst, p, N, N + 2, True, budget)
         assert phase == block_masses(inst, p, N, 2)
 
 
@@ -248,10 +277,10 @@ def test_phase_quartic_homogeneity(quartic):
     # d = 4: the zero class recurses from level top to top - 4
     for p, e, levels in ((2, 2, 3), (3, 2, 3), (7, 1, 2)):
         for N in range(1, levels + 1):
-            assert padic._phase_masses(quartic, p, N, e, True, 10**8) == \
-                padic._tree_masses(quartic, p, N, e, True, 10**8)
-            assert padic._phase_masses(quartic, p, N, 0, False, 10**8) == \
-                padic._tree_masses(quartic, p, N, 0, False, 10**8)
+            for extra, fibre in ((e, True), (min(e, 1), True), (0, False)):
+                phase = padic._phase(quartic, p, N, N + extra, fibre, 10**8)
+                assert phase == padic._tree_masses(quartic, p, N, extra,
+                                                   fibre, 10**8)
 
 
 def test_phase_serves_one_block(linked):
