@@ -37,6 +37,7 @@ from .arith import DomainError
 from .forms import Form, Instance
 
 _CHUNK = 1 << 18  # points per chunk: it defines the random streams
+DEFAULT_SAMPLES = 10**6
 _MASK64 = (1 << 64) - 1
 
 
@@ -146,7 +147,7 @@ DEFAULT_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
 
 
 def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
-                 samples: int = 10**6, seed: int = 0,
+                 samples: int = DEFAULT_SAMPLES, seed: int = 0,
                  threads: int = 1) -> McEstimate:
     """Shell-volume estimate of the restricted surface density J.
 
@@ -280,7 +281,7 @@ def _roots_in_box(coeffs: np.ndarray):
     return np.concatenate(idx_parts), np.concatenate(root_parts)
 
 
-def real_density_coarea(inst: Instance, samples: int = 10**6,
+def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
                         seed: int = 0, threads: int = 1) -> McEstimate:
     """Independent estimator of J: exact 1-d fibre integration.
 

@@ -24,6 +24,7 @@ _PRIME_LOCK = threading.Lock()
 _PRIMES = np.zeros(0, dtype=np.int64)  # all primes <= _PRIME_LIMIT
 _PRIME_LIMIT = 1
 _SMALL_TRIAL_LIMIT = 10**6
+C0_PRIME_CUTOFF = 10**6  # the primes of C0's Euler product, by default
 
 
 class DomainError(ValueError):
@@ -271,7 +272,8 @@ class ArithConstants:
     landau_K: float
 
 
-def landau_constants(prime_cutoff: int) -> ArithConstants:
+def landau_constants(prime_cutoff: int = C0_PRIME_CUTOFF
+                      ) -> ArithConstants:
     """Compute c0 with a rigorous tail bound.
 
     The truncated product exceeds the limit; the log-tail is at most
@@ -309,7 +311,7 @@ def residue_class_parts(Q: int) -> tuple[int, int]:
     if Q < 1:
         raise DomainError("Q must be positive")
     dot = ddot = 1
-    for p, e in (factor(Q).factors if Q > 1 else ()):
+    for p, e in factor(Q).factors:
         if p % 4 == 1:
             dot *= p ** e
         elif p % 4 == 3:

@@ -16,10 +16,12 @@ sum over a box that is a product of per-block boxes then factors:
   sums, because e(.) is additive.
 
 counting and expsums take their block paths when an instance has at least
-two blocks.  Otherwise counting keeps its direct path and expsums takes
+two blocks (expsums through block_tables, one residue table per distinct
+block).  Otherwise counting keeps its direct path and expsums takes
 padic's stationary phase; the direct paths are also the oracles the other
 paths are tested against.  padic has no block path: stationary phase
-serves every instance there.
+serves every instance there, and its reference, the lift tree, lives with
+the tests.
 
 box() is the one enumeration of a complete box: residue tables, and the
 half tables, quadric scans and slab counts of counting, scan it chunk by
@@ -191,12 +193,12 @@ def box(axis: np.ndarray, n: int, limit: int | None = None):
             yield list(lead) + [part] + whole
 
 
-def residue_table(block: Block, modulus: int, q1: int, q2: int,
+def residue_table(block: Block, modulus: int, q2: int,
                   budget: int) -> np.ndarray:
-    """T[u, v] = #{x mod modulus : g1(x) = u mod q1, g2(x) = v mod q2}.
+    """T[u, v] = #{x mod modulus : g1(x) = u, g2(x) = v mod q2}.
 
-    q1 and q2 must divide modulus; q1 = 1 drops f1 from the table.  The
-    box (Z/modulus)^n is scanned in box chunks, one bincount each.
+    q2 must divide modulus.  The box (Z/modulus)^n is scanned in box
+    chunks, one bincount each.
     """
     n = block.n
     if modulus ** n > budget:
@@ -205,31 +207,30 @@ def residue_table(block: Block, modulus: int, q1: int, q2: int,
             f"{budget}")
 
     def residues(g, cols, q):  # g mod q, from its residues mod modulus
+        if g is None:
+            return 0
         values = g.evaluate_batch_mod(cols, modulus, reduced=True)
         return values if q == modulus else values % q
 
-    table = np.zeros(q1 * q2, dtype=np.int64)
+    table = np.zeros(modulus * q2, dtype=np.int64)
     # a chunk as large as the table its bincount fills, if that is larger
     for cols in box(np.arange(modulus, dtype=np.int64), n,
-                    limit=max(WORK_BLOCK, q1 * q2)):
-        u = (residues(block.g1, cols, q1)
-             if block.g1 is not None and q1 > 1 else 0)
-        v = residues(block.g2, cols, q2) if block.g2 is not None else 0
-        key = np.broadcast_to(u * q2 + v,
+                    limit=max(WORK_BLOCK, modulus * q2)):
+        key = np.broadcast_to(residues(block.g1, cols, modulus) * q2
+                              + residues(block.g2, cols, q2),
                               np.broadcast_shapes(*map(np.shape, cols)))
-        table += np.bincount(key.ravel(), minlength=q1 * q2)
-    return table.reshape(q1, q2)
+        table += np.bincount(key.ravel(), minlength=modulus * q2)
+    return table.reshape(modulus, q2)
 
 
-def block_tables(inst: Instance, modulus: int, q1: int, q2: int,
-                 budget: int) -> list:
-    """(residue_table, multiplicity) per distinct block of inst: blocks with
-    equal restrictions share one table."""
+def block_tables(inst: Instance, modulus: int, budget: int) -> list:
+    """(residue_table mod modulus, multiplicity) per distinct block of
+    inst: blocks with equal restrictions share one table."""
     groups: dict = {}
     for b in variable_blocks(inst):
         key = (b.g1, b.g2)
         if key in groups:
             groups[key][1] += 1
         else:
-            groups[key] = [residue_table(b, modulus, q1, q2, budget), 1]
+            groups[key] = [residue_table(b, modulus, modulus, budget), 1]
     return [tuple(g) for g in groups.values()]

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__, archimedean, arith, constant, counting, expsums, padic
 from .blocks import DEFAULT_BUDGET, BudgetExceededError
 from .forms import FormError, load_instance
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 
 @dataclass
@@ -135,7 +135,7 @@ def cmd_expsum(args) -> int:
                              f"{row[a1].imag:.12g},{tail:.6g}")
     elif args.empirical is not None:
         q = args.empirical
-        consts = arith.landau_constants(10**6)
+        consts = arith.landau_constants()
         scale = math.sqrt(math.log(args.x)) / args.x
         row, _ = expsums.arc_factor_row(q)
         twisted = expsums.twisted_two_squares_row(args.x, q)
@@ -188,7 +188,7 @@ def cmd_singular_integral(args) -> int:
 def _constant_pipeline(inst, args):
     """J, the factored singular series and the route-2 constant; route 1
     is left to the caller, which picks its singular series."""
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     J = archimedean.real_density(inst, samples=args.samples, seed=args.seed,
                                  threads=args.threads)
     l_fact = constant.singular_series_factored(inst, p_max=args.p_max,
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("singular-integral", help="real density by Monte Carlo")
     common(p)
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
     p.add_argument("--schedule", default=None,
                    help="comma-separated epsilon levels")
     p.add_argument("--estimator", default="shell", choices=("shell", "both"))
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", default="both", choices=("1", "2", "both"))
     p.add_argument("--Q", type=int, default=16, help="q-sum truncation")
     p.add_argument("--p-max", type=int, default=13, dest="p_max")
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
     p.add_argument("--use-qsum", action="store_true", dest="use_qsum",
                    help="feed route 1 the raw q-sum instead of the factored "
                         "evaluation (non-convergent at small n)")
@@ -348,12 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--t", required=True, help="comma-separated heights")
     p.add_argument("--p-max", type=int, default=13, dest="p_max")
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", choices=("arith", "sieve", "expsums", "padic",
-                                     "archimedean", "constant", "all"))
+    p.add_argument("suite", choices=SUITES + ("all",))
     common(p, config=False)
     p.set_defaults(fn=cmd_verify)
     return ap

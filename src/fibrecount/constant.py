@@ -39,8 +39,9 @@ from .padic import hypersurface_density, soluble_density
 IM_TOLERANCE = 1e-6
 
 
-def zeta_direct(s: float, tol: float = 1e-12) -> float:
-    """Riemann zeta by direct series with an integral tail bound."""
+def zeta_direct(s: float) -> float:
+    """Riemann zeta by direct series, its Euler-Maclaurin remainder below
+    1e-12."""
     if s <= 1:
         raise DomainError("need s > 1")
     K = 16
@@ -48,7 +49,7 @@ def zeta_direct(s: float, tol: float = 1e-12) -> float:
         # Euler-Maclaurin: tail = K^(1-s)/(s-1) - K^(-s)/2 + s K^(-s-1)/12 + R,
         # |R| <= s(s+1)(s+2) K^(-s-3)/720
         rem = s * (s + 1) * (s + 2) * K ** (-s - 3) / 720.0
-        if rem < tol:
+        if rem < 1e-12:
             break
         K *= 2
     head = sum(k ** (-s) for k in range(1, K + 1))
@@ -77,7 +78,6 @@ def level_for(p: int) -> int:
 
 
 def singular_series_factored(inst: Instance, p_max: int = 13,
-                             rho_max: int = 6,
                              budget: int = blocks.DEFAULT_BUDGET
                              ) -> TruncatedValue:
     """The singular series assembled as a product of local factors:
@@ -87,14 +87,15 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
 
     It agrees with the q-sum (expsums.singular_series) as a full sum, and
     it converges shell-wise at every prime, so it is the stable route at
-    small n.  Relative errors of
-    the factors add (first order).  tau_f2(p) is read at level_for(p), the
-    level of local_product.
+    small n.  Relative errors of the factors add (first order).  The
+    dyadic factor is local_series_two at its default shells, recorded as
+    rho_max; tau_f2(p) is read at level_for(p), the level of
+    local_product.
     """
     value = 1.0 + 0.0j
     rel_err = 0.0
     parts = {}
-    e2 = local_series_two(inst, rho_max=rho_max, budget=budget)
+    e2 = local_series_two(inst, budget=budget)
     value *= e2.value
     rel_err += e2.error_bound / max(abs(e2.value), 1e-30)
     parts["2"] = e2
@@ -114,7 +115,8 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
             parts[str(p)] = ser
     return TruncatedValue(
         value=complex(value),
-        truncation_params={"p_max": p_max, "rho_max": rho_max},
+        truncation_params={"p_max": p_max,
+                           "rho_max": e2.truncation_params["rho_max"]},
         error_bound=float(abs(value) * rel_err),
         error_kind="heuristic",
         shells=[parts])

@@ -78,7 +78,7 @@ def joint_value_distribution(inst: Instance, q: int,
     whole box (Z/q)^n: the oracle of the block and phase paths of
     birch_sum_table, and its 'direct' path."""
     return residue_table(Block(tuple(range(inst.n)), inst.f1, inst.f2),
-                         q, q, q, budget)
+                         q, q, budget)
 
 
 def birch_sum_table(inst: Instance, q: int,
@@ -144,7 +144,7 @@ def _block_table(inst: Instance, q: int, budget: int) -> np.ndarray:
     """The Birch table as the product of the per-block tables
     conj(FFT2(M_b)), exact because e(.) is additive over disjoint blocks."""
     S = np.ones((q, q), dtype=np.complex128)
-    for M, count in block_tables(inst, q, q, q, budget):
+    for M, count in block_tables(inst, q, budget):
         S *= np.conj(np.fft.fft2(M.astype(np.float64))) ** count
     return S
 
@@ -203,15 +203,15 @@ def arc_factor_row(q: int) -> tuple[np.ndarray, float]:
     """Arc factors for all a1 in [0, q), summed over every (k, t).
 
     Returns (values, tail_bound).  The values are exact apart from C0,
-    which enters as C0^-2; landau_constants(10^6) brackets C0 within its
+    which enters as C0^-2; landau_constants() brackets C0 within its
     rigorous Euler-product tail, and every value is at most values[0] in
     absolute value, so tail_bound = values[0] * (exp(2 tail_log) - 1) is
     rigorous.
     """
     if q < 1:
         raise DomainError("q must be positive")
-    fq = factor(q).factors if q > 1 else ()
-    consts = landau_constants(10**6)
+    fq = factor(q).factors
+    consts = landau_constants()
 
     # l-side coefficient ingredients, fixed per q
     h_arr = np.array([gcd(l, q) if l else q for l in range(q)], dtype=np.int64)
@@ -302,7 +302,7 @@ def gcd_phase_sum(a: int, q: int, k: int) -> complex:
         raise DomainError("q must be positive")
     g = gcd(k * k, q)
     w = 1.0
-    for p, e in (factor(q).factors if q > 1 else ()):
+    for p, e in factor(q).factors:
         if g % p ** e:
             w *= p / (p - 1.0)
     return complex(w * ramanujan_sum(q // g, a))

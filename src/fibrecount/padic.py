@@ -1,4 +1,4 @@
-"""Local densities by residue counting: stationary phase and lift trees.
+"""Local densities by residue counting and p-adic stationary phase.
 
 tau_f2(p) is the density of solutions of f2 = 0 mod p^N, normalized by
 p^(N(n-1)).  soluble_density additionally requires the fibre conic
@@ -17,29 +17,23 @@ A decision at a shallower level is never undone at a deeper one, so the
 masses at full depth are counts over t mod p^(N+e) with f2 = 0 mod p^N,
 f1 classified at level N+e.
 
-Two paths compute them.  The lift tree (method 'direct') is the
-reference.  One generator (_lifts) yields, in chunks, the candidates
-parent + p^(k-1) x mod p^k of a set of residues mod p^(k-1), and it alone
-checks the budget.  One pass over levels 1..N keeps only solution
-residues, never the full p^(N n) box; it classifies the level-N solutions
-as they stream past and refines undecided classes through the same
-generator.  Above the cone point the refinement can branch without
-deciding anything, so it also stops early, keeping the bracket, when a
-further level would exceed the budget.
-
-'auto' takes p-adic stationary phase (_phase) for every instance: a class
-x mod p^k whose Jacobian of (f1, f2) has elementary divisors below p^k
-spreads (f1, f2) uniformly over a coset of a lattice (Igusa, An
+One generator (_lifts) yields, in chunks, the candidates parent +
+p^(k-1) x mod p^k of a set of residues mod p^(k-1), and it alone checks
+the budget.  The masses come from p-adic stationary phase (_phase): a
+class x mod p^k whose Jacobian of (f1, f2) has elementary divisors below
+p^k spreads (f1, f2) uniformly over a coset of a lattice (Igusa, An
 Introduction to the Theory of Local Zeta Functions, 2000; Denef, Sem.
 Bourbaki 741, 1991), so its masses are a closed form; only the singular
-classes are lifted, through the same generator, and the class of 0 follows
-from homogeneity.  It returns the tree's masses exactly where the tree
-reaches full depth, and a bracket inside the tree's where it stops early.
-Where it is refused, as when its level-1 scan of p^n classes exceeds the
-budget, the call raises BudgetExceededError.  One memo, keyed by all of
-its arguments, holds the masses of one level an entry (_masses); a
-density reads two entries, its level N and N-1 for the stabilization
-flag.
+classes are lifted, through _lifts, and the class of 0 follows from
+homogeneity.  A level <= N over the budget, the level-1 scan of p^n
+classes included, refuses (BudgetExceededError); a refinement beyond N
+over it stops early, keeping the bracket.  Its reference is the lift
+tree of the tests (tests/oracles.py), which lifts every solution class:
+the phase path returns the tree's masses wherever the tree reaches full
+depth, and a bracket inside the tree's where it stops early.  One memo,
+keyed by all of its arguments, holds the masses of one level an entry
+(_masses); a density reads two entries, its level N and N-1 for the
+stabilization flag.
 
 The rule has a second consumer: _phase_table gives the joint value
 distribution of (f1, f2) mod p^m, the input of expsums' Birch tables on a
@@ -146,67 +140,6 @@ def _classify_f1(values: np.ndarray, p: int, level: int):
     return (v < level) & (v % 2 == 0), v == level
 
 
-def _classify(inst: Instance, p: int, level: int, chunks, lift_extra: int,
-              fibre: bool, budget: int):
-    """(count, soluble, undecided) masses of the solutions mod p^level that
-    the chunks hold, in units p^(-n lift_extra).
-
-    Without fibre every solution is soluble and the chunks are only
-    counted.  With it, classes left undecided by f1 mod p^level are lifted
-    (t, not the f2 condition) up to lift_extra more levels; each child of a
-    class at depth k weighs p^(n (lift_extra - k)).  Refinement stops
-    early, keeping the bracket, where a level would exceed the budget: it
-    is precision, not correctness.
-    """
-    if not fibre:
-        count = sum(len(pts) for pts in chunks)
-        return count, count, 0
-
-    def weight(depth: int) -> int:
-        return p ** (inst.n * (lift_extra - depth))
-
-    def scan(chunks, depth: int):
-        """Tallies the soluble classes in chunks at level + depth; returns
-        the number of classes and the undecided ones."""
-        nonlocal soluble
-        k = level + depth
-        seen, undecided = 0, []
-        for pts in chunks:
-            seen += len(pts)
-            values = inst.f1.evaluate_batch_mod(_cols(pts), p ** k,
-                                                reduced=True)
-            sol, und = _classify_f1(values, p, k)
-            soluble += int(sol.sum()) * weight(depth)
-            undecided.append(pts[und])
-        return seen, np.concatenate(undecided)
-
-    soluble = depth = 0
-    count, cur = scan(chunks, 0)
-    while depth < lift_extra and len(cur):
-        try:  # _lifts refuses before its first chunk, so nothing is tallied
-            _, cur_next = scan(_lifts(inst, p, level + depth + 1, cur, budget),
-                               depth + 1)
-        except BudgetExceededError:
-            break
-        depth += 1
-        cur = cur_next
-    return count, soluble, len(cur) * weight(depth)
-
-
-def _tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
-                 fibre: bool, budget: int):
-    """(count, soluble, undecided) at level N by the lift tree.
-
-    One pass: level 1 lifts the class of 0, and the last level is scanned
-    in chunks, never materialized.
-    """
-    sols = np.zeros((1, inst.n), dtype=np.int64)
-    for k in range(1, N):
-        sols = np.concatenate(list(_solutions(inst, p, k, sols, budget)))
-    return _classify(inst, p, N, _solutions(inst, p, N, sols, budget),
-                     lift_extra, fibre, budget)
-
-
 def _gradient(f: Form) -> list:
     """The partial derivatives of f, None where one vanishes identically."""
     parts = []
@@ -260,6 +193,15 @@ def _jacobian(inst: Instance, cols: list, p: int, top: int, k: int) -> tuple:
         base = base * base % q
         e >>= 1
     return e1, vm, (vm < top) & (vm - e1 < k), g2, u[star, at], inv
+
+
+def _check_int64_range(p: int, top: int) -> None:
+    """Refuses top where the products of residues mod p^top that the rule
+    forms, p^(2 top), leave the exact int64 range."""
+    if p ** (2 * top) >= INT64_SAFE:
+        raise BudgetExceededError(
+            f"p^{top} at p={p} is beyond the exact int64 range of the "
+            "stationary phase")
 
 
 def _coset_split(p: int, top: int, a: int, j: int) -> tuple:
@@ -361,20 +303,17 @@ def _phase(inst: Instance, p: int, N: int, top: int, fibre: bool,
 
     Classes not resolved are lifted one level through _lifts, keeping
     f2 = 0 mod p^min(k, N); from level N on, classes whose f1 verdict is
-    decided are tallied whole, and at level top the rest are classified
-    as the tree classifies them.  The zero class goes by homogeneity:
-    f(p y) = p^d f(y) with d even moves v_p(f1) by d and keeps its odd
-    part, so no verdict changes, and its masses are those at (N - d,
-    top - d), times the p^(n (d-1)) lifts of each class.  The budget acts
-    as in the tree: a level <= N over it refuses, a refinement beyond N
-    over it stops early and keeps the bracket.  Masses are in the tree's
-    units: count in classes mod p^N, the others in classes mod p^top.
+    decided are tallied whole, and at level top the rest stay undecided
+    (_classify_f1).  The zero class goes by homogeneity: f(p y) = p^d f(y)
+    with d even moves v_p(f1) by d and keeps its odd part, so no verdict
+    changes, and its masses are those at (N - d, top - d), times the
+    p^(n (d-1)) lifts of each class.  A level <= N over the budget
+    refuses, a refinement beyond N over it stops early and keeps the
+    bracket.  Masses count classes: count those mod p^N, the others those
+    mod p^top.
     """
     n, d = inst.n, inst.d
-    if p ** (2 * top) >= INT64_SAFE:
-        raise BudgetExceededError(
-            f"p^{top} at p={p} is beyond the exact int64 range of the "
-            "stationary phase")
+    _check_int64_range(p, top)
     if top > d:
         zc, zs, zu = _phase(inst, p, max(N - d, 0), top - d, fibre, budget)
         scale = p ** (n * (d - 1))
@@ -441,10 +380,7 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
     exact int64 range.
     """
     n, q = inst.n, p ** m
-    if q * q >= INT64_SAFE:
-        raise BudgetExceededError(
-            f"p^{m} at p={p} is beyond the exact int64 range of the "
-            "stationary phase")
+    _check_int64_range(p, m)
     M = np.zeros((q, q), dtype=np.int64)
     if m > inst.d:
         step = p ** inst.d
@@ -490,27 +426,21 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
-            budget: int, method: str):
+            budget: int):
     """(count, soluble, undecided) at level N, f1 classified at level
-    N + lift_extra: by the lift tree for method 'direct', by stationary
-    phase for 'auto', which equals the tree wherever the tree reaches full
-    depth.  The memo's key is every argument, so a cached value is the one
-    a fresh call would return."""
-    if method == "direct":
-        return _tree_masses(inst, p, N, lift_extra, fibre, budget)
+    N + lift_extra, by stationary phase.  The memo's key is every
+    argument, so a cached value is the one a fresh call would return."""
     return _phase(inst, p, N, N + lift_extra, fibre, budget)
 
 
 def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
-             budget: int, method: str) -> LocalDensity:
+             budget: int) -> LocalDensity:
     """The density of kind 'tau_f2' or 'ell', stabilization in exact
     rationals."""
     if N < 1:
         raise DomainError("level must be positive")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if method not in ("auto", "direct"):
-        raise DomainError(f"unknown method {method!r}")
     fibre = kind == "ell" and p % 4 != 1
     if not fibre:
         lift_extra = 0
@@ -518,7 +448,7 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
     def masses(level: int, extra: int) -> tuple:
         """(count, soluble, undecided, denominator) at the level, every
         mass in classes mod p^(level + extra)."""
-        count, sol, und = _masses(inst, p, level, extra, fibre, budget, method)
+        count, sol, und = _masses(inst, p, level, extra, fibre, budget)
         unit = p ** (inst.n * extra)
         return count * unit, sol, und, unit * p ** (level * (inst.n - 1))
 
@@ -539,30 +469,21 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
 
 
 def hypersurface_density(inst: Instance, p: int, N: int,
-                         budget: int = blocks.DEFAULT_BUDGET,
-                         method: str = "auto") -> LocalDensity:
-    """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'.
-
-    method 'direct' counts by the lift tree; 'auto' by stationary phase,
-    with the same count.
-    """
-    return _density(inst, p, N, "tau_f2", 0, budget, method)
+                         budget: int = blocks.DEFAULT_BUDGET) -> LocalDensity:
+    """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'."""
+    return _density(inst, p, N, "tau_f2", 0, budget)
 
 
 def soluble_density(inst: Instance, p: int, N: int,
                     lift_extra: int = 2,
-                    budget: int = blocks.DEFAULT_BUDGET,
-                    method: str = "auto") -> LocalDensity:
+                    budget: int = blocks.DEFAULT_BUDGET) -> LocalDensity:
     """Density of t mod p^N with f2(t) = 0 mod p^N and a soluble fibre.
 
     kind 'ell'.  For p = 1 mod 4 the fibre condition is vacuous and the
     result equals hypersurface_density at every level.  Otherwise residues
     whose f1-valuation saturates are refined up to lift_extra extra levels
-    and the remaining undecided mass is reported and bracketed.
-
-    method 'direct' refines by the lift tree, which stops early (keeping a
-    wider bracket) where a level would exceed the budget; 'auto' takes
-    stationary phase, which lifts far fewer classes, so it reaches full
-    depth where the tree does and often where it does not.
+    and the remaining undecided mass is reported and bracketed; the
+    refinement stops early, keeping a wider bracket, where a level would
+    exceed the budget.
     """
-    return _density(inst, p, N, "ell", lift_extra, budget, method)
+    return _density(inst, p, N, "ell", lift_extra, budget)

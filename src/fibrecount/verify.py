@@ -2,7 +2,10 @@
 
 Each check returns a CheckResult; the CLI prints one line per check and
 exits nonzero if any gating check fails.  The pytest acceptance module
-drives the same functions.
+drives the same functions.  Every suite takes (budget, seed, threads).
+birch-identities checks the Birch tables of the scan of (Z/q)^n for CRT
+multiplicativity, and for orthogonality against padic's stationary-phase
+count of f2 = 0 mod q.
 
 Two checks are expected to fail at desk scale and are marked in their
 notes; they assert exactly what they claim to measure and report the
@@ -21,7 +24,6 @@ honest numbers (see the repository README for the analysis):
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -30,8 +32,6 @@ import numpy as np
 
 from . import archimedean, arith, blocks, constant, counting, expsums, padic
 from .forms import Form, Instance
-
-SUITES = ("arith", "sieve", "expsums", "padic", "archimedean", "constant")
 
 
 @dataclass
@@ -135,7 +135,7 @@ def _global_local_check():
     return bad == 0, f"{bad} mismatches over 0<|m|<=1e5", sample_note
 
 
-def suite_arith(budget=None, seed=0):
+def suite_arith(budget=None, seed=0, threads=1):
     return [
         _check("ramanujan-exactness", _ramanujan_check,
                "formula = direct unit sum, exact integers, q <= 200"),
@@ -150,7 +150,7 @@ def suite_arith(budget=None, seed=0):
 
 def _landau_normalized_check():
     x = 10**7
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     cnt = counting.two_squares_count(x)
     norm = cnt * math.sqrt(math.log(x)) / x
     rel = abs(norm - consts.landau_K) / consts.landau_K
@@ -174,7 +174,7 @@ def _landau_oracle_check():
 
 def _mertens_check():
     D = 10**6
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     prod = arith.mertens_3mod4(D)
     main = arith.mertens_3mod4_main_term(D, consts)
     rel = abs(prod - main) / main
@@ -184,7 +184,7 @@ def _mertens_check():
 
 def _progression_check():
     z = 10**6
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     worst = 0.0
     details = []
     for (Q, a) in ((4, 1), (12, 1), (8, 5)):
@@ -212,7 +212,7 @@ def _mobius_check():
     return True, "residual 0 for both instances, t <= 20", ""
 
 
-def suite_sieve(budget=None, seed=0):
+def suite_sieve(budget=None, seed=0, threads=1):
     return [
         _check("landau-normalized", _landau_normalized_check,
                "count * sqrt(log 1e7)/1e7 within 2% of 1/(sqrt2 C0)"),
@@ -233,7 +233,7 @@ def suite_sieve(budget=None, seed=0):
 
 def _arc_consistency_check():
     x = 10**7
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     scale = math.sqrt(math.log(x)) / x
     worst_rel, worst_abs = 0.0, 0.0
     for q in (1, 2, 3, 4, 8, 12):
@@ -268,7 +268,8 @@ def _arc_consistency_check():
 
 
 def _birch_identity_check():
-    # the direct tables throughout: the block path is tested against them
+    # the direct tables (the scans) throughout: the block and phase paths
+    # are tested against them
     insts = (four_squares_instance(), bilinear_instance())
     worst_crt = 0.0
     for inst in insts:
@@ -295,11 +296,11 @@ def _birch_identity_check():
         for q in range(1, 31):
             S = expsums.birch_sum_table(inst, q, method="direct")
             lhs = complex(S[0, :].sum())
-            # #{x mod q : f2 = 0} counted independently of S: by the lift
-            # tree at each prime power of q, multiplied by the CRT
-            fq = arith.factor(q).factors if q > 1 else ()
-            rhs = q * math.prod(padic.hypersurface_density(
-                inst, p, e, method="direct").raw_count for p, e in fq)
+            # #{x mod q : f2 = 0} counted independently of S: by padic's
+            # stationary phase at each prime power of q, joined by the CRT
+            rhs = q * math.prod(
+                padic.hypersurface_density(inst, p, e).raw_count
+                for p, e in arith.factor(q).factors)
             gap = abs(lhs - rhs) / q ** inst.n
             worst_orth = max(worst_orth, gap)
             if gap > 1e-9:
@@ -309,7 +310,7 @@ def _birch_identity_check():
                   f"{worst_orth:.2e} (relative to q^n)"), ""
 
 
-def suite_expsums(budget=None, seed=0):
+def suite_expsums(budget=None, seed=0, threads=1):
     return [
         _check("arc-consistency", _arc_consistency_check,
                "empirical twisted sums within max(10% rel, 0.02 abs) of "
@@ -365,7 +366,7 @@ def _local_bridge_checks(budget):
     return out
 
 
-def suite_padic(budget=None, seed=0):
+def suite_padic(budget=None, seed=0, threads=1):
     return _local_bridge_checks(budget or blocks.DEFAULT_BUDGET)
 
 
@@ -475,7 +476,7 @@ def suite_constant(budget=None, seed=0, threads=1):
         gating=True))
 
     t0 = time.monotonic()
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     J = archimedean.real_density(inst, samples=10**6, seed=seed,
                                  threads=threads)
     prod = constant.local_product(inst, p_max=13, budget=budget)
@@ -521,26 +522,24 @@ def suite_constant(budget=None, seed=0, threads=1):
     return out
 
 
+_SUITES = {"arith": suite_arith, "sieve": suite_sieve,
+           "expsums": suite_expsums, "padic": suite_padic,
+           "archimedean": suite_archimedean, "constant": suite_constant}
+SUITES = tuple(_SUITES)
+
+
 def run_suites(names, budget=None, seed=0, threads=1):
     """Run the named suites ('all' for everything); returns CheckResults.
 
     The archimedean and constant suites run their Monte Carlo chunks and
     counts on `threads` threads; no check's result depends on it."""
-    table = {
-        "arith": suite_arith,
-        "sieve": suite_sieve,
-        "expsums": suite_expsums,
-        "padic": suite_padic,
-        "archimedean": functools.partial(suite_archimedean, threads=threads),
-        "constant": functools.partial(suite_constant, threads=threads),
-    }
     if isinstance(names, str):
         names = [names]
     todo = list(SUITES) if "all" in names else names
     out = []
     for name in todo:
-        if name not in table:
+        if name not in _SUITES:
             raise arith.DomainError(
                 f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-        out.extend(table[name](budget=budget, seed=seed))
+        out.extend(_SUITES[name](budget=budget, seed=seed, threads=threads))
     return out

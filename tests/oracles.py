@@ -20,7 +20,7 @@ from fibrecount.blocks import (DEFAULT_BUDGET, Block, BudgetExceededError,
                                variable_blocks)
 from fibrecount.expsums import _padic_weight_3mod4
 from fibrecount.forms import INT64_SAFE, Form, FormError, Instance
-from fibrecount.padic import _classify_f1
+from fibrecount.padic import _classify_f1, _cols, _lifts, _solutions
 
 _CHUNK = 1 << 21
 
@@ -57,7 +57,7 @@ def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
     assert p ** (inst.n * (N + e)) < 2**53
     a, b = (residue_table(Block(tuple(h), restrict(inst.f1, h),
                                 restrict(inst.f2, h)),
-                          q1, q1, q2, 2**53).astype(np.float64)
+                          q1, q2, 2**53).astype(np.float64)
             for h in balanced_halves(variable_blocks(inst)))
     prod = a @ b[:, -np.arange(q2) % q2].T
     u = np.arange(q1)
@@ -65,6 +65,58 @@ def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
     sol, und = _classify_f1(np.arange(q1, dtype=np.int64), p, N + e)
     return (int(col.sum()) // p ** (inst.n * e), int(col[sol].sum()),
             int(col[und].sum()))
+
+
+def tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
+                fibre: bool, budget: int) -> tuple:
+    """(count, soluble, undecided) at level N by the lift tree, in the
+    units of padic's masses: the reference of its stationary phase.
+
+    Levels 1..N keep the solutions of f2 = 0, level 1 lifting the class of
+    0, and the last level is scanned in chunks, never materialized.
+    Without fibre every solution is soluble.  With it, classes left
+    undecided by f1 mod p^N are lifted (t, not the f2 condition) up to
+    lift_extra more levels, each child of a class at depth k weighing
+    p^(n (lift_extra - k)).  A level <= N over the budget refuses; the
+    refinement stops early, keeping the bracket, where a level would
+    exceed it.
+    """
+    sols = np.zeros((1, inst.n), dtype=np.int64)
+    for k in range(1, N):
+        sols = np.concatenate(list(_solutions(inst, p, k, sols, budget)))
+    chunks = _solutions(inst, p, N, sols, budget)
+    if not fibre:
+        count = sum(len(pts) for pts in chunks)
+        return count, count, 0
+
+    def weight(depth: int) -> int:
+        return p ** (inst.n * (lift_extra - depth))
+
+    def scan(chunks, depth: int):
+        """Tallies the soluble classes in chunks at level N + depth;
+        returns the number of classes and the undecided ones."""
+        nonlocal soluble
+        seen, undecided = 0, []
+        for pts in chunks:
+            seen += len(pts)
+            values = inst.f1.evaluate_batch_mod(_cols(pts), p ** (N + depth),
+                                                reduced=True)
+            sol, und = _classify_f1(values, p, N + depth)
+            soluble += int(sol.sum()) * weight(depth)
+            undecided.append(pts[und])
+        return seen, np.concatenate(undecided)
+
+    soluble = depth = 0
+    count, cur = scan(chunks, 0)
+    while depth < lift_extra and len(cur):
+        try:  # _lifts refuses before its first chunk, so nothing is tallied
+            _, cur_next = scan(_lifts(inst, p, N + depth + 1, cur, budget),
+                               depth + 1)
+        except BudgetExceededError:
+            break
+        depth += 1
+        cur = cur_next
+    return count, soluble, len(cur) * weight(depth)
 
 
 def evaluate_batch(form: Form, cols, bound: int) -> np.ndarray:

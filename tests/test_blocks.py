@@ -19,13 +19,15 @@ from fibrecount import archimedean, blocks, counting, expsums, padic
 from fibrecount.arith import DomainError
 from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
+from oracles import tree_masses
 from strategies import instances, pair
 
 
-def _bracket(inst, p, N, e, budget, method="auto"):
-    """Exact (low, high) soluble densities at p = 3 mod 4 from the masses:
-    the undecided mass counted as insoluble, then as soluble."""
-    _, sol, und = padic._masses(inst, p, N, e, True, budget, method)
+def _bracket(inst, p, N, e, masses):
+    """Exact (low, high) soluble densities at p = 3 mod 4 from the masses
+    (count, soluble, undecided): the undecided mass counted as insoluble,
+    then as soluble."""
+    _, sol, und = masses
     denom = p ** (inst.n * e + N * (inst.n - 1))
     return Fraction(sol, denom), Fraction(sol + und, denom)
 
@@ -49,7 +51,7 @@ def test_unused_variable_is_a_zero_block():
                     f2=Form(2, 2, ((3, (2, 0)),)), n=2, d=2, box_max_m=1)
     free = blocks.variable_blocks(inst)[1]
     assert free.vars == (1,) and free.g1 is None and free.g2 is None
-    table = blocks.residue_table(free, 5, 5, 5, 10**6)
+    table = blocks.residue_table(free, 5, 5, 10**6)
     assert table[0, 0] == 5 and table.sum() == 5
 
 
@@ -84,8 +86,9 @@ def test_a_tiny_working_block_changes_nothing(four_squares, bilinear,
         counts.append(counting.projective_count(linked, 7,
                                                 method="direct").raw_count)
         rows = archimedean.real_density(linked, samples=2000).csv_rows()
-        masses = [padic.soluble_density(linked, p, 3, method=method).raw_count
-                  for p, method in ((2, "auto"), (2, "direct"), (3, "auto"))]
+        masses = [padic.soluble_density(linked, p, 3).raw_count
+                  for p in (2, 3)]
+        masses.append(tree_masses(linked, 2, 3, 2, True, budget))
         table = expsums.birch_sum_table(bilinear, 6).tobytes()
         return counts, rows, masses, table
 
@@ -161,21 +164,23 @@ def test_fuzz_mobius_residual(inst, t):
 # ---------------------------------------------------------------------------
 
 def test_block_soluble_density_reaches_full_depth(four_squares):
-    # at p = 7 the tree stops early on the default budget; auto (stationary
-    # phase, whose masses equal the exact join of the half tables:
+    # at p = 7 the tree stops early on the default budget; stationary phase
+    # (whose masses equal the exact join of the half tables:
     # test_phase_equals_blocks) reaches full depth, so its bracket lies
     # inside the tree's
     assert len(blocks.variable_blocks(four_squares)) == 4
-    phase = _bracket(four_squares, 7, 2, 2, blocks.DEFAULT_BUDGET)
-    tree = _bracket(four_squares, 7, 2, 2, blocks.DEFAULT_BUDGET, "direct")
+    budget = blocks.DEFAULT_BUDGET
+    phase = _bracket(four_squares, 7, 2, 2,
+                     padic._masses(four_squares, 7, 2, 2, True, budget))
+    tree = _bracket(four_squares, 7, 2, 2,
+                    tree_masses(four_squares, 7, 2, 2, True, budget))
     assert tree[0] == phase[0] and phase[1] < tree[1]
 
 
 def test_block_path_reaches_p11(four_squares):
     # stationary phase counts the level-2 solutions at p = 11 as the lift
     # tree does
-    tree = padic._tree_masses(four_squares, 11, 2, 0, False,
-                              blocks.DEFAULT_BUDGET)
+    tree = tree_masses(four_squares, 11, 2, 0, False, blocks.DEFAULT_BUDGET)
     count, sol, und = padic._phase(four_squares, 11, 2, 4, True,
                                    blocks.DEFAULT_BUDGET)
     assert count == tree[0] == 1931281

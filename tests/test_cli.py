@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fibrecount import archimedean, blocks
+from fibrecount import archimedean, blocks, verify
 from fibrecount.cli import build_parser, main
 from fibrecount.forms import load_instance
 
@@ -13,6 +13,17 @@ DEMO = os.path.join(os.path.dirname(__file__), "..", "configs",
                     "demo_pair.json")
 FOUR = os.path.join(os.path.dirname(__file__), "..", "configs",
                     "four_squares.json")
+
+
+def test_shipped_configs_are_the_verify_instances():
+    # the CLI reads the configs; verify and the tests build the instances
+    for name, build in (("four_squares", verify.four_squares_instance),
+                        ("bilinear", verify.bilinear_instance),
+                        ("demo_pair", verify.demo_instance)):
+        inst = load_instance(os.path.join(os.path.dirname(DEMO),
+                                          f"{name}.json"))
+        assert inst == build()
+        assert inst.config_hash() == build().config_hash()
 
 
 def test_count_and_cache_determinism(tmp_path):

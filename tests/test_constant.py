@@ -132,7 +132,7 @@ def test_both_products_read_constant_levels(four_squares, monkeypatch):
         assert fac.shells[0][p].level == constant.level_for(int(p))
     levels = {2: 3, 3: 2, 5: 2}
     monkeypatch.setattr(constant, "level_for", lambda p: levels.get(p, 1))
-    fac = constant.singular_series_factored(four_squares, p_max=5, rho_max=4)
+    fac = constant.singular_series_factored(four_squares, p_max=5)
     prod = constant.local_product(four_squares, p_max=5)
     assert fac.shells[0]["5"].level == 2
     assert prod.truncation_params["levels"] == levels

@@ -285,7 +285,8 @@ def test_singular_series_first_term(four_squares):
 
 
 def test_singular_series_factored_structure(four_squares):
-    fac = constant.singular_series_factored(four_squares, p_max=5, rho_max=4)
+    fac = constant.singular_series_factored(four_squares, p_max=5)
+    assert fac.truncation_params == {"p_max": 5, "rho_max": 6}
     parts = fac.shells[0]
     prod = parts["2"].value * parts["3"].value * parts["5"].density
     assert fac.value == pytest.approx(prod)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fibrecount import arith, blocks, constant, expsums, padic
 from fibrecount.blocks import BudgetExceededError
-from oracles import block_masses
+from fibrecount.forms import Form, Instance
+from oracles import block_masses, tree_masses
 from strategies import instances
 
 
@@ -190,23 +191,44 @@ def test_refusal_comes_before_allocation(four_squares):
     assert peak < 10**7
 
 
-def test_density_cache_keys_the_budget(linked):
-    # the lift tree stops early at the small budget, so the budget changes
-    # the answer and must be part of the cache key
-    def fresh(budget, method):
-        padic._masses.cache_clear()
-        return padic.soluble_density(linked, 3, 2, lift_extra=3,
-                                     budget=budget, method=method).density
+def test_density_cache_keys_the_budget():
+    # f1 = x0^2 + x1^2 vanishes on the line x0 = x1 = 0, which f2 = 0
+    # contains, so stationary phase refines the classes near it beyond N.
+    # At p = 3, N = 2 and lift_extra = 5 its levels 3 to 7 lift 162, 486,
+    # 1458, 4374 and 13122 candidates: a budget of 10^2 stops before level
+    # 3, one of 10^3 before level 5, with a narrower bracket.  The budget so
+    # changes the answer and must be part of the cache key
+    cone = Instance(f1=Form(3, 2, ((1, (2, 0, 0)), (1, (0, 2, 0)))),
+                    f2=Form(3, 2, ((1, (1, 0, 1)), (1, (0, 2, 0)))),
+                    n=3, d=2, box_max_m=2, label="cone")
 
-    small, large = fresh(10**5, "direct"), fresh(10**6, "direct")
-    assert small != large
+    def density(budget):
+        return padic.soluble_density(cone, 3, 2, lift_extra=5, budget=budget)
+
     padic._masses.cache_clear()
-    padic.soluble_density(linked, 3, 2, lift_extra=3, budget=10**5,
-                          method="direct")
-    assert padic.soluble_density(linked, 3, 2, lift_extra=3, budget=10**6,
-                                 method="direct").density == large
-    # the phase path reaches full depth at both budgets
-    assert fresh(10**5, "auto") == fresh(10**6, "auto")
+    small, large = density(10**2), density(10**3)
+    assert small.undecided_fraction > large.undecided_fraction
+    assert small.density_low < large.density_low
+    padic._masses.cache_clear()
+    density(10**2)
+    assert density(10**3) == large
+
+
+def test_int64_range_refused_by_both_phase_paths():
+    # products of residues mod p^top must stay below INT64_SAFE = 2^62:
+    # at p = 3, 3^38 < 2^62 <= 3^40, so top 19 is accepted and 20 refused
+    x2 = Form(1, 2, ((1, (2,)),))
+    one = Instance(f1=x2, f2=x2, n=1, d=2, box_max_m=1, label="one")
+    beyond = r"p\^20 at p=3 is beyond the exact int64 range"
+    # x^2 = 0 mod 3^19 iff x = 0 mod 3^10
+    assert padic.hypersurface_density(one, 3, 19).raw_count == 3 ** 9
+    assert padic.soluble_density(one, 3, 17, lift_extra=2).level == 17
+    for call in (lambda: padic.hypersurface_density(one, 3, 20),
+                 lambda: padic.soluble_density(one, 3, 17, lift_extra=3),
+                 lambda: padic._phase_table(one, 3, 20,
+                                            blocks.DEFAULT_BUDGET)):
+        with pytest.raises(BudgetExceededError, match=beyond):
+            call()
 
 
 def test_density_reads_two_memo_entries(linked):
@@ -217,7 +239,7 @@ def test_density_reads_two_memo_entries(linked):
     padic.soluble_density(linked, 3, 3, lift_extra=2)
     assert padic._masses.cache_info().currsize == 2
     hits = padic._masses.cache_info().hits
-    padic._masses(linked, 3, 2, 1, True, blocks.DEFAULT_BUDGET, "auto")
+    padic._masses(linked, 3, 2, 1, True, blocks.DEFAULT_BUDGET)
     assert padic._masses.cache_info().hits == hits + 1
 
 
@@ -241,7 +263,7 @@ def test_fuzz_phase_equals_tree(inst, pNef):
     for k in range(1, N + 1):
         for extra in {e, min(e, 1)}:
             assert padic._phase(inst, p, k, k + extra, fibre, 10**9) == \
-                padic._tree_masses(inst, p, k, extra, fibre, 10**9)
+                tree_masses(inst, p, k, extra, fibre, 10**9)
 
 
 @settings(max_examples=40)
@@ -255,8 +277,8 @@ def test_fuzz_phase_bracket_inside_the_tree(inst, pNef, small_budget):
     assume(p ** (inst.n * (N + e)) <= 10**6)
     for k, extra in [(N, e)] + [(N - 1, min(e, 1))] * (N >= 2):
         try:
-            tc, ts, tu = padic._tree_masses(inst, p, k, extra, fibre,
-                                            small_budget)
+            tc, ts, tu = tree_masses(inst, p, k, extra, fibre,
+                                     small_budget)
         except BudgetExceededError:
             continue
         c, s, u = padic._phase(inst, p, k, k + extra, fibre, small_budget)
@@ -279,19 +301,23 @@ def test_phase_quartic_homogeneity(quartic):
         for N in range(1, levels + 1):
             for extra, fibre in ((e, True), (min(e, 1), True), (0, False)):
                 phase = padic._phase(quartic, p, N, N + extra, fibre, 10**8)
-                assert phase == padic._tree_masses(quartic, p, N, extra,
-                                                   fibre, 10**8)
+                assert phase == tree_masses(quartic, p, N, extra, fibre,
+                                            10**8)
 
 
 def test_phase_serves_one_block(linked):
-    # auto takes the phase path on a single block too, with the tree's
-    # masses where the tree reaches full depth
+    # stationary phase serves a single block too, with the tree's masses
+    # where the tree reaches full depth: both memo entries of the density
+    # (level N refined 2 levels, N - 1 refined 1) are the tree's
     assert len(blocks.variable_blocks(linked)) == 1
+    budget = blocks.DEFAULT_BUDGET
     for p, N in ((2, 4), (3, 3)):
-        assert padic.soluble_density(linked, p, N) == \
-            padic.soluble_density(linked, p, N, method="direct")
-    with pytest.raises(ValueError, match="unknown method"):
-        padic.soluble_density(linked, 3, 2, method="block")
+        padic._masses.cache_clear()
+        padic.soluble_density(linked, p, N)
+        assert padic._masses.cache_info().currsize == 2
+        for level, extra in ((N, 2), (N - 1, 1)):
+            assert padic._masses(linked, p, level, extra, True, budget) == \
+                tree_masses(linked, p, level, extra, True, budget)
 
 
 def test_csv_row(four_squares):
