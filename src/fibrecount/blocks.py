@@ -18,10 +18,11 @@ sum over a box that is a product of per-block boxes then factors:
 counting and expsums take their block paths when an instance has at least
 two blocks (expsums through block_tables, one residue table per distinct
 block).  Otherwise counting keeps its direct path and expsums takes
-padic's stationary phase; the direct paths are also the oracles the other
-paths are tested against.  padic has no block path: stationary phase
-serves every instance there, and its reference, the lift tree, lives with
-the tests.
+padic's stationary phase, its one other path.  The oracles the other
+paths are tested against are counting's slab scan and, for the Birch
+tables, the scan of (Z/q)^n in joint_value_distribution, which no library
+path calls.  padic has no block path: stationary phase serves every
+instance there, and its reference, the lift tree, lives with the tests.
 
 box() is the one enumeration of a complete box: residue tables, and the
 half tables, quadric scans and slab counts of counting, scan it chunk by

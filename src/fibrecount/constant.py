@@ -88,8 +88,8 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
     It agrees with the q-sum (expsums.singular_series) as a full sum, and
     it converges shell-wise at every prime, so it is the stable route at
     small n.  Relative errors of the factors add (first order).  The
-    dyadic factor is local_series_two at its default shells, recorded as
-    rho_max; tau_f2(p) is read at level_for(p), the level of
+    dyadic factor is local_series_two, whose shells run to RHO_MAX,
+    recorded as rho_max; tau_f2(p) is read at level_for(p), the level of
     local_product.
     """
     value = 1.0 + 0.0j

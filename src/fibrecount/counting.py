@@ -65,6 +65,7 @@ from .forms import Form, Instance
 # sums-of-two-squares sieve
 # ---------------------------------------------------------------------------
 
+SIEVE_MAX = 2 * 10**8  # the longest two-squares sieve built, 200 MB
 _SIEVE_LOCK = threading.Lock()
 _SIEVE = np.zeros(1, dtype=bool)  # ok[0..]: replaced only by a longer one
 
@@ -107,7 +108,7 @@ def two_squares_count(x: int) -> int:
     """#{1 <= m <= x : m is a sum of two squares}."""
     if x < 1:
         raise DomainError("x must be positive")
-    if x > 2 * 10**8:
+    if x > SIEVE_MAX:
         raise BudgetExceededError(f"sieve of size {x} exceeds the memory budget")
     return int(two_squares_sieve(x)[1:x + 1].sum())
 
@@ -186,7 +187,7 @@ def _theta_of_values(values: np.ndarray) -> np.ndarray:
         return out
     positive = values[pos]
     vmax = int(positive.max())
-    if vmax <= 2 * 10**8:
+    if vmax <= SIEVE_MAX:
         out[pos] = two_squares_sieve(vmax)[positive]
         return out
     distinct, inverse = np.unique(positive, return_inverse=True)

@@ -10,8 +10,9 @@ Objects:
   q^(block size) scan instead of q^n.  On a one-block instance the
   distribution mod each prime power of q is padic's stationary phase
   table, and the prime powers are joined by CRT, so no (Z/q)^n is
-  scanned.  The scan of the whole box (joint_value_distribution,
-  method='direct') is the one oracle of both.
+  scanned.  Each instance has that one path.  The scan of the whole box,
+  joint_value_distribution, is the oracle the tests compare both paths
+  with; no library path calls it.
 
 * arc_factor(a1, q): the constant in front of x/sqrt(log x) in the
   asymptotic of sum_{m<=x, m a sum of two squares} e(a1*m/q), divided by
@@ -51,6 +52,8 @@ from .blocks import (Block, BudgetExceededError, block_tables, residue_table,
 from .counting import two_squares_sieve
 from .forms import Instance
 
+RHO_MAX = 6  # the last dyadic shell of local_series_two
+
 
 @dataclass
 class TruncatedValue:
@@ -71,60 +74,45 @@ class TruncatedValue:
 # Birch sums
 # ---------------------------------------------------------------------------
 
-def joint_value_distribution(inst: Instance, q: int,
-                             budget: int = blocks.DEFAULT_BUDGET
-                             ) -> np.ndarray:
+def joint_value_distribution(inst: Instance, q: int) -> np.ndarray:
     """M[u, v] = #{x mod q : f1(x) = u, f2(x) = v (mod q)}, by scanning the
     whole box (Z/q)^n: the oracle of the block and phase paths of
-    birch_sum_table, and its 'direct' path."""
+    birch_sum_table."""
     return residue_table(Block(tuple(range(inst.n)), inst.f1, inst.f2),
-                         q, q, budget)
+                         q, q, blocks.DEFAULT_BUDGET)
 
 
 def birch_sum_table(inst: Instance, q: int,
-                    budget: int = blocks.DEFAULT_BUDGET,
-                    method: str = "auto") -> np.ndarray:
+                    budget: int = blocks.DEFAULT_BUDGET) -> np.ndarray:
     """All S_{(a1,a2),q} at once as a (q, q) complex array.
 
-    S[a1, a2] = sum_{u,v} M[u,v] e((a1 u + a2 v)/q) = conj(FFT2(M)).
-    method 'direct' takes M from joint_value_distribution, the scan.
-    'auto' multiplies the per-block tables (see _block_table) when the
-    instance has at least two blocks, and otherwise takes M from
-    stationary phase (_phase_distribution), equal to the scan's.  budget
-    bounds the scanned volume: q^n on the direct path, q^(block size) per
-    block on the block path, the lift candidates of each level on the
-    phase path.  The tables are memoized and read-only.
+    S[a1, a2] = sum_{u,v} M[u,v] e((a1 u + a2 v)/q) = conj(FFT2(M)).  The
+    table is the product of the per-block tables (see _block_table) when
+    the instance has at least two blocks, and otherwise takes M from
+    stationary phase (_phase_distribution).  budget bounds q^(block size)
+    per block on the block path and the lift candidates of each level on
+    the phase path.  The tables are memoized and read-only.
     """
-    if method not in ("auto", "direct"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "direct":
-        path = "direct"
-    elif len(variable_blocks(inst)) >= 2:
-        path = "block"
-    else:
-        path = "phase"
-    return _birch_table(inst, q, budget, path)
+    return _birch_table(inst, q, budget)
 
 
 @functools.lru_cache(maxsize=None)
-def _birch_table(inst: Instance, q: int, budget: int,
-                 path: str) -> np.ndarray:
-    """birch_sum_table on the given path, memoized: the key is every
-    argument, so a cached table is the one a fresh call would build."""
+def _birch_table(inst: Instance, q: int, budget: int) -> np.ndarray:
+    """birch_sum_table, memoized: the key is every argument, so a cached
+    table is the one a fresh call would build."""
     if q == 1:
         S = np.ones((1, 1), dtype=np.complex128)
-    elif path == "block":
+    elif len(variable_blocks(inst)) >= 2:
         S = _block_table(inst, q, budget)
     else:
-        M = (_phase_distribution(inst, q, budget) if path == "phase"
-             else joint_value_distribution(inst, q, budget))
+        M = _phase_distribution(inst, q, budget)
         S = np.conj(np.fft.fft2(M.astype(np.float64)))
     S.setflags(write=False)
     return S
 
 
 def _phase_distribution(inst: Instance, q: int, budget: int) -> np.ndarray:
-    """joint_value_distribution without the scan: padic's stationary phase
+    """The joint value distribution without the scan: padic's stationary phase
     table mod each prime power p^e of q, joined by CRT,
       M_q[u, v] = prod over p^e of M_(p^e)[u mod p^e, v mod p^e].
     Refused for q^n >= 2^53, so every count is exact as a float64."""
@@ -357,9 +345,9 @@ def local_series_odd(inst: Instance, p: int, m_max: int,
         error_bound=err, error_kind="heuristic", shells=shells)
 
 
-def local_series_two(inst: Instance, rho_max: int = 6,
+def local_series_two(inst: Instance,
                      budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
-    """Dyadic local factor of the singular series.
+    """Dyadic local factor of the singular series, shells rho <= RHO_MAX.
 
     (1/4) * sum over shells (t, rho) of 2^(-t-rho*n) times the primitive
     phase sum with the carry indicator v_2(b1) >= rho - t - 2 and the
@@ -370,7 +358,7 @@ def local_series_two(inst: Instance, rho_max: int = 6,
     n = inst.n
     shells = []
     total = 0.0 + 0.0j
-    for rho in range(rho_max + 1):
+    for rho in range(RHO_MAX + 1):
         q = 2 ** rho
         S = birch_sum_table(inst, q, budget)
         T = _primitive_colsums(S, q)
@@ -388,7 +376,7 @@ def local_series_two(inst: Instance, rho_max: int = 6,
     err = abs(shells[-1]) if len(shells) > 1 else 0.0
     return TruncatedValue(
         value=complex(total),
-        truncation_params={"rho_max": rho_max},
+        truncation_params={"rho_max": RHO_MAX},
         error_bound=err, error_kind="heuristic", shells=shells)
 
 

@@ -9,7 +9,7 @@ as it is at p = 1 mod 4, where the condition is vacuous.
 A residue class t mod p^N only pins f1(t) mod p^N, so classes whose f1
 residue has saturated valuation cannot be classified at level N.  Those
 classes are refined by lifting t (not the f2 condition) a few more levels,
-lift_extra = e, splitting each class into p^n children of equal mass;
+LIFT_EXTRA = e, splitting each class into p^n children of equal mass;
 classes still undecided at level N+e are bracketed: counted as soluble
 (genuine f1 = 0 fibres are soluble through (0:0:1)), with both ends of
 the bracket (density_low, density_high) and the undecided mass reported.
@@ -61,6 +61,7 @@ from .blocks import BudgetExceededError
 from .forms import INT64_SAFE, Form, Instance
 
 STABLE_REL_TOL = 0.01
+LIFT_EXTRA = 2  # levels past N at which soluble_density classifies f1
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,8 @@ def _phase_level(inst: Instance, p: int, k: int, N: int, top: int,
     c1 = inst.f1.evaluate_batch_mod(cols, q, reduced=True) if fibre else None
     if fibre and k >= N:  # f2 = 0 mod p^N holds on every lift
         g1 = _gradient_mod(inst.f1, cols, p, top)[1].min(axis=0)
-        ok, hit = g1 < k, np.ones(len(cur), dtype=bool)
+        # from 2k >= top on, f1 mod p^top is linear on the lifts (Taylor)
+        ok, hit = (g1 < k) | (2 * k >= top), np.ones(len(cur), dtype=bool)
         m, J, a0 = np.zeros(len(cur), np.int64), k + g1, c1
     else:
         if fibre:
@@ -304,7 +306,10 @@ def _phase(inst: Instance, p: int, N: int, top: int, fibre: bool,
     Classes not resolved are lifted one level through _lifts, keeping
     f2 = 0 mod p^min(k, N); from level N on, classes whose f1 verdict is
     decided are tallied whole, and at level top the rest stay undecided
-    (_classify_f1).  The zero class goes by homogeneity: f(p y) = p^d f(y)
+    (_classify_f1).  Once f2 = 0 mod p^N holds and 2k >= top, f1 mod p^top
+    is linear on the lifts of a class (the terms past the first are 0 mod
+    p^2k), so the rule resolves every class and none is lifted past level
+    max(N, ceil(top/2)).  The zero class goes by homogeneity: f(p y) = p^d f(y)
     with d even moves v_p(f1) by d and keeps its odd part, so no verdict
     changes, and its masses are those at (N - d, top - d), times the
     p^(n (d-1)) lifts of each class.  A level <= N over the budget
@@ -475,15 +480,14 @@ def hypersurface_density(inst: Instance, p: int, N: int,
 
 
 def soluble_density(inst: Instance, p: int, N: int,
-                    lift_extra: int = 2,
                     budget: int = blocks.DEFAULT_BUDGET) -> LocalDensity:
     """Density of t mod p^N with f2(t) = 0 mod p^N and a soluble fibre.
 
     kind 'ell'.  For p = 1 mod 4 the fibre condition is vacuous and the
     result equals hypersurface_density at every level.  Otherwise residues
-    whose f1-valuation saturates are refined up to lift_extra extra levels
+    whose f1-valuation saturates are refined up to LIFT_EXTRA extra levels
     and the remaining undecided mass is reported and bracketed; the
     refinement stops early, keeping a wider bracket, where a level would
     exceed the budget.
     """
-    return _density(inst, p, N, "ell", lift_extra, budget)
+    return _density(inst, p, N, "ell", LIFT_EXTRA, budget)

@@ -3,7 +3,8 @@
 Each check returns a CheckResult; the CLI prints one line per check and
 exits nonzero if any gating check fails.  The pytest acceptance module
 drives the same functions.  Every suite takes (budget, seed, threads).
-birch-identities checks the Birch tables of the scan of (Z/q)^n for CRT
+birch-identities checks the Birch tables that birch_sum_table serves to
+every output (block products and stationary phase) for CRT
 multiplicativity, and for orthogonality against padic's stationary-phase
 count of f2 = 0 mod q.
 
@@ -135,7 +136,7 @@ def _global_local_check():
     return bad == 0, f"{bad} mismatches over 0<|m|<=1e5", sample_note
 
 
-def suite_arith(budget=None, seed=0, threads=1):
+def suite_arith(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     return [
         _check("ramanujan-exactness", _ramanujan_check,
                "formula = direct unit sum, exact integers, q <= 200"),
@@ -212,7 +213,7 @@ def _mobius_check():
     return True, "residual 0 for both instances, t <= 20", ""
 
 
-def suite_sieve(budget=None, seed=0, threads=1):
+def suite_sieve(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     return [
         _check("landau-normalized", _landau_normalized_check,
                "count * sqrt(log 1e7)/1e7 within 2% of 1/(sqrt2 C0)"),
@@ -268,8 +269,6 @@ def _arc_consistency_check():
 
 
 def _birch_identity_check():
-    # the direct tables (the scans) throughout: the block and phase paths
-    # are tested against them
     insts = (four_squares_instance(), bilinear_instance())
     worst_crt = 0.0
     for inst in insts:
@@ -277,13 +276,13 @@ def _birch_identity_check():
             fs = arith.factor(q).factors
             if len(fs) < 2:
                 continue
-            S = expsums.birch_sum_table(inst, q, method="direct")
+            S = expsums.birch_sum_table(inst, q)
             q1 = fs[0][0] ** fs[0][1]
             q2 = q // q1
             A = pow(q2, -1, q1)
             B = pow(q1, -1, q2)
-            S1 = expsums.birch_sum_table(inst, q1, method="direct")
-            S2 = expsums.birch_sum_table(inst, q2, method="direct")
+            S1 = expsums.birch_sum_table(inst, q1)
+            S2 = expsums.birch_sum_table(inst, q2)
             aa = np.arange(q)
             crt = S1[np.ix_((aa * A) % q1, (aa * A) % q1)] \
                 * S2[np.ix_((aa * B) % q2, (aa * B) % q2)]
@@ -294,7 +293,7 @@ def _birch_identity_check():
     worst_orth = 0.0
     for inst in insts:
         for q in range(1, 31):
-            S = expsums.birch_sum_table(inst, q, method="direct")
+            S = expsums.birch_sum_table(inst, q)
             lhs = complex(S[0, :].sum())
             # #{x mod q : f2 = 0} counted independently of S: by padic's
             # stationary phase at each prime power of q, joined by the CRT
@@ -310,7 +309,7 @@ def _birch_identity_check():
                   f"{worst_orth:.2e} (relative to q^n)"), ""
 
 
-def suite_expsums(budget=None, seed=0, threads=1):
+def suite_expsums(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     return [
         _check("arc-consistency", _arc_consistency_check,
                "empirical twisted sums within max(10% rel, 0.02 abs) of "
@@ -343,7 +342,7 @@ def _local_bridge_checks(budget):
         runtime_s=time.monotonic() - t0))
 
     t0 = time.monotonic()
-    e2 = expsums.local_series_two(inst, rho_max=6, budget=budget)
+    e2 = expsums.local_series_two(inst, budget=budget)
     l2 = padic.soluble_density(inst, 2, 6, budget=budget)
     rel2 = abs(e2.value.real - l2.density) / l2.density
     out.append(CheckResult(
@@ -366,15 +365,15 @@ def _local_bridge_checks(budget):
     return out
 
 
-def suite_padic(budget=None, seed=0, threads=1):
-    return _local_bridge_checks(budget or blocks.DEFAULT_BUDGET)
+def suite_padic(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
+    return _local_bridge_checks(budget)
 
 
 # ---------------------------------------------------------------------------
 # archimedean suite
 # ---------------------------------------------------------------------------
 
-def suite_archimedean(budget=None, seed=0, threads=1):
+def suite_archimedean(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     inst = four_squares_instance()
     out = []
 
@@ -420,8 +419,7 @@ def suite_archimedean(budget=None, seed=0, threads=1):
 # constant suite
 # ---------------------------------------------------------------------------
 
-def suite_constant(budget=None, seed=0, threads=1):
-    budget = budget or blocks.DEFAULT_BUDGET
+def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     inst = four_squares_instance()
     out = []
 
@@ -528,7 +526,7 @@ _SUITES = {"arith": suite_arith, "sieve": suite_sieve,
 SUITES = tuple(_SUITES)
 
 
-def run_suites(names, budget=None, seed=0, threads=1):
+def run_suites(names, budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     """Run the named suites ('all' for everything); returns CheckResults.
 
     The archimedean and constant suites run their Monte Carlo chunks and

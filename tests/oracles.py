@@ -18,7 +18,7 @@ from fibrecount.arith import (DomainError, factor, only_1mod4_factors,
 from fibrecount.blocks import (DEFAULT_BUDGET, Block, BudgetExceededError,
                                balanced_halves, residue_table, restrict,
                                variable_blocks)
-from fibrecount.expsums import _padic_weight_3mod4
+from fibrecount.expsums import _padic_weight_3mod4, joint_value_distribution
 from fibrecount.forms import INT64_SAFE, Form, FormError, Instance
 from fibrecount.padic import _classify_f1, _cols, _lifts, _solutions
 
@@ -40,6 +40,13 @@ def birch_sum_single(inst: Instance, a1: int, a2: int, q: int,
         v = inst.f2.evaluate_batch_mod(cols, q)
         acc += np.exp(2j * np.pi * ((a1 * u + a2 * v) % q) / q).sum()
     return complex(acc)
+
+
+def birch_table_scan(inst: Instance, q: int) -> np.ndarray:
+    """The Birch table conj(FFT2(M)) of the scan of (Z/q)^n, M the joint
+    value distribution: the oracle of expsums.birch_sum_table."""
+    M = joint_value_distribution(inst, q)
+    return np.conj(np.fft.fft2(M.astype(np.float64)))
 
 
 def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:

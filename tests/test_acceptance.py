@@ -16,6 +16,8 @@ records the measured numbers:
   (criterion 9 diagnostic).
 """
 
+import os
+
 import pytest
 
 from fibrecount import verify
@@ -51,12 +53,14 @@ def padic_results():
 
 @pytest.fixture(scope="module")
 def arch_results():
-    return verify.suite_archimedean()
+    # no result depends on the thread count (tested in test_archimedean
+    # and test_counting), so both fixtures use the usable CPUs
+    return verify.suite_archimedean(threads=len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture(scope="module")
 def constant_results():
-    return verify.suite_constant()
+    return verify.suite_constant(threads=len(os.sched_getaffinity(0)))
 
 
 def test_criterion_01_ramanujan_exactness(arith_results):

@@ -2,9 +2,10 @@
 oracle.
 
 The differential tests generate small instances (strategies.instances)
-and compare each block path with the direct path of the same layer.  The
-Birch-table fuzz calls the block computation itself, so it runs on a
-single block too.
+and compare each block path with the reference path of its layer: the
+slab scan for counting, the scan of (Z/q)^n (oracles.birch_table_scan)
+for Birch tables.  The Birch-table fuzz calls the block computation
+itself, so it runs on a single block too.
 """
 
 import itertools
@@ -16,10 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibrecount import archimedean, blocks, counting, expsums, padic
-from fibrecount.arith import DomainError
 from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
-from oracles import tree_masses
+from oracles import birch_table_scan, tree_masses
 from strategies import instances, pair
 
 
@@ -149,8 +149,8 @@ def test_fuzz_quadric_equals_slab(inst, P, kind):
 @given(instances(), st.integers(2, 12))
 def test_fuzz_block_birch_table(inst, q):
     block = expsums._block_table(inst, q, 10**6)
-    direct = expsums.birch_sum_table(inst, q, method="direct")
-    assert np.abs(block - direct).max() <= 1e-9 * q ** inst.n
+    scan = birch_table_scan(inst, q)
+    assert np.abs(block - scan).max() <= 1e-9 * q ** inst.n
 
 
 @settings(max_examples=30)
@@ -188,17 +188,12 @@ def test_block_path_reaches_p11(four_squares):
 
 
 def test_block_paths_take_the_instance_blocks(four_squares, linked):
-    # birch_sum_table 'auto' takes the block product on an instance of
-    # several blocks and stationary phase on one block.  Each budget admits
-    # only that path: q per block of four_squares, 3^4 lift candidates of
-    # linked, against q^4 for the scan of 'direct'
+    # birch_sum_table takes the block product on an instance of several
+    # blocks and stationary phase on one block, within budgets (q per block
+    # of four_squares, 3^4 lift candidates of linked) far below the q^4 of
+    # a scan
     assert np.array_equal(expsums.birch_sum_table(four_squares, 6, 10),
                           expsums._block_table(four_squares, 6, 10))
     phase = expsums._phase_distribution(linked, 9, 100)
     assert np.array_equal(expsums.birch_sum_table(linked, 9, 100),
                           np.conj(np.fft.fft2(phase.astype(np.float64))))
-    for inst, q, budget in ((four_squares, 6, 10), (linked, 9, 100)):
-        with pytest.raises(BudgetExceededError):
-            expsums.birch_sum_table(inst, q, budget, method="direct")
-    with pytest.raises(DomainError, match="unknown method"):
-        expsums.birch_sum_table(linked, 9, method="block")

@@ -121,6 +121,9 @@ def test_budget_refusal_exit_code(capsys):
                  "--p", "139", "--N", "1"])
     assert code == 2
     assert "budget refused" in capsys.readouterr().err
+    # a budget of 0 refuses too; it does not fall back to the default
+    assert main(["verify", "padic", "--budget", "0"]) == 2
+    assert "budget refused" in capsys.readouterr().err
 
 
 def test_constant_small(tmp_path, capsys):

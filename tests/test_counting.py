@@ -328,7 +328,7 @@ def test_theta_above_the_sieve_range():
     # a value past 2e8 switches every value to factorization: compare with
     # conic_soluble_global on both sides of the switch, and on small values
     # with the sieve path
-    limit = 2 * 10**8
+    limit = counting.SIEVE_MAX
     small = np.array([0, -1, -5, 1, 2, 3, 9, 21, 45, 0, 3, 9], dtype=np.int64)
     r = 14143  # r^2 just above the limit
     big = np.array([limit - 5, limit - 1, limit, limit + 1, r * r, r * r + 1,

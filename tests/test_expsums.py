@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibrecount import arith, blocks, constant, expsums, padic
+from fibrecount import arith, blocks, constant, expsums, padic, verify
 from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
-from oracles import arc_factor_row_truncated, birch_sum_single
+from oracles import (arc_factor_row_truncated, birch_sum_single,
+                     birch_table_scan)
 from strategies import instances
 
 
@@ -37,16 +38,28 @@ def test_birch_table_matches_literal(four_squares):
     for (a1, a2) in ((1, 0), (2, 5), (4, 4)):
         lit = birch_sum_single(four_squares, a1, a2, q)
         assert S[a1, a2] == pytest.approx(lit, abs=1e-7)
+    assert np.abs(S - birch_table_scan(four_squares, q)).max() <= 1e-9 * q ** 4
 
 
-def test_table_cache_keys_the_path(four_squares):
+def test_birch_identities_read_the_served_tables(monkeypatch):
+    # the check passes without the scan, and a block product that drops
+    # the multiplicity of a repeated block fails it
+    def refuse(*args):
+        raise AssertionError("scanned (Z/q)^n")
+
     expsums._birch_table.cache_clear()
-    direct = expsums.birch_sum_table(four_squares, 9, method="direct").copy()
+    monkeypatch.setattr(expsums, "joint_value_distribution", refuse)
+    assert verify._birch_identity_check()[0]
+    real = expsums.block_tables
+    monkeypatch.setattr(expsums, "block_tables", lambda *args: [
+        (M, 1) for M, _ in real(*args)])
     expsums._birch_table.cache_clear()
-    block = expsums.birch_sum_table(four_squares, 9)
-    again = expsums.birch_sum_table(four_squares, 9, method="direct")
-    assert again is not block
-    assert np.array_equal(again, direct)
+    try:
+        passed, measured, _ = verify._birch_identity_check()
+    finally:
+        expsums._birch_table.cache_clear()
+    assert not passed and "orthogonality gap" in measured \
+        and "at q=2 " in measured
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +124,7 @@ def test_one_block_tables_never_scan(linked, monkeypatch):
         mp.setattr(blocks, "residue_table", refuse)
         mp.setattr(expsums, "residue_table", refuse)
         phase = expsums.birch_sum_table(linked, 81)
-    assert np.array_equal(phase,
-                          expsums.birch_sum_table(linked, 81, method="direct"))
+    assert np.array_equal(phase, birch_table_scan(linked, 81))
 
 
 def test_phase_table_refusals(linked):
@@ -261,16 +273,16 @@ def test_local_series_odd_shells_decay(four_squares):
 
 
 def test_local_series_two_base_shell(four_squares):
-    ser = expsums.local_series_two(four_squares, rho_max=0)
-    assert ser.value.real == pytest.approx(0.5, abs=1e-9)
+    ser = expsums.local_series_two(four_squares)
+    assert ser.shells[0].real == pytest.approx(0.5, abs=1e-9)
 
 
 def test_local_series_tails_are_exact(four_squares, bilinear):
     # with the kappa- and t-tails summed, the shells give exact rationals
     values = (
         (expsums.local_series_odd(four_squares, 3, m_max=2), 137 / 72),
-        (expsums.local_series_two(four_squares, rho_max=6), 123 / 64),
-        (expsums.local_series_two(bilinear, rho_max=6), 375 / 256),
+        (expsums.local_series_two(four_squares), 123 / 64),
+        (expsums.local_series_two(bilinear), 375 / 256),
     )
     for ser, exact in values:
         assert abs(ser.value - exact) <= 1e-12

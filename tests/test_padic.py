@@ -72,7 +72,7 @@ def test_soluble_density_vs_direct_oracle(four_squares):
                 e += 1
             soluble += 1 - (e % 2)
     oracle = soluble / p ** (N * 3)
-    ell = padic.soluble_density(four_squares, p, N, lift_extra=0)
+    ell = padic._density(four_squares, p, N, "ell", 0, blocks.DEFAULT_BUDGET)
     assert ell.density == pytest.approx(oracle, abs=1e-12)
 
 
@@ -80,8 +80,8 @@ def test_undecided_fraction_vanishes(four_squares):
     # the saturated set alternates in size with the parity of the level
     # (squares mod 3^N gain a digit every other level), so the honest
     # monotone statement is along N -> N+2 within each parity class
-    fracs = [padic.soluble_density(four_squares, 3, N,
-                                   lift_extra=0).undecided_fraction
+    fracs = [padic._density(four_squares, 3, N, "ell", 0,
+                            blocks.DEFAULT_BUDGET).undecided_fraction
              for N in (1, 2, 3, 4, 5)]
     assert fracs[2] < fracs[0] and fracs[4] < fracs[2]
     assert fracs[3] < fracs[1]
@@ -191,19 +191,21 @@ def test_refusal_comes_before_allocation(four_squares):
     assert peak < 10**7
 
 
-def test_density_cache_keys_the_budget():
-    # f1 = x0^2 + x1^2 vanishes on the line x0 = x1 = 0, which f2 = 0
-    # contains, so stationary phase refines the classes near it beyond N.
-    # At p = 3, N = 2 and lift_extra = 5 its levels 3 to 7 lift 162, 486,
-    # 1458, 4374 and 13122 candidates: a budget of 10^2 stops before level
-    # 3, one of 10^3 before level 5, with a narrower bracket.  The budget so
-    # changes the answer and must be part of the cache key
-    cone = Instance(f1=Form(3, 2, ((1, (2, 0, 0)), (1, (0, 2, 0)))),
-                    f2=Form(3, 2, ((1, (1, 0, 1)), (1, (0, 2, 0)))),
-                    n=3, d=2, box_max_m=2, label="cone")
+# f1 = x0^2 + x1^2 vanishes on the line x0 = x1 = 0, which f2 = 0
+# contains, so stationary phase refines the classes near it beyond N
+CONE = Instance(f1=Form(3, 2, ((1, (2, 0, 0)), (1, (0, 2, 0)))),
+                f2=Form(3, 2, ((1, (1, 0, 1)), (1, (0, 2, 0)))),
+                n=3, d=2, box_max_m=2, label="cone")
 
+
+def test_density_cache_keys_the_budget():
+    # At p = 3, N = 2 and 5 extra levels (top = 7), levels 3 and 4 lift 162
+    # and 486 candidates, and at level 4 (2k >= top) every class is
+    # resolved: a budget of 10^2 stops before level 3 with a wider bracket,
+    # one of 10^3 reaches full depth.  The budget so changes the answer
+    # and must be part of the cache key
     def density(budget):
-        return padic.soluble_density(cone, 3, 2, lift_extra=5, budget=budget)
+        return padic._density(CONE, 3, 2, "ell", 5, budget)
 
     padic._masses.cache_clear()
     small, large = density(10**2), density(10**3)
@@ -214,6 +216,26 @@ def test_density_cache_keys_the_budget():
     assert density(10**3) == large
 
 
+def test_no_lift_past_the_linear_level(monkeypatch):
+    # once 2k >= top, f1 mod p^top is linear on the lifts of a class mod
+    # p^k, so its verdict is a closed form: at p = 3, N = 2, top = 7 no
+    # class is lifted past level max(N, ceil(top / 2)) = 4
+    levels = []
+    real = padic._lifts
+
+    def record(inst, p, level, parents, budget):
+        levels.append(level)
+        return real(inst, p, level, parents, budget)
+
+    padic._masses.cache_clear()
+    monkeypatch.setattr(padic, "_lifts", record)
+    try:
+        padic._density(CONE, 3, 2, "ell", 5, blocks.DEFAULT_BUDGET)
+    finally:
+        padic._masses.cache_clear()
+    assert max(levels) == 4
+
+
 def test_int64_range_refused_by_both_phase_paths():
     # products of residues mod p^top must stay below INT64_SAFE = 2^62:
     # at p = 3, 3^38 < 2^62 <= 3^40, so top 19 is accepted and 20 refused
@@ -222,9 +244,10 @@ def test_int64_range_refused_by_both_phase_paths():
     beyond = r"p\^20 at p=3 is beyond the exact int64 range"
     # x^2 = 0 mod 3^19 iff x = 0 mod 3^10
     assert padic.hypersurface_density(one, 3, 19).raw_count == 3 ** 9
-    assert padic.soluble_density(one, 3, 17, lift_extra=2).level == 17
+    assert padic.soluble_density(one, 3, 17).level == 17
     for call in (lambda: padic.hypersurface_density(one, 3, 20),
-                 lambda: padic.soluble_density(one, 3, 17, lift_extra=3),
+                 lambda: padic._density(one, 3, 17, "ell", 3,
+                                        blocks.DEFAULT_BUDGET),
                  lambda: padic._phase_table(one, 3, 20,
                                             blocks.DEFAULT_BUDGET)):
         with pytest.raises(BudgetExceededError, match=beyond):
@@ -236,7 +259,7 @@ def test_density_reads_two_memo_entries(linked):
     # of its stabilization level N-1, refined at most one level, as an
     # entry of its own
     padic._masses.cache_clear()
-    padic.soluble_density(linked, 3, 3, lift_extra=2)
+    padic.soluble_density(linked, 3, 3)
     assert padic._masses.cache_info().currsize == 2
     hits = padic._masses.cache_info().hits
     padic._masses(linked, 3, 2, 1, True, blocks.DEFAULT_BUDGET)
