@@ -1,15 +1,20 @@
 """Archimedean densities by reproducible Monte Carlo.
 
-real_density estimates the surface density of f2 = 0 in the unit box,
+The real density J is the surface density of f2 = 0 in the unit box,
 restricted to the region where the fibre conic has a real point, i.e.
 f1(t) >= 0:
 
     J = lim_{eps->0} (1/2 eps) vol{t in [-1,1]^n : |f2(t)| <= eps, f1(t) >= 0}
+      = integral over {f2 = 0, f1 >= 0} of dA / |grad f2|   (coarea formula)
 
-via shell volumes over a decreasing epsilon schedule plus Richardson-style
-extrapolation in eps^2.  real_density_coarea is an independent estimator:
-it integrates one coordinate exactly through polynomial root finding
-and weights each surface crossing by 1/|df2/dt_j|.
+real_density_coarea estimates the integral in gradient charts: chart j is
+where |df2/dt_j| is the largest partial derivative, and there the surface
+is a graph over the other n-1 coordinates, found by polynomial root
+finding along t_j.  Each root weighs n/|df2/dt_j| <= n sqrt(n)/|grad f2|,
+bounded off the singular points of f2.  It is the estimator the constant
+pipeline reads.  real_density is the independent cross-check: shell
+volumes over a decreasing epsilon schedule plus Richardson-style
+extrapolation in eps.
 
 Samples come in counter-based chunks of at most 2^18 points: chunk i of a
 stream is one draw from Philox keyed by (seed, stream, i).  _blocks draws
@@ -20,7 +25,7 @@ block of a chunk reuses.  A block so stays in cache while
 Form.evaluate_batch (the one evaluator of every form here, in place in
 its own two buffers) works through it.  The estimators run
 their chunks on a pool of `threads` threads (blocks.pool_map) and combine
-the chunks' results in chunk order: shell hits are ints and the fibre
+the chunks' results in chunk order: shell hits are ints and the coarea
 estimator's weights are summed chunk by chunk, so results are
 bit-reproducible for a given (seed, samples) whatever the thread count.
 """
@@ -205,77 +210,74 @@ def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
                       seed=seed, rows=rows)
 
 
-def _fiber_variable(f2: Form) -> int:
-    """Coordinate to integrate exactly: prefer one carrying a pure power."""
-    best = None
-    for j in range(f2.n_vars):
-        deg_j = max((e[j] for _, e in f2.monomials), default=0)
-        pure = any(e[j] == f2.degree and sum(e) == e[j]
-                   for _, e in f2.monomials)
-        if deg_j > 0:
-            score = (1 if pure else 0, deg_j)
-            if best is None or score > best[0]:
-                best = (score, j)
-    if best is None:
-        raise DomainError("f2 involves no variable")
-    return best[1]
+def _partial(f2: Form, k: int) -> Form | None:
+    """The form df2/dt_k, or None where f2 does not involve t_k."""
+    monos = tuple((c * e[k], e[:k] + (e[k] - 1,) + e[k + 1:])
+                  for c, e in f2.monomials if e[k])
+    return Form(f2.n_vars, f2.degree - 1, monos) if monos else None
 
 
-def _poly_coeff_arrays(f2: Form, j: int, pts: np.ndarray):
-    """Coefficients of f2 as a polynomial in t_j, per point of the other
-    n-1 coordinates (an (n-1, m) array), as an (m, deg_j + 1) array.
-
-    The coefficient of t_j^k is the form of f2's monomials with exponent k
-    in t_j, evaluated with coordinate j set to ones (multiplying by 1.0 is
-    exact)."""
-    m = pts.shape[1]
-    full = np.insert(pts, j, 1.0, axis=0)
+def _chart_coefficients(f2: Form, j: int) -> list:
+    """f2 as a polynomial in t_j over the other n-1 coordinates: entry k
+    is the coefficient of t_j^k, a form in those coordinates for k below
+    f2's degree and a number otherwise (0 where f2 has no monomial with
+    exponent k in t_j)."""
     dmax = max(e[j] for _, e in f2.monomials)
-    coeffs = np.zeros((m, dmax + 1))
+    out = []
     for k in range(dmax + 1):
-        group = tuple(mono for mono in f2.monomials if mono[1][j] == k)
-        if group:
-            coeffs[:, k] = Form(f2.n_vars, f2.degree,
-                                group).evaluate_batch(full, 1)
-    return coeffs
+        group = tuple((c, e[:j] + e[j + 1:]) for c, e in f2.monomials
+                      if e[j] == k)
+        out.append(Form(f2.n_vars - 1, f2.degree - k, group)
+                   if group and k < f2.degree else sum(c for c, _ in group))
+    return out
 
 
 def _roots_in_box(coeffs: np.ndarray):
-    """Real roots in [-1, 1] of each row of a coefficient matrix
-    (c0 + c1 x + ...), flattened to (row_indices, root_values).
+    """Real roots in [-1, 1] of each column of a coefficient matrix (row k
+    holds the coefficient of x^k), flattened to (column_indices,
+    root_values).
 
-    Rows are grouped by effective degree; degree <= 2 uses closed forms,
-    higher degrees use batched companion matrices.
+    Columns are grouped by effective degree.  Degrees 1 and 2 are solved
+    in real arithmetic, the quadratic by the cancellation-free pair q/a,
+    c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2; higher degrees use
+    batched companion matrices.
     """
-    m, k = coeffs.shape
-    scale = np.abs(coeffs).max(axis=1)
-    eff = np.full(m, -1)
-    for d in range(k - 1, -1, -1):
-        cand = (eff < 0) & (np.abs(coeffs[:, d]) > 1e-12 * np.maximum(scale, 1e-30))
-        eff[cand] = d
-    idx_parts, root_parts = [], []
+    k, m = coeffs.shape
+    mag = np.abs(coeffs)
+    big = mag[1:] > 1e-12 * mag.max(axis=0)
+    eff = np.zeros(m, dtype=np.int64)  # columns left at 0 have no roots
     for d in range(1, k):
-        rows = np.nonzero(eff == d)[0]
-        if len(rows) == 0:
+        eff[big[d - 1]] = d
+    idx_parts, root_parts = [], []
+
+    def keep(cols, roots):
+        sel = np.flatnonzero(np.abs(roots) <= 1.0)
+        idx_parts.append(cols[sel])
+        root_parts.append(roots[sel])
+
+    for d in range(1, k):
+        cols = np.flatnonzero(eff == d)
+        if not len(cols):
             continue
-        c = coeffs[rows, :d + 1]
+        c = coeffs[:d + 1] if len(cols) == m else \
+            np.take(coeffs[:d + 1], cols, axis=1)
         if d == 1:
-            roots = (-c[:, 0] / c[:, 1])[:, None].astype(np.complex128)
+            keep(cols, -c[0] / c[1])
         elif d == 2:
-            a, b, cc = c[:, 2], c[:, 1], c[:, 0]
-            sq = np.sqrt((b * b - 4 * a * cc).astype(np.complex128))
-            roots = np.stack([(-b + sq) / (2 * a), (-b - sq) / (2 * a)], axis=1)
+            disc = c[1] * c[1] - 4.0 * c[2] * c[0]
+            real = np.flatnonzero(disc >= 0.0)
+            cols, a, b, c0 = cols[real], c[2][real], c[1][real], c[0][real]
+            q = -0.5 * (b + np.copysign(np.sqrt(disc[real]), b))
+            keep(cols, q / a)
+            # q = 0 only at the double root 0 (b = 0 = c0)
+            keep(cols, np.divide(c0, q, out=np.zeros_like(q), where=q != 0.0))
         else:
-            lead = c[:, d][:, None]
-            comp = np.zeros((len(rows), d, d))
+            comp = np.zeros((len(cols), d, d))
             comp[:, 1:, :-1] = np.eye(d - 1)
-            comp[:, :, -1] = -c[:, :d] / lead
+            comp[:, :, -1] = (-c[:d] / c[d]).T
             roots = np.linalg.eigvals(comp)
-        good = (np.abs(roots.imag) <= 1e-9) & (roots.real >= -1.0) \
-            & (roots.real <= 1.0)
-        where_row, where_col = np.nonzero(good)
-        idx_parts.append(rows[where_row])
-        root_parts.append(roots.real[where_row, where_col])
+            where_col, where_k = np.nonzero(np.abs(roots.imag) <= 1e-9)
+            keep(cols[where_col], roots.real[where_col, where_k])
     if not idx_parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     return np.concatenate(idx_parts), np.concatenate(root_parts)
@@ -283,38 +285,51 @@ def _roots_in_box(coeffs: np.ndarray):
 
 def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
                         seed: int = 0, threads: int = 1) -> McEstimate:
-    """Independent estimator of J: exact 1-d fibre integration.
+    """Estimator of J from the coarea formula in gradient charts.
 
-    For each sampled point of the remaining n-1 coordinates, the real roots
-    of f2 along the fibre coordinate are found exactly and each root in the
-    box with f1 >= 0 contributes 1/|df2/dt_j|.  The weight distribution is
-    heavy-tailed near critical points, so the standard error is estimated
-    from 64 batch means rather than the per-sample variance.  Chunks run
-    on a pool of `threads` threads; their weights are summed in chunk
-    order.
+    Chart j is the part of {f2 = 0} where |df2/dt_j| is the largest
+    partial derivative (ties go to the first index); there the surface is
+    a graph over the other n-1 coordinates t'.  Sample i of a chunk takes
+    chart i mod n, draws t' and finds the roots of f2 along t_j; each root
+    of its chart in the box with f1 >= 0 weighs M/(M_j |df2/dt_j|), M_j of
+    the M samples being chart j's.  With the charts sharing the samples
+    evenly that is n/|df2/dt_j| <= n sqrt(n)/|grad f2|: bounded off the
+    singular points of f2, so no near-tangent root is dropped, and of
+    finite variance for a nonsingular quadric in n >= 4 variables.  The
+    standard error comes from 64 batch means.  Chunks run on a pool of
+    `threads` threads; their weights are summed in chunk order.
     """
     if samples < 10**3:
         raise DomainError("need at least 1000 samples")
-    j = _fiber_variable(inst.f2)
-    n = inst.n
+    n, f2 = inst.n, inst.f2
+    charts = [_chart_coefficients(f2, j) for j in range(n)]
+    partials = [_partial(f2, k) for k in range(n)]
     # size chunks so the batch-means error estimate always has >= 64 cells
     chunks = _chunks(samples, max(500, min(_CHUNK, -(-samples // 64))))
+    taken = [sum(len(range(j, m, n)) for _, m in chunks) for j in range(n)]
 
     def chunk_weight(task) -> float:
         pts = _chunk_points(seed, 99, *task, n - 1)
-        coeffs = _poly_coeff_arrays(inst.f2, j, pts)
-        dpoly = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-        rows, roots = _roots_in_box(coeffs)
-        if not len(rows):
-            return 0.0
-        dval = np.zeros(len(rows))
-        for dd in range(dpoly.shape[1]):
-            dval += dpoly[rows, dd] * roots ** dd
-        keep = np.abs(dval) >= 1e-12
-        rows, roots, dval = rows[keep], roots[keep], dval[keep]
-        v1 = inst.f1.evaluate_batch(
-            np.insert(pts[:, rows], j, roots, axis=0), 1)
-        return float((1.0 / np.abs(dval[v1 >= 0.0])).sum())
+        total = 0.0
+        for j, (forms, grad_j) in enumerate(zip(charts, partials)):
+            if grad_j is None:  # df2/dt_j = 0 is never the largest
+                continue
+            other = pts[:, j::n]  # chart j's samples: t' of sample i = j mod n
+            coeffs = np.empty((len(forms), other.shape[1]))
+            for k, form in enumerate(forms):
+                coeffs[k] = form.evaluate_batch(other, 1) \
+                    if isinstance(form, Form) else form
+            rows, roots = _roots_in_box(coeffs)
+            at = [c[rows] for c in other]
+            at.insert(j, roots)
+            grad = np.abs(grad_j.evaluate_batch(at, 1))
+            keep = inst.f1.evaluate_batch(at, 1) >= 0.0
+            for k, g in enumerate(partials):  # ties go to the first index
+                if k != j and g is not None:
+                    gk = np.abs(g.evaluate_batch(at, 1))
+                    keep &= grad > gk if k < j else grad >= gk
+            total += samples / taken[j] * float((1.0 / grad[keep]).sum())
+        return total
 
     weights = blocks.pool_map(chunk_weight, chunks, threads)
     total_w = 0.0

@@ -169,6 +169,25 @@ def factor(m: int) -> Factorization:
     return Factorization(value=m, factors=tuple(sorted(fs.items())), sign=sign)
 
 
+def factor_table(limit: int) -> list:
+    """The factors of every 0 < m <= limit: entry m is factor(m).factors
+    (entry 0 is empty), from one smallest-prime-factor sieve.  m = p r
+    with p its least prime factor, so its factors are those of r with p
+    put in front.  The prime table is grown to limit, so is_prime of each
+    factor is a lookup."""
+    primes = prime_sieve(limit)
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in primes[:primes.searchsorted(math.isqrt(limit), "right")].tolist():
+        view = spf[p * p::p]
+        np.minimum(view, p, out=view)
+    table = [()] * (limit + 1)
+    for m, p in enumerate(spf.tolist()[2:], start=2):
+        rest = table[m // p]
+        table[m] = (((p, rest[0][1] + 1),) + rest[1:] if rest and rest[0][0] == p
+                    else ((p, 1),) + rest)
+    return table
+
+
 def valuation(m: int, p: int) -> int:
     """v_p(m) for m != 0."""
     if m == 0:

@@ -189,8 +189,8 @@ def _constant_pipeline(inst, args):
     """J, the factored singular series and the route-2 constant; route 1
     is left to the caller, which picks its singular series."""
     consts = arith.landau_constants()
-    J = archimedean.real_density(inst, samples=args.samples, seed=args.seed,
-                                 threads=args.threads)
+    J = archimedean.real_density_coarea(inst, samples=args.samples,
+                                        seed=args.seed, threads=args.threads)
     l_fact = constant.singular_series_factored(inst, p_max=args.p_max,
                                                budget=args.budget)
     prod = constant.local_product(inst, p_max=args.p_max, budget=args.budget)

@@ -74,10 +74,12 @@ class Form:
             for coeff, exps in self.monomials))
         object.__setattr__(self, "_used", tuple(sorted(
             {i for _, idx in self._plan for i in idx})))
+        object.__setattr__(self, "_norm",
+                           sum(abs(c) for c, _ in self.monomials))
 
     def coeff_norm(self) -> int:
         """Sum of absolute coefficients; bounds |f| on the unit box."""
-        return sum(abs(c) for c, _ in self.monomials)
+        return self._norm
 
     def evaluate(self, x) -> int:
         """Exact value f(x) for an integer vector x."""

@@ -115,10 +115,12 @@ def _ramanujan_check():
 def _global_local_check():
     bad = 0
     sample_note = ""
+    table = arith.factor_table(10**5)
     for m in range(1, 10**5 + 1):
         for s in (m, -m):
-            fz = arith.factor(s)
-            glob = arith.conic_soluble_global(s, fz) if s != 0 else None
+            fz = arith.Factorization(value=s, factors=table[m],
+                                     sign=1 if s > 0 else -1)
+            glob = arith.conic_soluble_global(s, fz)
             loc = arith.conic_soluble_local(s, math.inf) \
                 * arith.conic_soluble_local(s, 2)
             for p, _e in fz.factors:
@@ -475,8 +477,8 @@ def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
 
     t0 = time.monotonic()
     consts = arith.landau_constants()
-    J = archimedean.real_density(inst, samples=10**6, seed=seed,
-                                 threads=threads)
+    J = archimedean.real_density_coarea(inst, samples=10**6, seed=seed,
+                                        threads=threads)
     prod = constant.local_product(inst, p_max=13, budget=budget)
     c1 = constant.leading_constant_series(inst, J, l_fact, consts)
     c1q = constant.leading_constant_series(inst, J, l_qsum, consts)

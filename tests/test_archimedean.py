@@ -119,10 +119,57 @@ def test_golden_mc_values(four_squares, bilinear, quartic):
     assert repr(osc.value) == "(0.1287055873150032-0.1416874109133903j)"
     # 3000 samples: six chunks of 500; quartic takes companion-matrix roots
     for inst, value, se in (
-            (bilinear, "(15.817701409808496+0j)", "0.6400725251783758"),
-            (quartic, "(236.16824630323825+0j)", "89.08270086717823")):
+            (bilinear, "(15.661326545694788+0j)", "0.6317205001899926"),
+            (quartic, "(90.73721819843105+0j)", "45.778874137072755")):
         est = archimedean.real_density_coarea(inst, samples=3000, seed=0)
         assert (repr(est.value), repr(est.std_error)) == (value, se)
+
+
+# exact J: four_squares by the quadrature oracle of
+# test_real_density_frozen_value; bilinear, f2 = t0 t1 - t2 t3, from the
+# density g(c) = 2 log(1/|c|) of t0 t1 on [-1,1]^2:
+# J = int_{-1}^{1} g(c)^2 dc = 8 int_0^1 log(c)^2 dc = 16
+EXACT_J = {"four-squares": 11.0903549, "bilinear": 16.0}
+
+
+def test_coarea_keeps_the_half_where_f1_is_nonnegative(four_squares):
+    # t0 -> -t0 keeps f2 = 0 and flips the sign of f1 = t0 t1, so the
+    # restricted density is half of four_squares' J
+    half = Instance(f1=Form(4, 2, ((1, (1, 1, 0, 0)),)), f2=four_squares.f2,
+                    n=4, d=2, box_max_m=1, label="half")
+    est = archimedean.real_density_coarea(half, samples=2 * 10**5, seed=7)
+    assert abs(est.value.real - EXACT_J["four-squares"] / 2) \
+        <= 4 * est.std_error
+
+
+def test_roots_in_box_match_numpy_roots():
+    # the real-arithmetic paths of degrees 1 and 2 and the companion
+    # matrices of degrees 3 and 4, column by column against np.roots;
+    # column c has its top c mod 5 coefficients zeroed (degree 4 to 0)
+    rng = np.random.default_rng(3)
+    coeffs = rng.uniform(-1.0, 1.0, (5, 500))
+    for c in range(500):
+        coeffs[5 - c % 5:, c] = 0.0
+    cols, roots = archimedean._roots_in_box(coeffs)
+    for c in range(500):
+        want = [r.real for r in np.roots(coeffs[::-1, c])
+                if abs(r.imag) <= 1e-9 and abs(r.real) <= 1.0]
+        assert np.allclose(np.sort(roots[cols == c]), np.sort(want),
+                           rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_J))
+def test_coarea_is_calibrated(name, four_squares, bilinear):
+    # over seeds fixed in advance, the estimates centre on the exact J,
+    # and their spread matches the reported batch-means error
+    inst = {"four-squares": four_squares, "bilinear": bilinear}[name]
+    ests = [archimedean.real_density_coarea(inst, samples=10**5, seed=s)
+            for s in range(1000, 1030)]
+    values = np.array([e.value.real for e in ests])
+    spread = values.std(ddof=1)
+    reported = float(np.median([e.std_error for e in ests]))
+    assert abs(values.mean() - EXACT_J[name]) <= 4 * spread / math.sqrt(30)
+    assert 0.5 <= spread / reported <= 2.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 16])

@@ -52,6 +52,14 @@ def test_factor_matches_trial_division():
         assert arith.factor(m).factors == trial_division(m)
 
 
+def test_factor_table_is_factor():
+    # the sieve the global-local check reads, over the check's range
+    table = arith.factor_table(10**5)
+    assert len(table) == 10**5 + 1 and table[0] == ()
+    for m in range(1, 10**5 + 1):
+        assert table[m] == arith.factor(m).factors
+
+
 def test_factor_needs_no_primality_test_below_trial_limit(monkeypatch):
     # a cofactor left when p*p > n is prime without a Miller-Rabin run
     def refuse(n):

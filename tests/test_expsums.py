@@ -116,15 +116,18 @@ def test_phase_distribution_joins_by_crt(linked, quartic):
 
 
 def test_one_block_tables_never_scan(linked, monkeypatch):
+    # 8 and 27 are the least powers of 2 and 3 whose phase tables lift a
+    # class past level 1 (at 4 and 9 every class is resolved at level 1)
     def refuse(*args):
         raise AssertionError("scanned (Z/q)^n")
 
     expsums._birch_table.cache_clear()
-    with monkeypatch.context() as mp:
-        mp.setattr(blocks, "residue_table", refuse)
-        mp.setattr(expsums, "residue_table", refuse)
-        phase = expsums.birch_sum_table(linked, 81)
-    assert np.array_equal(phase, birch_table_scan(linked, 81))
+    for q in (8, 27):
+        with monkeypatch.context() as mp:
+            mp.setattr(blocks, "residue_table", refuse)
+            mp.setattr(expsums, "residue_table", refuse)
+            phase = expsums.birch_sum_table(linked, q)
+        assert np.array_equal(phase, birch_table_scan(linked, q))
 
 
 def test_phase_table_refusals(linked):
