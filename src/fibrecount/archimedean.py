@@ -14,20 +14,22 @@ finding along t_j.  Each root weighs n/|df2/dt_j| <= n sqrt(n)/|grad f2|,
 bounded off the singular points of f2.  It is the estimator the constant
 pipeline reads.  real_density is the independent cross-check: shell
 volumes over a decreasing epsilon schedule plus Richardson-style
-extrapolation in eps.
+extrapolation in eps.  Both refuse n <= d, where J is infinite.
 
-Samples come in counter-based chunks of at most 2^18 points: chunk i of a
-stream is one draw from Philox keyed by (seed, stream, i).  _blocks draws
-a chunk in blocks of at most blocks.WORK_BLOCK coordinates (2^14 points
-at n = 4), and one copy both transposes a block into contiguous coordinate
-rows and doubles it; the draw and the rows are two buffers that every
-block of a chunk reuses.  A block so stays in cache while
-Form.evaluate_batch (the one evaluator of every form here, in place in
-its own two buffers) works through it.  The estimators run
-their chunks on a pool of `threads` threads (blocks.pool_map) and combine
-the chunks' results in chunk order: shell hits are ints and the coarea
-estimator's weights are summed chunk by chunk, so results are
-bit-reproducible for a given (seed, samples) whatever the thread count.
+Every estimator uses one stream layout: a stream of `samples` points is
+cut into the counter-based chunks of _chunks, 2^18 points each but the
+last, and chunk i of a stream is one draw from Philox keyed by
+(seed, stream, i).  _blocks draws a chunk in blocks of at most
+blocks.WORK_BLOCK coordinates (2^14 points at n = 4), and one copy both
+transposes a block into contiguous coordinate rows and doubles it; the
+draw and the rows are two buffers that every block of a chunk reuses.  A
+block so stays in cache while Form.evaluate_batch (the one evaluator of
+every form here, in place in its own two buffers) works through it, and
+no estimator holds a whole chunk.  The J estimators run their chunks on a
+pool of `threads` threads (blocks.pool_map) and combine the chunks'
+results in chunk order: shell hits are ints and the coarea estimator's
+batch sums are added chunk by chunk, so results are bit-reproducible for
+a given (seed, samples) whatever the thread count.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .arith import DomainError
 from .forms import Form, Instance
 
 _CHUNK = 1 << 18  # points per chunk: it defines the random streams
+_BATCHES = 64  # batch means of the coarea error
 DEFAULT_SAMPLES = 10**6
 _MASK64 = (1 << 64) - 1
 
@@ -75,10 +78,20 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunks(samples: int, chunk: int = _CHUNK) -> list:
+def _chunks(samples: int) -> list:
     """(index, size) of each chunk of a stream of `samples` points."""
-    return [(i, min(chunk, samples - start))
-            for i, start in enumerate(range(0, samples, chunk))]
+    return [(i, min(_CHUNK, samples - start))
+            for i, start in enumerate(range(0, samples, _CHUNK))]
+
+
+def _refuse_infinite(inst) -> None:
+    """Refuse n <= d, where J is infinite: near the cone point 0 of f2 = 0
+    the surface measure grows like r^(n-2) dr while |grad f2| ~ r^(d-1),
+    so dA/|grad f2| ~ r^(n-d-1) dr is not integrable at 0."""
+    if inst.n <= inst.f2.degree:
+        raise DomainError(f"J is infinite for n = {inst.n} <= d = "
+                          f"{inst.f2.degree}: the cone point of f2 = 0 "
+                          "carries infinite density")
 
 
 def _blocks(seed: int, stream: int, index: int, m: int, n: int):
@@ -104,17 +117,6 @@ def _blocks(seed: int, stream: int, index: int, m: int, n: int):
         yield block
 
 
-def _chunk_points(seed: int, stream: int, index: int, m: int,
-                  n: int) -> np.ndarray:
-    """All m points of a chunk as one (n, m) array of coordinate rows."""
-    pts = np.empty((n, m))
-    start = 0
-    for block in _blocks(seed, stream, index, m, n):
-        pts[:, start:start + block.shape[1]] = block
-        start += block.shape[1]
-    return pts
-
-
 def oscillatory_box_integral(inst: Instance, gamma, samples: int,
                              seed: int = 0) -> McEstimate:
     """Monte Carlo estimate of the box integral of
@@ -133,13 +135,13 @@ def oscillatory_box_integral(inst: Instance, gamma, samples: int,
     acc = 0.0 + 0.0j
     acc2_re = acc2_im = 0.0
     for i, m in _chunks(samples):
-        pts = _chunk_points(seed, 1, i, m, n)
-        phase = (g1 * inst.f1.evaluate_batch(pts, 1)
-                 + g2 * inst.f2.evaluate_batch(pts, 1))
-        z = np.exp(2j * np.pi * phase)
-        acc += z.sum()
-        acc2_re += float((z.real ** 2).sum())
-        acc2_im += float((z.imag ** 2).sum())
+        for pts in _blocks(seed, 1, i, m, n):
+            phase = (g1 * inst.f1.evaluate_batch(pts, 1)
+                     + g2 * inst.f2.evaluate_batch(pts, 1))
+            z = np.exp(2j * np.pi * phase)
+            acc += z.sum()
+            acc2_re += float((z.real ** 2).sum())
+            acc2_im += float((z.imag ** 2).sum())
     mean = acc / samples
     var_re = acc2_re / samples - mean.real ** 2
     var_im = acc2_im / samples - mean.imag ** 2
@@ -165,6 +167,7 @@ def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
     bias first order in the width), reported at eps -> 0.  The chunks of
     every level run on one pool of `threads` threads.
     """
+    _refuse_infinite(inst)
     sched = list(epsilon_schedule)
     if len(sched) < 3:
         raise DomainError("need at least 3 epsilon levels")
@@ -208,28 +211,6 @@ def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
     se0 = float(math.sqrt(max(cov[0, 0], 0.0)))
     return McEstimate(value=complex(j0), std_error=se0, samples=sum(sizes),
                       seed=seed, rows=rows)
-
-
-def _partial(f2: Form, k: int) -> Form | None:
-    """The form df2/dt_k, or None where f2 does not involve t_k."""
-    monos = tuple((c * e[k], e[:k] + (e[k] - 1,) + e[k + 1:])
-                  for c, e in f2.monomials if e[k])
-    return Form(f2.n_vars, f2.degree - 1, monos) if monos else None
-
-
-def _chart_coefficients(f2: Form, j: int) -> list:
-    """f2 as a polynomial in t_j over the other n-1 coordinates: entry k
-    is the coefficient of t_j^k, a form in those coordinates for k below
-    f2's degree and a number otherwise (0 where f2 has no monomial with
-    exponent k in t_j)."""
-    dmax = max(e[j] for _, e in f2.monomials)
-    out = []
-    for k in range(dmax + 1):
-        group = tuple((c, e[:j] + e[j + 1:]) for c, e in f2.monomials
-                      if e[j] == k)
-        out.append(Form(f2.n_vars - 1, f2.degree - k, group)
-                   if group and k < f2.degree else sum(c for c, _ in group))
-    return out
 
 
 def _roots_in_box(coeffs: np.ndarray):
@@ -295,57 +276,62 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
     the M samples being chart j's.  With the charts sharing the samples
     evenly that is n/|df2/dt_j| <= n sqrt(n)/|grad f2|: bounded off the
     singular points of f2, so no near-tangent root is dropped, and of
-    finite variance for a nonsingular quadric in n >= 4 variables.  The
-    standard error comes from 64 batch means.  Chunks run on a pool of
-    `threads` threads; their weights are summed in chunk order.
+    finite variance for a nonsingular quadric in n >= 4 variables.
+
+    The standard error is the spread of 64 batch means: sample i of the
+    stream falls in batch i * 64 // samples, so the batches are 64 runs of
+    consecutive samples whatever the chunks.  Chunks run on a pool of
+    `threads` threads; their batch sums are added in chunk order.
     """
     if samples < 10**3:
         raise DomainError("need at least 1000 samples")
+    _refuse_infinite(inst)
     n, f2 = inst.n, inst.f2
-    charts = [_chart_coefficients(f2, j) for j in range(n)]
-    partials = [_partial(f2, k) for k in range(n)]
-    # size chunks so the batch-means error estimate always has >= 64 cells
-    chunks = _chunks(samples, max(500, min(_CHUNK, -(-samples // 64))))
+    charts = [f2.powers_of(j) for j in range(n)]
+    partials = [f2.partial(k) for k in range(n)]
+    chunks = _chunks(samples)
     taken = [sum(len(range(j, m, n)) for _, m in chunks) for j in range(n)]
 
-    def chunk_weight(task) -> float:
-        pts = _chunk_points(seed, 99, *task, n - 1)
-        total = 0.0
-        for j, (forms, grad_j) in enumerate(zip(charts, partials)):
-            if grad_j is None:  # df2/dt_j = 0 is never the largest
-                continue
-            other = pts[:, j::n]  # chart j's samples: t' of sample i = j mod n
-            coeffs = np.empty((len(forms), other.shape[1]))
-            for k, form in enumerate(forms):
-                coeffs[k] = form.evaluate_batch(other, 1) \
-                    if isinstance(form, Form) else form
-            rows, roots = _roots_in_box(coeffs)
-            at = [c[rows] for c in other]
-            at.insert(j, roots)
-            grad = np.abs(grad_j.evaluate_batch(at, 1))
-            keep = inst.f1.evaluate_batch(at, 1) >= 0.0
-            for k, g in enumerate(partials):  # ties go to the first index
-                if k != j and g is not None:
-                    gk = np.abs(g.evaluate_batch(at, 1))
-                    keep &= grad > gk if k < j else grad >= gk
-            total += samples / taken[j] * float((1.0 / grad[keep]).sum())
-        return total
+    def chunk_sums(task) -> np.ndarray:  # the chunk's weight in each batch
+        index, m = task
+        sums = np.zeros(_BATCHES)
+        start = 0  # the block's first sample in the chunk
+        for pts in _blocks(seed, 99, index, m, n - 1):
+            where, weights = [], []
+            for j, (forms, grad_j) in enumerate(zip(charts, partials)):
+                if grad_j is None:  # df2/dt_j = 0 is never the largest
+                    continue
+                first = (j - start) % n  # chart j: sample i = j mod n
+                other = pts[:, first::n]
+                coeffs = np.empty((len(forms), other.shape[1]))
+                for k, form in enumerate(forms):
+                    coeffs[k] = form.evaluate_batch(other, 1) \
+                        if isinstance(form, Form) else form
+                rows, roots = _roots_in_box(coeffs)
+                at = [c[rows] for c in other]
+                at.insert(j, roots)
+                grad = np.abs(grad_j.evaluate_batch(at, 1))
+                keep = inst.f1.evaluate_batch(at, 1) >= 0.0
+                for k, g in enumerate(partials):  # ties go to the first index
+                    if k != j and g is not None:
+                        gk = np.abs(g.evaluate_batch(at, 1))
+                        keep &= grad > gk if k < j else grad >= gk
+                where.append(start + first + n * rows[keep])
+                weights.append(samples / taken[j] / grad[keep])
+            at_i = index * _CHUNK + np.concatenate(where)  # in the stream
+            sums += np.bincount(at_i * _BATCHES // samples,
+                                np.concatenate(weights), _BATCHES)
+            start += pts.shape[1]
+        return sums
 
-    weights = blocks.pool_map(chunk_weight, chunks, threads)
-    total_w = 0.0
-    for w in weights:  # chunk order, one rounding per chunk
-        total_w += w
+    sums = np.zeros(_BATCHES)
+    for s in blocks.pool_map(chunk_sums, chunks, threads):
+        sums += s  # in chunk order
     vol = 2.0 ** (n - 1)
-    mean = total_w / samples
-    # 64 batch means for a heavy-tail-robust standard error
-    nb = min(64, len(chunks)) if len(chunks) > 1 else 1
-    if nb > 1:
-        ws = np.array(weights)
-        ms = np.array([m for _, m in chunks])
-        groups = np.array_split(np.arange(len(ws)), nb)
-        bm = np.array([ws[g].sum() / ms[g].sum() for g in groups])
-        se = vol * float(bm.std(ddof=1) / math.sqrt(nb))
-    else:
-        se = float("nan")
-    return McEstimate(value=complex(vol * mean), std_error=se,
+    # batch b holds the samples i with b samples <= 64 i < (b + 1) samples
+    edges = -(-np.arange(_BATCHES + 1) * samples // _BATCHES)
+    means = sums / np.diff(edges)
+    return McEstimate(value=complex(vol * sums.sum() / samples),
+                      std_error=vol * float(means.std(ddof=1))
+                      / math.sqrt(_BATCHES),
                       samples=samples, seed=seed)

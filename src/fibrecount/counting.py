@@ -58,7 +58,7 @@ from .arith import (DomainError, conic_soluble_global, grown_limit,
                     moebius_sieve, prime_sieve)
 from .blocks import (BudgetExceededError, balanced_halves, box, pool_map,
                      restrict, variable_blocks)
-from .forms import Form, Instance
+from .forms import Instance
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +349,17 @@ def _count_slab(inst: Instance, P: int, include_zero_fibres: bool,
 
 
 def _quadric_parts(inst: Instance):
-    """(k, a, B, C) with f2 = a x_k^2 + B(x') x_k + C(x'), where k is the
-    last variable whose square appears in f2 and x' the other n - 1
-    variables; B (degree 1) and C (degree 2) are Forms over x', or None
-    where f2 has no such monomial.  None unless d = 2, n >= 2 and f2 has a
-    square term."""
+    """(k, a, B, C) with f2 = a x_k^2 + B(x') x_k + C(x') (Form.powers_of),
+    where k is the last variable whose square appears in f2 and x' the
+    other n - 1 variables; B (degree 1) and C (degree 2) are Forms over
+    x', or 0 where f2 has no such monomial.  None unless d = 2, n >= 2 and
+    f2 has a square term."""
     squares = [exps.index(2) for _, exps in inst.f2.monomials if 2 in exps]
     if inst.d != 2 or inst.n < 2 or not squares:
         return None
     k = max(squares)
-    a, lin, const = 0, [], []
-    for coeff, exps in inst.f2.monomials:
-        rest = exps[:k] + exps[k + 1:]
-        if exps[k] == 2:
-            a = coeff
-        else:
-            (lin if exps[k] else const).append((coeff, rest))
-    return (k, a,
-            Form(inst.n - 1, 1, tuple(lin)) if lin else None,
-            Form(inst.n - 1, 2, tuple(const)) if const else None)
+    const, lin, a = inst.f2.powers_of(k)
+    return k, a, lin, const
 
 
 def _isqrt(values: np.ndarray) -> np.ndarray:

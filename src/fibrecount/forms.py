@@ -81,6 +81,26 @@ class Form:
         """Sum of absolute coefficients; bounds |f| on the unit box."""
         return self._norm
 
+    def partial(self, j: int) -> Form | None:
+        """The form df/dx_j, or None where f does not involve x_j."""
+        monos = tuple((c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
+                      for c, e in self.monomials if e[j])
+        return Form(self.n_vars, self.degree - 1, monos) if monos else None
+
+    def powers_of(self, j: int) -> list:
+        """f as a polynomial in x_j over the other n_vars - 1 variables:
+        entry k is the coefficient of x_j^k, a form in those variables for
+        k below f's degree and a number otherwise (0 where f has no
+        monomial with exponent k in x_j)."""
+        out = []
+        for k in range(max(e[j] for _, e in self.monomials) + 1):
+            group = tuple((c, e[:j] + e[j + 1:]) for c, e in self.monomials
+                          if e[j] == k)
+            out.append(Form(self.n_vars - 1, self.degree - k, group)
+                       if group and k < self.degree
+                       else sum(c for c, _ in group))
+        return out
+
     def evaluate(self, x) -> int:
         """Exact value f(x) for an integer vector x."""
         if len(x) != self.n_vars:

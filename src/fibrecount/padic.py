@@ -141,16 +141,6 @@ def _classify_f1(values: np.ndarray, p: int, level: int):
     return (v < level) & (v % 2 == 0), v == level
 
 
-def _gradient(f: Form) -> list:
-    """The partial derivatives of f, None where one vanishes identically."""
-    parts = []
-    for j in range(f.n_vars):
-        monos = tuple((c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:])
-                      for c, e in f.monomials if e[j])
-        parts.append(Form(f.n_vars, f.degree - 1, monos) if monos else None)
-    return parts
-
-
 def _valuation(x: np.ndarray, p: int, cap: int) -> np.ndarray:
     """v_p of residues in [0, p^cap), with v_p(0) = cap."""
     return sum((x % p ** i == 0).astype(np.int64) for i in range(1, cap + 1))
@@ -161,7 +151,7 @@ def _gradient_mod(f: Form, cols: list, p: int, top: int) -> tuple:
     and their valuations (top where a partial is 0 mod p^top)."""
     g = np.stack([d.evaluate_batch_mod(cols, p ** top, reduced=True)
                   if d is not None else np.zeros(len(cols[0]), np.int64)
-                  for d in _gradient(f)])
+                  for d in map(f.partial, range(f.n_vars))])
     return g, _valuation(g, p, top)
 
 

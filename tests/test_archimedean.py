@@ -103,7 +103,7 @@ def test_shell_levels_consistent_with_extrapolation(four_squares):
         assert abs(j - fitted) <= 3 * se
 
 
-def test_golden_mc_values(four_squares, bilinear, quartic):
+def test_golden_mc_values(four_squares, bilinear):
     # exact reprs pin the sample streams (keys, chunk sizes, partial last
     # chunks) and the float evaluation order of every estimator
     assert repr(archimedean.real_density(four_squares, samples=20000,
@@ -116,13 +116,20 @@ def test_golden_mc_values(four_squares, bilinear, quartic):
     # 300000 samples: one full chunk of 2^18 and a partial one
     osc = archimedean.oscillatory_box_integral(four_squares, (0.7, 1.3),
                                                300000, seed=11)
-    assert repr(osc.value) == "(0.1287055873150032-0.1416874109133903j)"
-    # 3000 samples: six chunks of 500; quartic takes companion-matrix roots
-    for inst, value, se in (
-            (bilinear, "(15.661326545694788+0j)", "0.6317205001899926"),
-            (quartic, "(90.73721819843105+0j)", "45.778874137072755")):
-        est = archimedean.real_density_coarea(inst, samples=3000, seed=0)
-        assert (repr(est.value), repr(est.std_error)) == (value, se)
+    assert repr(osc.value) == "(0.1287055873150032-0.14168741091339032j)"
+    est = archimedean.real_density_coarea(bilinear, samples=300000, seed=0)
+    assert (repr(est.value), repr(est.std_error)) == \
+        ("(15.939767248682774+0j)", "0.05060096719440851")
+
+
+def test_an_infinite_j_is_refused(quartic, demo):
+    # n <= d: dA/|grad f2| ~ r^(n-d-1) dr at the cone point, so J diverges
+    # (quartic: n = 3, d = 4; demo: n = d = 2)
+    for inst in (quartic, demo):
+        for estimator in (archimedean.real_density,
+                          archimedean.real_density_coarea):
+            with pytest.raises(DomainError, match="J is infinite"):
+                estimator(inst, samples=3000)
 
 
 # exact J: four_squares by the quadrature oracle of
@@ -223,13 +230,12 @@ def test_real_density_memory_follows_the_blocks(four_squares):
     assert peak < 8 * 2**18
 
 
-def test_coarea_ignores_threads(bilinear, quartic):
-    for inst in (bilinear, quartic):
-        one = archimedean.real_density_coarea(inst, samples=3000, seed=0)
-        two = archimedean.real_density_coarea(inst, samples=3000, seed=0,
-                                              threads=2)
-        assert (repr(one.value), repr(one.std_error)) == \
-            (repr(two.value), repr(two.std_error))
+def test_coarea_ignores_threads(bilinear):
+    # 300000 samples: one full chunk and a partial one, two pool tasks
+    runs = [archimedean.real_density_coarea(bilinear, samples=300000,
+                                            seed=0, threads=threads)
+            for threads in (1, 2, 3)]
+    assert len({(repr(e.value), repr(e.std_error)) for e in runs}) == 1
 
 
 def test_real_density_pool_is_shut_down(four_squares):

@@ -104,7 +104,8 @@ def test_singular_integral_determinism(tmp_path):
     assert main(base + ["--out", str(out1)]) == 0
     assert main(base + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    # the rows verify's mc-determinism check compares are the ones written
+    # the CLI writes real_density's own rows, which test_golden_mc_values
+    # pins for the same instance, samples and seed
     est = archimedean.real_density(load_instance(FOUR), samples=20000, seed=5)
     assert out1.read_text().splitlines()[1:] == \
         ["epsilon,volume_estimate,std_error,samples,seed"] + est.csv_rows()
