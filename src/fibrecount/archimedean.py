@@ -12,9 +12,10 @@ where |df2/dt_j| is the largest partial derivative, and there the surface
 is a graph over the other n-1 coordinates, found by polynomial root
 finding along t_j.  Each root weighs n/|df2/dt_j| <= n sqrt(n)/|grad f2|,
 bounded off the singular points of f2.  It is the estimator the constant
-pipeline reads.  real_density is the independent cross-check: shell
-volumes over a decreasing epsilon schedule plus Richardson-style
-extrapolation in eps.  Both refuse n <= d, where J is infinite.
+pipeline (constant.pipeline) reads.  real_density is the independent
+cross-check: shell volumes at the fixed widths SCHEDULE plus
+Richardson-style extrapolation in eps.  Both refuse n <= d, where J is
+infinite, and every estimator refuses fewer than 1000 samples.
 
 Every estimator uses one stream layout: a stream of `samples` points is
 cut into the counter-based chunks of _chunks, 2^18 points each but the
@@ -84,6 +85,11 @@ def _chunks(samples: int) -> list:
             for i, start in enumerate(range(0, samples, _CHUNK))]
 
 
+def _refuse_few(samples: int) -> None:
+    if samples < 10**3:
+        raise DomainError("need at least 1000 samples")
+
+
 def _refuse_infinite(inst) -> None:
     """Refuse n <= d, where J is infinite: near the cone point 0 of f2 = 0
     the surface measure grows like r^(n-2) dr while |grad f2| ~ r^(d-1),
@@ -124,8 +130,7 @@ def oscillatory_box_integral(inst: Instance, gamma, samples: int,
 
     gamma = (0, 0) short-circuits to the exact value 2^n.
     """
-    if samples < 10**3:
-        raise DomainError("need at least 1000 samples")
+    _refuse_few(samples)
     g1, g2 = float(gamma[0]), float(gamma[1])
     n = inst.n
     vol = 2.0 ** n
@@ -150,30 +155,26 @@ def oscillatory_box_integral(inst: Instance, gamma, samples: int,
                       samples=samples, seed=seed)
 
 
-DEFAULT_SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+SCHEDULE = (0.1, 0.05, 0.025, 0.0125)  # the shell widths eps, decreasing
 
 
-def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
-                 samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                 threads: int = 1) -> McEstimate:
+def real_density(inst: Instance, samples: int = DEFAULT_SAMPLES,
+                 seed: int = 0, threads: int = 1) -> McEstimate:
     """Shell-volume estimate of the restricted surface density J.
 
     Only inst.f1, inst.f2 and inst.n are read: the fibre condition enters
     through the sign of f1, never through box_max_m.
 
-    Sample counts scale like 1/eps so every level sees a comparable number
-    of shell hits; the levels are combined by weighted least squares in
-    eps (Richardson-style: curvature and any cone point make the shell
-    bias first order in the width), reported at eps -> 0.  The chunks of
-    every level run on one pool of `threads` threads.
+    Level eps of SCHEDULE draws samples * SCHEDULE[0] / eps points, so
+    every level sees a comparable number of shell hits; the levels are
+    combined by weighted least squares in eps (Richardson-style: curvature
+    and any cone point make the shell bias first order in the width),
+    reported at eps -> 0.  The chunks of every level run on one pool of
+    `threads` threads.
     """
+    _refuse_few(samples)
     _refuse_infinite(inst)
-    sched = list(epsilon_schedule)
-    if len(sched) < 3:
-        raise DomainError("need at least 3 epsilon levels")
-    if any(b >= a for a, b in zip(sched, sched[1:])):
-        raise DomainError("epsilon schedule must be strictly decreasing")
-    sizes = [int(math.ceil(samples * sched[0] / eps)) for eps in sched]
+    sizes = [int(math.ceil(samples * SCHEDULE[0] / eps)) for eps in SCHEDULE]
     tasks = [(level, index, m) for level, n_i in enumerate(sizes)
              for index, m in _chunks(n_i)]
 
@@ -182,19 +183,19 @@ def real_density(inst: Instance, epsilon_schedule=DEFAULT_SCHEDULE,
         count = 0
         for pts in _blocks(seed, 10 + level, index, m, inst.n):
             v2 = inst.f2.evaluate_batch(pts, 1)
-            sel = np.abs(v2, out=v2) <= sched[level]
+            sel = np.abs(v2, out=v2) <= SCHEDULE[level]
             if sel.any():
                 v1 = inst.f1.evaluate_batch(pts[:, sel], 1)
                 count += int((v1 >= 0.0).sum())
         return count
 
-    hits = [0] * len(sched)
+    hits = [0] * len(SCHEDULE)
     for (level, _, _), h in zip(tasks,
                                 blocks.pool_map(chunk_hits, tasks, threads)):
         hits[level] += h
     vol = 2.0 ** inst.n
     rows = []
-    for eps, n_i, h in zip(sched, sizes, hits):
+    for eps, n_i, h in zip(SCHEDULE, sizes, hits):
         phat = h / n_i
         est = vol * phat / (2.0 * eps)
         se = vol * math.sqrt(max(phat * (1.0 - phat), 0.0) / n_i) / (2.0 * eps)
@@ -283,8 +284,7 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
     consecutive samples whatever the chunks.  Chunks run on a pool of
     `threads` threads; their batch sums are added in chunk order.
     """
-    if samples < 10**3:
-        raise DomainError("need at least 1000 samples")
+    _refuse_few(samples)
     _refuse_infinite(inst)
     n, f2 = inst.n, inst.f2
     charts = [f2.powers_of(j) for j in range(n)]

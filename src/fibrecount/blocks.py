@@ -194,12 +194,10 @@ def box(axis: np.ndarray, n: int, limit: int | None = None):
             yield list(lead) + [part] + whole
 
 
-def residue_table(block: Block, modulus: int, q2: int,
-                  budget: int) -> np.ndarray:
-    """T[u, v] = #{x mod modulus : g1(x) = u, g2(x) = v mod q2}.
+def residue_table(block: Block, modulus: int, budget: int) -> np.ndarray:
+    """T[u, v] = #{x mod modulus : g1(x) = u, g2(x) = v mod modulus}.
 
-    q2 must divide modulus.  The box (Z/modulus)^n is scanned in box
-    chunks, one bincount each.
+    The box (Z/modulus)^n is scanned in box chunks, one bincount each.
     """
     n = block.n
     if modulus ** n > budget:
@@ -207,21 +205,18 @@ def residue_table(block: Block, modulus: int, q2: int,
             f"block volume {modulus}^{n} = {modulus ** n} exceeds budget "
             f"{budget}")
 
-    def residues(g, cols, q):  # g mod q, from its residues mod modulus
-        if g is None:
-            return 0
-        values = g.evaluate_batch_mod(cols, modulus, reduced=True)
-        return values if q == modulus else values % q
+    def residues(g, cols):
+        return 0 if g is None else g.evaluate_batch_mod(cols, modulus)
 
-    table = np.zeros(modulus * q2, dtype=np.int64)
+    table = np.zeros(modulus * modulus, dtype=np.int64)
     # a chunk as large as the table its bincount fills, if that is larger
     for cols in box(np.arange(modulus, dtype=np.int64), n,
-                    limit=max(WORK_BLOCK, modulus * q2)):
-        key = np.broadcast_to(residues(block.g1, cols, modulus) * q2
-                              + residues(block.g2, cols, q2),
+                    limit=max(WORK_BLOCK, modulus * modulus)):
+        key = np.broadcast_to(residues(block.g1, cols) * modulus
+                              + residues(block.g2, cols),
                               np.broadcast_shapes(*map(np.shape, cols)))
-        table += np.bincount(key.ravel(), minlength=modulus * q2)
-    return table.reshape(modulus, q2)
+        table += np.bincount(key.ravel(), minlength=modulus * modulus)
+    return table.reshape(modulus, modulus)
 
 
 def block_tables(inst: Instance, modulus: int, budget: int) -> list:
@@ -233,5 +228,5 @@ def block_tables(inst: Instance, modulus: int, budget: int) -> list:
         if key in groups:
             groups[key][1] += 1
         else:
-            groups[key] = [residue_table(b, modulus, modulus, budget), 1]
+            groups[key] = [residue_table(b, modulus, budget), 1]
     return [tuple(g) for g in groups.values()]

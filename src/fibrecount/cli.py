@@ -75,7 +75,11 @@ def _emit(args, command: str, label: str, params: dict, config_hash: str,
 
 
 def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part]
+    try:
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise FormError("not a comma-separated list of integers: "
+                        f"{text!r}") from None
 
 
 def _emit_counts(args, command: str, params: dict, radii: str,
@@ -101,11 +105,7 @@ def cmd_theta(args) -> int:
         cnt = counting.count_soluble_fibre_points(
             inst, P, include_zero_fibres=args.include_zero,
             budget=args.budget, threads=args.threads)
-        norm = (cnt * math.sqrt(math.log(P)) / P ** (inst.n - inst.d)
-                if P >= 2 else float("nan"))
-        return counting.CountRecord(label=inst.label, t=P, raw_count=cnt,
-                                    normalized=norm,
-                                    include_zero=args.include_zero)
+        return counting.CountRecord.of(inst, P, cnt, args.include_zero)
 
     return _emit_counts(args, "theta",
                         {"P": args.P, "include_zero": args.include_zero},
@@ -135,16 +135,11 @@ def cmd_expsum(args) -> int:
                              f"{row[a1].imag:.12g},{tail:.6g}")
     elif args.empirical is not None:
         q = args.empirical
-        consts = arith.landau_constants()
-        scale = math.sqrt(math.log(args.x)) / args.x
-        row, _ = expsums.arc_factor_row(q)
-        twisted = expsums.twisted_two_squares_row(args.x, q)
+        emp, pred = expsums.empirical_twisted_row(args.x, q)
         lines.append("q,a1,emp_re,emp_im,pred_re,pred_im")
         for a1 in range(q):
-            emp = twisted[a1] * scale
-            pred = math.sqrt(2) * consts.c0 * row[a1]
-            lines.append(f"{q},{a1},{emp.real:.12g},{emp.imag:.12g},"
-                         f"{pred.real:.12g},{pred.imag:.12g}")
+            lines.append(f"{q},{a1},{emp[a1].real:.12g},{emp[a1].imag:.12g},"
+                         f"{pred[a1].real:.12g},{pred[a1].imag:.12g}")
     else:
         raise FormError("one of --birch, --arc, --empirical is required")
     _emit(args, "expsum", inst.label, params, inst.config_hash(), lines)
@@ -168,41 +163,24 @@ def cmd_local_density(args) -> int:
 
 def cmd_singular_integral(args) -> int:
     inst = load_instance(args.config)
-    schedule = ([float(s) for s in args.schedule.split(",")]
-                if args.schedule else archimedean.DEFAULT_SCHEDULE)
-    params = {"samples": args.samples, "schedule": list(schedule),
-              "estimator": args.estimator}
-    est = archimedean.real_density(inst, schedule, args.samples, args.seed,
+    est = archimedean.real_density(inst, args.samples, args.seed,
                                    threads=args.threads)
-    lines = [est.csv_header()] + est.csv_rows()
-    if args.estimator == "both":
-        fib = archimedean.real_density_coarea(inst, args.samples, args.seed,
-                                              threads=args.threads)
-        lines.append(f"# fibre estimator: {fib.value.real:.12g} "
-                     f"+- {fib.std_error:.12g}")
-    _emit(args, "singular-integral", inst.label, params, inst.config_hash(),
-          lines)
+    fib = archimedean.real_density_coarea(inst, args.samples, args.seed,
+                                          threads=args.threads)
+    lines = [est.csv_header()] + est.csv_rows() + [
+        f"# fibre estimator: {fib.value.real:.12g} +- {fib.std_error:.12g}"]
+    _emit(args, "singular-integral", inst.label, {"samples": args.samples},
+          inst.config_hash(), lines)
     return 0
-
-
-def _constant_pipeline(inst, args):
-    """J, the factored singular series and the route-2 constant; route 1
-    is left to the caller, which picks its singular series."""
-    consts = arith.landau_constants()
-    J = archimedean.real_density_coarea(inst, samples=args.samples,
-                                        seed=args.seed, threads=args.threads)
-    l_fact = constant.singular_series_factored(inst, p_max=args.p_max,
-                                               budget=args.budget)
-    prod = constant.local_product(inst, p_max=args.p_max, budget=args.budget)
-    c2 = constant.leading_constant_tamagawa(inst, J, prod)
-    return consts, J, l_fact, c2
 
 
 def cmd_constant(args) -> int:
     inst = load_instance(args.config)
     params = {"route": args.route, "Q": args.Q, "p_max": args.p_max,
               "samples": args.samples, "use_qsum": args.use_qsum}
-    consts, J, l_fact, c2 = _constant_pipeline(inst, args)
+    consts = arith.landau_constants()
+    J, l_fact, c2 = constant.pipeline(inst, args.p_max, args.samples,
+                                      args.seed, args.threads, args.budget)
     l_qsum = expsums.singular_series(inst, Q=args.Q, budget=args.budget)
     c1 = constant.leading_constant_series(
         inst, J, l_qsum if args.use_qsum else l_fact, consts)
@@ -229,11 +207,14 @@ def cmd_constant(args) -> int:
 def cmd_compare(args) -> int:
     inst = load_instance(args.config)
     params = {"t": args.t, "p_max": args.p_max, "samples": args.samples}
-    consts, J, l_fact, c2 = _constant_pipeline(inst, args)
-    c1 = constant.leading_constant_series(inst, J, l_fact, consts)
+    heights = _int_list(args.t)
+    J, l_fact, c2 = constant.pipeline(inst, args.p_max, args.samples,
+                                      args.seed, args.threads, args.budget)
+    c1 = constant.leading_constant_series(inst, J, l_fact,
+                                          arith.landau_constants())
     agree = constant.route_agreement(c1, c2)
     lines = ["t,measured,normalized,predicted_route1,predicted_route2,ratio2"]
-    for t in _int_list(args.t):
+    for t in heights:
         rec = counting.projective_count(inst, t, budget=args.budget,
                                         threads=args.threads)
         p1 = constant.predicted_count(c1, inst, t)
@@ -262,7 +243,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _threads(text: str) -> int:
+def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
@@ -283,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True,
                            help="instance config JSON")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=_threads,
+        p.add_argument("--threads", type=_positive,
                        default=len(os.sched_getaffinity(0)),
                        help="worker threads (default: the CPUs this "
                             "process may run on)")
@@ -308,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expsum", help="Birch sums, arc factors, empirical sums")
     common(p)
-    p.add_argument("--birch", type=int, default=None, metavar="Q",
+    p.add_argument("--birch", type=_positive, default=None, metavar="Q",
                    help="emit the full primitive-phase table mod Q")
-    p.add_argument("--arc", type=int, default=None, metavar="QMAX",
+    p.add_argument("--arc", type=_positive, default=None, metavar="QMAX",
                    help="emit arc factors for all q <= QMAX")
-    p.add_argument("--empirical", type=int, default=None, metavar="Q",
+    p.add_argument("--empirical", type=_positive, default=None, metavar="Q",
                    help="empirical twisted sums against predictions mod Q")
     p.add_argument("--x", type=int, default=10**7,
                    help="range for empirical sums")
@@ -328,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singular-integral", help="real density by Monte Carlo")
     common(p)
     p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
-    p.add_argument("--schedule", default=None,
-                   help="comma-separated epsilon levels")
-    p.add_argument("--estimator", default="shell", choices=("shell", "both"))
     p.set_defaults(fn=cmd_singular_integral)
 
     p = sub.add_parser("constant", help="leading constant by both routes")

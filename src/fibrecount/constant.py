@@ -10,15 +10,16 @@ Route 'tamagawa':
 
 The two agree as exact limits.  At truncated level the comparison is only
 meaningful when both sides carry the same prime content, which is why the
-default pipeline evaluates the singular series through its local
-factorization; the raw q-sum value is reported alongside.  Both Euler
-products are assembled here (singular_series_factored, local_product) from
-the local factors of expsums and padic.  local_product reads the density
-at every p at level_for(p), and so does the singular-series route at p =
-1 mod 4.  At p = 3 mod 4 that route reads expsums.local_series_odd in
-shells up to max_shell_modulus(p, n, budget) instead: 4 at p = 3, n = 4
-and the default budget, against level_for(3) = 5, so the budget moves the
-singular-series route.
+pipeline evaluates the singular series through its local factorization;
+the raw q-sum value is reported alongside.  pipeline builds J and both
+Euler products for the constant and compare commands and for verify.  Both
+Euler products are assembled here (singular_series_factored,
+local_product) from the local factors of expsums and padic.  local_product
+reads the density at every p at level_for(p), and so does the
+singular-series route at p = 1 mod 4.  At p = 3 mod 4 that route reads
+expsums.local_series_odd in shells up to max_shell_modulus(p, n, budget)
+instead: 4 at p = 3, n = 4 and the default budget, against level_for(3) =
+5, so the budget moves the singular-series route.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import blocks
 from .arith import ArithConstants, DomainError, is_prime, prime_sieve
-from .archimedean import McEstimate
+from .archimedean import DEFAULT_SAMPLES, McEstimate, real_density_coarea
 from .expsums import (TruncatedValue, local_series_odd, local_series_two,
                       max_shell_modulus)
 from .forms import Instance
@@ -262,6 +263,18 @@ def leading_constant_tamagawa(inst: Instance, J: McEstimate,
         local_product=pv, zeta_ndmd=float("nan"), d=inst.d, c_phi=c,
         combined_error=abs(c) * rel, epsilon_d=error_exponent(inst.d),
         error_kind="heuristic", warnings=[])
+
+
+def pipeline(inst: Instance, p_max: int = 13,
+             samples: int = DEFAULT_SAMPLES, seed: int = 0, threads: int = 1,
+             budget: int = blocks.DEFAULT_BUDGET) -> tuple:
+    """(J, the factored singular series, the route-2 constant): J by
+    real_density_coarea, and both Euler products to p_max.  Route 1 is
+    left to the caller, which picks its singular series."""
+    J = real_density_coarea(inst, samples, seed, threads)
+    l_fact = singular_series_factored(inst, p_max, budget)
+    c2 = leading_constant_tamagawa(inst, J, local_product(inst, p_max, budget))
+    return J, l_fact, c2
 
 
 def predicted_count(c: ConstantBreakdown, inst: Instance, t: float) -> float:

@@ -10,7 +10,9 @@ Counting conventions (fixed across the library):
   the exact Moebius identity below.
 
 * projective_count(inst, t) counts projective base points of height <= t
-  with a soluble fibre, i.e. half the number of primitive vectors.
+  with a soluble fibre, i.e. half the number of primitive vectors: by the
+  Moebius sum below on an instance with several variable blocks, whose
+  box counts then take the split path, and directly otherwise.
 
 * The two are tied by exact Moebius inversion:
   2 * projective_count(t) = sum_{l<=t} mu(l) * count(floor(t/l), zero=True),
@@ -164,6 +166,16 @@ class CountRecord:
     raw_count: int
     normalized: float
     include_zero: bool
+
+    @classmethod
+    def of(cls, inst: Instance, t: int, raw_count: int,
+           include_zero: bool) -> "CountRecord":
+        """The row of raw_count at height t, normalized by
+        sqrt(log t) / t^(n-d); NaN below t = 2, where log t is too small."""
+        normalized = (raw_count * math.sqrt(math.log(t))
+                      / t ** (inst.n - inst.d) if t >= 2 else float("nan"))
+        return cls(label=inst.label, t=t, raw_count=raw_count,
+                   normalized=normalized, include_zero=include_zero)
 
     @staticmethod
     def csv_header() -> str:
@@ -505,13 +517,14 @@ def projective_count(inst: Instance, t: int,
     Counts +-pairs of primitive vectors y in [-t,t]^n with f2(y) = 0 and
     (f1(y) = 0 or a soluble conic).  method 'direct' counts them with a
     gcd test, by the quadric path or the slab scan (_count_box); 'moebius'
-    sums mu(l) * box counts; 'auto' picks direct when the whole box
-    (2t+1)^n fits min(budget, 1e8).
+    sums mu(l) * box counts.  'auto' picks moebius on an instance with
+    several variable blocks, whose box counts then take the split path,
+    and direct otherwise.
     """
     if t < 1:
         raise DomainError("t must be positive")
     if method == "auto":
-        method = "direct" if (2 * t + 1) ** inst.n <= min(budget, 10**8) else "moebius"
+        method = "moebius" if len(variable_blocks(inst)) >= 2 else "direct"
     if method == "direct":
         vectors = _count_box(inst, t, True, budget, threads, primitive=True)
     elif method == "moebius":
@@ -520,11 +533,7 @@ def projective_count(inst: Instance, t: int,
         raise DomainError(f"unknown method {method!r}")
     if vectors % 2 != 0:
         raise AssertionError("primitive vector count must be even")
-    raw = vectors // 2
-    normalized = (raw * math.sqrt(math.log(t)) / t ** (inst.n - inst.d)
-                  if t >= 2 else float("nan"))
-    return CountRecord(label=inst.label, t=t, raw_count=raw,
-                       normalized=normalized, include_zero=True)
+    return CountRecord.of(inst, t, vectors // 2, include_zero=True)
 
 
 def mobius_residual(inst: Instance, t: int,

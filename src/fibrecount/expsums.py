@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, log, sqrt
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def joint_value_distribution(inst: Instance, q: int) -> np.ndarray:
     whole box (Z/q)^n: the oracle of the block and phase paths of
     birch_sum_table."""
     return residue_table(Block(tuple(range(inst.n)), inst.f1, inst.f2),
-                         q, q, blocks.DEFAULT_BUDGET)
+                         q, blocks.DEFAULT_BUDGET)
 
 
 def birch_sum_table(inst: Instance, q: int,
@@ -268,6 +268,17 @@ def twisted_two_squares_row(x: int, q: int) -> np.ndarray:
                          minlength=q)
     r = np.arange(q, dtype=np.int64)
     return (counts * np.exp(2j * np.pi * (np.outer(r, r) % q / q))).sum(axis=1)
+
+
+def empirical_twisted_row(x: int, q: int) -> tuple:
+    """(emp, pred) for every a1 in [0, q): emp is twisted_two_squares_row
+    scaled by sqrt(log x)/x, pred = sqrt(2) C0 F(a1, q) its limit as x
+    grows."""
+    if x < 2:
+        raise DomainError("x must be at least 2 (log x too small below)")
+    row, _ = arc_factor_row(q)
+    emp = twisted_two_squares_row(x, q) * (sqrt(log(x)) / x)
+    return emp, sqrt(2) * landau_constants().c0 * row
 
 
 # ---------------------------------------------------------------------------

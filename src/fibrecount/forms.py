@@ -142,16 +142,14 @@ class Form:
                 "beyond the int64 fast path; reduce the box or evaluate exactly")
         return self._walk(cols)
 
-    def evaluate_batch_mod(self, cols, q: int,
-                           reduced: bool = False) -> np.ndarray:
+    def evaluate_batch_mod(self, cols, q: int) -> np.ndarray:
         """f mod q over many points, by the walk of evaluate_batch.
 
-        Inputs are reduced mod q once per coordinate, unless the caller
-        passes reduced=True for columns that already lie in [0, q) (residue
-        grids, lift candidates).  When the exact value over reduced inputs
-        provably fits int64, the walk computes it and reduces once;
-        otherwise it reduces after every multiply and add, which needs
-        (q-1)^2 to fit.
+        The columns are residues: every entry lies in [0, q) (residue
+        grids, lift candidates); reduce any other integers mod q first.
+        When the exact value over residues provably fits int64, the walk
+        computes it and reduces once; otherwise it reduces after every
+        multiply and add, which needs (q-1)^2 to fit.
         """
         if q < 1:
             raise FormError("modulus must be positive")
@@ -160,8 +158,6 @@ class Form:
             raise FormError(f"modulus {q} is beyond the int64 products of "
                             "the reduced path")
         cms = [np.asarray(c, dtype=np.int64) for c in cols]
-        if not reduced:
-            cms = [c % q for c in cms]
         if not fast:
             return self._walk(cms, q)
         # the bound holds for the signed coefficients
@@ -346,7 +342,11 @@ def parse_instance(config) -> Instance:
 
 
 def load_instance(path) -> Instance:
-    """Read and validate an instance config from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read and validate an instance config from a JSON file; a file that
+    cannot be read is a FormError too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FormError(f"cannot read config {path}: {exc.strerror}") from exc
     return parse_instance(text)

@@ -123,8 +123,7 @@ def _solutions(inst: Instance, p: int, level: int, parents: np.ndarray,
     """Chunks of the solutions of f2 = 0 mod p^level above parents."""
     q = p ** level
     for cand in _lifts(inst, p, level, parents, budget):
-        yield cand[inst.f2.evaluate_batch_mod(_cols(cand), q,
-                                              reduced=True) == 0]
+        yield cand[inst.f2.evaluate_batch_mod(_cols(cand), q) == 0]
 
 
 def _classify_f1(values: np.ndarray, p: int, level: int):
@@ -149,7 +148,7 @@ def _valuation(x: np.ndarray, p: int, cap: int) -> np.ndarray:
 def _gradient_mod(f: Form, cols: list, p: int, top: int) -> tuple:
     """The partials of f at the columns mod p^top, one row per variable,
     and their valuations (top where a partial is 0 mod p^top)."""
-    g = np.stack([d.evaluate_batch_mod(cols, p ** top, reduced=True)
+    g = np.stack([d.evaluate_batch_mod(cols, p ** top)
                   if d is not None else np.zeros(len(cols[0]), np.int64)
                   for d in map(f.partial, range(f.n_vars))])
     return g, _valuation(g, p, top)
@@ -232,7 +231,7 @@ def _phase_level(inst: Instance, p: int, k: int, N: int, top: int,
     """
     n, q = inst.n, p ** top
     cols = _cols(cur)
-    c1 = inst.f1.evaluate_batch_mod(cols, q, reduced=True) if fibre else None
+    c1 = inst.f1.evaluate_batch_mod(cols, q) if fibre else None
     if fibre and k >= N:  # f2 = 0 mod p^N holds on every lift
         g1 = _gradient_mod(inst.f1, cols, p, top)[1].min(axis=0)
         # from 2k >= top on, f1 mod p^top is linear on the lifts (Taylor)
@@ -244,7 +243,7 @@ def _phase_level(inst: Instance, p: int, k: int, N: int, top: int,
         else:
             g2 = _gradient_mod(inst.f2, cols, p, top)[1].min(axis=0)
             ok = g2 < k
-        c2 = inst.f2.evaluate_batch_mod(cols, q, reduced=True)
+        c2 = inst.f2.evaluate_batch_mod(cols, q)
         s = np.minimum(k + g2, N)
         hit, m = c2 % p ** s == 0, N - s
     if fibre and k < N:
@@ -332,8 +331,7 @@ def _phase(inst: Instance, p: int, N: int, top: int, fibre: bool,
             if not fibre:
                 break
             sol_k, und_k = _classify_f1(
-                inst.f1.evaluate_batch_mod(_cols(cur), p ** k, reduced=True),
-                p, k)
+                inst.f1.evaluate_batch_mod(_cols(cur), p ** k), p, k)
             sol += int(sol_k.sum()) * p ** (n * (top - k))
             cur = cur[und_k]
             if k == top:
@@ -399,8 +397,8 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
             e2 = np.where(vm < m, vm - e1, m)  # vm = m: e2 >= m - k
             ce = np.minimum(k + g2, m)
             ae = np.minimum(k + e1, m) + np.minimum(k + e2, m) - ce
-            c1 = inst.f1.evaluate_batch_mod(cols, q, reduced=True)
-            c2 = inst.f2.evaluate_batch_mod(cols, q, reduced=True)
+            c1 = inst.f1.evaluate_batch_mod(cols, q)
+            c2 = inst.f2.evaluate_batch_mod(cols, q)
             for a_exp, c_exp in set(zip(ae[ok].tolist(), ce[ok].tolist())):
                 sel = ok & (ae == a_exp) & (ce == c_exp)
                 a, c = p ** a_exp, p ** c_exp

@@ -235,16 +235,11 @@ def suite_sieve(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
 # ---------------------------------------------------------------------------
 
 def _arc_consistency_check():
-    x = 10**7
     consts = arith.landau_constants()
-    scale = math.sqrt(math.log(x)) / x
     worst_rel, worst_abs = 0.0, 0.0
     for q in (1, 2, 3, 4, 8, 12):
-        row, _tail = expsums.arc_factor_row(q)
-        twisted = expsums.twisted_two_squares_row(x, q)
-        for a1 in range(q):
-            emp = twisted[a1] * scale
-            pred = math.sqrt(2) * consts.c0 * row[a1]
+        emp_row, pred_row = expsums.empirical_twisted_row(10**7, q)
+        for a1, (emp, pred) in enumerate(zip(emp_row, pred_row)):
             gap = abs(emp - pred)
             if abs(pred) > 1e-12:
                 rel = gap / abs(pred)
@@ -423,13 +418,14 @@ def suite_archimedean(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
 # ---------------------------------------------------------------------------
 
 def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
+    """Checks of constant.pipeline at its defaults: p <= 13, 1e6 samples."""
     inst = four_squares_instance()
     out = []
 
     t0 = time.monotonic()
+    J, l_fact, c2 = constant.pipeline(inst, seed=seed, threads=threads,
+                                      budget=budget)
     l_qsum = expsums.singular_series(inst, Q=16, budget=budget)
-    l_fact = constant.singular_series_factored(inst, p_max=13,
-                                               budget=budget)
     gap = abs(l_qsum.value.real - l_fact.value.real) / abs(l_fact.value.real)
     out.append(CheckResult(
         name="series-factorization",
@@ -478,12 +474,8 @@ def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
 
     t0 = time.monotonic()
     consts = arith.landau_constants()
-    J = archimedean.real_density_coarea(inst, samples=10**6, seed=seed,
-                                        threads=threads)
-    prod = constant.local_product(inst, p_max=13, budget=budget)
     c1 = constant.leading_constant_series(inst, J, l_fact, consts)
     c1q = constant.leading_constant_series(inst, J, l_qsum, consts)
-    c2 = constant.leading_constant_tamagawa(inst, J, prod)
     agree = constant.route_agreement(c1, c2)
     out.append(CheckResult(
         name="route-agreement",

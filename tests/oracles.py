@@ -54,7 +54,8 @@ def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
     f1 classified at level N + e, in the units of padic's masses, from the
     residue tables of two balanced halves of the variable blocks.
 
-    Each table counts x mod p^(N+e) by (f1 mod p^(N+e), f2 mod p^N).  One
+    Each table counts x mod p^(N+e) by (f1 mod p^(N+e), f2 mod p^N): the
+    residue table with its f2 axis folded from p^(N+e) to p^N.  One
     float64 matrix product pairs the f2 residues v and -v of the halves,
     and the cyclic diagonals of the product add their f1 residues.  Every
     entry and partial sum is a nonnegative integer at most the total mass
@@ -63,8 +64,8 @@ def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
     q1, q2 = p ** (N + e), p ** N
     assert p ** (inst.n * (N + e)) < 2**53
     a, b = (residue_table(Block(tuple(h), restrict(inst.f1, h),
-                                restrict(inst.f2, h)),
-                          q1, q2, 2**53).astype(np.float64)
+                                restrict(inst.f2, h)), q1, 2**53)
+            .reshape(q1, q1 // q2, q2).sum(axis=1).astype(np.float64)
             for h in balanced_halves(variable_blocks(inst)))
     prod = a @ b[:, -np.arange(q2) % q2].T
     u = np.arange(q1)
@@ -106,8 +107,7 @@ def tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
         seen, undecided = 0, []
         for pts in chunks:
             seen += len(pts)
-            values = inst.f1.evaluate_batch_mod(_cols(pts), p ** (N + depth),
-                                                reduced=True)
+            values = inst.f1.evaluate_batch_mod(_cols(pts), p ** (N + depth))
             sol, und = _classify_f1(values, p, N + depth)
             soluble += int(sol.sum()) * weight(depth)
             undecided.append(pts[und])

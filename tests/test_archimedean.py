@@ -84,14 +84,6 @@ def test_determinism_and_box_max_independence(four_squares):
     assert c.value == a.value
 
 
-def test_schedule_validation(four_squares):
-    with pytest.raises(DomainError, match="decreasing"):
-        archimedean.real_density(four_squares,
-                                 epsilon_schedule=(0.1, 0.2, 0.05))
-    with pytest.raises(DomainError, match="3 epsilon"):
-        archimedean.real_density(four_squares, epsilon_schedule=(0.1, 0.05))
-
-
 def test_shell_levels_consistent_with_extrapolation(four_squares):
     est = archimedean.real_density(four_squares, samples=10**6, seed=0)
     j0 = est.value.real
@@ -130,6 +122,17 @@ def test_an_infinite_j_is_refused(quartic, demo):
                           archimedean.real_density_coarea):
             with pytest.raises(DomainError, match="J is infinite"):
                 estimator(inst, samples=3000)
+
+
+def test_every_estimator_refuses_few_samples(four_squares):
+    def oscillatory(inst, samples):
+        return archimedean.oscillatory_box_integral(inst, (0.7, 1.3), samples)
+
+    for estimate in (archimedean.real_density,
+                     archimedean.real_density_coarea, oscillatory):
+        for samples in (0, 999):
+            with pytest.raises(DomainError, match="at least 1000 samples"):
+                estimate(four_squares, samples=samples)
 
 
 # exact J: four_squares by the quadrature oracle of

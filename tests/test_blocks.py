@@ -51,7 +51,7 @@ def test_unused_variable_is_a_zero_block():
                     f2=Form(2, 2, ((3, (2, 0)),)), n=2, d=2, box_max_m=1)
     free = blocks.variable_blocks(inst)[1]
     assert free.vars == (1,) and free.g1 is None and free.g2 is None
-    table = blocks.residue_table(free, 5, 5, 10**6)
+    table = blocks.residue_table(free, 5, 10**6)
     assert table[0, 0] == 5 and table.sum() == 5
 
 

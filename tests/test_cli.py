@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import os
 import time
 
 import pytest
 
-from fibrecount import archimedean, blocks, verify
+from fibrecount import (__version__, archimedean, blocks, constant, counting,
+                        expsums, verify)
 from fibrecount.cli import build_parser, main
 from fibrecount.forms import load_instance
 
@@ -105,10 +107,14 @@ def test_singular_integral_determinism(tmp_path):
     assert main(base + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     # the CLI writes real_density's own rows, which test_golden_mc_values
-    # pins for the same instance, samples and seed
+    # pins for the same instance, samples and seed, then the coarea J
     est = archimedean.real_density(load_instance(FOUR), samples=20000, seed=5)
+    fib = archimedean.real_density_coarea(load_instance(FOUR), samples=20000,
+                                          seed=5)
     assert out1.read_text().splitlines()[1:] == \
-        ["epsilon,volume_estimate,std_error,samples,seed"] + est.csv_rows()
+        ["epsilon,volume_estimate,std_error,samples,seed"] + est.csv_rows() \
+        + [f"# fibre estimator: {fib.value.real:.12g} "
+           f"+- {fib.std_error:.12g}"]
 
 
 def test_budget_refusal_exit_code(capsys):
@@ -148,6 +154,71 @@ def test_compare_small(capsys):
     assert "t,measured,normalized,predicted_route1,predicted_route2,ratio2" \
         in out
     assert "caveat" in out
+
+
+def test_constant_use_qsum(capsys):
+    # route 1 reads the raw q-sum with --use-qsum, the factored series
+    # without it
+    inst = load_instance(FOUR)
+    base = ["constant", "--config", FOUR, "--route", "1", "--Q", "3",
+            "--p-max", "2", "--samples", "20000"]
+    for flag, series in (([], constant.singular_series_factored(inst, 2)),
+                         (["--use-qsum"], expsums.singular_series(inst, 3))):
+        assert main(base + flag) == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert row[0] == "singular_series"
+        assert row[3] == f"{series.value.real:.10g}"
+
+
+def test_expsum_empirical(capsys):
+    # at a1 = 0 the twisted sum is the two-squares count up to --x
+    x = 10**4
+    assert main(["expsum", "--config", FOUR, "--empirical", "4",
+                 "--x", str(x)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == "q,a1,emp_re,emp_im,pred_re,pred_im"
+    assert len(lines) == 2 + 4
+    assert float(lines[2].split(",")[2]) == pytest.approx(
+        counting.two_squares_count(x) * math.sqrt(math.log(x)) / x,
+        rel=1e-11)
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "--config", os.path.join(os.path.dirname(FOUR), "none.json"),
+      "--t", "5"], "cannot read config"),
+    (["count", "--config", os.path.dirname(FOUR), "--t", "5"],
+     "cannot read config"),
+    (["count", "--config", FOUR, "--t", "5,x"], "not a comma-separated list"),
+    (["compare", "--config", FOUR, "--t", "x"], "not a comma-separated list"),
+    (["theta", "--config", FOUR, "--P", "2.5"], "not a comma-separated list"),
+    (["local-density", "--config", FOUR, "--p", "3,y", "--N", "2"],
+     "not a comma-separated list"),
+    (["expsum", "--config", FOUR, "--birch", "-2"], "--birch: must be at"),
+    (["expsum", "--config", FOUR, "--birch", "0"], "--birch: must be at"),
+    (["expsum", "--config", FOUR, "--arc", "-1"], "--arc: must be at"),
+    (["expsum", "--config", FOUR, "--empirical", "3", "--x", "0"],
+     "x must be at least 2"),
+    (["singular-integral", "--config", FOUR, "--samples", "0"],
+     "at least 1000 samples"),
+], ids=["missing-config", "config-is-a-directory", "t-not-integers",
+        "compare-t-not-integers", "P-not-integers", "p-not-integers",
+        "birch-negative", "birch-zero", "arc-negative", "x-zero",
+        "samples-zero"])
+def test_bad_input_exits_2_with_a_message(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # refused by the parser
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
 
 
 def test_verify_unknown_suite():

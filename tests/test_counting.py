@@ -196,6 +196,25 @@ def test_quadric_path_never_scans_the_box(linked, monkeypatch):
             linked, 20, method="direct").raw_count == vectors // 2
 
 
+def test_auto_takes_moebius_exactly_where_the_blocks_split(bilinear,
+                                                           monkeypatch):
+    # one block: the direct count, no Moebius sum; several blocks: the
+    # Moebius sum of split box counts, no quadric or slab scan
+    def refuse(*args):
+        raise AssertionError("a path auto must not take")
+
+    dense = _dense(0)
+    want = counting.projective_count(dense, 60, method="direct").raw_count
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_moebius_sum", refuse)
+        assert counting.projective_count(dense, 60).raw_count == want
+    want = counting.projective_count(bilinear, 40, method="moebius").raw_count
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_count_quadric", refuse)
+        mp.setattr(counting, "_count_slab", refuse)
+        assert counting.projective_count(bilinear, 40).raw_count == want
+
+
 def test_quadric_budget_refusal(linked):
     # 101^3 scanned points exceed 10^4; the slab scan the refusal passes to
     # refuses too, so the message is the slab's

@@ -78,12 +78,9 @@ def test_evaluate_batch_matches_scalar():
     batch = f.evaluate_batch(cols, 6)
     for i in range(50):
         assert batch[i] == f.evaluate(pts[i])
-    batch_mod = f.evaluate_batch_mod(cols, 11)
+    batch_mod = f.evaluate_batch_mod([c % 11 for c in cols], 11)
     for i in range(50):
         assert batch_mod[i] == f.evaluate(pts[i]) % 11
-    reduced = [c % 11 for c in cols]
-    assert np.array_equal(f.evaluate_batch_mod(reduced, 11, reduced=True),
-                          batch_mod)
 
 
 def test_evaluate_batch_overflow_guard():
@@ -144,15 +141,16 @@ def test_evaluate_batch_is_the_reference_loop(inst, P, limit, seed, shapes,
                                                   for g in grid))]
             assert got.ravel().tolist() == exact
             for m in (q, fast) + (() if wide else (fast + 1,)):
-                assert f.evaluate_batch_mod(cols, m).ravel().tolist() == \
+                assert f.evaluate_batch_mod([c % m for c in cols],
+                                            m).ravel().tolist() == \
                     [v % m for v in exact]
         for m in (q, fast, fast + 1):
             res = [rng.integers(0, m, 7) for _ in range(f.n_vars)]
             if m > fast and wide:
                 with pytest.raises(FormError, match="int64"):
-                    f.evaluate_batch_mod(res, m, reduced=True)
+                    f.evaluate_batch_mod(res, m)
                 continue
-            assert f.evaluate_batch_mod(res, m, reduced=True).tolist() == \
+            assert f.evaluate_batch_mod(res, m).tolist() == \
                 [f.evaluate(x) % m for x in zip(*(r.tolist() for r in res))]
         cols = [rng.uniform(-1.0, 1.0, shape) for shape in shapes[:f.n_vars]]
         first = f.monomials[0][1].index(next(e for e in f.monomials[0][1]
@@ -172,7 +170,7 @@ def test_evaluate_batch_mod_negative_coefficients():
     f = Form(1, 4, ((-3, (4,)),))
     q = 7**5
     xs = np.array([q - 1, 35, 1000], dtype=np.int64)
-    assert f.evaluate_batch_mod([xs], q, reduced=True).tolist() == \
+    assert f.evaluate_batch_mod([xs], q).tolist() == \
         [f.evaluate([x]) % q for x in xs.tolist()]
 
 

@@ -1,10 +1,13 @@
 """Static checks on the source and the tests, run without a linter."""
 
+import argparse
 import ast
 import fnmatch
 import importlib
 import inspect
 from pathlib import Path
+
+from fibrecount.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -200,3 +203,24 @@ def test_public_names_are_referenced():
                           for where, line in named.get(node.name, []))]
     assert not unnamed, "defined but never named elsewhere:\n" + \
         "\n".join(unnamed)
+
+
+def test_every_cli_option_is_named_in_a_test_or_a_bench_job():
+    # an option that no test and no benchmark job passes is a setting that
+    # nothing checks; option names are matched as whole string literals
+    options, parsers = set(), [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif not isinstance(action, argparse._HelpAction):
+                options.update(action.option_strings)
+    named = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")) + \
+            [ROOT / "perfbench" / "workloads.py"]:
+        if path.name != "test_lint.py":
+            named.update(node.value for node in ast.walk(ast.parse(
+                path.read_text(), filename=str(path)))
+                if isinstance(node, ast.Constant))
+    assert not options - named, "options no test or bench job names: " + \
+        ", ".join(sorted(options - named))
