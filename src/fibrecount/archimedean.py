@@ -7,30 +7,26 @@ f1(t) >= 0:
     J = lim_{eps->0} (1/2 eps) vol{t in [-1,1]^n : |f2(t)| <= eps, f1(t) >= 0}
       = integral over {f2 = 0, f1 >= 0} of dA / |grad f2|   (coarea formula)
 
-real_density_coarea estimates the integral in gradient charts: chart j is
-where |df2/dt_j| is the largest partial derivative, and there the surface
-is a graph over the other n-1 coordinates, found by polynomial root
-finding along t_j.  Each root weighs n/|df2/dt_j| <= n sqrt(n)/|grad f2|,
-bounded off the singular points of f2.  It is the estimator the constant
-pipeline (constant.pipeline) reads.  real_density is the independent
-cross-check: shell volumes at the fixed widths SCHEDULE plus
-Richardson-style extrapolation in eps.  Both refuse n <= d, where J is
-infinite, and every estimator refuses fewer than 1000 samples.
+real_density_coarea estimates the integral in gradient charts, where the
+surface is a graph over n-1 coordinates, by a randomly shifted rank-1
+lattice rule on their cube; the constant pipeline (constant.pipeline)
+reads it.  real_density is the independent cross-check: shell volumes at
+the fixed widths SCHEDULE plus Richardson-style extrapolation in eps.
+Both refuse n <= d, where J is infinite, and every estimator refuses
+fewer than 1000 samples.
 
-Every estimator uses one stream layout: a stream of `samples` points is
-cut into the counter-based chunks of _chunks, 2^18 points each but the
-last, and chunk i of a stream is one draw from Philox keyed by
-(seed, stream, i).  _blocks draws a chunk in blocks of at most
-blocks.WORK_BLOCK coordinates (2^14 points at n = 4), and one copy both
-transposes a block into contiguous coordinate rows and doubles it; the
-draw and the rows are two buffers that every block of a chunk reuses.  A
-block so stays in cache while Form.evaluate_batch (the one evaluator of
-every form here, in place in its own two buffers) works through it, and
-no estimator holds a whole chunk.  The J estimators run their chunks on a
-pool of `threads` threads (blocks.pool_map) and combine the chunks'
-results in chunk order: shell hits are ints and the coarea estimator's
-batch sums are added chunk by chunk, so results are bit-reproducible for
-a given (seed, samples) whatever the thread count.
+Random points come from one stream layout: a stream of `samples` points
+is cut into the counter-based chunks of _chunks, 2^18 points each but the
+last, and chunk i of a stream is one draw from Philox keyed by (seed,
+stream, i); the lattice rule draws shift r by the key (seed, 99, r).
+_blocks draws a chunk in blocks of at most blocks.WORK_BLOCK coordinates
+(2^14 points at n = 4), one copy transposing a block into contiguous rows
+and doubling it, in two buffers that every block of a chunk reuses; the
+lattice points go through blocks of the same size.  A block so stays in
+cache while Form.evaluate_batch works through it.  Both J estimators run
+their chunks or blocks on a pool of `threads` threads (blocks.pool_map)
+and combine the results in task order, so results are bit-reproducible
+for a given (seed, samples) whatever the thread count.
 """
 
 from __future__ import annotations
@@ -45,8 +41,15 @@ from .arith import DomainError
 from .forms import Form, Instance
 
 _CHUNK = 1 << 18  # points per chunk: it defines the random streams
-_BATCHES = 64  # batch means of the coarea error
-DEFAULT_SAMPLES = 10**6
+DEFAULT_SAMPLES = 1 << 18
+_SHIFTS = 16  # independent random shifts of the coarea lattice rule
+# Generating vector of a base-2 lattice sequence; its first n-1 entries
+# serve every N = 2^m.  Built offline component by component: entry j
+# minimises the worst ratio, over N = 2^3..2^16, of the shift-averaged
+# unit-weight Sobolev error to that of the CBC rule for N alone
+# (tests/oracles.embedded_lattice_merit).
+_LATTICE = (1, 25291, 18823, 11229, 22233, 1257, 10477, 29573, 19159, 3145,
+            7147, 26705, 12255, 7589, 32509)
 _MASK64 = (1 << 64) - 1
 
 
@@ -267,71 +270,65 @@ def _roots_in_box(coeffs: np.ndarray):
 
 def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
                         seed: int = 0, threads: int = 1) -> McEstimate:
-    """Estimator of J from the coarea formula in gradient charts.
+    """Estimator of J from the coarea formula in gradient charts, by a
+    randomly shifted rank-1 lattice rule on [-1,1]^(n-1).
 
-    Chart j is the part of {f2 = 0} where |df2/dt_j| is the largest
-    partial derivative (ties go to the first index); there the surface is
-    a graph over the other n-1 coordinates t'.  Sample i of a chunk takes
-    chart i mod n, draws t' and finds the roots of f2 along t_j; each root
-    of its chart in the box with f1 >= 0 weighs M/(M_j |df2/dt_j|), M_j of
-    the M samples being chart j's.  With the charts sharing the samples
-    evenly that is n/|df2/dt_j| <= n sqrt(n)/|grad f2|: bounded off the
-    singular points of f2, so no near-tangent root is dropped, and of
-    finite variance for a nonsingular quadric in n >= 4 variables.
+    Chart j is where |df2/dt_j| is the largest partial (ties go to the
+    first index); there the surface is a graph over the other n-1
+    coordinates.  Every point solves every chart along t_j, and each root
+    of chart j in the box with f1 >= 0 weighs 1/|df2/dt_j|: J is 2^(n-1)
+    times the mean weight a point gathers.
 
-    The standard error is the spread of 64 batch means: sample i of the
-    stream falls in batch i * 64 // samples, so the batches are 64 runs of
-    consecutive samples whatever the chunks.  Chunks run on a pool of
-    `threads` threads; their batch sums are added in chunk order.
+    `samples` counts chart solves: _SHIFTS shifts of the N-point lattice,
+    N the largest power of 2 with _SHIFTS n N <= samples.  Point i of
+    shift r is (i z mod N)/N + u_r mod 1, mapped to [-1,1], with z the
+    first n-1 entries of _LATTICE and u_r drawn from Philox keyed by
+    (seed, 99, r).  The shift estimates are independent and unbiased: the
+    value is their mean, the error their standard deviation over
+    sqrt(_SHIFTS).
     """
     _refuse_few(samples)
     _refuse_infinite(inst)
-    n, f2 = inst.n, inst.f2
-    charts = [f2.powers_of(j) for j in range(n)]
+    n, f2, s = inst.n, inst.f2, inst.n - 1
+    if s > len(_LATTICE):
+        raise DomainError(f"no lattice generator for n = {n} > "
+                          f"{len(_LATTICE) + 1} variables")
+    size = 1 << ((samples // (_SHIFTS * n)).bit_length() - 1)
+    z = np.array(_LATTICE[:s], dtype=np.int64)
     partials = [f2.partial(k) for k in range(n)]
-    chunks = _chunks(samples)
-    taken = [sum(len(range(j, m, n)) for _, m in chunks) for j in range(n)]
+    charts = [(j, f2.powers_of(j), g) for j, g in enumerate(partials)
+              if g is not None]  # df2/dt_j = 0 is never the largest
+    step = max(1, blocks.WORK_BLOCK // s)
+    tasks = [(r, i) for r in range(_SHIFTS) for i in range(0, size, step)]
 
-    def chunk_sums(task) -> np.ndarray:  # the chunk's weight in each batch
-        index, m = task
-        sums = np.zeros(_BATCHES)
-        start = 0  # the block's first sample in the chunk
-        for pts in _blocks(seed, 99, index, m, n - 1):
-            where, weights = [], []
-            for j, (forms, grad_j) in enumerate(zip(charts, partials)):
-                if grad_j is None:  # df2/dt_j = 0 is never the largest
-                    continue
-                first = (j - start) % n  # chart j: sample i = j mod n
-                other = pts[:, first::n]
-                coeffs = np.empty((len(forms), other.shape[1]))
-                for k, form in enumerate(forms):
-                    coeffs[k] = form.evaluate_batch(other, 1) \
-                        if isinstance(form, Form) else form
-                rows, roots = _roots_in_box(coeffs)
-                at = [c[rows] for c in other]
-                at.insert(j, roots)
-                grad = np.abs(grad_j.evaluate_batch(at, 1))
-                keep = inst.f1.evaluate_batch(at, 1) >= 0.0
-                for k, g in enumerate(partials):  # ties go to the first index
-                    if k != j and g is not None:
-                        gk = np.abs(g.evaluate_batch(at, 1))
-                        keep &= grad > gk if k < j else grad >= gk
-                where.append(start + first + n * rows[keep])
-                weights.append(samples / taken[j] / grad[keep])
-            at_i = index * _CHUNK + np.concatenate(where)  # in the stream
-            sums += np.bincount(at_i * _BATCHES // samples,
-                                np.concatenate(weights), _BATCHES)
-            start += pts.shape[1]
-        return sums
+    def block_sum(task) -> float:  # the weights of one block of a shift
+        r, start = task
+        k = min(step, size - start)
+        # i z mod N, exact in int64: z < 2^15 and i < N
+        pts = np.outer(z, np.arange(start, start + k)) % size / size
+        pts += _chunk_rng(seed, 99, r).random(s)[:, None]
+        pts = 2.0 * (pts % 1.0) - 1.0
+        total = 0.0
+        for j, forms, grad_j in charts:
+            coeffs = np.empty((len(forms), k))
+            for c, form in enumerate(forms):
+                coeffs[c] = form.evaluate_batch(pts, 1) \
+                    if isinstance(form, Form) else form
+            rows, roots = _roots_in_box(coeffs)
+            at = [c[rows] for c in pts]
+            at.insert(j, roots)
+            grad = np.abs(grad_j.evaluate_batch(at, 1))
+            keep = inst.f1.evaluate_batch(at, 1) >= 0.0
+            for i, g in enumerate(partials):  # ties go to the first index
+                if i != j and g is not None:
+                    gi = np.abs(g.evaluate_batch(at, 1))
+                    keep &= grad > gi if i < j else grad >= gi
+            total += float((1.0 / grad[keep]).sum())
+        return total
 
-    sums = np.zeros(_BATCHES)
-    for s in blocks.pool_map(chunk_sums, chunks, threads):
-        sums += s  # in chunk order
-    vol = 2.0 ** (n - 1)
-    # batch b holds the samples i with b samples <= 64 i < (b + 1) samples
-    edges = -(-np.arange(_BATCHES + 1) * samples // _BATCHES)
-    means = sums / np.diff(edges)
-    return McEstimate(value=complex(vol * sums.sum() / samples),
-                      std_error=vol * float(means.std(ddof=1))
-                      / math.sqrt(_BATCHES),
-                      samples=samples, seed=seed)
+    totals = blocks.pool_map(block_sum, tasks, threads)  # in task order
+    estimates = 2.0 ** s * np.reshape(totals, (_SHIFTS, -1)).sum(1) / size
+    return McEstimate(value=complex(estimates.mean()),
+                      std_error=float(estimates.std(ddof=1))
+                      / math.sqrt(_SHIFTS),
+                      samples=_SHIFTS * size * len(charts), seed=seed)

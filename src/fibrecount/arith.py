@@ -13,6 +13,7 @@ global indicator.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -297,10 +298,16 @@ def landau_constants(prime_cutoff: int = C0_PRIME_CUTOFF
 
     The truncated product exceeds the limit; the log-tail is at most
     sum_{p>cutoff} p^-2 <= 1/(cutoff-1), so
-    c0_true in [c0 * exp(-tail), c0].
+    c0_true in [c0 * exp(-tail), c0].  Computed once per cutoff in a
+    process: every arc-factor row reads it.
     """
     if prime_cutoff < 3:
         raise DomainError("cutoff must be at least 3")
+    return _landau_constants(prime_cutoff)
+
+
+@functools.lru_cache(maxsize=None)
+def _landau_constants(prime_cutoff: int) -> ArithConstants:
     primes = prime_sieve(prime_cutoff)
     p3 = primes[primes % 4 == 3].astype(np.float64)
     c0 = float(math.exp(0.5 * np.log1p(-1.0 / p3**2).sum()))

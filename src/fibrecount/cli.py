@@ -76,10 +76,13 @@ def _emit(args, command: str, label: str, params: dict, config_hash: str,
 
 def _int_list(text: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
+        values = []
+    if not values:
         raise FormError("not a comma-separated list of integers: "
-                        f"{text!r}") from None
+                        f"{text!r}")
+    return values
 
 
 def _emit_counts(args, command: str, params: dict, radii: str,

@@ -271,6 +271,9 @@ def pipeline(inst: Instance, p_max: int = 13,
     """(J, the factored singular series, the route-2 constant): J by
     real_density_coarea, and both Euler products to p_max.  Route 1 is
     left to the caller, which picks its singular series."""
+    if p_max < 2:
+        raise DomainError(f"p_max must be at least 2, not {p_max}: the "
+                          "Euler products would have no prime")
     J = real_density_coarea(inst, samples, seed, threads)
     l_fact = singular_series_factored(inst, p_max, budget)
     c2 = leading_constant_tamagawa(inst, J, local_product(inst, p_max, budget))

@@ -264,3 +264,92 @@ def arc_factor_row_truncated(q: int, U: float) -> tuple[np.ndarray, float]:
             pmax *= p / (p - 1.0)
     tail = pmax * (4.0 * s / U + 2.0 / max(s - 1, 1))
     return values, tail
+
+
+# ---------------------------------------------------------------------------
+# the figure of merit of archimedean._LATTICE
+# ---------------------------------------------------------------------------
+
+def _bernoulli2(x):
+    return x * x - x + 1.0 / 6.0
+
+
+def _powers_of_5(m: int) -> np.ndarray:
+    """5^d mod 2^m for d < 2^(m-2): with their negatives, the odd residues
+    mod 2^m (m >= 3)."""
+    out = np.ones(1 << (m - 2), dtype=np.int64)
+    k, step = 1, 5
+    while k < len(out):
+        out[k:2 * k] = out[:k] * step % (1 << m)
+        step = step * step % (1 << m)
+        k *= 2
+    return out
+
+
+def lattice_error(z, m: int) -> float:
+    """Squared worst-case error, averaged over random shifts, of the rank-1
+    lattice rule with generating vector z and N = 2^m points in the
+    unanchored Sobolev space of first-order mixed smoothness with unit
+    product weights: -1 + (1/N) sum_k prod_j (1 + B2({k z_j / N})), with B2
+    the Bernoulli polynomial x^2 - x + 1/6 (Dick, Kuo and Sloan, Acta
+    Numerica 22, 2013)."""
+    N = 1 << m
+    k = np.arange(N, dtype=np.int64)
+    prod = np.ones(N)
+    for zj in z:
+        prod *= 1.0 + _bernoulli2(k * zj % N / N)
+    return float(prod.mean()) - 1.0
+
+
+def lattice_errors(prefix, m: int) -> np.ndarray:
+    """lattice_error(prefix + (5^d mod 2^m,), m) for every d < 2^(m-2), by
+    fast component-by-component evaluation: k = 2^v u with u odd, and on
+    the odd u mod 2^(m-v) = +-5^b the sum over k is a cyclic correlation
+    in b, taken by FFT.  B2({x}) is even in x, so z and -z tie."""
+    N = 1 << m
+    k = np.arange(N, dtype=np.int64)
+    prod = np.ones(N)
+    for zj in prefix:
+        prod *= 1.0 + _bernoulli2(k * zj % N / N)
+    # k = 0, N/2 and N/4, 3N/4 give the same B2 value for every odd z
+    total = prod.sum() + prod[0] / 6.0 - prod[N // 2] / 12.0 \
+        - (prod[N // 4] + prod[3 * N // 4]) / 48.0
+    out = np.full(N // 4, total)
+    for v in range(m - 2):
+        q = 1 << (m - v)
+        pw = _powers_of_5(m - v)
+        weight = prod[pw << v] + prod[(q - pw) << v]
+        kernel = _bernoulli2(pw / q)
+        corr = np.fft.irfft(np.conj(np.fft.rfft(weight))
+                            * np.fft.rfft(kernel), len(pw))
+        out += np.tile(corr, N // 4 // len(pw))
+    return out / N - 1.0
+
+
+def cbc_lattice_errors(m: int, s: int) -> list:
+    """lattice_error of the component-by-component rule built for N = 2^m
+    alone, in each dimension 1..s (its first entry is 1)."""
+    z, errors = [1], [lattice_error([1], m)]
+    for _ in range(1, s):
+        e = lattice_errors(z, m)
+        d = int(np.argmin(e))
+        z.append(int(_powers_of_5(m)[d]))
+        errors.append(float(e[d]))
+    return errors
+
+
+def embedded_lattice_merit(prefix, ms, best: dict) -> np.ndarray:
+    """The merit of each odd candidate z < 2^(max(ms) - 1) as the next
+    entry of an embedded lattice sequence (Cools, Kuo and Nuyens, SIAM J.
+    Sci. Comput. 28, 2006): the largest ratio over N = 2^m, m in ms, of
+    lattice_error(prefix + (z,), m) to best[m][len(prefix)], the error of
+    the rule built for that N alone.  Entry i is candidate 2 i + 1."""
+    cand = np.arange(1, 1 << (max(ms) - 1), 2, dtype=np.int64)
+    worst = np.zeros(len(cand))
+    for m in ms:
+        pw = _powers_of_5(m)
+        dlog = np.zeros(1 << m, dtype=np.int64)
+        dlog[pw] = dlog[(1 << m) - pw] = np.arange(len(pw))
+        ratio = lattice_errors(prefix, m) / best[m][len(prefix)]
+        np.maximum(worst, ratio[dlog[cand % (1 << m)]], out=worst)
+    return worst

@@ -9,7 +9,8 @@ import pytest
 from fibrecount import archimedean, blocks
 from fibrecount.arith import DomainError
 from fibrecount.forms import Form, Instance
-from oracles import uniform_chunk
+from oracles import (cbc_lattice_errors, embedded_lattice_merit, lattice_error,
+                     lattice_errors, uniform_chunk)
 
 
 def test_zero_phase_short_circuit(four_squares):
@@ -109,9 +110,10 @@ def test_golden_mc_values(four_squares, bilinear):
     osc = archimedean.oscillatory_box_integral(four_squares, (0.7, 1.3),
                                                300000, seed=11)
     assert repr(osc.value) == "(0.1287055873150032-0.14168741091339032j)"
+    # 300000 samples: 16 shifts of 4096 lattice points
     est = archimedean.real_density_coarea(bilinear, samples=300000, seed=0)
     assert (repr(est.value), repr(est.std_error)) == \
-        ("(15.939767248682774+0j)", "0.05060096719440851")
+        ("(15.98949651587299+0j)", "0.009870274389057514")
 
 
 def test_an_infinite_j_is_refused(quartic, demo):
@@ -171,7 +173,7 @@ def test_roots_in_box_match_numpy_roots():
 @pytest.mark.parametrize("name", sorted(EXACT_J))
 def test_coarea_is_calibrated(name, four_squares, bilinear):
     # over seeds fixed in advance, the estimates centre on the exact J,
-    # and their spread matches the reported batch-means error
+    # and their spread matches the reported error of the 16 shift estimates
     inst = {"four-squares": four_squares, "bilinear": bilinear}[name]
     ests = [archimedean.real_density_coarea(inst, samples=10**5, seed=s)
             for s in range(1000, 1030)]
@@ -233,12 +235,47 @@ def test_real_density_memory_follows_the_blocks(four_squares):
     assert peak < 8 * 2**18
 
 
-def test_coarea_ignores_threads(bilinear):
-    # 300000 samples: one full chunk and a partial one, two pool tasks
+def test_coarea_ignores_threads(bilinear, monkeypatch):
+    # 300000 samples: 16 shifts of 4096 points; blocks of 333 points cut a
+    # shift into 12 full blocks and a partial one, 208 pool tasks
+    whole = archimedean.real_density_coarea(bilinear, samples=300000)
+    monkeypatch.setattr(blocks, "WORK_BLOCK", 1000)
     runs = [archimedean.real_density_coarea(bilinear, samples=300000,
                                             seed=0, threads=threads)
             for threads in (1, 2, 3)]
     assert len({(repr(e.value), repr(e.std_error)) for e in runs}) == 1
+    assert runs[0].value.real == pytest.approx(whole.value.real, rel=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1000, 20000, 10**5, 1 << 18])
+def test_coarea_counts_the_chart_solves_it_does(four_squares, samples):
+    # 16 shifts of N points and n = 4 charts, N the largest power of 2
+    # that keeps the solves within `samples`
+    est = archimedean.real_density_coarea(four_squares, samples=samples)
+    N = est.samples // 64
+    assert est.samples <= samples < 2 * est.samples and N & (N - 1) == 0
+
+
+def test_lattice_entries_minimise_their_figure_of_merit():
+    # entry j of the pinned generating vector is the construction's choice
+    # given the entries before it, so a mistyped entry fails
+    z, orders = archimedean._LATTICE, range(3, 17)
+    best = {m: cbc_lattice_errors(m, len(z)) for m in orders}
+    assert z[0] == 1
+    for j in range(1, len(z)):
+        merit = embedded_lattice_merit(z[:j], orders, best)
+        assert merit[(z[j] - 1) // 2] <= merit.min() * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_fast_lattice_errors_match_their_definition(m):
+    # candidate d of lattice_errors is z = 5^d mod 2^m
+    z = archimedean._LATTICE
+    for s in range(3):
+        fast = lattice_errors(z[:s], m)
+        want = [lattice_error(z[:s] + (pow(5, d, 2**m),), m)
+                for d in range(len(fast))]
+        assert np.allclose(fast, want, rtol=1e-12, atol=0.0)
 
 
 def test_real_density_pool_is_shut_down(four_squares):

@@ -165,6 +165,9 @@ def test_landau_constants():
     assert big.c0_error < mid.c0_error
     with pytest.raises(arith.DomainError):
         arith.landau_constants(2)
+    # computed once per cutoff in a process, and equal to a fresh computation
+    assert arith.landau_constants(10**6) is big
+    assert big == arith._landau_constants.__wrapped__(10**6)
 
 
 def test_mertens_examples():

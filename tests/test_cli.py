@@ -207,10 +207,17 @@ def test_version(capsys):
      "x must be at least 2"),
     (["singular-integral", "--config", FOUR, "--samples", "0"],
      "at least 1000 samples"),
+    (["count", "--config", FOUR, "--t", ","], "not a comma-separated list"),
+    (["theta", "--config", FOUR, "--P", ","], "not a comma-separated list"),
+    (["constant", "--config", FOUR, "--p-max", "-3", "--samples", "2000"],
+     "p_max must be at least 2"),
+    (["compare", "--config", FOUR, "--t", "5", "--p-max", "1"],
+     "p_max must be at least 2"),
 ], ids=["missing-config", "config-is-a-directory", "t-not-integers",
         "compare-t-not-integers", "P-not-integers", "p-not-integers",
         "birch-negative", "birch-zero", "arc-negative", "x-zero",
-        "samples-zero"])
+        "samples-zero", "t-empty", "P-empty", "p-max-negative",
+        "compare-p-max-one"])
 def test_bad_input_exits_2_with_a_message(capsys, argv, message):
     try:
         code = main(argv)
