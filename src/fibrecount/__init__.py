@@ -23,9 +23,9 @@ from .constant import (ConstantBreakdown, LocalFactor, error_exponent,
 from .counting import (CountRecord, count_soluble_fibre_points,
                        mobius_residual, progression_count, projective_count,
                        two_squares_count)
-from .expsums import (TruncatedValue, arc_factor, arc_factor_row,
-                      gcd_phase_sum, local_series_odd, local_series_two,
-                      singular_series, twisted_two_squares_row)
+from .expsums import (TruncatedValue, arc_factor_row, gcd_phase_sum,
+                      local_series_odd, local_series_two, singular_series,
+                      twisted_two_squares_row)
 from .forms import (Form, FormError, Instance, form_from_records,
                     load_instance, parse_instance)
 from .padic import LocalDensity, hypersurface_density, soluble_density

@@ -166,7 +166,7 @@ def real_density(inst: Instance, samples: int = DEFAULT_SAMPLES,
     """Shell-volume estimate of the restricted surface density J.
 
     Only inst.f1, inst.f2 and inst.n are read: the fibre condition enters
-    through the sign of f1, never through box_max_m.
+    through the sign of f1.
 
     Level eps of SCHEDULE draws samples * SCHEDULE[0] / eps points, so
     every level sees a comparable number of shell hits; the levels are

@@ -287,7 +287,6 @@ class ArithConstants:
     """
 
     c0: float
-    c0_prime_cutoff: int
     c0_error: float
     landau_K: float
 
@@ -313,8 +312,8 @@ def _landau_constants(prime_cutoff: int) -> ArithConstants:
     c0 = float(math.exp(0.5 * np.log1p(-1.0 / p3**2).sum()))
     tail_log = 1.0 / (2 * (prime_cutoff - 1))
     c0_error = c0 * (1.0 - math.exp(-tail_log))
-    return ArithConstants(c0=c0, c0_prime_cutoff=prime_cutoff,
-                          c0_error=c0_error, landau_K=1.0 / (math.sqrt(2) * c0))
+    return ArithConstants(c0=c0, c0_error=c0_error,
+                          landau_K=1.0 / (math.sqrt(2) * c0))
 
 
 def mertens_3mod4(D: float) -> float:

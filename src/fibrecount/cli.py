@@ -136,15 +136,13 @@ def cmd_expsum(args) -> int:
             for a1 in range(q):
                 lines.append(f"{q},{a1},{row[a1].real:.12g},"
                              f"{row[a1].imag:.12g},{tail:.6g}")
-    elif args.empirical is not None:
+    else:
         q = args.empirical
         emp, pred = expsums.empirical_twisted_row(args.x, q)
         lines.append("q,a1,emp_re,emp_im,pred_re,pred_im")
         for a1 in range(q):
             lines.append(f"{q},{a1},{emp[a1].real:.12g},{emp[a1].imag:.12g},"
                          f"{pred[a1].real:.12g},{pred[a1].imag:.12g}")
-    else:
-        raise FormError("one of --birch, --arc, --empirical is required")
     _emit(args, "expsum", inst.label, params, inst.config_hash(), lines)
     return 0
 
@@ -180,13 +178,10 @@ def cmd_singular_integral(args) -> int:
 def cmd_constant(args) -> int:
     inst = load_instance(args.config)
     params = {"route": args.route, "Q": args.Q, "p_max": args.p_max,
-              "samples": args.samples, "use_qsum": args.use_qsum}
-    consts = arith.landau_constants()
-    J, l_fact, c2 = constant.pipeline(inst, args.p_max, args.samples,
-                                      args.seed, args.threads, args.budget)
+              "samples": args.samples}
+    _, l_fact, c1, c2 = constant.pipeline(inst, args.p_max, args.samples,
+                                          args.seed, args.threads, args.budget)
     l_qsum = expsums.singular_series(inst, Q=args.Q, budget=args.budget)
-    c1 = constant.leading_constant_series(
-        inst, J, l_qsum if args.use_qsum else l_fact, consts)
     lines = [constant.ConstantBreakdown.csv_header()]
     if args.route in ("1", "both"):
         lines.append(c1.csv_row())
@@ -211,10 +206,11 @@ def cmd_compare(args) -> int:
     inst = load_instance(args.config)
     params = {"t": args.t, "p_max": args.p_max, "samples": args.samples}
     heights = _int_list(args.t)
-    J, l_fact, c2 = constant.pipeline(inst, args.p_max, args.samples,
-                                      args.seed, args.threads, args.budget)
-    c1 = constant.leading_constant_series(inst, J, l_fact,
-                                          arith.landau_constants())
+    if min(heights) < 2:
+        raise FormError(f"every height must be at least 2, not {min(heights)}"
+                        ": the prediction divides by sqrt(log t)")
+    _, _, c1, c2 = constant.pipeline(inst, args.p_max, args.samples,
+                                     args.seed, args.threads, args.budget)
     agree = constant.route_agreement(c1, c2)
     lines = ["t,measured,normalized,predicted_route1,predicted_route2,ratio2"]
     for t in heights:
@@ -292,12 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expsum", help="Birch sums, arc factors, empirical sums")
     common(p)
-    p.add_argument("--birch", type=_positive, default=None, metavar="Q",
-                   help="emit the full primitive-phase table mod Q")
-    p.add_argument("--arc", type=_positive, default=None, metavar="QMAX",
-                   help="emit arc factors for all q <= QMAX")
-    p.add_argument("--empirical", type=_positive, default=None, metavar="Q",
-                   help="empirical twisted sums against predictions mod Q")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--birch", type=_positive, default=None, metavar="Q",
+                      help="emit the full primitive-phase table mod Q")
+    mode.add_argument("--arc", type=_positive, default=None, metavar="QMAX",
+                      help="emit arc factors for all q <= QMAX")
+    mode.add_argument("--empirical", type=_positive, default=None, metavar="Q",
+                      help="empirical twisted sums against predictions mod Q")
     p.add_argument("--x", type=int, default=10**7,
                    help="range for empirical sums")
     p.set_defaults(fn=cmd_expsum)
@@ -311,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("singular-integral", help="real density by Monte Carlo")
     common(p)
-    p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES,
+                   help="chart solves of the '# fibre estimator:' line; the "
+                        "shell rows draw 15 times as many points")
     p.set_defaults(fn=cmd_singular_integral)
 
     p = sub.add_parser("constant", help="leading constant by both routes")
@@ -320,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, default=16, help="q-sum truncation")
     p.add_argument("--p-max", type=int, default=13, dest="p_max")
     p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
-    p.add_argument("--use-qsum", action="store_true", dest="use_qsum",
-                   help="feed route 1 the raw q-sum instead of the factored "
-                        "evaluation (non-convergent at small n)")
     p.set_defaults(fn=cmd_constant)
 
     p = sub.add_parser("compare", help="counts against predictions")

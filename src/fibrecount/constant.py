@@ -11,9 +11,9 @@ Route 'tamagawa':
 The two agree as exact limits.  At truncated level the comparison is only
 meaningful when both sides carry the same prime content, which is why the
 pipeline evaluates the singular series through its local factorization;
-the raw q-sum value is reported alongside.  pipeline builds J and both
-Euler products for the constant and compare commands and for verify.  Both
-Euler products are assembled here (singular_series_factored,
+the raw q-sum value is reported alongside.  pipeline builds J, both Euler
+products and both routes for the constant and compare commands and for
+verify.  Both Euler products are assembled here (singular_series_factored,
 local_product) from the local factors of expsums and padic.  local_product
 reads the density at every p at level_for(p), and so does the
 singular-series route at p = 1 mod 4.  At p = 3 mod 4 that route reads
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
-from .arith import ArithConstants, DomainError, is_prime, prime_sieve
+from .arith import (ArithConstants, DomainError, is_prime, landau_constants,
+                    prime_sieve)
 from .archimedean import DEFAULT_SAMPLES, McEstimate, real_density_coarea
 from .expsums import (TruncatedValue, local_series_odd, local_series_two,
                       max_shell_modulus)
@@ -89,9 +90,8 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
     It agrees with the q-sum (expsums.singular_series) as a full sum, and
     it converges shell-wise at every prime, so it is the stable route at
     small n.  Relative errors of the factors add (first order).  The
-    dyadic factor is local_series_two, whose shells run to RHO_MAX,
-    recorded as rho_max; tau_f2(p) is read at level_for(p), the level of
-    local_product.
+    dyadic factor is local_series_two, whose shells run to RHO_MAX;
+    tau_f2(p) is read at level_for(p), the level of local_product.
     """
     value = 1.0 + 0.0j
     rel_err = 0.0
@@ -116,8 +116,6 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
             parts[str(p)] = ser
     return TruncatedValue(
         value=complex(value),
-        truncation_params={"p_max": p_max,
-                           "rho_max": e2.truncation_params["rho_max"]},
         error_bound=float(abs(value) * rel_err),
         error_kind="heuristic",
         shells=[parts])
@@ -173,9 +171,6 @@ def local_product(inst: Instance, p_max: int = 13,
     err = abs(value) * (math.exp(tail_log) - 1.0)
     return TruncatedValue(
         value=complex(value),
-        truncation_params={"p_max": p_max,
-                           "levels": {f.p: level_for(f.p)
-                                      for f in factors}},
         error_bound=float(err), error_kind="heuristic", shells=factors)
 
 
@@ -268,16 +263,17 @@ def leading_constant_tamagawa(inst: Instance, J: McEstimate,
 def pipeline(inst: Instance, p_max: int = 13,
              samples: int = DEFAULT_SAMPLES, seed: int = 0, threads: int = 1,
              budget: int = blocks.DEFAULT_BUDGET) -> tuple:
-    """(J, the factored singular series, the route-2 constant): J by
-    real_density_coarea, and both Euler products to p_max.  Route 1 is
-    left to the caller, which picks its singular series."""
+    """(J, the factored singular series, the route-1 constant, the route-2
+    constant): J by real_density_coarea, both Euler products to p_max, and
+    route 1 on the factored series."""
     if p_max < 2:
         raise DomainError(f"p_max must be at least 2, not {p_max}: the "
                           "Euler products would have no prime")
     J = real_density_coarea(inst, samples, seed, threads)
     l_fact = singular_series_factored(inst, p_max, budget)
+    c1 = leading_constant_series(inst, J, l_fact, landau_constants())
     c2 = leading_constant_tamagawa(inst, J, local_product(inst, p_max, budget))
-    return J, l_fact, c2
+    return J, l_fact, c1, c2
 
 
 def predicted_count(c: ConstantBreakdown, inst: Instance, t: float) -> float:

@@ -14,16 +14,16 @@ Objects:
   joint_value_distribution, is the oracle the tests compare both paths
   with; no library path calls it.
 
-* arc_factor(a1, q): the constant in front of x/sqrt(log x) in the
-  asymptotic of sum_{m<=x, m a sum of two squares} e(a1*m/q), divided by
-  the universal sqrt(2)*C0.  It is a double sum over pairs (k, t) with
-  2^t*k^2 interacting with q through gcds, an indicator restricting the
-  residue l mod q, and a local product over primes p = 3 mod 4 dividing q.
-  The (k, t) sum has a closed form: C0^-2 times finitely many local terms
-  at 2 and at the primes p = 3 mod 4 dividing q, so the only error is
-  that of C0.  Conventions that matter: gcd(0, q) = q, and the residue
-  congruence is taken to a modulus gcd(4, q/gcd(l,q)) which may be 1
-  (vacuous).
+* arc_factor_row(q): each F(a1, q), a1 mod q, the constant in front of
+  x/sqrt(log x) in the asymptotic of sum_{m<=x, m a sum of two squares}
+  e(a1*m/q), divided by the universal sqrt(2)*C0.  It is a double sum over
+  pairs (k, t) with 2^t*k^2 interacting with q through gcds, an indicator
+  restricting the residue l mod q, and a local product over primes
+  p = 3 mod 4 dividing q.  The (k, t) sum has a closed form: C0^-2 times
+  finitely many local terms at 2 and at the primes p = 3 mod 4 dividing q,
+  so the only error is that of C0.  Conventions that matter: gcd(0, q) = q,
+  and the residue congruence is taken to a modulus gcd(4, q/gcd(l,q)) which
+  may be 1 (vacuous).
 
 * local_series_odd / local_series_two: the p-adic factors of the singular
   series, as double series over (kappa, m) resp. (t, rho) shells.  The
@@ -57,14 +57,13 @@ RHO_MAX = 6  # the last dyadic shell of local_series_two
 
 @dataclass
 class TruncatedValue:
-    """A numerical value carrying its truncation metadata.
+    """A truncated numerical value and its error.
 
     error_kind 'rigorous' means error_bound follows a documented
     inequality; 'heuristic' means it extrapolates computed shells.
     """
 
     value: complex
-    truncation_params: dict
     error_bound: float
     error_kind: str
     shells: list = field(default_factory=list)
@@ -242,17 +241,6 @@ def arc_factor_row(q: int) -> tuple[np.ndarray, float]:
     return values, float(values[0].real) * inflate
 
 
-def arc_factor(a1: int, q: int) -> TruncatedValue:
-    """Single arc factor with its rigorous error (from C0 alone)."""
-    values, tail = arc_factor_row(q)
-    return TruncatedValue(
-        value=complex(values[a1 % q]),
-        truncation_params={"q": q, "a1": a1 % q},
-        error_bound=tail,
-        error_kind="rigorous",
-    )
-
-
 def twisted_two_squares_row(x: int, q: int) -> np.ndarray:
     """sum_{m <= x, m a sum of two squares} e(a1 m / q) for every a1 in
     [0, q).
@@ -352,7 +340,6 @@ def local_series_odd(inst: Instance, p: int, m_max: int,
     err = abs(shells[-1]) if len(shells) > 1 else 0.0
     return TruncatedValue(
         value=complex(total),
-        truncation_params={"p": p, "m_max": m_max},
         error_bound=err, error_kind="heuristic", shells=shells)
 
 
@@ -387,7 +374,6 @@ def local_series_two(inst: Instance,
     err = abs(shells[-1]) if len(shells) > 1 else 0.0
     return TruncatedValue(
         value=complex(total),
-        truncation_params={"rho_max": RHO_MAX},
         error_bound=err, error_kind="heuristic", shells=shells)
 
 
@@ -398,7 +384,7 @@ def local_series_two(inst: Instance,
 def singular_series(inst: Instance, Q: int,
                     budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
     """Truncated q-sum: sum_{q<=Q} q^-n sum_{primitive a} S_{a,q} *
-    conj(arc_factor(a1, q)).
+    conj(F(a1, q)), F the arc factors of arc_factor_row(q).
 
     The per-q terms are recorded as shells.  When the instance carries a
     sigma bound with positive decay exponent lambda0, the tail bound
@@ -431,5 +417,4 @@ def singular_series(inst: Instance, Q: int,
         kind = "heuristic"
     return TruncatedValue(
         value=complex(total),
-        truncation_params={"Q": Q},
         error_bound=err, error_kind=kind, shells=terms)

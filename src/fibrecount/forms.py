@@ -236,19 +236,16 @@ def form_from_records(records, n_vars: int) -> Form:
 class Instance:
     """A pair of forms defining the conic bundle to be counted.
 
-    box_max_m is any upper bound for max f1 on [-1,1]^n; the default is the
-    coefficient 1-norm.  sigma_bound, when supplied, is an upper bound for
-    the dimension of the rank-<=1 locus of the joint Jacobian and feeds the
-    truncation exponent lambda0; it is never computed here.
+    sigma_bound, when supplied, is an upper bound for the dimension of the
+    rank-<=1 locus of the joint Jacobian and feeds the truncation exponent
+    lambda0; it is never computed here.
     """
 
     f1: Form
     f2: Form
     n: int
     d: int
-    box_max_m: int
     label: str = "instance"
-    birch_condition_asserted: bool = False
     sigma_bound: int | None = None
 
     def __post_init__(self):
@@ -262,8 +259,6 @@ class Instance:
             raise FormError(
                 f"both forms must have n={self.n} variables; "
                 f"got {self.f1.n_vars} and {self.f2.n_vars}")
-        if self.box_max_m < 1:
-            raise FormError("box_max_m must be positive")
 
     def lambda0(self) -> float | None:
         """Truncation exponent from the sigma bound; None if no bound given.
@@ -282,10 +277,7 @@ class Instance:
             "d": self.d,
             "f1": self.f1.to_records(),
             "f2": self.f2.to_records(),
-            "box_max_m": self.box_max_m,
         }
-        if self.birch_condition_asserted:
-            cfg["birch_condition_asserted"] = True
         if self.sigma_bound is not None:
             cfg["sigma_bound"] = self.sigma_bound
         return cfg
@@ -295,16 +287,15 @@ class Instance:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_ALLOWED_KEYS = {"label", "n", "d", "f1", "f2", "box_max_m", "sigma_bound",
-                 "birch_condition_asserted"}
+_ALLOWED_KEYS = {"label", "n", "d", "f1", "f2", "sigma_bound"}
 
 
 def parse_instance(config) -> Instance:
     """Validate a config mapping (or JSON text) into an Instance.
 
     The schema has required fields label, n, d, f1, f2; each form is a list
-    of {"coeff": int, "exps": [int; n]} records; optional box_max_m,
-    sigma_bound, birch_condition_asserted.  Unknown fields are rejected.
+    of {"coeff": int, "exps": [int; n]} records; optional sigma_bound.
+    Unknown fields are rejected.
     """
     if isinstance(config, (str, bytes)):
         try:
@@ -327,16 +318,12 @@ def parse_instance(config) -> Instance:
         raise FormError("degree must be even (and >= 2)")
     f1 = form_from_records(config["f1"], n)
     f2 = form_from_records(config["f2"], n)
-    box = config.get("box_max_m", f1.coeff_norm())
-    if not (isinstance(box, int) and box >= 1):
-        raise FormError("box_max_m must be a positive integer")
     sigma = config.get("sigma_bound")
     if sigma is not None and not isinstance(sigma, int):
         raise FormError("sigma_bound must be an integer")
     return Instance(
-        f1=f1, f2=f2, n=n, d=d, box_max_m=box,
+        f1=f1, f2=f2, n=n, d=d,
         label=str(config["label"]),
-        birch_condition_asserted=bool(config.get("birch_condition_asserted", False)),
         sigma_bound=sigma,
     )
 

@@ -76,21 +76,21 @@ def _sq(i, n):
 def demo_instance() -> Instance:
     f1 = Form(2, 2, ((1, (2, 0)), (1, (0, 2))))
     f2 = Form(2, 2, ((1, (2, 0)), (-1, (0, 2))))
-    return Instance(f1=f1, f2=f2, n=2, d=2, box_max_m=2, label="demo-pair")
+    return Instance(f1=f1, f2=f2, n=2, d=2, label="demo-pair")
 
 
 def four_squares_instance() -> Instance:
     f1 = Form(4, 2, tuple((1, tuple(_sq(i, 4))) for i in range(4)))
     f2 = Form(4, 2, tuple(((1 if i < 2 else -1), tuple(_sq(i, 4)))
                           for i in range(4)))
-    return Instance(f1=f1, f2=f2, n=4, d=2, box_max_m=4,
+    return Instance(f1=f1, f2=f2, n=4, d=2,
                     label="four-squares", sigma_bound=2)
 
 
 def bilinear_instance() -> Instance:
     f1 = Form(4, 2, tuple((1, tuple(_sq(i, 4))) for i in range(4)))
     f2 = Form(4, 2, ((1, (1, 1, 0, 0)), (-1, (0, 0, 1, 1))))
-    return Instance(f1=f1, f2=f2, n=4, d=2, box_max_m=4, label="bilinear")
+    return Instance(f1=f1, f2=f2, n=4, d=2, label="bilinear")
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +255,12 @@ def _arc_consistency_check():
                               "prediction", ""
             else:
                 worst_abs = max(worst_abs, gap)
-    anchor = expsums.arc_factor(0, 1)
-    anchor_gap = abs(anchor.value.real - 1.0 / (2 * consts.c0 ** 2))
-    if anchor_gap > anchor.error_bound:
-        return False, f"anchor gap {anchor_gap:.2e} > tail " \
-                      f"{anchor.error_bound:.2e}", ""
+    anchor, tail = expsums.arc_factor_row(1)
+    anchor_gap = abs(anchor[0].real - 1.0 / (2 * consts.c0 ** 2))
+    if anchor_gap > tail:
+        return False, f"anchor gap {anchor_gap:.2e} > tail {tail:.2e}", ""
     return True, (f"worst rel {worst_rel:.4f}, worst abs {worst_abs:.4f}; "
-                  f"anchor gap {anchor_gap:.2e} <= tail "
-                  f"{anchor.error_bound:.2e}"), ""
+                  f"anchor gap {anchor_gap:.2e} <= tail {tail:.2e}"), ""
 
 
 def _birch_identity_check():
@@ -321,49 +319,37 @@ def suite_expsums(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
 # padic suite
 # ---------------------------------------------------------------------------
 
-def _local_bridge_checks(budget):
-    inst = four_squares_instance()
-    out = []
-
-    t0 = time.monotonic()
-    e3 = expsums.local_series_odd(inst, 3, m_max=3, budget=budget)
-    l3 = padic.soluble_density(inst, 3, 5, budget=budget)
-    lhs = e3.value.real * (1 - 1.0 / 3)
-    rel3 = abs(lhs - l3.density) / l3.density
-    out.append(CheckResult(
-        name="local-bridge-3",
-        passed=rel3 <= 0.05,
-        measured=f"series*(1-1/3) = {lhs:.5f} vs density {l3.density:.5f}, "
-                 f"rel gap {rel3:.4f}",
-        expected="within 5% at level N = 5",
-        runtime_s=time.monotonic() - t0))
-
-    t0 = time.monotonic()
-    e2 = expsums.local_series_two(inst, budget=budget)
-    l2 = padic.soluble_density(inst, 2, 6, budget=budget)
-    rel2 = abs(e2.value.real - l2.density) / l2.density
-    out.append(CheckResult(
-        name="local-bridge-2",
-        passed=rel2 <= 0.05,
-        measured=f"series = {e2.value.real:.5f} vs density {l2.density:.5f}, "
-                 f"rel gap {rel2:.4f}",
-        expected="within 5% at level N = 6",
-        runtime_s=time.monotonic() - t0))
-
-    t0 = time.monotonic()
-    gap3 = (l3.density_high - l3.density_low) / l3.density_high
-    gap2 = (l2.density_high - l2.density_low) / l2.density_high
-    out.append(CheckResult(
-        name="local-bracket-gaps",
-        passed=gap3 <= 0.05 and gap2 <= 0.05,
-        measured=f"bracket gaps: p=3 {gap3:.2e}, p=2 {gap2:.2e}",
-        expected="soluble/insoluble bracket < 5% at the stated levels",
-        runtime_s=time.monotonic() - t0))
-    return out
-
-
 def suite_padic(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
-    return _local_bridge_checks(budget)
+    inst = four_squares_instance()
+    dens = {}  # p -> the soluble density that local-bracket-gaps reads
+
+    def bridge_3():
+        e3 = expsums.local_series_odd(inst, 3, m_max=3, budget=budget)
+        l3 = dens[3] = padic.soluble_density(inst, 3, 5, budget=budget)
+        lhs = e3.value.real * (1 - 1.0 / 3)
+        rel3 = abs(lhs - l3.density) / l3.density
+        return rel3 <= 0.05, (f"series*(1-1/3) = {lhs:.5f} vs density "
+                              f"{l3.density:.5f}, rel gap {rel3:.4f}"), ""
+
+    def bridge_2():
+        e2 = expsums.local_series_two(inst, budget=budget)
+        l2 = dens[2] = padic.soluble_density(inst, 2, 6, budget=budget)
+        rel2 = abs(e2.value.real - l2.density) / l2.density
+        return rel2 <= 0.05, (f"series = {e2.value.real:.5f} vs density "
+                              f"{l2.density:.5f}, rel gap {rel2:.4f}"), ""
+
+    def bracket_gaps():
+        gap3, gap2 = ((dens[p].density_high - dens[p].density_low)
+                      / dens[p].density_high for p in (3, 2))
+        return gap3 <= 0.05 and gap2 <= 0.05, \
+            f"bracket gaps: p=3 {gap3:.2e}, p=2 {gap2:.2e}", ""
+
+    return [
+        _check("local-bridge-3", bridge_3, "within 5% at level N = 5"),
+        _check("local-bridge-2", bridge_2, "within 5% at level N = 6"),
+        _check("local-bracket-gaps", bracket_gaps,
+               "soluble/insoluble bracket < 5% at the stated levels"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -372,46 +358,43 @@ def suite_padic(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
 
 def suite_archimedean(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     inst = four_squares_instance()
-    out = []
-
-    t0 = time.monotonic()
-    i0 = archimedean.oscillatory_box_integral(inst, (0, 0), 10**4, seed=seed)
-    out.append(CheckResult(
-        name="oscillatory-zero-exact",
-        passed=(i0.value == complex(2.0 ** inst.n) and i0.std_error == 0.0),
-        measured=f"value {i0.value}, std_error {i0.std_error}",
-        expected=f"exact {2**inst.n} with zero error (short-circuit)",
-        runtime_s=time.monotonic() - t0))
-
-    t0 = time.monotonic()
-    j_shell = archimedean.real_density(inst, samples=10**6, seed=seed,
-                                       threads=threads)
     solves = archimedean.DEFAULT_SAMPLES  # as the constant pipeline reads J
-    j_fiber = archimedean.real_density_coarea(inst, solves, seed, threads)
-    gap = abs(j_shell.value.real - j_fiber.value.real)
-    sigma = math.hypot(j_shell.std_error, j_fiber.std_error)
-    out.append(CheckResult(
-        name="real-density-dual",
-        passed=gap <= 2 * sigma,
-        measured=f"shell {j_shell.value.real:.4f}+-{j_shell.std_error:.4f} "
-                 f"vs fibre {j_fiber.value.real:.4f}+-{j_fiber.std_error:.4f}"
-                 f", gap {gap:.4f}",
-        expected="agreement within 2 combined sigma, shell at 1e6 samples, "
-                 f"coarea at {solves} chart solves",
-        runtime_s=time.monotonic() - t0))
+    shared = {}  # the coarea J of real-density-dual, for mc-determinism
 
-    t0 = time.monotonic()
-    again = archimedean.real_density_coarea(inst, solves, seed, threads)
-    same = (repr(j_fiber.value), repr(j_fiber.std_error)) == \
-        (repr(again.value), repr(again.std_error))
-    out.append(CheckResult(
-        name="mc-determinism",
-        passed=same,
-        measured=f"identical value and error: {same}",
-        expected=f"same seed -> identical coarea J and error at {solves} "
-                 "chart solves, to the bit",
-        runtime_s=time.monotonic() - t0))
-    return out
+    def zero_exact():
+        i0 = archimedean.oscillatory_box_integral(inst, (0, 0), 10**4,
+                                                  seed=seed)
+        return (i0.value == complex(2.0 ** inst.n) and i0.std_error == 0.0,
+                f"value {i0.value}, std_error {i0.std_error}", "")
+
+    def dual():
+        j_shell = archimedean.real_density(inst, samples=10**6, seed=seed,
+                                           threads=threads)
+        j_fiber = archimedean.real_density_coarea(inst, solves, seed, threads)
+        shared["J"] = j_fiber
+        gap = abs(j_shell.value.real - j_fiber.value.real)
+        sigma = math.hypot(j_shell.std_error, j_fiber.std_error)
+        return gap <= 2 * sigma, (
+            f"shell {j_shell.value.real:.4f}+-{j_shell.std_error:.4f} "
+            f"vs fibre {j_fiber.value.real:.4f}+-{j_fiber.std_error:.4f}"
+            f", gap {gap:.4f}"), ""
+
+    def determinism():
+        again = archimedean.real_density_coarea(inst, solves, seed, threads)
+        same = (repr(shared["J"].value), repr(shared["J"].std_error)) == \
+            (repr(again.value), repr(again.std_error))
+        return same, f"identical value and error: {same}", ""
+
+    return [
+        _check("oscillatory-zero-exact", zero_exact,
+               f"exact {2**inst.n} with zero error (short-circuit)"),
+        _check("real-density-dual", dual,
+               "agreement within 2 combined sigma, shell at 1e6 samples, "
+               f"coarea at {solves} chart solves"),
+        _check("mc-determinism", determinism,
+               f"same seed -> identical coarea J and error at {solves} "
+               "chart solves, to the bit"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -422,99 +405,93 @@ def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     """Checks of constant.pipeline at its defaults: p <= 13 and J from
     archimedean.DEFAULT_SAMPLES chart solves."""
     inst = four_squares_instance()
-    out = []
+    shared = {}  # the pipeline's outputs and the q-sum, for the later checks
 
-    t0 = time.monotonic()
-    J, l_fact, c2 = constant.pipeline(inst, seed=seed, threads=threads,
-                                      budget=budget)
-    l_qsum = expsums.singular_series(inst, Q=16, budget=budget)
-    gap = abs(l_qsum.value.real - l_fact.value.real) / abs(l_fact.value.real)
-    out.append(CheckResult(
-        name="series-factorization",
-        passed=gap <= 0.15,
-        measured=f"q-sum(Q=16) {l_qsum.value.real:.4f} vs factored "
-                 f"{l_fact.value.real:.4f}, rel gap {gap:.3f}",
-        expected="agreement within 15% at the stated truncations",
-        runtime_s=time.monotonic() - t0,
-        note=("known failure: the q-sum terms do not decay at n = 4 "
-              "(lambda0 < 0), so the Q = 16 truncation sits far below the "
-              "local product; see series-shell-diagnostic for the "
-              "structural identity")))
+    def factorization():
+        J, l_fact, c1, c2 = constant.pipeline(inst, seed=seed,
+                                              threads=threads, budget=budget)
+        l_qsum = expsums.singular_series(inst, Q=16, budget=budget)
+        shared.update(J=J, c1=c1, c2=c2, l_qsum=l_qsum)
+        gap = abs(l_qsum.value.real - l_fact.value.real) \
+            / abs(l_fact.value.real)
+        return gap <= 0.15, (f"q-sum(Q=16) {l_qsum.value.real:.4f} vs "
+                             f"factored {l_fact.value.real:.4f}, rel gap "
+                             f"{gap:.3f}"), \
+            ("known failure: the q-sum terms do not decay at n = 4 "
+             "(lambda0 < 0), so the Q = 16 truncation sits far below the "
+             "local product; see series-shell-diagnostic for the "
+             "structural identity")
 
-    t0 = time.monotonic()
-    # structural shell identity: prime-power q-terms reproduce the local
-    # series shells after removing the even-square normalization
-    diag_ok = True
-    worst = 0.0
-    terms = l_qsum.shells
-    for p, m_list in ((3, (1, 2)), (5, (1,))):
-        if p % 4 == 3:
-            ser = expsums.local_series_odd(inst, p, m_max=max(m_list),
-                                           budget=budget)
-            base = ser.shells[0].real
-            for m in m_list:
-                lhs = terms[p**m - 1].real / terms[0].real
-                rhs = ser.shells[m].real / base
+    def shell_diagnostic():
+        # structural shell identity: prime-power q-terms reproduce the local
+        # series shells after removing the even-square normalization
+        diag_ok = True
+        worst = 0.0
+        terms = shared["l_qsum"].shells
+        for p, m_list in ((3, (1, 2)), (5, (1,))):
+            if p % 4 == 3:
+                ser = expsums.local_series_odd(inst, p, m_max=max(m_list),
+                                               budget=budget)
+                base = ser.shells[0].real
+                for m in m_list:
+                    lhs = terms[p**m - 1].real / terms[0].real
+                    rhs = ser.shells[m].real / base
+                    worst = max(worst, abs(lhs - rhs))
+                    if abs(lhs - rhs) > 1e-3:
+                        diag_ok = False
+            else:
+                # first shell of the 1-mod-4 factor: level-1 density
+                # increment
+                dens = padic.hypersurface_density(inst, p, 1, budget=budget)
+                lhs = terms[p - 1].real / terms[0].real
+                rhs = dens.density - 1.0
                 worst = max(worst, abs(lhs - rhs))
-                if abs(lhs - rhs) > 1e-3:
+                if abs(lhs - rhs) > 5e-3:
                     diag_ok = False
-        else:
-            # first shell of the 1-mod-4 factor: level-1 density increment
-            dens = padic.hypersurface_density(inst, p, 1, budget=budget)
-            lhs = terms[p - 1].real / terms[0].real
-            rhs = dens.density - 1.0
-            worst = max(worst, abs(lhs - rhs))
-            if abs(lhs - rhs) > 5e-3:
-                diag_ok = False
-    out.append(CheckResult(
-        name="series-shell-diagnostic",
-        passed=diag_ok,
-        measured=f"max shell mismatch {worst:.2e}",
-        expected="prime-power q-terms match local-series shells",
-        runtime_s=time.monotonic() - t0,
-        gating=True))
+        return diag_ok, f"max shell mismatch {worst:.2e}", ""
 
-    t0 = time.monotonic()
-    consts = arith.landau_constants()
-    c1 = constant.leading_constant_series(inst, J, l_fact, consts)
-    c1q = constant.leading_constant_series(inst, J, l_qsum, consts)
-    agree = constant.route_agreement(c1, c2)
-    out.append(CheckResult(
-        name="route-agreement",
-        passed=agree["relative_gap"] <= 0.10,
-        measured=f"series route {c1.c_phi:.4f} vs local route {c2.c_phi:.4f}"
-                 f", rel gap {agree['relative_gap']:.4f}",
-        expected="within 10% with matched prime content (p <= 13)",
-        runtime_s=time.monotonic() - t0,
-        note=(f"series route with the raw Q=16 q-sum gives {c1q.c_phi:.4f}; "
-              "the q-sum truncation is non-convergent at n = 4 and is "
-              "reported, not used, by default")))
-    out.append(CheckResult(
-        name="constant-positive",
-        passed=c1.c_phi > 0 and c2.c_phi > 0,
-        measured=f"route values {c1.c_phi:.4f}, {c2.c_phi:.4f}",
-        expected="strictly positive",
-        runtime_s=0.0))
+    def agreement():
+        c1, c2 = shared["c1"], shared["c2"]
+        c1q = constant.leading_constant_series(inst, shared["J"],
+                                               shared["l_qsum"],
+                                               arith.landau_constants())
+        agree = constant.route_agreement(c1, c2)
+        return agree["relative_gap"] <= 0.10, (
+            f"series route {c1.c_phi:.4f} vs local route {c2.c_phi:.4f}"
+            f", rel gap {agree['relative_gap']:.4f}"), \
+            (f"series route with the raw Q=16 q-sum gives {c1q.c_phi:.4f}; "
+             "the q-sum truncation is non-convergent at n = 4 and is "
+             "reported, not used")
 
-    t0 = time.monotonic()
-    rows = []
-    for t in (100, 200):
-        rec = counting.projective_count(inst, t, threads=threads,
-                                        method="moebius")
-        pred = constant.predicted_count(c2, inst, t)
-        rows.append(f"t={t}: measured {rec.raw_count}, normalized "
-                    f"{rec.normalized:.4f}, predicted {pred:.0f}, ratio "
-                    f"{rec.raw_count / pred:.3f}")
-    out.append(CheckResult(
-        name="smoke-normalized-counts",
-        passed=True,
-        measured="; ".join(rows),
-        expected="reported only (never gating)",
-        runtime_s=time.monotonic() - t0,
-        gating=False,
-        note="the dimension condition behind the asymptotic needs n > 12; "
-             "at n = 4 the ratio is indicative only"))
-    return out
+    def positive():
+        c1, c2 = shared["c1"], shared["c2"]
+        return c1.c_phi > 0 and c2.c_phi > 0, \
+            f"route values {c1.c_phi:.4f}, {c2.c_phi:.4f}", ""
+
+    def smoke():
+        rows = []
+        for t in (100, 200):
+            rec = counting.projective_count(inst, t, threads=threads,
+                                            method="moebius")
+            pred = constant.predicted_count(shared["c2"], inst, t)
+            rows.append(f"t={t}: measured {rec.raw_count}, normalized "
+                        f"{rec.normalized:.4f}, predicted {pred:.0f}, ratio "
+                        f"{rec.raw_count / pred:.3f}")
+        return True, "; ".join(rows), \
+            ("the dimension condition behind the asymptotic needs n > 12; "
+             "at n = 4 the ratio is indicative only")
+
+    return [
+        _check("series-factorization", factorization,
+               "agreement within 15% at the stated truncations"),
+        _check("series-shell-diagnostic", shell_diagnostic,
+               "prime-power q-terms match local-series shells"),
+        _check("route-agreement", agreement,
+               "within 10% with matched prime content (p <= 13)"),
+        _check("constant-positive", positive, "strictly positive"),
+        _check("smoke-normalized-counts", smoke,
+               "reported only (never gating)", gating=False),
+    ]
 
 
 _SUITES = {"arith": suite_arith, "sieve": suite_sieve,

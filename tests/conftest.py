@@ -40,8 +40,7 @@ def linked():
     f1 = Form(4, 2, tuple((1, exps(i, i)) for i in range(4))
               + tuple((1, exps(i, i + 1)) for i in range(3)))
     f2 = Form(4, 2, tuple((1 if i < 2 else -1, exps(i, i)) for i in range(4)))
-    return Instance(f1=f1, f2=f2, n=4, d=2, box_max_m=f1.coeff_norm(),
-                    label="linked")
+    return Instance(f1=f1, f2=f2, n=4, d=2, label="linked")
 
 
 @pytest.fixture(scope="session")
@@ -57,4 +56,4 @@ def quartic():
                             (1, (2, 1, 1))),
                     f2=form((1, (4, 0, 0)), (-1, (0, 4, 0)), (2, (1, 3, 0)),
                             (-3, (0, 0, 4))),
-                    n=3, d=4, box_max_m=7, label="quartic")
+                    n=3, d=4, label="quartic")

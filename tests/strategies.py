@@ -37,5 +37,4 @@ def instances(draw):
     f2_vars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                             unique=True))
     f2 = form(sorted(f2_vars))
-    return Instance(f1=f1, f2=f2, n=n, d=2, box_max_m=f1.coeff_norm(),
-                    label="fuzz")
+    return Instance(f1=f1, f2=f2, n=n, d=2, label="fuzz")

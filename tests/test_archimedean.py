@@ -42,7 +42,7 @@ def test_min_samples():
         archimedean.oscillatory_box_integral(
             Instance(f1=inst_forms[0], f2=Form(2, 2, ((1, (2, 0)),
                                                       (-1, (0, 2)))),
-                     n=2, d=2, box_max_m=2), (1, 0), 10)
+                     n=2, d=2), (1, 0), 10)
 
 
 def test_linear_slab_oracle():
@@ -78,9 +78,9 @@ def test_determinism_and_box_max_independence(four_squares):
     a = archimedean.real_density(four_squares, samples=10**5, seed=42)
     b = archimedean.real_density(four_squares, samples=10**5, seed=42)
     assert a.value == b.value and a.rows == b.rows
+    # J reads only f1, f2 and n: another label and no sigma bound
     other = Instance(f1=four_squares.f1, f2=four_squares.f2, n=4, d=2,
-                     box_max_m=1000, label="wide",
-                     sigma_bound=four_squares.sigma_bound)
+                     label="wide")
     c = archimedean.real_density(other, samples=10**5, seed=42)
     assert c.value == a.value
 
@@ -148,7 +148,7 @@ def test_coarea_keeps_the_half_where_f1_is_nonnegative(four_squares):
     # t0 -> -t0 keeps f2 = 0 and flips the sign of f1 = t0 t1, so the
     # restricted density is half of four_squares' J
     half = Instance(f1=Form(4, 2, ((1, (1, 1, 0, 0)),)), f2=four_squares.f2,
-                    n=4, d=2, box_max_m=1, label="half")
+                    n=4, d=2, label="half")
     est = archimedean.real_density_coarea(half, samples=2 * 10**5, seed=7)
     assert abs(est.value.real - EXACT_J["four-squares"] / 2) \
         <= 4 * est.std_error
@@ -213,7 +213,7 @@ GOLDEN_300K = [
 
 
 @pytest.mark.parametrize("threads,block", [(1, None), (2, None), (3, None),
-                                           (1, 1000), (2, 4097)])
+                                           (2, 4097)])
 def test_real_density_ignores_threads_and_blocks(four_squares, monkeypatch,
                                                   threads, block):
     if block is not None:

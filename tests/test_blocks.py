@@ -48,7 +48,7 @@ def test_blocks_of_the_shipped_instances(four_squares, bilinear, linked):
 
 def test_unused_variable_is_a_zero_block():
     inst = Instance(f1=Form(2, 2, ((1, (2, 0)),)),
-                    f2=Form(2, 2, ((3, (2, 0)),)), n=2, d=2, box_max_m=1)
+                    f2=Form(2, 2, ((3, (2, 0)),)), n=2, d=2)
     free = blocks.variable_blocks(inst)[1]
     assert free.vars == (1,) and free.g1 is None and free.g2 is None
     table = blocks.residue_table(free, 5, 10**6)
@@ -99,7 +99,7 @@ def test_a_tiny_working_block_changes_nothing(four_squares, bilinear,
 
 def _diagonal(n):
     f = Form(n, 2, tuple((1, pair(n, i, i)) for i in range(n)))
-    return Instance(f1=f, f2=f, n=n, d=2, box_max_m=n, label="diagonal")
+    return Instance(f1=f, f2=f, n=n, d=2, label="diagonal")
 
 
 def test_balanced_halves(four_squares, bilinear):

@@ -6,8 +6,7 @@ import time
 
 import pytest
 
-from fibrecount import (__version__, archimedean, blocks, constant, counting,
-                        expsums, verify)
+from fibrecount import __version__, archimedean, blocks, counting, verify
 from fibrecount.cli import build_parser, main
 from fibrecount.forms import load_instance
 
@@ -156,20 +155,6 @@ def test_compare_small(capsys):
     assert "caveat" in out
 
 
-def test_constant_use_qsum(capsys):
-    # route 1 reads the raw q-sum with --use-qsum, the factored series
-    # without it
-    inst = load_instance(FOUR)
-    base = ["constant", "--config", FOUR, "--route", "1", "--Q", "3",
-            "--p-max", "2", "--samples", "20000"]
-    for flag, series in (([], constant.singular_series_factored(inst, 2)),
-                         (["--use-qsum"], expsums.singular_series(inst, 3))):
-        assert main(base + flag) == 0
-        row = capsys.readouterr().out.splitlines()[2].split(",")
-        assert row[0] == "singular_series"
-        assert row[3] == f"{series.value.real:.10g}"
-
-
 def test_expsum_empirical(capsys):
     # at a1 = 0 the twisted sum is the two-squares count up to --x
     x = 10**4
@@ -213,11 +198,18 @@ def test_version(capsys):
      "p_max must be at least 2"),
     (["compare", "--config", FOUR, "--t", "5", "--p-max", "1"],
      "p_max must be at least 2"),
+    (["compare", "--config", FOUR, "--t", "5,1"],
+     "every height must be at least 2, not 1"),
+    (["expsum", "--config", FOUR, "--birch", "2", "--arc", "3"],
+     "--arc: not allowed with argument --birch"),
+    (["expsum", "--config", FOUR],
+     "one of the arguments --birch --arc --empirical is required"),
 ], ids=["missing-config", "config-is-a-directory", "t-not-integers",
         "compare-t-not-integers", "P-not-integers", "p-not-integers",
         "birch-negative", "birch-zero", "arc-negative", "x-zero",
         "samples-zero", "t-empty", "P-empty", "p-max-negative",
-        "compare-p-max-one"])
+        "compare-p-max-one", "compare-t-one", "expsum-two-modes",
+        "expsum-no-mode"])
 def test_bad_input_exits_2_with_a_message(capsys, argv, message):
     try:
         code = main(argv)

@@ -13,12 +13,12 @@ def _mc(value, se=0.0):
 
 
 def _tv(value, err=0.0, kind="rigorous"):
-    return TruncatedValue(value=complex(value), truncation_params={},
-                          error_bound=err, error_kind=kind)
+    return TruncatedValue(value=complex(value), error_bound=err,
+                          error_kind=kind)
 
 
 def _c0(value=1.0):
-    return ArithConstants(c0=value, c0_prime_cutoff=3, c0_error=0.0,
+    return ArithConstants(c0=value, c0_error=0.0,
                           landau_K=1 / (math.sqrt(2) * value))
 
 
@@ -136,6 +136,5 @@ def test_both_products_read_constant_levels(four_squares, monkeypatch):
     fac = constant.singular_series_factored(four_squares, p_max=5)
     prod = constant.local_product(four_squares, p_max=5)
     assert fac.shells[0]["5"].level == 2
-    assert prod.truncation_params["levels"] == levels
     assert prod.shells == [constant.tamagawa_factor(four_squares, p, N)
                            for p, N in levels.items()]

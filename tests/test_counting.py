@@ -147,7 +147,7 @@ def test_quadric_roots_divisible_by_2a(a):
     # divides -B +- s
     f2 = _form(3, (a, 2, 2), (1, 0, 2), (-2, 1, 2), (1, 0, 0), (-3, 0, 1))
     f1 = _form(3, (1, 0, 0), (2, 1, 1), (1, 1, 2), (-1, 2, 2))
-    inst = Instance(f1=f1, f2=f2, n=3, d=2, box_max_m=f1.coeff_norm())
+    inst = Instance(f1=f1, f2=f2, n=3, d=2)
     assert counting._quadric_parts(inst)[:2] == (2, a)
     for P in (5, 13):
         _quadric_equals_slab(inst, P)
@@ -159,7 +159,7 @@ def test_quadric_double_roots(c):
     # root x1 = -x0 must count once
     f2 = _form(3, (c, 0, 0), (2 * c, 0, 1), (c, 1, 1))
     f1 = _form(3, (1, 0, 0), (1, 2, 2), (1, 0, 2))
-    inst = Instance(f1=f1, f2=f2, n=3, d=2, box_max_m=f1.coeff_norm())
+    inst = Instance(f1=f1, f2=f2, n=3, d=2)
     for P in (1, 4, 9):
         _quadric_equals_slab(inst, P)
 
@@ -224,7 +224,7 @@ def test_quadric_budget_refusal(linked):
         counting.count_soluble_fibre_points(linked, 50, budget=10**4)
     # without a square term in f2 there is nothing to solve for
     bilinear = Instance(f1=linked.f1, f2=_form(4, (1, 0, 1), (-1, 2, 3)),
-                        n=4, d=2, box_max_m=linked.box_max_m)
+                        n=4, d=2)
     with pytest.raises(DomainError, match="square term"):
         counting._count_quadric(bilinear, 3, False, 10**4)
 
@@ -251,7 +251,7 @@ def test_quadric_refuses_inexact_discriminants(monkeypatch):
     # to the slab scan
     f2 = _form(3, (2**40, 2, 2), (3, 0, 2), (1, 0, 0), (-1, 1, 1))
     f1 = _form(3, (1, 0, 0), (1, 1, 1), (1, 2, 2))
-    inst = Instance(f1=f1, f2=f2, n=3, d=2, box_max_m=3)
+    inst = Instance(f1=f1, f2=f2, n=3, d=2)
     _quadric_equals_slab(inst, 22)
 
     def refuse(*args, **kw):
@@ -264,8 +264,7 @@ def test_quadric_refuses_inexact_discriminants(monkeypatch):
     assert counting.count_soluble_fibre_points(inst, 23) == \
         counting._count_slab(inst, 23, False, blocks.DEFAULT_BUDGET, 1)
     # without C the bound takes |C|_1 as 1, so that 2a stays in int64
-    huge = Instance(f1=f1, f2=_form(3, (2**70, 2, 2), (1, 0, 2)), n=3, d=2,
-                    box_max_m=3)
+    huge = Instance(f1=f1, f2=_form(3, (2**70, 2, 2), (1, 0, 2)), n=3, d=2)
     with pytest.raises(BudgetExceededError, match=r"2\^52"):
         counting._count_quadric(huge, 1, False, 10**7)
 

@@ -19,7 +19,7 @@ def split_squares():
     # f1 = x0^2, f2 = x1^2: one-dimensional Gauss sums in each slot
     return Instance(f1=Form(2, 2, ((1, (2, 0)),)),
                     f2=Form(2, 2, ((1, (0, 2)),)),
-                    n=2, d=2, box_max_m=1, label="split-squares")
+                    n=2, d=2, label="split-squares")
 
 
 def test_birch_sum_small(split_squares):
@@ -98,8 +98,7 @@ def test_phase_table_rank_one(linked, scale):
         return Form(4, 2, tuple((c * scale * a, e)
                                 for a, e in linked.f1.monomials))
 
-    inst = Instance(f1=scaled(1), f2=scaled(3), n=4, d=2,
-                    box_max_m=scaled(1).coeff_norm(), label="rank-one")
+    inst = Instance(f1=scaled(1), f2=scaled(3), n=4, d=2, label="rank-one")
     for p, top in ((2, 5), (3, 3), (5, 2)):
         for m in range(1, top + 1):
             assert np.array_equal(
@@ -139,8 +138,7 @@ def test_phase_table_refusals(linked):
     with pytest.raises(BudgetExceededError, match="float64"):
         expsums.birch_sum_table(linked, 2 ** 14)
     square = Form(1, 2, ((1, (2,)),))
-    line = Instance(f1=square, f2=square, n=1, d=2, box_max_m=1,
-                    label="one-variable")
+    line = Instance(f1=square, f2=square, n=1, d=2, label="one-variable")
     with pytest.raises(BudgetExceededError, match="int64"):
         expsums.birch_sum_table(line, 2 ** 31)
 
@@ -173,11 +171,10 @@ def test_arc_factor_anchor_and_tail():
         trunc, tail = arc_factor_row_truncated(q, 2.0**20)
         assert np.abs(row - trunc).max() <= tail + err
     consts = arith.landau_constants(10**6)
-    anchor = expsums.arc_factor(0, 1)
+    anchor, tail = expsums.arc_factor_row(1)
     exact = 1 / (2 * consts.c0**2)
-    assert abs(anchor.value - exact) <= 1e-15 * exact
-    assert 0 < anchor.error_bound <= 1e-5 * exact
-    assert anchor.error_kind == "rigorous"
+    assert abs(anchor[0] - exact) <= 1e-15 * exact
+    assert 0 < tail <= 1e-5 * exact
 
 
 def test_arc_representatives_match_geometric_enumeration():
@@ -301,7 +298,7 @@ def test_singular_series_first_term(four_squares):
 
 def test_singular_series_factored_structure(four_squares):
     fac = constant.singular_series_factored(four_squares, p_max=5)
-    assert fac.truncation_params == {"p_max": 5, "rho_max": 6}
     parts = fac.shells[0]
+    assert set(parts) == {"2", "3", "5"}
     prod = parts["2"].value * parts["3"].value * parts["5"].density
     assert fac.value == pytest.approx(prod)

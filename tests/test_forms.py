@@ -24,7 +24,6 @@ DEMO_CFG = {
 def test_parse_demo():
     inst = parse_instance(json.dumps(DEMO_CFG))
     assert inst.n == 2 and inst.d == 2
-    assert inst.box_max_m == 2  # coefficient 1-norm default
     assert inst.label == "demo"
 
 
@@ -44,9 +43,10 @@ def test_parse_rejects_inhomogeneous():
 
 
 def test_parse_rejects_unknown_field():
-    cfg = dict(DEMO_CFG, frobnicate=1)
-    with pytest.raises(FormError, match="unknown config fields"):
-        parse_instance(cfg)
+    for field in ("frobnicate", "box_max_m", "birch_condition_asserted"):
+        cfg = dict(DEMO_CFG, **{field: 1})
+        with pytest.raises(FormError, match="unknown config fields"):
+            parse_instance(cfg)
 
 
 def test_form_rejects_duplicates_and_zero_coeffs():
@@ -189,17 +189,6 @@ def test_evaluate_batch_mod_refuses_wide_moduli():
     finally:
         tracemalloc.stop()
     assert peak < 10**5
-
-
-def test_default_box_max():
-    # without box_max_m a config takes the coefficient 1-norm of f1
-    for f1, norm in ((Form(2, 2, ((1, (2, 0)), (1, (0, 2)))), 2),
-                     (Form(4, 2, ((1, (1, 1, 0, 0)),
-                                  (-1, (0, 0, 1, 1)))), 2),
-                     (Form(2, 2, ((3, (2, 0)), (-1, (0, 2)))), 4)):
-        records = f1.to_records()
-        cfg = dict(DEMO_CFG, n=f1.n_vars, f1=records, f2=records)
-        assert parse_instance(cfg).box_max_m == norm
 
 
 def test_lambda0(four_squares, demo):

@@ -195,7 +195,7 @@ def test_refusal_comes_before_allocation(four_squares):
 # contains, so stationary phase refines the classes near it beyond N
 CONE = Instance(f1=Form(3, 2, ((1, (2, 0, 0)), (1, (0, 2, 0)))),
                 f2=Form(3, 2, ((1, (1, 0, 1)), (1, (0, 2, 0)))),
-                n=3, d=2, box_max_m=2, label="cone")
+                n=3, d=2, label="cone")
 
 
 def test_density_cache_keys_the_budget():
@@ -240,7 +240,7 @@ def test_int64_range_refused_by_both_phase_paths():
     # products of residues mod p^top must stay below INT64_SAFE = 2^62:
     # at p = 3, 3^38 < 2^62 <= 3^40, so top 19 is accepted and 20 refused
     x2 = Form(1, 2, ((1, (2,)),))
-    one = Instance(f1=x2, f2=x2, n=1, d=2, box_max_m=1, label="one")
+    one = Instance(f1=x2, f2=x2, n=1, d=2, label="one")
     beyond = r"p\^20 at p=3 is beyond the exact int64 range"
     # x^2 = 0 mod 3^19 iff x = 0 mod 3^10
     assert padic.hypersurface_density(one, 3, 19).raw_count == 3 ** 9
