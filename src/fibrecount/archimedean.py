@@ -18,15 +18,16 @@ fewer than 1000 samples.
 Random points come from one stream layout: a stream of `samples` points
 is cut into the counter-based chunks of _chunks, 2^18 points each but the
 last, and chunk i of a stream is one draw from Philox keyed by (seed,
-stream, i); the lattice rule draws shift r by the key (seed, 99, r).
+stream, i); shift r of the lattice rule is the first n - 1 doubles of the
+key (seed, 99, r), which _uniforms computes without numpy.random.
 _blocks draws a chunk in blocks of at most blocks.WORK_BLOCK coordinates
 (2^14 points at n = 4), one copy transposing a block into contiguous rows
 and doubling it, in two buffers that every block of a chunk reuses; the
 lattice points go through blocks of the same size.  A block so stays in
-cache while Form.evaluate_batch works through it.  Both J estimators run
-their chunks or blocks on a pool of `threads` threads (blocks.pool_map)
-and combine the results in task order, so results are bit-reproducible
-for a given (seed, samples) whatever the thread count.
+cache while Form.evaluate_batch works through it.  Only the shell
+estimator runs on a pool of `threads` threads (blocks.pool_map); it
+combines its chunks in task order, so results are bit-reproducible for a
+given (seed, samples) whatever the thread count.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ _SHIFTS = 16  # independent random shifts of the coarea lattice rule
 _LATTICE = (1, 25291, 18823, 11229, 22233, 1257, 10477, 29573, 19159, 3145,
             7147, 26705, 12255, 7589, 32509)
 _MASK64 = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
 
 
 @dataclass
@@ -76,10 +79,28 @@ class McEstimate:
         return lines
 
 
+def _key(seed: int, stream: int, chunk: int) -> tuple:
+    return seed & _MASK64, (stream & 0xFFFFFFFF) << 32 | chunk & 0xFFFFFFFF
+
+
 def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, ((stream & 0xFFFFFFFF) << 32)
-                    | (chunk & 0xFFFFFFFF)], dtype=np.uint64)
+    key = np.array(_key(seed, stream, chunk), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _uniforms(seed: int, stream: int, chunk: int, k: int) -> list:
+    """_chunk_rng(seed, stream, chunk).random(k) bit for bit: Philox4x64-10
+    in Python ints (Salmon et al., SC 2011), counters from 1, 4 words each."""
+    out = []
+    for counter in range(1, (k + 3) // 4 + 1):
+        x, key = (counter, 0, 0, 0), _key(seed, stream, chunk)
+        for _ in range(10):
+            p0, p2 = _PHILOX_M[0] * x[0], _PHILOX_M[1] * x[2]
+            x = ((p2 >> 64) ^ x[1] ^ key[0], p2 & _MASK64,
+                 (p0 >> 64) ^ x[3] ^ key[1], p0 & _MASK64)
+            key = [(a + w) & _MASK64 for a, w in zip(key, _PHILOX_W)]
+        out += [(w >> 11) * 2.0 ** -53 for w in x]
+    return out[:k]
 
 
 def _chunks(samples: int) -> list:
@@ -269,7 +290,7 @@ def _roots_in_box(coeffs: np.ndarray):
 
 
 def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
-                        seed: int = 0, threads: int = 1) -> McEstimate:
+                        seed: int = 0) -> McEstimate:
     """Estimator of J from the coarea formula in gradient charts, by a
     randomly shifted rank-1 lattice rule on [-1,1]^(n-1).
 
@@ -285,7 +306,7 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
     first n-1 entries of _LATTICE and u_r drawn from Philox keyed by
     (seed, 99, r).  The shift estimates are independent and unbiased: the
     value is their mean, the error their standard deviation over
-    sqrt(_SHIFTS).
+    sqrt(_SHIFTS).  The blocks run in order on the calling thread.
     """
     _refuse_few(samples)
     _refuse_infinite(inst)
@@ -299,14 +320,12 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
     charts = [(j, f2.powers_of(j), g) for j, g in enumerate(partials)
               if g is not None]  # df2/dt_j = 0 is never the largest
     step = max(1, blocks.WORK_BLOCK // s)
-    tasks = [(r, i) for r in range(_SHIFTS) for i in range(0, size, step)]
 
-    def block_sum(task) -> float:  # the weights of one block of a shift
-        r, start = task
+    def block_sum(r: int, start: int) -> float:  # one block of shift r
         k = min(step, size - start)
         # i z mod N, exact in int64: z < 2^15 and i < N
         pts = np.outer(z, np.arange(start, start + k)) % size / size
-        pts += _chunk_rng(seed, 99, r).random(s)[:, None]
+        pts += np.array(_uniforms(seed, 99, r, s))[:, None]
         pts = 2.0 * (pts % 1.0) - 1.0
         total = 0.0
         for j, forms, grad_j in charts:
@@ -326,7 +345,8 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
             total += float((1.0 / grad[keep]).sum())
         return total
 
-    totals = blocks.pool_map(block_sum, tasks, threads)  # in task order
+    totals = [block_sum(r, i) for r in range(_SHIFTS)
+              for i in range(0, size, step)]
     estimates = 2.0 ** s * np.reshape(totals, (_SHIFTS, -1)).sum(1) / size
     return McEstimate(value=complex(estimates.mean()),
                       std_error=float(estimates.std(ddof=1))

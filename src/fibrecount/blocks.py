@@ -27,7 +27,7 @@ instance there, and its reference, the lift tree, lives with the tests.
 box() is the one enumeration of a complete box: residue tables, and the
 half tables, quadric scans and slab counts of counting, scan it chunk by
 chunk.  pool_map runs independent chunks on a thread pool: the slab
-scan's box chunks and the Monte Carlo chunks of archimedean.
+scan's box chunks and the shell estimator's; J runs on the calling thread.
 
 WORK_BLOCK is the one working-block size of every hot loop: no array a
 loop works through at a time holds more than WORK_BLOCK values, unless an

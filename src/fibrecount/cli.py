@@ -12,7 +12,6 @@ Rows carry no timings, so repeat runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__, archimedean, arith, constant, counting, expsums, padic
 from .blocks import DEFAULT_BUDGET, BudgetExceededError
-from .forms import FormError, load_instance
+from .forms import FormError, digest, load_instance
 from .verify import SUITES, run_suites
 
 
@@ -42,11 +41,8 @@ class RunManifest:
     manifest_hash: str = ""
 
     def finalize(self) -> "RunManifest":
-        core = {"command": self.command, "instance_label": self.instance_label,
-                "parameters": self.parameters, "seed": self.seed,
-                "versions": self.versions}
-        blob = json.dumps(core, sort_keys=True).encode()
-        self.manifest_hash = hashlib.sha256(blob).hexdigest()[:16]
+        self.manifest_hash = digest({k: v for k, v in asdict(self).items()
+                                     if k not in ("outputs", "manifest_hash")})
         return self
 
 
@@ -166,8 +162,7 @@ def cmd_singular_integral(args) -> int:
     inst = load_instance(args.config)
     est = archimedean.real_density(inst, args.samples, args.seed,
                                    threads=args.threads)
-    fib = archimedean.real_density_coarea(inst, args.samples, args.seed,
-                                          threads=args.threads)
+    fib = archimedean.real_density_coarea(inst, args.samples, args.seed)
     lines = [est.csv_header()] + est.csv_rows() + [
         f"# fibre estimator: {fib.value.real:.12g} +- {fib.std_error:.12g}"]
     _emit(args, "singular-integral", inst.label, {"samples": args.samples},
@@ -180,7 +175,7 @@ def cmd_constant(args) -> int:
     params = {"route": args.route, "Q": args.Q, "p_max": args.p_max,
               "samples": args.samples}
     _, l_fact, c1, c2 = constant.pipeline(inst, args.p_max, args.samples,
-                                          args.seed, args.threads, args.budget)
+                                          args.seed, args.budget)
     l_qsum = expsums.singular_series(inst, Q=args.Q, budget=args.budget)
     lines = [constant.ConstantBreakdown.csv_header()]
     if args.route in ("1", "both"):
@@ -210,7 +205,7 @@ def cmd_compare(args) -> int:
         raise FormError(f"every height must be at least 2, not {min(heights)}"
                         ": the prediction divides by sqrt(log t)")
     _, _, c1, c2 = constant.pipeline(inst, args.p_max, args.samples,
-                                     args.seed, args.threads, args.budget)
+                                     args.seed, args.budget)
     agree = constant.route_agreement(c1, c2)
     lines = ["t,measured,normalized,predicted_route1,predicted_route2,ratio2"]
     for t in heights:
@@ -316,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constant", help="leading constant by both routes")
     common(p)
     p.add_argument("--route", default="both", choices=("1", "2", "both"))
-    p.add_argument("--Q", type=int, default=16, help="q-sum truncation")
+    p.add_argument("--Q", type=_positive, default=16, help="q-sum truncation")
     p.add_argument("--p-max", type=int, default=13, dest="p_max")
     p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
     p.set_defaults(fn=cmd_constant)

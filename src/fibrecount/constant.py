@@ -261,7 +261,7 @@ def leading_constant_tamagawa(inst: Instance, J: McEstimate,
 
 
 def pipeline(inst: Instance, p_max: int = 13,
-             samples: int = DEFAULT_SAMPLES, seed: int = 0, threads: int = 1,
+             samples: int = DEFAULT_SAMPLES, seed: int = 0,
              budget: int = blocks.DEFAULT_BUDGET) -> tuple:
     """(J, the factored singular series, the route-1 constant, the route-2
     constant): J by real_density_coarea, both Euler products to p_max, and
@@ -269,7 +269,7 @@ def pipeline(inst: Instance, p_max: int = 13,
     if p_max < 2:
         raise DomainError(f"p_max must be at least 2, not {p_max}: the "
                           "Euler products would have no prime")
-    J = real_density_coarea(inst, samples, seed, threads)
+    J = real_density_coarea(inst, samples, seed)
     l_fact = singular_series_factored(inst, p_max, budget)
     c1 = leading_constant_series(inst, J, l_fact, landau_constants())
     c2 = leading_constant_tamagawa(inst, J, local_product(inst, p_max, budget))

@@ -13,18 +13,30 @@ output-sized buffers.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+try:  # the small builtin module, as random does: hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:
+        from hashlib import sha256
+
 INT64_SAFE = 2**62
 
 
 class FormError(ValueError):
     """Malformed form or instance data."""
+
+
+def digest(record: dict) -> str:
+    """The config and manifest hash: 16 hex digits of a record's sha256."""
+    return sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -283,8 +295,7 @@ class Instance:
         return cfg
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.config_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return digest(self.config_dict())
 
 
 _ALLOWED_KEYS = {"label", "n", "d", "f1", "f2", "sigma_bound"}

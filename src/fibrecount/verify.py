@@ -370,7 +370,7 @@ def suite_archimedean(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     def dual():
         j_shell = archimedean.real_density(inst, samples=10**6, seed=seed,
                                            threads=threads)
-        j_fiber = archimedean.real_density_coarea(inst, solves, seed, threads)
+        j_fiber = archimedean.real_density_coarea(inst, solves, seed)
         shared["J"] = j_fiber
         gap = abs(j_shell.value.real - j_fiber.value.real)
         sigma = math.hypot(j_shell.std_error, j_fiber.std_error)
@@ -380,7 +380,7 @@ def suite_archimedean(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
             f", gap {gap:.4f}"), ""
 
     def determinism():
-        again = archimedean.real_density_coarea(inst, solves, seed, threads)
+        again = archimedean.real_density_coarea(inst, solves, seed)
         same = (repr(shared["J"].value), repr(shared["J"].std_error)) == \
             (repr(again.value), repr(again.std_error))
         return same, f"identical value and error: {same}", ""
@@ -408,8 +408,7 @@ def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     shared = {}  # the pipeline's outputs and the q-sum, for the later checks
 
     def factorization():
-        J, l_fact, c1, c2 = constant.pipeline(inst, seed=seed,
-                                              threads=threads, budget=budget)
+        J, l_fact, c1, c2 = constant.pipeline(inst, seed=seed, budget=budget)
         l_qsum = expsums.singular_series(inst, Q=16, budget=budget)
         shared.update(J=J, c1=c1, c2=c2, l_qsum=l_qsum)
         gap = abs(l_qsum.value.real - l_fact.value.real) \
@@ -503,8 +502,8 @@ SUITES = tuple(_SUITES)
 def run_suites(names, budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     """Run the named suites ('all' for everything); returns CheckResults.
 
-    The archimedean and constant suites run their Monte Carlo chunks and
-    counts on `threads` threads; no check's result depends on it."""
+    `threads` is the pool of the shell estimator and the slab scan; the
+    coarea J runs on the calling thread.  No check's result depends on it."""
     if isinstance(names, str):
         names = [names]
     todo = list(SUITES) if "all" in names else names

@@ -5,6 +5,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibrecount import archimedean, blocks
 from fibrecount.arith import DomainError
@@ -235,16 +237,26 @@ def test_real_density_memory_follows_the_blocks(four_squares):
     assert peak < 8 * 2**18
 
 
-def test_coarea_ignores_threads(bilinear, monkeypatch):
+def test_coarea_ignores_work_block(bilinear, monkeypatch):
     # 300000 samples: 16 shifts of 4096 points; blocks of 333 points cut a
-    # shift into 12 full blocks and a partial one, 208 pool tasks
+    # shift into 12 full blocks and a partial one
     whole = archimedean.real_density_coarea(bilinear, samples=300000)
     monkeypatch.setattr(blocks, "WORK_BLOCK", 1000)
-    runs = [archimedean.real_density_coarea(bilinear, samples=300000,
-                                            seed=0, threads=threads)
-            for threads in (1, 2, 3)]
-    assert len({(repr(e.value), repr(e.std_error)) for e in runs}) == 1
-    assert runs[0].value.real == pytest.approx(whole.value.real, rel=1e-12)
+    cut = archimedean.real_density_coarea(bilinear, samples=300000)
+    assert cut.samples == whole.samples
+    assert cut.value.real == pytest.approx(whole.value.real, rel=1e-12)
+    assert cut.std_error == pytest.approx(whole.std_error, rel=1e-9)
+
+
+@given(st.integers(-2**80, -1) | st.just(0) | st.integers(2**63, 2**80),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.integers(1, 9))
+def test_python_philox_is_numpys(seed, stream, chunk, k):
+    # k up to 9 crosses the four-word block twice
+    key = np.array([seed % 2**64, stream << 32 | chunk], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).random(k)
+    got = archimedean._uniforms(seed, stream, chunk, k)
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("samples", [1000, 20000, 10**5, 1 << 18])

@@ -2,11 +2,14 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from fibrecount import __version__, archimedean, blocks, counting, verify
+from fibrecount import (__version__, archimedean, blocks, constant, counting,
+                        verify)
 from fibrecount.cli import build_parser, main
 from fibrecount.forms import load_instance
 
@@ -17,14 +20,16 @@ FOUR = os.path.join(os.path.dirname(__file__), "..", "configs",
 
 
 def test_shipped_configs_are_the_verify_instances():
-    # the CLI reads the configs; verify and the tests build the instances
-    for name, build in (("four_squares", verify.four_squares_instance),
-                        ("bilinear", verify.bilinear_instance),
-                        ("demo_pair", verify.demo_instance)):
+    # the CLI reads the configs; verify and the tests build the instances,
+    # and the hashes are pinned to the values that hashlib gave
+    for name, build, digest in (
+            ("four_squares", verify.four_squares_instance, "32d23ab6603ad946"),
+            ("bilinear", verify.bilinear_instance, "c67e067c25c320dd"),
+            ("demo_pair", verify.demo_instance, "2e797adae243e2a2")):
         inst = load_instance(os.path.join(os.path.dirname(DEMO),
                                           f"{name}.json"))
         assert inst == build()
-        assert inst.config_hash() == build().config_hash()
+        assert inst.config_hash() == build().config_hash() == digest
 
 
 def test_count_and_cache_determinism(tmp_path):
@@ -138,6 +143,7 @@ def test_constant_small(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
+    assert lines[0] == "# manifest 769e9e1cd62b3127"
     assert lines[1].startswith("route,")
     assert any(l.startswith("singular_series,") for l in lines)
     assert any(l.startswith("tamagawa,") for l in lines)
@@ -196,6 +202,7 @@ def test_version(capsys):
     (["theta", "--config", FOUR, "--P", ","], "not a comma-separated list"),
     (["constant", "--config", FOUR, "--p-max", "-3", "--samples", "2000"],
      "p_max must be at least 2"),
+    (["constant", "--config", FOUR, "--Q", "0"], "--Q: must be at least 1"),
     (["compare", "--config", FOUR, "--t", "5", "--p-max", "1"],
      "p_max must be at least 2"),
     (["compare", "--config", FOUR, "--t", "5,1"],
@@ -207,10 +214,16 @@ def test_version(capsys):
 ], ids=["missing-config", "config-is-a-directory", "t-not-integers",
         "compare-t-not-integers", "P-not-integers", "p-not-integers",
         "birch-negative", "birch-zero", "arc-negative", "x-zero",
-        "samples-zero", "t-empty", "P-empty", "p-max-negative",
+        "samples-zero", "t-empty", "P-empty", "p-max-negative", "Q-zero",
         "compare-p-max-one", "compare-t-one", "expsum-two-modes",
         "expsum-no-mode"])
-def test_bad_input_exits_2_with_a_message(capsys, argv, message):
+def test_bad_input_exits_2_with_a_message(capsys, monkeypatch, argv,
+                                          message):
+    def pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the refusal")
+
+    if "p_max" not in message:  # only the pipeline's own refusal runs it
+        monkeypatch.setattr(constant, "pipeline", pipeline)
     try:
         code = main(argv)
     except SystemExit as exc:  # refused by the parser
@@ -218,6 +231,27 @@ def test_bad_input_exits_2_with_a_message(capsys, argv, message):
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
+    # J draws its shifts in Python ints and the hashes come from the
+    # builtin sha256 module, so these commands carry neither
+    script = ("import json, sys\n"
+              "from fibrecount.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0\n"
+              "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))")
+    common = ["--config", FOUR, "--out", str(tmp_path / "out.csv")]
+    runs = [["constant", "--Q", "3", "--p-max", "2", "--samples", "20000"],
+            ["compare", "--t", "5,8", "--p-max", "2", "--samples", "20000"],
+            ["count", "--t", "5,8"]]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   "..", "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script,
+         json.dumps([argv + common for argv in runs])],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_verify_unknown_suite():

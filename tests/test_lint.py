@@ -224,3 +224,32 @@ def test_every_cli_option_is_named_in_a_test_or_a_bench_job():
                 if isinstance(node, ast.Constant))
     assert not options - named, "options no test or bench job names: " + \
         ", ".join(sorted(options - named))
+
+
+def test_heavy_modules_are_named_in_one_place():
+    # numpy.random is named only where the 2^18-point chunks are drawn, and
+    # one statement in forms imports sha256, so a run that draws no chunk
+    # loads neither numpy.random nor hashlib's OpenSSL
+    randoms, hashes = [], []
+    for path in sorted((ROOT / "src" / "fibrecount").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node): func.name for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func)}
+        randoms += [(path.name, inside.get(id(node)))
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and
+                    node.attr == "random" and
+                    isinstance(node.value, ast.Name) and
+                    node.value.id in ("np", "numpy")]
+        for statement in tree.body:
+            modules = {alias.name for node in ast.walk(statement)
+                       if isinstance(node, ast.Import)
+                       for alias in node.names} | \
+                {node.module for node in ast.walk(statement)
+                 if isinstance(node, ast.ImportFrom)}
+            if modules & {"hashlib", "_sha256", "_sha2"}:
+                hashes.append(path.name)
+    assert randoms and set(randoms) == {("archimedean.py", "_chunk_rng")}, \
+        f"np.random named at {sorted(set(randoms))}"
+    assert hashes == ["forms.py"], f"sha256 imported in {hashes}"
