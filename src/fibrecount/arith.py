@@ -1,7 +1,9 @@
-"""Exact integer arithmetic: factorization, solubility indicators, constants.
+"""Exact integer arithmetic: factorization, solubility indicators, sieves,
+constants.
 
-Everything here is deterministic and reentrant.  The only shared state is a
-read-only prime table that is replaced only by a longer one.
+Everything here is deterministic and reentrant.  The only shared state is
+two read-only tables, each replaced only by a longer one: the prime table
+and the two-squares sieve.
 
 The central indicator is conic_soluble_global(m): whether the conic
 x0^2 + x1^2 = m*x2^2 has a rational point.  For m > 0 this is the classical
@@ -9,6 +11,11 @@ sum-of-two-squares condition (every prime p = 3 mod 4 divides m to an even
 power); for m < 0 there is no real point.  conic_soluble_local gives the
 same answer place by place, and the product over all places recovers the
 global indicator.
+
+The same indicator over a whole range is two_squares_sieve(limit), checked
+against the oracle two_squares_pairs; only_1mod4_sieve(limit) marks the
+integers whose prime factors are all 1 mod 4.  A two-squares sieve longer
+than SIEVE_MAX is refused with BudgetExceededError before any allocation.
 """
 
 from __future__ import annotations
@@ -26,13 +33,20 @@ _PRIMES = np.zeros(0, dtype=np.int64)  # all primes <= _PRIME_LIMIT
 _PRIME_LIMIT = 1
 _SMALL_TRIAL_LIMIT = 10**6
 C0_PRIME_CUTOFF = 10**6  # the primes of C0's Euler product, by default
+SIEVE_MAX = 2 * 10**8  # the longest two-squares sieve built, 200 MB
+_SIEVE_LOCK = threading.Lock()
+_SIEVE = np.zeros(1, dtype=bool)  # ok[0..]: replaced only by a longer one
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-def grown_limit(old: int, limit: int) -> int:
+class BudgetExceededError(RuntimeError):
+    """Enumeration volume exceeds the allowed budget."""
+
+
+def _grown_limit(old: int, limit: int) -> int:
     """New limit of a table that only grows: at least `limit`, and twice
     the old one while that stays within 2^24 more entries."""
     return max(limit, min(2 * old, old + (1 << 24)))
@@ -43,7 +57,7 @@ def prime_sieve(limit: int) -> np.ndarray:
     global _PRIMES, _PRIME_LIMIT
     with _PRIME_LOCK:
         if _PRIME_LIMIT < limit:
-            _PRIME_LIMIT = grown_limit(_PRIME_LIMIT, limit)
+            _PRIME_LIMIT = _grown_limit(_PRIME_LIMIT, limit)
             is_p = np.ones(_PRIME_LIMIT + 1, dtype=bool)
             is_p[:2] = False
             for i in range(2, math.isqrt(_PRIME_LIMIT) + 1):
@@ -219,19 +233,63 @@ def conic_soluble_global(m: int, factorization: Factorization | None = None) -> 
     return 1
 
 
-def only_1mod4_factors(m: int) -> int:
-    """1 iff every prime factor of m is congruent to 1 mod 4 (so 1 -> 1).
+def two_squares_sieve(limit: int) -> np.ndarray:
+    """Boolean array ok[0..limit]: ok[m] iff m>0 is a sum of two squares.
 
-    Completely multiplicative in m.
+    Linear sieve over valuation parities: for every prime p = 3 mod 4 and
+    every odd exponent e, the integers with v_p(m) exactly e are removed.
+    No per-m factorization happens.  One read-only table serves every
+    limit; a longer limit rebuilds it, geometrically larger but never past
+    SIEVE_MAX.  A limit above SIEVE_MAX is refused before any allocation.
     """
-    if m < 1:
-        raise DomainError("argument must be a positive integer")
-    if m == 1:
-        return 1
-    for p, _ in factor(m).factors:
-        if p % 4 != 1:
-            return 0
-    return 1
+    global _SIEVE
+    if limit > SIEVE_MAX:
+        raise BudgetExceededError(
+            f"sieve of size {limit} exceeds the memory budget")
+    with _SIEVE_LOCK:
+        if len(_SIEVE) <= limit:
+            _SIEVE = _build_two_squares(
+                min(_grown_limit(len(_SIEVE) - 1, limit), SIEVE_MAX))
+        return _SIEVE[:limit + 1]
+
+
+def _build_two_squares(limit: int) -> np.ndarray:
+    ok = np.ones(limit + 1, dtype=bool)
+    ok[0] = False
+    primes = prime_sieve(limit)
+    for p in primes[primes % 4 == 3]:
+        p = int(p)
+        pe = p
+        while pe <= limit:
+            view = ok[pe::pe]
+            keep = view[p - 1::p].copy()  # v_p >= e+1: survive this exponent
+            view[:] = False
+            view[p - 1::p] = keep
+            if pe > limit // (p * p):
+                break
+            pe *= p * p  # next odd exponent
+    ok.setflags(write=False)
+    return ok
+
+
+def two_squares_pairs(x: int) -> np.ndarray:
+    """Independent oracle for two_squares_sieve: hit[0..x], hit[m] iff
+    m = a^2 + b^2, marked by direct pair enumeration."""
+    hit = np.zeros(x + 1, dtype=bool)
+    for a in range(0, math.isqrt(x) + 1):
+        b = np.arange(0, math.isqrt(x - a * a) + 1)
+        hit[a * a + b * b] = True
+    return hit
+
+
+def only_1mod4_sieve(limit: int) -> np.ndarray:
+    """ok[r] iff every prime factor of r is 1 mod 4 (ok[1] = True)."""
+    ok = np.ones(limit + 1, dtype=bool)
+    ok[0] = False
+    primes = prime_sieve(limit)
+    for p in primes[primes % 4 != 1]:
+        ok[int(p)::int(p)] = False
+    return ok
 
 
 def ramanujan_sum(q: int, a: int) -> int:

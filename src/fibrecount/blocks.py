@@ -39,8 +39,8 @@ size is the 2^18-point Monte Carlo chunk, which defines the random
 streams.
 
 DEFAULT_BUDGET, the enumeration volume one operation may scan or lift, is
-the default budget of every layer, and BudgetExceededError the refusal of
-each.
+the default budget of every layer, and BudgetExceededError (defined in
+arith, beside DomainError) the refusal of each.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import BudgetExceededError
 from .forms import Form, Instance
 
 # Values per working array (512 KB of int64 or float64).  Measured on a
@@ -59,10 +60,6 @@ from .forms import Form, Instance
 # gain little past 2^16 points (CHANGES.md).
 WORK_BLOCK = 1 << 16
 DEFAULT_BUDGET = 3 * 10**8
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration volume exceeds the allowed budget."""
 
 
 @dataclass(frozen=True)
@@ -150,18 +147,12 @@ def balanced_halves(blocks) -> tuple:
 # chunk pools
 # ---------------------------------------------------------------------------
 
-def pool_size(threads: int, tasks: int) -> int:
-    """Workers for `tasks` tasks on at most `threads` threads: never more
-    workers than tasks, and at least one."""
-    return max(1, min(threads, tasks))
-
-
 def pool_map(fn, tasks, threads: int) -> list:
-    """[fn(task) for task in tasks], in task order, on a pool of
-    pool_size(threads, len(tasks)) threads; one worker runs in the calling
-    thread without a pool."""
+    """[fn(task) for task in tasks], in task order, on a pool of at most
+    `threads` threads and never more than there are tasks; one worker runs
+    in the calling thread without a pool."""
     tasks = list(tasks)
-    workers = pool_size(threads, len(tasks))
+    workers = max(1, min(threads, len(tasks)))
     if workers == 1:
         return [fn(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:

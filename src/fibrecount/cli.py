@@ -1,8 +1,9 @@
 """Command-line surface: instance configs in, CSV/reports out.
 
 Subcommands: count, theta, expsum, local-density, singular-integral,
-constant, compare, verify.  Global flags: --config, --seed, --threads,
---budget, --out.  No environment variable changes what a run does.
+constant, compare, verify.  Every subcommand takes --seed, --threads and
+--budget; all but verify, which reads no config and prints its report to
+stdout, take --config and --out.  No environment variable changes a run.
 
 Every CSV starts with a '# manifest <hash>' comment; with --out FILE the
 full run manifest is written next to the output as FILE.manifest.json.
@@ -46,18 +47,13 @@ class RunManifest:
         return self
 
 
-def _manifest(command: str, label: str, params: dict, seed: int,
-              config_hash: str, outputs: list) -> RunManifest:
-    return RunManifest(
-        command=command, instance_label=label, parameters=params, seed=seed,
-        versions={"tool": __version__, "config_hash": config_hash},
-        outputs=outputs).finalize()
-
-
 def _emit(args, command: str, label: str, params: dict, config_hash: str,
           lines: list) -> None:
-    outputs = [args.out] if args.out else []
-    man = _manifest(command, label, params, args.seed, config_hash, outputs)
+    man = RunManifest(
+        command=command, instance_label=label, parameters=params,
+        seed=args.seed,
+        versions={"tool": __version__, "config_hash": config_hash},
+        outputs=[args.out] if args.out else []).finalize()
     body = [f"# manifest {man.manifest_hash}"] + lines
     text = "\n".join(body) + "\n"
     if args.out:
@@ -253,10 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, config=True):
-        if config:
+    def common(p, csv=True):
+        if csv:
             p.add_argument("--config", required=True,
                            help="instance config JSON")
+            p.add_argument("--out", default=None, help="write CSV here "
+                           "(plus .manifest.json); default stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=_positive,
                        default=len(os.sched_getaffinity(0)),
@@ -264,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "process may run on)")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max enumeration volume per operation")
-        p.add_argument("--out", default=None, help="write CSV here "
-                       "(plus .manifest.json); default stdout")
 
     p = sub.add_parser("count", help="projective counts at heights t")
     common(p)
@@ -325,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=SUITES + ("all",))
-    common(p, config=False)
+    common(p, csv=False)
     p.set_defaults(fn=cmd_verify)
     return ap
 

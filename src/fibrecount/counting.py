@@ -1,4 +1,4 @@
-"""Brute-force ground truth: box counts, projective counts, sieve counts.
+"""Brute-force ground truth: box counts, projective counts, two-squares counts.
 
 Counting conventions (fixed across the library):
 
@@ -50,89 +50,27 @@ sorting those again, so memory follows the distinct pairs, not the box.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocks
-from .arith import (DomainError, conic_soluble_global, grown_limit,
-                    moebius_sieve, prime_sieve)
+from .arith import (SIEVE_MAX, DomainError, conic_soluble_global,
+                    moebius_sieve, only_1mod4_sieve, two_squares_sieve)
 from .blocks import (BudgetExceededError, balanced_halves, box, pool_map,
                      restrict, variable_blocks)
 from .forms import Instance
 
 
 # ---------------------------------------------------------------------------
-# sums-of-two-squares sieve
+# sieve counts
 # ---------------------------------------------------------------------------
-
-SIEVE_MAX = 2 * 10**8  # the longest two-squares sieve built, 200 MB
-_SIEVE_LOCK = threading.Lock()
-_SIEVE = np.zeros(1, dtype=bool)  # ok[0..]: replaced only by a longer one
-
-
-def two_squares_sieve(limit: int) -> np.ndarray:
-    """Boolean array ok[0..limit]: ok[m] iff m>0 is a sum of two squares.
-
-    Linear sieve over valuation parities: for every prime p = 3 mod 4 and
-    every odd exponent e, the integers with v_p(m) exactly e are removed.
-    No per-m factorization happens.  One read-only table serves every
-    limit; a longer limit rebuilds it, geometrically larger.
-    """
-    global _SIEVE
-    with _SIEVE_LOCK:
-        if len(_SIEVE) <= limit:
-            _SIEVE = _build_two_squares(grown_limit(len(_SIEVE) - 1, limit))
-        return _SIEVE[:limit + 1]
-
-
-def _build_two_squares(limit: int) -> np.ndarray:
-    ok = np.ones(limit + 1, dtype=bool)
-    ok[0] = False
-    primes = prime_sieve(limit)
-    for p in primes[primes % 4 == 3]:
-        p = int(p)
-        pe = p
-        while pe <= limit:
-            view = ok[pe::pe]
-            keep = view[p - 1::p].copy()  # v_p >= e+1: survive this exponent
-            view[:] = False
-            view[p - 1::p] = keep
-            if pe > limit // (p * p):
-                break
-            pe *= p * p  # next odd exponent
-    ok.setflags(write=False)
-    return ok
-
 
 def two_squares_count(x: int) -> int:
     """#{1 <= m <= x : m is a sum of two squares}."""
     if x < 1:
         raise DomainError("x must be positive")
-    if x > SIEVE_MAX:
-        raise BudgetExceededError(f"sieve of size {x} exceeds the memory budget")
     return int(two_squares_sieve(x)[1:x + 1].sum())
-
-
-def two_squares_pairs(x: int) -> np.ndarray:
-    """Independent oracle for two_squares_sieve: hit[0..x], hit[m] iff
-    m = a^2 + b^2, marked by direct pair enumeration."""
-    hit = np.zeros(x + 1, dtype=bool)
-    for a in range(0, math.isqrt(x) + 1):
-        b = np.arange(0, math.isqrt(x - a * a) + 1)
-        hit[a * a + b * b] = True
-    return hit
-
-
-def only_1mod4_sieve(limit: int) -> np.ndarray:
-    """ok[r] iff every prime factor of r is 1 mod 4 (ok[1] = True)."""
-    ok = np.ones(limit + 1, dtype=bool)
-    ok[0] = False
-    primes = prime_sieve(limit)
-    for p in primes[primes % 4 != 1]:
-        ok[int(p)::int(p)] = False
-    return ok
 
 
 def progression_count(z: int, a: int, Q: int) -> int:

@@ -45,11 +45,10 @@ from math import gcd, log, sqrt
 import numpy as np
 
 from . import blocks, padic
-from .arith import (DomainError, factor, landau_constants, only_1mod4_factors,
-                    ramanujan_sum, valuation)
+from .arith import (DomainError, factor, landau_constants, only_1mod4_sieve,
+                    ramanujan_sum, two_squares_sieve, valuation)
 from .blocks import (Block, BudgetExceededError, block_tables, residue_table,
                      variable_blocks)
-from .counting import two_squares_sieve
 from .forms import Instance
 
 RHO_MAX = 6  # the last dyadic shell of local_series_two
@@ -218,14 +217,11 @@ def arc_factor_row(q: int) -> tuple[np.ndarray, float]:
 
     values = np.zeros(q, dtype=np.complex128)
     ls = np.arange(q)
+    varpi = only_1mod4_sieve(q)  # varpi[r]: every prime of r is 1 mod 4
     for (g1, rho), wsum in sorted(bucket.items()):
-        ok = (ls % g1 == 0)
-        varpi_ok = np.array([only_1mod4_factors(int(h) // g1) if o and h % g1 == 0
-                             else 0
-                             for o, h in zip(ok.tolist(), h_arr.tolist())],
-                            dtype=np.float64)
-        cong = (rho - lred) % m4 == 0
-        coef = np.where(ok & cong, varpi_ok * weight3 / (h_arr * lcm4), 0.0)
+        # where g1 divides l it divides h = gcd(l, q) too, and h // g1 >= 1
+        ok = (ls % g1 == 0) & ((rho - lred) % m4 == 0) & varpi[h_arr // g1]
+        coef = np.where(ok, weight3 / (h_arr * lcm4), 0.0)
         # sum_l coef[l] e(a1 l / q) for every a1 at once
         values += wsum * np.conj(np.fft.fft(coef))
     # the primes of k prime to q enter as squares, which are 1 mod 4, and

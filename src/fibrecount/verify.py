@@ -170,8 +170,8 @@ def _landau_normalized_check():
 
 def _landau_oracle_check():
     x = 10**4
-    same = bool(np.array_equal(counting.two_squares_sieve(x)[1:],
-                               counting.two_squares_pairs(x)[1:]))
+    same = bool(np.array_equal(arith.two_squares_sieve(x)[1:],
+                               arith.two_squares_pairs(x)[1:]))
     return same, f"sieve == pair enumeration for all x <= {x}: {same}", ""
 
 

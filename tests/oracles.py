@@ -13,8 +13,7 @@ from math import gcd
 import numpy as np
 
 from fibrecount.archimedean import _chunk_rng
-from fibrecount.arith import (DomainError, factor, only_1mod4_factors,
-                              prime_sieve, valuation)
+from fibrecount.arith import DomainError, factor, prime_sieve, valuation
 from fibrecount.blocks import (DEFAULT_BUDGET, Block, BudgetExceededError,
                                balanced_halves, residue_table, restrict,
                                variable_blocks)
@@ -249,8 +248,9 @@ def arc_factor_row_truncated(q: int, U: float) -> tuple[np.ndarray, float]:
     ls = np.arange(q)
     for (g1, rho), wsum in sorted(bucket.items()):
         ok = (ls % g1 == 0)
-        varpi_ok = np.array([only_1mod4_factors(int(h) // g1) if o and h % g1 == 0
-                             else 0
+        varpi_ok = np.array([all(p % 4 == 1 for p, _ in
+                                 factor(int(h) // g1).factors)
+                             if o and h % g1 == 0 else 0
                              for o, h in zip(ok.tolist(), h_arr.tolist())],
                             dtype=np.float64)
         cong = (rho - lred) % m4 == 0

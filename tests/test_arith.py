@@ -84,12 +84,17 @@ def test_conic_soluble_global_examples():
         arith.conic_soluble_global(0)
 
 
+def only_1mod4(r):
+    """Whether every prime factor of r > 0 is 1 mod 4, from factor(r)."""
+    return all(p % 4 == 1 for p, _ in arith.factor(r).factors)
+
+
 def _check_decomposition(m):
     soluble = arith.conic_soluble_global(m)
     try:
         t, k, r = two_squares_decomposition(m)
         assert m == 2**t * k**2 * r
-        assert arith.only_1mod4_factors(r) == 1
+        assert only_1mod4(r)
         for p, _ in (arith.factor(k).factors if k > 1 else ()):
             assert p % 4 == 3
         assert soluble == 1
@@ -107,16 +112,22 @@ def test_two_squares_decomposition_sampled(m):
     _check_decomposition(m)
 
 
+ONLY_1MOD4 = arith.only_1mod4_sieve(10**6)
+
+
 def test_only_1mod4_examples():
-    assert arith.only_1mod4_factors(1) == 1
-    assert arith.only_1mod4_factors(65) == 1
-    assert arith.only_1mod4_factors(6) == 0
+    assert ONLY_1MOD4[1] and ONLY_1MOD4[65] and not ONLY_1MOD4[6]
+    assert not ONLY_1MOD4[0]
+    # every r against its factorization, and a short sieve is a prefix
+    want = [only_1mod4(r) for r in range(1, 5001)]
+    assert ONLY_1MOD4[1:5001].tolist() == want
+    assert np.array_equal(arith.only_1mod4_sieve(5000), ONLY_1MOD4[:5001])
 
 
 @given(st.integers(1, 1000), st.integers(1, 1000))
 def test_only_1mod4_completely_multiplicative(m, k):
-    assert arith.only_1mod4_factors(m * k) == \
-        arith.only_1mod4_factors(m) * arith.only_1mod4_factors(k)
+    assert ONLY_1MOD4[m * k] == (ONLY_1MOD4[m] and ONLY_1MOD4[k])
+    assert ONLY_1MOD4[m * k] == only_1mod4(m * k)
 
 
 def test_ramanujan_examples():

@@ -211,12 +211,15 @@ def test_version(capsys):
      "--arc: not allowed with argument --birch"),
     (["expsum", "--config", FOUR],
      "one of the arguments --birch --arc --empirical is required"),
+    (["expsum", "--config", FOUR, "--empirical", "4", "--x", "200000001"],
+     "budget refused"),
+    (["verify", "padic", "--out", "v.txt"], "unrecognized arguments: --out"),
 ], ids=["missing-config", "config-is-a-directory", "t-not-integers",
         "compare-t-not-integers", "P-not-integers", "p-not-integers",
         "birch-negative", "birch-zero", "arc-negative", "x-zero",
         "samples-zero", "t-empty", "P-empty", "p-max-negative", "Q-zero",
         "compare-p-max-one", "compare-t-one", "expsum-two-modes",
-        "expsum-no-mode"])
+        "expsum-no-mode", "x-past-the-sieve", "verify-out"])
 def test_bad_input_exits_2_with_a_message(capsys, monkeypatch, argv,
                                           message):
     def pipeline(*args, **kwargs):
@@ -252,6 +255,27 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
          json.dumps([argv + common for argv in runs])],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_import_closures():
+    # the package root loads no layer, and a layer loads only the layers
+    # it computes with
+    script = ("import importlib, sys\n"
+              "importlib.import_module(sys.argv[1])\n"
+              "print(*(m.split('.')[1] for m in sys.modules "
+              "if m.startswith('fibrecount.')))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   "..", "src"))
+
+    def loaded(module):
+        done = subprocess.run([sys.executable, "-c", script, module], env=env,
+                              capture_output=True, text=True, check=True)
+        return set(done.stdout.split())
+
+    assert loaded("fibrecount") == set()
+    assert loaded("fibrecount.counting") == {"arith", "blocks", "counting",
+                                             "forms"}
+    assert not loaded("fibrecount.constant") & {"counting", "verify", "cli"}
 
 
 def test_verify_unknown_suite():
@@ -313,10 +337,11 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch):
     monkeypatch.setattr(blocks, "ThreadPoolExecutor", Recorder)
     args = build_parser().parse_args(["count", "--config", FOUR, "--t", "5",
                                       "--threads", str(10**6)])
-    assert blocks.pool_size(args.threads, 59) == 59
-    assert blocks.pool_size(args.threads, 0) == 1
-    assert blocks.pool_size(2, 59) == 2
-    assert blocks.pool_map(abs, [-1, -2, -3], args.threads) == [1, 2, 3]
+    tasks = list(range(-59, 0))
+    assert blocks.pool_map(abs, tasks, args.threads) == [-t for t in tasks]
+    assert blocks.pool_map(abs, tasks, 2) == [-t for t in tasks]
+    assert blocks.pool_map(abs, [], args.threads) == []
     assert blocks.pool_map(abs, [-4], args.threads) == [4]
     assert blocks.pool_map(abs, [-5, -6], 1) == [5, 6]
-    assert sizes == [3]  # only the first call makes a pool
+    # no more workers than tasks or threads; one task or one thread, no pool
+    assert sizes == [59, 2]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fibrecount import constant
+from fibrecount import archimedean, arith, constant
 from fibrecount.archimedean import McEstimate
 from fibrecount.arith import ArithConstants, DomainError
 from fibrecount.expsums import TruncatedValue
@@ -112,15 +112,14 @@ def test_csv_roundtrip():
 def test_route_gap_shrinks_with_tighter_truncation(four_squares):
     # tightening both truncations one notch narrows the route gap; J (the
     # pipeline's estimator) scales both routes alike
-    import fibrecount as fc
-    consts = fc.landau_constants(10**6)
-    J = fc.real_density_coarea(four_squares, samples=10**6, seed=0)
+    consts = arith.landau_constants(10**6)
+    J = archimedean.real_density_coarea(four_squares, samples=10**6, seed=0)
     gaps = []
     for pm in (7, 13):
-        lf = fc.singular_series_factored(four_squares, p_max=pm)
-        pr = fc.local_product(four_squares, p_max=pm)
-        c1 = fc.leading_constant_series(four_squares, J, lf, consts)
-        c2 = fc.leading_constant_tamagawa(four_squares, J, pr)
+        lf = constant.singular_series_factored(four_squares, p_max=pm)
+        pr = constant.local_product(four_squares, p_max=pm)
+        c1 = constant.leading_constant_series(four_squares, J, lf, consts)
+        c2 = constant.leading_constant_tamagawa(four_squares, J, pr)
         gaps.append(abs(c1.c_phi - c2.c_phi))
     assert gaps[1] < gaps[0]
 

@@ -319,11 +319,11 @@ def test_one_sieve_serves_every_limit(four_squares, bilinear):
         for P in (3, 6, 9, 12):
             counting._count_split(inst, P, False, blocks.DEFAULT_BUDGET)
             counting._count_slab(inst, P, False, blocks.DEFAULT_BUDGET, 1)
-    table = counting._SIEVE
+    table = arith._SIEVE
     limits = (10, 300, len(table) - 1)
-    assert all(np.shares_memory(counting.two_squares_sieve(m), table)
+    assert all(np.shares_memory(arith.two_squares_sieve(m), table)
                for m in limits)
-    assert counting._SIEVE is table
+    assert arith._SIEVE is table
     primes = arith.prime_sieve(30)
     assert primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert np.shares_memory(primes, arith._PRIMES)
@@ -333,20 +333,38 @@ def test_two_squares_count():
     assert counting.two_squares_count(10) == 7  # 1,2,4,5,8,9,10
     x = 2000
     assert counting.two_squares_count(x) == \
-        int(counting.two_squares_pairs(x)[1:].sum())
+        int(arith.two_squares_pairs(x)[1:].sum())
+
+
+def test_a_sieve_past_its_maximum_is_refused(monkeypatch):
+    # refused before anything is built: the shared table stays as it was
+    table = arith._SIEVE
+    with pytest.raises(BudgetExceededError, match="memory budget"):
+        arith.two_squares_sieve(arith.SIEVE_MAX + 1)
+    with pytest.raises(BudgetExceededError, match="memory budget"):
+        counting.two_squares_count(arith.SIEVE_MAX + 1)
+    assert arith._SIEVE is table
+    # a table grown geometrically stops at SIEVE_MAX + 1 entries
+    monkeypatch.setattr(arith, "SIEVE_MAX", 1000)
+    monkeypatch.setattr(arith, "_SIEVE", np.zeros(1, dtype=bool))
+    arith.two_squares_sieve(600)
+    assert len(arith._SIEVE) == 601
+    assert np.array_equal(arith.two_squares_sieve(900)[1:],
+                          arith.two_squares_pairs(900)[1:])
+    assert len(arith._SIEVE) == 1001  # not the 1201 that doubling gives
 
 
 def test_two_squares_sieve_matches_pairs_exhaustively():
     x = 10**4
-    assert np.array_equal(counting.two_squares_sieve(x)[1:],
-                          counting.two_squares_pairs(x)[1:])
+    assert np.array_equal(arith.two_squares_sieve(x)[1:],
+                          arith.two_squares_pairs(x)[1:])
 
 
 def test_theta_above_the_sieve_range():
     # a value past 2e8 switches every value to factorization: compare with
     # conic_soluble_global on both sides of the switch, and on small values
     # with the sieve path
-    limit = counting.SIEVE_MAX
+    limit = arith.SIEVE_MAX
     small = np.array([0, -1, -5, 1, 2, 3, 9, 21, 45, 0, 3, 9], dtype=np.int64)
     r = 14143  # r^2 just above the limit
     big = np.array([limit - 5, limit - 1, limit, limit + 1, r * r, r * r + 1,

@@ -28,9 +28,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    # __init__.py imports only to re-export
-    files = [p for p in sorted((ROOT / "src" / "fibrecount").glob("*.py"))
-             if p.name != "__init__.py"]
+    files = sorted((ROOT / "src" / "fibrecount").glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py"))
     unused = [u for path in files for u in _unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
