@@ -12,17 +12,18 @@ surface is a graph over n-1 coordinates, by a randomly shifted rank-1
 lattice rule on their cube; the constant pipeline (constant.pipeline)
 reads it.  real_density is the independent cross-check: shell volumes at
 the fixed widths SCHEDULE plus Richardson-style extrapolation in eps.
-Both refuse n <= d, where J is infinite, and every estimator refuses
-fewer than 1000 samples.
+Both refuse n <= d, where J is infinite, fewer than 1000 samples, and
+more work than their budget: the shell estimator's draws (15 times
+`samples`) or the lattice rule's chart solves (`samples`).
 
-Random points come from one stream layout: a stream of `samples` points
-is cut into the counter-based chunks of _chunks, 2^18 points each but the
-last, and chunk i of a stream is one draw from Philox keyed by (seed,
-stream, i); shift r of the lattice rule is the first n - 1 doubles of the
-key (seed, 99, r), which _uniforms computes without numpy.random.
-_blocks draws a chunk in blocks of at most blocks.WORK_BLOCK coordinates
-(2^14 points at n = 4), one copy transposing a block into contiguous rows
-and doubling it, in two buffers that every block of a chunk reuses; the
+Level l of the shell estimator draws the points of stream 10 + l, cut
+into the counter-based chunks of _chunks, 2^18 points each but the last;
+chunk i of the stream is one draw from Philox keyed by (seed, 10 + l, i).
+Shift r of the lattice rule is the first n - 1 doubles of the key
+(seed, 99, r), which _uniforms computes without numpy.random.  _blocks
+draws a chunk in blocks of at most blocks.WORK_BLOCK coordinates (2^14
+points at n = 4), one copy transposing a block into contiguous rows and
+doubling it, in two buffers that every block of a chunk reuses; the
 lattice points go through blocks of the same size.  A block so stays in
 cache while Form.evaluate_batch works through it.  Only the shell
 estimator runs on a pool of `threads` threads (blocks.pool_map); it
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
-from .arith import DomainError
+from .arith import BudgetExceededError, DomainError
 from .forms import Form, Instance
 
 _CHUNK = 1 << 18  # points per chunk: it defines the random streams
@@ -109,9 +110,12 @@ def _chunks(samples: int) -> list:
             for i, start in enumerate(range(0, samples, _CHUNK))]
 
 
-def _refuse_few(samples: int) -> None:
+def _refuse_samples(samples: int, work: int, budget: int) -> None:
     if samples < 10**3:
         raise DomainError("need at least 1000 samples")
+    if work > budget:
+        raise BudgetExceededError(f"{work} Monte Carlo evaluations exceed "
+                                  f"budget {budget}")
 
 
 def _refuse_infinite(inst) -> None:
@@ -147,43 +151,12 @@ def _blocks(seed: int, stream: int, index: int, m: int, n: int):
         yield block
 
 
-def oscillatory_box_integral(inst: Instance, gamma, samples: int,
-                             seed: int = 0) -> McEstimate:
-    """Monte Carlo estimate of the box integral of
-    e(gamma1*f1(t) + gamma2*f2(t)) over [-1,1]^n.
-
-    gamma = (0, 0) short-circuits to the exact value 2^n.
-    """
-    _refuse_few(samples)
-    g1, g2 = float(gamma[0]), float(gamma[1])
-    n = inst.n
-    vol = 2.0 ** n
-    if g1 == 0.0 and g2 == 0.0:
-        return McEstimate(value=complex(vol), std_error=0.0,
-                          samples=samples, seed=seed)
-    acc = 0.0 + 0.0j
-    acc2_re = acc2_im = 0.0
-    for i, m in _chunks(samples):
-        for pts in _blocks(seed, 1, i, m, n):
-            phase = (g1 * inst.f1.evaluate_batch(pts, 1)
-                     + g2 * inst.f2.evaluate_batch(pts, 1))
-            z = np.exp(2j * np.pi * phase)
-            acc += z.sum()
-            acc2_re += float((z.real ** 2).sum())
-            acc2_im += float((z.imag ** 2).sum())
-    mean = acc / samples
-    var_re = acc2_re / samples - mean.real ** 2
-    var_im = acc2_im / samples - mean.imag ** 2
-    se = vol * math.sqrt(max(var_re + var_im, 0.0) / samples)
-    return McEstimate(value=complex(vol * mean), std_error=se,
-                      samples=samples, seed=seed)
-
-
 SCHEDULE = (0.1, 0.05, 0.025, 0.0125)  # the shell widths eps, decreasing
 
 
 def real_density(inst: Instance, samples: int = DEFAULT_SAMPLES,
-                 seed: int = 0, threads: int = 1) -> McEstimate:
+                 seed: int = 0, threads: int = 1,
+                 budget: int = blocks.DEFAULT_BUDGET) -> McEstimate:
     """Shell-volume estimate of the restricted surface density J.
 
     Only inst.f1, inst.f2 and inst.n are read: the fibre condition enters
@@ -196,9 +169,9 @@ def real_density(inst: Instance, samples: int = DEFAULT_SAMPLES,
     reported at eps -> 0.  The chunks of every level run on one pool of
     `threads` threads.
     """
-    _refuse_few(samples)
-    _refuse_infinite(inst)
     sizes = [int(math.ceil(samples * SCHEDULE[0] / eps)) for eps in SCHEDULE]
+    _refuse_samples(samples, sum(sizes), budget)
+    _refuse_infinite(inst)
     tasks = [(level, index, m) for level, n_i in enumerate(sizes)
              for index, m in _chunks(n_i)]
 
@@ -290,7 +263,8 @@ def _roots_in_box(coeffs: np.ndarray):
 
 
 def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
-                        seed: int = 0) -> McEstimate:
+                        seed: int = 0,
+                        budget: int = blocks.DEFAULT_BUDGET) -> McEstimate:
     """Estimator of J from the coarea formula in gradient charts, by a
     randomly shifted rank-1 lattice rule on [-1,1]^(n-1).
 
@@ -308,7 +282,7 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
     value is their mean, the error their standard deviation over
     sqrt(_SHIFTS).  The blocks run in order on the calling thread.
     """
-    _refuse_few(samples)
+    _refuse_samples(samples, samples, budget)
     _refuse_infinite(inst)
     n, f2, s = inst.n, inst.f2, inst.n - 1
     if s > len(_LATTICE):

@@ -14,8 +14,9 @@ global indicator.
 
 The same indicator over a whole range is two_squares_sieve(limit), checked
 against the oracle two_squares_pairs; only_1mod4_sieve(limit) marks the
-integers whose prime factors are all 1 mod 4.  A two-squares sieve longer
-than SIEVE_MAX is refused with BudgetExceededError before any allocation.
+integers whose prime factors are all 1 mod 4.  A sieve of either kind
+longer than SIEVE_MAX is refused with BudgetExceededError before any
+allocation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _PRIMES = np.zeros(0, dtype=np.int64)  # all primes <= _PRIME_LIMIT
 _PRIME_LIMIT = 1
 _SMALL_TRIAL_LIMIT = 10**6
 C0_PRIME_CUTOFF = 10**6  # the primes of C0's Euler product, by default
-SIEVE_MAX = 2 * 10**8  # the longest two-squares sieve built, 200 MB
+SIEVE_MAX = 2 * 10**8  # the longest sieve built, 200 MB
 _SIEVE_LOCK = threading.Lock()
 _SIEVE = np.zeros(1, dtype=bool)  # ok[0..]: replaced only by a longer one
 
@@ -284,6 +285,9 @@ def two_squares_pairs(x: int) -> np.ndarray:
 
 def only_1mod4_sieve(limit: int) -> np.ndarray:
     """ok[r] iff every prime factor of r is 1 mod 4 (ok[1] = True)."""
+    if limit > SIEVE_MAX:
+        raise BudgetExceededError(
+            f"sieve of size {limit} exceeds the memory budget")
     ok = np.ones(limit + 1, dtype=bool)
     ok[0] = False
     primes = prime_sieve(limit)

@@ -185,6 +185,13 @@ def box(axis: np.ndarray, n: int, limit: int | None = None):
             yield list(lead) + [part] + whole
 
 
+def refuse_table(modulus: int, budget: int) -> None:
+    """Refuses a modulus x modulus table past budget entries."""
+    if modulus * modulus > budget:
+        raise BudgetExceededError(f"a {modulus} x {modulus} table exceeds "
+                                  f"budget {budget}")
+
+
 def residue_table(block: Block, modulus: int, budget: int) -> np.ndarray:
     """T[u, v] = #{x mod modulus : g1(x) = u, g2(x) = v mod modulus}.
 
@@ -195,6 +202,7 @@ def residue_table(block: Block, modulus: int, budget: int) -> np.ndarray:
         raise BudgetExceededError(
             f"block volume {modulus}^{n} = {modulus ** n} exceeds budget "
             f"{budget}")
+    refuse_table(modulus, budget)
 
     def residues(g, cols):
         return 0 if g is None else g.evaluate_batch_mod(cols, modulus)

@@ -2,7 +2,8 @@
 
 Subcommands: count, theta, expsum, local-density, singular-integral,
 constant, compare, verify.  Every subcommand takes --seed, --threads and
---budget; all but verify, which reads no config and prints its report to
+--budget, which bounds what one operation may scan, lift, draw or hold in
+a table; all but verify, which reads no config and prints its report to
 stdout, take --config and --out.  No environment variable changes a run.
 
 Every CSV starts with a '# manifest <hash>' comment; with --out FILE the
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 from . import __version__, archimedean, arith, constant, counting, expsums, padic
 from .blocks import DEFAULT_BUDGET, BudgetExceededError
@@ -25,42 +25,23 @@ from .forms import FormError, digest, load_instance
 from .verify import SUITES, run_suites
 
 
-@dataclass
-class RunManifest:
-    """Provenance of one CLI run; the hash identifies the run inputs.
-
-    Output paths are recorded but do not enter the hash, so repeat runs of
-    the same command stay byte-identical wherever they are written.
-    """
-
-    command: str
-    instance_label: str
-    parameters: dict
-    seed: int
-    versions: dict
-    outputs: list = field(default_factory=list)
-    manifest_hash: str = ""
-
-    def finalize(self) -> "RunManifest":
-        self.manifest_hash = digest({k: v for k, v in asdict(self).items()
-                                     if k not in ("outputs", "manifest_hash")})
-        return self
-
-
 def _emit(args, command: str, label: str, params: dict, config_hash: str,
           lines: list) -> None:
-    man = RunManifest(
-        command=command, instance_label=label, parameters=params,
-        seed=args.seed,
-        versions={"tool": __version__, "config_hash": config_hash},
-        outputs=[args.out] if args.out else []).finalize()
-    body = [f"# manifest {man.manifest_hash}"] + lines
+    """Writes the CSV under its manifest hash, which covers the run inputs
+    but not the output path, so repeat runs stay byte-identical wherever
+    they are written."""
+    manifest = {"command": command, "instance_label": label,
+                "parameters": params, "seed": args.seed,
+                "versions": {"tool": __version__, "config_hash": config_hash}}
+    manifest["manifest_hash"] = digest(manifest)
+    manifest["outputs"] = [args.out] if args.out else []
+    body = [f"# manifest {manifest['manifest_hash']}"] + lines
     text = "\n".join(body) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(asdict(man), fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
         sys.stdout.write(text)
@@ -157,8 +138,9 @@ def cmd_local_density(args) -> int:
 def cmd_singular_integral(args) -> int:
     inst = load_instance(args.config)
     est = archimedean.real_density(inst, args.samples, args.seed,
-                                   threads=args.threads)
-    fib = archimedean.real_density_coarea(inst, args.samples, args.seed)
+                                   args.threads, args.budget)
+    fib = archimedean.real_density_coarea(inst, args.samples, args.seed,
+                                          args.budget)
     lines = [est.csv_header()] + est.csv_rows() + [
         f"# fibre estimator: {fib.value.real:.12g} +- {fib.std_error:.12g}"]
     _emit(args, "singular-integral", inst.label, {"samples": args.samples},
@@ -170,9 +152,9 @@ def cmd_constant(args) -> int:
     inst = load_instance(args.config)
     params = {"route": args.route, "Q": args.Q, "p_max": args.p_max,
               "samples": args.samples}
+    l_qsum = expsums.singular_series(inst, Q=args.Q, budget=args.budget)
     _, l_fact, c1, c2 = constant.pipeline(inst, args.p_max, args.samples,
                                           args.seed, args.budget)
-    l_qsum = expsums.singular_series(inst, Q=args.Q, budget=args.budget)
     lines = [constant.ConstantBreakdown.csv_header()]
     if args.route in ("1", "both"):
         lines.append(c1.csv_row())

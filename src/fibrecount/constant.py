@@ -265,11 +265,11 @@ def pipeline(inst: Instance, p_max: int = 13,
              budget: int = blocks.DEFAULT_BUDGET) -> tuple:
     """(J, the factored singular series, the route-1 constant, the route-2
     constant): J by real_density_coarea, both Euler products to p_max, and
-    route 1 on the factored series."""
+    route 1 on the factored series, each within budget."""
     if p_max < 2:
         raise DomainError(f"p_max must be at least 2, not {p_max}: the "
                           "Euler products would have no prime")
-    J = real_density_coarea(inst, samples, seed)
+    J = real_density_coarea(inst, samples, seed, budget)
     l_fact = singular_series_factored(inst, p_max, budget)
     c1 = leading_constant_series(inst, J, l_fact, landau_constants())
     c2 = leading_constant_tamagawa(inst, J, local_product(inst, p_max, budget))
@@ -289,8 +289,6 @@ def route_agreement(c1: ConstantBreakdown, c2: ConstantBreakdown) -> dict:
     mean = 0.5 * (abs(c1.c_phi) + abs(c2.c_phi))
     gap = abs(c1.c_phi - c2.c_phi)
     return {
-        "c_route1": c1.c_phi,
-        "c_route2": c2.c_phi,
         "gap": gap,
         "relative_gap": gap / mean if mean else float("inf"),
         "combined_error": c1.combined_error + c2.combined_error,

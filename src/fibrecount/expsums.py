@@ -87,9 +87,10 @@ def birch_sum_table(inst: Instance, q: int,
     S[a1, a2] = sum_{u,v} M[u,v] e((a1 u + a2 v)/q) = conj(FFT2(M)).  The
     table is the product of the per-block tables (see _block_table) when
     the instance has at least two blocks, and otherwise takes M from
-    stationary phase (_phase_distribution).  budget bounds q^(block size)
-    per block on the block path and the lift candidates of each level on
-    the phase path.  The tables are memoized and read-only.
+    stationary phase (_phase_distribution).  budget bounds the q^2 entries
+    of every table, q^(block size) per block on the block path and the
+    lift candidates of each level on the phase path.  The tables are
+    memoized and read-only.
     """
     return _birch_table(inst, q, budget)
 
@@ -113,12 +114,14 @@ def _phase_distribution(inst: Instance, q: int, budget: int) -> np.ndarray:
     """The joint value distribution without the scan: padic's stationary phase
     table mod each prime power p^e of q, joined by CRT,
       M_q[u, v] = prod over p^e of M_(p^e)[u mod p^e, v mod p^e].
-    Refused for q^n >= 2^53, so every count is exact as a float64."""
+    Refused for q^n >= 2^53, so every count is exact as a float64, and
+    where a table exceeds the budget."""
     if q ** inst.n >= 2 ** 53:
         raise BudgetExceededError(
             f"{q}^{inst.n} residues exceed the exact float64 range")
     tables = [(p ** e, padic._phase_table(inst, p, e, budget))
               for p, e in factor(q).factors]
+    blocks.refuse_table(q, budget)
     r = np.arange(q)
     M = np.ones((q, q), dtype=np.int64)
     for pe, T in tables:
@@ -129,8 +132,9 @@ def _phase_distribution(inst: Instance, q: int, budget: int) -> np.ndarray:
 def _block_table(inst: Instance, q: int, budget: int) -> np.ndarray:
     """The Birch table as the product of the per-block tables
     conj(FFT2(M_b)), exact because e(.) is additive over disjoint blocks."""
+    tables = block_tables(inst, q, budget)  # each refuses q^2 > budget
     S = np.ones((q, q), dtype=np.complex128)
-    for M, count in block_tables(inst, q, budget):
+    for M, count in tables:
         S *= np.conj(np.fft.fft2(M.astype(np.float64))) ** count
     return S
 
@@ -389,9 +393,15 @@ def singular_series(inst: Instance, Q: int,
     At small n the terms need not decay at all; the factored evaluation
     (constant.singular_series_factored) is then the meaningful one, and
     this sum is reported with its honest non-decaying error estimate.
+    Refused where its tables, which the Birch memo keeps, hold more than
+    budget entries together.
     """
     if Q < 1:
         raise DomainError("Q must be positive")
+    entries = Q * (Q + 1) * (2 * Q + 1) // 6  # sum of q^2 over the tables
+    if entries > budget:
+        raise BudgetExceededError(f"the q-sum to Q = {Q} keeps {entries} "
+                                  f"table entries, beyond budget {budget}")
     n = inst.n
     terms = []
     total = 0.0 + 0.0j

@@ -370,10 +370,11 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
     candidates.  The class of 0 goes by homogeneity: x = p y gives f(x) =
     p^d f(y), so it adds p^(n(d-1)) M_(m-d) on the multiples of p^d, or
     p^(n(m-1)) at (0, 0) when m <= d.  Refused where p^(2m) leaves the
-    exact int64 range.
+    exact int64 range, or where its p^(2m) entries exceed the budget.
     """
     n, q = inst.n, p ** m
     _check_int64_range(p, m)
+    blocks.refuse_table(q, budget)
     M = np.zeros((q, q), dtype=np.int64)
     if m > inst.d:
         step = p ** inst.d

@@ -361,16 +361,9 @@ def suite_archimedean(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     solves = archimedean.DEFAULT_SAMPLES  # as the constant pipeline reads J
     shared = {}  # the coarea J of real-density-dual, for mc-determinism
 
-    def zero_exact():
-        i0 = archimedean.oscillatory_box_integral(inst, (0, 0), 10**4,
-                                                  seed=seed)
-        return (i0.value == complex(2.0 ** inst.n) and i0.std_error == 0.0,
-                f"value {i0.value}, std_error {i0.std_error}", "")
-
     def dual():
-        j_shell = archimedean.real_density(inst, samples=10**6, seed=seed,
-                                           threads=threads)
-        j_fiber = archimedean.real_density_coarea(inst, solves, seed)
+        j_shell = archimedean.real_density(inst, 10**6, seed, threads, budget)
+        j_fiber = archimedean.real_density_coarea(inst, solves, seed, budget)
         shared["J"] = j_fiber
         gap = abs(j_shell.value.real - j_fiber.value.real)
         sigma = math.hypot(j_shell.std_error, j_fiber.std_error)
@@ -380,14 +373,12 @@ def suite_archimedean(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
             f", gap {gap:.4f}"), ""
 
     def determinism():
-        again = archimedean.real_density_coarea(inst, solves, seed)
+        again = archimedean.real_density_coarea(inst, solves, seed, budget)
         same = (repr(shared["J"].value), repr(shared["J"].std_error)) == \
             (repr(again.value), repr(again.std_error))
         return same, f"identical value and error: {same}", ""
 
     return [
-        _check("oscillatory-zero-exact", zero_exact,
-               f"exact {2**inst.n} with zero error (short-circuit)"),
         _check("real-density-dual", dual,
                "agreement within 2 combined sigma, shell at 1e6 samples, "
                f"coarea at {solves} chart solves"),

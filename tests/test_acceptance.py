@@ -143,13 +143,11 @@ def test_criterion_09_shell_diagnostic(constant_results):
 
 
 def test_criterion_10_archimedean(arch_results):
-    r0 = _get(arch_results, "oscillatory-zero-exact")
     rd = _get(arch_results, "real-density-dual")
     rb = _get(arch_results, "mc-determinism")
-    assert r0.passed, r0.measured
     assert rd.passed, rd.measured
     assert rb.passed, rb.measured
-    assert r0.runtime_s + rd.runtime_s + rb.runtime_s < 120.0
+    assert rd.runtime_s + rb.runtime_s < 120.0
 
 
 def test_criterion_11_route_agreement(constant_results):

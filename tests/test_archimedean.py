@@ -9,42 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibrecount import archimedean, blocks
-from fibrecount.arith import DomainError
+from fibrecount.arith import BudgetExceededError, DomainError
 from fibrecount.forms import Form, Instance
 from oracles import (cbc_lattice_errors, embedded_lattice_merit, lattice_error,
                      lattice_errors, uniform_chunk)
-
-
-def test_zero_phase_short_circuit(four_squares):
-    est = archimedean.oscillatory_box_integral(four_squares, (0, 0), 10**4)
-    assert est.value == complex(16.0)
-    assert est.std_error == 0.0
-
-
-def test_conjugate_symmetry(four_squares):
-    # identical sample streams make the two estimates exactly conjugate
-    a = archimedean.oscillatory_box_integral(four_squares, (0.7, 1.3),
-                                             5 * 10**4, seed=11)
-    b = archimedean.oscillatory_box_integral(four_squares, (-0.7, -1.3),
-                                             5 * 10**4, seed=11)
-    assert abs(a.value - b.value.conjugate()) < 1e-10
-
-
-def test_oscillatory_decay(four_squares):
-    small = archimedean.oscillatory_box_integral(four_squares, (1, 0),
-                                                 2 * 10**5, seed=3)
-    large = archimedean.oscillatory_box_integral(four_squares, (10, 0),
-                                                 2 * 10**5, seed=3)
-    assert abs(large.value) < abs(small.value)
-
-
-def test_min_samples():
-    inst_forms = (Form(2, 2, ((1, (2, 0)), (1, (0, 2)))),)
-    with pytest.raises(DomainError):
-        archimedean.oscillatory_box_integral(
-            Instance(f1=inst_forms[0], f2=Form(2, 2, ((1, (2, 0)),
-                                                      (-1, (0, 2)))),
-                     n=2, d=2), (1, 0), 10)
 
 
 def test_linear_slab_oracle():
@@ -108,10 +76,15 @@ def test_golden_mc_values(four_squares, bilinear):
         "0.025,10.94,0.205581990943,80000,5",
         "0.0125,11.204,0.209836698173,160000,5",
         "0,11.0964271567,0.177005454092,300000,5"])
-    # 300000 samples: one full chunk of 2^18 and a partial one
-    osc = archimedean.oscillatory_box_integral(four_squares, (0.7, 1.3),
-                                               300000, seed=11)
-    assert repr(osc.value) == "(0.1287055873150032-0.14168741091339032j)"
+    # 40000 samples: the last level draws 320000 points, one full chunk of
+    # 2^18 and a partial one
+    assert repr(archimedean.real_density(four_squares, samples=40000,
+                                         seed=5).csv_rows()) == repr([
+        "0.1,10.878,0.137104806261,40000,5",
+        "0.05,10.864,0.142311871606,80000,5",
+        "0.025,11.014,0.145841776508,160000,5",
+        "0.0125,11.09,0.147633540185,320000,5",
+        "0,11.06587732,0.124986020481,600000,5"])
     # 300000 samples: 16 shifts of 4096 lattice points
     est = archimedean.real_density_coarea(bilinear, samples=300000, seed=0)
     assert (repr(est.value), repr(est.std_error)) == \
@@ -129,14 +102,31 @@ def test_an_infinite_j_is_refused(quartic, demo):
 
 
 def test_every_estimator_refuses_few_samples(four_squares):
-    def oscillatory(inst, samples):
-        return archimedean.oscillatory_box_integral(inst, (0.7, 1.3), samples)
-
     for estimate in (archimedean.real_density,
-                     archimedean.real_density_coarea, oscillatory):
+                     archimedean.real_density_coarea):
         for samples in (0, 999):
             with pytest.raises(DomainError, match="at least 1000 samples"):
                 estimate(four_squares, samples=samples)
+
+
+def test_every_estimator_refuses_work_beyond_its_budget(four_squares):
+    # the shell estimator draws 15 times its samples, the lattice rule
+    # does at most `samples` chart solves; both refuse before drawing
+    for estimate, work in ((archimedean.real_density, 15000),
+                           (archimedean.real_density_coarea, 1000)):
+        with pytest.raises(BudgetExceededError,
+                           match=f"{work} Monte Carlo evaluations"):
+            estimate(four_squares, samples=1000, budget=work - 1)
+        assert estimate(four_squares, samples=1000, budget=work).samples \
+            <= work
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            archimedean.real_density(four_squares, samples=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 # exact J: four_squares by the quadrature oracle of

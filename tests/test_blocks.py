@@ -189,11 +189,11 @@ def test_block_path_reaches_p11(four_squares):
 
 def test_block_paths_take_the_instance_blocks(four_squares, linked):
     # birch_sum_table takes the block product on an instance of several
-    # blocks and stationary phase on one block, within budgets (q per block
-    # of four_squares, 3^4 lift candidates of linked) far below the q^4 of
-    # a scan
-    assert np.array_equal(expsums.birch_sum_table(four_squares, 6, 10),
-                          expsums._block_table(four_squares, 6, 10))
+    # blocks and stationary phase on one block, within budgets (the q^2
+    # entries of a table of four_squares, 3^4 lift candidates of linked)
+    # far below the q^4 of a scan
+    assert np.array_equal(expsums.birch_sum_table(four_squares, 6, 36),
+                          expsums._block_table(four_squares, 6, 36))
     phase = expsums._phase_distribution(linked, 9, 100)
     assert np.array_equal(expsums.birch_sum_table(linked, 9, 100),
                           np.conj(np.fft.fft2(phase.astype(np.float64))))

@@ -214,18 +214,27 @@ def test_version(capsys):
     (["expsum", "--config", FOUR, "--empirical", "4", "--x", "200000001"],
      "budget refused"),
     (["verify", "padic", "--out", "v.txt"], "unrecognized arguments: --out"),
+    (["expsum", "--config", FOUR, "--birch", "60000"], "budget refused"),
+    (["constant", "--config", FOUR, "--Q", "2000", "--p-max", "3"],
+     "budget refused"),
+    (["singular-integral", "--config", FOUR, "--samples", "1000000000000"],
+     "budget refused"),
+    (["constant", "--config", FOUR, "--samples", "1000000000000"],
+     "budget refused"),
 ], ids=["missing-config", "config-is-a-directory", "t-not-integers",
         "compare-t-not-integers", "P-not-integers", "p-not-integers",
         "birch-negative", "birch-zero", "arc-negative", "x-zero",
         "samples-zero", "t-empty", "P-empty", "p-max-negative", "Q-zero",
         "compare-p-max-one", "compare-t-one", "expsum-two-modes",
-        "expsum-no-mode", "x-past-the-sieve", "verify-out"])
+        "expsum-no-mode", "x-past-the-sieve", "verify-out", "birch-table",
+        "q-sum-tables", "shell-samples", "coarea-samples"])
 def test_bad_input_exits_2_with_a_message(capsys, monkeypatch, argv,
                                           message):
     def pipeline(*args, **kwargs):
         raise AssertionError("the pipeline ran before the refusal")
 
-    if "p_max" not in message:  # only the pipeline's own refusal runs it
+    # only the pipeline's own refusals, of p_max and of J's samples, run it
+    if "p_max" not in message and "--samples" not in argv:
         monkeypatch.setattr(constant, "pipeline", pipeline)
     try:
         code = main(argv)

@@ -337,12 +337,22 @@ def test_two_squares_count():
 
 
 def test_a_sieve_past_its_maximum_is_refused(monkeypatch):
-    # refused before anything is built: the shared table stays as it was
+    # refused before anything is built: the shared table stays as it was,
+    # and progression_count(4 * 10^9, ...) allocates no 4 GB sieve
     table = arith._SIEVE
-    with pytest.raises(BudgetExceededError, match="memory budget"):
-        arith.two_squares_sieve(arith.SIEVE_MAX + 1)
-    with pytest.raises(BudgetExceededError, match="memory budget"):
-        counting.two_squares_count(arith.SIEVE_MAX + 1)
+    tracemalloc.start()
+    try:
+        for refused, arg in ((arith.two_squares_sieve, arith.SIEVE_MAX + 1),
+                             (counting.two_squares_count, arith.SIEVE_MAX + 1),
+                             (arith.only_1mod4_sieve, arith.SIEVE_MAX + 1)):
+            with pytest.raises(BudgetExceededError, match="memory budget"):
+                refused(arg)
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            counting.progression_count(4 * 10**9, 1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
     assert arith._SIEVE is table
     # a table grown geometrically stops at SIEVE_MAX + 1 entries
     monkeypatch.setattr(arith, "SIEVE_MAX", 1000)

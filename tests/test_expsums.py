@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -141,6 +142,29 @@ def test_phase_table_refusals(linked):
     line = Instance(f1=square, f2=square, n=1, d=2, label="one-variable")
     with pytest.raises(BudgetExceededError, match="int64"):
         expsums.birch_sum_table(line, 2 ** 31)
+
+
+def test_tables_past_the_budget_are_refused_before_allocation(four_squares):
+    # one-variable blocks pass the q^(block size) volume check and stay in
+    # the exact ranges, so only the q^2 entries of a table refuse: on the
+    # block path, and on the phase path at a composite q (its prime-power
+    # tables fit) and at a prime (its one table does not)
+    square = Form(1, 2, ((1, (2,)),))
+    line = Instance(f1=square, f2=square, n=1, d=2, label="one-variable")
+    tracemalloc.start()
+    try:
+        for inst, q in ((four_squares, 60000), (line, 60000), (line, 17321)):
+            with pytest.raises(BudgetExceededError,
+                               match=f"a {q} x {q} table exceeds"):
+                expsums.birch_sum_table(inst, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+    # the q-sum keeps every table to Q: 1 + 4 + 9 entries at Q = 3
+    with pytest.raises(BudgetExceededError, match="keeps 14 table entries"):
+        expsums.singular_series(four_squares, 3, budget=13)
+    assert expsums.singular_series(four_squares, 3, budget=14).shells
 
 
 def test_birch_conjugation(four_squares):

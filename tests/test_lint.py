@@ -166,23 +166,16 @@ def test_public_functions_are_plain():
     assert not hidden, "public but not plain functions:\n" + "\n".join(hidden)
 
 
-def test_public_names_are_referenced():
-    # a function, method or class that no source, test or bench file names
-    # outside its own body is dead API; a re-export in __init__.py does not
-    # count as a use
-    defined = []
-    named = {}  # name -> [(path, line)] of its uses
-    for folder in ("src", "tests", "perfbench"):
+def _named(folders) -> dict:
+    """name -> [(path, line)] of every Name, Attribute and from-import of
+    it in the .py files under the folders; a re-export in __init__.py does
+    not count as a use."""
+    named = {}
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            if path.parent == ROOT / "src" / "fibrecount":
-                defined += [(node, path) for node in ast.walk(tree)
-                            if isinstance(node, (ast.FunctionDef,
-                                                 ast.AsyncFunctionDef,
-                                                 ast.ClassDef))
-                            and not node.name.startswith("__")]
             if path.name == "__init__.py":
                 continue
+            tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names = [node.id]
@@ -194,13 +187,48 @@ def test_public_names_are_referenced():
                     continue
                 for name in names:
                     named.setdefault(name, []).append((path, node.lineno))
-    unnamed = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
-               for node, path in defined
-               if not any(where != path or
-                          not node.lineno <= line <= node.end_lineno
-                          for where, line in named.get(node.name, []))]
+    return named
+
+
+def _unnamed(named: dict, keep) -> list:
+    """The functions, methods and classes of src/fibrecount whose name
+    passes keep and that named holds no use of outside their own body."""
+    unnamed = []
+    for path in sorted((ROOT / "src" / "fibrecount").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and keep(node.name) and \
+                    not any(where != path or
+                            not node.lineno <= line <= node.end_lineno
+                            for where, line in named.get(node.name, [])):
+                unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno}: "
+                               f"{node.name}")
+    return unnamed
+
+
+def test_public_names_are_referenced():
+    # a function, method or class that no source, test or bench file names
+    # outside its own body is dead API
+    unnamed = _unnamed(_named(("src", "tests", "perfbench")),
+                       lambda name: not name.startswith("__"))
     assert not unnamed, "defined but never named elsewhere:\n" + \
         "\n".join(unnamed)
+
+
+# public names that no code in src reads: perfbench/test_perfbench.py
+# calls both, so they stay in src until the benchmark changes
+READ_ONLY_BY_PERFBENCH = {"joint_value_distribution", "evaluate"}
+
+
+def test_public_names_have_a_reader_in_src():
+    # a public function, method or class that only tests call belongs in
+    # tests/oracles.py, so src names it outside its own body
+    unread = _unnamed(_named(("src",)), lambda name: not name.startswith("_")
+                      and name not in READ_ONLY_BY_PERFBENCH)
+    assert not unread, "public but read by no code in src:\n" + \
+        "\n".join(unread)
+    # an exception lapses once the benchmark stops naming it
+    assert READ_ONLY_BY_PERFBENCH <= set(_named(("perfbench",)))
 
 
 def test_every_cli_option_is_named_in_a_test_or_a_bench_job():
