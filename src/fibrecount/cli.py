@@ -28,8 +28,8 @@ from .verify import SUITES, run_suites
 def _emit(args, command: str, label: str, params: dict, config_hash: str,
           lines: list) -> None:
     """Writes the CSV under its manifest hash, which covers the run inputs
-    but not the output path, so repeat runs stay byte-identical wherever
-    they are written."""
+    but not --budget, --threads or --out: none of them changes a row, so
+    repeat runs stay byte-identical wherever they are written."""
     manifest = {"command": command, "instance_label": label,
                 "parameters": params, "seed": args.seed,
                 "versions": {"tool": __version__, "config_hash": config_hash}}

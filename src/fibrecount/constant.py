@@ -17,9 +17,10 @@ verify.  Both Euler products are assembled here (singular_series_factored,
 local_product) from the local factors of expsums and padic.  local_product
 reads the density at every p at level_for(p), and so does the
 singular-series route at p = 1 mod 4.  At p = 3 mod 4 that route reads
-expsums.local_series_odd in shells up to max_shell_modulus(p, n, budget)
-instead: 4 at p = 3, n = 4 and the default budget, against level_for(3) =
-5, so the budget moves the singular-series route.
+expsums.local_series_odd in shells up to max_shell_modulus(p, n) instead:
+4 at p = 3 and n = 4, against level_for(3) = 5.  The shells are sized by
+the default budget, so a run's budget admits or refuses them and never
+moves the route.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
             parts[str(p)] = dens
         else:
             ser = local_series_odd(inst, p,
-                                   m_max=max_shell_modulus(p, inst.n, budget),
+                                   m_max=max_shell_modulus(p, inst.n),
                                    budget=budget)
             value *= ser.value
             rel_err += ser.error_bound / max(abs(ser.value), 1e-30)

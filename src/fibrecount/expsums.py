@@ -295,10 +295,12 @@ def gcd_phase_sum(a: int, q: int, k: int) -> complex:
     return complex(w * ramanujan_sum(q // g, a))
 
 
-def max_shell_modulus(p: int, n: int, budget: int) -> int:
-    """Largest m with p^(m*n) within the direct-sum budget."""
+def max_shell_modulus(p: int, n: int) -> int:
+    """Largest m with p^(m*n) within the default budget: the last shell of
+    local_series_odd in route 1.  A run's budget admits or refuses those
+    shells and never moves them."""
     m = 0
-    while p ** ((m + 1) * n) <= budget:
+    while p ** ((m + 1) * n) <= blocks.DEFAULT_BUDGET:
         m += 1
     return m
 

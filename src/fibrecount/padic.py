@@ -25,12 +25,11 @@ p^k spreads (f1, f2) uniformly over a coset of a lattice (Igusa, An
 Introduction to the Theory of Local Zeta Functions, 2000; Denef, Sem.
 Bourbaki 741, 1991), so its masses are a closed form; only the singular
 classes are lifted, through _lifts, and the class of 0 follows from
-homogeneity.  A level <= N over the budget, the level-1 scan of p^n
-classes included, refuses (BudgetExceededError); a refinement beyond N
-over it stops early, keeping the bracket.  Its reference is the lift
-tree of the tests (tests/oracles.py), which lifts every solution class:
-the phase path returns the tree's masses wherever the tree reaches full
-depth, and a bracket inside the tree's where it stops early.  One memo,
+homogeneity.  A level over the budget, the level-1 scan of p^n classes
+and the refinement beyond N included, refuses (BudgetExceededError), so
+the budget never changes a mass.  Its reference is the lift tree of the
+tests (tests/oracles.py), which lifts every solution class: the phase
+path returns the tree's masses wherever the tree answers.  One memo,
 keyed by all of its arguments, holds the masses of one level an entry
 (_masses); a density reads two entries, its level N and N-1 for the
 stabilization flag.
@@ -301,10 +300,9 @@ def _phase(inst: Instance, p: int, N: int, top: int, fibre: bool,
     max(N, ceil(top/2)).  The zero class goes by homogeneity: f(p y) = p^d f(y)
     with d even moves v_p(f1) by d and keeps its odd part, so no verdict
     changes, and its masses are those at (N - d, top - d), times the
-    p^(n (d-1)) lifts of each class.  A level <= N over the budget
-    refuses, a refinement beyond N over it stops early and keeps the
-    bracket.  Masses count classes: count those mod p^N, the others those
-    mod p^top.
+    p^(n (d-1)) lifts of each class.  A level over the budget refuses.
+    Masses count classes: count those mod p^N, the others those mod
+    p^top.
     """
     n, d = inst.n, inst.d
     _check_int64_range(p, top)
@@ -341,13 +339,7 @@ def _phase(inst: Instance, p: int, N: int, top: int, fibre: bool,
         count, sol, und, cur = count + c, sol + s, und + u, cur[rest]
         if not len(cur):
             break
-        try:
-            cur = lift(k + 1, cur)
-        except BudgetExceededError:
-            if k < N:
-                raise
-            und += len(cur) * p ** (n * (top - k))
-            break
+        cur = lift(k + 1, cur)
         k += 1
     return (count, sol, und) if fibre else (count, count, 0)
 
@@ -423,7 +415,9 @@ def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
             budget: int):
     """(count, soluble, undecided) at level N, f1 classified at level
     N + lift_extra, by stationary phase.  The memo's key is every
-    argument, so a cached value is the one a fresh call would return."""
+    argument, the budget included, so a cached value is the one a fresh
+    call would return: an answer cached under a large budget never stands
+    in for the refusal a smaller one owes."""
     return _phase(inst, p, N, N + lift_extra, fibre, budget)
 
 
@@ -475,8 +469,7 @@ def soluble_density(inst: Instance, p: int, N: int,
     kind 'ell'.  For p = 1 mod 4 the fibre condition is vacuous and the
     result equals hypersurface_density at every level.  Otherwise residues
     whose f1-valuation saturates are refined up to LIFT_EXTRA extra levels
-    and the remaining undecided mass is reported and bracketed; the
-    refinement stops early, keeping a wider bracket, where a level would
-    exceed the budget.
+    and the remaining undecided mass is reported and bracketed.  A level
+    of the refinement over the budget refuses, as a level <= N does.
     """
     return _density(inst, p, N, "ell", LIFT_EXTRA, budget)

@@ -2,7 +2,9 @@
 
 Each check returns a CheckResult; the CLI prints one line per check and
 exits nonzero if any gating check fails.  The pytest acceptance module
-drives the same functions.  Every suite takes (budget, seed, threads).
+drives the same functions.  Every suite takes (budget, seed, threads)
+and passes the budget, and the threads where a pool runs, to every call
+that takes them, so a budget too small for a check refuses it.
 birch-identities checks the Birch tables that birch_sum_table serves to
 every output (block products and stationary phase) for CRT
 multiplicativity, and for orthogonality against padic's stationary-phase
@@ -204,11 +206,11 @@ def _progression_check():
         "; ".join(details)
 
 
-def _mobius_check():
+def _mobius_check(budget, threads):
     worst = 0
     for inst in (demo_instance(), bilinear_instance()):
         for t in (1, 2, 3, 5, 8, 13, 20):
-            r = counting.mobius_residual(inst, t)
+            r = counting.mobius_residual(inst, t, budget, threads)
             worst = max(worst, abs(r))
             if r != 0:
                 return False, f"residual {r} at t={t} ({inst.label})", ""
@@ -225,7 +227,7 @@ def suite_sieve(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
                "relative error < 1% at D = 1e6"),
         _check("sieve-progressions", _progression_check,
                "within 15% of the main term at z = 1e6"),
-        _check("mobius-identity", _mobius_check,
+        _check("mobius-identity", lambda: _mobius_check(budget, threads),
                "residual identically 0 at t <= 20"),
     ]
 
@@ -263,7 +265,7 @@ def _arc_consistency_check():
                   f"anchor gap {anchor_gap:.2e} <= tail {tail:.2e}"), ""
 
 
-def _birch_identity_check():
+def _birch_identity_check(budget):
     insts = (four_squares_instance(), bilinear_instance())
     worst_crt = 0.0
     for inst in insts:
@@ -271,13 +273,13 @@ def _birch_identity_check():
             fs = arith.factor(q).factors
             if len(fs) < 2:
                 continue
-            S = expsums.birch_sum_table(inst, q)
+            S = expsums.birch_sum_table(inst, q, budget)
             q1 = fs[0][0] ** fs[0][1]
             q2 = q // q1
             A = pow(q2, -1, q1)
             B = pow(q1, -1, q2)
-            S1 = expsums.birch_sum_table(inst, q1)
-            S2 = expsums.birch_sum_table(inst, q2)
+            S1 = expsums.birch_sum_table(inst, q1, budget)
+            S2 = expsums.birch_sum_table(inst, q2, budget)
             aa = np.arange(q)
             crt = S1[np.ix_((aa * A) % q1, (aa * A) % q1)] \
                 * S2[np.ix_((aa * B) % q2, (aa * B) % q2)]
@@ -288,12 +290,12 @@ def _birch_identity_check():
     worst_orth = 0.0
     for inst in insts:
         for q in range(1, 31):
-            S = expsums.birch_sum_table(inst, q)
+            S = expsums.birch_sum_table(inst, q, budget)
             lhs = complex(S[0, :].sum())
             # #{x mod q : f2 = 0} counted independently of S: by padic's
             # stationary phase at each prime power of q, joined by the CRT
             rhs = q * math.prod(
-                padic.hypersurface_density(inst, p, e).raw_count
+                padic.hypersurface_density(inst, p, e, budget).raw_count
                 for p, e in arith.factor(q).factors)
             gap = abs(lhs - rhs) / q ** inst.n
             worst_orth = max(worst_orth, gap)
@@ -309,7 +311,7 @@ def suite_expsums(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
         _check("arc-consistency", _arc_consistency_check,
                "empirical twisted sums within max(10% rel, 0.02 abs) of "
                "sqrt(2) C0 F(a1,q) x/sqrt(log x) at x = 1e7; exact anchor"),
-        _check("birch-identities", _birch_identity_check,
+        _check("birch-identities", lambda: _birch_identity_check(budget),
                "CRT multiplicativity (q <= 60) and orthogonality (q <= 30), "
                "both to 1e-9 relative"),
     ]
@@ -461,8 +463,8 @@ def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     def smoke():
         rows = []
         for t in (100, 200):
-            rec = counting.projective_count(inst, t, threads=threads,
-                                            method="moebius")
+            rec = counting.projective_count(inst, t, budget=budget,
+                                            threads=threads, method="moebius")
             pred = constant.predicted_count(shared["c2"], inst, t)
             rows.append(f"t={t}: measured {rec.raw_count}, normalized "
                         f"{rec.normalized:.4f}, predicted {pred:.0f}, ratio "

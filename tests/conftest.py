@@ -44,6 +44,17 @@ def linked():
 
 
 @pytest.fixture(scope="session")
+def cone():
+    """f1 = x0^2 + x1^2 vanishes on the line x0 = x1 = 0, which f2 = 0
+    contains, so stationary phase refines the classes near it beyond N."""
+    from fibrecount.forms import Form, Instance
+
+    return Instance(f1=Form(3, 2, ((1, (2, 0, 0)), (1, (0, 2, 0)))),
+                    f2=Form(3, 2, ((1, (1, 0, 1)), (1, (0, 2, 0)))),
+                    n=3, d=2, label="cone")
+
+
+@pytest.fixture(scope="session")
 def quartic():
     """A non-separable d = 4 instance in three variables: the class of 0
     recurses from level m to m - 4."""

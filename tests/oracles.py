@@ -84,9 +84,7 @@ def tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
     Without fibre every solution is soluble.  With it, classes left
     undecided by f1 mod p^N are lifted (t, not the f2 condition) up to
     lift_extra more levels, each child of a class at depth k weighing
-    p^(n (lift_extra - k)).  A level <= N over the budget refuses; the
-    refinement stops early, keeping the bracket, where a level would
-    exceed it.
+    p^(n (lift_extra - k)).  A level over the budget refuses.
     """
     sols = np.zeros((1, inst.n), dtype=np.int64)
     for k in range(1, N):
@@ -115,13 +113,8 @@ def tree_masses(inst: Instance, p: int, N: int, lift_extra: int,
     soluble = depth = 0
     count, cur = scan(chunks, 0)
     while depth < lift_extra and len(cur):
-        try:  # _lifts refuses before its first chunk, so nothing is tallied
-            _, cur_next = scan(_lifts(inst, p, N + depth + 1, cur, budget),
-                               depth + 1)
-        except BudgetExceededError:
-            break
         depth += 1
-        cur = cur_next
+        _, cur = scan(_lifts(inst, p, N + depth, cur, budget), depth)
     return count, soluble, len(cur) * weight(depth)
 
 

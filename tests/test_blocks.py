@@ -9,7 +9,6 @@ itself, so it runs on a single block too.
 """
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,15 +20,6 @@ from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from oracles import birch_table_scan, tree_masses
 from strategies import instances, pair
-
-
-def _bracket(inst, p, N, e, masses):
-    """Exact (low, high) soluble densities at p = 3 mod 4 from the masses
-    (count, soluble, undecided): the undecided mass counted as insoluble,
-    then as soluble."""
-    _, sol, und = masses
-    denom = p ** (inst.n * e + N * (inst.n - 1))
-    return Fraction(sol, denom), Fraction(sol + und, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +154,16 @@ def test_fuzz_mobius_residual(inst, t):
 # ---------------------------------------------------------------------------
 
 def test_block_soluble_density_reaches_full_depth(four_squares):
-    # at p = 7 the tree stops early on the default budget; stationary phase
-    # (whose masses equal the exact join of the half tables:
-    # test_phase_equals_blocks) reaches full depth, so its bracket lies
-    # inside the tree's
+    # at p = 7 the tree's second refinement past level 2 exceeds the
+    # default budget, so it refuses; stationary phase lifts only the
+    # classes its rule leaves and answers on the same budget (its masses
+    # equal the exact join of the half tables: test_phase_equals_blocks)
     assert len(blocks.variable_blocks(four_squares)) == 4
     budget = blocks.DEFAULT_BUDGET
-    phase = _bracket(four_squares, 7, 2, 2,
-                     padic._masses(four_squares, 7, 2, 2, True, budget))
-    tree = _bracket(four_squares, 7, 2, 2,
-                    tree_masses(four_squares, 7, 2, 2, True, budget))
-    assert tree[0] == phase[0] and phase[1] < tree[1]
+    with pytest.raises(BudgetExceededError, match="level 4 at p=7"):
+        tree_masses(four_squares, 7, 2, 2, True, budget)
+    count, sol, und = padic._masses(four_squares, 7, 2, 2, True, budget)
+    assert count > 0 and sol > 0 and und >= 0
 
 
 def test_block_path_reaches_p11(four_squares):

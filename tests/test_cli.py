@@ -132,8 +132,26 @@ def test_budget_refusal_exit_code(capsys):
                  "--p", "139", "--N", "1"])
     assert code == 2
     assert "budget refused" in capsys.readouterr().err
-    # a budget of 0 refuses too; it does not fall back to the default
-    assert main(["verify", "padic", "--budget", "0"]) == 2
+    # a budget of 0 refuses too; it does not fall back to the default, and
+    # every suite with a budgeted check passes it on
+    for suite in ("sieve", "expsums", "padic", "constant"):
+        assert main(["verify", suite, "--budget", "0"]) == 2
+        assert "budget refused" in capsys.readouterr().err
+
+
+def test_no_output_depends_on_the_budget(tmp_path, capsys, cone):
+    # the budget admits or refuses a run and never changes what it prints:
+    # route 1's shells are sized by the default budget, and a refinement
+    # of the fibre density past its level refuses as every level does
+    base = ["constant", "--config", FOUR, "--p-max", "7"]
+    assert main(base) == 0
+    default = capsys.readouterr().out
+    assert main(base + ["--budget", "10000000"]) == 0
+    assert capsys.readouterr().out == default
+    cfg = tmp_path / "cone.json"
+    cfg.write_text(json.dumps(cone.config_dict()))
+    assert main(["local-density", "--config", str(cfg), "--p", "3", "--N",
+                 "1", "--kind", "ell", "--budget", "50"]) == 2
     assert "budget refused" in capsys.readouterr().err
 
 

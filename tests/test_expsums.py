@@ -50,13 +50,14 @@ def test_birch_identities_read_the_served_tables(monkeypatch):
 
     expsums._birch_table.cache_clear()
     monkeypatch.setattr(expsums, "joint_value_distribution", refuse)
-    assert verify._birch_identity_check()[0]
+    assert verify._birch_identity_check(blocks.DEFAULT_BUDGET)[0]
     real = expsums.block_tables
     monkeypatch.setattr(expsums, "block_tables", lambda *args: [
         (M, 1) for M, _ in real(*args)])
     expsums._birch_table.cache_clear()
     try:
-        passed, measured, _ = verify._birch_identity_check()
+        passed, measured, _ = verify._birch_identity_check(
+            blocks.DEFAULT_BUDGET)
     finally:
         expsums._birch_table.cache_clear()
     assert not passed and "orthogonality gap" in measured \

@@ -279,3 +279,24 @@ def test_heavy_modules_are_named_in_one_place():
     assert randoms and set(randoms) == {("archimedean.py", "_chunk_rng")}, \
         f"np.random named at {sorted(set(randoms))}"
     assert hashes == ["forms.py"], f"sha256 imported in {hashes}"
+
+
+def test_the_budget_only_refuses():
+    # a refusal is caught only where what follows is exact: the fallback
+    # paths of the box count and the CLI's exit code 2.  Anywhere else a
+    # caught refusal would turn a budget into a different answer
+    handlers = []
+    for path in sorted((ROOT / "src" / "fibrecount").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(node): func.name for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func)}
+        handlers += [(path.name, inside.get(id(node)))
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ExceptHandler) and node.type
+                     for name in ast.walk(node.type)
+                     if isinstance(name, ast.Name) and
+                     name.id == "BudgetExceededError"]
+    assert set(handlers) == {("counting.py", "_count_box"),
+                             ("cli.py", "main")}, \
+        f"BudgetExceededError caught at {sorted(set(handlers))}"
