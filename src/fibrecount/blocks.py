@@ -32,7 +32,8 @@ scan's box chunks and the shell estimator's; J runs on the calling thread.
 WORK_BLOCK is the one working-block size of every hot loop: no array a
 loop works through at a time holds more than WORK_BLOCK values, unless an
 axis of the box or the table a chunk is counted into is longer.  It
-bounds the box chunks, the pair chunks of counting's split count, padic's
+bounds the box chunks, the slices of the first table (WORK_BLOCK / 16
+keys) and the pair chunks in the join of counting's split count, padic's
 lift candidates (WORK_BLOCK / n of them, n coordinates each) and
 archimedean's Monte Carlo blocks (WORK_BLOCK / n points).  The one other
 size is the 2^18-point Monte Carlo chunk, which defines the random

@@ -15,8 +15,10 @@ the raw q-sum value is reported alongside.  pipeline builds J, both Euler
 products and both routes for the constant and compare commands and for
 verify.  Both Euler products are assembled here (singular_series_factored,
 local_product) from the local factors of expsums and padic.  local_product
-reads the density at every p at level_for(p), and so does the
-singular-series route at p = 1 mod 4.  At p = 3 mod 4 that route reads
+reads the density at every p by local_density, and so does the
+singular-series route at p = 1 mod 4: the exact limit padic.tau_limit
+where f2 is nondegenerate mod p, else the density at level_for(p).  At
+p = 3 mod 4 the singular-series route reads
 expsums.local_series_odd in shells up to max_shell_modulus(p, n) instead:
 4 at p = 3 and n = 4, against level_for(3) = 5.  The shells are sized by
 the default budget, so a run's budget admits or refuses them and never
@@ -37,7 +39,7 @@ from .archimedean import DEFAULT_SAMPLES, McEstimate, real_density_coarea
 from .expsums import (TruncatedValue, local_series_odd, local_series_two,
                       max_shell_modulus)
 from .forms import Instance
-from .padic import hypersurface_density, soluble_density
+from .padic import soluble_density, tau_limit
 
 IM_TOLERANCE = 1e-6
 
@@ -80,6 +82,23 @@ def level_for(p: int) -> int:
     return DEFAULT_LEVELS.get(p, 1)
 
 
+def local_density(inst: Instance, p: int,
+                  budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
+    """The soluble density at p that both products read; at p = 1 mod 4
+    it is tau_f2(p), the singular-series route's factor there.
+
+    At p = 1 mod 4 where padic.tau_limit applies it is that limit, error
+    kind 'exact'.  Elsewhere it is padic.soluble_density at level_for(p),
+    kind 'heuristic' with no error counted for the truncation at that
+    level; its LocalDensity is the one shell.
+    """
+    limit = tau_limit(inst, p, budget) if p % 4 == 1 else None
+    if limit is not None:
+        return TruncatedValue(complex(limit), 0.0, "exact")
+    dens = soluble_density(inst, p, level_for(p), budget=budget)
+    return TruncatedValue(complex(dens.density), 0.0, "heuristic", [dens])
+
+
 def singular_series_factored(inst: Instance, p_max: int = 13,
                              budget: int = blocks.DEFAULT_BUDGET
                              ) -> TruncatedValue:
@@ -92,29 +111,23 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
     it converges shell-wise at every prime, so it is the stable route at
     small n.  Relative errors of the factors add (first order).  The
     dyadic factor is local_series_two, whose shells run to RHO_MAX;
-    tau_f2(p) is read at level_for(p), the level of local_product.
+    tau_f2(p) is local_density, the density local_product reads.
     """
     value = 1.0 + 0.0j
     rel_err = 0.0
     parts = {}
-    e2 = local_series_two(inst, budget=budget)
-    value *= e2.value
-    rel_err += e2.error_bound / max(abs(e2.value), 1e-30)
-    parts["2"] = e2
-    for p in [int(r) for r in prime_sieve(p_max)[1:]]:
-        if p % 4 == 1:
-            dens = hypersurface_density(inst, p, level_for(p), budget=budget)
-            value *= dens.density
-            drift = abs(dens.density - dens.prev_density)
-            rel_err += drift / max(dens.density, 1e-30)
-            parts[str(p)] = dens
+    for p in [int(r) for r in prime_sieve(p_max)]:
+        if p == 2:
+            part = local_series_two(inst, budget=budget)
+        elif p % 4 == 1:
+            part = local_density(inst, p, budget)
         else:
-            ser = local_series_odd(inst, p,
-                                   m_max=max_shell_modulus(p, inst.n),
-                                   budget=budget)
-            value *= ser.value
-            rel_err += ser.error_bound / max(abs(ser.value), 1e-30)
-            parts[str(p)] = ser
+            part = local_series_odd(inst, p,
+                                    m_max=max_shell_modulus(p, inst.n),
+                                    budget=budget)
+        value *= part.value
+        rel_err += part.error_bound / max(abs(part.value), 1e-30)
+        parts[str(p)] = part
     return TruncatedValue(
         value=complex(value),
         error_bound=float(abs(value) * rel_err),
@@ -124,26 +137,29 @@ def singular_series_factored(inst: Instance, p_max: int = 13,
 
 @dataclass
 class LocalFactor:
-    """Weighted local density against its convergence factor."""
+    """Weighted local density against its convergence factor; error_kind
+    is that of the density (local_density)."""
 
     p: int
     tau_p: float
     lambda_p: float
     ratio: float
+    error_kind: str
 
 
-def tamagawa_factor(inst: Instance, p: int, N: int,
+def tamagawa_factor(inst: Instance, p: int,
                     budget: int = blocks.DEFAULT_BUDGET) -> LocalFactor:
     """Weighted local density tau_p and its convergence factor lambda_p.
 
-    tau_p = (1 - p^-(n-d)) / (1 - 1/p) * soluble density;
+    tau_p = (1 - p^-(n-d)) / (1 - 1/p) * local_density;
     lambda_p = (1 - 1/p)^(-1/2).
     """
-    dens = soluble_density(inst, p, N, budget=budget)
+    dens = local_density(inst, p, budget)
     w = (1.0 - p ** (-(inst.n - inst.d))) / (1.0 - 1.0 / p)
-    tau_p = w * dens.density
+    tau_p = w * dens.value.real
     lam = (1.0 - 1.0 / p) ** -0.5
-    return LocalFactor(p=p, tau_p=tau_p, lambda_p=lam, ratio=tau_p / lam)
+    return LocalFactor(p=p, tau_p=tau_p, lambda_p=lam, ratio=tau_p / lam,
+                       error_kind=dens.error_kind)
 
 
 def local_product(inst: Instance, p_max: int = 13,
@@ -158,7 +174,7 @@ def local_product(inst: Instance, p_max: int = 13,
     factors = []
     value = 1.0
     for p in [int(r) for r in prime_sieve(p_max)]:
-        f = tamagawa_factor(inst, p, level_for(p), budget=budget)
+        f = tamagawa_factor(inst, p, budget)
         factors.append(f)
         value *= f.ratio
     logs = np.array([abs(math.log(f.ratio)) for f in factors if f.ratio > 0])

@@ -42,9 +42,9 @@ The budget bounds the points a path scans.
 The direct projective count is the box count with a gcd filter.
 
 Every path works through blocks of at most blocks.WORK_BLOCK values: box
-chunks, and the pairs of the split count.  A half table merges each
-chunk's sorted distinct pairs into the pairs of the earlier chunks without
-sorting those again, so memory follows the distinct pairs, not the box.
+chunks, and the slices and pair chunks of the split's join.  A half table
+inserts each chunk's sorted distinct pairs into the earlier ones, so the
+split holds two tables of distinct pairs and a few WORK_BLOCK arrays.
 """
 
 from __future__ import annotations
@@ -147,26 +147,32 @@ def _theta_of_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _packing(inst: Instance, P: int) -> tuple:
+    """(b1, b2): the value pair (v2, v1) of either half packs into the
+    int64 key (v2 + b2) (2 b1 + 1) + v1 + b1, as 1-d keys sort far faster
+    than rows.  Refused where keys reach 2^62: a sum of two stays in int64."""
+    b1, b2 = (f.coeff_norm() * max(P, 1) ** inst.d + 1
+              for f in (inst.f1, inst.f2))
+    if (2 * b2 + 1) * (2 * b1 + 1) >= 2**62:
+        raise BudgetExceededError("value range too wide for packed keys")
+    return b1, b2
+
+
 def _half_table(inst: Instance, half, P: int, budget: int):
     """Distinct (f2, f1) value pairs of the half's parts over its box, with
-    multiplicities: arrays (v2, v1, count) sorted by v2.
+    multiplicities: sorted keys (_packing), so grouped by f2, and counts.
 
     The box is scanned in box chunks (blocks.box) up to the origin, each
     point counted twice and the origin once: d is even, so g(-x) = g(x),
     and -x lies as far after the origin in the box's product order as x
-    lies before it.  Each chunk's counts are merged into the table, so
-    memory follows the distinct pairs, not the box."""
+    lies before it.  Each chunk's sorted distinct pairs are inserted into
+    the table, so memory follows the distinct pairs, not the box."""
     nb = len(half)
     if (2 * P + 1) ** nb > budget:
         raise BudgetExceededError(
             f"sub-box volume {(2*P+1)**nb} exceeds budget {budget}")
+    b1, b2 = _packing(inst, P)
     g1, g2 = restrict(inst.f1, half), restrict(inst.f2, half)
-    # pack the value pair into one int64 key: unique on 1-d keys is far
-    # faster than a lexicographic row sort
-    b1 = (g1.coeff_norm() if g1 else 0) * max(P, 1) ** inst.d + 1
-    b2 = (g2.coeff_norm() if g2 else 0) * max(P, 1) ** inst.d + 1
-    if (2 * b2 + 1) * (2 * b1 + 1) >= 2**62:
-        raise BudgetExceededError("value range too wide for packed keys")
     keys = None
     todo = ((2 * P + 1) ** nb + 1) // 2  # the points up to the origin
     for cols in box(np.arange(-P, P + 1, dtype=np.int64), nb):
@@ -183,70 +189,63 @@ def _half_table(inst: Instance, half, P: int, budget: int):
         cnt *= 2
         if keys is None:
             keys, counts = new, cnt
-        else:
-            # merge into the sorted pairs seen so far without sorting them
-            # again: add the counts of pairs seen before, and place the
-            # rest where the merged order puts them
+        else:  # add to the pairs seen before, and insert the others
             at = np.searchsorted(keys, new)
             seen = at < len(keys)
             seen[seen] = keys[at[seen]] == new[seen]
             counts[at[seen]] += cnt[seen]
-            fresh = np.flatnonzero(~seen)
-            place = at[fresh] + np.arange(len(fresh))
-            earlier = np.ones(len(keys) + len(fresh), dtype=bool)
-            earlier[place] = False
-            merged = np.empty(len(earlier), dtype=np.int64)
-            merged[place], merged[earlier] = new[fresh], keys
-            keys = merged
-            merged = np.empty(len(earlier), dtype=np.int64)
-            merged[place], merged[earlier] = cnt[fresh], counts
-            counts = merged
+            keys = np.insert(keys, at[~seen], new[~seen])
+            counts = np.insert(counts, at[~seen], cnt[~seen])
         if not todo:
             break
     counts[np.searchsorted(keys, b2 * (2 * b1 + 1) + b1)] -= 1  # the origin
-    val2, val1 = np.divmod(keys, 2 * b1 + 1)
-    return val2 - b2, val1 - b1, counts
+    return keys, counts
 
 
 def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
                  budget: int) -> int:
-    """Meet in the middle over two halves of the variable blocks.
+    """Meet in the middle over two halves of the variable blocks: every pair
+    of half points with f2-parts summing to 0 is a point of f2 = 0.
 
-    Every pair of half points with f2-parts summing to 0 is a point of the
-    hypersurface.  Pairs of distinct value pairs are formed per matching f2
-    value, in chunks of at most blocks.WORK_BLOCK pairs, and classified at
-    once.  The instance must have at least two blocks.
+    The partners of an A key are the B keys in the row of f2-part -v2, and
+    two partners' keys sum to f1 plus a constant.  A is walked in slices
+    of WORK_BLOCK / 16 keys, their pairs formed and classified in chunks
+    of at most WORK_BLOCK (or one key's row), so besides the two tables the
+    join holds a few WORK_BLOCK arrays.  It needs at least two blocks.
     """
+    b1, b2 = _packing(inst, P)  # refused before any table is built
+    width, shift = 2 * b1 + 1, 2 * b2 * (2 * b1 + 1)
     half_a, half_b = balanced_halves(variable_blocks(inst))
-    a2, a1, ac = _half_table(inst, half_a, P, budget)
-    b2, b1, bc = _half_table(inst, half_b, P, budget)
-    # the B entries whose f2-part is -v2, for each A entry: a run in B
-    lo = np.searchsorted(b2, -a2, side="left")
-    run = np.searchsorted(b2, -a2, side="right") - lo
-    total = 0
-    csum = np.cumsum(run)
-    start = 0
-    while start < len(a2):
-        # A entries [start, stop) make at most WORK_BLOCK pairs (or one row)
-        base = csum[start - 1] if start else 0
-        stop = max(int(np.searchsorted(csum, base + blocks.WORK_BLOCK,
-                                       "right")), start + 1)
-        reps = run[start:stop]
-        ia = np.repeat(np.arange(start, stop), reps)
-        # entry i of A pairs with the run lo[i], lo[i] + 1, ... of B
-        ib = np.arange(len(ia))
-        ib += np.repeat(lo[start:stop] - (np.cumsum(reps) - reps), reps)
-        f1v = a1[ia]
-        f1v += b1[ib]
-        w = ac[ia]
-        w *= bc[ib]
-        if include_zero_fibres:
-            total += int(w[f1v == 0].sum())
-        total += int(w[_theta_of_values(f1v)].sum())
-        start = stop
-    if include_zero_fibres:
-        total -= 1  # the origin
-    return total
+    ka, ca = _half_table(inst, half_a, P, budget)
+    kb, cb = _half_table(inst, half_b, P, budget)
+    total, step = 0, max(1, blocks.WORK_BLOCK // 16)
+    for first in range(0, len(ka), step):
+        keys, counts = ka[first:first + step], ca[first:first + step]
+        row = shift - keys + keys % width  # where B's f2-part -v2 starts
+        lo = np.searchsorted(kb, row)
+        run = np.searchsorted(kb, row + width) - lo
+        csum = np.cumsum(run)
+        start = 0
+        while start < len(keys):
+            # keys [start, stop) make at most WORK_BLOCK pairs (or one run)
+            base = csum[start - 1] if start else 0
+            stop = max(int(np.searchsorted(csum, base + blocks.WORK_BLOCK,
+                                           "right")), start + 1)
+            reps = run[start:stop]
+            ia = np.repeat(np.arange(start, stop), reps)
+            # key i of A pairs with the run lo[i], lo[i] + 1, ... of B
+            ib = np.arange(len(ia))
+            ib += np.repeat(lo[start:stop] + reps - csum[start:stop] + base,
+                            reps)
+            f1v = keys[ia] + kb[ib]
+            f1v -= shift + 2 * b1
+            w = counts[ia]
+            w *= cb[ib]
+            if include_zero_fibres:
+                total += int(w[f1v == 0].sum())
+            total += int(w[_theta_of_values(f1v)].sum())
+            start = stop
+    return total - int(include_zero_fibres)  # the origin
 
 
 def _soluble_points(inst: Instance, pts, P: int, include_zero_fibres: bool,

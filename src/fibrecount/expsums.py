@@ -59,7 +59,8 @@ class TruncatedValue:
     """A truncated numerical value and its error.
 
     error_kind 'rigorous' means error_bound follows a documented
-    inequality; 'heuristic' means it extrapolates computed shells.
+    inequality; 'heuristic' means it extrapolates computed shells; 'exact'
+    means the value is an exact limit, with error_bound 0.
     """
 
     value: complex

@@ -41,8 +41,9 @@ one-block instance, in closed form on the classes whose Jacobian has rank
 with _phase_level) and on every class from level m/2 on, where Taylor's
 formula is linear mod p^m.
 
-Both Euler products of the leading constant read these densities;
-constant.py assembles them and fixes the level read at each prime.
+Both Euler products of the leading constant read these densities, or
+their exact limit tau_limit where f2 is a nondegenerate quadratic form mod
+p; constant.py assembles them and fixes the level read at each prime.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class LocalDensity:
     undecided_fraction: float = 0.0
     density_low: float = 0.0
     density_high: float = 0.0
-    prev_density: float = 0.0
 
     @staticmethod
     def csv_header() -> str:
@@ -452,8 +452,7 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
         stabilized=N >= 2 and abs(dens - prev) <= STABLE_REL_TOL * dens,
         kind=kind, undecided_fraction=und / count if count else 0.0,
         density_low=float(Fraction(soluble, denom)),
-        density_high=float(Fraction(soluble + und, denom)),
-        prev_density=float(prev))
+        density_high=float(Fraction(soluble + und, denom)))
 
 
 def hypersurface_density(inst: Instance, p: int, N: int,
@@ -473,3 +472,44 @@ def soluble_density(inst: Instance, p: int, N: int,
     of the refinement over the budget refuses, as a level <= N does.
     """
     return _density(inst, p, N, "ell", LIFT_EXTRA, budget)
+
+
+def _nondegenerate_mod(f: Form, p: int) -> bool:
+    """Whether the quadratic form f has full rank mod the odd prime p: its
+    Hessian, by elimination mod p."""
+    n = f.n_vars
+    rows = [[0] * n for _ in range(n)]
+    for coeff, exps in f.monomials:
+        i, j = [k for k, e in enumerate(exps) for _ in range(e)]
+        rows[i][j] += coeff
+        rows[j][i] += coeff
+    for col in range(n):  # rows holds the rows not yet pivots
+        pivot = next((r for r in rows if r[col] % p), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        inv = pow(pivot[col], -1, p)
+        rows = [[(a - r[col] * inv * b) % p for a, b in zip(r, pivot)]
+                for r in rows]
+    return True
+
+
+def tau_limit(inst: Instance, p: int,
+              budget: int = blocks.DEFAULT_BUDGET) -> Fraction | None:
+    """The limit of tau_f2(p) as the level grows, exactly, where f2 is a
+    quadratic form (d = 2) in n > 2 variables that is nondegenerate mod
+    the odd prime p; None elsewhere.
+
+    There every nonzero solution mod p is smooth and lifts to p^(n-1)
+    solutions a level (Hensel), and the class of 0 repeats the density two
+    levels down, scaled by r = p^(2-n) (homogeneity).  So from level 1 on
+    D_N = (N2 - 1) / p^(n-1) + r D_(N-2), with N2 the level-1 raw_count,
+    and the limit is its fixed point (N2 - 1) / (p^(n-1) (1 - r)).
+    """
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if inst.d != 2 or inst.n <= 2 or p == 2 or \
+            not _nondegenerate_mod(inst.f2, p):
+        return None
+    n2 = hypersurface_density(inst, p, 1, budget).raw_count
+    return Fraction(n2 - 1, p ** (inst.n - 1) - p)

@@ -9,6 +9,7 @@ itself, so it runs on a single block too.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,12 +120,16 @@ def test_many_blocks_are_packed_at_once():
 
 @given(instances(), st.integers(1, 3), st.booleans())
 def test_fuzz_split_equals_slab(inst, P, incl):
+    # also in blocks of 8 values, where the join takes one A key a slice
+    # and its pair chunks cut the longer runs of B
     budget = blocks.DEFAULT_BUDGET
     slab = counting._count_slab(inst, P, incl, budget, 1)
     assert counting.count_soluble_fibre_points(
         inst, P, include_zero_fibres=incl) == slab
     if len(blocks.variable_blocks(inst)) >= 2:
         assert counting._count_split(inst, P, incl, budget) == slab
+        with mock.patch.object(blocks, "WORK_BLOCK", 8):
+            assert counting._count_split(inst, P, incl, budget) == slab
 
 
 @given(instances(), st.integers(1, 6),

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from fibrecount import archimedean, arith, constant
+from fibrecount import archimedean, arith, constant, padic
 from fibrecount.archimedean import McEstimate
 from fibrecount.arith import ArithConstants, DomainError
 from fibrecount.expsums import TruncatedValue
+from fibrecount.forms import Form, Instance
 
 
 def _mc(value, se=0.0):
@@ -125,15 +126,40 @@ def test_route_gap_shrinks_with_tighter_truncation(four_squares):
 
 
 def test_both_products_read_constant_levels(four_squares, monkeypatch):
-    # the two products carry the same prime content: each reads the
-    # density at p at the level constant.level_for(p)
+    # the two products carry the same prime content: each reads
+    # local_density at p, the exact limit at p = 1 mod 4 where f2 is
+    # nondegenerate mod p, else the density at constant.level_for(p)
     fac = constant.singular_series_factored(four_squares, p_max=17)
-    for p in ("5", "13", "17"):
-        assert fac.shells[0][p].level == constant.level_for(int(p))
+    prod = constant.local_product(four_squares, p_max=17)
+    for f in prod.shells:
+        dens = constant.local_density(four_squares, f.p)
+        assert f == constant.tamagawa_factor(four_squares, f.p)
+        assert f.error_kind == dens.error_kind
+        if f.p % 4 == 1:
+            assert fac.shells[0][str(f.p)] == dens
+            assert dens == TruncatedValue((f.p + 1) / f.p, 0.0, "exact")
+        else:
+            assert dens.shells[0].level == constant.level_for(f.p)
+            assert dens.error_kind == "heuristic"
+    # f2 degenerate mod 5: there both read the level of level_for
+    f2 = Form(4, 2, four_squares.f2.monomials[:3] + ((-5, (0, 0, 0, 2)),))
+    degenerate = Instance(f1=four_squares.f1, f2=f2, n=4, d=2)
     levels = {2: 3, 3: 2, 5: 2}
     monkeypatch.setattr(constant, "level_for", lambda p: levels.get(p, 1))
-    fac = constant.singular_series_factored(four_squares, p_max=5)
-    prod = constant.local_product(four_squares, p_max=5)
-    assert fac.shells[0]["5"].level == 2
-    assert prod.shells == [constant.tamagawa_factor(four_squares, p, N)
-                           for p, N in levels.items()]
+    fac = constant.singular_series_factored(degenerate, p_max=5)
+    prod = constant.local_product(degenerate, p_max=5)
+    assert fac.shells[0]["5"] == constant.local_density(degenerate, 5)
+    assert fac.shells[0]["5"].shells[0].level == 2
+    assert [f.tau_p for f in prod.shells] == [
+        (1 - p ** -2) / (1 - 1 / p)
+        * padic.soluble_density(degenerate, p, N).density
+        for p, N in levels.items()]
+
+
+def test_factored_series_is_exact_past_the_levels(four_squares):
+    # past p = 13 the density was read at level 1 against a previous level
+    # of 0, a relative error of 1 a prime: 8.27698 +- 8.94 at p_max 17.
+    # The limit (p + 1) / p carries no error
+    fac = constant.singular_series_factored(four_squares, p_max=17)
+    assert fac.shells[0]["17"].value == 18 / 17
+    assert fac.error_bound < 0.1 * abs(fac.value)

@@ -286,17 +286,46 @@ def test_quadric_memory_follows_the_chunks(linked, monkeypatch):
             for zero, prim in KINDS] == want
 
 
-def test_split_memory_follows_the_blocks(bilinear):
-    # 601^2 points in each half box: the half tables and the pair chunks
-    # held several int64 arrays of more than that many entries (31 MB);
-    # now the two tables of distinct value pairs are most of the peak
+def test_split_join_memory_follows_the_tables(bilinear):
+    # the budget, from the design: a key and a count (16 bytes) per
+    # distinct pair of each half table, and eight int64 arrays of
+    # WORK_BLOCK values for the join; a join whose arrays spanned the whole
+    # table held more.  The shared sieve is built first: it is no part of
+    # the count's working memory
+    halves = blocks.balanced_halves(blocks.variable_blocks(bilinear))
+    pairs = sum(len(counting._half_table(bilinear, h, 300,
+                                         blocks.DEFAULT_BUDGET)[0])
+                for h in halves)
+    arith.two_squares_sieve(4 * 300**2)
     tracemalloc.start()
     try:
-        counting._count_split(bilinear, 300, True, blocks.DEFAULT_BUDGET)
+        counting.count_soluble_fibre_points(bilinear, 300,
+                                            include_zero_fibres=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * 601**2
+    assert peak < 16 * pairs + 8 * 8 * blocks.WORK_BLOCK
+
+
+def test_split_refuses_keys_past_int64(four_squares, monkeypatch):
+    # four_squares times 2^30: at P = 2 the packed keys would pass 2^62,
+    # so a sum of two could leave int64.  The split refuses before it
+    # scans a box chunk, and the count passes to the slab scan
+    f1, f2 = (Form(4, 2, tuple((c << 30, e) for c, e in f.monomials))
+              for f in (four_squares.f1, four_squares.f2))
+    inst = Instance(f1=f1, f2=f2, n=4, d=2)
+
+    def refuse(*args, **kw):
+        raise AssertionError("built a box chunk")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "box", refuse)
+        with pytest.raises(BudgetExceededError, match="packed keys"):
+            counting._count_split(inst, 2, False, blocks.DEFAULT_BUDGET)
+    for zero in (False, True):
+        assert counting.count_soluble_fibre_points(
+            inst, 2, include_zero_fibres=zero) == counting._count_slab(
+            inst, 2, zero, blocks.DEFAULT_BUDGET, 1) > 0
 
 
 def test_parallel_determinism(four_squares):

@@ -325,5 +325,5 @@ def test_singular_series_factored_structure(four_squares):
     fac = constant.singular_series_factored(four_squares, p_max=5)
     parts = fac.shells[0]
     assert set(parts) == {"2", "3", "5"}
-    prod = parts["2"].value * parts["3"].value * parts["5"].density
+    prod = parts["2"].value * parts["3"].value * parts["5"].value
     assert fac.value == pytest.approx(prod)

@@ -1,10 +1,11 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fibrecount import arith, blocks, constant, expsums, padic
@@ -113,12 +114,12 @@ def test_classify_f1_against_the_scalar_rule(p, level, data):
 
 
 def test_tamagawa_relation(four_squares):
-    for p, N in ((3, 3), (5, 2), (7, 2)):
-        f = constant.tamagawa_factor(four_squares, p, N)
-        ell = padic.soluble_density(four_squares, p, N)
+    for p in (3, 5, 7):
+        f = constant.tamagawa_factor(four_squares, p)
+        ell = constant.local_density(four_squares, p).value.real
         back = f.tau_p * (1 - 1 / p) / (1 - p ** -(four_squares.n - four_squares.d))
-        assert back == pytest.approx(ell.density, rel=1e-12)
-    assert constant.tamagawa_factor(four_squares, 5, 2).lambda_p == \
+        assert back == pytest.approx(ell, rel=1e-12)
+    assert constant.tamagawa_factor(four_squares, 5).lambda_p == \
         pytest.approx((1 - 1 / 5) ** -0.5)
 
 
@@ -308,6 +309,42 @@ def test_phase_equals_blocks(four_squares, bilinear, p):
     for inst in (four_squares, bilinear):
         phase = padic._phase(inst, p, N, N + 2, True, budget)
         assert phase == block_masses(inst, p, N, 2)
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow,
+                                                   HealthCheck.filter_too_much])
+@given(instances())
+def test_fuzz_tau_limit_is_the_tree_extrapolation(inst):
+    # where f2 is nondegenerate mod p, D_N = S + r D_(N-2) from level 1 on,
+    # r = p^(2-n): the two-level extrapolation of the lift tree's masses,
+    # (D_N - r D_(N-2)) / (1 - r) with D_0 = 1, is the limit exactly.  Few
+    # generated f2 have full rank, hence the filter
+    n = inst.n
+    good = [p for p in (3, 5, 7, 13) if p ** (2 * n) <= 5 * 10**6
+            and padic.tau_limit(inst, p) is not None]
+    assume(good)
+    for p in good:
+        r = Fraction(1, p ** (n - 2))
+        D = {0: Fraction(1)}
+        for N in (1, 2, 3):
+            if p ** (N * n) <= 5 * 10**6:
+                D[N] = Fraction(tree_masses(inst, p, N, 0, False, 10**9)[0],
+                                p ** (N * (n - 1)))
+        for N in set(D) - {0, 1}:
+            assert padic.tau_limit(inst, p) == (D[N] - r * D[N - 2]) / (1 - r)
+
+
+def test_tau_limit_only_where_f2_is_nondegenerate(four_squares, demo):
+    # (p + 1) / p on four_squares; none at p = 2, at n <= 2 (demo has
+    # r = 1 and no limit) or where p divides the Hessian's determinant
+    assert [padic.tau_limit(four_squares, p) for p in (3, 5, 13)] == \
+        [Fraction(4, 3), Fraction(6, 5), Fraction(14, 13)]
+    assert padic.tau_limit(four_squares, 2) is None
+    assert padic.tau_limit(demo, 5) is None
+    f2 = Form(4, 2, four_squares.f2.monomials[:3] + ((-5, (0, 0, 0, 2)),))
+    degenerate = Instance(f1=four_squares.f1, f2=f2, n=4, d=2)
+    assert padic.tau_limit(degenerate, 5) is None
+    assert padic.tau_limit(degenerate, 13) is not None
 
 
 def test_phase_quartic_homogeneity(quartic):
