@@ -14,9 +14,9 @@ global indicator.
 
 The same indicator over a whole range is two_squares_sieve(limit), checked
 against the oracle two_squares_pairs; only_1mod4_sieve(limit) marks the
-integers whose prime factors are all 1 mod 4.  A sieve of either kind
-longer than SIEVE_MAX is refused with BudgetExceededError before any
-allocation.
+integers whose prime factors are all 1 mod 4.  A sieve of any kind, the
+prime table included, longer than SIEVE_MAX is refused with
+BudgetExceededError before any allocation.
 """
 
 from __future__ import annotations
@@ -54,11 +54,15 @@ def _grown_limit(old: int, limit: int) -> int:
 
 
 def prime_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit: a read-only view of one table that only grows."""
+    """All primes <= limit: a read-only view of one table that only grows,
+    never past SIEVE_MAX, where a limit is refused before any allocation."""
     global _PRIMES, _PRIME_LIMIT
+    if limit > SIEVE_MAX:
+        raise BudgetExceededError(
+            f"prime sieve to {limit} exceeds the memory budget")
     with _PRIME_LOCK:
         if _PRIME_LIMIT < limit:
-            _PRIME_LIMIT = _grown_limit(_PRIME_LIMIT, limit)
+            _PRIME_LIMIT = min(_grown_limit(_PRIME_LIMIT, limit), SIEVE_MAX)
             is_p = np.ones(_PRIME_LIMIT + 1, dtype=bool)
             is_p[:2] = False
             for i in range(2, math.isqrt(_PRIME_LIMIT) + 1):
@@ -419,9 +423,10 @@ def euler_phi(m: int) -> int:
 
 def moebius_sieve(limit: int) -> np.ndarray:
     """mu(0..limit) as an int8 array (mu[0] set to 0)."""
+    primes = prime_sieve(limit)  # refuses before mu is allocated
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in prime_sieve(limit):
+    for p in primes:
         p = int(p)
         mu[p::p] *= -1
         mu[p * p::p * p] = 0

@@ -13,16 +13,17 @@ meaningful when both sides carry the same prime content, which is why the
 pipeline evaluates the singular series through its local factorization;
 the raw q-sum value is reported alongside.  pipeline builds J, both Euler
 products and both routes for the constant and compare commands and for
-verify.  Both Euler products are assembled here (singular_series_factored,
-local_product) from the local factors of expsums and padic.  local_product
-reads the density at every p by local_density, and so does the
-singular-series route at p = 1 mod 4: the exact limit padic.tau_limit
-where f2 is nondegenerate mod p, else the density at level_for(p).  At
-p = 3 mod 4 the singular-series route reads
-expsums.local_series_odd in shells up to max_shell_modulus(p, n) instead:
-4 at p = 3 and n = 4, against level_for(3) = 5.  The shells are sized by
-the default budget, so a run's budget admits or refuses them and never
-moves the route.
+verify.  euler_products assembles both products in one pass over the
+primes, from the local factors of expsums and padic.  It reads the density
+at every p once, by local_density: the exact limit padic.tau_limit at
+p = 1 mod 4 where every nonzero solution of f2 = 0 mod p is smooth, else
+the density at level_for(p).  That one density is the tamagawa route's
+factor at every p and the singular-series route's at p = 1 mod 4, so the
+two routes carry the same prime content by construction.  At p = 3 mod 4
+the singular-series route reads expsums.local_series_odd in shells up to
+max_shell_modulus(p, n) instead: 4 at p = 3 and n = 4, against
+level_for(3) = 5.  The shells are sized by the default budget, so a run's
+budget admits or refuses them and never moves the route.
 """
 
 from __future__ import annotations
@@ -84,55 +85,19 @@ def level_for(p: int) -> int:
 
 def local_density(inst: Instance, p: int,
                   budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
-    """The soluble density at p that both products read; at p = 1 mod 4
-    it is tau_f2(p), the singular-series route's factor there.
+    """The soluble density at p, which euler_products reads once for both
+    products; at p = 1 mod 4 it is tau_f2(p).
 
-    At p = 1 mod 4 where padic.tau_limit applies it is that limit, error
-    kind 'exact'.  Elsewhere it is padic.soluble_density at level_for(p),
-    kind 'heuristic' with no error counted for the truncation at that
-    level; its LocalDensity is the one shell.
+    There, where padic.tau_limit applies, it is that limit, error kind
+    'exact'.  Elsewhere it is padic.soluble_density at level_for(p), kind
+    'heuristic' with no error counted for the truncation at that level;
+    its LocalDensity is the one shell.
     """
     limit = tau_limit(inst, p, budget) if p % 4 == 1 else None
     if limit is not None:
         return TruncatedValue(complex(limit), 0.0, "exact")
     dens = soluble_density(inst, p, level_for(p), budget=budget)
     return TruncatedValue(complex(dens.density), 0.0, "heuristic", [dens])
-
-
-def singular_series_factored(inst: Instance, p_max: int = 13,
-                             budget: int = blocks.DEFAULT_BUDGET
-                             ) -> TruncatedValue:
-    """The singular series assembled as a product of local factors:
-
-      (dyadic factor) * prod_{p<=p_max, p=1 mod 4} tau_f2(p)
-                      * prod_{p<=p_max, p=3 mod 4} (odd local factor at p).
-
-    It agrees with the q-sum (expsums.singular_series) as a full sum, and
-    it converges shell-wise at every prime, so it is the stable route at
-    small n.  Relative errors of the factors add (first order).  The
-    dyadic factor is local_series_two, whose shells run to RHO_MAX;
-    tau_f2(p) is local_density, the density local_product reads.
-    """
-    value = 1.0 + 0.0j
-    rel_err = 0.0
-    parts = {}
-    for p in [int(r) for r in prime_sieve(p_max)]:
-        if p == 2:
-            part = local_series_two(inst, budget=budget)
-        elif p % 4 == 1:
-            part = local_density(inst, p, budget)
-        else:
-            part = local_series_odd(inst, p,
-                                    m_max=max_shell_modulus(p, inst.n),
-                                    budget=budget)
-        value *= part.value
-        rel_err += part.error_bound / max(abs(part.value), 1e-30)
-        parts[str(p)] = part
-    return TruncatedValue(
-        value=complex(value),
-        error_bound=float(abs(value) * rel_err),
-        error_kind="heuristic",
-        shells=[parts])
 
 
 @dataclass
@@ -148,13 +113,12 @@ class LocalFactor:
 
 
 def tamagawa_factor(inst: Instance, p: int,
-                    budget: int = blocks.DEFAULT_BUDGET) -> LocalFactor:
+                    dens: TruncatedValue) -> LocalFactor:
     """Weighted local density tau_p and its convergence factor lambda_p.
 
-    tau_p = (1 - p^-(n-d)) / (1 - 1/p) * local_density;
+    tau_p = (1 - p^-(n-d)) / (1 - 1/p) * dens, dens the local_density at p;
     lambda_p = (1 - 1/p)^(-1/2).
     """
-    dens = local_density(inst, p, budget)
     w = (1.0 - p ** (-(inst.n - inst.d))) / (1.0 - 1.0 / p)
     tau_p = w * dens.value.real
     lam = (1.0 - 1.0 / p) ** -0.5
@@ -162,21 +126,44 @@ def tamagawa_factor(inst: Instance, p: int,
                        error_kind=dens.error_kind)
 
 
-def local_product(inst: Instance, p_max: int = 13,
-                  budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
-    """prod_{p <= p_max} tau_p / lambda_p with a heuristic tail estimate.
+def euler_products(inst: Instance, p_max: int = 13,
+                   budget: int = blocks.DEFAULT_BUDGET) -> tuple:
+    """(series, product): both Euler products to p_max, from one
+    local_density a prime.
 
-    The tail fits |log(tau_p/lambda_p)| ~ C/p^2 on the computed primes and
-    integrates beyond p_max.  When the actual log-factors decay more slowly
-    (small n), the fit underestimates the tail; the per-prime factors are
-    returned in shells so the drift is visible.
+    series is the singular series as the product of local factors
+      (dyadic factor) * prod_{p<=p_max, p=1 mod 4} tau_f2(p)
+                      * prod_{p<=p_max, p=3 mod 4} (odd local factor at p),
+    the q-sum (expsums.singular_series) as a full sum, but convergent
+    shell-wise at every prime: the stable route at small n.  Its shells
+    are one dict of the factors by prime, whose relative errors add (first
+    order); the dyadic factor is local_series_two, its shells to RHO_MAX.
+
+    product is prod tau_p / lambda_p (tamagawa_factor) with a heuristic
+    tail: |log(tau_p/lambda_p)| ~ C/p^2 fitted on the computed primes and
+    integrated beyond p_max.  Where the log-factors decay more slowly
+    (small n) the fit underestimates the tail; the factors are its shells,
+    so the drift is visible.
     """
-    factors = []
-    value = 1.0
+    value, rel_err, parts, factors = 1.0 + 0.0j, 0.0, {}, []
     for p in [int(r) for r in prime_sieve(p_max)]:
-        f = tamagawa_factor(inst, p, budget)
-        factors.append(f)
-        value *= f.ratio
+        dens = local_density(inst, p, budget)
+        if p == 2:
+            part = local_series_two(inst, budget=budget)
+        elif p % 4 == 1:
+            part = dens
+        else:
+            part = local_series_odd(inst, p,
+                                    m_max=max_shell_modulus(p, inst.n),
+                                    budget=budget)
+        value *= part.value
+        rel_err += part.error_bound / max(abs(part.value), 1e-30)
+        parts[str(p)] = part
+        factors.append(tamagawa_factor(inst, p, dens))
+    series = TruncatedValue(
+        value=complex(value), error_bound=float(abs(value) * rel_err),
+        error_kind="heuristic", shells=[parts])
+    prod = math.prod(f.ratio for f in factors)
     logs = np.array([abs(math.log(f.ratio)) for f in factors if f.ratio > 0])
     ps = np.array([float(f.p) for f in factors if f.ratio > 0])
     if len(ps):
@@ -185,9 +172,9 @@ def local_product(inst: Instance, p_max: int = 13,
                            if is_prime(q))
     else:
         tail_log = 0.0
-    err = abs(value) * (math.exp(tail_log) - 1.0)
-    return TruncatedValue(
-        value=complex(value),
+    err = abs(prod) * (math.exp(tail_log) - 1.0)
+    return series, TruncatedValue(
+        value=complex(prod),
         error_bound=float(err), error_kind="heuristic", shells=factors)
 
 
@@ -287,9 +274,9 @@ def pipeline(inst: Instance, p_max: int = 13,
         raise DomainError(f"p_max must be at least 2, not {p_max}: the "
                           "Euler products would have no prime")
     J = real_density_coarea(inst, samples, seed, budget)
-    l_fact = singular_series_factored(inst, p_max, budget)
+    l_fact, prod = euler_products(inst, p_max, budget)
     c1 = leading_constant_series(inst, J, l_fact, landau_constants())
-    c2 = leading_constant_tamagawa(inst, J, local_product(inst, p_max, budget))
+    c2 = leading_constant_tamagawa(inst, J, prod)
     return J, l_fact, c1, c2
 
 

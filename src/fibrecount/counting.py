@@ -435,15 +435,19 @@ def count_soluble_fibre_points(inst: Instance, P: int,
 def _moebius_sum(inst: Instance, t: int, budget: int, threads: int) -> int:
     """sum_{l<=t} mu(l) * count(floor(t/l), zero=True), which is twice the
     projective count; each distinct radius floor(t/l) is counted once, and
-    a radius whose weights cancel to 0 not at all."""
+    a radius whose weights cancel to 0 not at all.  The radius t (l = 1)
+    goes first: a box over the budget refuses before the sieve is built."""
+    def count(P: int) -> int:
+        return count_soluble_fibre_points(
+            inst, P, include_zero_fibres=True, budget=budget, threads=threads)
+
+    total = count(t)
     mu = moebius_sieve(t)
     weights: dict[int, int] = {}
-    for l in range(1, t + 1):
+    for l in range(2, t + 1):
         if mu[l]:
             weights[t // l] = weights.get(t // l, 0) + int(mu[l])
-    return sum(w * count_soluble_fibre_points(
-        inst, P, include_zero_fibres=True, budget=budget, threads=threads)
-        for P, w in weights.items() if w)
+    return total + sum(w * count(P) for P, w in weights.items() if w)
 
 
 def projective_count(inst: Instance, t: int,

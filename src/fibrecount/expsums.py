@@ -33,7 +33,7 @@ Objects:
 * singular_series: the q-sum of birch sums against conjugated arc factors.
   The same quantity as a product of the local factors, which converges far
   better when the q-sum terms do not decay (small n), is assembled in
-  constant.py (singular_series_factored).
+  constant.py (euler_products).
 """
 
 from __future__ import annotations
@@ -394,7 +394,7 @@ def singular_series(inst: Instance, Q: int,
     C * Q^(-lambda0) is reported with C calibrated from the computed terms;
     otherwise the error is the heuristic mass of the last quarter of terms.
     At small n the terms need not decay at all; the factored evaluation
-    (constant.singular_series_factored) is then the meaningful one, and
+    (constant.euler_products) is then the meaningful one, and
     this sum is reported with its honest non-decaying error estimate.
     Refused where its tables, which the Birch memo keeps, hold more than
     budget entries together.

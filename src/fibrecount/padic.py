@@ -29,10 +29,9 @@ homogeneity.  A level over the budget, the level-1 scan of p^n classes
 and the refinement beyond N included, refuses (BudgetExceededError), so
 the budget never changes a mass.  Its reference is the lift tree of the
 tests (tests/oracles.py), which lifts every solution class: the phase
-path returns the tree's masses wherever the tree answers.  One memo,
-keyed by all of its arguments, holds the masses of one level an entry
-(_masses); a density reads two entries, its level N and N-1 for the
-stabilization flag.
+path returns the tree's masses wherever the tree answers.  A density
+calls _phase twice, at its level N and at N-1 for the stabilization flag,
+and keeps nothing between calls.
 
 The rule has a second consumer: _phase_table gives the joint value
 distribution of (f1, f2) mod p^m, the input of expsums' Birch tables on a
@@ -42,13 +41,13 @@ with _phase_level) and on every class from level m/2 on, where Taylor's
 formula is linear mod p^m.
 
 Both Euler products of the leading constant read these densities, or
-their exact limit tau_limit where f2 is a nondegenerate quadratic form mod
-p; constant.py assembles them and fixes the level read at each prime.
+their exact limit tau_limit where n > d and every nonzero solution of
+f2 = 0 mod p is smooth; constant.py assembles them and fixes the level
+read at each prime.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -410,42 +409,31 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
     return M
 
 
-@functools.lru_cache(maxsize=None)
-def _masses(inst: Instance, p: int, N: int, lift_extra: int, fibre: bool,
-            budget: int):
-    """(count, soluble, undecided) at level N, f1 classified at level
-    N + lift_extra, by stationary phase.  The memo's key is every
-    argument, the budget included, so a cached value is the one a fresh
-    call would return: an answer cached under a large budget never stands
-    in for the refusal a smaller one owes."""
-    return _phase(inst, p, N, N + lift_extra, fibre, budget)
-
-
-def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
+def _density(inst: Instance, p: int, N: int, kind: str,
              budget: int) -> LocalDensity:
     """The density of kind 'tau_f2' or 'ell', stabilization in exact
-    rationals."""
+    rationals: the masses of level N, and of N - 1 for the flag, each by
+    one call of _phase."""
     if N < 1:
         raise DomainError("level must be positive")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     fibre = kind == "ell" and p % 4 != 1
-    if not fibre:
-        lift_extra = 0
+    extra = LIFT_EXTRA if fibre else 0
 
     def masses(level: int, extra: int) -> tuple:
         """(count, soluble, undecided, denominator) at the level, every
         mass in classes mod p^(level + extra)."""
-        count, sol, und = _masses(inst, p, level, extra, fibre, budget)
+        count, sol, und = _phase(inst, p, level, level + extra, fibre, budget)
         unit = p ** (inst.n * extra)
         return count * unit, sol, und, unit * p ** (level * (inst.n - 1))
 
-    count, soluble, und, denom = masses(N, lift_extra)
+    count, soluble, und, denom = masses(N, extra)
     raw = soluble + und
     dens = Fraction(raw, denom)
     prev = Fraction(0)
     if N >= 2:
-        _, sp, up, dp = masses(N - 1, min(lift_extra, 1))
+        _, sp, up, dp = masses(N - 1, min(extra, 1))
         prev = Fraction(sp + up, dp)
     return LocalDensity(
         p=p, level=N, raw_count=raw, density=float(dens),
@@ -458,7 +446,7 @@ def _density(inst: Instance, p: int, N: int, kind: str, lift_extra: int,
 def hypersurface_density(inst: Instance, p: int, N: int,
                          budget: int = blocks.DEFAULT_BUDGET) -> LocalDensity:
     """Exact density of f2 = 0 mod p^N among residues, kind 'tau_f2'."""
-    return _density(inst, p, N, "tau_f2", 0, budget)
+    return _density(inst, p, N, "tau_f2", budget)
 
 
 def soluble_density(inst: Instance, p: int, N: int,
@@ -471,45 +459,30 @@ def soluble_density(inst: Instance, p: int, N: int,
     and the remaining undecided mass is reported and bracketed.  A level
     of the refinement over the budget refuses, as a level <= N does.
     """
-    return _density(inst, p, N, "ell", LIFT_EXTRA, budget)
-
-
-def _nondegenerate_mod(f: Form, p: int) -> bool:
-    """Whether the quadratic form f has full rank mod the odd prime p: its
-    Hessian, by elimination mod p."""
-    n = f.n_vars
-    rows = [[0] * n for _ in range(n)]
-    for coeff, exps in f.monomials:
-        i, j = [k for k, e in enumerate(exps) for _ in range(e)]
-        rows[i][j] += coeff
-        rows[j][i] += coeff
-    for col in range(n):  # rows holds the rows not yet pivots
-        pivot = next((r for r in rows if r[col] % p), None)
-        if pivot is None:
-            return False
-        rows.remove(pivot)
-        inv = pow(pivot[col], -1, p)
-        rows = [[(a - r[col] * inv * b) % p for a, b in zip(r, pivot)]
-                for r in rows]
-    return True
+    return _density(inst, p, N, "ell", budget)
 
 
 def tau_limit(inst: Instance, p: int,
               budget: int = blocks.DEFAULT_BUDGET) -> Fraction | None:
-    """The limit of tau_f2(p) as the level grows, exactly, where f2 is a
-    quadratic form (d = 2) in n > 2 variables that is nondegenerate mod
-    the odd prime p; None elsewhere.
+    """The limit of tau_f2(p) as the level grows, exactly, where n > d and
+    every nonzero solution of f2 = 0 mod p is smooth (a partial of f2 is a
+    unit there: the classes the rule of _phase resolves at level 1); None
+    elsewhere.
 
-    There every nonzero solution mod p is smooth and lifts to p^(n-1)
-    solutions a level (Hensel), and the class of 0 repeats the density two
-    levels down, scaled by r = p^(2-n) (homogeneity).  So from level 1 on
-    D_N = (N2 - 1) / p^(n-1) + r D_(N-2), with N2 the level-1 raw_count,
-    and the limit is its fixed point (N2 - 1) / (p^(n-1) (1 - r)).
+    There every nonzero solution mod p lifts to p^(n-1) solutions a level
+    (Hensel), and the class of 0 repeats the density d levels down, scaled
+    by r = p^(d-n) (homogeneity).  So from level 1 on
+    D_N = (N1 - 1) / p^(n-1) + r D_(N-d), with N1 the level-1 raw_count,
+    and the limit is its fixed point (N1 - 1) / (p^(n-1) - p^(d-1)).
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if inst.d != 2 or inst.n <= 2 or p == 2 or \
-            not _nondegenerate_mod(inst.f2, p):
+    n, d = inst.n, inst.d
+    if n <= d:
         return None
-    n2 = hypersurface_density(inst, p, 1, budget).raw_count
-    return Fraction(n2 - 1, p ** (inst.n - 1) - p)
+    sols = np.concatenate(list(_solutions(
+        inst, p, 1, np.zeros((1, n), dtype=np.int64), budget)))
+    sols = sols[sols.any(axis=1)]
+    if _gradient_mod(inst.f2, _cols(sols), p, 1)[1].min(axis=0).any():
+        return None
+    return Fraction(len(sols), p ** (n - 1) - p ** (d - 1))

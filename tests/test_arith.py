@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_is_prime_table_lookup_equals_miller_rabin(monkeypatch):
     lookup = [arith.is_prime(n) for n in range(2 * 10**4)]
     monkeypatch.setattr(arith, "_PRIMES", np.zeros(0, dtype=np.int64))
     assert lookup == [arith.is_prime(n) for n in range(2 * 10**4)]
+
+
+def test_sieves_refuse_past_sieve_max_before_allocating():
+    # a limit past SIEVE_MAX refuses before a table of limit + 1 entries
+    # is allocated: the prime table, and mu, which reads the primes first
+    tracemalloc.start()
+    try:
+        for sieve in (arith.prime_sieve, arith.moebius_sieve):
+            with pytest.raises(arith.BudgetExceededError,
+                               match="memory budget"):
+                sieve(arith.SIEVE_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_landau_constants():

@@ -66,7 +66,6 @@ def test_a_tiny_working_block_changes_nothing(four_squares, bilinear,
     # every hot loop cut into blocks of 40 values gives the same counts,
     # Monte Carlo rows, p-adic masses and Birch tables
     def results():
-        padic._masses.cache_clear()
         expsums._birch_table.cache_clear()
         budget, counts = blocks.DEFAULT_BUDGET, []
         for zero in (False, True):
@@ -167,7 +166,7 @@ def test_block_soluble_density_reaches_full_depth(four_squares):
     budget = blocks.DEFAULT_BUDGET
     with pytest.raises(BudgetExceededError, match="level 4 at p=7"):
         tree_masses(four_squares, 7, 2, 2, True, budget)
-    count, sol, und = padic._masses(four_squares, 7, 2, 2, True, budget)
+    count, sol, und = padic._phase(four_squares, 7, 2, 4, True, budget)
     assert count > 0 and sol > 0 and und >= 0
 
 

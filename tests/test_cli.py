@@ -17,6 +17,8 @@ DEMO = os.path.join(os.path.dirname(__file__), "..", "configs",
                     "demo_pair.json")
 FOUR = os.path.join(os.path.dirname(__file__), "..", "configs",
                     "four_squares.json")
+BILINEAR = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "bilinear.json")
 
 
 def test_shipped_configs_are_the_verify_instances():
@@ -239,13 +241,17 @@ def test_version(capsys):
      "budget refused"),
     (["constant", "--config", FOUR, "--samples", "1000000000000"],
      "budget refused"),
+    (["count", "--config", BILINEAR, "--t", "40000000"], "budget refused"),
+    (["constant", "--config", FOUR, "--p-max", "3000000000", "--samples",
+      "2000"], "budget refused"),
 ], ids=["missing-config", "config-is-a-directory", "t-not-integers",
         "compare-t-not-integers", "P-not-integers", "p-not-integers",
         "birch-negative", "birch-zero", "arc-negative", "x-zero",
         "samples-zero", "t-empty", "P-empty", "p-max-negative", "Q-zero",
         "compare-p-max-one", "compare-t-one", "expsum-two-modes",
         "expsum-no-mode", "x-past-the-sieve", "verify-out", "birch-table",
-        "q-sum-tables", "shell-samples", "coarea-samples"])
+        "q-sum-tables", "shell-samples", "coarea-samples",
+        "moebius-past-the-box", "p-max-past-the-sieve"])
 def test_bad_input_exits_2_with_a_message(capsys, monkeypatch, argv,
                                           message):
     def pipeline(*args, **kwargs):

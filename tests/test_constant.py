@@ -117,8 +117,7 @@ def test_route_gap_shrinks_with_tighter_truncation(four_squares):
     J = archimedean.real_density_coarea(four_squares, samples=10**6, seed=0)
     gaps = []
     for pm in (7, 13):
-        lf = constant.singular_series_factored(four_squares, p_max=pm)
-        pr = constant.local_product(four_squares, p_max=pm)
+        lf, pr = constant.euler_products(four_squares, p_max=pm)
         c1 = constant.leading_constant_series(four_squares, J, lf, consts)
         c2 = constant.leading_constant_tamagawa(four_squares, J, pr)
         gaps.append(abs(c1.c_phi - c2.c_phi))
@@ -126,14 +125,23 @@ def test_route_gap_shrinks_with_tighter_truncation(four_squares):
 
 
 def test_both_products_read_constant_levels(four_squares, monkeypatch):
-    # the two products carry the same prime content: each reads
-    # local_density at p, the exact limit at p = 1 mod 4 where f2 is
-    # nondegenerate mod p, else the density at constant.level_for(p)
-    fac = constant.singular_series_factored(four_squares, p_max=17)
-    prod = constant.local_product(four_squares, p_max=17)
+    # the two products carry the same prime content: one pass reads
+    # local_density once at each p, the exact limit at p = 1 mod 4 where
+    # every nonzero point of f2 = 0 mod p is smooth, else the density at
+    # constant.level_for(p), and both products take that one density
+    calls, real = [], constant.local_density
+
+    def recording(inst, p, budget):
+        calls.append(p)
+        return real(inst, p, budget)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(constant, "local_density", recording)
+        fac, prod = constant.euler_products(four_squares, p_max=17)
+    assert calls == [2, 3, 5, 7, 11, 13, 17]
     for f in prod.shells:
         dens = constant.local_density(four_squares, f.p)
-        assert f == constant.tamagawa_factor(four_squares, f.p)
+        assert f == constant.tamagawa_factor(four_squares, f.p, dens)
         assert f.error_kind == dens.error_kind
         if f.p % 4 == 1:
             assert fac.shells[0][str(f.p)] == dens
@@ -146,8 +154,7 @@ def test_both_products_read_constant_levels(four_squares, monkeypatch):
     degenerate = Instance(f1=four_squares.f1, f2=f2, n=4, d=2)
     levels = {2: 3, 3: 2, 5: 2}
     monkeypatch.setattr(constant, "level_for", lambda p: levels.get(p, 1))
-    fac = constant.singular_series_factored(degenerate, p_max=5)
-    prod = constant.local_product(degenerate, p_max=5)
+    fac, prod = constant.euler_products(degenerate, p_max=5)
     assert fac.shells[0]["5"] == constant.local_density(degenerate, 5)
     assert fac.shells[0]["5"].shells[0].level == 2
     assert [f.tau_p for f in prod.shells] == [
@@ -160,6 +167,6 @@ def test_factored_series_is_exact_past_the_levels(four_squares):
     # past p = 13 the density was read at level 1 against a previous level
     # of 0, a relative error of 1 a prime: 8.27698 +- 8.94 at p_max 17.
     # The limit (p + 1) / p carries no error
-    fac = constant.singular_series_factored(four_squares, p_max=17)
+    fac = constant.euler_products(four_squares, p_max=17)[0]
     assert fac.shells[0]["17"].value == 18 / 17
     assert fac.error_bound < 0.1 * abs(fac.value)

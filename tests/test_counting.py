@@ -90,6 +90,17 @@ def test_moebius_sum_skips_cancelled_radii(demo, monkeypatch):
         assert sum(int(mu[l]) for l in range(1, 101) if 100 // l == P) == 0
 
 
+def test_moebius_sum_refuses_before_the_sieve(bilinear, monkeypatch):
+    # the radius t (weight mu(1) = 1) is counted first, so a box over the
+    # budget refuses before mu(1..t) is built and summed
+    def sieve(limit):
+        raise AssertionError("the sieve ran before the refusal")
+
+    monkeypatch.setattr(counting, "moebius_sieve", sieve)
+    with pytest.raises(BudgetExceededError, match="box volume"):
+        counting.projective_count(bilinear, 4 * 10**7, method="moebius")
+
+
 def test_half_table_slabs_merge(four_squares, bilinear, monkeypatch):
     # the counts of many small box chunks merge to the one-chunk table, and
     # the slab scan counts the same over them

@@ -322,7 +322,7 @@ def test_singular_series_first_term(four_squares):
 
 
 def test_singular_series_factored_structure(four_squares):
-    fac = constant.singular_series_factored(four_squares, p_max=5)
+    fac = constant.euler_products(four_squares, p_max=5)[0]
     parts = fac.shells[0]
     assert set(parts) == {"2", "3", "5"}
     prod = parts["2"].value * parts["3"].value * parts["5"].value

@@ -166,6 +166,26 @@ def test_public_functions_are_plain():
     assert not hidden, "public but not plain functions:\n" + "\n".join(hidden)
 
 
+# the memos of src and why each stays: perfbench asserts that a second
+# birch_sum_table call returns the same table object; C0 runs over the
+# primes to 10^6, and each of the 16 arc rows of the q-sum reads it
+MEMOS = {"expsums._birch_table", "arith._landau_constants"}
+
+
+def test_memos_are_the_listed_ones():
+    memos = []
+    for path in sorted((ROOT / "src" / "fibrecount").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                name = ast.unparse(dec.func if isinstance(dec, ast.Call)
+                                   else dec)
+                if name.removeprefix("functools.") in ("lru_cache", "cache"):
+                    memos.append(f"{path.stem}.{node.name}")
+    assert set(memos) <= MEMOS, f"unlisted memos: {set(memos) - MEMOS}"
+
+
 def _named(folders) -> dict:
     """name -> [(path, line)] of every Name, Attribute and from-import of
     it in the .py files under the folders; a re-export in __init__.py does

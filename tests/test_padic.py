@@ -73,17 +73,21 @@ def test_soluble_density_vs_direct_oracle(four_squares):
                 e += 1
             soluble += 1 - (e % 2)
     oracle = soluble / p ** (N * 3)
-    ell = padic._density(four_squares, p, N, "ell", 0, blocks.DEFAULT_BUDGET)
-    assert ell.density == pytest.approx(oracle, abs=1e-12)
+    _, sol, und = padic._phase(four_squares, p, N, N, True,
+                               blocks.DEFAULT_BUDGET)
+    assert float(Fraction(sol + und, p ** (N * 3))) == \
+        pytest.approx(oracle, abs=1e-12)
 
 
 def test_undecided_fraction_vanishes(four_squares):
     # the saturated set alternates in size with the parity of the level
     # (squares mod 3^N gain a digit every other level), so the honest
     # monotone statement is along N -> N+2 within each parity class
-    fracs = [padic._density(four_squares, 3, N, "ell", 0,
-                            blocks.DEFAULT_BUDGET).undecided_fraction
-             for N in (1, 2, 3, 4, 5)]
+    fracs = []
+    for N in (1, 2, 3, 4, 5):
+        count, _, und = padic._phase(four_squares, 3, N, N, True,
+                                     blocks.DEFAULT_BUDGET)
+        fracs.append(und / count)
     assert fracs[2] < fracs[0] and fracs[4] < fracs[2]
     assert fracs[3] < fracs[1]
     assert fracs[4] < 1e-3
@@ -115,12 +119,14 @@ def test_classify_f1_against_the_scalar_rule(p, level, data):
 
 def test_tamagawa_relation(four_squares):
     for p in (3, 5, 7):
-        f = constant.tamagawa_factor(four_squares, p)
-        ell = constant.local_density(four_squares, p).value.real
+        dens = constant.local_density(four_squares, p)
+        f = constant.tamagawa_factor(four_squares, p, dens)
+        ell = dens.value.real
         back = f.tau_p * (1 - 1 / p) / (1 - p ** -(four_squares.n - four_squares.d))
         assert back == pytest.approx(ell, rel=1e-12)
-    assert constant.tamagawa_factor(four_squares, 5).lambda_p == \
-        pytest.approx((1 - 1 / 5) ** -0.5)
+    five = constant.tamagawa_factor(four_squares, 5,
+                                    constant.local_density(four_squares, 5))
+    assert five.lambda_p == pytest.approx((1 - 1 / 5) ** -0.5)
 
 
 def test_orthogonality_links_counts_to_birch(four_squares, bilinear, linked):
@@ -140,7 +146,7 @@ def test_orthogonality_links_counts_to_birch(four_squares, bilinear, linked):
 
 
 def test_local_product_cauchy_and_drift(four_squares):
-    vals = [constant.local_product(four_squares, p_max=pm).value.real
+    vals = [constant.euler_products(four_squares, p_max=pm)[1].value.real
             for pm in (13, 23, 37)]
     gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
     assert gaps[1] < gaps[0]
@@ -192,20 +198,14 @@ def test_refusal_comes_before_allocation(four_squares):
     assert peak < 10**7
 
 
-def test_density_cache_keys_the_budget(cone):
-    # At p = 3, N = 2 and 5 extra levels (top = 7), levels 3 and 4 lift 162
-    # and 486 candidates, and at level 4 (2k >= top) every class is
-    # resolved: a budget of 10^3 reaches full depth, one of 10^2 refuses
-    # level 3.  The budget is part of the cache key, so the answer cached
-    # under the larger budget never hides the smaller one's refusal
-    padic._masses.cache_clear()
-    try:
-        padic._density(cone, 3, 2, "ell", 5, 10**3)
-        with pytest.raises(BudgetExceededError,
-                           match="level 3 at p=3: 162 lift candidates"):
-            padic._density(cone, 3, 2, "ell", 5, 10**2)
-    finally:
-        padic._masses.cache_clear()
+def test_phase_refuses_a_level_over_the_budget(cone):
+    # At p = 3, N = 2 and top = 7, levels 3 and 4 lift 162 and 486
+    # candidates, and at level 4 (2k >= top) every class is resolved: a
+    # budget of 10^3 reaches full depth, one of 10^2 refuses level 3
+    padic._phase(cone, 3, 2, 7, True, 10**3)
+    with pytest.raises(BudgetExceededError,
+                       match="level 3 at p=3: 162 lift candidates"):
+        padic._phase(cone, 3, 2, 7, True, 10**2)
 
 
 def test_no_lift_past_the_linear_level(cone, monkeypatch):
@@ -219,12 +219,8 @@ def test_no_lift_past_the_linear_level(cone, monkeypatch):
         levels.append(level)
         return real(inst, p, level, parents, budget)
 
-    padic._masses.cache_clear()
     monkeypatch.setattr(padic, "_lifts", record)
-    try:
-        padic._density(cone, 3, 2, "ell", 5, blocks.DEFAULT_BUDGET)
-    finally:
-        padic._masses.cache_clear()
+    padic._phase(cone, 3, 2, 7, True, blocks.DEFAULT_BUDGET)
     assert max(levels) == 4
 
 
@@ -238,31 +234,34 @@ def test_int64_range_refused_by_both_phase_paths():
     assert padic.hypersurface_density(one, 3, 19).raw_count == 3 ** 9
     assert padic.soluble_density(one, 3, 17).level == 17
     for call in (lambda: padic.hypersurface_density(one, 3, 20),
-                 lambda: padic._density(one, 3, 17, "ell", 3,
-                                        blocks.DEFAULT_BUDGET),
+                 lambda: padic._phase(one, 3, 17, 20, True,
+                                      blocks.DEFAULT_BUDGET),
                  lambda: padic._phase_table(one, 3, 20,
                                             blocks.DEFAULT_BUDGET)):
         with pytest.raises(BudgetExceededError, match=beyond):
             call()
 
 
-def test_density_reads_two_memo_entries(linked):
-    # each memo entry holds one level: the density at N stores the masses
-    # of its stabilization level N-1, refined at most one level, as an
-    # entry of its own
-    padic._masses.cache_clear()
-    padic.soluble_density(linked, 3, 3)
-    assert padic._masses.cache_info().currsize == 2
-    hits = padic._masses.cache_info().hits
-    padic._masses(linked, 3, 2, 1, True, blocks.DEFAULT_BUDGET)
-    assert padic._masses.cache_info().hits == hits + 1
+def test_density_reads_two_phase_calls(linked):
+    # the density at N is _phase at N refined LIFT_EXTRA = 2 levels, and
+    # its stabilization flag compares it with _phase at N - 1 refined one
+    # level, each mass over its classes mod p^top
+    budget, n = blocks.DEFAULT_BUDGET, linked.n
+    ell = padic.soluble_density(linked, 3, 3)
+    _, sol, und = padic._phase(linked, 3, 3, 5, True, budget)
+    _, sp, up = padic._phase(linked, 3, 2, 3, True, budget)
+    dens = Fraction(sol + und, 3 ** (2 * n + 3 * (n - 1)))
+    prev = Fraction(sp + up, 3 ** (n + 2 * (n - 1)))
+    assert (ell.raw_count, ell.density) == (sol + und, float(dens))
+    assert ell.stabilized == \
+        (abs(dens - prev) <= padic.STABLE_REL_TOL * dens)
 
 
 # ---------------------------------------------------------------------------
 # stationary phase against the lift tree
 # ---------------------------------------------------------------------------
 
-# the (p, N, lift_extra) grid of the block fuzz, and tau_f2 at p = 5
+# the (p, N, levels past N) grid of the block fuzz, and tau_f2 at p = 5
 PHASE_GRID = [(2, 1, 2, True), (2, 2, 1, True), (2, 3, 0, True),
               (3, 1, 2, True), (3, 2, 1, True), (7, 1, 1, True),
               (5, 1, 0, False), (5, 2, 0, False), (5, 3, 0, False)]
@@ -315,12 +314,12 @@ def test_phase_equals_blocks(four_squares, bilinear, p):
                                                    HealthCheck.filter_too_much])
 @given(instances())
 def test_fuzz_tau_limit_is_the_tree_extrapolation(inst):
-    # where f2 is nondegenerate mod p, D_N = S + r D_(N-2) from level 1 on,
-    # r = p^(2-n): the two-level extrapolation of the lift tree's masses,
-    # (D_N - r D_(N-2)) / (1 - r) with D_0 = 1, is the limit exactly.  Few
-    # generated f2 have full rank, hence the filter
+    # where every nonzero point of f2 = 0 mod p is smooth, D_N = S +
+    # r D_(N-2) from level 1 on, r = p^(2-n): the two-level extrapolation
+    # of the lift tree's masses, (D_N - r D_(N-2)) / (1 - r) with D_0 = 1,
+    # is the limit exactly.  Few generated f2 qualify, hence the filter
     n = inst.n
-    good = [p for p in (3, 5, 7, 13) if p ** (2 * n) <= 5 * 10**6
+    good = [p for p in (2, 3, 5, 7, 13) if p ** (2 * n) <= 5 * 10**6
             and padic.tau_limit(inst, p) is not None]
     assume(good)
     for p in good:
@@ -334,9 +333,12 @@ def test_fuzz_tau_limit_is_the_tree_extrapolation(inst):
             assert padic.tau_limit(inst, p) == (D[N] - r * D[N - 2]) / (1 - r)
 
 
-def test_tau_limit_only_where_f2_is_nondegenerate(four_squares, demo):
-    # (p + 1) / p on four_squares; none at p = 2, at n <= 2 (demo has
-    # r = 1 and no limit) or where p divides the Hessian's determinant
+def test_tau_limit_only_where_every_nonzero_point_is_smooth(four_squares,
+                                                           demo):
+    # (p + 1) / p on four_squares; none at p = 2 (every partial 2 x_i
+    # vanishes mod 2), at n <= 2 (demo has r = 1 and no limit) or where p
+    # divides the Hessian's determinant (a nonzero x with H x = 0 mod p
+    # lies on f2 = 0 and is singular there)
     assert [padic.tau_limit(four_squares, p) for p in (3, 5, 13)] == \
         [Fraction(4, 3), Fraction(6, 5), Fraction(14, 13)]
     assert padic.tau_limit(four_squares, 2) is None
@@ -345,6 +347,29 @@ def test_tau_limit_only_where_f2_is_nondegenerate(four_squares, demo):
     degenerate = Instance(f1=four_squares.f1, f2=f2, n=4, d=2)
     assert padic.tau_limit(degenerate, 5) is None
     assert padic.tau_limit(degenerate, 13) is not None
+
+
+def test_tau_limit_at_p2_and_past_quadrics(bilinear):
+    # the limit holds wherever the nonzero points mod p are smooth: at
+    # p = 2 on bilinear (its two-level extrapolation is 3/2 at N = 2, 3
+    # and 4), and for d = 4, where the zero class repeats the density four
+    # levels down, r = p^(d-n)
+    assert padic.tau_limit(bilinear, 2) == Fraction(3, 2)
+    x4 = [tuple(4 * (j == i) for j in range(5)) for i in range(5)]
+    f1 = Form(5, 4, tuple((1, e) for e in x4))
+    f2 = Form(5, 4, tuple((1 if i < 4 else -1, e) for i, e in enumerate(x4)))
+    inst = Instance(f1=f1, f2=f2, n=5, d=4, label="quartic5")
+    for p, limit in ((3, Fraction(40, 27)), (5, Fraction(16, 125)),
+                     (7, Fraction(400, 343))):
+        assert padic.tau_limit(inst, p) == limit
+        r = Fraction(1, p)
+
+        def D(N):
+            return Fraction(padic.hypersurface_density(inst, p, N).raw_count,
+                            p ** (4 * N))
+
+        for N in (5, 6, 7):
+            assert (D(N) - r * D(N - 4)) / (1 - r) == limit
 
 
 def test_phase_quartic_homogeneity(quartic):
@@ -359,16 +384,14 @@ def test_phase_quartic_homogeneity(quartic):
 
 def test_phase_serves_one_block(linked):
     # stationary phase serves a single block too, with the tree's masses
-    # where the tree reaches full depth: both memo entries of the density
+    # where the tree reaches full depth: both _phase calls of the density
     # (level N refined 2 levels, N - 1 refined 1) are the tree's
     assert len(blocks.variable_blocks(linked)) == 1
     budget = blocks.DEFAULT_BUDGET
     for p, N in ((2, 4), (3, 3)):
-        padic._masses.cache_clear()
-        padic.soluble_density(linked, p, N)
-        assert padic._masses.cache_info().currsize == 2
         for level, extra in ((N, 2), (N - 1, 1)):
-            assert padic._masses(linked, p, level, extra, True, budget) == \
+            assert padic._phase(linked, p, level, level + extra, True,
+                                budget) == \
                 tree_masses(linked, p, level, extra, True, budget)
 
 
