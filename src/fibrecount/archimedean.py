@@ -8,13 +8,14 @@ f1(t) >= 0:
       = integral over {f2 = 0, f1 >= 0} of dA / |grad f2|   (coarea formula)
 
 real_density_coarea estimates the integral in gradient charts, where the
-surface is a graph over n-1 coordinates, by a randomly shifted rank-1
-lattice rule on their cube; the constant pipeline (constant.pipeline)
-reads it.  real_density is the independent cross-check: shell volumes at
-the fixed widths SCHEDULE plus Richardson-style extrapolation in eps.
-Both refuse n <= d, where J is infinite, fewer than 1000 samples, and
-more work than their budget: the shell estimator's draws (15 times
-`samples`) or the lattice rule's chart solves (`samples`).
+surface is a graph over n-1 coordinates, shared among the charts by a
+partition of unity, by a randomly shifted rank-1 lattice rule on their
+cube; constant.pipeline reads it.  real_density is the independent
+cross-check: shell volumes at the fixed widths SCHEDULE plus
+Richardson-style extrapolation in eps.  Both refuse n <= d, where J is
+infinite, fewer than 1000 samples, and more work than their budget: the
+shell estimator's draws (15 times `samples`) or the lattice rule's chart
+solves (`samples`).
 
 Level l of the shell estimator draws the points of stream 10 + l, cut
 into the counter-based chunks of _chunks, 2^18 points each but the last;
@@ -268,11 +269,13 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
     """Estimator of J from the coarea formula in gradient charts, by a
     randomly shifted rank-1 lattice rule on [-1,1]^(n-1).
 
-    Chart j is where |df2/dt_j| is the largest partial (ties go to the
-    first index); there the surface is a graph over the other n-1
-    coordinates.  Every point solves every chart along t_j, and each root
-    of chart j in the box with f1 >= 0 weighs 1/|df2/dt_j|: J is 2^(n-1)
-    times the mean weight a point gathers.
+    Chart j solves f2 = 0 for t_j over the other n-1 coordinates; every
+    point solves every chart.  A root of chart j in the box with f1 >= 0
+    weighs |df2/dt_j| / |grad f2|^2: its coarea factor 1/|df2/dt_j| times
+    the partition weight (df2/dt_j)^2 / |grad f2|^2.  These weights sum to
+    1 on the surface, so J is 2^(n-1) times the mean weight a point
+    gathers; each root's weight is at most 1/|grad f2| and goes to 0 where
+    its chart degenerates, so the integrand does not jump between charts.
 
     `samples` counts chart solves: _SHIFTS shifts of the N-point lattice,
     N the largest power of 2 with _SHIFTS n N <= samples.  Point i of
@@ -290,9 +293,8 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
                           f"{len(_LATTICE) + 1} variables")
     size = 1 << ((samples // (_SHIFTS * n)).bit_length() - 1)
     z = np.array(_LATTICE[:s], dtype=np.int64)
-    partials = [f2.partial(k) for k in range(n)]
-    charts = [(j, f2.powers_of(j), g) for j, g in enumerate(partials)
-              if g is not None]  # df2/dt_j = 0 is never the largest
+    charts = [(j, f2.powers_of(j), g) for j in range(n)
+              if (g := f2.partial(j)) is not None]  # df2/dt_j = 0 weighs 0
     step = max(1, blocks.WORK_BLOCK // s)
 
     def block_sum(r: int, start: int) -> float:  # one block of shift r
@@ -302,7 +304,7 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
         pts += np.array(_uniforms(seed, 99, r, s))[:, None]
         pts = 2.0 * (pts % 1.0) - 1.0
         total = 0.0
-        for j, forms, grad_j in charts:
+        for i, (j, forms, _) in enumerate(charts):
             coeffs = np.empty((len(forms), k))
             for c, form in enumerate(forms):
                 coeffs[c] = form.evaluate_batch(pts, 1) \
@@ -310,13 +312,10 @@ def real_density_coarea(inst: Instance, samples: int = DEFAULT_SAMPLES,
             rows, roots = _roots_in_box(coeffs)
             at = [c[rows] for c in pts]
             at.insert(j, roots)
-            grad = np.abs(grad_j.evaluate_batch(at, 1))
             keep = inst.f1.evaluate_batch(at, 1) >= 0.0
-            for i, g in enumerate(partials):  # ties go to the first index
-                if i != j and g is not None:
-                    gi = np.abs(g.evaluate_batch(at, 1))
-                    keep &= grad > gi if i < j else grad >= gi
-            total += float((1.0 / grad[keep]).sum())
+            sq = [g.evaluate_batch(at, 1) ** 2 for _, _, g in charts]
+            weight = np.sqrt(sq[i]) / sum(sq)  # |df2/dt_j| / |grad f2|^2
+            total += float(weight[keep].sum())
         return total
 
     totals = [block_sum(r, i) for r in range(_SHIFTS)

@@ -38,11 +38,16 @@ def _emit(args, command: str, label: str, params: dict, config_hash: str,
     body = [f"# manifest {manifest['manifest_hash']}"] + lines
     text = "\n".join(body) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with open(args.out + ".manifest.json", "w",
+                      encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise FormError(f"cannot write {exc.filename}: "
+                            f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -8,10 +8,12 @@ with L the singular series and C0 the Euler product over p = 3 mod 4 of
 Route 'tamagawa':
     c = (1 / sqrt(pi)) * (J / sqrt(d)) * prod_p (tau_p / lambda_p).
 
-The two agree as exact limits.  At truncated level the comparison is only
-meaningful when both sides carry the same prime content, which is why the
-pipeline evaluates the singular series through its local factorization;
-the raw q-sum value is reported alongside.  pipeline builds J, both Euler
+The two agree as exact limits.  At truncated level what the routes share
+is their local densities at p <= p_max, which is why the pipeline
+evaluates the singular series through its local factorization; the raw
+q-sum value is reported alongside.  Their prime content is not matched:
+zeta(n-d), C0 and the L(1, chi4)^(1/2) behind 1/sqrt(pi) enter complete,
+while the local products stop at p_max.  pipeline builds J, both Euler
 products and both routes for the constant and compare commands and for
 verify.  euler_products assembles both products in one pass over the
 primes, from the local factors of expsums and padic.  It reads the density
@@ -19,7 +21,7 @@ at every p once, by local_density: the exact limit padic.tau_limit at
 p = 1 mod 4 where every nonzero solution of f2 = 0 mod p is smooth, else
 the density at level_for(p).  That one density is the tamagawa route's
 factor at every p and the singular-series route's at p = 1 mod 4, so the
-two routes carry the same prime content by construction.  At p = 3 mod 4
+two routes carry the same density there by construction.  At p = 3 mod 4
 the singular-series route reads expsums.local_series_odd in shells up to
 max_shell_modulus(p, n) instead: 4 at p = 3 and n = 4, against
 level_for(3) = 5.  The shells are sized by the default budget, so a run's

@@ -479,7 +479,7 @@ def suite_constant(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
         _check("series-shell-diagnostic", shell_diagnostic,
                "prime-power q-terms match local-series shells"),
         _check("route-agreement", agreement,
-               "within 10% with matched prime content (p <= 13)"),
+               "within 10% with matched local densities (p <= 13)"),
         _check("constant-positive", positive, "strictly positive"),
         _check("smoke-normalized-counts", smoke,
                "reported only (never gating)", gating=False),

@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the differential tests.
 
-instances() draws small instances (d = 2, n <= 4, |coeff| <= 5),
-separable and not, with f2 missing some variables.
+instances() draws small instances (d = 2, min_n <= n <= 4,
+|coeff| <= 5), separable and not, with f2 missing some variables.
 """
 
 from hypothesis import strategies as st
@@ -18,8 +18,8 @@ def pair(n, i, j):
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(1, 4))
+def instances(draw, min_n=1):
+    n = draw(st.integers(min_n, 4))
     label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     cross = draw(st.booleans())  # monomials may join different labels
 

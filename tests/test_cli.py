@@ -244,6 +244,9 @@ def test_version(capsys):
     (["count", "--config", BILINEAR, "--t", "40000000"], "budget refused"),
     (["constant", "--config", FOUR, "--p-max", "3000000000", "--samples",
       "2000"], "budget refused"),
+    (["count", "--config", FOUR, "--t", "5", "--out",
+      os.path.join(os.path.dirname(FOUR), "none", "x.csv")],
+     "cannot write"),
 ], ids=["missing-config", "config-is-a-directory", "t-not-integers",
         "compare-t-not-integers", "P-not-integers", "p-not-integers",
         "birch-negative", "birch-zero", "arc-negative", "x-zero",
@@ -251,7 +254,8 @@ def test_version(capsys):
         "compare-p-max-one", "compare-t-one", "expsum-two-modes",
         "expsum-no-mode", "x-past-the-sieve", "verify-out", "birch-table",
         "q-sum-tables", "shell-samples", "coarea-samples",
-        "moebius-past-the-box", "p-max-past-the-sieve"])
+        "moebius-past-the-box", "p-max-past-the-sieve",
+        "out-in-a-missing-directory"])
 def test_bad_input_exits_2_with_a_message(capsys, monkeypatch, argv,
                                           message):
     def pipeline(*args, **kwargs):

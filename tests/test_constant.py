@@ -125,7 +125,7 @@ def test_route_gap_shrinks_with_tighter_truncation(four_squares):
 
 
 def test_both_products_read_constant_levels(four_squares, monkeypatch):
-    # the two products carry the same prime content: one pass reads
+    # the two products carry the same local densities: one pass reads
     # local_density once at each p, the exact limit at p = 1 mod 4 where
     # every nonzero point of f2 = 0 mod p is smooth, else the density at
     # constant.level_for(p), and both products take that one density
