@@ -14,6 +14,7 @@ Rows carry no timings, so repeat runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -50,6 +51,22 @@ def _emit(args, command: str, label: str, params: dict, config_hash: str,
                             f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Refuses an --out that cannot be written, before anything is
+    computed: its directory is missing or not writable, or it is a
+    directory.  _emit still reports the failures this cannot foresee."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        return
+    raise FormError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _int_list(text: str) -> list:
@@ -316,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
     except BudgetExceededError as exc:
         print(f"budget refused: {exc}", file=sys.stderr)

@@ -29,7 +29,10 @@ The budget bounds the points a path scans.
   blocks are packed into two halves of balanced size, the distinct
   (f2, f1) value pairs of each half are tabulated over its sub-box, and
   the halves are joined on f2-parts that sum to zero (meet in the
-  middle).  The largest box it scans is the larger half's: (2P+1)^2
+  middle).  When the halves mirror (the second's f2-part is the first's
+  negated, its f1-part the same, as on every shipped config) the second
+  table is the first with v2 negated, so one table is built and joined
+  with itself.  The largest box it scans is the larger half's: (2P+1)^2
   points instead of (2P+1)^4 on four_squares.  It has no gcd test, so
   primitive counts skip it.
 * quadric: when d = 2 and f2 has a square term a x_k^2, f2 is quadratic
@@ -44,7 +47,8 @@ The direct projective count is the box count with a gcd filter.
 Every path works through blocks of at most blocks.WORK_BLOCK values: box
 chunks, and the slices and pair chunks of the split's join.  A half table
 inserts each chunk's sorted distinct pairs into the earlier ones, so the
-split holds two tables of distinct pairs and a few WORK_BLOCK arrays.
+split holds its tables of distinct pairs, one when the halves mirror and
+two otherwise, and a few WORK_BLOCK arrays.
 """
 
 from __future__ import annotations
@@ -202,28 +206,52 @@ def _half_table(inst: Instance, half, P: int, budget: int):
     return keys, counts
 
 
+def _mirrored(inst: Instance, half_a, half_b) -> bool:
+    """Whether half B's table is half A's with v2 negated: the halves have
+    the same size and the same f1 restriction, and opposite f2
+    restrictions (monomials compared as sorted tuples)."""
+    def terms(f, half, sign=1):
+        g = restrict(f, half)
+        return sorted((exps, sign * c) for c, exps in g.monomials) if g else []
+
+    return (len(half_a) == len(half_b)
+            and terms(inst.f1, half_a) == terms(inst.f1, half_b)
+            and terms(inst.f2, half_a, -1) == terms(inst.f2, half_b))
+
+
 def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
                  budget: int) -> int:
     """Meet in the middle over two halves of the variable blocks: every pair
     of half points with f2-parts summing to 0 is a point of f2 = 0.
 
     The partners of an A key are the B keys in the row of f2-part -v2, and
-    two partners' keys sum to f1 plus a constant.  A is walked in slices
-    of WORK_BLOCK / 16 keys, their pairs formed and classified in chunks
-    of at most WORK_BLOCK (or one key's row), so besides the two tables the
-    join holds a few WORK_BLOCK arrays.  It needs at least two blocks.
+    a key plus a partner's key is f1 plus a constant of the two rows.  When
+    the halves mirror (_mirrored), B is A with v2 negated, so only A is
+    built and joined with itself: the partners of an A key are the A keys
+    of its own row, and only the pairs j >= i are walked, j > i weighted
+    by 2.  A is walked in slices of WORK_BLOCK / 16 keys, their pairs
+    formed and classified in chunks of at most WORK_BLOCK (or one key's
+    row), so besides the tables the join holds a few WORK_BLOCK arrays.
+    It needs at least two blocks.
     """
     b1, b2 = _packing(inst, P)  # refused before any table is built
-    width, shift = 2 * b1 + 1, 2 * b2 * (2 * b1 + 1)
+    width = 2 * b1 + 1
     half_a, half_b = balanced_halves(variable_blocks(inst))
+    mirrored = _mirrored(inst, half_a, half_b)
     ka, ca = _half_table(inst, half_a, P, budget)
-    kb, cb = _half_table(inst, half_b, P, budget)
+    kb, cb = (ka, ca) if mirrored else _half_table(inst, half_b, P, budget)
     total, step = 0, max(1, blocks.WORK_BLOCK // 16)
     for first in range(0, len(ka), step):
         keys, counts = ka[first:first + step], ca[first:first + step]
-        row = shift - keys + keys % width  # where B's f2-part -v2 starts
-        lo = np.searchsorted(kb, row)
-        run = np.searchsorted(kb, row + width) - lo
+        rows = keys - keys % width  # where each key's row (v2 + b2) starts
+        if mirrored:  # the partners of key i: i and the rest of its row
+            partner = rows
+            lo = np.arange(first, first + len(keys))
+        else:  # where B's row -v2 starts
+            partner = 2 * b2 * width - rows
+            lo = np.searchsorted(kb, partner)
+        run = np.searchsorted(kb, partner + width) - lo
+        lead = keys - rows - partner - 2 * b1  # f1 = lead[i] + a partner key
         csum = np.cumsum(run)
         start = 0
         while start < len(keys):
@@ -232,15 +260,18 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
             stop = max(int(np.searchsorted(csum, base + blocks.WORK_BLOCK,
                                            "right")), start + 1)
             reps = run[start:stop]
+            heads = csum[start:stop] - reps - base  # each run's first pair
             ia = np.repeat(np.arange(start, stop), reps)
-            # key i of A pairs with the run lo[i], lo[i] + 1, ... of B
+            # key i of the slice pairs with the run lo[i], lo[i] + 1, ...
             ib = np.arange(len(ia))
-            ib += np.repeat(lo[start:stop] + reps - csum[start:stop] + base,
-                            reps)
-            f1v = keys[ia] + kb[ib]
-            f1v -= shift + 2 * b1
+            ib += np.repeat(lo[start:stop] - heads, reps)
+            f1v = lead[ia]
+            f1v += kb[ib]
             w = counts[ia]
             w *= cb[ib]
+            if mirrored:  # (i, j) with j > i stands for (j, i) too
+                w *= 2
+                w[heads] //= 2
             if include_zero_fibres:
                 total += int(w[f1v == 0].sum())
             total += int(w[_theta_of_values(f1v)].sum())

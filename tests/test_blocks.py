@@ -20,7 +20,7 @@ from fibrecount import archimedean, blocks, counting, expsums, padic
 from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from oracles import birch_table_scan, tree_masses
-from strategies import instances, pair
+from strategies import instances, mirrored, pair
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +117,11 @@ def test_many_blocks_are_packed_at_once():
 # block paths against their oracles on generated instances
 # ---------------------------------------------------------------------------
 
-@given(instances(), st.integers(1, 3), st.booleans())
+@given(st.one_of(instances(), mirrored()), st.integers(1, 3), st.booleans())
 def test_fuzz_split_equals_slab(inst, P, incl):
     # also in blocks of 8 values, where the join takes one A key a slice
-    # and its pair chunks cut the longer runs of B
+    # and its pair chunks cut the longer runs of B (of A's own rows, when
+    # the halves mirror)
     budget = blocks.DEFAULT_BUDGET
     slab = counting._count_slab(inst, P, incl, budget, 1)
     assert counting.count_soluble_fibre_points(

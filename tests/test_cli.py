@@ -273,6 +273,24 @@ def test_bad_input_exits_2_with_a_message(capsys, monkeypatch, argv,
     assert message in err and "Traceback" not in err
 
 
+def test_unwritable_out_is_refused_before_any_count(tmp_path, capsys,
+                                                    monkeypatch):
+    def count(*args, **kwargs):
+        raise AssertionError("counted before the refusal")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "projective_count", count)
+        for out in (tmp_path / "none" / "x.csv", tmp_path):
+            assert main(["count", "--config", FOUR, "--t", "5",
+                         "--out", str(out)]) == 2
+            assert "cannot write" in capsys.readouterr().err
+    # a failure the early check cannot see is still refused by the write
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    assert main(["count", "--config", FOUR, "--t", "5",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
     # J draws its shifts in Python ints and the hashes come from the
     # builtin sha256 module, so these commands carry neither

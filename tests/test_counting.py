@@ -47,13 +47,27 @@ def test_projective_paths_agree(four_squares, bilinear):
             assert direct.raw_count == moeb.raw_count
 
 
-def test_split_matches_slab(four_squares, bilinear):
+def test_split_matches_slab(four_squares, bilinear, monkeypatch):
+    # the shipped configs' halves mirror, so they join one table with
+    # itself; bilinear with f2 = x0 x1 - 2 x2 x3 keeps the two-table join
+    unmirrored = Instance(f1=bilinear.f1, f2=Form(4, 2, (
+        (1, pair(4, 0, 1)), (-2, pair(4, 2, 3)))), n=4, d=2)
     budget = blocks.DEFAULT_BUDGET
-    for inst in (four_squares, bilinear):
+    built = []
+    half_table = counting._half_table
+
+    def recording(*args):
+        built.append(args[1])
+        return half_table(*args)
+
+    monkeypatch.setattr(counting, "_half_table", recording)
+    for inst, tables in ((four_squares, 1), (bilinear, 1), (unmirrored, 2)):
         for P in (2, 5, 7):
             for incl in (False, True):
+                built.clear()
                 assert counting._count_split(inst, P, incl, budget) == \
                     counting._count_slab(inst, P, incl, budget, 1)
+                assert len(built) == tables
 
 
 def test_slab_is_the_one_forced_method(linked):
@@ -316,6 +330,39 @@ def test_split_join_memory_follows_the_tables(bilinear):
     finally:
         tracemalloc.stop()
     assert peak < 16 * pairs + 8 * 8 * blocks.WORK_BLOCK
+
+
+def test_mirrored_split_memory_is_one_table(bilinear):
+    # bilinear's halves mirror, so the split holds one half table: a key
+    # and a count (16 bytes) per distinct pair of table A and the join's
+    # eight WORK_BLOCK arrays.  Building table B as well, while A is held,
+    # peaked above this bound
+    half_a, _ = blocks.balanced_halves(blocks.variable_blocks(bilinear))
+    keys_a = counting._half_table(bilinear, half_a, 300,
+                                  blocks.DEFAULT_BUDGET)[0]
+    arith.two_squares_sieve(4 * 300**2)
+    tracemalloc.start()
+    try:
+        counting.count_soluble_fibre_points(bilinear, 300,
+                                            include_zero_fibres=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(keys_a) + 8 * 8 * blocks.WORK_BLOCK
+
+
+def test_moebius_sum_builds_one_table_per_radius(bilinear, monkeypatch):
+    # 23 radii at t = 300, each a split count of mirrored halves
+    calls = []
+    half_table = counting._half_table
+
+    def recording(*args):
+        calls.append(args[2])
+        return half_table(*args)
+
+    monkeypatch.setattr(counting, "_half_table", recording)
+    assert counting.projective_count(bilinear, 300).raw_count == 2006400
+    assert len(calls) == len(set(calls)) == 23
 
 
 def test_split_refuses_keys_past_int64(four_squares, monkeypatch):
