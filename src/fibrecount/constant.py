@@ -21,9 +21,10 @@ at every p once, by local_density: the exact limit padic.tau_limit at
 p = 1 mod 4 where every nonzero solution of f2 = 0 mod p is smooth, else
 the density at level_for(p).  That one density is the tamagawa route's
 factor at every p and the singular-series route's at p = 1 mod 4, so the
-two routes carry the same density there by construction.  At p = 3 mod 4
-the singular-series route reads expsums.local_series_odd in shells up to
-max_shell_modulus(p, n) instead: 4 at p = 3 and n = 4, against
+two routes carry the same density there by construction.  At p = 2 and
+p = 3 mod 4 the singular-series route reads expsums.local_series instead,
+the prime-power terms of its own q-sum: shells to RHO_MAX = 6 at p = 2,
+and to max_shell_modulus(p, n) at odd p, 4 at p = 3 and n = 4, against
 level_for(3) = 5.  The shells are sized by the default budget, so a run's
 budget admits or refuses them and never moves the route.
 """
@@ -39,7 +40,7 @@ from . import blocks
 from .arith import (ArithConstants, DomainError, is_prime, landau_constants,
                     prime_sieve)
 from .archimedean import DEFAULT_SAMPLES, McEstimate, real_density_coarea
-from .expsums import (TruncatedValue, local_series_odd, local_series_two,
+from .expsums import (RHO_MAX, TruncatedValue, local_series,
                       max_shell_modulus)
 from .forms import Instance
 from .padic import soluble_density, tau_limit
@@ -139,7 +140,8 @@ def euler_products(inst: Instance, p_max: int = 13,
     the q-sum (expsums.singular_series) as a full sum, but convergent
     shell-wise at every prime: the stable route at small n.  Its shells
     are one dict of the factors by prime, whose relative errors add (first
-    order); the dyadic factor is local_series_two, its shells to RHO_MAX.
+    order).  The factors at p = 2 and p = 3 mod 4 are expsums.local_series,
+    in shells to RHO_MAX resp. max_shell_modulus(p, n).
 
     product is prod tau_p / lambda_p (tamagawa_factor) with a heuristic
     tail: |log(tau_p/lambda_p)| ~ C/p^2 fitted on the computed primes and
@@ -150,14 +152,11 @@ def euler_products(inst: Instance, p_max: int = 13,
     value, rel_err, parts, factors = 1.0 + 0.0j, 0.0, {}, []
     for p in [int(r) for r in prime_sieve(p_max)]:
         dens = local_density(inst, p, budget)
-        if p == 2:
-            part = local_series_two(inst, budget=budget)
-        elif p % 4 == 1:
+        if p % 4 == 1:
             part = dens
         else:
-            part = local_series_odd(inst, p,
-                                    m_max=max_shell_modulus(p, inst.n),
-                                    budget=budget)
+            m_max = RHO_MAX if p == 2 else max_shell_modulus(p, inst.n)
+            part = local_series(inst, p, m_max, budget)
         value *= part.value
         rel_err += part.error_bound / max(abs(part.value), 1e-30)
         parts[str(p)] = part

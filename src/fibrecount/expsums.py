@@ -25,15 +25,13 @@ Objects:
   and the residue congruence is taken to a modulus gcd(4, q/gcd(l,q)) which
   may be 1 (vacuous).
 
-* local_series_odd / local_series_two: the p-adic factors of the singular
-  series, as double series over (kappa, m) resp. (t, rho) shells.  The
-  kappa- resp. t-tails are geometric and summed exactly; only the shells
-  m resp. rho are truncated.
-
-* singular_series: the q-sum of birch sums against conjugated arc factors.
-  The same quantity as a product of the local factors, which converges far
-  better when the q-sum terms do not decay (small n), is assembled in
-  constant.py (euler_products).
+* singular_series: the q-sum of the terms t(q), q^-n times the birch sums
+  against conjugated arc factors (_q_term).  local_series reads the same
+  terms at the powers of one prime p = 2 or p = 3 mod 4: t is
+  multiplicative, so the factor of the q-sum at p is the sum of its
+  prime-power terms, truncated at a shell m_max.  The product of these
+  factors, which converges far better when the q-sum terms do not decay
+  (small n), is assembled in constant.py (euler_products).
 """
 
 from __future__ import annotations
@@ -46,12 +44,12 @@ import numpy as np
 
 from . import blocks, padic
 from .arith import (DomainError, factor, landau_constants, only_1mod4_sieve,
-                    ramanujan_sum, two_squares_sieve, valuation)
+                    two_squares_sieve, valuation)
 from .blocks import (Block, BudgetExceededError, block_tables, residue_table,
                      variable_blocks)
 from .forms import Instance
 
-RHO_MAX = 6  # the last dyadic shell of local_series_two
+RHO_MAX = 6  # the last shell of local_series at p = 2 in route 1
 
 
 @dataclass
@@ -271,118 +269,53 @@ def empirical_twisted_row(x: int, q: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# local series
+# the singular series: its q-terms, their sum and their local factors
 # ---------------------------------------------------------------------------
 
-def gcd_phase_sum(a: int, q: int, k: int) -> complex:
-    """sum over l in [0, q) with gcd(l, q) = gcd(k^2, q) of
-    e(-a l / q) * prod over primes p with v_p(q) > v_p(l) of (1-1/p)^(-1).
-
-    gcd(0, q) = q, and the product runs over ALL primes with the stated
-    valuation gap (not only p = 3 mod 4).
-
-    Closed form: with g = gcd(k^2, q), v_p(l) < v_p(q) holds exactly when
-    p^e does not divide g (p^e || q), so the weight is one constant w(g) on
-    the summed l = g u, u a unit mod q/g, and the phases sum to the
-    Ramanujan sum c_(q/g)(a).
-    """
-    if q < 1:
-        raise DomainError("q must be positive")
-    g = gcd(k * k, q)
-    w = 1.0
-    for p, e in factor(q).factors:
-        if g % p ** e:
-            w *= p / (p - 1.0)
-    return complex(w * ramanujan_sum(q // g, a))
+def _q_term(inst: Instance, q: int, budget: int) -> complex:
+    """The q-th term of the singular series,
+    t(q) = q^-n sum over primitive a mod q of S_{a,q} conj(F(a1, q))."""
+    S = birch_sum_table(inst, q, budget)
+    T = _primitive_colsums(S, q)
+    F, _ = arc_factor_row(q)
+    return complex((T * np.conj(F)).sum() / q ** inst.n)
 
 
 def max_shell_modulus(p: int, n: int) -> int:
     """Largest m with p^(m*n) within the default budget: the last shell of
-    local_series_odd in route 1.  A run's budget admits or refuses those
-    shells and never moves them."""
+    local_series at odd p in route 1.  A run's budget admits or refuses
+    those shells and never moves them."""
     m = 0
     while p ** ((m + 1) * n) <= blocks.DEFAULT_BUDGET:
         m += 1
     return m
 
 
-def local_series_odd(inst: Instance, p: int, m_max: int,
-                     budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
-    """Local factor of the singular series at a prime p = 3 mod 4.
+def local_series(inst: Instance, p: int, m_max: int,
+                 budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
+    """Local factor of the singular series at p = 2 or a prime p = 3 mod 4,
+    in shells m <= m_max.
 
-    Double series over shells (kappa, m):
-      gcd(p^(2 kappa), p^m) / p^(2 kappa + m(n+1))
-        * sum over primitive (a1, a2) mod p^m of S_{a, p^m} W_{a1, p^m}(p^kappa),
-    truncated at m <= m_max.  For 2 kappa >= m the gcd is p^m and W no
-    longer depends on kappa, so the kappa-sum from ceil(m/2) on is a
-    geometric series with ratio p^-2, summed exactly.  Shells are recorded
-    per m; the error estimate extrapolates the observed shell decay
-    (heuristic).
+    The q-terms t(q) are multiplicative, t(ab) t(1) = t(a) t(b) for coprime
+    a and b (Birch 1962), so the q-sum is t(1) times the product over p of
+    sum_m t(p^m) / t(1).  Here shell m is
+      s0 * t(p^m) / t(1),
+    with s0 = 1/2 at p = 2 and (1 - p^-2)^-1 at p = 3 mod 4: t(1) =
+    1/(2 C0^2) is the product of these s0 over all primes (s0 = 1 at
+    p = 1 mod 4), so the factors multiply to the q-sum.  Refused at
+    p = 1 mod 4, whose factor route 1 reads from padic.  The error is the
+    magnitude of the last shell, not a bound (heuristic; 0 for m_max = 0).
     """
-    if p % 4 != 3:
-        raise DomainError("p must be 3 mod 4")
-    n = inst.n
-    geometric = 1.0 / (1.0 - p ** -2.0)
-    shells = []
-    total = 0.0 + 0.0j
-    for m in range(m_max + 1):
-        q = p ** m
-        S = birch_sum_table(inst, q, budget)
-        T = _primitive_colsums(S, q)
-        shell = 0.0 + 0.0j
-        top = (m + 1) // 2
-        for kappa in range(top + 1):
-            gk = p ** min(2 * kappa, m)
-            W = np.array([gcd_phase_sum(a1, q, p ** kappa) for a1 in range(q)])
-            coef = gk / p ** (2 * kappa + m * (n + 1))
-            if kappa == top:
-                coef *= geometric
-            shell += coef * complex((W * T).sum())
-        shells.append(complex(shell))
-        total += shell
+    if p != 2 and p % 4 != 3:
+        raise DomainError("p must be 2 or 3 mod 4")
+    s0 = 0.5 if p == 2 else 1.0 / (1.0 - p ** -2.0)
+    t1 = _q_term(inst, 1, budget)
+    shells = [s0 * _q_term(inst, p ** m, budget) / t1
+              for m in range(m_max + 1)]
     err = abs(shells[-1]) if len(shells) > 1 else 0.0
-    return TruncatedValue(
-        value=complex(total),
-        error_bound=err, error_kind="heuristic", shells=shells)
+    return TruncatedValue(value=complex(sum(shells)), error_bound=err,
+                          error_kind="heuristic", shells=shells)
 
-
-def local_series_two(inst: Instance,
-                     budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
-    """Dyadic local factor of the singular series, shells rho <= RHO_MAX.
-
-    (1/4) * sum over shells (t, rho) of 2^(-t-rho*n) times the primitive
-    phase sum with the carry indicator v_2(b1) >= rho - t - 2 and the
-    extra phase e(-b1 2^(t-rho)).  For t >= rho the indicator always holds
-    and the phase is 1, so the t-sum from rho on is 2^(1-rho-rho*n) times
-    the full phase sum, added exactly.  Shells recorded per rho.
-    """
-    n = inst.n
-    shells = []
-    total = 0.0 + 0.0j
-    for rho in range(RHO_MAX + 1):
-        q = 2 ** rho
-        S = birch_sum_table(inst, q, budget)
-        T = _primitive_colsums(S, q)
-        b1 = np.arange(q)
-        v2 = np.array([valuation(int(b), 2) if b else rho for b in b1],
-                      dtype=np.int64)
-        shell = 2.0 ** (1 - rho - rho * n) * complex(T.sum())
-        for t in range(rho):
-            mask = v2 >= rho - t - 2
-            phase = np.exp(-2j * np.pi * ((b1 << t) % q) / q)
-            shell += 2.0 ** (-t - rho * n) * complex((phase * T)[mask].sum())
-        shell /= 4.0
-        shells.append(complex(shell))
-        total += shell
-    err = abs(shells[-1]) if len(shells) > 1 else 0.0
-    return TruncatedValue(
-        value=complex(total),
-        error_bound=err, error_kind="heuristic", shells=shells)
-
-
-# ---------------------------------------------------------------------------
-# the singular series as a q-sum
-# ---------------------------------------------------------------------------
 
 def singular_series(inst: Instance, Q: int,
                     budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
@@ -405,16 +338,7 @@ def singular_series(inst: Instance, Q: int,
     if entries > budget:
         raise BudgetExceededError(f"the q-sum to Q = {Q} keeps {entries} "
                                   f"table entries, beyond budget {budget}")
-    n = inst.n
-    terms = []
-    total = 0.0 + 0.0j
-    for q in range(1, Q + 1):
-        S = birch_sum_table(inst, q, budget)
-        T = _primitive_colsums(S, q)
-        F, _ = arc_factor_row(q)
-        term = complex((T * np.conj(F)).sum() / q ** n)
-        terms.append(term)
-        total += term
+    terms = [_q_term(inst, q, budget) for q in range(1, Q + 1)]
     lam = inst.lambda0()
     if lam is not None and lam > 0:
         C = max(abs(t) * (i + 1) ** (1 + lam) for i, t in enumerate(terms))
@@ -425,5 +349,5 @@ def singular_series(inst: Instance, Q: int,
         err = float(sum(tail_window))
         kind = "heuristic"
     return TruncatedValue(
-        value=complex(total),
+        value=complex(sum(terms)),
         error_bound=err, error_kind=kind, shells=terms)

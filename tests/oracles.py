@@ -13,11 +13,14 @@ from math import gcd
 import numpy as np
 
 from fibrecount.archimedean import _chunk_rng
-from fibrecount.arith import DomainError, factor, prime_sieve, valuation
+from fibrecount.arith import (DomainError, factor, prime_sieve, ramanujan_sum,
+                              valuation)
 from fibrecount.blocks import (DEFAULT_BUDGET, Block, BudgetExceededError,
                                balanced_halves, residue_table, restrict,
                                variable_blocks)
-from fibrecount.expsums import _padic_weight_3mod4, joint_value_distribution
+from fibrecount.expsums import (RHO_MAX, TruncatedValue, _padic_weight_3mod4,
+                                _primitive_colsums, birch_sum_table,
+                                joint_value_distribution)
 from fibrecount.forms import INT64_SAFE, Form, FormError, Instance
 from fibrecount.padic import _classify_f1, _cols, _lifts, _solutions
 
@@ -257,6 +260,106 @@ def arc_factor_row_truncated(q: int, U: float) -> tuple[np.ndarray, float]:
             pmax *= p / (p - 1.0)
     tail = pmax * (4.0 * s / U + 2.0 / max(s - 1, 1))
     return values, tail
+
+
+# ---------------------------------------------------------------------------
+# the local factors of the singular series as (kappa, m) and (t, rho) series,
+# derived apart from the q-terms that expsums.local_series reads
+# ---------------------------------------------------------------------------
+
+def gcd_phase_sum(a: int, q: int, k: int) -> complex:
+    """sum over l in [0, q) with gcd(l, q) = gcd(k^2, q) of
+    e(-a l / q) * prod over primes p with v_p(q) > v_p(l) of (1-1/p)^(-1).
+
+    gcd(0, q) = q, and the product runs over ALL primes with the stated
+    valuation gap (not only p = 3 mod 4).
+
+    Closed form: with g = gcd(k^2, q), v_p(l) < v_p(q) holds exactly when
+    p^e does not divide g (p^e || q), so the weight is one constant w(g) on
+    the summed l = g u, u a unit mod q/g, and the phases sum to the
+    Ramanujan sum c_(q/g)(a).
+    """
+    if q < 1:
+        raise DomainError("q must be positive")
+    g = gcd(k * k, q)
+    w = 1.0
+    for p, e in factor(q).factors:
+        if g % p ** e:
+            w *= p / (p - 1.0)
+    return complex(w * ramanujan_sum(q // g, a))
+
+
+def local_series_odd(inst: Instance, p: int, m_max: int,
+                     budget: int = DEFAULT_BUDGET) -> TruncatedValue:
+    """Local factor of the singular series at a prime p = 3 mod 4.
+
+    Double series over shells (kappa, m):
+      gcd(p^(2 kappa), p^m) / p^(2 kappa + m(n+1))
+        * sum over primitive (a1, a2) mod p^m of S_{a, p^m} W_{a1, p^m}(p^kappa),
+    truncated at m <= m_max.  For 2 kappa >= m the gcd is p^m and W no
+    longer depends on kappa, so the kappa-sum from ceil(m/2) on is a
+    geometric series with ratio p^-2, summed exactly.  Shells are recorded
+    per m; the error is the magnitude of the last shell (heuristic).
+    """
+    if p % 4 != 3:
+        raise DomainError("p must be 3 mod 4")
+    n = inst.n
+    geometric = 1.0 / (1.0 - p ** -2.0)
+    shells = []
+    total = 0.0 + 0.0j
+    for m in range(m_max + 1):
+        q = p ** m
+        S = birch_sum_table(inst, q, budget)
+        T = _primitive_colsums(S, q)
+        shell = 0.0 + 0.0j
+        top = (m + 1) // 2
+        for kappa in range(top + 1):
+            gk = p ** min(2 * kappa, m)
+            W = np.array([gcd_phase_sum(a1, q, p ** kappa) for a1 in range(q)])
+            coef = gk / p ** (2 * kappa + m * (n + 1))
+            if kappa == top:
+                coef *= geometric
+            shell += coef * complex((W * T).sum())
+        shells.append(complex(shell))
+        total += shell
+    err = abs(shells[-1]) if len(shells) > 1 else 0.0
+    return TruncatedValue(
+        value=complex(total),
+        error_bound=err, error_kind="heuristic", shells=shells)
+
+
+def local_series_two(inst: Instance,
+                     budget: int = DEFAULT_BUDGET) -> TruncatedValue:
+    """Dyadic local factor of the singular series, shells rho <= RHO_MAX.
+
+    (1/4) * sum over shells (t, rho) of 2^(-t-rho*n) times the primitive
+    phase sum with the carry indicator v_2(b1) >= rho - t - 2 and the
+    extra phase e(-b1 2^(t-rho)).  For t >= rho the indicator always holds
+    and the phase is 1, so the t-sum from rho on is 2^(1-rho-rho*n) times
+    the full phase sum, added exactly.  Shells recorded per rho.
+    """
+    n = inst.n
+    shells = []
+    total = 0.0 + 0.0j
+    for rho in range(RHO_MAX + 1):
+        q = 2 ** rho
+        S = birch_sum_table(inst, q, budget)
+        T = _primitive_colsums(S, q)
+        b1 = np.arange(q)
+        v2 = np.array([valuation(int(b), 2) if b else rho for b in b1],
+                      dtype=np.int64)
+        shell = 2.0 ** (1 - rho - rho * n) * complex(T.sum())
+        for t in range(rho):
+            mask = v2 >= rho - t - 2
+            phase = np.exp(-2j * np.pi * ((b1 << t) % q) / q)
+            shell += 2.0 ** (-t - rho * n) * complex((phase * T)[mask].sum())
+        shell /= 4.0
+        shells.append(complex(shell))
+        total += shell
+    err = abs(shells[-1]) if len(shells) > 1 else 0.0
+    return TruncatedValue(
+        value=complex(total),
+        error_bound=err, error_kind="heuristic", shells=shells)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from fibrecount import arith, blocks, constant, expsums, padic, verify
 from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from oracles import (arc_factor_row_truncated, birch_sum_single,
-                     birch_table_scan)
-from strategies import instances
+                     birch_table_scan, gcd_phase_sum, local_series_odd,
+                     local_series_two)
+from strategies import instances, mirrored
+from test_counting import _dense
 
 
 @pytest.fixture(scope="module")
@@ -241,13 +243,12 @@ def test_arc_factor_bounded_by_series():
 
 
 def test_gcd_phase_sum_values():
-    assert expsums.gcd_phase_sum(0, 1, 1) == pytest.approx(1.0)
+    assert gcd_phase_sum(0, 1, 1) == pytest.approx(1.0)
     # l = 0 is excluded since gcd(0, p) = p != 1; every unit term carries
     # the weight (1 - 1/p)^(-1)
     for p, a in ((5, 1), (7, 3), (11, 2)):
         expect = -(1 - 1 / p) ** -1
-        assert expsums.gcd_phase_sum(a, p, 1) == pytest.approx(expect,
-                                                               abs=1e-9)
+        assert gcd_phase_sum(a, p, 1) == pytest.approx(expect, abs=1e-9)
 
 
 def test_gcd_phase_sum_matches_literal_loop():
@@ -274,43 +275,73 @@ def test_gcd_phase_sum_matches_literal_loop():
         return out
 
     for (a, q, k) in ((1, 9, 3), (2, 12, 2), (0, 8, 1), (3, 18, 3), (1, 5, 1)):
-        assert expsums.gcd_phase_sum(a, q, k) == pytest.approx(
-            literal(a, q, k), abs=1e-9)
+        assert gcd_phase_sum(a, q, k) == pytest.approx(literal(a, q, k),
+                                                       abs=1e-9)
 
 
 def test_gcd_phase_sum_kappa_saturation(four_squares):
     # once k^2 is divisible by q the constraint pins l = 0 and the sum is 1
-    assert expsums.gcd_phase_sum(5, 9, 3) == pytest.approx(1.0)
-    assert expsums.gcd_phase_sum(5, 9, 9) == pytest.approx(1.0)
+    assert gcd_phase_sum(5, 9, 3) == pytest.approx(1.0)
+    assert gcd_phase_sum(5, 9, 9) == pytest.approx(1.0)
 
 
 def test_local_series_odd_truncation_base(four_squares):
-    # the m = 0 shell is the full kappa-series 1/(1 - 3^-2)
-    ser = expsums.local_series_odd(four_squares, 3, m_max=0)
+    # the m = 0 shell is s0 = 1/(1 - 3^-2), the oracle's full kappa-series
+    ser = expsums.local_series(four_squares, 3, 0)
     assert ser.value == pytest.approx(9 / 8)
 
 
 def test_local_series_odd_shells_decay(four_squares):
-    ser = expsums.local_series_odd(four_squares, 3, m_max=3)
+    ser = expsums.local_series(four_squares, 3, 3)
     mags = [abs(s) for s in ser.shells[1:]]
     assert all(a > b for a, b in zip(mags, mags[1:]))
     assert ser.error_kind == "heuristic"
 
 
 def test_local_series_two_base_shell(four_squares):
-    ser = expsums.local_series_two(four_squares)
+    ser = expsums.local_series(four_squares, 2, expsums.RHO_MAX)
     assert ser.shells[0].real == pytest.approx(0.5, abs=1e-9)
 
 
 def test_local_series_tails_are_exact(four_squares, bilinear):
-    # with the kappa- and t-tails summed, the shells give exact rationals
+    # the truncated factors are exact rationals, as the oracle's series
+    # with their kappa- and t-tails summed are
     values = (
-        (expsums.local_series_odd(four_squares, 3, m_max=2), 137 / 72),
-        (expsums.local_series_two(four_squares), 123 / 64),
-        (expsums.local_series_two(bilinear), 375 / 256),
+        (expsums.local_series(four_squares, 3, 2), 137 / 72),
+        (expsums.local_series(four_squares, 2, expsums.RHO_MAX), 123 / 64),
+        (expsums.local_series(bilinear, 2, expsums.RHO_MAX), 375 / 256),
     )
     for ser, exact in values:
         assert abs(ser.value - exact) <= 1e-12
+
+
+def _assert_local_series_match_the_oracle(inst, shells):
+    for p, m_max in shells:
+        got = expsums.local_series(inst, p, m_max)
+        want = local_series_two(inst) if p == 2 \
+            else local_series_odd(inst, p, m_max)
+        assert len(got.shells) == len(want.shells) == m_max + 1
+        for m, (a, b) in enumerate(zip(got.shells, want.shells)):
+            assert abs(a - b) <= 1e-12, (inst, p, m, a, b)
+
+
+def test_local_series_match_the_oracle(demo, four_squares, bilinear):
+    # the prime-power q-terms against the (kappa, m) and (t, rho) series
+    shells = ((2, expsums.RHO_MAX), (3, 4), (7, 2), (11, 2))
+    for inst in (demo, four_squares, bilinear, _dense(0)):
+        _assert_local_series_match_the_oracle(inst, shells)
+
+
+@given(st.one_of(instances(), mirrored()))
+def test_local_series_match_the_oracle_fuzz(inst):
+    _assert_local_series_match_the_oracle(
+        inst, ((2, expsums.RHO_MAX), (3, 3), (7, 2)))
+
+
+def test_local_series_refuses_1_mod_4(four_squares):
+    # route 1 reads its factor at p = 1 mod 4 from padic
+    with pytest.raises(arith.DomainError):
+        expsums.local_series(four_squares, 5, 1)
 
 
 def test_singular_series_first_term(four_squares):
