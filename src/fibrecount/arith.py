@@ -33,7 +33,7 @@ _PRIME_LOCK = threading.Lock()
 _PRIMES = np.zeros(0, dtype=np.int64)  # all primes <= _PRIME_LIMIT
 _PRIME_LIMIT = 1
 _SMALL_TRIAL_LIMIT = 10**6
-C0_PRIME_CUTOFF = 10**6  # the primes of C0's Euler product, by default
+C0_PRIME_CUTOFF = 10**6  # the primes of C0's Euler product
 SIEVE_MAX = 2 * 10**8  # the longest sieve built, 200 MB
 _SIEVE_LOCK = threading.Lock()
 _SIEVE = np.zeros(1, dtype=bool)  # ok[0..]: replaced only by a longer one
@@ -357,26 +357,24 @@ class ArithConstants:
     landau_K: float
 
 
-def landau_constants(prime_cutoff: int = C0_PRIME_CUTOFF
-                      ) -> ArithConstants:
-    """Compute c0 with a rigorous tail bound.
+def landau_constants() -> ArithConstants:
+    """Compute c0 over the primes to C0_PRIME_CUTOFF, with a rigorous tail
+    bound.
 
     The truncated product exceeds the limit; the log-tail is at most
     sum_{p>cutoff} p^-2 <= 1/(cutoff-1), so
-    c0_true in [c0 * exp(-tail), c0].  Computed once per cutoff in a
-    process: every arc-factor row reads it.
+    c0_true in [c0 * exp(-tail), c0].  Computed once in a process: every
+    arc-factor row reads it.
     """
-    if prime_cutoff < 3:
-        raise DomainError("cutoff must be at least 3")
-    return _landau_constants(prime_cutoff)
+    return _landau_constants()
 
 
 @functools.lru_cache(maxsize=None)
-def _landau_constants(prime_cutoff: int) -> ArithConstants:
-    primes = prime_sieve(prime_cutoff)
+def _landau_constants() -> ArithConstants:
+    primes = prime_sieve(C0_PRIME_CUTOFF)
     p3 = primes[primes % 4 == 3].astype(np.float64)
     c0 = float(math.exp(0.5 * np.log1p(-1.0 / p3**2).sum()))
-    tail_log = 1.0 / (2 * (prime_cutoff - 1))
+    tail_log = 1.0 / (2 * (C0_PRIME_CUTOFF - 1))
     c0_error = c0 * (1.0 - math.exp(-tail_log))
     return ArithConstants(c0=c0, c0_error=c0_error,
                           landau_K=1.0 / (math.sqrt(2) * c0))

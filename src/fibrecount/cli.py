@@ -312,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--route", default="both", choices=("1", "2", "both"))
     p.add_argument("--Q", type=_positive, default=16, help="q-sum truncation")
-    p.add_argument("--p-max", type=int, default=13, dest="p_max")
+    p.add_argument("--p-max", type=int, default=constant.P_MAX, dest="p_max")
     p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
     p.set_defaults(fn=cmd_constant)
 
     p = sub.add_parser("compare", help="counts against predictions")
     common(p)
     p.add_argument("--t", required=True, help="comma-separated heights")
-    p.add_argument("--p-max", type=int, default=13, dest="p_max")
+    p.add_argument("--p-max", type=int, default=constant.P_MAX, dest="p_max")
     p.add_argument("--samples", type=int, default=archimedean.DEFAULT_SAMPLES)
     p.set_defaults(fn=cmd_compare)
 

@@ -23,10 +23,10 @@ the density at level_for(p).  That one density is the tamagawa route's
 factor at every p and the singular-series route's at p = 1 mod 4, so the
 two routes carry the same density there by construction.  At p = 2 and
 p = 3 mod 4 the singular-series route reads expsums.local_series instead,
-the prime-power terms of its own q-sum: shells to RHO_MAX = 6 at p = 2,
-and to max_shell_modulus(p, n) at odd p, 4 at p = 3 and n = 4, against
-level_for(3) = 5.  The shells are sized by the default budget, so a run's
-budget admits or refuses them and never moves the route.
+the prime-power terms of its own q-sum, to the last shell SERIES_SHELLS
+gives.  Both tables, DEFAULT_LEVELS and SERIES_SHELLS, are stated here, so
+neither n nor a run's budget moves a truncation: a budget admits or
+refuses the work and nothing else.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from . import blocks
 from .arith import (ArithConstants, DomainError, is_prime, landau_constants,
                     prime_sieve)
 from .archimedean import DEFAULT_SAMPLES, McEstimate, real_density_coarea
-from .expsums import (RHO_MAX, TruncatedValue, local_series,
-                      max_shell_modulus)
+from .expsums import TruncatedValue, local_series
 from .forms import Instance
 from .padic import soluble_density, tau_limit
 
 IM_TOLERANCE = 1e-6
+P_MAX = 13  # the last prime of both Euler products, by default
 
 
 def zeta_direct(s: float) -> float:
@@ -84,6 +84,11 @@ def level_for(p: int) -> int:
     """The level of the local densities at p in both products:
     DEFAULT_LEVELS, else 1."""
     return DEFAULT_LEVELS.get(p, 1)
+
+
+# route 1's last shell at p = 2 and p = 3 mod 4, else 1; p = 3 stops short
+# of level_for(3) = 5, whose shell would need the 243 x 243 Birch table
+SERIES_SHELLS = {2: 6, 3: 4, 7: 2, 11: 2}
 
 
 def local_density(inst: Instance, p: int,
@@ -129,7 +134,7 @@ def tamagawa_factor(inst: Instance, p: int,
                        error_kind=dens.error_kind)
 
 
-def euler_products(inst: Instance, p_max: int = 13,
+def euler_products(inst: Instance, p_max: int = P_MAX,
                    budget: int = blocks.DEFAULT_BUDGET) -> tuple:
     """(series, product): both Euler products to p_max, from one
     local_density a prime.
@@ -141,7 +146,7 @@ def euler_products(inst: Instance, p_max: int = 13,
     shell-wise at every prime: the stable route at small n.  Its shells
     are one dict of the factors by prime, whose relative errors add (first
     order).  The factors at p = 2 and p = 3 mod 4 are expsums.local_series,
-    in shells to RHO_MAX resp. max_shell_modulus(p, n).
+    in shells to SERIES_SHELLS (1 where it has no entry).
 
     product is prod tau_p / lambda_p (tamagawa_factor) with a heuristic
     tail: |log(tau_p/lambda_p)| ~ C/p^2 fitted on the computed primes and
@@ -152,11 +157,8 @@ def euler_products(inst: Instance, p_max: int = 13,
     value, rel_err, parts, factors = 1.0 + 0.0j, 0.0, {}, []
     for p in [int(r) for r in prime_sieve(p_max)]:
         dens = local_density(inst, p, budget)
-        if p % 4 == 1:
-            part = dens
-        else:
-            m_max = RHO_MAX if p == 2 else max_shell_modulus(p, inst.n)
-            part = local_series(inst, p, m_max, budget)
+        part = dens if p % 4 == 1 \
+            else local_series(inst, p, SERIES_SHELLS.get(p, 1), budget)
         value *= part.value
         rel_err += part.error_bound / max(abs(part.value), 1e-30)
         parts[str(p)] = part
@@ -238,13 +240,11 @@ def leading_constant_series(inst: Instance, J: McEstimate, L: TruncatedValue,
     if L.value.real != 0:
         rel += abs(L.error_bound / L.value.real)
     rel += C0.c0_error / C0.c0
-    kind = "rigorous" if (L.error_kind == "rigorous"
-                          and J.std_error == 0.0) else "heuristic"
     return ConstantBreakdown(
         route="singular_series", J=jv, C0=C0.c0, L_phi=L.value,
         local_product=float("nan"), zeta_ndmd=z, d=inst.d, c_phi=c,
         combined_error=abs(c) * rel, epsilon_d=error_exponent(inst.d),
-        error_kind=kind, warnings=warnings)
+        warnings=warnings)
 
 
 def leading_constant_tamagawa(inst: Instance, J: McEstimate,
@@ -261,11 +261,10 @@ def leading_constant_tamagawa(inst: Instance, J: McEstimate,
     return ConstantBreakdown(
         route="tamagawa", J=jv, C0=float("nan"), L_phi=complex(float("nan")),
         local_product=pv, zeta_ndmd=float("nan"), d=inst.d, c_phi=c,
-        combined_error=abs(c) * rel, epsilon_d=error_exponent(inst.d),
-        error_kind="heuristic", warnings=[])
+        combined_error=abs(c) * rel, epsilon_d=error_exponent(inst.d))
 
 
-def pipeline(inst: Instance, p_max: int = 13,
+def pipeline(inst: Instance, p_max: int = P_MAX,
              samples: int = DEFAULT_SAMPLES, seed: int = 0,
              budget: int = blocks.DEFAULT_BUDGET) -> tuple:
     """(J, the factored singular series, the route-1 constant, the route-2

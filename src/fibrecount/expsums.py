@@ -29,9 +29,10 @@ Objects:
   against conjugated arc factors (_q_term).  local_series reads the same
   terms at the powers of one prime p = 2 or p = 3 mod 4: t is
   multiplicative, so the factor of the q-sum at p is the sum of its
-  prime-power terms, truncated at a shell m_max.  The product of these
-  factors, which converges far better when the q-sum terms do not decay
-  (small n), is assembled in constant.py (euler_products).
+  prime-power terms, truncated at the shell m_max its caller names.  The
+  product of these factors, which converges far better when the q-sum
+  terms do not decay (small n), is assembled in constant.py
+  (euler_products), which also states where each factor stops.
 """
 
 from __future__ import annotations
@@ -49,16 +50,13 @@ from .blocks import (Block, BudgetExceededError, block_tables, residue_table,
                      variable_blocks)
 from .forms import Instance
 
-RHO_MAX = 6  # the last shell of local_series at p = 2 in route 1
-
 
 @dataclass
 class TruncatedValue:
     """A truncated numerical value and its error.
 
-    error_kind 'rigorous' means error_bound follows a documented
-    inequality; 'heuristic' means it extrapolates computed shells; 'exact'
-    means the value is an exact limit, with error_bound 0.
+    error_kind 'heuristic' means error_bound extrapolates computed shells;
+    'exact' means the value is an exact limit, with error_bound 0.
     """
 
     value: complex
@@ -281,16 +279,6 @@ def _q_term(inst: Instance, q: int, budget: int) -> complex:
     return complex((T * np.conj(F)).sum() / q ** inst.n)
 
 
-def max_shell_modulus(p: int, n: int) -> int:
-    """Largest m with p^(m*n) within the default budget: the last shell of
-    local_series at odd p in route 1.  A run's budget admits or refuses
-    those shells and never moves them."""
-    m = 0
-    while p ** ((m + 1) * n) <= blocks.DEFAULT_BUDGET:
-        m += 1
-    return m
-
-
 def local_series(inst: Instance, p: int, m_max: int,
                  budget: int = blocks.DEFAULT_BUDGET) -> TruncatedValue:
     """Local factor of the singular series at p = 2 or a prime p = 3 mod 4,
@@ -304,7 +292,7 @@ def local_series(inst: Instance, p: int, m_max: int,
     1/(2 C0^2) is the product of these s0 over all primes (s0 = 1 at
     p = 1 mod 4), so the factors multiply to the q-sum.  Refused at
     p = 1 mod 4, whose factor route 1 reads from padic.  The error is the
-    magnitude of the last shell, not a bound (heuristic; 0 for m_max = 0).
+    magnitude of the last shell, not a bound (heuristic).
     """
     if p != 2 and p % 4 != 3:
         raise DomainError("p must be 2 or 3 mod 4")
@@ -312,8 +300,8 @@ def local_series(inst: Instance, p: int, m_max: int,
     t1 = _q_term(inst, 1, budget)
     shells = [s0 * _q_term(inst, p ** m, budget) / t1
               for m in range(m_max + 1)]
-    err = abs(shells[-1]) if len(shells) > 1 else 0.0
-    return TruncatedValue(value=complex(sum(shells)), error_bound=err,
+    return TruncatedValue(value=complex(sum(shells)),
+                          error_bound=abs(shells[-1]),
                           error_kind="heuristic", shells=shells)
 
 
@@ -323,9 +311,10 @@ def singular_series(inst: Instance, Q: int,
     conj(F(a1, q)), F the arc factors of arc_factor_row(q).
 
     The per-q terms are recorded as shells.  When the instance carries a
-    sigma bound with positive decay exponent lambda0, the tail bound
-    C * Q^(-lambda0) is reported with C calibrated from the computed terms;
-    otherwise the error is the heuristic mass of the last quarter of terms.
+    sigma bound with positive decay exponent lambda0, the error is the tail
+    C * Q^(-lambda0) / lambda0, with C = max |t(q)| q^(1 + lambda0) over
+    the computed terms: an extrapolation, so heuristic.  Otherwise it is
+    the mass of the last quarter of terms, heuristic too.
     At small n the terms need not decay at all; the factored evaluation
     (constant.euler_products) is then the meaningful one, and
     this sum is reported with its honest non-decaying error estimate.
@@ -343,11 +332,8 @@ def singular_series(inst: Instance, Q: int,
     if lam is not None and lam > 0:
         C = max(abs(t) * (i + 1) ** (1 + lam) for i, t in enumerate(terms))
         err = C * Q ** (-lam) / lam
-        kind = "rigorous"
     else:
-        tail_window = [abs(t) for t in terms[3 * Q // 4:]]
-        err = float(sum(tail_window))
-        kind = "heuristic"
+        err = float(sum(abs(t) for t in terms[3 * Q // 4:]))
     return TruncatedValue(
         value=complex(sum(terms)),
-        error_bound=err, error_kind=kind, shells=terms)
+        error_bound=err, error_kind="heuristic", shells=terms)

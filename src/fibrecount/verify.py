@@ -336,7 +336,7 @@ def suite_padic(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
                               f"{l3.density:.5f}, rel gap {rel3:.4f}"), ""
 
     def bridge_2():
-        e2 = expsums.local_series(inst, 2, expsums.RHO_MAX, budget)
+        e2 = expsums.local_series(inst, 2, 6, budget)
         l2 = dens[2] = padic.soluble_density(inst, 2, 6, budget=budget)
         rel2 = abs(e2.value.real - l2.density) / l2.density
         return rel2 <= 0.05, (f"series = {e2.value.real:.5f} vs density "

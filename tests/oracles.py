@@ -18,7 +18,7 @@ from fibrecount.arith import (DomainError, factor, prime_sieve, ramanujan_sum,
 from fibrecount.blocks import (DEFAULT_BUDGET, Block, BudgetExceededError,
                                balanced_halves, residue_table, restrict,
                                variable_blocks)
-from fibrecount.expsums import (RHO_MAX, TruncatedValue, _padic_weight_3mod4,
+from fibrecount.expsums import (TruncatedValue, _padic_weight_3mod4,
                                 _primitive_colsums, birch_sum_table,
                                 joint_value_distribution)
 from fibrecount.forms import INT64_SAFE, Form, FormError, Instance
@@ -328,9 +328,9 @@ def local_series_odd(inst: Instance, p: int, m_max: int,
         error_bound=err, error_kind="heuristic", shells=shells)
 
 
-def local_series_two(inst: Instance,
+def local_series_two(inst: Instance, rho_max: int,
                      budget: int = DEFAULT_BUDGET) -> TruncatedValue:
-    """Dyadic local factor of the singular series, shells rho <= RHO_MAX.
+    """Dyadic local factor of the singular series, shells rho <= rho_max.
 
     (1/4) * sum over shells (t, rho) of 2^(-t-rho*n) times the primitive
     phase sum with the carry indicator v_2(b1) >= rho - t - 2 and the
@@ -341,7 +341,7 @@ def local_series_two(inst: Instance,
     n = inst.n
     shells = []
     total = 0.0 + 0.0j
-    for rho in range(RHO_MAX + 1):
+    for rho in range(rho_max + 1):
         q = 2 ** rho
         S = birch_sum_table(inst, q, budget)
         T = _primitive_colsums(S, q)

@@ -182,19 +182,16 @@ def test_sieves_refuse_past_sieve_max_before_allocating():
 
 
 def test_landau_constants():
-    tiny = arith.landau_constants(3)
-    assert tiny.c0 == pytest.approx(math.sqrt(1 - 1 / 9))
-    big = arith.landau_constants(10**6)
-    mid = arith.landau_constants(10**4)
-    assert mid.c0 >= big.c0  # each extra factor is < 1
+    big = arith.landau_constants()
     assert 0.7625 <= big.landau_K <= 0.7660
     assert big.landau_K * math.sqrt(2) * big.c0 == pytest.approx(1.0, abs=1e-15)
-    assert big.c0_error < mid.c0_error
-    with pytest.raises(arith.DomainError):
-        arith.landau_constants(2)
-    # computed once per cutoff in a process, and equal to a fresh computation
-    assert arith.landau_constants(10**6) is big
-    assert big == arith._landau_constants.__wrapped__(10**6)
+    # the bracket [c0 - c0_error, c0] holds the true C0 = 1/(sqrt(2) K), K
+    # the Landau-Ramanujan constant
+    true_c0 = 1 / (math.sqrt(2) * 0.76422365358922066299)
+    assert big.c0 - big.c0_error <= true_c0 <= big.c0
+    # computed once in a process, and equal to a fresh computation
+    assert arith.landau_constants() is big
+    assert big == arith._landau_constants.__wrapped__()
 
 
 def test_mertens_examples():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fibrecount import archimedean, arith, constant, padic
+from fibrecount import archimedean, arith, blocks, constant, padic
 from fibrecount.archimedean import McEstimate
 from fibrecount.arith import ArithConstants, DomainError
 from fibrecount.expsums import TruncatedValue
@@ -13,9 +13,9 @@ def _mc(value, se=0.0):
     return McEstimate(value=complex(value), std_error=se, samples=1000, seed=0)
 
 
-def _tv(value, err=0.0, kind="rigorous"):
+def _tv(value, err=0.0):
     return TruncatedValue(value=complex(value), error_bound=err,
-                          error_kind=kind)
+                          error_kind="heuristic")
 
 
 def _c0(value=1.0):
@@ -113,7 +113,7 @@ def test_csv_roundtrip():
 def test_route_gap_shrinks_with_tighter_truncation(four_squares):
     # tightening both truncations one notch narrows the route gap; J (the
     # pipeline's estimator) scales both routes alike
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     J = archimedean.real_density_coarea(four_squares, samples=10**6, seed=0)
     gaps = []
     for pm in (7, 13):
@@ -161,6 +161,18 @@ def test_both_products_read_constant_levels(four_squares, monkeypatch):
         (1 - p ** -2) / (1 - 1 / p)
         * padic.soluble_density(degenerate, p, N).density
         for p, N in levels.items()]
+
+
+def test_series_shells_do_not_follow_the_budget(four_squares, monkeypatch):
+    # route 1's shells are constant.SERIES_SHELLS: a default budget of
+    # 3e7 or 3e10 moves no factor of either product
+    want = constant.euler_products(four_squares, 13)
+    for budget in (3 * 10**7, 3 * 10**10):
+        monkeypatch.setattr(blocks, "DEFAULT_BUDGET", budget)
+        got = constant.euler_products(four_squares, 13)
+        for p, part in want[0].shells[0].items():
+            assert got[0].shells[0][p] == part, (budget, p)
+        assert got == want
 
 
 def test_factored_series_is_exact_past_the_levels(four_squares):

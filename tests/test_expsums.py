@@ -197,7 +197,7 @@ def test_arc_factor_anchor_and_tail():
         row, err = expsums.arc_factor_row(q)
         trunc, tail = arc_factor_row_truncated(q, 2.0**20)
         assert np.abs(row - trunc).max() <= tail + err
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     anchor, tail = expsums.arc_factor_row(1)
     exact = 1 / (2 * consts.c0**2)
     assert abs(anchor[0] - exact) <= 1e-15 * exact
@@ -286,9 +286,11 @@ def test_gcd_phase_sum_kappa_saturation(four_squares):
 
 
 def test_local_series_odd_truncation_base(four_squares):
-    # the m = 0 shell is s0 = 1/(1 - 3^-2), the oracle's full kappa-series
+    # the m = 0 shell is s0 = 1/(1 - 3^-2), the oracle's full kappa-series;
+    # cut there, the factor's error is that shell, never 0
     ser = expsums.local_series(four_squares, 3, 0)
     assert ser.value == pytest.approx(9 / 8)
+    assert ser.error_bound == pytest.approx(9 / 8)
 
 
 def test_local_series_odd_shells_decay(four_squares):
@@ -299,7 +301,7 @@ def test_local_series_odd_shells_decay(four_squares):
 
 
 def test_local_series_two_base_shell(four_squares):
-    ser = expsums.local_series(four_squares, 2, expsums.RHO_MAX)
+    ser = expsums.local_series(four_squares, 2, 6)
     assert ser.shells[0].real == pytest.approx(0.5, abs=1e-9)
 
 
@@ -308,8 +310,8 @@ def test_local_series_tails_are_exact(four_squares, bilinear):
     # with their kappa- and t-tails summed are
     values = (
         (expsums.local_series(four_squares, 3, 2), 137 / 72),
-        (expsums.local_series(four_squares, 2, expsums.RHO_MAX), 123 / 64),
-        (expsums.local_series(bilinear, 2, expsums.RHO_MAX), 375 / 256),
+        (expsums.local_series(four_squares, 2, 6), 123 / 64),
+        (expsums.local_series(bilinear, 2, 6), 375 / 256),
     )
     for ser, exact in values:
         assert abs(ser.value - exact) <= 1e-12
@@ -318,7 +320,7 @@ def test_local_series_tails_are_exact(four_squares, bilinear):
 def _assert_local_series_match_the_oracle(inst, shells):
     for p, m_max in shells:
         got = expsums.local_series(inst, p, m_max)
-        want = local_series_two(inst) if p == 2 \
+        want = local_series_two(inst, m_max) if p == 2 \
             else local_series_odd(inst, p, m_max)
         assert len(got.shells) == len(want.shells) == m_max + 1
         for m, (a, b) in enumerate(zip(got.shells, want.shells)):
@@ -326,8 +328,9 @@ def _assert_local_series_match_the_oracle(inst, shells):
 
 
 def test_local_series_match_the_oracle(demo, four_squares, bilinear):
-    # the prime-power q-terms against the (kappa, m) and (t, rho) series
-    shells = ((2, expsums.RHO_MAX), (3, 4), (7, 2), (11, 2))
+    # the prime-power q-terms against the (kappa, m) and (t, rho) series,
+    # to every shell of constant.SERIES_SHELLS
+    shells = tuple(constant.SERIES_SHELLS.items())
     for inst in (demo, four_squares, bilinear, _dense(0)):
         _assert_local_series_match_the_oracle(inst, shells)
 
@@ -335,7 +338,7 @@ def test_local_series_match_the_oracle(demo, four_squares, bilinear):
 @given(st.one_of(instances(), mirrored()))
 def test_local_series_match_the_oracle_fuzz(inst):
     _assert_local_series_match_the_oracle(
-        inst, ((2, expsums.RHO_MAX), (3, 3), (7, 2)))
+        inst, ((2, 6), (3, 3), (7, 2)))
 
 
 def test_local_series_refuses_1_mod_4(four_squares):
@@ -345,11 +348,29 @@ def test_local_series_refuses_1_mod_4(four_squares):
 
 
 def test_singular_series_first_term(four_squares):
-    consts = arith.landau_constants(10**6)
+    consts = arith.landau_constants()
     s = expsums.singular_series(four_squares, Q=1)
     assert s.value.real == pytest.approx(1 / (2 * consts.c0**2), abs=5e-3)
     s12 = expsums.singular_series(four_squares, Q=12)
     assert abs(s12.value.imag) < 1e-6
+
+
+def test_singular_series_lambda0_tail_is_heuristic():
+    # 14 squares split 7 + 7 with sigma bound 0: lambda0 = 1/8, and the tail
+    # C Q^-lambda0 / lambda0 extrapolates C from the computed terms
+    def diagonal(signs):
+        return Form(14, 2, tuple((s, tuple(2 * (j == i) for j in range(14)))
+                                 for i, s in enumerate(signs)))
+
+    inst = Instance(f1=diagonal([1] * 14), f2=diagonal([1] * 7 + [-1] * 7),
+                    n=14, d=2, label="squares-7-7", sigma_bound=0)
+    lam = inst.lambda0()
+    assert lam == 0.125
+    Q = 6
+    ser = expsums.singular_series(inst, Q)
+    C = max(abs(t) * q ** (1 + lam) for q, t in enumerate(ser.shells, 1))
+    assert ser.error_kind == "heuristic"
+    assert ser.error_bound == pytest.approx(C * Q ** -lam / lam, rel=1e-12)
 
 
 def test_singular_series_factored_structure(four_squares):
