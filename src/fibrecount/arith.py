@@ -21,7 +21,6 @@ BudgetExceededError before any allocation.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ _PRIME_LOCK = threading.Lock()
 _PRIMES = np.zeros(0, dtype=np.int64)  # all primes <= _PRIME_LIMIT
 _PRIME_LIMIT = 1
 _SMALL_TRIAL_LIMIT = 10**6
-C0_PRIME_CUTOFF = 10**6  # the primes of C0's Euler product
 SIEVE_MAX = 2 * 10**8  # the longest sieve built, 200 MB
 _SIEVE_LOCK = threading.Lock()
 _SIEVE = np.zeros(1, dtype=bool)  # ok[0..]: replaced only by a longer one
@@ -154,7 +152,8 @@ def factor(m: int) -> Factorization:
     Trial division by the primes up to min(sqrt(m), 1e6); a cofactor n > 1
     left with sqrt(n) <= 1e6 is prime.  Only when the trial primes run out
     does Brent's rho with Miller-Rabin primality gates split the rest.
-    Reproducible: no randomness anywhere.
+    The prime table is grown to this trial bound and no further, so small
+    m sieve only a few primes.  Reproducible: no randomness anywhere.
     """
     if m == 0:
         raise DomainError("cannot factor 0")
@@ -165,7 +164,7 @@ def factor(m: int) -> Factorization:
         bound = min(math.isqrt(n), _SMALL_TRIAL_LIMIT)
         primes = _PRIMES  # read without the lock: it is only ever replaced
         if not len(primes) or primes[-1] < bound:
-            primes = prime_sieve(_SMALL_TRIAL_LIMIT)
+            primes = prime_sieve(bound)
         for p in primes[:primes.searchsorted(bound, side="right")].tolist():
             if p * p > n:
                 break
@@ -346,7 +345,8 @@ def conic_soluble_local(m: int, place) -> int:
 
 @dataclass(frozen=True)
 class ArithConstants:
-    """Truncated Euler product over p = 3 mod 4 of (1 - 1/p^2)^(1/2).
+    """C0 = prod over p = 3 mod 4 of (1 - 1/p^2)^(1/2), the half-dimensional
+    sieve factor, with its error.
 
     landau_K = 1/(sqrt(2)*c0) is the Landau-Ramanujan constant: the density
     constant in the count of sums of two squares up to x.
@@ -357,27 +357,22 @@ class ArithConstants:
     landau_K: float
 
 
+# C0 = 1/(sqrt(2) K) with K the Landau-Ramanujan constant, known to far more
+# digits than a double holds: Shanks, Math. Comp. 18 (1964) 75-86; Flajolet
+# and Vardi, "Zeta function expansions of classical constants" (1996).
+# The decimal rounds to the nearest double, within half an ulp; four ulps
+# also cover the roundings of c0**2 and 1/(sqrt(2) c0) where it is read.
+_C0 = 0.92526157475704862262707042297
+_LANDAU = ArithConstants(c0=_C0, c0_error=4 * math.ulp(_C0),
+                         landau_K=1.0 / (math.sqrt(2) * _C0))
+
+
 def landau_constants() -> ArithConstants:
-    """Compute c0 over the primes to C0_PRIME_CUTOFF, with a rigorous tail
-    bound.
-
-    The truncated product exceeds the limit; the log-tail is at most
-    sum_{p>cutoff} p^-2 <= 1/(cutoff-1), so
-    c0_true in [c0 * exp(-tail), c0].  Computed once in a process: every
-    arc-factor row reads it.
-    """
-    return _landau_constants()
-
-
-@functools.lru_cache(maxsize=None)
-def _landau_constants() -> ArithConstants:
-    primes = prime_sieve(C0_PRIME_CUTOFF)
-    p3 = primes[primes % 4 == 3].astype(np.float64)
-    c0 = float(math.exp(0.5 * np.log1p(-1.0 / p3**2).sum()))
-    tail_log = 1.0 / (2 * (C0_PRIME_CUTOFF - 1))
-    c0_error = c0 * (1.0 - math.exp(-tail_log))
-    return ArithConstants(c0=c0, c0_error=c0_error,
-                          landau_K=1.0 / (math.sqrt(2) * c0))
+    """C0 from its stated value, which tests/oracles.py checks against the
+    truncated Euler product and against Shanks' zeta recursion.  c0_error,
+    four ulps, covers the rounding of the stated value to a double: the
+    true C0 lies within c0_error of c0."""
+    return _LANDAU
 
 
 def mertens_3mod4(D: float) -> float:

@@ -190,10 +190,10 @@ def arc_factor_row(q: int) -> tuple[np.ndarray, float]:
     """Arc factors for all a1 in [0, q), summed over every (k, t).
 
     Returns (values, tail_bound).  The values are exact apart from C0,
-    which enters as C0^-2; landau_constants() brackets C0 within its
-    rigorous Euler-product tail, and every value is at most values[0] in
-    absolute value, so tail_bound = values[0] * (exp(2 tail_log) - 1) is
-    rigorous.
+    which enters as C0^-2; landau_constants() states C0 to within its
+    c0_error of a few ulps, and every value is at most values[0] in
+    absolute value, so tail_bound, values[0] times the relative error of
+    C0^-2, is at the level of rounding.
     """
     if q < 1:
         raise DomainError("q must be positive")
@@ -232,7 +232,7 @@ def arc_factor_row(q: int) -> tuple[np.ndarray, float]:
         if p % 4 == 3:
             scale *= 1.0 - p ** -2.0
     values *= scale
-    # C0 lies in [c0 - c0_error, c0], so the true C0^-2 exceeds the one
+    # C0 lies within c0_error of c0, so the true C0^-2 differs from the one
     # used here by at most this relative amount
     inflate = (consts.c0 / (consts.c0 - consts.c0_error)) ** 2 - 1.0
     return values, float(values[0].real) * inflate

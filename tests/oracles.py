@@ -189,6 +189,53 @@ def two_squares_decomposition(m: int) -> tuple[int, int, int]:
     return t, k, r
 
 
+def c0_euler_product(cutoff: int = 10**6) -> tuple[float, float]:
+    """(lower, upper) bracket of C0 = prod over p = 3 mod 4 of
+    (1 - p^-2)^(1/2) from its product over the primes up to cutoff.
+
+    The truncated product exceeds the limit, and the log of the dropped
+    factors is at least -sum_{p > cutoff} p^-2 / 2 >= -1/(2 (cutoff - 1)).
+    """
+    primes = prime_sieve(cutoff)
+    p3 = primes[primes % 4 == 3].astype(np.float64)
+    upper = float(math.exp(0.5 * np.log1p(-1.0 / p3**2).sum()))
+    return upper * math.exp(-1.0 / (2 * (cutoff - 1))), upper
+
+
+# B_2j / (2j)! for j = 1..8
+_BERNOULLI_TERMS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,
+                    1 / 47900160, -691 / 1307674368000,
+                    1 / 74724249600, -3617 / 10670622842880000)
+
+
+def hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) = sum_{k >= 0} (k + a)^-s for s > 1, 0 < a <= 1, by
+    Euler-Maclaurin after 32 terms, its remainder below 1e-20."""
+    x = 32 + a
+    parts = [(k + a) ** -s for k in range(32)]
+    parts += [x ** (1 - s) / (s - 1), x ** -s / 2]
+    rising = s  # s (s + 1) ... (s + 2j - 2)
+    for j, b in enumerate(_BERNOULLI_TERMS, start=1):
+        parts.append(b * rising * x ** (-s - 2 * j + 1))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return math.fsum(parts)
+
+
+def c0_shanks() -> float:
+    """C0 = A(2)^(1/2) from Shanks' recursion for A(s) = prod over
+    p = 3 mod 4 of (1 - p^-s):
+
+        A(s)^2 = A(2s) L(s, chi4) / ((1 - 2^-s) zeta(s)),
+
+    the Euler products of zeta(s) and L(s, chi4) = 4^-s (zeta(s, 1/4) -
+    zeta(s, 3/4)) divided.  It starts from A(64) = 1, within 3^-64."""
+    A = 1.0
+    for s in (32, 16, 8, 4, 2):
+        L = 4.0 ** -s * (hurwitz_zeta(s, 0.25) - hurwitz_zeta(s, 0.75))
+        A = math.sqrt(A * L / ((1 - 2.0 ** -s) * hurwitz_zeta(s, 1.0)))
+    return math.sqrt(A)
+
+
 def _ks_3mod4(limit: int) -> np.ndarray:
     """Integers k <= limit all of whose prime factors are 3 mod 4."""
     good = np.ones(limit + 1, dtype=bool)

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibrecount import arith
-from oracles import moebius, ramanujan_sum_direct, two_squares_decomposition
+from oracles import (c0_euler_product, c0_shanks, moebius,
+                     ramanujan_sum_direct, two_squares_decomposition)
 
 
 def trial_division(m):
@@ -48,9 +49,20 @@ def test_factor_roundtrip(m):
     assert prod == m
 
 
-def test_factor_matches_trial_division():
+@pytest.fixture
+def empty_prime_table(monkeypatch):
+    """factor() from an empty prime table, as in a fresh process."""
+    monkeypatch.setattr(arith, "_PRIMES", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(arith, "_PRIME_LIMIT", 1)
+
+
+def test_factor_matches_trial_division(empty_prime_table):
+    # the table grows only to the trial bound, sqrt(16) = 4 here
+    assert arith.factor(16).factors == ((2, 4),)
+    assert arith._PRIME_LIMIT <= 8
     for m in range(1, 10**4 + 1):
         assert arith.factor(m).factors == trial_division(m)
+    assert arith._PRIME_LIMIT <= 2 * math.isqrt(10**4)
 
 
 def test_factor_table_is_factor():
@@ -61,7 +73,8 @@ def test_factor_table_is_factor():
         assert table[m] == arith.factor(m).factors
 
 
-def test_factor_needs_no_primality_test_below_trial_limit(monkeypatch):
+def test_factor_needs_no_primality_test_below_trial_limit(empty_prime_table,
+                                                         monkeypatch):
     # a cofactor left when p*p > n is prime without a Miller-Rabin run
     def refuse(n):
         raise AssertionError(f"is_prime({n}) called")
@@ -71,7 +84,7 @@ def test_factor_needs_no_primality_test_below_trial_limit(monkeypatch):
     assert arith.factor(99991**2).factors == ((99991, 2),)
 
 
-def test_factor_large_semiprime():
+def test_factor_large_semiprime(empty_prime_table):
     p, q = 1000003, 1000033
     assert arith.factor(p * q).factors == ((p, 1), (q, 1))
 
@@ -182,16 +195,16 @@ def test_sieves_refuse_past_sieve_max_before_allocating():
 
 
 def test_landau_constants():
-    big = arith.landau_constants()
-    assert 0.7625 <= big.landau_K <= 0.7660
-    assert big.landau_K * math.sqrt(2) * big.c0 == pytest.approx(1.0, abs=1e-15)
-    # the bracket [c0 - c0_error, c0] holds the true C0 = 1/(sqrt(2) K), K
-    # the Landau-Ramanujan constant
-    true_c0 = 1 / (math.sqrt(2) * 0.76422365358922066299)
-    assert big.c0 - big.c0_error <= true_c0 <= big.c0
-    # computed once in a process, and equal to a fresh computation
-    assert arith.landau_constants() is big
-    assert big == arith._landau_constants.__wrapped__()
+    consts = arith.landau_constants()
+    assert 0.7625 <= consts.landau_K <= 0.7660
+    assert consts.landau_K * math.sqrt(2) * consts.c0 == pytest.approx(
+        1.0, abs=1e-15)
+    assert 0 < consts.c0_error <= 8 * math.ulp(consts.c0)
+    # the stated C0 lies in the bracket of its product over the primes to
+    # 10^6, and matches Shanks' zeta recursion to the last digits
+    lower, upper = c0_euler_product(10**6)
+    assert lower <= consts.c0 <= upper
+    assert abs(consts.c0 - c0_shanks()) <= 1e-15
 
 
 def test_mertens_examples():

@@ -298,7 +298,9 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
               "from fibrecount.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert main(argv) == 0\n"
-              "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))")
+              "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n"
+              "from fibrecount import arith\n"
+              "print(arith._PRIME_LIMIT)")
     common = ["--config", FOUR, "--out", str(tmp_path / "out.csv")]
     runs = [["constant", "--Q", "3", "--p-max", "2", "--samples", "20000"],
             ["compare", "--t", "5,8", "--p-max", "2", "--samples", "20000"],
@@ -309,7 +311,11 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
         [sys.executable, "-c", script,
          json.dumps([argv + common for argv in runs])],
         env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    loaded, prime_limit = done.stdout.splitlines()
+    assert loaded == "[]"
+    # C0 is stated and factor() sieves to its trial bound, so no prime
+    # table to 10^6 is built
+    assert int(prime_limit) < 10**4
 
 
 def test_import_closures():

@@ -167,9 +167,8 @@ def test_public_functions_are_plain():
 
 
 # the memos of src and why each stays: perfbench asserts that a second
-# birch_sum_table call returns the same table object; C0 runs over the
-# primes to 10^6, and each of the 16 arc rows of the q-sum reads it
-MEMOS = {"expsums._birch_table", "arith._landau_constants"}
+# birch_sum_table call returns the same table object
+MEMOS = {"expsums._birch_table"}
 
 
 def test_memos_are_the_listed_ones():
