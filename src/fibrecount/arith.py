@@ -12,11 +12,13 @@ power); for m < 0 there is no real point.  conic_soluble_local gives the
 same answer place by place, and the product over all places recovers the
 global indicator.
 
-The same indicator over a whole range is two_squares_sieve(limit), checked
-against the oracle two_squares_pairs; only_1mod4_sieve(limit) marks the
-integers whose prime factors are all 1 mod 4.  A sieve of any kind, the
-prime table included, longer than SIEVE_MAX is refused with
-BudgetExceededError before any allocation.
+The same indicator over a whole range is two_squares_sieve(limit), which
+marks every a^2 + b^2 <= limit; the tests check it against
+conic_soluble_global at every m and against a valuation-parity sieve
+(tests/oracles.py).  only_1mod4_sieve(limit) marks the integers whose
+prime factors are all 1 mod 4.  A sieve of any kind, the prime table
+included, longer than SIEVE_MAX is refused with BudgetExceededError
+before any allocation.
 """
 
 from __future__ import annotations
@@ -240,11 +242,11 @@ def conic_soluble_global(m: int, factorization: Factorization | None = None) -> 
 def two_squares_sieve(limit: int) -> np.ndarray:
     """Boolean array ok[0..limit]: ok[m] iff m>0 is a sum of two squares.
 
-    Linear sieve over valuation parities: for every prime p = 3 mod 4 and
-    every odd exponent e, the integers with v_p(m) exactly e are removed.
-    No per-m factorization happens.  One read-only table serves every
-    limit; a longer limit rebuilds it, geometrically larger but never past
-    SIEVE_MAX.  A limit above SIEVE_MAX is refused before any allocation.
+    Built by pair enumeration: every a^2 + b^2 <= limit with a <= b is
+    marked, one numpy scatter per a; no prime table and no per-m
+    factorization.  One read-only table serves every limit; a longer
+    limit rebuilds it, geometrically larger but never past SIEVE_MAX.  A
+    limit above SIEVE_MAX is refused before any allocation.
     """
     global _SIEVE
     if limit > SIEVE_MAX:
@@ -258,32 +260,15 @@ def two_squares_sieve(limit: int) -> np.ndarray:
 
 
 def _build_two_squares(limit: int) -> np.ndarray:
-    ok = np.ones(limit + 1, dtype=bool)
+    ok = np.zeros(limit + 1, dtype=bool)
+    for a in range(math.isqrt(limit // 2) + 1):  # a <= b: 2 a^2 <= limit
+        sums = np.arange(a, math.isqrt(limit - a * a) + 1, dtype=np.int64)
+        sums *= sums
+        sums += a * a
+        ok[sums] = True
     ok[0] = False
-    primes = prime_sieve(limit)
-    for p in primes[primes % 4 == 3]:
-        p = int(p)
-        pe = p
-        while pe <= limit:
-            view = ok[pe::pe]
-            keep = view[p - 1::p].copy()  # v_p >= e+1: survive this exponent
-            view[:] = False
-            view[p - 1::p] = keep
-            if pe > limit // (p * p):
-                break
-            pe *= p * p  # next odd exponent
     ok.setflags(write=False)
     return ok
-
-
-def two_squares_pairs(x: int) -> np.ndarray:
-    """Independent oracle for two_squares_sieve: hit[0..x], hit[m] iff
-    m = a^2 + b^2, marked by direct pair enumeration."""
-    hit = np.zeros(x + 1, dtype=bool)
-    for a in range(0, math.isqrt(x) + 1):
-        b = np.arange(0, math.isqrt(x - a * a) + 1)
-        hit[a * a + b * b] = True
-    return hit
 
 
 def only_1mod4_sieve(limit: int) -> np.ndarray:

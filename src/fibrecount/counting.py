@@ -45,10 +45,20 @@ The budget bounds the points a path scans.
 The direct projective count is the box count with a gcd filter.
 
 Every path works through blocks of at most blocks.WORK_BLOCK values: box
-chunks, and the slices and pair chunks of the split's join.  A half table
-inserts each chunk's sorted distinct pairs into the earlier ones, so the
-split holds its tables of distinct pairs, one when the halves mirror and
-two otherwise, and a few WORK_BLOCK arrays.
+chunks, and the slices and pair chunks of the split's join.  Besides its
+tables of distinct pairs (one when the halves mirror, two otherwise),
+each kernel holds a stated set of WORK_BLOCK arrays:
+
+* a half-table build: a chunk's keys, and the values and monomials of
+  one form.  The keys are sorted in place and the chunk dropped before
+  its distinct pairs merge into the table, whose merge holds the new keys
+  and counts beside the old counts.
+* the split's join: a pair chunk's partners, f1 values and one gathered
+  term; then the partners, keys and weights of the pairs that count.
+* the quadric scan: three buffers allocated once per call and reused for
+  every chunk, the discriminants, B, and the monomials of either form,
+  which then hold the float square roots; and the points of one root.
+* the slab scan: a chunk's f2 values and monomials, on each thread.
 """
 
 from __future__ import annotations
@@ -131,7 +141,7 @@ class CountRecord:
 def _theta_of_values(values: np.ndarray) -> np.ndarray:
     """Vectorized soluble-fibre indicator; values <= 0 give False.
 
-    Uses the parity sieve when the value range is modest, otherwise
+    Uses the two-squares sieve when the value range is modest, otherwise
     factors each distinct positive value once (f1-values repeat heavily on
     symmetric boxes).
     """
@@ -169,8 +179,12 @@ def _half_table(inst: Instance, half, P: int, budget: int):
     The box is scanned in box chunks (blocks.box) up to the origin, each
     point counted twice and the origin once: d is even, so g(-x) = g(x),
     and -x lies as far after the origin in the box's product order as x
-    lies before it.  Each chunk's sorted distinct pairs are inserted into
-    the table, so memory follows the distinct pairs, not the box."""
+    lies before it.  Each chunk's keys are sorted in place and its
+    distinct pairs counted; the chunk is dropped, and the pairs the table
+    already holds add to its counts, the others are inserted.  So memory
+    follows the distinct pairs, not the box: the table, and either the
+    chunk's three WORK_BLOCK arrays (its keys, and the values and
+    monomials of one form) or the merge."""
     nb = len(half)
     if (2 * P + 1) ** nb > budget:
         raise BudgetExceededError(
@@ -189,7 +203,14 @@ def _half_table(inst: Instance, half, P: int, budget: int):
             key += g1.evaluate_batch(cols, P)
         key = key.ravel()[:todo]
         todo -= len(key)
-        new, cnt = np.unique(key, return_counts=True)
+        key.sort()
+        head = np.empty(len(key) + 1, dtype=bool)  # where each run starts
+        head[0] = head[-1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:-1])
+        new = key[head[:-1]]
+        del key  # the chunk goes before the merge
+        cnt = np.diff(np.flatnonzero(head))
+        del head
         cnt *= 2
         if keys is None:
             keys, counts = new, cnt
@@ -198,8 +219,13 @@ def _half_table(inst: Instance, half, P: int, budget: int):
             seen = at < len(keys)
             seen[seen] = keys[at[seen]] == new[seen]
             counts[at[seen]] += cnt[seen]
-            keys = np.insert(keys, at[~seen], new[~seen])
-            counts = np.insert(counts, at[~seen], cnt[~seen])
+            fresh = ~seen
+            at, new, cnt = at[fresh], new[fresh], cnt[fresh]
+            del seen, fresh
+            keys = np.insert(keys, at, new)
+            counts = np.insert(counts, at, cnt)
+            del at
+        del new, cnt  # before the next chunk
         if not todo:
             break
     counts[np.searchsorted(keys, b2 * (2 * b1 + 1) + b1)] -= 1  # the origin
@@ -230,9 +256,14 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
     built and joined with itself: the partners of an A key are the A keys
     of its own row, and only the pairs j >= i are walked, j > i weighted
     by 2.  A is walked in slices of WORK_BLOCK / 16 keys, their pairs
-    formed and classified in chunks of at most WORK_BLOCK (or one key's
-    row), so besides the tables the join holds a few WORK_BLOCK arrays.
-    It needs at least two blocks.
+    formed in chunks of at most WORK_BLOCK (or one key's row).  A chunk
+    is classified from its f1 values first, and only the pairs that count
+    are weighed, by the counts of their two keys; in the mirrored join a
+    key's pair with itself weighs 1.  So besides the tables the join holds
+    three WORK_BLOCK arrays: the partners, the f1 values and one more (a
+    gathered term, or the positive values _theta_of_values looks up), and
+    then the partners, keys and weights of the pairs that count.  It needs
+    at least two blocks.
     """
     b1, b2 = _packing(inst, P)  # refused before any table is built
     width = 2 * b1 + 1
@@ -242,7 +273,7 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
     kb, cb = (ka, ca) if mirrored else _half_table(inst, half_b, P, budget)
     total, step = 0, max(1, blocks.WORK_BLOCK // 16)
     for first in range(0, len(ka), step):
-        keys, counts = ka[first:first + step], ca[first:first + step]
+        keys = ka[first:first + step]
         rows = keys - keys % width  # where each key's row (v2 + b2) starts
         if mirrored:  # the partners of key i: i and the rest of its row
             partner = rows
@@ -261,20 +292,27 @@ def _count_split(inst: Instance, P: int, include_zero_fibres: bool,
                                            "right")), start + 1)
             reps = run[start:stop]
             heads = csum[start:stop] - reps - base  # each run's first pair
-            ia = np.repeat(np.arange(start, stop), reps)
             # key i of the slice pairs with the run lo[i], lo[i] + 1, ...
-            ib = np.arange(len(ia))
-            ib += np.repeat(lo[start:stop] - heads, reps)
-            f1v = lead[ia]
-            f1v += kb[ib]
-            w = counts[ia]
-            w *= cb[ib]
-            if mirrored:  # (i, j) with j > i stands for (j, i) too
-                w *= 2
-                w[heads] //= 2
+            ib = np.repeat(lo[start:stop] - heads, reps)
+            ib += np.arange(len(ib))
+            f1v = kb[ib]
+            f1v += np.repeat(lead[start:stop], reps)
+            hit = _theta_of_values(f1v)
             if include_zero_fibres:
-                total += int(w[f1v == 0].sum())
-            total += int(w[_theta_of_values(f1v)].sum())
+                hit |= f1v == 0
+            del f1v  # only the pairs that count are weighed
+            ia = np.repeat(np.arange(first + start, first + stop), reps)[hit]
+            ib = ib[hit]
+            del hit
+            w = cb[ib]
+            if mirrored:  # (i, j) with j > i stands for (j, i) too
+                once = ib == ia
+            del ib
+            w *= ca[ia]
+            total += int(w.sum())
+            if mirrored:
+                total += int(w.sum()) - int(w[once].sum())
+            del ia, w  # before the next chunk's pairs
             start = stop
     return total - int(include_zero_fibres)  # the origin
 
@@ -289,6 +327,7 @@ def _soluble_points(inst: Instance, pts, P: int, include_zero_fibres: bool,
         for c in pts:  # np.gcd is the gcd of the absolute values
             np.gcd(g, c, out=g)
         prim = g == 1
+        del g
         pts = [c[prim] for c in pts]
     if not len(pts[0]):
         return 0
@@ -363,7 +402,11 @@ def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
     f2 = 0 over x' are the integer roots x_k = (-B +- s) / (2a) where the
     discriminant B^2 - 4aC is a square s^2: a root counts when 2a divides
     its numerator and |x_k| <= P, a double root (s = 0) once.  x' is
-    scanned in box chunks (blocks.box), on one thread.
+    scanned in box chunks (blocks.box), on one thread, through three
+    buffers allocated once per call as long as the largest chunk: the
+    discriminants, B, and the monomials of either form, which then hold
+    the float square roots.  The points of f2 = 0 a chunk holds are
+    counted one root at a time.
 
     Refused with BudgetExceededError, before any array is built, when the
     (2P+1)^(n-1) scanned points exceed the budget, or when the
@@ -386,35 +429,44 @@ def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
         raise BudgetExceededError(
             f"discriminants may reach {bound} >= 2^52, past the exact "
             "float64 square root")
+    size = min(est, max(blocks.WORK_BLOCK, 2 * P + 1))  # the largest chunk
+    discs, bs, scratch = (np.empty(size, dtype=np.int64) for _ in range(3))
     total = 0
     for cols in box(np.arange(-P, P + 1, dtype=np.int64), inst.n - 1):
         shape = np.broadcast_shapes(*map(np.shape, cols))
-        disc = (const.evaluate_batch(cols, P) if const
-                else np.zeros(shape, dtype=np.int64))
+        m = math.prod(shape)
+        disc = discs[:m]  # flat, and evaluated over the chunk's grid
+        if const:
+            const.evaluate_batch(cols, P, out=disc.reshape(shape),
+                                 scratch=scratch)
+        else:
+            disc.fill(0)
         disc *= -4 * a
         if lin:
-            b = lin.evaluate_batch(cols, P)
-            disc += b * b
-        disc = disc.ravel()
-        at = np.flatnonzero(disc >= 0)
-        disc = disc[at]
-        s = _isqrt(disc)
-        square = s * s == disc
-        at, s = at[square], s[square]
-        neg_b = -b.ravel()[at] if lin else 0
-        found, roots = [], []
-        for num in (neg_b + s, neg_b - s):
-            root, rem = np.divmod(num, 2 * a)
+            lin.evaluate_batch(cols, P, out=bs[:m].reshape(shape),
+                               scratch=scratch)
+            np.multiply(bs[:m], bs[:m], out=scratch[:m])
+            disc += scratch[:m]
+        # r = floor(sqrt(disc)) in float64, and disc is a square iff r^2 =
+        # disc: below 2^52 disc, r and r^2 are exact, and so is the root
+        # of a square; a negative disc meets r = 0
+        r = scratch[:m].view(np.float64)
+        np.maximum(disc, 0, out=r)
+        np.sqrt(r, out=r)
+        np.floor(r, out=r)
+        np.multiply(r, r, out=r)
+        at = np.flatnonzero(r == disc)
+        s = _isqrt(disc[at])
+        neg_b = -bs[at] if lin else 0
+        for sign in (1, -1):  # the points of each root in turn
+            root, rem = np.divmod(neg_b + sign * s, 2 * a)
             keep = (rem == 0) & (np.abs(root) <= P)
-            if found:  # the second root, unless it is the first again
+            if sign < 0:  # the second root, unless it is the first again
                 keep &= s > 0
-            found.append(at[keep])
-            roots.append(root[keep])
-        at = np.concatenate(found)
-        grid = np.unravel_index(at, shape)
-        pts = [np.broadcast_to(col, shape)[grid] for col in cols]
-        pts.insert(k, np.concatenate(roots))
-        total += _soluble_points(inst, pts, P, include_zero_fibres, primitive)
+            pts = [np.broadcast_to(col, shape).flat[at[keep]] for col in cols]
+            pts.insert(k, root[keep])
+            total += _soluble_points(inst, pts, P, include_zero_fibres,
+                                     primitive)
     # the origin is the double root at x' = 0, as in _count_slab
     return total - int(include_zero_fibres and not primitive)
 

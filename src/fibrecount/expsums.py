@@ -242,7 +242,7 @@ def twisted_two_squares_row(x: int, q: int) -> np.ndarray:
     """sum_{m <= x, m a sum of two squares} e(a1 m / q) for every a1 in
     [0, q).
 
-    The m of the valuation-parity sieve are counted in their classes mod q
+    The m of the two-squares sieve are counted in their classes mod q
     once, and the phases a1 r mod q are reduced exactly in integers.
     """
     if x < 1:

@@ -8,7 +8,7 @@ All evaluation is exact integer arithmetic.  Batch evaluation uses numpy
 int64 and refuses loudly when intermediate values could overflow.  Each
 Form carries a plan built once, its monomials as (coeff, factor indices),
 and evaluate_batch and evaluate_batch_mod follow it in place in two
-output-sized buffers.
+output-sized buffers, which a caller of evaluate_batch may pass in.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ class Form:
             total += term
         return total
 
-    def evaluate_batch(self, cols, bound: int) -> np.ndarray:
+    def evaluate_batch(self, cols, bound: int, out=None,
+                       scratch=None) -> np.ndarray:
         """Exact values over many points, int64.
 
         Float columns evaluate in float64 instead: each monomial is its
@@ -139,11 +140,17 @@ class Form:
         (-u * v is -(u * v) and t + -w is t - w in IEEE arithmetic, signed
         zeros included), so such a monomial of degree 2 costs one multiply
         and one add.  tests/oracles.evaluate_batch is the reference loop.
+        A caller that evaluates chunk after chunk may pass both buffers in,
+        so that no chunk allocates one.
 
         Args:
             cols: sequence of n_vars int64 (or float64) arrays, one per
                 coordinate, broadcastable to a common shape
             bound: max absolute coordinate value, used to prove no overflow
+            out: optional array of the broadcast shape that receives the
+                values (`total`), and is returned
+            scratch: optional 1-d array of at least as many values and the
+                same dtype, which holds the monomials (`term`)
 
         Raises:
             FormError: if coeff_norm * bound**degree could exceed int64
@@ -152,7 +159,7 @@ class Form:
             raise FormError(
                 f"values of |f| may reach {self.coeff_norm() * bound**self.degree}, "
                 "beyond the int64 fast path; reduce the box or evaluate exactly")
-        return self._walk(cols)
+        return self._walk(cols, out=out, scratch=scratch)
 
     def evaluate_batch_mod(self, cols, q: int) -> np.ndarray:
         """f mod q over many points, by the walk of evaluate_batch.
@@ -177,16 +184,23 @@ class Form:
         np.remainder(total, q, out=total)
         return total
 
-    def _walk(self, cols, q: int | None = None) -> np.ndarray:
+    def _walk(self, cols, q: int | None = None, out=None,
+              scratch=None) -> np.ndarray:
         """The plan followed in place: the sum of the monomials over cols,
         exact, or with every product and sum reduced mod q (then cols lie
-        in [0, q) and each coefficient enters as its residue)."""
+        in [0, q) and each coefficient enters as its residue).  out and
+        scratch, where given, serve as `total` and `term`."""
         shapes = [np.shape(c) for c in cols]
         same = len(set(shapes)) == 1  # no monomial needs its own shape
         shape = shapes[0] if same else np.broadcast_shapes(*shapes)
-        dtype = np.result_type(np.int64, *(cols[i] for i in self._used))
-        total = np.zeros(shape, dtype=dtype)
-        term = np.empty(total.size, dtype=dtype)
+        if out is None:
+            dtype = np.result_type(np.int64, *(cols[i] for i in self._used))
+            total = np.zeros(shape, dtype=dtype)
+        else:
+            total = out
+            total.fill(0)
+        term = (np.empty(total.size, dtype=total.dtype) if scratch is None
+                else scratch[:total.size])
         whole = term.reshape(shape)
         for coeff, idx in self._plan:
             fold = coeff == 1 or coeff == -1

@@ -173,10 +173,13 @@ def _landau_normalized_check():
 
 
 def _landau_oracle_check():
+    # the sieve marks sums of two squares; the oracle factors each m
     x = 10**4
-    same = bool(np.array_equal(arith.two_squares_sieve(x)[1:],
-                               arith.two_squares_pairs(x)[1:]))
-    return same, f"sieve == pair enumeration for all x <= {x}: {same}", ""
+    sieve = arith.two_squares_sieve(x)
+    same = all(bool(sieve[m]) == bool(arith.conic_soluble_global(m))
+               for m in range(1, x + 1))
+    return same, f"sieve == conic_soluble_global for all m <= {x}: " \
+                 f"{same}", ""
 
 
 def _mertens_check():
@@ -224,7 +227,7 @@ def suite_sieve(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
         _check("landau-normalized", _landau_normalized_check,
                "count * sqrt(log 1e7)/1e7 within 2% of 1/(sqrt2 C0)"),
         _check("landau-sieve-vs-pairs", _landau_oracle_check,
-               "exact match for all x <= 1e4"),
+               "exact match with conic_soluble_global for all m <= 1e4"),
         _check("mertens-product", _mertens_check,
                "relative error < 1% at D = 1e6"),
         _check("sieve-progressions", _progression_check,

@@ -189,6 +189,27 @@ def two_squares_decomposition(m: int) -> tuple[int, int, int]:
     return t, k, r
 
 
+def two_squares_parity_sieve(limit: int) -> np.ndarray:
+    """ok[0..limit], ok[m] iff m > 0 is a sum of two squares, by valuation
+    parities: for every prime p = 3 mod 4 and every odd exponent e, the m
+    with v_p(m) exactly e are removed.  The library's two_squares_sieve
+    marks the sums a^2 + b^2 instead."""
+    ok = np.ones(limit + 1, dtype=bool)
+    ok[0] = False
+    primes = prime_sieve(limit)
+    for p in primes[primes % 4 == 3].tolist():
+        pe = p
+        while pe <= limit:
+            view = ok[pe::pe]
+            keep = view[p - 1::p].copy()  # v_p >= e+1: survive this exponent
+            view[:] = False
+            view[p - 1::p] = keep
+            if pe > limit // (p * p):
+                break
+            pe *= p * p  # next odd exponent
+    return ok
+
+
 def c0_euler_product(cutoff: int = 10**6) -> tuple[float, float]:
     """(lower, upper) bracket of C0 = prod over p = 3 mod 4 of
     (1 - p^-2)^(1/2) from its product over the primes up to cutoff.

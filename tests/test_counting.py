@@ -10,6 +10,7 @@ from fibrecount import arith, blocks, counting
 from fibrecount.arith import DomainError
 from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance, parse_instance
+from oracles import two_squares_parity_sieve
 from strategies import pair
 
 KINDS = ((False, False), (True, False), (True, True))  # (zero, primitive)
@@ -47,11 +48,17 @@ def test_projective_paths_agree(four_squares, bilinear):
             assert direct.raw_count == moeb.raw_count
 
 
+def _unmirrored(bilinear):
+    """bilinear with f2 = x0 x1 - 2 x2 x3: its halves do not mirror, so
+    its split count keeps the two-table join."""
+    return Instance(f1=bilinear.f1, f2=Form(4, 2, (
+        (1, pair(4, 0, 1)), (-2, pair(4, 2, 3)))), n=4, d=2)
+
+
 def test_split_matches_slab(four_squares, bilinear, monkeypatch):
     # the shipped configs' halves mirror, so they join one table with
-    # itself; bilinear with f2 = x0 x1 - 2 x2 x3 keeps the two-table join
-    unmirrored = Instance(f1=bilinear.f1, f2=Form(4, 2, (
-        (1, pair(4, 0, 1)), (-2, pair(4, 2, 3)))), n=4, d=2)
+    # itself; _unmirrored keeps the two-table join
+    unmirrored = _unmirrored(bilinear)
     budget = blocks.DEFAULT_BUDGET
     built = []
     half_table = counting._half_table
@@ -311,44 +318,84 @@ def test_quadric_memory_follows_the_chunks(linked, monkeypatch):
             for zero, prim in KINDS] == want
 
 
+def _peak(fn) -> int:
+    """The tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the working set of counting's kernels, from their design: a half table
+# holds 16 bytes (a key and a count) per distinct pair, and while it
+# merges a chunk 9 more (the new keys and counts beside the old counts,
+# and np.insert's mask); a chunk holds three int64 arrays of WORK_BLOCK
+# values, in the build and in the join alike
+CHUNK_ARRAYS = 3 * 8 * blocks.WORK_BLOCK
+
+
 def test_split_join_memory_follows_the_tables(bilinear):
-    # the budget, from the design: a key and a count (16 bytes) per
-    # distinct pair of each half table, and eight int64 arrays of
-    # WORK_BLOCK values for the join; a join whose arrays spanned the whole
-    # table held more.  The shared sieve is built first: it is no part of
-    # the count's working memory
+    # a key and a count per distinct pair of each half table, and the
+    # chunk's three WORK_BLOCK arrays: the halves mirror, so the one
+    # table built in place of two also covers its merge.  The shared
+    # sieve is built first: it is no part of the count's working memory
     halves = blocks.balanced_halves(blocks.variable_blocks(bilinear))
     pairs = sum(len(counting._half_table(bilinear, h, 300,
                                          blocks.DEFAULT_BUDGET)[0])
                 for h in halves)
     arith.two_squares_sieve(4 * 300**2)
-    tracemalloc.start()
-    try:
-        counting.count_soluble_fibre_points(bilinear, 300,
-                                            include_zero_fibres=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * pairs + 8 * 8 * blocks.WORK_BLOCK
+    peak = _peak(lambda: counting.count_soluble_fibre_points(
+        bilinear, 300, include_zero_fibres=True))
+    assert peak < 16 * pairs + CHUNK_ARRAYS
 
 
 def test_mirrored_split_memory_is_one_table(bilinear):
-    # bilinear's halves mirror, so the split holds one half table: a key
-    # and a count (16 bytes) per distinct pair of table A and the join's
-    # eight WORK_BLOCK arrays.  Building table B as well, while A is held,
-    # peaked above this bound
+    # bilinear's halves mirror, so the split holds one half table and
+    # merges into it.  Building table B as well, while A is held, peaked
+    # above this bound
     half_a, _ = blocks.balanced_halves(blocks.variable_blocks(bilinear))
     keys_a = counting._half_table(bilinear, half_a, 300,
                                   blocks.DEFAULT_BUDGET)[0]
     arith.two_squares_sieve(4 * 300**2)
-    tracemalloc.start()
-    try:
-        counting.count_soluble_fibre_points(bilinear, 300,
-                                            include_zero_fibres=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * len(keys_a) + 8 * 8 * blocks.WORK_BLOCK
+    peak = _peak(lambda: counting.count_soluble_fibre_points(
+        bilinear, 300, include_zero_fibres=True))
+    assert peak < 25 * len(keys_a) + CHUNK_ARRAYS
+
+
+@pytest.mark.parametrize("name", ["bilinear", "unmirrored"])
+def test_half_table_working_set(bilinear, name):
+    # each build holds its table, its merge and the chunk's arrays, and
+    # the split adds the tables it holds: table A while B is built, when
+    # the halves do not mirror.  np.unique on whole chunks and the
+    # arrays of a chunk dropped only after the merge held more
+    inst = bilinear if name == "bilinear" else _unmirrored(bilinear)
+    arith.two_squares_sieve(8 * 300**2)
+    halves = blocks.balanced_halves(blocks.variable_blocks(inst))
+    if counting._mirrored(inst, *halves):
+        halves = halves[:1]
+    built = [len(counting._half_table(inst, h, 300,
+                                      blocks.DEFAULT_BUDGET)[0])
+             for h in halves]
+    for h, pairs in zip(halves, built):
+        assert _peak(lambda: counting._half_table(
+            inst, h, 300, blocks.DEFAULT_BUDGET)) < 25 * pairs + CHUNK_ARRAYS
+    held = 16 * sum(built[:-1])
+    assert _peak(lambda: counting.count_soluble_fibre_points(
+        inst, 300, include_zero_fibres=True)) < \
+        held + 25 * built[-1] + CHUNK_ARRAYS
+
+
+def test_quadric_working_set(linked):
+    # three buffers of WORK_BLOCK values serve every chunk, and the
+    # chunk's masks and the points of one root stay under one WORK_BLOCK
+    # array more; fresh arrays for each temporary of each chunk held
+    # more.  The sieve is built first, by the count itself
+    counting._count_quadric(linked, 60, True, 10**7, True)
+    peak = _peak(lambda: counting._count_quadric(linked, 60, True, 10**7,
+                                                 True))
+    assert peak < 4 * 8 * blocks.WORK_BLOCK
 
 
 def test_moebius_sum_builds_one_table_per_radius(bilinear, monkeypatch):
@@ -420,7 +467,7 @@ def test_two_squares_count():
     assert counting.two_squares_count(10) == 7  # 1,2,4,5,8,9,10
     x = 2000
     assert counting.two_squares_count(x) == \
-        int(arith.two_squares_pairs(x)[1:].sum())
+        int(two_squares_parity_sieve(x)[1:].sum())
 
 
 def test_a_sieve_past_its_maximum_is_refused(monkeypatch):
@@ -446,15 +493,26 @@ def test_a_sieve_past_its_maximum_is_refused(monkeypatch):
     monkeypatch.setattr(arith, "_SIEVE", np.zeros(1, dtype=bool))
     arith.two_squares_sieve(600)
     assert len(arith._SIEVE) == 601
-    assert np.array_equal(arith.two_squares_sieve(900)[1:],
-                          arith.two_squares_pairs(900)[1:])
+    assert np.array_equal(arith.two_squares_sieve(900),
+                          two_squares_parity_sieve(900))
     assert len(arith._SIEVE) == 1001  # not the 1201 that doubling gives
 
 
-def test_two_squares_sieve_matches_pairs_exhaustively():
+def test_two_squares_sieve_matches_the_oracles_exhaustively(monkeypatch):
+    # the sieve marks a^2 + b^2; the oracles factor each m, or sieve by
+    # valuation parities.  ok[0] is False: 0 is no value of the indicator
     x = 10**4
-    assert np.array_equal(arith.two_squares_sieve(x)[1:],
-                          arith.two_squares_pairs(x)[1:])
+    sieve = arith.two_squares_sieve(x)
+    assert not sieve[0]
+    assert sieve[1:].tolist() == [bool(arith.conic_soluble_global(m))
+                                  for m in range(1, x + 1)]
+    assert np.array_equal(sieve, two_squares_parity_sieve(x))
+    # across the geometric rebuilds of a fresh table
+    monkeypatch.setattr(arith, "_SIEVE", np.zeros(1, dtype=bool))
+    for limit in (1, 2, 50, 51, 3000, 10**5):
+        assert np.array_equal(arith.two_squares_sieve(limit),
+                              two_squares_parity_sieve(limit))
+        assert not arith._SIEVE.flags.writeable
 
 
 def test_theta_above_the_sieve_range():

@@ -1,0 +1,78 @@
+"""Golden outputs: the exact stdout of CLI commands, pinned in tests/golden/.
+
+Each command runs in-process through cli.main and its stdout must equal
+its file byte for byte.  The corpus was pinned with Python 3.11.7 and
+numpy 2.4.6.  The counts print integers and math-library floats; the
+`expsum --empirical` rows are sums of numpy complex exponentials, so on
+another numpy that file is skipped, and the skip says why.  Re-pinning a
+file is a test change: list it in CHANGES.md with its reason.  To re-pin
+every file:
+
+    PYTHONPATH=src python tests/test_golden.py --pin
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fibrecount.cli import main
+from test_counting import _dense
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+FOUR = str(ROOT / "configs" / "four_squares.json")
+BILINEAR = str(ROOT / "configs" / "bilinear.json")
+DENSE = "<dense seed 0>"  # written from tests/test_counting._dense(0)
+PINNED_NUMPY = "2.4.6"
+
+COMMANDS = {
+    # the four jobs of the bench's count workload
+    "count-split": ["count", "--config", FOUR, "--t", "100,150"],
+    "count-direct": ["count", "--config", FOUR, "--t", "60",
+                     "--method", "direct"],
+    "count-moebius": ["count", "--config", FOUR, "--t", "60",
+                      "--method", "moebius"],
+    "count-bilinear": ["count", "--config", BILINEAR, "--t", "300"],
+    "theta-bilinear": ["theta", "--config", BILINEAR, "--P", "40",
+                       "--include-zero"],
+    "count-dense-moebius": ["count", "--config", DENSE, "--t", "40",
+                            "--method", "moebius"],
+    "expsum-empirical": ["expsum", "--config", FOUR, "--empirical", "12"],
+}
+NUMPY_FLOATS = {"expsum-empirical"}
+
+
+def _stdout(argv: list, folder: Path) -> str:
+    """The stdout of one in-process run of argv, with the dense
+    placeholder replaced by a config file written into folder."""
+    if DENSE in argv:
+        path = folder / "dense-0.json"
+        path.write_text(json.dumps(_dense(0).config_dict()))
+        argv = [str(path) if a == DENSE else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name, tmp_path):
+    if name in NUMPY_FLOATS and np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"{name} was pinned on numpy {PINNED_NUMPY}, "
+                    f"not {np.__version__}")
+    want = (GOLDEN / f"{name}.csv").read_text()
+    assert _stdout(COMMANDS[name], tmp_path) == want
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--pin"]:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as folder:
+        for name, argv in COMMANDS.items():
+            (GOLDEN / f"{name}.csv").write_text(_stdout(argv, Path(folder)))
+            print(f"pinned {name}")
