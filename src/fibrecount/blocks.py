@@ -37,11 +37,7 @@ keys) and the pair chunks in the join of counting's split count, padic's
 lift candidates (WORK_BLOCK / n of them, n coordinates each) and
 archimedean's Monte Carlo blocks (WORK_BLOCK / n points).  The one other
 size is the 2^18-point Monte Carlo chunk, which defines the random
-streams.  Counting's box kernels each hold three such arrays: a half
-table's build a chunk's keys and one form's values and monomials, the
-split's join a pair chunk's partners, f1 values and one gathered term,
-and the quadric scan its discriminants, B and monomials, in buffers
-allocated once per call and reused for every chunk (counting.py).
+streams.  counting.py states the working set of each of its kernels.
 
 DEFAULT_BUDGET, the enumeration volume one operation may scan or lift, is
 the default budget of every layer, and BudgetExceededError (defined in

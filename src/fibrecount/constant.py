@@ -1,32 +1,29 @@
 """Assembly of the leading constant by two routes, and the count prediction.
 
-Route 'singular_series':
-    c = (J / sqrt(d)) * (sqrt(2) / zeta(n-d)) * (Re L / 2) * C0
+Each route is a product of stated factors, and one rule, _first_order,
+assembles both: it multiplies the factors' values left to right and adds
+their relative errors, where a zero J, L or local product adds none.
+  'singular_series':  (J / sqrt(d)) * (sqrt(2) / zeta(n-d)) * (Re L / 2) * C0
+  'tamagawa':         (1 / sqrt(pi)) * (J / sqrt(d)) * prod_p tau_p / lambda_p
 with L the singular series and C0 the Euler product over p = 3 mod 4 of
-(1 - 1/p^2)^(1/2).
+(1 - 1/p^2)^(1/2).  The same rule multiplies the local factors of L.
 
-Route 'tamagawa':
-    c = (1 / sqrt(pi)) * (J / sqrt(d)) * prod_p (tau_p / lambda_p).
-
-The two agree as exact limits.  At truncated level what the routes share
-is their local densities at p <= p_max, which is why the pipeline
-evaluates the singular series through its local factorization; the raw
-q-sum value is reported alongside.  Their prime content is not matched:
-zeta(n-d), C0 and the L(1, chi4)^(1/2) behind 1/sqrt(pi) enter complete,
-while the local products stop at p_max.  pipeline builds J, both Euler
-products and both routes for the constant and compare commands and for
-verify.  euler_products assembles both products in one pass over the
-primes, from the local factors of expsums and padic.  It reads the density
-at every p once, by local_density: the exact limit padic.tau_limit at
-p = 1 mod 4 where every nonzero solution of f2 = 0 mod p is smooth, else
-the density at level_for(p).  That one density is the tamagawa route's
-factor at every p and the singular-series route's at p = 1 mod 4, so the
-two routes carry the same density there by construction.  At p = 2 and
-p = 3 mod 4 the singular-series route reads expsums.local_series instead,
-the prime-power terms of its own q-sum, to the last shell SERIES_SHELLS
-gives.  Both tables, DEFAULT_LEVELS and SERIES_SHELLS, are stated here, so
-neither n nor a run's budget moves a truncation: a budget admits or
-refuses the work and nothing else.
+The two agree as exact limits.  At truncated level what they share is
+their local densities at p <= p_max, which is why route 1 reads the
+singular series through its local factorization; the raw q-sum is
+reported alongside.  Their prime content is not matched: zeta(n-d), C0
+and the L(1, chi4)^(1/2) behind 1/sqrt(pi) enter complete, while the
+local products stop at p_max.  euler_products builds both products in one
+pass over the primes and reads the density at every p once, by
+local_density: the exact limit padic.tau_limit at p = 1 mod 4 where every
+nonzero solution of f2 = 0 mod p is smooth, else the density at
+level_for(p).  That one density is route 2's factor at every p and route
+1's at p = 1 mod 4; at p = 2 and p = 3 mod 4 route 1 reads
+expsums.local_series, the prime-power terms of its own q-sum, to the last
+shell SERIES_SHELLS gives.  Both tables, DEFAULT_LEVELS and SERIES_SHELLS,
+are stated here, so neither n nor a run's budget moves a truncation.
+pipeline builds J, both products and both routes for the constant and
+compare commands and for verify.
 """
 
 from __future__ import annotations
@@ -73,6 +70,22 @@ def error_exponent(d: int) -> float:
     return 1.0 / (5 * (d - 1) * 2 ** (d + 5))
 
 
+def _first_order(factors) -> tuple:
+    """(value, error) of a product of (value, relative error) factors: the
+    values multiplied left to right, and |value| times the sum of the
+    relative errors (first-order propagation)."""
+    value, rel = 1.0, 0.0
+    for v, r in factors:
+        value *= v
+        rel += r
+    return value, abs(value) * rel
+
+
+def _rel(err: float, value: float) -> float:
+    """|err / value|, and 0 for a zero value."""
+    return abs(err / value) if value else 0.0
+
+
 # ---------------------------------------------------------------------------
 # the two Euler products
 # ---------------------------------------------------------------------------
@@ -108,32 +121,6 @@ def local_density(inst: Instance, p: int,
     return TruncatedValue(complex(dens.density), 0.0, "heuristic", [dens])
 
 
-@dataclass
-class LocalFactor:
-    """Weighted local density against its convergence factor; error_kind
-    is that of the density (local_density)."""
-
-    p: int
-    tau_p: float
-    lambda_p: float
-    ratio: float
-    error_kind: str
-
-
-def tamagawa_factor(inst: Instance, p: int,
-                    dens: TruncatedValue) -> LocalFactor:
-    """Weighted local density tau_p and its convergence factor lambda_p.
-
-    tau_p = (1 - p^-(n-d)) / (1 - 1/p) * dens, dens the local_density at p;
-    lambda_p = (1 - 1/p)^(-1/2).
-    """
-    w = (1.0 - p ** (-(inst.n - inst.d))) / (1.0 - 1.0 / p)
-    tau_p = w * dens.value.real
-    lam = (1.0 - 1.0 / p) ** -0.5
-    return LocalFactor(p=p, tau_p=tau_p, lambda_p=lam, ratio=tau_p / lam,
-                       error_kind=dens.error_kind)
-
-
 def euler_products(inst: Instance, p_max: int = P_MAX,
                    budget: int = blocks.DEFAULT_BUDGET) -> tuple:
     """(series, product): both Euler products to p_max, from one
@@ -144,31 +131,33 @@ def euler_products(inst: Instance, p_max: int = P_MAX,
                       * prod_{p<=p_max, p=3 mod 4} (odd local factor at p),
     the q-sum (expsums.singular_series) as a full sum, but convergent
     shell-wise at every prime: the stable route at small n.  Its shells
-    are one dict of the factors by prime, whose relative errors add (first
-    order).  The factors at p = 2 and p = 3 mod 4 are expsums.local_series,
-    in shells to SERIES_SHELLS (1 where it has no entry).
+    are one dict of the factors by prime, which _first_order multiplies.
+    The factors at p = 2 and p = 3 mod 4 are expsums.local_series, in
+    shells to SERIES_SHELLS (1 where it has no entry).
 
-    product is prod tau_p / lambda_p (tamagawa_factor) with a heuristic
-    tail: |log(tau_p/lambda_p)| ~ C/p^2 fitted on the computed primes and
-    integrated beyond p_max.  Where the log-factors decay more slowly
-    (small n) the fit underestimates the tail; the factors are its shells,
-    so the drift is visible.
+    product is prod tau_p / lambda_p, with
+      tau_p = (1 - p^-(n-d)) / (1 - 1/p) * dens,  lambda_p = (1 - 1/p)^(-1/2),
+    dens the local_density at p; its shells are one dict of the ratios by
+    prime.  Its tail is heuristic: |log(tau_p/lambda_p)| ~ C/p^2 fitted on
+    the computed primes and summed over the primes in (p_max, 10 p_max).
+    Where the log-factors decay more slowly (small n) the fit underestimates
+    the tail; the ratios show the drift.
     """
-    value, rel_err, parts, factors = 1.0 + 0.0j, 0.0, {}, []
+    parts, ratios = {}, {}
     for p in [int(r) for r in prime_sieve(p_max)]:
         dens = local_density(inst, p, budget)
-        part = dens if p % 4 == 1 \
+        parts[str(p)] = dens if p % 4 == 1 \
             else local_series(inst, p, SERIES_SHELLS.get(p, 1), budget)
-        value *= part.value
-        rel_err += part.error_bound / max(abs(part.value), 1e-30)
-        parts[str(p)] = part
-        factors.append(tamagawa_factor(inst, p, dens))
-    series = TruncatedValue(
-        value=complex(value), error_bound=float(abs(value) * rel_err),
-        error_kind="heuristic", shells=[parts])
-    prod = math.prod(f.ratio for f in factors)
-    logs = np.array([abs(math.log(f.ratio)) for f in factors if f.ratio > 0])
-    ps = np.array([float(f.p) for f in factors if f.ratio > 0])
+        ratios[str(p)] = (1.0 - p ** (-(inst.n - inst.d))) / (1.0 - 1.0 / p) \
+            * dens.value.real / (1.0 - 1.0 / p) ** -0.5
+    value, err = _first_order(
+        (part.value, part.error_bound / max(abs(part.value), 1e-30))
+        for part in parts.values())
+    series = TruncatedValue(value=complex(value), error_bound=float(err),
+                            error_kind="heuristic", shells=[parts])
+    prod = math.prod(ratios.values())
+    logs = np.array([abs(math.log(r)) for r in ratios.values() if r > 0])
+    ps = np.array([float(p) for p, r in ratios.items() if r > 0])
     if len(ps):
         C = float((logs * ps**-2).sum() / (ps**-4).sum())
         tail_log = C * sum(1.0 / q**2 for q in range(p_max + 1, 10 * p_max)
@@ -178,7 +167,7 @@ def euler_products(inst: Instance, p_max: int = P_MAX,
     err = abs(prod) * (math.exp(tail_log) - 1.0)
     return series, TruncatedValue(
         value=complex(prod),
-        error_bound=float(err), error_kind="heuristic", shells=factors)
+        error_bound=float(err), error_kind="heuristic", shells=[ratios])
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +208,7 @@ def leading_constant_series(inst: Instance, J: McEstimate, L: TruncatedValue,
                             C0: ArithConstants) -> ConstantBreakdown:
     """Assemble the constant from the singular-series route.
 
-    Requires n - d >= 2 so zeta(n-d) is finite.  First-order error
-    propagation: relative errors of the inputs add.
+    Requires n - d >= 2 so zeta(n-d) is finite.  zeta(n-d) enters exact.
     """
     nd = inst.n - inst.d
     if nd < 2:
@@ -232,18 +220,15 @@ def leading_constant_series(inst: Instance, J: McEstimate, L: TruncatedValue,
             "beyond tolerance; conjugate pairing may be broken")
     z = zeta_direct(nd)
     jv = float(J.value.real)
-    c = (jv / math.sqrt(inst.d)) * (math.sqrt(2.0) / z) \
-        * (L.value.real / 2.0) * C0.c0
-    rel = 0.0
-    if jv != 0:
-        rel += abs(J.std_error / jv)
-    if L.value.real != 0:
-        rel += abs(L.error_bound / L.value.real)
-    rel += C0.c0_error / C0.c0
+    c, err = _first_order([
+        (jv / math.sqrt(inst.d), _rel(J.std_error, jv)),
+        (math.sqrt(2.0) / z, 0.0),
+        (L.value.real / 2.0, _rel(L.error_bound, L.value.real)),
+        (C0.c0, _rel(C0.c0_error, C0.c0))])
     return ConstantBreakdown(
         route="singular_series", J=jv, C0=C0.c0, L_phi=L.value,
         local_product=float("nan"), zeta_ndmd=z, d=inst.d, c_phi=c,
-        combined_error=abs(c) * rel, epsilon_d=error_exponent(inst.d),
+        combined_error=err, epsilon_d=error_exponent(inst.d),
         warnings=warnings)
 
 
@@ -252,16 +237,14 @@ def leading_constant_tamagawa(inst: Instance, J: McEstimate,
     """Assemble the constant from the local-product route."""
     jv = float(J.value.real)
     pv = float(prod.value.real)
-    c = (1.0 / math.sqrt(math.pi)) * (jv / math.sqrt(inst.d)) * pv
-    rel = 0.0
-    if jv != 0:
-        rel += abs(J.std_error / jv)
-    if pv != 0:
-        rel += abs(prod.error_bound / pv)
+    c, err = _first_order([
+        (1.0 / math.sqrt(math.pi), 0.0),
+        (jv / math.sqrt(inst.d), _rel(J.std_error, jv)),
+        (pv, _rel(prod.error_bound, pv))])
     return ConstantBreakdown(
         route="tamagawa", J=jv, C0=float("nan"), L_phi=complex(float("nan")),
         local_product=pv, zeta_ndmd=float("nan"), d=inst.d, c_phi=c,
-        combined_error=abs(c) * rel, epsilon_d=error_exponent(inst.d))
+        combined_error=err, epsilon_d=error_exponent(inst.d))
 
 
 def pipeline(inst: Instance, p_max: int = P_MAX,

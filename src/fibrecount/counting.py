@@ -37,8 +37,9 @@ The budget bounds the points a path scans.
   primitive counts skip it.
 * quadric: when d = 2 and f2 has a square term a x_k^2, f2 is quadratic
   in x_k, so only the other n - 1 coordinates are scanned and x_k is
-  solved for: an exact integer square root of the discriminant gives the
-  integer roots.  (2P+1)^(n-1) points, on one thread.
+  solved for: the float64 square root of the discriminant, exact for a
+  square below 2^52, gives the integer roots.  (2P+1)^(n-1) points, on
+  one thread.
 * slab: the whole box [-P,P]^n in box chunks (blocks.box), on `threads`
   threads.  It is the oracle the other two paths are tested against.
 
@@ -381,19 +382,6 @@ def _quadric_parts(inst: Instance):
     return k, a, lin, const
 
 
-def _isqrt(values: np.ndarray) -> np.ndarray:
-    """floor(sqrt(v)) of int64 values 0 <= v < 2^52, exactly.
-
-    Such a v is a float64 exactly, and so are k = floor(sqrt(v)) and k + 1,
-    so the correctly rounded root of v lies in [k, k + 1].  It reaches
-    k + 1 near 2^52 (the root of (2^26 + 1)^2 - 1 rounds up to 2^26 + 1),
-    so one step down corrects it.
-    """
-    s = np.sqrt(values.astype(np.float64)).astype(np.int64)
-    s -= s * s > values
-    return s
-
-
 def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
                    budget: int, primitive: bool = False) -> int:
     """The box count of _count_slab, scanning (2P+1)^(n-1) points.
@@ -411,7 +399,8 @@ def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
     Refused with BudgetExceededError, before any array is built, when the
     (2P+1)^(n-1) scanned points exceed the budget, or when the
     discriminant bound (|B|_1^2 + 4|a| |C|_1) P^2 reaches 2^52, past which
-    _isqrt is not exact (|C|_1 counts as 1 when C is absent).
+    the float64 square test is not exact (|C|_1 counts as 1 when C is
+    absent).
     """
     parts = _quadric_parts(inst)
     if parts is None:
@@ -449,14 +438,14 @@ def _count_quadric(inst: Instance, P: int, include_zero_fibres: bool,
             disc += scratch[:m]
         # r = floor(sqrt(disc)) in float64, and disc is a square iff r^2 =
         # disc: below 2^52 disc, r and r^2 are exact, and so is the root
-        # of a square; a negative disc meets r = 0
+        # of a square, which s takes; a negative disc meets r = 0
         r = scratch[:m].view(np.float64)
         np.maximum(disc, 0, out=r)
         np.sqrt(r, out=r)
         np.floor(r, out=r)
         np.multiply(r, r, out=r)
         at = np.flatnonzero(r == disc)
-        s = _isqrt(disc[at])
+        s = np.sqrt(disc[at]).astype(np.int64)
         neg_b = -bs[at] if lin else 0
         for sign in (1, -1):  # the points of each root in turn
             root, rem = np.divmod(neg_b + sign * s, 2 * a)

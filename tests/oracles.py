@@ -517,3 +517,31 @@ def embedded_lattice_merit(prefix, ms, best: dict) -> np.ndarray:
         ratio = lattice_errors(prefix, m) / best[m][len(prefix)]
         np.maximum(worst, ratio[dlog[cand % (1 << m)]], out=worst)
     return worst
+
+
+def first_order_error(c: float, factors) -> float:
+    """|c| times the sum of |error / value| over (value, error) factors of
+    c, a zero value adding nothing: first-order propagation of a
+    product's error."""
+    return abs(c) * math.fsum(abs(e / v) for v, e in factors if v != 0)
+
+
+def local_product_tail(ratios, p_max: int) -> float:
+    """The local product's heuristic tail error from its (p, ratio) pairs:
+    C fitted by least squares to |log ratio| ~ C / p^2 over the positive
+    ratios, the log-tail C * sum of q^-2 over the primes q in
+    (p_max, 10 p_max), and |product| * (exp(log-tail) - 1)."""
+    fit = [(p, abs(math.log(r))) for p, r in ratios if r > 0]
+    x = np.array([[float(p) ** -2] for p, _ in fit])
+    C = np.linalg.lstsq(x, np.array([y for _, y in fit]), rcond=None)[0][0]
+    primes = [q for q in prime_sieve(10 * p_max).tolist()
+              if p_max < q < 10 * p_max]
+    tail = C * math.fsum(q ** -2.0 for q in primes)
+    return abs(math.prod(r for _, r in ratios)) * math.expm1(tail)
+
+
+def qsum_fallback_error(terms) -> float:
+    """The q-sum's error where no sigma bound gives decay: the mass
+    sum |t(q)| of the last quarter of the Q = len(terms) terms, q > 3Q/4."""
+    Q = len(terms)
+    return math.fsum(abs(t) for q, t in enumerate(terms, 1) if 4 * q > 3 * Q)

@@ -7,6 +7,7 @@ from fibrecount.archimedean import McEstimate
 from fibrecount.arith import ArithConstants, DomainError
 from fibrecount.expsums import TruncatedValue
 from fibrecount.forms import Form, Instance
+from oracles import first_order_error, local_product_tail
 
 
 def _mc(value, se=0.0):
@@ -86,6 +87,44 @@ def test_error_propagation_first_order(four_squares):
     assert c.error_kind == "heuristic"
 
 
+def test_combined_error_is_first_order_in_every_factor(four_squares):
+    # each route's combined error is |c| times the sum of its factors'
+    # relative errors, C0's share included; zeta(n-d) and 1/sqrt(pi) are
+    # exact, and a zero factor adds no error
+    J, L, prod = _mc(2.0, se=0.2), _tv(3.0, err=0.6), _tv(1.5, err=0.3)
+    C0 = ArithConstants(c0=0.9, c0_error=0.09, landau_K=1 / (0.9 * 2 ** 0.5))
+    c1 = constant.leading_constant_series(four_squares, J, L, C0)
+    assert c1.c_phi == pytest.approx(
+        2.0 / constant.zeta_direct(2) * 1.5 * 0.9)
+    assert c1.combined_error == pytest.approx(first_order_error(
+        c1.c_phi, [(2.0, 0.2), (3.0, 0.6), (0.9, 0.09)]), rel=1e-12)
+    c2 = constant.leading_constant_tamagawa(four_squares, J, prod)
+    assert c2.c_phi == pytest.approx(2.0 / math.sqrt(2 * math.pi) * 1.5)
+    assert c2.combined_error == pytest.approx(first_order_error(
+        c2.c_phi, [(2.0, 0.2), (1.5, 0.3)]), rel=1e-12)
+    for c in (constant.leading_constant_series(four_squares, _mc(0.0, 0.2),
+                                               _tv(0.0, 0.6), C0),
+              constant.leading_constant_tamagawa(four_squares, _mc(0.0, 0.2),
+                                                 _tv(0.0, 0.3))):
+        assert (c.c_phi, c.combined_error) == (0.0, 0.0)
+
+
+def test_local_product_tail_is_the_refitted_prime_sum(four_squares, bilinear):
+    # the tail refits C to the ratios tau_p / lambda_p, each from the one
+    # local_density, and sums C / q^2 over the primes in (p_max, 10 p_max)
+    for inst, p_max in ((four_squares, 7), (four_squares, 13), (bilinear, 7)):
+        nd = inst.n - inst.d
+        ratios = [(p, (1 - p ** -nd) / math.sqrt(1 - 1 / p)
+                   * constant.local_density(inst, p).value.real)
+                  for p in arith.prime_sieve(p_max).tolist()]
+        prod = constant.euler_products(inst, p_max)[1]
+        assert prod.value.real == pytest.approx(
+            math.prod(r for _, r in ratios), rel=1e-12)
+        assert prod.error_bound > 0
+        assert prod.error_bound == pytest.approx(
+            local_product_tail(ratios, p_max), rel=1e-9)
+
+
 def test_route_agreement_fields():
     a = constant.ConstantBreakdown(
         route="singular_series", J=1, C0=1, L_phi=2 + 0j, local_product=float("nan"),
@@ -139,15 +178,19 @@ def test_both_products_read_constant_levels(four_squares, monkeypatch):
         mp.setattr(constant, "local_density", recording)
         fac, prod = constant.euler_products(four_squares, p_max=17)
     assert calls == [2, 3, 5, 7, 11, 13, 17]
-    for f in prod.shells:
-        dens = constant.local_density(four_squares, f.p)
-        assert f == constant.tamagawa_factor(four_squares, f.p, dens)
-        assert f.error_kind == dens.error_kind
-        if f.p % 4 == 1:
-            assert fac.shells[0][str(f.p)] == dens
-            assert dens == TruncatedValue((f.p + 1) / f.p, 0.0, "exact")
+    ratios = prod.shells[0]
+    assert list(ratios) == list(fac.shells[0]) == [str(p) for p in calls]
+    for p in calls:
+        dens = constant.local_density(four_squares, p)
+        # tau_p / lambda_p, with lambda_p = (1 - 1/p)^(-1/2)
+        assert ratios[str(p)] == pytest.approx(
+            (1 - p ** -2) / (1 - 1 / p) * dens.value.real
+            * math.sqrt(1 - 1 / p), rel=1e-12)
+        if p % 4 == 1:
+            assert fac.shells[0][str(p)] == dens
+            assert dens == TruncatedValue((p + 1) / p, 0.0, "exact")
         else:
-            assert dens.shells[0].level == constant.level_for(f.p)
+            assert dens.shells[0].level == constant.level_for(p)
             assert dens.error_kind == "heuristic"
     # f2 degenerate mod 5: there both read the level of level_for
     f2 = Form(4, 2, four_squares.f2.monomials[:3] + ((-5, (0, 0, 0, 2)),))
@@ -157,10 +200,10 @@ def test_both_products_read_constant_levels(four_squares, monkeypatch):
     fac, prod = constant.euler_products(degenerate, p_max=5)
     assert fac.shells[0]["5"] == constant.local_density(degenerate, 5)
     assert fac.shells[0]["5"].shells[0].level == 2
-    assert [f.tau_p for f in prod.shells] == [
+    assert list(prod.shells[0].values()) == pytest.approx([
         (1 - p ** -2) / (1 - 1 / p)
         * padic.soluble_density(degenerate, p, N).density
-        for p, N in levels.items()]
+        * math.sqrt(1 - 1 / p) for p, N in levels.items()], rel=1e-12)
 
 
 def test_series_shells_do_not_follow_the_budget(four_squares, monkeypatch):

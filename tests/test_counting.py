@@ -1,5 +1,4 @@
 import importlib.util
-import math
 import tracemalloc
 from pathlib import Path
 
@@ -261,20 +260,25 @@ def test_quadric_budget_refusal(linked):
         counting._count_quadric(bilinear, 3, False, 10**4)
 
 
-def test_isqrt_exact_at_the_edge():
-    ks = list(range(40)) + list(range(2**26 - 3, 2**26 + 1))
-    values = sorted({v for k in ks for v in (k * k - 1, k * k, k * k + 1)
-                     if 0 <= v < 2**52})
-    assert values[-1] == 2**52 - 1
-    values = np.array(values, dtype=np.int64)
-    want = [math.isqrt(v) for v in values.tolist()]
-    assert counting._isqrt(values).tolist() == want
-    # just past 2^52 the float64 root alone is one too high at k^2 - 1; the
-    # correction step still fixes it there
+def test_quadric_square_test_at_the_edge():
+    # below 2^52 the float64 root of a square is exact, which the kernel's
+    # root s relies on; just past 2^52 the root of k^2 - 1 rounds up to k
+    ks = np.array(list(range(40)) + list(range(2**26 - 3, 2**26)),
+                  dtype=np.int64)
+    assert np.array_equal(np.sqrt(ks * ks).astype(np.int64), ks)
     past = np.array([(2**26 + j) ** 2 - 1 for j in (1, 2, 3)], dtype=np.int64)
-    want = [math.isqrt(v) for v in past.tolist()]
-    assert counting._isqrt(past).tolist() == want
-    assert all(np.sqrt(past.astype(np.float64)).astype(np.int64) > want)
+    assert all(np.sqrt(past.astype(np.float64)) == 2**26 + np.arange(1, 4))
+    # f2 = a x1^2 - x2^2 + x0 x3 - a x3^2, a = 2^25 - 1, solved for x3:
+    # the discriminant bound (2a + 1)^2 sits just below 2^52, and over
+    # P = 1 the discriminants x0^2 + 4a^2 x1^2 - 4a x2^2 include (2a)^2,
+    # (2a)^2 + 1, (2a - 1)^2 and (2a - 1)^2 - 1: the squares give their
+    # roots and the others none, as the slab scan finds
+    a = 2**25 - 1
+    f2 = _form(4, (a, 1, 1), (-1, 2, 2), (1, 0, 3), (-a, 3, 3))
+    f1 = _form(4, (1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3))
+    inst = Instance(f1=f1, f2=f2, n=4, d=2)
+    want = counting._count_slab(inst, 1, False, 10**4, 1)
+    assert counting._count_quadric(inst, 1, False, 10**4) == want == 14
 
 
 def test_quadric_refuses_inexact_discriminants(monkeypatch):

@@ -12,7 +12,7 @@ from fibrecount.blocks import BudgetExceededError
 from fibrecount.forms import Form, Instance
 from oracles import (arc_factor_row_truncated, birch_sum_single,
                      birch_table_scan, gcd_phase_sum, local_series_odd,
-                     local_series_two)
+                     local_series_two, qsum_fallback_error)
 from strategies import instances, mirrored
 from test_counting import _dense
 
@@ -371,6 +371,16 @@ def test_singular_series_lambda0_tail_is_heuristic():
     C = max(abs(t) * q ** (1 + lam) for q, t in enumerate(ser.shells, 1))
     assert ser.error_kind == "heuristic"
     assert ser.error_bound == pytest.approx(C * Q ** -lam / lam, rel=1e-12)
+
+
+def test_singular_series_fallback_error_is_the_last_quarter(four_squares):
+    # four_squares' sigma bound gives lambda0 < 0, so the error is the mass
+    # of the terms with q > 3Q/4
+    assert four_squares.lambda0() < 0
+    for Q in (8, 10):
+        ser = expsums.singular_series(four_squares, Q)
+        assert ser.error_bound == pytest.approx(
+            qsum_fallback_error(ser.shells), rel=1e-12)
 
 
 def test_singular_series_factored_structure(four_squares):

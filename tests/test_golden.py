@@ -2,11 +2,12 @@
 
 Each command runs in-process through cli.main and its stdout must equal
 its file byte for byte.  The corpus was pinned with Python 3.11.7 and
-numpy 2.4.6.  The counts print integers and math-library floats; the
-`expsum --empirical` rows are sums of numpy complex exponentials, so on
-another numpy that file is skipped, and the skip says why.  Re-pinning a
-file is a test change: list it in CHANGES.md with its reason.  To re-pin
-every file:
+numpy 2.4.6.  The counts and the local densities print integers and
+math-library floats.  The files in NUMPY_FLOATS print sums that numpy
+forms: exponential sums (`expsum`) and the Monte Carlo J behind every
+constant (`constant`, `compare`).  On another numpy those files are
+skipped, and the skip says why.  Re-pinning a file is a test change:
+list it in CHANGES.md with its reason.  To re-pin every file:
 
     PYTHONPATH=src python tests/test_golden.py --pin
 """
@@ -44,8 +45,20 @@ COMMANDS = {
     "count-dense-moebius": ["count", "--config", DENSE, "--t", "40",
                             "--method", "moebius"],
     "expsum-empirical": ["expsum", "--config", FOUR, "--empirical", "12"],
+    # the bench's constant job, and the constant at its defaults
+    "constant-p7": ["constant", "--config", FOUR, "--route", "both",
+                    "--p-max", "7"],
+    "constant-default": ["constant", "--config", FOUR],
+    # the bench's dense compare job
+    "compare-dense": ["compare", "--config", DENSE, "--t", "40,60",
+                      "--p-max", "7"],
+    "local-density-ell": ["local-density", "--config", FOUR, "--p", "3,5",
+                          "--N", "3", "--kind", "ell"],
+    "expsum-birch": ["expsum", "--config", FOUR, "--birch", "8"],
+    "expsum-arc": ["expsum", "--config", FOUR, "--arc", "12"],
 }
-NUMPY_FLOATS = {"expsum-empirical"}
+NUMPY_FLOATS = {"expsum-empirical", "expsum-birch", "expsum-arc",
+                "constant-p7", "constant-default", "compare-dense"}
 
 
 def _stdout(argv: list, folder: Path) -> str:

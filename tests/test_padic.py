@@ -118,15 +118,18 @@ def test_classify_f1_against_the_scalar_rule(p, level, data):
 
 
 def test_tamagawa_relation(four_squares):
+    # the local product's ratio at p is tau_p / lambda_p: the density
+    # weighted by (1 - p^-(n-d)) / (1 - 1/p), against (1 - 1/p)^(-1/2)
+    nd = four_squares.n - four_squares.d
+    ratios = constant.euler_products(four_squares, p_max=7)[1].shells[0]
     for p in (3, 5, 7):
-        dens = constant.local_density(four_squares, p)
-        f = constant.tamagawa_factor(four_squares, p, dens)
-        ell = dens.value.real
-        back = f.tau_p * (1 - 1 / p) / (1 - p ** -(four_squares.n - four_squares.d))
+        ell = constant.local_density(four_squares, p).value.real
+        back = ratios[str(p)] * (1 - 1 / p) ** -0.5 * (1 - 1 / p) \
+            / (1 - p ** -nd)
         assert back == pytest.approx(ell, rel=1e-12)
-    five = constant.tamagawa_factor(four_squares, 5,
-                                    constant.local_density(four_squares, 5))
-    assert five.lambda_p == pytest.approx((1 - 1 / 5) ** -0.5)
+    # at 5 the density is the limit 6/5 and lambda_5 = (4/5)^(-1/2)
+    assert ratios["5"] == pytest.approx((24 / 25) / (4 / 5) * (6 / 5)
+                                        / math.sqrt(5 / 4), rel=1e-12)
 
 
 def test_orthogonality_links_counts_to_birch(four_squares, bilinear, linked):
