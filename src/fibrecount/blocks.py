@@ -26,8 +26,10 @@ instance there, and its reference, the lift tree, lives with the tests.
 
 box() is the one enumeration of a complete box: residue tables, and the
 half tables, quadric scans and slab counts of counting, scan it chunk by
-chunk.  pool_map runs independent chunks on a thread pool: the slab
-scan's box chunks and the shell estimator's; J runs on the calling thread.
+chunk.  pool_map runs independent chunks, the slab scan's box chunks
+and the shell estimator's, on the calling thread and on plain threads it
+starts and joins, one for each further worker, never more workers than
+tasks or CPUs the process may run on; J runs on the calling thread.
 
 WORK_BLOCK is the one working-block size of every hot loop: no array a
 loop works through at a time holds more than WORK_BLOCK values, unless an
@@ -47,7 +49,8 @@ arith, beside DomainError) the refusal of each.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +152,37 @@ def balanced_halves(blocks) -> tuple:
 # ---------------------------------------------------------------------------
 
 def pool_map(fn, tasks, threads: int) -> list:
-    """[fn(task) for task in tasks], in task order, on a pool of at most
-    `threads` threads and never more than there are tasks; one worker runs
-    in the calling thread without a pool."""
+    """[fn(task) for task in tasks], in task order, on at most `threads`
+    workers and never more than there are tasks or CPUs the process may
+    run on.  Worker w runs tasks w, w + workers, ...: the calling thread
+    is worker 0, and the others run on threads it starts and joins.  On
+    more than one worker every task runs, and the exception of the
+    lowest-indexed failing task is raised."""
     tasks = list(tasks)
-    workers = max(1, min(threads, len(tasks)))
+    workers = max(1, min(threads, len(tasks), len(os.sched_getaffinity(0))))
     if workers == 1:
         return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    results, errors = [None] * len(tasks), {}
+
+    def work(first):
+        for i in range(first, len(tasks), workers):
+            try:
+                results[i] = fn(tasks[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    pool = [threading.Thread(target=work, args=(w,))
+            for w in range(1, workers)]
+    for thread in pool:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in pool:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,17 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
     p^d f(y), so it adds p^(n(d-1)) M_(m-d) on the multiples of p^d, or
     p^(n(m-1)) at (0, 0) when m <= d.  Refused where p^(2m) leaves the
     exact int64 range, or where its p^(2m) entries exceed the budget.
+
+    Besides M and the table M_(m-d) it adds in, the working set is one
+    lift chunk (_lifts: at most WORK_BLOCK coordinates) and what _spread
+    derives from it: the gradients of _jacobian, about a dozen per-class
+    arrays, and one int64 key buffer, allocated per lift chunk as long as
+    its largest key chunk: at most WORK_BLOCK values, or one class's
+    (p^m/a)(p^m/c) keys where those are more.  Each key chunk is formed in
+    place there and counted by one bincount of p^(2m) entries.  A lift chunk's arrays, its buffer among
+    them, are dropped before the next chunk is lifted: a buffer kept for
+    the whole call held the largest key chunk through every later
+    Jacobian.
     """
     n, q = inst.n, p ** m
     _check_int64_range(p, m)
@@ -380,33 +391,54 @@ def _phase_table(inst: Instance, p: int, m: int, budget: int) -> np.ndarray:
         for pts in _lifts(inst, p, k, cur, budget):
             if k == 1:
                 pts = pts[pts.any(axis=1)]
-            cols = _cols(pts)
-            e1, vm, ok, g2, us, inv = _jacobian(inst, cols, p, m, k)
-            ok |= 2 * k >= m
-            rest.append(pts[~ok])
-            # the Hermite basis of each resolved class's lattice
-            b = (us * inv % q) * p ** k % q
-            e2 = np.where(vm < m, vm - e1, m)  # vm = m: e2 >= m - k
-            ce = np.minimum(k + g2, m)
-            ae = np.minimum(k + e1, m) + np.minimum(k + e2, m) - ce
-            c1 = inst.f1.evaluate_batch_mod(cols, q)
-            c2 = inst.f2.evaluate_batch_mod(cols, q)
-            for a_exp, c_exp in set(zip(ae[ok].tolist(), ce[ok].tolist())):
-                sel = ok & (ae == a_exp) & (ce == c_exp)
-                a, c = p ** a_exp, p ** c_exp
-                mass = p ** (n * (m - k) + a_exp + c_exp - 2 * m)
-                i = np.arange(0, q, a)[:, None]
-                j = np.arange(q // c)
-                rows = max(1, blocks.WORK_BLOCK // (len(i) * len(j)))
-                idx = np.flatnonzero(sel)
-                for s in range(0, len(idx), rows):
-                    r = idx[s:s + rows, None, None]
-                    key = ((c1[r] + i + b[r] % a * j) % q * q
-                           + (c2[r] + c * j) % q)
-                    flat += mass * np.bincount(key.reshape(-1),
-                                               minlength=q * q)
+            rest.append(_spread(inst, p, m, k, pts, flat))
         cur, k = np.concatenate(rest), k + 1
     return M
+
+
+def _spread(inst: Instance, p: int, m: int, k: int, pts: np.ndarray,
+            flat: np.ndarray) -> np.ndarray:
+    """Adds to flat, the table mod p^m of _phase_table, the lifts of the
+    classes mod p^k in pts that the rule resolves, each class's keys
+    (c1 + i + (b mod a) j, c2 + c j) mod p^m for i = 0, a, ..., p^m - a
+    and j < p^m/c, in key chunks formed in one buffer; returns the
+    others."""
+    n, q = inst.n, p ** m
+    cols = _cols(pts)
+    e1, vm, ok, g2, us, inv = _jacobian(inst, cols, p, m, k)
+    ok |= 2 * k >= m
+    # the Hermite basis of each resolved class's lattice
+    b = (us * inv % q) * p ** k % q
+    e2 = np.where(vm < m, vm - e1, m)  # vm = m: e2 >= m - k
+    ce = np.minimum(k + g2, m)
+    ae = np.minimum(k + e1, m) + np.minimum(k + e2, m) - ce
+    c1 = inst.f1.evaluate_batch_mod(cols, q)
+    c2 = inst.f2.evaluate_batch_mod(cols, q)
+    groups, size = [], 0  # per lattice shape, its classes
+    for a_exp, c_exp in set(zip(ae[ok].tolist(), ce[ok].tolist())):
+        idx = np.flatnonzero(ok & (ae == a_exp) & (ce == c_exp))
+        row = q // p ** a_exp * (q // p ** c_exp)  # the keys of a class
+        rows = max(1, blocks.WORK_BLOCK // row)  # the classes of a chunk
+        groups.append((a_exp, c_exp, idx, rows))
+        size = max(size, min(rows, len(idx)) * row)
+    buf = np.empty(size, dtype=np.int64)
+    for a_exp, c_exp, idx, rows in groups:
+        a, c = p ** a_exp, p ** c_exp
+        mass = p ** (n * (m - k) + a_exp + c_exp - 2 * m)
+        i = np.arange(0, q, a)[:, None]
+        j = np.arange(q // c)
+        for s in range(0, len(idx), rows):
+            r = idx[s:s + rows, None, None]
+            key = buf[:len(r) * len(i) * len(j)]
+            key = key.reshape(len(r), len(i), len(j))
+            np.add(c1[r] + i, b[r] % a * j, out=key)
+            np.remainder(key, q, out=key)
+            np.multiply(key, q, out=key)
+            np.add(key, (c2[r] + c * j) % q, out=key)
+            counts = np.bincount(key.reshape(-1), minlength=q * q)
+            counts *= mass
+            flat += counts
+    return pts[~ok]
 
 
 def _density(inst: Instance, p: int, N: int, kind: str,

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
+import types
 
 import pytest
 
@@ -298,7 +300,8 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
               "from fibrecount.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert main(argv) == 0\n"
-              "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n"
+              "print(sorted({'numpy.random', '_hashlib', 'concurrent.futures',\n"
+              "              'logging'} & set(sys.modules)))\n"
               "from fibrecount import arith\n"
               "print(arith._PRIME_LIMIT)")
     common = ["--config", FOUR, "--out", str(tmp_path / "out.csv")]
@@ -312,6 +315,8 @@ def test_runs_load_neither_numpy_random_nor_openssl(tmp_path):
          json.dumps([argv + common for argv in runs])],
         env=env, capture_output=True, text=True, check=True)
     loaded, prime_limit = done.stdout.splitlines()
+    # nor, since the chunk pools run on plain threads, the executor
+    # machinery and the logging it imports
     assert loaded == "[]"
     # C0 is stated and factor() sieves to its trial bound, so no prime
     # table to 10^6 is built
@@ -378,31 +383,97 @@ def test_threads_below_one_are_refused(capsys, value):
     assert "--threads: must be at least 1" in capsys.readouterr().err
 
 
+class _Thread:
+    """A stand-in for threading.Thread that starts no OS thread: start()
+    runs the target in the calling thread.  Each instance is recorded."""
+
+    made = []
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+        self.started = self.joined = False
+        _Thread.made.append(self)
+
+    def start(self):
+        self.started = True
+        self.target(*self.args)
+
+    def join(self):
+        self.joined = True
+
+
+def _pool(monkeypatch, cpus: int):
+    """pool_map on the _Thread stand-in in a process that may run on cpus
+    CPUs: (fn, tasks, threads) -> (results, threads started)."""
+    monkeypatch.setattr(blocks, "threading", types.SimpleNamespace(
+        Thread=_Thread))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def run(fn, tasks, threads):
+        _Thread.made.clear()
+        out = blocks.pool_map(fn, tasks, threads)
+        assert all(t.started and t.joined for t in _Thread.made)
+        return out, len(_Thread.made)
+    return run
+
+
 def test_pool_never_outnumbers_its_tasks(monkeypatch):
-    # a recording stand-in for the executor, so no thread is started
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(blocks, "ThreadPoolExecutor", Recorder)
+    pool = _pool(monkeypatch, 64)
     args = build_parser().parse_args(["count", "--config", FOUR, "--t", "5",
                                       "--threads", str(10**6)])
     tasks = list(range(-59, 0))
-    assert blocks.pool_map(abs, tasks, args.threads) == [-t for t in tasks]
-    assert blocks.pool_map(abs, tasks, 2) == [-t for t in tasks]
-    assert blocks.pool_map(abs, [], args.threads) == []
-    assert blocks.pool_map(abs, [-4], args.threads) == [4]
-    assert blocks.pool_map(abs, [-5, -6], 1) == [5, 6]
-    # no more workers than tasks or threads; one task or one thread, no pool
-    assert sizes == [59, 2]
+    # the calling thread is one worker, so a pool of w workers starts w - 1
+    # threads: no more workers than tasks or threads; one task or one
+    # thread, no thread
+    assert pool(abs, tasks, args.threads) == ([-t for t in tasks], 58)
+    assert pool(abs, tasks, 2) == ([-t for t in tasks], 1)
+    assert pool(abs, [], args.threads) == ([], 0)
+    assert pool(abs, [-4], args.threads) == ([4], 0)
+    assert pool(abs, [-5, -6], 1) == ([5, 6], 0)
+
+
+def test_pool_never_outnumbers_the_usable_cpus(monkeypatch):
+    # --threads 100000 on a scan of 5000 chunks, in a process pinned to 3
+    # CPUs: 3 workers
+    pool = _pool(monkeypatch, 3)
+    tasks = list(range(5000))
+    assert pool(abs, tasks, 100000) == (tasks, 2)
+
+
+def test_pool_raises_the_lowest_failing_task(monkeypatch):
+    # real threads: every task runs, and of two failing tasks the one of
+    # lower index is raised, whichever thread failed first
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    ran = []
+
+    def task(x):
+        ran.append(x)
+        if x in (5, 3):
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError) as exc:
+        blocks.pool_map(task, range(8), 4)
+    assert exc.value.args == (3,)
+    assert sorted(ran) == list(range(8))
+
+
+def test_pool_joins_every_thread_it_starts(monkeypatch):
+    # real threads: the four workers meet at a barrier twice, so the
+    # calling thread and three started threads run at once, and no thread
+    # is left
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    before = threading.active_count()
+    barrier = threading.Barrier(4, timeout=30)
+    seen = []
+
+    def task(x):
+        barrier.wait()
+        seen.append((threading.get_ident(), threading.active_count()))
+        return x * x
+
+    assert blocks.pool_map(task, range(8), 4) == [x * x for x in range(8)]
+    assert threading.active_count() == before
+    assert threading.get_ident() in {ident for ident, _ in seen}
+    assert len({ident for ident, _ in seen}) == 4
+    assert max(count for _, count in seen) == before + 3

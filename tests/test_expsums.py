@@ -14,7 +14,7 @@ from oracles import (arc_factor_row_truncated, birch_sum_single,
                      birch_table_scan, gcd_phase_sum, local_series_odd,
                      local_series_two, qsum_fallback_error)
 from strategies import instances, mirrored
-from test_counting import _dense
+from test_counting import CHUNK_ARRAYS, _dense, _peak
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,20 @@ def test_phase_table_rank_one(linked, scale):
             assert np.array_equal(
                 padic._phase_table(inst, p, m, 10**9),
                 expsums.joint_value_distribution(inst, p ** m))
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (7, 2)])
+def test_phase_table_working_set(p, m):
+    # the working set _phase_table states: its key buffer holds WORK_BLOCK
+    # values here, and beside it a lift chunk of at most 7^4 = 2401
+    # classes (their coordinates and a dozen per-class arrays, under 0.35
+    # MiB), M, one bincount of p^(2m) and the broadcast terms of one key
+    # chunk stay under two WORK_BLOCK arrays more.  Forming each key
+    # chunk through fresh temporaries peaked at 1.79 and 1.82 MiB
+    inst = _dense(0)
+    padic._phase_table(inst, p, m, 10**9)  # warm
+    assert _peak(lambda: padic._phase_table(inst, p, m, 10**9)) \
+        < CHUNK_ARRAYS
 
 
 def test_phase_distribution_joins_by_crt(linked, quartic):

@@ -7,9 +7,12 @@ math-library floats.  The files in NUMPY_FLOATS print sums that numpy
 forms: exponential sums (`expsum`) and the Monte Carlo J behind every
 constant (`constant`, `compare`).  On another numpy those files are
 skipped, and the skip says why.  Re-pinning a file is a test change:
-list it in CHANGES.md with its reason.  To re-pin every file:
+list it in CHANGES.md with its reason.  To re-pin the named files:
 
-    PYTHONPATH=src python tests/test_golden.py --pin
+    PYTHONPATH=src python tests/test_golden.py --pin NAME...
+
+A bare --pin writes every missing file and refuses to overwrite a file
+whose bytes differ: a moved output is re-pinned only by name.
 """
 
 import contextlib
@@ -56,9 +59,13 @@ COMMANDS = {
                           "--N", "3", "--kind", "ell"],
     "expsum-birch": ["expsum", "--config", FOUR, "--birch", "8"],
     "expsum-arc": ["expsum", "--config", FOUR, "--arc", "12"],
+    # phase tables at 2^6, 3^4, 7^2 and 11^2
+    "constant-dense-p13": ["constant", "--config", DENSE, "--p-max", "13"],
+    "constant-p31": ["constant", "--config", FOUR, "--p-max", "31"],
 }
 NUMPY_FLOATS = {"expsum-empirical", "expsum-birch", "expsum-arc",
-                "constant-p7", "constant-default", "compare-dense"}
+                "constant-p7", "constant-default", "compare-dense",
+                "constant-dense-p13", "constant-p31"}
 
 
 def _stdout(argv: list, folder: Path) -> str:
@@ -83,9 +90,29 @@ def test_golden_output(name, tmp_path):
     assert _stdout(COMMANDS[name], tmp_path) == want
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--pin"]:
+def pin(names: list) -> int:
+    """Writes the golden file of each name in names, or of every command
+    if names is empty; then a file whose bytes differ is left as it is
+    and reported.  Returns the number of files left."""
+    unknown = set(names) - set(COMMANDS)
+    if unknown:
+        raise SystemExit(f"no golden command named {', '.join(sorted(unknown))}")
     GOLDEN.mkdir(exist_ok=True)
+    left = 0
     with tempfile.TemporaryDirectory() as folder:
-        for name, argv in COMMANDS.items():
-            (GOLDEN / f"{name}.csv").write_text(_stdout(argv, Path(folder)))
+        for name in names or COMMANDS:
+            path = GOLDEN / f"{name}.csv"
+            out = _stdout(COMMANDS[name], Path(folder))
+            if not names and path.exists() and path.read_text() != out:
+                print(f"differs, not overwritten: {name} (pin it by name)")
+                left += 1
+                continue
+            path.write_text(out)
             print(f"pinned {name}")
+    return left
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--pin"]:
+        raise SystemExit("usage: test_golden.py --pin [NAME...]")
+    sys.exit(1 if pin(sys.argv[2:]) else 0)
