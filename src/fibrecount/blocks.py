@@ -1,35 +1,26 @@
 """Variable blocks: the factorization every layer shares.
 
 Two variables interact when some monomial of f1 or f2 contains both.  The
-connected components of this interaction graph are the instance's blocks;
-no monomial straddles two of them, so on x = (x_b)_b
+connected components of this interaction graph are the instance's blocks,
+each the sorted tuple of its variables (variable_blocks); no monomial
+straddles two of them, so on x = (x_b)_b
 
   f1(x) = sum_b g1_b(x_b),   f2(x) = sum_b g2_b(x_b)
 
-with g_b the restriction of f to the block b.  A variable that occurs in no
-monomial is a block of its own with both restrictions zero.  Every complete
-sum over a box that is a product of per-block boxes then factors:
+with g_b = restrict(f, b) the restriction of f to the block b.  A variable
+that occurs in no monomial is a block of its own with both restrictions
+zero.  Every complete sum over a box that is a product of per-block boxes
+then factors: the joint value distribution of (f1, f2) is the convolution
+of the per-block distributions, and an exponential sum is the product of
+the per-block sums.  balanced_halves packs the blocks into two halves of
+variables for a meet-in-the-middle count.
 
-* the joint value distribution of (f1, f2) is the convolution of the
-  per-block distributions (cyclic when the values are taken mod q);
-* an exponential sum e((a1 f1 + a2 f2)/q) is the product of the per-block
-  sums, because e(.) is additive.
-
-counting and expsums take their block paths when an instance has at least
-two blocks (expsums through block_tables, one residue table per distinct
-block).  Otherwise counting keeps its direct path and expsums takes
-padic's stationary phase, its one other path.  The oracles the other
-paths are tested against are counting's slab scan and, for the Birch
-tables, the scan of (Z/q)^n in joint_value_distribution, which no library
-path calls.  padic has no block path: stationary phase serves every
-instance there, and its reference, the lift tree, lives with the tests.
-
-box() is the one enumeration of a complete box: residue tables, and the
-half tables, quadric scans and slab counts of counting, scan it chunk by
-chunk.  pool_map runs independent chunks, the slab scan's box chunks
-and the shell estimator's, on the calling thread and on plain threads it
-starts and joins, one for each further worker, never more workers than
-tasks or CPUs the process may run on; J runs on the calling thread.
+box() is the one enumeration of a complete box, which residue_table and
+counting's kernels scan chunk by chunk; residue_table counts a box by the
+residues of two forms, and refuse_table is the one refusal of a q x q
+table.  pool_map runs independent chunks on the calling thread and on
+plain threads it starts and joins, one for each further worker, never
+more workers than tasks or CPUs the process may run on.
 
 WORK_BLOCK is the one working-block size of every hot loop: no array a
 loop works through at a time holds more than WORK_BLOCK values, unless an
@@ -51,7 +42,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,23 +54,6 @@ from .forms import Form, Instance
 # gain little past 2^16 points (CHANGES.md).
 WORK_BLOCK = 1 << 16
 DEFAULT_BUDGET = 3 * 10**8
-
-
-@dataclass(frozen=True)
-class Block:
-    """One block of variables and the restrictions of (f1, f2) to it.
-
-    g1, g2 are forms in len(vars) variables, or None where the form has no
-    monomial in the block (the restriction is then identically zero).
-    """
-
-    vars: tuple
-    g1: Form | None
-    g2: Form | None
-
-    @property
-    def n(self) -> int:
-        return len(self.vars)
 
 
 def restrict(f: Form, block) -> Form | None:
@@ -101,7 +74,8 @@ def restrict(f: Form, block) -> Form | None:
 
 
 def variable_blocks(inst: Instance) -> list:
-    """Blocks of inst, ordered by their smallest variable."""
+    """Blocks of inst, each the sorted tuple of its variables, ordered by
+    their smallest variable."""
     parent = list(range(inst.n))
 
     def find(i):
@@ -118,8 +92,7 @@ def variable_blocks(inst: Instance) -> list:
     comps: dict[int, list] = {}
     for i in range(inst.n):
         comps.setdefault(find(i), []).append(i)
-    return [Block(tuple(c), restrict(inst.f1, c), restrict(inst.f2, c))
-            for c in comps.values()]
+    return [tuple(c) for c in comps.values()]
 
 
 def balanced_halves(blocks) -> tuple:
@@ -129,7 +102,7 @@ def balanced_halves(blocks) -> tuple:
     Only the block sizes matter: a subset sum over them, with the first
     block in half A, reaches at most n sums, each kept with the block that
     first reached it."""
-    sizes = [b.n for b in blocks]
+    sizes = [len(b) for b in blocks]
     total = sum(sizes)
     came = {sizes[0]: None}  # sum of half A -> (previous sum, block added)
     for i, s in enumerate(sizes[1:], start=1):
@@ -142,8 +115,8 @@ def balanced_halves(blocks) -> tuple:
     while came[size_a] is not None:
         size_a, i = came[size_a]
         in_a[i] = True
-    half_a = sorted(v for b, a in zip(blocks, in_a) if a for v in b.vars)
-    half_b = sorted(v for b, a in zip(blocks, in_a) if not a for v in b.vars)
+    half_a = sorted(v for b, a in zip(blocks, in_a) if a for v in b)
+    half_b = sorted(v for b, a in zip(blocks, in_a) if not a for v in b)
     return half_a, half_b
 
 
@@ -218,12 +191,13 @@ def refuse_table(modulus: int, budget: int) -> None:
                                   f"budget {budget}")
 
 
-def residue_table(block: Block, modulus: int, budget: int) -> np.ndarray:
-    """T[u, v] = #{x mod modulus : g1(x) = u, g2(x) = v mod modulus}.
+def residue_table(g1: Form | None, g2: Form | None, n: int, modulus: int,
+                  budget: int) -> np.ndarray:
+    """T[u, v] = #{x mod modulus : g1(x) = u, g2(x) = v mod modulus}, for
+    forms g1, g2 in n variables, None being the zero form.
 
     The box (Z/modulus)^n is scanned in box chunks, one bincount each.
     """
-    n = block.n
     if modulus ** n > budget:
         raise BudgetExceededError(
             f"block volume {modulus}^{n} = {modulus ** n} exceeds budget "
@@ -237,21 +211,8 @@ def residue_table(block: Block, modulus: int, budget: int) -> np.ndarray:
     # a chunk as large as the table its bincount fills, if that is larger
     for cols in box(np.arange(modulus, dtype=np.int64), n,
                     limit=max(WORK_BLOCK, modulus * modulus)):
-        key = np.broadcast_to(residues(block.g1, cols) * modulus
-                              + residues(block.g2, cols),
+        key = np.broadcast_to(residues(g1, cols) * modulus
+                              + residues(g2, cols),
                               np.broadcast_shapes(*map(np.shape, cols)))
         table += np.bincount(key.ravel(), minlength=modulus * modulus)
     return table.reshape(modulus, modulus)
-
-
-def block_tables(inst: Instance, modulus: int, budget: int) -> list:
-    """(residue_table mod modulus, multiplicity) per distinct block of
-    inst: blocks with equal restrictions share one table."""
-    groups: dict = {}
-    for b in variable_blocks(inst):
-        key = (b.g1, b.g2)
-        if key in groups:
-            groups[key][1] += 1
-        else:
-            groups[key] = [residue_table(b, modulus, budget), 1]
-    return [tuple(g) for g in groups.values()]

@@ -46,7 +46,7 @@ import numpy as np
 from . import blocks, padic
 from .arith import (DomainError, factor, landau_constants, only_1mod4_sieve,
                     two_squares_sieve, valuation)
-from .blocks import (Block, BudgetExceededError, block_tables, residue_table,
+from .blocks import (BudgetExceededError, residue_table, restrict,
                      variable_blocks)
 from .forms import Instance
 
@@ -73,8 +73,7 @@ def joint_value_distribution(inst: Instance, q: int) -> np.ndarray:
     """M[u, v] = #{x mod q : f1(x) = u, f2(x) = v (mod q)}, by scanning the
     whole box (Z/q)^n: the oracle of the block and phase paths of
     birch_sum_table."""
-    return residue_table(Block(tuple(range(inst.n)), inst.f1, inst.f2),
-                         q, blocks.DEFAULT_BUDGET)
+    return residue_table(inst.f1, inst.f2, inst.n, q, blocks.DEFAULT_BUDGET)
 
 
 def birch_sum_table(inst: Instance, q: int,
@@ -116,9 +115,11 @@ def _phase_distribution(inst: Instance, q: int, budget: int) -> np.ndarray:
     if q ** inst.n >= 2 ** 53:
         raise BudgetExceededError(
             f"{q}^{inst.n} residues exceed the exact float64 range")
-    tables = [(p ** e, padic._phase_table(inst, p, e, budget))
-              for p, e in factor(q).factors]
+    fq = factor(q).factors
+    for p, e in fq:  # refused before any table is built
+        padic._check_int64_range(p, e)
     blocks.refuse_table(q, budget)
+    tables = [(p ** e, padic._phase_table(inst, p, e, budget)) for p, e in fq]
     r = np.arange(q)
     M = np.ones((q, q), dtype=np.int64)
     for pe, T in tables:
@@ -128,11 +129,21 @@ def _phase_distribution(inst: Instance, q: int, budget: int) -> np.ndarray:
 
 def _block_table(inst: Instance, q: int, budget: int) -> np.ndarray:
     """The Birch table as the product of the per-block tables
-    conj(FFT2(M_b)), exact because e(.) is additive over disjoint blocks."""
-    tables = block_tables(inst, q, budget)  # each refuses q^2 > budget
+    conj(FFT2(M_b)), exact because e(.) is additive over disjoint blocks.
+
+    Blocks with equal restrictions (g1, g2) share one residue table, raised
+    to their multiplicity; the distinct tables are built in order of first
+    appearance, each multiplied in before the next is built."""
+    groups: dict = {}  # (g1, g2) -> [block size, multiplicity]
+    for b in variable_blocks(inst):
+        key = (restrict(inst.f1, b), restrict(inst.f2, b))
+        groups.setdefault(key, [len(b), 0])[1] += 1
+    blocks.refuse_table(q, budget)  # before S is allocated
     S = np.ones((q, q), dtype=np.complex128)
-    for M, count in tables:
-        S *= np.conj(np.fft.fft2(M.astype(np.float64))) ** count
+    for (g1, g2), (n, count) in groups.items():
+        # each table is dropped once it is multiplied in
+        S *= np.conj(np.fft.fft2(
+            residue_table(g1, g2, n, q, budget).astype(np.float64))) ** count
     return S
 
 

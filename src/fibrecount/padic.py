@@ -11,8 +11,8 @@ residue has saturated valuation cannot be classified at level N.  Those
 classes are refined by lifting t (not the f2 condition) a few more levels,
 LIFT_EXTRA = e, splitting each class into p^n children of equal mass;
 classes still undecided at level N+e are bracketed: counted as soluble
-(genuine f1 = 0 fibres are soluble through (0:0:1)), with both ends of
-the bracket (density_low, density_high) and the undecided mass reported.
+(genuine f1 = 0 fibres are soluble through (0:0:1)), with the bracket
+(density_low, density) and the undecided mass reported.
 A decision at a shallower level is never undone at a deeper one, so the
 masses at full depth are counts over t mod p^(N+e) with f2 = 0 mod p^N,
 f1 classified at level N+e.
@@ -75,7 +75,6 @@ class LocalDensity:
     kind: str
     undecided_fraction: float = 0.0
     density_low: float = 0.0
-    density_high: float = 0.0
 
     @staticmethod
     def csv_header() -> str:
@@ -471,8 +470,7 @@ def _density(inst: Instance, p: int, N: int, kind: str,
         p=p, level=N, raw_count=raw, density=float(dens),
         stabilized=N >= 2 and abs(dens - prev) <= STABLE_REL_TOL * dens,
         kind=kind, undecided_fraction=und / count if count else 0.0,
-        density_low=float(Fraction(soluble, denom)),
-        density_high=float(Fraction(soluble + und, denom)))
+        density_low=float(Fraction(soluble, denom)))
 
 
 def hypersurface_density(inst: Instance, p: int, N: int,

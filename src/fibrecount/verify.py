@@ -346,8 +346,8 @@ def suite_padic(budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
                               f"{l2.density:.5f}, rel gap {rel2:.4f}"), ""
 
     def bracket_gaps():
-        gap3, gap2 = ((dens[p].density_high - dens[p].density_low)
-                      / dens[p].density_high for p in (3, 2))
+        gap3, gap2 = ((dens[p].density - dens[p].density_low)
+                      / dens[p].density for p in (3, 2))
         return gap3 <= 0.05 and gap2 <= 0.05, \
             f"bracket gaps: p=3 {gap3:.2e}, p=2 {gap2:.2e}", ""
 
@@ -486,10 +486,10 @@ def run_suites(names, budget=blocks.DEFAULT_BUDGET, seed=0, threads=1):
     if isinstance(names, str):
         names = [names]
     todo = list(SUITES) if "all" in names else names
-    out = []
-    for name in todo:
+    for name in todo:  # every name is checked before any suite runs
         if name not in _SUITES:
             raise arith.DomainError(
                 f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-        out.extend(_SUITES[name](budget=budget, seed=seed, threads=threads))
-    return out
+    return [result for name in todo
+            for result in _SUITES[name](budget=budget, seed=seed,
+                                        threads=threads)]

@@ -15,7 +15,7 @@ import numpy as np
 from fibrecount.archimedean import _chunk_rng
 from fibrecount.arith import (DomainError, factor, prime_sieve, ramanujan_sum,
                               valuation)
-from fibrecount.blocks import (DEFAULT_BUDGET, Block, BudgetExceededError,
+from fibrecount.blocks import (DEFAULT_BUDGET, BudgetExceededError,
                                balanced_halves, residue_table, restrict,
                                variable_blocks)
 from fibrecount.expsums import (TruncatedValue, _padic_weight_3mod4,
@@ -65,8 +65,8 @@ def block_masses(inst: Instance, p: int, N: int, e: int) -> tuple:
     """
     q1, q2 = p ** (N + e), p ** N
     assert p ** (inst.n * (N + e)) < 2**53
-    a, b = (residue_table(Block(tuple(h), restrict(inst.f1, h),
-                                restrict(inst.f2, h)), q1, 2**53)
+    a, b = (residue_table(restrict(inst.f1, h), restrict(inst.f2, h), len(h),
+                          q1, 2**53)
             .reshape(q1, q1 // q2, q2).sum(axis=1).astype(np.float64)
             for h in balanced_halves(variable_blocks(inst)))
     prod = a @ b[:, -np.arange(q2) % q2].T

@@ -28,21 +28,21 @@ from strategies import instances, mirrored, pair
 # ---------------------------------------------------------------------------
 
 def test_blocks_of_the_shipped_instances(four_squares, bilinear, linked):
-    assert [b.vars for b in blocks.variable_blocks(four_squares)] == \
-        [(0,), (1,), (2,), (3,)]
-    assert [b.vars for b in blocks.variable_blocks(bilinear)] == \
-        [(0, 1), (2, 3)]
+    assert blocks.variable_blocks(four_squares) == [(0,), (1,), (2,), (3,)]
+    assert blocks.variable_blocks(bilinear) == [(0, 1), (2, 3)]
     assert len(blocks.variable_blocks(linked)) == 1
-    g = blocks.variable_blocks(bilinear)[1]
-    assert g.g2 == Form(2, 2, ((-1, (1, 1)),))
+    b = blocks.variable_blocks(bilinear)[1]
+    assert blocks.restrict(bilinear.f2, b) == Form(2, 2, ((-1, (1, 1)),))
 
 
 def test_unused_variable_is_a_zero_block():
     inst = Instance(f1=Form(2, 2, ((1, (2, 0)),)),
                     f2=Form(2, 2, ((3, (2, 0)),)), n=2, d=2)
     free = blocks.variable_blocks(inst)[1]
-    assert free.vars == (1,) and free.g1 is None and free.g2 is None
-    table = blocks.residue_table(free, 5, 10**6)
+    assert free == (1,)
+    assert blocks.restrict(inst.f1, free) is None
+    assert blocks.restrict(inst.f2, free) is None
+    table = blocks.residue_table(None, None, 1, 5, 10**6)
     assert table[0, 0] == 5 and table.sum() == 5
 
 
@@ -97,7 +97,7 @@ def test_balanced_halves(four_squares, bilinear):
         ([0, 1], [2, 3])
     assert blocks.balanced_halves(blocks.variable_blocks(bilinear)) == \
         ([0, 1], [2, 3])
-    sized = [blocks.Block(tuple(range(a, b)), None, None)
+    sized = [tuple(range(a, b))
              for a, b in ((0, 3), (3, 4), (4, 6), (6, 7), (7, 9))]
     half_a, half_b = blocks.balanced_halves(sized)
     assert (len(half_a), len(half_b)) == (4, 5) and 0 in half_a

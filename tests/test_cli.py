@@ -10,8 +10,8 @@ import types
 
 import pytest
 
-from fibrecount import (__version__, archimedean, blocks, constant, counting,
-                        verify)
+from fibrecount import (__version__, archimedean, arith, blocks, constant,
+                        counting, verify)
 from fibrecount.cli import build_parser, main
 from fibrecount.forms import load_instance
 
@@ -347,6 +347,15 @@ def test_import_closures():
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
+
+
+def test_run_suites_checks_every_name_before_any_suite_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify._SUITES, "arith",
+                        lambda **kwargs: ran.append("arith") or [])
+    with pytest.raises(arith.DomainError, match="'bogus'"):
+        verify.run_suites(["arith", "bogus"])
+    assert ran == []
 
 
 def test_verify_padic_exit_zero(capsys):

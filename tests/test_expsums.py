@@ -46,16 +46,16 @@ def test_birch_table_matches_literal(four_squares):
 
 def test_birch_identities_read_the_served_tables(monkeypatch):
     # the check passes without the scan, and a block product that drops
-    # the multiplicity of a repeated block fails it
+    # the repeats of four_squares' two distinct blocks fails it
     def refuse(*args):
         raise AssertionError("scanned (Z/q)^n")
 
     expsums._birch_table.cache_clear()
     monkeypatch.setattr(expsums, "joint_value_distribution", refuse)
     assert verify._birch_identity_check(blocks.DEFAULT_BUDGET)[0]
-    real = expsums.block_tables
-    monkeypatch.setattr(expsums, "block_tables", lambda *args: [
-        (M, 1) for M, _ in real(*args)])
+    real, four = expsums.variable_blocks, verify.four_squares_instance()
+    monkeypatch.setattr(expsums, "variable_blocks", lambda inst: (
+        [(0,), (2,)] if inst == four else real(inst)))
     expsums._birch_table.cache_clear()
     try:
         passed, measured, _ = verify._birch_identity_check(
@@ -64,6 +64,27 @@ def test_birch_identities_read_the_served_tables(monkeypatch):
         expsums._birch_table.cache_clear()
     assert not passed and "orthogonality gap" in measured \
         and "at q=2 " in measured
+
+
+@pytest.mark.parametrize("name", ["four_squares", "bilinear"])
+def test_equal_blocks_share_one_table(name, request, monkeypatch):
+    # four_squares' four blocks have two distinct restriction pairs, and
+    # bilinear's two blocks are distinct: two residue tables each
+    inst = request.getfixturevalue(name)
+    real, calls = expsums.residue_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expsums, "residue_table", counted)
+    expsums._birch_table.cache_clear()
+    try:
+        S = expsums.birch_sum_table(inst, 12)
+    finally:
+        expsums._birch_table.cache_clear()
+    assert len(calls) == 2
+    assert np.abs(S - birch_table_scan(inst, 12)).max() <= 1e-9 * 12 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +180,20 @@ def test_phase_table_refusals(linked):
     line = Instance(f1=square, f2=square, n=1, d=2, label="one-variable")
     with pytest.raises(BudgetExceededError, match="int64"):
         expsums.birch_sum_table(line, 2 ** 31)
+
+
+def test_phase_path_refuses_before_its_tables(monkeypatch):
+    # the tables at 2^2 and 3 fit budget 100, the 12 x 12 join does not
+    real, calls = padic._phase_table, []
+
+    def recorded(inst, p, m, budget):
+        calls.append((p, m))
+        return real(inst, p, m, budget)
+
+    monkeypatch.setattr(padic, "_phase_table", recorded)
+    with pytest.raises(BudgetExceededError, match="a 12 x 12 table exceeds"):
+        expsums.birch_sum_table(_dense(0), 12, budget=100)
+    assert calls == []
 
 
 def test_tables_past_the_budget_are_refused_before_allocation(four_squares):

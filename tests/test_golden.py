@@ -59,13 +59,19 @@ COMMANDS = {
                           "--N", "3", "--kind", "ell"],
     "expsum-birch": ["expsum", "--config", FOUR, "--birch", "8"],
     "expsum-arc": ["expsum", "--config", FOUR, "--arc", "12"],
+    # the block path at a composite q over two distinct blocks, and the
+    # phase path's CRT join of 2^2 and 3
+    "expsum-birch-bilinear": ["expsum", "--config", BILINEAR, "--birch",
+                              "12"],
+    "expsum-birch-dense": ["expsum", "--config", DENSE, "--birch", "12"],
     # phase tables at 2^6, 3^4, 7^2 and 11^2
     "constant-dense-p13": ["constant", "--config", DENSE, "--p-max", "13"],
     "constant-p31": ["constant", "--config", FOUR, "--p-max", "31"],
 }
 NUMPY_FLOATS = {"expsum-empirical", "expsum-birch", "expsum-arc",
-                "constant-p7", "constant-default", "compare-dense",
-                "constant-dense-p13", "constant-p31"}
+                "expsum-birch-bilinear", "expsum-birch-dense", "constant-p7",
+                "constant-default", "compare-dense", "constant-dense-p13",
+                "constant-p31"}
 
 
 def _stdout(argv: list, folder: Path) -> str:

@@ -47,8 +47,8 @@ def test_soluble_le_tau(four_squares):
     for (p, N) in ((3, 3), (2, 4)):
         tau = padic.hypersurface_density(four_squares, p, N)
         ell = padic.soluble_density(four_squares, p, N)
-        assert ell.density_high <= tau.density + 1e-12
-        assert ell.density_low <= ell.density <= ell.density_high
+        assert ell.density <= tau.density + 1e-12
+        assert ell.density_low <= ell.density
 
 
 def test_soluble_density_vs_direct_oracle(four_squares):
@@ -95,7 +95,7 @@ def test_undecided_fraction_vanishes(four_squares):
 
 def test_dyadic_classification(four_squares):
     ell = padic.soluble_density(four_squares, 2, 5)
-    assert 0 < ell.density_low <= ell.density_high
+    assert 0 < ell.density_low <= ell.density
     # at p = 2 the odd part mod 4 needs two spare bits, so some nonzero
     # residues stay undecided
     assert ell.undecided_fraction > 0
